@@ -1,0 +1,689 @@
+// Package admit is the fact-production step both evaluators share: every
+// complete rule match, whichever scheduler found it, passes through one
+// termination-strategy wrapper (Algorithm 1 of the paper) before it is
+// stored. The breadth-first chase of internal/chase and the
+// pipe-and-filters engine of internal/pipeline differ only in how they
+// find matches; what happens to a match afterwards — constraint and EGD
+// enforcement, monotonic aggregation with supersession, existential
+// instantiation, the duplicate check, the termination check, budget
+// metering, storage, tag-twin mirroring and the partitioned-admission merge
+// — lives here, once.
+//
+// Compiled is the compile-time half (rewrite, warded analysis, per-rule
+// plans); Core is the per-run half (database, policy, meter, aggregate
+// state). An engine hands NewCore one hook, called with every fact that
+// was stored or replaced in place, and schedules from it: the chase
+// appends to its delta queue, the pipeline wakes its buffers. The core
+// never learns which engine drives it.
+package admit
+
+import (
+	"errors"
+	"fmt"
+	"runtime/debug"
+
+	"repro/internal/analysis"
+	"repro/internal/ast"
+	"repro/internal/core"
+	"repro/internal/eval"
+	"repro/internal/lint"
+	"repro/internal/rewrite"
+	"repro/internal/storage"
+	"repro/internal/term"
+)
+
+// ErrInconsistent is returned (wrapped) when a negative constraint fires
+// or an EGD equates two distinct constants.
+var ErrInconsistent = errors.New("admit: knowledge base is inconsistent")
+
+// ErrBudget is returned (wrapped) when the derivation budget is exhausted;
+// with the termination strategy enabled this indicates a genuinely
+// enormous answer, with it disabled it is the expected outcome on
+// non-terminating programs. A refused step has mutated nothing, so raising
+// the budget (SetBudget) and re-firing the delta resumes the run.
+var ErrBudget = errors.New("admit: derivation budget exceeded")
+
+// defaultBudget caps admitted facts when Config.MaxDerivations is unset.
+const defaultBudget = 10_000_000
+
+// Config is what both engines' Options say about compilation and
+// admission; scheduling knobs stay with the engines.
+type Config struct {
+	// Rewrite selects the logic-optimizer passes; nil means
+	// rewrite.DefaultOptions().
+	Rewrite *rewrite.Options
+	// RequireWarded makes Compile fail when the rewritten program is not
+	// warded instead of proceeding best-effort.
+	RequireWarded bool
+	// MaxDerivations caps admitted facts (0 = 10_000_000).
+	MaxDerivations int
+	// NewPolicy overrides the termination policy (nil = the full strategy
+	// of Algorithm 1, with DisableSummary turning off horizontal pruning).
+	NewPolicy      func(*analysis.Result) core.Policy
+	DisableSummary bool
+	// DisableDynamicIndex makes every lookup scan (ablation).
+	DisableDynamicIndex bool
+}
+
+// Compiled is the immutable compile-time artifact both engines build
+// their scheduling structures over: the rewritten program, its warded
+// analysis and the per-rule executable plans. Safe for concurrent use.
+type Compiled struct {
+	cfg Config
+
+	Prog  *ast.Program // rewritten program actually executed
+	Res   *analysis.Result
+	RW    *rewrite.Result
+	Preds map[string]int // predicate -> arity
+	Rules []*eval.CompiledRule
+	// Skolem marks rules whose body assignments mint nulls while matching:
+	// their enumeration order is part of the result, so both engines match
+	// them serially on the static schedule.
+	Skolem []bool
+
+	postAgg [][]eval.CCond // per rule: conditions reading the aggregate result
+}
+
+// Compile runs rewriting, wardedness analysis and rule compilation on
+// prog.
+func Compile(prog *ast.Program, cfg Config) (*Compiled, error) {
+	rwOpts := rewrite.DefaultOptions()
+	if cfg.Rewrite != nil {
+		rwOpts = *cfg.Rewrite
+	}
+	rw, err := rewrite.Apply(prog, rwOpts)
+	if err != nil {
+		return nil, err
+	}
+	res := analysis.Analyze(rw.Program)
+	if cfg.RequireWarded {
+		if err := lint.RequireWarded(res); err != nil {
+			return nil, fmt.Errorf("admit: %w", err)
+		}
+	}
+	// Parse does not reject arity drift (the lint layer reports it as
+	// A001); Predicates does.
+	preds, err := rw.Program.Predicates()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.MaxDerivations <= 0 {
+		cfg.MaxDerivations = defaultBudget
+	}
+	p := &Compiled{cfg: cfg, Prog: rw.Program, Res: res, RW: rw, Preds: preds}
+	for i, r := range rw.Program.Rules {
+		cr, err := eval.Compile(r, res.Rules[i])
+		if err != nil {
+			return nil, err
+		}
+		if len(cr.Pos) == 0 {
+			return nil, fmt.Errorf("admit: rule %d has no positive body atom: %s", r.ID, r.String())
+		}
+		var pa []eval.CCond
+		if cr.Agg != nil {
+			for _, cond := range cr.Conds {
+				for _, d := range cond.Deps {
+					if d == cr.Agg.ResultSlot {
+						pa = append(pa, cond)
+						break
+					}
+				}
+			}
+		}
+		skolem := false
+		for _, asg := range cr.Assigns {
+			skolem = skolem || asg.IsSkolem
+		}
+		p.Rules = append(p.Rules, cr)
+		p.postAgg = append(p.postAgg, pa)
+		p.Skolem = append(p.Skolem, skolem)
+	}
+	return p, nil
+}
+
+// Plain reports whether rule ri has plain admission effects — no aggregate
+// supersession, no EGD unification, no constraint, no existential
+// instantiation, at least one head — so its head facts can be materialized
+// and hashed at capture time for the partitioned admission path.
+func (p *Compiled) Plain(ri int) bool {
+	cr := p.Rules[ri]
+	return cr.Agg == nil && cr.Rule.EGD == nil && !cr.Rule.IsConstraint &&
+		len(cr.Exists) == 0 && len(cr.Heads) > 0
+}
+
+// Core is the per-run admission state over a shared Compiled: it owns the
+// database, the termination policy, the null substitution, the derivation
+// meter and the per-rule aggregate state, and is the only code that
+// mutates them. For use by a single goroutine.
+type Core struct {
+	p     *Compiled
+	db    *storage.Database
+	strat core.Policy
+	subst *eval.NullSubst
+	meter *core.Meter
+	mt    eval.Matcher // existential instantiation only
+	aggs  []*eval.AggState
+
+	// onAdmit is the engine's one hook: m was stored, or replaced in place.
+	onAdmit func(m *core.FactMeta)
+
+	// groupBuf/contribBuf/headsBuf/parentsBuf are reused across emissions
+	// so Emit allocates no per-match container slices (AggState keys copy
+	// what they keep; stored facts retain only the per-head Args slices,
+	// which stay freshly allocated).
+	groupBuf   []term.Value
+	contribBuf []term.Value
+	headsBuf   []ast.Fact
+	parentsBuf []*core.FactMeta
+
+	// Partitioned admission state. shards is the resolved duplicate-table
+	// shard count (a power of two). cands is the flattened candidate array
+	// — one slot per (log, canonical entry, head), in exactly the order
+	// Merge consumes them — with the pre-pass verdicts alongside;
+	// candInserted marks candidates Merge actually admitted, which is what
+	// validates PrepassDupBatch verdicts pointing at them.
+	shards       int
+	cands        []storage.PrepassCand
+	candVerdict  []uint8
+	candDupOf    []int32
+	candInserted []bool
+}
+
+// NewCore derives fresh run-time state over p. shards is the engine's
+// requested duplicate-table shard count (rounded up to a power of two, <= 1
+// disables the parallel pre-pass); onAdmit is called, on the admitting
+// goroutine, with every fact stored or replaced in place.
+func (p *Compiled) NewCore(shards int, onAdmit func(m *core.FactMeta)) *Core {
+	c := &Core{
+		p:       p,
+		db:      storage.NewDatabase(),
+		subst:   eval.NewNullSubst(),
+		meter:   core.NewMeter(p.cfg.MaxDerivations),
+		onAdmit: onAdmit,
+	}
+	if p.cfg.NewPolicy != nil {
+		c.strat = p.cfg.NewPolicy(p.Res)
+	} else {
+		full := core.NewStrategy(p.Res)
+		full.DisableSummary = p.cfg.DisableSummary
+		c.strat = full
+	}
+	if p.cfg.DisableDynamicIndex {
+		c.db.DisableIndexes()
+	}
+	c.db.SetShards(shards)
+	c.shards = c.db.Shards()
+	c.meter.SetShards(c.shards)
+	c.mt.DB = c.db
+	for _, cr := range p.Rules {
+		var st *eval.AggState
+		if cr.Rule.Aggregate != nil {
+			st = eval.NewAggState(cr.Rule.Aggregate.Func, c.db.Interner())
+		}
+		c.aggs = append(c.aggs, st)
+	}
+	return c
+}
+
+// DB exposes the run's database (record-manager loads, diagnostics).
+func (c *Core) DB() *storage.Database { return c.db }
+
+// Strategy exposes the termination policy for its statistics.
+func (c *Core) Strategy() core.Policy { return c.strat }
+
+// Subst exposes the EGD null substitution.
+func (c *Core) Subst() *eval.NullSubst { return c.subst }
+
+// Meter exposes the derivation meter (budget usage, per-shard pre-pass
+// statistics).
+func (c *Core) Meter() *core.Meter { return c.meter }
+
+// Shards returns the resolved duplicate-table shard count.
+func (c *Core) Shards() int { return c.shards }
+
+// Derivations reports admitted (inserted or superseded-in-place) facts so
+// far, EDB included.
+func (c *Core) Derivations() int { return c.meter.Used() }
+
+// SetBudget replaces the derivation budget for subsequent admissions —
+// how a run resumes after an ErrBudget partial result. Only safe between
+// drive calls.
+func (c *Core) SetBudget(n int) { c.meter.SetLimit(n) }
+
+// Output returns pred's facts with the program's @post directives applied
+// (certain-answer filtering, ordering, limit, keepMax/keepMin) and the EGD
+// null substitution resolved, against the current database — readable
+// mid-run, which is what a partial result reports.
+func (c *Core) Output(pred string) []ast.Fact {
+	return eval.ApplyPost(c.db.FactsOf(pred), c.p.Prog.Posts, pred, c.subst)
+}
+
+// exhausted reports whether the budget has no room for another chase step.
+// Steps ask before they touch anything — the termination strategy records
+// the facts it lets through and an aggregate row is rewritten in place, so
+// a step refused half-way could not be re-fired — and charge once they are
+// certain to store. Admission is serial, so ask-then-charge cannot race.
+func (c *Core) exhausted() bool { return c.meter.Used() >= c.meter.Limit() }
+
+func (c *Core) errBudget() error {
+	return fmt.Errorf("%w (%d facts)", ErrBudget, c.meter.Used())
+}
+
+// Load admits one EDB fact; duplicates are skipped, so re-feeding after an
+// interrupted load is idempotent. EDB facts are never refused: they charge
+// the meter unconditionally.
+func (c *Core) Load(f ast.Fact) {
+	if !c.db.InsertEDB(f, c.strat) {
+		return
+	}
+	rel := c.db.Lookup(f.Pred)
+	c.meter.Charge()
+	c.onAdmit(rel.At(rel.Len() - 1))
+	c.insertTagTwin(f)
+}
+
+// Guard runs load under the load path's crash isolation: a panic (a
+// storage fault mid-chunk) becomes a typed error labelled engine, with the
+// already-admitted prefix intact — loading skips duplicates, so re-feeding
+// the same facts resumes exactly where the crash struck.
+func Guard(engine string, load func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil { //vadalint:panicguard load-path crash isolation: convert storage faults into typed resumable errors
+			err = &core.PanicError{Engine: engine, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return load()
+}
+
+// Emit runs one complete binding b of rule ri through fact production:
+// constraints and EGDs are enforced, aggregates updated (non-improving
+// matches of SkipSafe rules stop here), post-aggregate conditions tested,
+// existentials instantiated, and every head fact admitted — superseding
+// the group's previous fact for aggregate heads. It returns how many facts
+// were stored or replaced.
+//
+// An improved aggregate value stays unsettled until its emission completes:
+// when a step is refused (ErrBudget) or crashes, the re-fired delta sees
+// the improvement again instead of skipping an emission that never
+// happened.
+func (c *Core) Emit(ri int, b *eval.Binding) (int, error) {
+	cr := c.p.Rules[ri]
+	rule := cr.Rule
+	switch {
+	case rule.IsConstraint:
+		return 0, fmt.Errorf("%w: constraint fired: %s", ErrInconsistent, rule.String())
+	case rule.EGD != nil:
+		l := b.Val(cr.VarSlot[rule.EGD.Left])
+		r := b.Val(cr.VarSlot[rule.EGD.Right])
+		if err := c.subst.Unify(l, r); err != nil {
+			return 0, fmt.Errorf("%w: %v (egd %s)", ErrInconsistent, err, rule.String())
+		}
+		return 0, nil
+	}
+	if cr.Agg == nil {
+		return c.emitHeads(ri, cr, b)
+	}
+	group := c.groupBuf[:0]
+	for _, s := range cr.Agg.GroupSlots {
+		group = append(group, b.Val(s))
+	}
+	c.groupBuf = group
+	contrib := c.contribBuf[:0]
+	for _, s := range cr.Agg.ContribSlots {
+		contrib = append(contrib, b.Val(s))
+	}
+	c.contribBuf = contrib
+	var x term.Value
+	if cr.Agg.ArgSlot >= 0 {
+		x = b.Val(cr.Agg.ArgSlot)
+	} else {
+		var err error
+		x, err = cr.Agg.Arg.Eval(b.Env(cr, cr.Agg.ArgDeps))
+		if err != nil {
+			return 0, err
+		}
+	}
+	st := c.aggs[ri]
+	agg, improved, err := st.Update(group, contrib, x)
+	if err != nil {
+		return 0, err
+	}
+	if !improved && cr.Agg.SkipSafe {
+		// The group's aggregate did not change and the post-aggregate
+		// conditions depend only on (result, group): this match evaluates
+		// exactly like the one that already emitted. Unsafe rules
+		// (conditions over other body variables, existential heads) take
+		// the full path; supersession makes re-emission idempotent.
+		return 0, nil
+	}
+	b.Set(cr.Agg.ResultSlot, agg)
+	st.Unsettle()
+	n, err := c.emitHeads(ri, cr, b)
+	if err == nil {
+		st.Settle()
+	}
+	return n, err
+}
+
+// emitHeads is Emit past the aggregate update: post-aggregate conditions,
+// existential instantiation, head materialization, admission.
+func (c *Core) emitHeads(ri int, cr *eval.CompiledRule, b *eval.Binding) (int, error) {
+	for i := range c.p.postAgg[ri] {
+		cond := &c.p.postAgg[ri][i]
+		if cond.Fast {
+			if !cond.EvalFast(b) {
+				return 0, nil
+			}
+			continue
+		}
+		// The aggregate result reaches the environment through its slot,
+		// so the dependency-restricted env suffices.
+		ok, err := ast.EvalCondition(cond.Cond, b.Env(cr, cond.Deps))
+		if err != nil || !ok {
+			return 0, err
+		}
+	}
+	c.mt.InstantiateExistentials(cr, b)
+	heads, err := eval.HeadFactsAppend(cr, b, c.subst, c.headsBuf[:0])
+	c.headsBuf = heads
+	if err != nil {
+		return 0, err
+	}
+	parents := eval.WardFirstParentsAppend(cr, b, c.parentsBuf[:0])
+	c.parentsBuf = parents
+	// Existential aggregate heads mint per-binding nulls: each binding is
+	// its own fact, not an improvement of the previous one, so they take
+	// the plain admission path (no supersession).
+	supersede := cr.Agg != nil && len(cr.Exists) == 0
+	admitted := 0
+	for hi, hf := range heads {
+		var n int
+		if supersede {
+			n, err = c.admitAggregate(c.aggs[ri], hi, hf, cr.Rule.ID, parents)
+		} else {
+			n, err = c.admit(hf, cr.Rule.ID, parents)
+		}
+		admitted += n
+		if err != nil {
+			return admitted, err
+		}
+	}
+	return admitted, nil
+}
+
+// admit runs the set-semantics duplicate check and the termination
+// strategy, and on success stores the fact and reports it to the engine.
+// It returns 1 when the fact was stored, 0 when it was rejected.
+func (c *Core) admit(f ast.Fact, ruleID int, parents []*core.FactMeta) (int, error) {
+	rel := c.db.Rel(f.Pred, len(f.Args))
+	if rel.Contains(f) {
+		return 0, nil
+	}
+	m, err := c.derive(f, ruleID, parents)
+	if m == nil {
+		return 0, err
+	}
+	rel.Insert(m)
+	c.stored(m)
+	return 1, nil
+}
+
+// derive is the termination-strategy wrapper around a fact known not to be
+// stored: ErrBudget when the budget is exhausted, nil, nil when the
+// strategy prunes the fact, otherwise the charged metadata ready to insert.
+func (c *Core) derive(f ast.Fact, ruleID int, parents []*core.FactMeta) (*core.FactMeta, error) {
+	if c.exhausted() {
+		return nil, c.errBudget()
+	}
+	m := c.strat.Derive(f, ruleID, parents)
+	if !c.strat.CheckTermination(m) {
+		return nil, nil
+	}
+	c.meter.Charge()
+	return m, nil
+}
+
+// stored reports a freshly inserted fact to the engine and mirrors it into
+// its tag twin.
+func (c *Core) stored(m *core.FactMeta) {
+	c.onAdmit(m)
+	c.insertTagTwin(m.Fact)
+}
+
+// admitAggregate admits an aggregate-head fact with supersession: when the
+// rule has previously admitted a fact for the current group (and this head
+// index), the improved fact replaces it in place — same FactMeta, same
+// forest roots and provenance — instead of accumulating next to the
+// superseded intermediate. Replacements count against the derivation
+// budget (they are chase steps) and are reported to the engine so dependent
+// rules observe the improved value. A supersession step needs budget in
+// hand before it touches the row: a refusal leaves storage, the policy's
+// memory and the tag twin exactly as they were.
+func (c *Core) admitAggregate(st *eval.AggState, hi int, f ast.Fact, ruleID int, parents []*core.FactMeta) (int, error) {
+	rel := c.db.Rel(f.Pred, len(f.Args))
+	prev, ok := st.LastEmitted(hi)
+	if !ok {
+		n, err := c.admit(f, ruleID, parents)
+		if n > 0 {
+			st.RecordEmitted(hi, rel.At(rel.Len()-1), rel.Len()-1)
+		}
+		return n, err
+	}
+	if c.exhausted() {
+		return 0, c.errBudget()
+	}
+	old := prev.Meta.Fact
+	switch rel.Replace(prev.Row, f) {
+	case storage.ReplaceUnchanged:
+		return 0, nil // e.g. the aggregate result does not occur in the head
+	case storage.ReplaceRetracted:
+		// The improved value already exists as an independently stored
+		// fact; the superseded intermediate was retracted and the group is
+		// represented by that fact. The next improvement starts fresh.
+		st.RecordEmitted(hi, nil, 0)
+		c.noteSuperseded(old)
+		return 0, nil
+	default: // ReplaceDone
+		c.meter.Charge()
+		c.onAdmit(prev.Meta)
+		c.noteSuperseded(old)
+		c.replaceTagTwin(old, f)
+		return 1, nil
+	}
+}
+
+// noteSuperseded tells fact-memorizing termination policies that old is no
+// longer stored.
+func (c *Core) noteSuperseded(old ast.Fact) {
+	if obs, ok := c.strat.(core.SupersessionObserver); ok {
+		obs.NoteSuperseded(old)
+	}
+}
+
+// insertTagTwin mirrors an admitted fact of a tagged predicate into its
+// tag twin, with labelled nulls replaced by their canonical ground keys
+// (dynamic harmful-join elimination; see
+// rewrite.EliminateHarmfulJoinsDynamic). Twins are bookkeeping, not
+// derivations: they do not charge the meter.
+func (c *Core) insertTagTwin(f ast.Fact) {
+	twin, ok := c.p.RW.TagPreds[f.Pred]
+	if !ok {
+		return
+	}
+	tf := c.tagTwinFact(twin, f)
+	rel := c.db.Rel(twin, len(tf.Args))
+	if rel.Contains(tf) {
+		return
+	}
+	m := c.strat.NewEDBFact(tf)
+	rel.Insert(m)
+	c.onAdmit(m)
+}
+
+// tagTwinFact renders the tag-twin image of f: labelled nulls replaced by
+// their canonical ground keys.
+func (c *Core) tagTwinFact(twin string, f ast.Fact) ast.Fact {
+	args := make([]term.Value, len(f.Args))
+	for i, v := range f.Args {
+		if v.IsNull() {
+			args[i] = term.String("\x00" + c.db.Nulls.KeyOf(v))
+		} else {
+			args[i] = v
+		}
+	}
+	return ast.Fact{Pred: twin, Args: args}
+}
+
+// replaceTagTwin mirrors an aggregate supersession into the tag twin of a
+// tagged predicate: the twin of the superseded fact is replaced by the
+// twin of the improved one.
+func (c *Core) replaceTagTwin(old, f ast.Fact) {
+	twin, ok := c.p.RW.TagPreds[f.Pred]
+	if !ok {
+		return
+	}
+	oldTwin := c.tagTwinFact(twin, old)
+	newTwin := c.tagTwinFact(twin, f)
+	rel := c.db.Rel(twin, len(newTwin.Args))
+	idx, found := rel.FindExact(oldTwin)
+	if !found {
+		c.insertTagTwin(f)
+		return
+	}
+	if rel.Replace(idx, newTwin) == storage.ReplaceDone {
+		c.onAdmit(rel.At(idx))
+	}
+}
+
+// ResetCands empties the candidate array ahead of a round of Flatten
+// calls.
+func (c *Core) ResetCands() { c.cands = c.cands[:0] }
+
+// Flatten appends the prepared heads of lg (captured for rule ri with
+// PrepareHeads/CaptureHeads) to the candidate array in canonical (perm,
+// head) order and returns the index of the first slot, which Merge takes
+// back. Target relations are created here, while mutation is serial.
+// Unprepared entries and heads whose relation's arity drifted since
+// capture (restride) get placeholder slots (Rel nil).
+func (c *Core) Flatten(ri int, lg *eval.BindingLog, perm []int32) int {
+	base := len(c.cands)
+	nh := len(c.p.Rules[ri].Heads)
+	for _, i := range perm {
+		for hi := 0; hi < nh; hi++ {
+			var cand storage.PrepassCand
+			if lg.EntryPrepared(int(i)) {
+				f, row, h := lg.PreparedHead(int(i), hi)
+				if rel := c.db.Rel(f.Pred, len(f.Args)); rel.Arity() == len(row) {
+					cand = storage.PrepassCand{Rel: rel, Row: row, Hash: h, Gen: rel.RetractGen()}
+				}
+			}
+			c.cands = append(c.cands, cand)
+		}
+	}
+	return base
+}
+
+// Prepass computes sharded dedup verdicts for the flattened candidates in
+// parallel (storage.RunPrepass). Verdicts only ever skip work Merge would
+// redo identically, so this phase is invisible to the final database for
+// every shard count. A crash in it (the storage.merge fault seam, a
+// shard-goroutine panic) unwinds with nothing admitted.
+func (c *Core) Prepass() {
+	n := len(c.cands)
+	if n == 0 {
+		return
+	}
+	if cap(c.candVerdict) < n {
+		c.candVerdict = make([]uint8, n)
+		c.candDupOf = make([]int32, n)
+		c.candInserted = make([]bool, n)
+	}
+	c.candVerdict = c.candVerdict[:n]
+	c.candDupOf = c.candDupOf[:n]
+	c.candInserted = c.candInserted[:n]
+	for i := range c.candVerdict {
+		c.candVerdict[i] = storage.PrepassUnknown
+		c.candDupOf[i] = -1
+		c.candInserted[i] = false
+	}
+	storage.RunPrepass(c.cands, c.candVerdict, c.candDupOf, c.shards, c.meter)
+}
+
+// Merge admits the candidates Flatten laid out for (ri, lg, perm) at base,
+// in canonical order — the serial merge of partitioned admission. Per
+// candidate it consumes the pre-pass verdict: duplicate verdicts skip
+// outright while the relation's retraction generation still matches the
+// candidate's snapshot (a retraction since Flatten invalidates them);
+// everything else takes an O(1) re-probe against live state, so the
+// decision sequence is exactly the classic replay's. Fresh candidates run
+// the same termination wrapper as Emit, then append via InsertPrepared —
+// no re-interning, no re-hashing. Entries whose heads did not prepare fall
+// back to Restore into b + Emit — so a log captured without PrepareHeads
+// needs no Flatten and is simply replayed, base unused; candidates whose
+// relation restrided since capture fall back to the classic admit. It
+// returns how many facts were stored or replaced.
+func (c *Core) Merge(ri int, lg *eval.BindingLog, perm []int32, base int, b *eval.Binding) (int, error) {
+	cr := c.p.Rules[ri]
+	nh := len(cr.Heads)
+	shardMask := uint64(c.shards - 1)
+	admitted := 0
+	for k, idx := range perm {
+		i := int(idx)
+		if !lg.EntryPrepared(i) {
+			lg.Restore(i, c.db.Interner(), b)
+			n, err := c.Emit(ri, b)
+			admitted += n
+			if err != nil {
+				return admitted, err
+			}
+			continue
+		}
+		var parents []*core.FactMeta
+		for hi := 0; hi < nh; hi++ {
+			ci := base + k*nh + hi
+			cand := &c.cands[ci]
+			drifted := cand.Rel == nil || cand.Rel.Arity() != len(cand.Row)
+			if !drifted {
+				if cand.Rel.RetractGen() == cand.Gen {
+					// Duplicate verdicts are exact for pre-Flatten state and
+					// for earlier inserted candidates.
+					v := c.candVerdict[ci]
+					if v == storage.PrepassDupStored ||
+						(v == storage.PrepassDupBatch && c.candInserted[c.candDupOf[ci]]) {
+						continue
+					}
+				}
+				if cand.Rel.ContainsRowHash(cand.Row, cand.Hash) {
+					continue
+				}
+			}
+			f, _, _ := lg.PreparedHead(i, hi)
+			if parents == nil {
+				parents = lg.ParentsAppend(cr, i, c.parentsBuf[:0])
+				c.parentsBuf = parents
+			}
+			if drifted {
+				// The prepared row no longer matches the relation's stride.
+				n, err := c.admit(f, cr.Rule.ID, parents)
+				admitted += n
+				if err != nil {
+					return admitted, err
+				}
+				continue
+			}
+			m, err := c.derive(f, cr.Rule.ID, parents)
+			if err != nil {
+				return admitted, err
+			}
+			if m == nil {
+				continue
+			}
+			cand.Rel.InsertPrepared(m, cand.Row, cand.Hash)
+			c.candInserted[ci] = true
+			c.meter.NoteShardAdmit(int(cand.Hash & shardMask))
+			c.stored(m)
+			admitted++
+		}
+	}
+	return admitted, nil
+}

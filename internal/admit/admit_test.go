@@ -1,0 +1,329 @@
+package admit
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/ast"
+	"repro/internal/core"
+	"repro/internal/eval"
+	"repro/internal/parser"
+	"repro/internal/storage"
+)
+
+// harness is the smallest possible engine over a Core: its hook records
+// every event, and fire matches one stored fact against every rule atom of
+// its predicate — scheduling reduced to "the test says which delta".
+type harness struct {
+	t  *testing.T
+	p  *Compiled
+	c  *Core
+	mt *eval.Matcher
+	bs []*eval.Binding
+
+	events     []string // hook calls, in order
+	superseded []string // SupersessionObserver calls
+	checks     int      // CheckTermination calls
+
+	logs [2]preparedLog // the merge cases' captured deltas
+}
+
+// preparedLog is one delta's prepared-head log, flattened at base.
+type preparedLog struct {
+	lg   *eval.BindingLog
+	perm []int32
+	base int
+}
+
+// spyPolicy wraps the full strategy: it counts termination checks (a
+// refused step must not reach the strategy), rejects every fact of one
+// predicate, and records supersession notices.
+type spyPolicy struct {
+	core.Policy
+	h      *harness
+	reject string
+}
+
+func (p spyPolicy) CheckTermination(m *core.FactMeta) bool {
+	p.h.checks++
+	return m.Fact.Pred != p.reject && p.Policy.CheckTermination(m)
+}
+
+func (p spyPolicy) NoteSuperseded(old ast.Fact) {
+	p.h.superseded = append(p.h.superseded, old.String())
+}
+
+// newHarness compiles src, marks the predicates in tags as harmful-join
+// participants (pred -> twin, as rewrite.Result.TagPreds would), builds a
+// Core whose policy rejects facts of reject, and loads the program's
+// inline facts.
+func newHarness(t *testing.T, src string, tags map[string]string, reject string) *harness {
+	t.Helper()
+	h := &harness{t: t}
+	p, err := Compile(parser.MustParse(src), Config{
+		NewPolicy: func(res *analysis.Result) core.Policy {
+			return spyPolicy{Policy: core.NewStrategy(res), h: h, reject: reject}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pred, twin := range tags {
+		p.RW.TagPreds[pred] = twin
+	}
+	h.p, h.c = p, p.NewCore(4, func(m *core.FactMeta) { h.events = append(h.events, m.Fact.String()) })
+	h.mt = &eval.Matcher{DB: h.c.DB()}
+	for _, cr := range p.Rules {
+		h.bs = append(h.bs, eval.NewBinding(cr))
+	}
+	for _, f := range p.Prog.Facts {
+		h.c.Load(f)
+	}
+	return h
+}
+
+// meta returns the stored metadata of the fact rendered as s.
+func (h *harness) meta(s string) *core.FactMeta {
+	h.t.Helper()
+	rel := h.c.DB().Lookup(s[:strings.IndexByte(s, '(')])
+	for i := 0; rel != nil && i < rel.Len(); i++ {
+		if m := rel.At(i); !m.Retracted && m.Fact.String() == s {
+			return m
+		}
+	}
+	h.t.Fatalf("fact %s is not stored", s)
+	return nil
+}
+
+// fire emits every match of every rule with a body atom pinned to delta.
+func (h *harness) fire(delta string) error {
+	m := h.meta(delta)
+	for ri, cr := range h.p.Rules {
+		for pi, a := range cr.Pos {
+			if a.Pred != m.Fact.Pred {
+				continue
+			}
+			err := h.mt.MatchPinned(cr, pi, m, h.bs[ri], func(b *eval.Binding) error {
+				_, err := h.c.Emit(ri, b)
+				return err
+			})
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// capture matches rule 0 pinned to delta into a prepared-head log, the way
+// a match worker does.
+func (h *harness) capture(delta string) (*eval.BindingLog, []int32) {
+	cr := h.p.Rules[0]
+	lg := &eval.BindingLog{}
+	lg.Reset(cr)
+	lg.PrepareHeads(cr)
+	err := h.mt.MatchPinned(cr, 0, h.meta(delta), h.bs[0], func(b *eval.Binding) error {
+		lg.Capture(b)
+		lg.CaptureHeads(cr, b, nil)
+		return nil
+	})
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	return lg, lg.CanonicalOrder(nil)
+}
+
+// state renders everything a step may mutate: every row of every relation
+// (retracted rows marked), the meter, the strategy's check count and the
+// supersession notices.
+func (h *harness) state() string {
+	var sb strings.Builder
+	for _, pred := range h.c.DB().Predicates() {
+		rel := h.c.DB().Lookup(pred)
+		for i := 0; i < rel.Len(); i++ {
+			if m := rel.At(i); m.Retracted {
+				fmt.Fprintf(&sb, "x%s ", m.Fact)
+			} else {
+				fmt.Fprintf(&sb, "%s ", m.Fact)
+			}
+		}
+	}
+	fmt.Fprintf(&sb, "| used=%d checks=%d events=%v superseded=%v", h.c.Derivations(), h.checks, h.events, h.superseded)
+	return sb.String()
+}
+
+const sumRule = `c(G,N,W), V = msum(W,<N>) -> total(G,V).`
+
+// TestHookContract drives the core one delta at a time and pins, per
+// admission outcome, which hook events fire, what the meter charges and
+// what the policy is told. Every case then runs again with the budget cut
+// to zero headroom before each step in turn: a step refused with ErrBudget
+// must have mutated nothing — storage, meter, strategy, aggregate state,
+// hook — and re-firing it under a raised budget must reach the same final
+// state as the uncut run.
+func TestHookContract(t *testing.T) {
+	cases := []struct {
+		name   string
+		src    string
+		tags   map[string]string
+		reject string
+		// steps are stored facts fired as deltas, in order; a step may
+		// instead be a custom drive (the merge cases).
+		steps []string
+		drive func(h *harness, step int) error
+		nstep int
+
+		events     []string // hook events after the loads
+		charged    int      // meter charges after the loads
+		superseded []string
+	}{
+		{
+			name: "fresh admit", src: `a(X) -> p(X). a(1).`,
+			steps: []string{"a(1)"}, events: []string{"p(1)"}, charged: 1,
+		},
+		{
+			name: "stored duplicate", src: `a(X) -> p(X). b(X) -> p(X). a(1). b(1).`,
+			steps: []string{"a(1)", "b(1)"}, events: []string{"p(1)"}, charged: 1,
+		},
+		{
+			name: "termination-rejected", src: `a(X) -> p(X). a(X) -> q(X). a(1).`, reject: "p",
+			steps: []string{"a(1)"}, events: []string{"q(1)"}, charged: 1,
+		},
+		{
+			name: "ReplaceDone", src: sumRule + ` c("g",1,1). c("g",2,2).`,
+			steps:  []string{`c(g,1,1)`, `c(g,2,2)`},
+			events: []string{"total(g,1)", "total(g,3)"}, charged: 2,
+			superseded: []string{"total(g,1)"},
+		},
+		{
+			// The improved value is already stored independently: the
+			// superseded row is retracted, which is neither an admission
+			// nor a charge.
+			name: "ReplaceRetracted", src: sumRule + ` total("g",3). c("g",1,1). c("g",2,2).`,
+			steps:  []string{`c(g,1,1)`, `c(g,2,2)`},
+			events: []string{"total(g,1)"}, charged: 1,
+			superseded: []string{"total(g,1)"},
+		},
+		{
+			name: "ReplaceUnchanged", src: `c(G,N,W), V = msum(W,<N>) -> seen(G). c("g",1,1). c("g",2,2).`,
+			steps:  []string{`c(g,1,1)`, `c(g,2,2)`},
+			events: []string{"seen(g)"}, charged: 1,
+		},
+		{
+			// Twins mirror admissions and supersessions, reach the hook
+			// (the engines must schedule them) and are never charged.
+			name: "tag twin insert and replace", src: sumRule + ` c("g",1,1). c("g",2,2).`,
+			tags:   map[string]string{"total": "total__tag"},
+			steps:  []string{`c(g,1,1)`, `c(g,2,2)`},
+			events: []string{"total(g,1)", "total__tag(g,1)", "total(g,3)", "total__tag(g,3)"}, charged: 2,
+			superseded: []string{"total(g,1)"},
+		},
+		{
+			// Two deltas derive p(5); the pre-pass marked the second a
+			// batch duplicate of the first, so the merge skips it unprobed.
+			name: "prepared merge, DupBatch verdict", src: `e(X,Y) -> p(Y). e(1,5). e(2,5).`,
+			nstep: 3, drive: mergeDrive(false), events: []string{"p(5)"}, charged: 1,
+		},
+		{
+			// Same, but the row the verdict points at is retracted between
+			// the two merges: the verdict is stale, the merge must re-probe
+			// and admit p(5) afresh.
+			name: "prepared merge, stale DupBatch verdict after a retraction", src: `e(X,Y) -> p(Y). p(7). e(1,5). e(2,5).`,
+			nstep: 4, drive: mergeDrive(true), events: []string{"p(5)", "p(5)"}, charged: 2,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.drive == nil {
+				tc.nstep = len(tc.steps)
+				tc.drive = func(h *harness, step int) error { return h.fire(tc.steps[step]) }
+			}
+			run := func(cutAt int) *harness {
+				h := newHarness(t, tc.src, tc.tags, tc.reject)
+				h.events, h.checks = nil, 0
+				for step := 0; step < tc.nstep; step++ {
+					if step != cutAt {
+						if err := tc.drive(h, step); err != nil {
+							t.Fatalf("step %d: %v", step, err)
+						}
+						continue
+					}
+					limit := h.c.Meter().Limit()
+					h.c.SetBudget(h.c.Derivations())
+					before := h.state()
+					err := tc.drive(h, step)
+					if err != nil && !errors.Is(err, ErrBudget) {
+						t.Fatalf("step %d under an exhausted budget: %v", step, err)
+					}
+					if after := h.state(); err != nil && after != before {
+						t.Errorf("step %d was refused but mutated state\nbefore: %s\n after: %s", step, before, after)
+					}
+					h.c.SetBudget(limit)
+					if err == nil {
+						continue // the step needed no budget
+					}
+					if err := tc.drive(h, step); err != nil {
+						t.Fatalf("step %d re-fired under the raised budget: %v", step, err)
+					}
+				}
+				return h
+			}
+			h := run(-1)
+			if !reflect.DeepEqual(h.events, tc.events) {
+				t.Errorf("hook events = %v, want %v", h.events, tc.events)
+			}
+			if got := h.c.Derivations() - len(h.p.Prog.Facts); got != tc.charged {
+				t.Errorf("meter charged %d derivations, want %d", got, tc.charged)
+			}
+			if !reflect.DeepEqual(h.superseded, tc.superseded) {
+				t.Errorf("supersession notices = %v, want %v", h.superseded, tc.superseded)
+			}
+			want := h.state()
+			for cutAt := 0; cutAt < tc.nstep; cutAt++ {
+				if got := run(cutAt).state(); got != want {
+					t.Errorf("budget cut before step %d: final state differs\n got: %s\nwant: %s", cutAt, got, want)
+				}
+			}
+		})
+	}
+}
+
+// mergeDrive drives the prepared-path cases: step 0 captures both deltas'
+// logs, flattens them and plants the verdicts a pre-pass over this batch
+// computes (too small a batch for RunPrepass to fan out); step 1 merges the
+// first log; step 2 — when retract is set — retracts the row that merge
+// admitted; the last step merges the second log.
+func mergeDrive(retract bool) func(h *harness, step int) error {
+	return func(h *harness, step int) error {
+		if !retract && step >= 2 {
+			step++
+		}
+		switch step {
+		case 0:
+			h.c.ResetCands()
+			for i, delta := range []string{"e(1,5)", "e(2,5)"} {
+				l := &h.logs[i]
+				l.lg, l.perm = h.capture(delta)
+				l.base = h.c.Flatten(0, l.lg, l.perm)
+			}
+			h.c.Prepass()
+			h.c.candVerdict[0], h.c.candVerdict[1] = storage.PrepassFresh, storage.PrepassDupBatch
+			h.c.candDupOf[1] = 0
+			return nil
+		case 2:
+			// p(5) sits in row 1 behind the inline p(7): superseding it
+			// with p(7) retracts it, as an aggregate rule's Replace would.
+			if out := h.c.DB().Lookup("p").Replace(1, h.meta("p(7)").Fact); out != storage.ReplaceRetracted {
+				h.t.Fatalf("Replace = %v, want ReplaceRetracted", out)
+			}
+			return nil
+		}
+		l := h.logs[step/2]
+		_, err := h.c.Merge(0, l.lg, l.perm, l.base, h.bs[0])
+		return err
+	}
+}

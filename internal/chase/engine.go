@@ -24,16 +24,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/fault"
-	"repro/internal/lint"
 	"repro/internal/planner"
 	"repro/internal/rewrite"
 	"repro/internal/storage"
-	"repro/internal/term"
 )
 
 // siteMatch guards the parallel match seam: it fires inside matchTask on
@@ -41,14 +40,12 @@ import (
 // panic terms exercise worker panic isolation.
 var siteMatch = fault.NewSite("chase.match")
 
-// ErrInconsistent is returned (wrapped) when a negative constraint fires
-// or an EGD equates two distinct constants.
-var ErrInconsistent = errors.New("chase: knowledge base is inconsistent")
-
-// ErrBudget is returned when MaxDerivations is exceeded; with the
-// termination strategy enabled this indicates a genuinely enormous answer,
-// with it disabled it is the expected outcome on non-terminating programs.
-var ErrBudget = errors.New("chase: derivation budget exceeded")
+// ErrInconsistent and ErrBudget are the admission core's sentinels under
+// this package's name: errors.Is holds against either.
+var (
+	ErrInconsistent = admit.ErrInconsistent
+	ErrBudget       = admit.ErrBudget
+)
 
 // Options configures a reasoning run.
 type Options struct {
@@ -117,22 +114,15 @@ func (r *Result) Output(pred string) []ast.Fact {
 // concurrent use by any number of goroutines, each deriving cheap per-run
 // state with NewEngine.
 type Compiled struct {
-	opts Options
-	prog *ast.Program // rewritten program
-	res  *analysis.Result
-	rw   *rewrite.Result
+	*admit.Compiled // rewritten program, analysis, per-rule plans
+	opts            Options
 
-	rules   []*eval.CompiledRule
-	postAgg [][]eval.CCond // conditions depending on the aggregate result
 	// byPred maps predicate -> (rule idx, pos idx) pairs for delta pinning.
 	byPred map[string][][2]int
-	// parSafe marks rules whose matching is free of shared-state writes
-	// and may run on worker goroutines. Rules with Skolem assignments in
-	// the body mint nulls while matching (a null-factory write), so their
-	// firings are evaluated inline on the serial admit path instead.
-	parSafe []bool
 	// prepared marks rules eligible for the partitioned admission path:
-	// parallel-safe, plain heads only — no aggregate (supersession must
+	// matched on workers (rules whose bodies mint Skolem nulls — a
+	// null-factory write — are evaluated inline on the serial admit path
+	// instead) and with plain heads only: no aggregate (supersession must
 	// see serial state), no constraint, no existentials (null minting must
 	// stay in canonical admission order). EGDs disable preparation
 	// program-wide: they mutate the null substitution during admission, so
@@ -146,8 +136,6 @@ type Compiled struct {
 	groups    []cseGroup
 	groupOf   map[[2]int]int // (rule idx, pinned pos) -> group idx
 	postSteps [][]eval.Step  // per rule: assign/cond replay steps (grouped rules)
-
-	budget int
 }
 
 // cseGroup is one set of rules sharing a positive body (see
@@ -161,75 +149,28 @@ type cseGroup struct {
 // Compile runs rewriting, wardedness analysis and rule compilation on
 // prog and returns the shareable artifact.
 func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
-	rwOpts := rewrite.DefaultOptions()
-	if opts.Rewrite != nil {
-		rwOpts = *opts.Rewrite
-	}
-	rw, err := rewrite.Apply(prog, rwOpts)
+	ac, err := admit.Compile(prog, admit.Config{
+		Rewrite:             opts.Rewrite,
+		RequireWarded:       opts.RequireWarded,
+		MaxDerivations:      opts.MaxDerivations,
+		NewPolicy:           opts.NewPolicy,
+		DisableSummary:      opts.DisableSummary,
+		DisableDynamicIndex: opts.DisableDynamicIndex,
+	})
 	if err != nil {
 		return nil, err
 	}
-	res := analysis.Analyze(rw.Program)
-	if opts.RequireWarded {
-		if err := lint.RequireWarded(res); err != nil {
-			return nil, fmt.Errorf("chase: %w", err)
-		}
-	}
-	// Parse no longer rejects arity drift (the lint layer reports it as
-	// A001); reject it here like the pipeline engine does via Predicates.
-	if _, err := rw.Program.Predicates(); err != nil {
-		return nil, err
-	}
-	c := &Compiled{
-		opts:   opts,
-		prog:   rw.Program,
-		res:    res,
-		rw:     rw,
-		byPred: make(map[string][][2]int),
-		budget: opts.MaxDerivations,
-	}
-	if c.budget <= 0 {
-		c.budget = 10_000_000
-	}
-	for i, r := range rw.Program.Rules {
-		cr, err := eval.Compile(r, res.Rules[i])
-		if err != nil {
-			return nil, err
-		}
-		if len(cr.Pos) == 0 {
-			return nil, fmt.Errorf("chase: rule %d has no positive body atom: %s", r.ID, r.String())
-		}
-		c.rules = append(c.rules, cr)
-		var pa []eval.CCond
-		if cr.Agg != nil {
-			for _, cond := range cr.Conds {
-				for _, d := range cond.Deps {
-					if d == cr.Agg.ResultSlot {
-						pa = append(pa, cond)
-						break
-					}
-				}
-			}
-		}
-		c.postAgg = append(c.postAgg, pa)
-		safe := true
-		for _, asg := range cr.Assigns {
-			if asg.IsSkolem {
-				safe = false
-			}
-		}
-		c.parSafe = append(c.parSafe, safe)
-		c.prepared = append(c.prepared, safe && cr.Agg == nil && r.EGD == nil &&
-			!r.IsConstraint && len(cr.Exists) == 0 && len(cr.Heads) > 0)
+	c := &Compiled{Compiled: ac, opts: opts, byPred: make(map[string][][2]int)}
+	egd := false
+	for i, cr := range c.Rules {
+		c.prepared = append(c.prepared, !c.Skolem[i] && c.Plain(i))
+		egd = egd || cr.Rule.EGD != nil
 		for pi, a := range cr.Pos {
 			c.byPred[a.Pred] = append(c.byPred[a.Pred], [2]int{i, pi})
 		}
 	}
-	for _, r := range rw.Program.Rules {
-		if r.EGD != nil {
-			clear(c.prepared) // see the prepared field: EGDs disable preparation program-wide
-			break
-		}
+	if egd {
+		clear(c.prepared) // see the prepared field: EGDs disable preparation program-wide
 	}
 	if !opts.DisablePlanner {
 		c.buildCSEGroups()
@@ -245,16 +186,16 @@ func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
 // elimination of the paper's execution optimizer.
 func (c *Compiled) buildCSEGroups() {
 	c.groupOf = make(map[[2]int]int)
-	c.postSteps = make([][]eval.Step, len(c.rules))
+	c.postSteps = make([][]eval.Step, len(c.Rules))
 	type cluster struct {
 		leader  int
 		members [][2]int
 	}
 	byKey := make(map[string]*cluster)
 	var order []string // deterministic group numbering (source order)
-	for ri, cr := range c.rules {
+	for ri, cr := range c.Rules {
 		sig, ok := cr.BodySignature()
-		if !ok || !c.parSafe[ri] {
+		if !ok || c.Skolem[ri] {
 			continue
 		}
 		for pi := range cr.Pos {
@@ -275,41 +216,34 @@ func (c *Compiled) buildCSEGroups() {
 		}
 		gid := len(c.groups)
 		c.groups = append(c.groups, cseGroup{
-			body:    c.rules[cl.leader].BodyMatcher(),
+			body:    c.Rules[cl.leader].BodyMatcher(),
 			pos:     cl.members[0][1],
 			members: cl.members,
 		})
 		for _, m := range cl.members {
 			c.groupOf[m] = gid
 			if c.postSteps[m[0]] == nil {
-				c.postSteps[m[0]] = c.rules[m[0]].PostMatchSteps()
+				c.postSteps[m[0]] = c.Rules[m[0]].PostMatchSteps()
 			}
 		}
 	}
 }
-
-// Program returns the rewritten program the artifact executes.
-func (c *Compiled) Program() *ast.Program { return c.prog }
-
-// Analysis returns the warded analysis of the rewritten program.
-func (c *Compiled) Analysis() *analysis.Result { return c.res }
 
 // Engine is the per-run state of a single reasoning session over a
 // shared Compiled artifact. Engines are cheap to create and are for use
 // by a single goroutine (the worker goroutines an engine spins up per
 // delta batch are internal); share the Compiled, not the Engine.
 type Engine struct {
-	c     *Compiled
-	db    *storage.Database
-	strat core.Policy
-	mt    *eval.Matcher
-	subst *eval.NullSubst
+	// Core owns the database, termination policy, meter and aggregate
+	// state and does everything that happens to a match once found; the
+	// engine's part of admission is enqueue, the hook it hands the core.
+	*admit.Core
+	c  *Compiled
+	mt *eval.Matcher
 
 	bindings []*eval.Binding
-	aggs     []*eval.AggState
 
 	queue []*core.FactMeta
-	meter *core.Meter
 	// overflow latches a failed worker-side meter reservation for the
 	// current batch; step turns it into a whole-batch abort.
 	overflow atomic.Bool
@@ -346,21 +280,12 @@ type Engine struct {
 	cseSeen    map[cseSeenKey]int
 	shared     int // follower firings served from a shared body log
 
-	// Partitioned admission state. shards is the resolved Options.Shards
-	// (power of two; matches the relations' duplicate-table shard count).
-	// perms[ti] is task ti's canonical admission order, computed serially
-	// at the batch boundary. cands is the batch's flattened candidate
-	// array — one slot per (prepared task, canonical entry, head), in
-	// exactly the order the merge consumes them — with the pre-pass
-	// verdicts and the merge's inserted marks alongside; candStart[ti] is
-	// task ti's first slot (-1 for tasks outside the prepared path).
-	shards       int
-	perms        [][]int32
-	cands        []storage.PrepassCand
-	candVerdict  []uint8
-	candDupOf    []int32
-	candInserted []bool
-	candStart    []int
+	// Partitioned admission: perms[ti] is task ti's canonical admission
+	// order, computed serially at the batch boundary; candStart[ti] is task
+	// ti's first slot in the core's flattened candidate array (-1 for tasks
+	// outside the prepared path).
+	perms     [][]int32
+	candStart []int
 
 	// Wall-time split across the batch phases, for the -phases CLI report
 	// and the scaling benchmarks: parallel match, dedup pre-pass, serial
@@ -368,15 +293,6 @@ type Engine struct {
 	phaseMatch   time.Duration
 	phasePrepass time.Duration
 	phaseAdmit   time.Duration
-
-	// groupBuf/contribBuf/headsBuf/parentsBuf are reused across emissions
-	// so emit allocates no per-match container slices (AggState keys copy
-	// what they keep; stored facts retain only the per-head Args slices,
-	// which stay freshly allocated).
-	groupBuf   []term.Value
-	contribBuf []term.Value
-	headsBuf   []ast.Fact
-	parentsBuf []*core.FactMeta
 }
 
 // task is one scheduled firing: rule ri with its pos-th body atom pinned
@@ -417,52 +333,31 @@ type indexMiss struct {
 // NewEngine derives fresh run-time state (database, interner, strategy,
 // bindings, queue) over the shared compiled artifact.
 func (c *Compiled) NewEngine() *Engine {
-	e := &Engine{
-		c:     c,
-		db:    storage.NewDatabase(),
-		subst: eval.NewNullSubst(),
-		meter: core.NewMeter(c.budget),
-	}
-	if c.opts.NewPolicy != nil {
-		e.strat = c.opts.NewPolicy(c.res)
-	} else {
-		full := core.NewStrategy(c.res)
-		full.DisableSummary = c.opts.DisableSummary
-		e.strat = full
-	}
-	if c.opts.DisableDynamicIndex {
-		e.db.DisableIndexes()
-	}
+	e := &Engine{c: c}
 	e.nworkers = c.opts.Parallelism
 	if e.nworkers <= 0 {
 		e.nworkers = runtime.GOMAXPROCS(0)
 	}
-	e.shards = c.opts.Shards
-	if e.shards <= 0 {
-		e.shards = runtime.GOMAXPROCS(0)
-		if e.shards > 8 {
-			e.shards = 8
-		}
+	shards := c.opts.Shards
+	if shards <= 0 {
+		shards = min(runtime.GOMAXPROCS(0), 8)
 	}
-	e.db.SetShards(e.shards)
-	e.shards = e.db.Shards() // rounded to a power of two
-	e.meter.SetShards(e.shards)
-	e.mt = &eval.Matcher{DB: e.db}
+	e.Core = c.NewCore(shards, e.enqueue)
+	e.mt = &eval.Matcher{DB: e.DB()}
 	if !c.opts.DisablePlanner {
-		e.pl = planner.New(planner.FrozenCatalog{DB: e.db})
+		e.pl = planner.New(planner.FrozenCatalog{DB: e.DB()})
 	}
 	e.planSeen = make(map[[2]int][]eval.Step)
 	e.cseSeen = make(map[cseSeenKey]int)
-	for _, cr := range c.rules {
+	for _, cr := range c.Rules {
 		e.bindings = append(e.bindings, eval.NewBinding(cr))
-		if cr.Rule.Aggregate != nil {
-			e.aggs = append(e.aggs, eval.NewAggState(cr.Rule.Aggregate.Func, e.db.Interner()))
-		} else {
-			e.aggs = append(e.aggs, nil)
-		}
 	}
 	return e
 }
+
+// enqueue is the engine's admission hook: every fact the core stores or
+// replaces in place becomes a delta of the next batch.
+func (e *Engine) enqueue(m *core.FactMeta) { e.queue = append(e.queue, m) }
 
 // New compiles prog and prepares an engine over it in one step. To share
 // the compilation across runs, use Compile once and Compiled.NewEngine
@@ -475,29 +370,13 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 	return c.NewEngine(), nil
 }
 
-// LoadFact admits one EDB fact (before or during Run).
-func (e *Engine) LoadFact(f ast.Fact) {
-	rel := e.db.Rel(f.Pred, len(f.Args))
-	if rel.Contains(f) {
-		return
-	}
-	e.db.InsertEDB(f, e.strat)
-	m := rel.At(rel.Len() - 1)
-	e.queue = append(e.queue, m)
-	e.meter.Charge()
-	e.insertTagTwin(f)
-}
-
-// DB exposes the engine's database (record-manager loads, diagnostics).
-func (e *Engine) DB() *storage.Database { return e.db }
-
 // LoadFacts admits one chunk of EDB facts — the streaming-load entry
 // point: record managers feed their cursors through it chunk by chunk
 // (duplicates are skipped, so re-feeding after an interrupted load is
 // idempotent). Loaded facts queue as deltas for the next batch drain.
 func (e *Engine) LoadFacts(facts []ast.Fact) {
 	for _, f := range facts {
-		e.LoadFact(f)
+		e.Load(f)
 	}
 }
 
@@ -505,78 +384,23 @@ func (e *Engine) LoadFacts(facts []ast.Fact) {
 // facts Run loads first. It is idempotent; callers streaming bound
 // inputs before Run use it to establish the canonical admission order
 // (program facts, then bound inputs, then staged facts).
-func (e *Engine) LoadProgramFacts() {
-	for _, f := range e.c.prog.Facts {
-		e.LoadFact(f)
-	}
-}
+func (e *Engine) LoadProgramFacts() { e.LoadFacts(e.c.Prog.Facts) }
 
 // LoadChunk is LoadFacts with the load path's crashes converted into a
 // typed error: a panic mid-chunk (storage fault) leaves the prefix
 // admitted and the store consistent, and since loading skips duplicates,
 // re-feeding the same chunk resumes exactly where the crash struck.
-func (e *Engine) LoadChunk(facts []ast.Fact) (err error) {
-	defer func() {
-		if r := recover(); r != nil { //vadalint:panicguard load-path crash isolation: convert storage faults into typed resumable errors
-			err = &core.PanicError{Engine: "chase load", Value: r, Stack: debug.Stack()}
-		}
-	}()
-	e.LoadFacts(facts)
-	return nil
+func (e *Engine) LoadChunk(facts []ast.Fact) error {
+	return admit.Guard("chase load", func() error {
+		e.LoadFacts(facts)
+		return nil
+	})
 }
-
-// SetBudget replaces the derivation budget for subsequent admissions —
-// how a session resumes after an ErrBudget partial result. Only safe
-// between Run calls (no batch in flight).
-func (e *Engine) SetBudget(n int) { e.meter.SetLimit(n) }
 
 // Quiesced reports whether the chase has reached its fixpoint: no delta
 // is waiting in the queue. After an interrupted run it distinguishes "the
 // answer is complete" from "a resume would derive more".
 func (e *Engine) Quiesced() bool { return len(e.queue) == 0 }
-
-// Output returns pred's facts with the program's @post directives applied
-// against the engine's current database. Unlike Result.Output it is
-// readable mid-run — what a partial result reports after an interrupted
-// chase.
-func (e *Engine) Output(pred string) []ast.Fact {
-	return eval.ApplyPost(e.db.FactsOf(pred), e.c.prog.Posts, pred, e.subst)
-}
-
-// Derivations reports admitted (inserted) facts so far, EDB included.
-func (e *Engine) Derivations() int { return e.meter.Used() }
-
-// insertTagTwin mirrors an admitted fact of a tagged predicate into its
-// tag twin, with labelled nulls replaced by their canonical ground keys
-// (dynamic harmful-join elimination; see rewrite.EliminateHarmfulJoinsDynamic).
-func (e *Engine) insertTagTwin(f ast.Fact) {
-	twin, ok := e.c.rw.TagPreds[f.Pred]
-	if !ok {
-		return
-	}
-	tf := e.tagTwinFact(twin, f)
-	rel := e.db.Rel(twin, len(tf.Args))
-	if rel.Contains(tf) {
-		return
-	}
-	m := e.strat.NewEDBFact(tf)
-	rel.Insert(m)
-	e.queue = append(e.queue, m)
-}
-
-// tagTwinFact renders the tag-twin image of f: labelled nulls replaced by
-// their canonical ground keys.
-func (e *Engine) tagTwinFact(twin string, f ast.Fact) ast.Fact {
-	args := make([]term.Value, len(f.Args))
-	for i, v := range f.Args {
-		if v.IsNull() {
-			args[i] = term.String("\x00" + e.db.Nulls.KeyOf(v))
-		} else {
-			args[i] = v
-		}
-	}
-	return ast.Fact{Pred: twin, Args: args}
-}
 
 // maxBatchDeltas caps how many delta facts one batch drains: candidate
 // facts are buffered until the serial admit phase, so the cap bounds the
@@ -588,7 +412,12 @@ const maxBatchDeltas = 2048
 // ctx aborts the loop between delta batches (and stops in-flight match
 // workers between tasks).
 func (e *Engine) Run(ctx context.Context, edb []ast.Fact) (*Result, error) {
-	if err := e.loadGuarded(edb); err != nil {
+	// Both loads skip duplicates, so a resumed Run re-feeding them admits
+	// only what an earlier crash cut off.
+	if err := e.LoadChunk(e.c.Prog.Facts); err != nil {
+		return nil, err
+	}
+	if err := e.LoadChunk(edb); err != nil {
 		return nil, err
 	}
 	for len(e.queue) > 0 {
@@ -600,29 +429,15 @@ func (e *Engine) Run(ctx context.Context, edb []ast.Fact) (*Result, error) {
 		}
 	}
 	return &Result{
-		DB:          e.db,
-		Program:     e.c.prog,
-		Analysis:    e.c.res,
-		Strategy:    e.strat,
-		Subst:       e.subst,
-		Rewrite:     e.c.rw,
-		Derivations: e.meter.Used(),
-		posts:       e.c.prog.Posts,
+		DB:          e.DB(),
+		Program:     e.c.Prog,
+		Analysis:    e.c.Res,
+		Strategy:    e.Strategy(),
+		Subst:       e.Subst(),
+		Rewrite:     e.c.RW,
+		Derivations: e.Derivations(),
+		posts:       e.c.Prog.Posts,
 	}, nil
-}
-
-// loadGuarded runs Run's initial loads under the same crash isolation as
-// LoadChunk: both loads skip duplicates, so a resumed Run re-feeding them
-// admits only what the crash cut off.
-func (e *Engine) loadGuarded(edb []ast.Fact) (err error) {
-	defer func() {
-		if r := recover(); r != nil { //vadalint:panicguard load-path crash isolation: convert storage faults into typed resumable errors
-			err = &core.PanicError{Engine: "chase load", Value: r, Stack: debug.Stack()}
-		}
-	}()
-	e.LoadProgramFacts()
-	e.LoadFacts(edb)
-	return nil
 }
 
 // step drains one delta batch: it schedules every (rule, pinned atom,
@@ -672,7 +487,7 @@ func (e *Engine) step(ctx context.Context) (err error) {
 		return nil
 	}
 	requeue := func() {
-		e.meter.ResetPending()
+		e.Meter().ResetPending()
 		e.queue = append(batch, e.queue...)
 	}
 	// Crash isolation for the serial phases (Freeze, planning, admission):
@@ -688,7 +503,7 @@ func (e *Engine) step(ctx context.Context) (err error) {
 	}()
 	e.overflow.Store(false)
 	e.panicErr, e.panicTi, e.firing = nil, 0, nil
-	e.db.Freeze()
+	e.DB().Freeze()
 	e.planBatch()
 	tMatch := time.Now()
 	e.matchBatch(ctx)
@@ -730,7 +545,7 @@ func (e *Engine) step(ctx context.Context) (err error) {
 		requeue()
 		return err
 	}
-	e.meter.ResetPending()
+	e.Meter().ResetPending()
 	e.promoteMisses()
 	return nil
 }
@@ -751,7 +566,7 @@ func (e *Engine) notePanic(ti int, r any) {
 	if e.panicErr == nil || ti < e.panicTi {
 		e.panicErr = &core.PanicError{
 			Engine: "chase",
-			Rule:   e.c.rules[e.tasks[ti].ri].Rule,
+			Rule:   e.c.Rules[e.tasks[ti].ri].Rule,
 			Value:  r,
 			Stack:  debug.Stack(),
 		}
@@ -780,11 +595,11 @@ func (e *Engine) planBatch() {
 	clear(e.planSeen)
 	for ti := range e.tasks {
 		t := &e.tasks[ti]
-		if !e.c.parSafe[t.ri] || (t.lead >= 0 && t.lead != ti) {
+		if e.c.Skolem[t.ri] || (t.lead >= 0 && t.lead != ti) {
 			continue // inline firings keep the static schedule; followers share
 		}
 		key := [2]int{t.ri, t.pos}
-		cr := e.c.rules[t.ri]
+		cr := e.c.Rules[t.ri]
 		if t.lead == ti {
 			key = [2]int{-1 - t.g, t.pos}
 			cr = e.c.groups[t.g].body
@@ -793,7 +608,7 @@ func (e *Engine) planBatch() {
 		if !ok {
 			plan := e.pl.PlanFor(cr, t.pos)
 			for _, pr := range plan.Probes {
-				if rel := e.db.Lookup(pr.Pred); rel != nil {
+				if rel := e.DB().Lookup(pr.Pred); rel != nil {
 					rel.EnsureIndexSized(pr.Mask, pr.Keys)
 				}
 			}
@@ -880,13 +695,13 @@ func (e *Engine) matchTask(w *matchWorker, ti int) {
 		}
 	}()
 	t := &e.tasks[ti]
-	if !e.c.parSafe[t.ri] {
+	if e.c.Skolem[t.ri] {
 		return // evaluated inline on the serial admit path
 	}
 	if t.lead >= 0 && t.lead != ti {
 		return // follower: replays the leader's shared body log at admit
 	}
-	cr := e.c.rules[t.ri]
+	cr := e.c.Rules[t.ri]
 	b := w.bindings[t.ri]
 	reserve := 1
 	if t.lead == ti {
@@ -911,12 +726,12 @@ func (e *Engine) matchTask(w *matchWorker, ti int) {
 		lg.PrepareHeads(cr)
 	}
 	if err := siteMatch.Check(); err != nil {
-		rule := e.c.rules[t.ri].Rule
+		rule := e.c.Rules[t.ri].Rule
 		lg.Err = fmt.Errorf("chase: %d:%d: rule %d: %w", rule.Line, rule.Col, rule.ID, err)
 		return
 	}
 	if err := w.mt.MatchPinnedSteps(cr, t.pos, t.m, steps, b, func(b *eval.Binding) error {
-		if !e.meter.Reserve(reserve) {
+		if !e.Meter().Reserve(reserve) {
 			e.overflow.Store(true)
 			return errBatchOverflow
 		}
@@ -940,12 +755,9 @@ var errBatchOverflow = errors.New("chase: batch candidate buffer overflow")
 //
 //  1. Every log-owning task's canonical admission order is computed into
 //     perms (followers reuse their leader's).
-//  2. The candidates of prepared tasks are flattened into one array — one
-//     slot per (task, canonical entry, head), in exactly the order
-//     admitBatch consumes them, target relations created here while
-//     mutation is serial. Unprepared entries and arity-drifted heads get
-//     placeholder slots (Rel nil).
-//  3. storage.RunPrepass computes sharded dedup verdicts in parallel.
+//  2. The candidates of prepared tasks are flattened into the core's
+//     candidate array, in exactly the order admitBatch merges them.
+//  3. The core computes sharded dedup verdicts in parallel.
 //
 // Verdicts only ever skip work the merge would redo identically, so this
 // phase is invisible to the final database for every shard count.
@@ -960,62 +772,21 @@ func (e *Engine) prepassBatch() {
 		e.candStart = make([]int, len(e.tasks))
 	}
 	e.candStart = e.candStart[:len(e.tasks)]
-	e.cands = e.cands[:0]
+	e.ResetCands()
 	for ti := range e.tasks {
 		t := &e.tasks[ti]
 		e.candStart[ti] = -1
-		if !e.c.parSafe[t.ri] || (t.lead >= 0 && t.lead != ti) {
+		if e.c.Skolem[t.ri] || (t.lead >= 0 && t.lead != ti) {
 			e.perms[ti] = e.perms[ti][:0]
 			continue
 		}
 		lg := &e.results[ti]
 		e.perms[ti] = lg.CanonicalOrder(e.perms[ti])
-		if t.g >= 0 || !e.c.prepared[t.ri] {
-			continue
-		}
-		cr := e.c.rules[t.ri]
-		nh := len(cr.Heads)
-		e.candStart[ti] = len(e.cands)
-		for _, i := range e.perms[ti] {
-			if !lg.EntryPrepared(int(i)) {
-				for hi := 0; hi < nh; hi++ {
-					e.cands = append(e.cands, storage.PrepassCand{})
-				}
-				continue
-			}
-			for hi := 0; hi < nh; hi++ {
-				f, row, h := lg.PreparedHead(int(i), hi)
-				rel := e.db.Rel(f.Pred, len(f.Args))
-				if rel.Arity() != len(row) {
-					// Arity drifted since capture (restride): the merge
-					// admits this head through the classic path.
-					e.cands = append(e.cands, storage.PrepassCand{})
-					continue
-				}
-				e.cands = append(e.cands, storage.PrepassCand{
-					Rel: rel, Row: row, Hash: h, Gen: rel.RetractGen(),
-				})
-			}
+		if t.g < 0 && e.c.prepared[t.ri] {
+			e.candStart[ti] = e.Flatten(t.ri, lg, e.perms[ti])
 		}
 	}
-	n := len(e.cands)
-	if n == 0 {
-		return
-	}
-	if cap(e.candVerdict) < n {
-		e.candVerdict = make([]uint8, n)
-		e.candDupOf = make([]int32, n)
-		e.candInserted = make([]bool, n)
-	}
-	e.candVerdict = e.candVerdict[:n]
-	e.candDupOf = e.candDupOf[:n]
-	e.candInserted = e.candInserted[:n]
-	for i := range e.candVerdict {
-		e.candVerdict[i] = storage.PrepassUnknown
-		e.candDupOf[i] = -1
-		e.candInserted[i] = false
-	}
-	storage.RunPrepass(e.cands, e.candVerdict, e.candDupOf, e.shards, e.meter)
+	e.Prepass()
 }
 
 // admitBatch replays the batch's candidates in canonical (task, match)
@@ -1041,9 +812,9 @@ func (e *Engine) admitBatch(ctx context.Context) error {
 		if t.m.Retracted {
 			continue
 		}
-		cr := e.c.rules[t.ri]
+		cr := e.c.Rules[t.ri]
 		e.firing = cr.Rule // positions a crash recovered by step
-		if !e.c.parSafe[t.ri] {
+		if e.c.Skolem[t.ri] {
 			if err := e.fire(t.ri, t.pos, t.m); err != nil {
 				return err
 			}
@@ -1056,33 +827,23 @@ func (e *Engine) admitBatch(ctx context.Context) error {
 			perm = e.perms[t.lead]
 			e.shared++
 		}
-		if e.candStart[ti] >= 0 {
-			if err := e.mergeTask(ti, cr, lg, perm); err != nil {
+		b := e.bindings[t.ri]
+		if t.g < 0 {
+			// The task's own log: prepared entries take the verdict path of
+			// partitioned admission, the rest are restored and emitted.
+			if _, err := e.Merge(t.ri, lg, perm, e.candStart[ti], b); err != nil {
 				return err
 			}
-			if lg.Err != nil {
-				return lg.Err
-			}
-			continue
-		}
-		b := e.bindings[t.ri]
-		ri := t.ri
-		var replayEmit func(b *eval.Binding) error
-		if t.g >= 0 {
-			replayEmit = func(b *eval.Binding) error { return e.emit(ri, cr, b) }
-		}
-		for _, i := range perm {
-			lg.Restore(int(i), e.db.Interner(), b)
-			if t.g >= 0 {
-				// Group member: the log holds the shared body match; replay
-				// this rule's private assignments and conditions, then emit.
+		} else {
+			// Group member: the log holds the shared body match; replay
+			// this rule's private assignments and conditions, then emit.
+			ri := t.ri
+			replayEmit := func(b *eval.Binding) error { return e.emit(ri, b) }
+			for _, i := range perm {
+				lg.Restore(int(i), e.DB().Interner(), b)
 				if err := e.mt.Replay(cr, e.c.postSteps[ri], b, replayEmit); err != nil {
 					return err
 				}
-				continue
-			}
-			if err := e.emit(ri, cr, b); err != nil {
-				return err
 			}
 		}
 		if lg.Err != nil {
@@ -1093,94 +854,6 @@ func (e *Engine) admitBatch(ctx context.Context) error {
 	return nil
 }
 
-// mergeTask admits one prepared task's candidates in canonical order — the
-// serial merge of partitioned admission. Per candidate it consumes the
-// pre-pass verdict: duplicate verdicts skip outright while the relation's
-// retraction generation still matches the candidate's snapshot (a
-// mid-merge retraction by a serial-path task invalidates them); everything
-// else takes an O(1) re-probe against live state, so the decision sequence
-// is exactly the serial engine's. Fresh candidates run the same
-// Derive/CheckTermination/TryCharge pipeline as admit, then append via
-// InsertPrepared — no re-interning, no re-hashing. Entries whose heads did
-// not prepare fall back to the classic Restore+emit path.
-func (e *Engine) mergeTask(ti int, cr *eval.CompiledRule, lg *eval.BindingLog, perm []int32) error {
-	t := &e.tasks[ti]
-	nh := len(cr.Heads)
-	base := e.candStart[ti]
-	shardMask := uint64(e.shards - 1)
-	for k, i := range perm {
-		if !lg.EntryPrepared(int(i)) {
-			b := e.bindings[t.ri]
-			lg.Restore(int(i), e.db.Interner(), b)
-			if err := e.emit(t.ri, cr, b); err != nil {
-				return err
-			}
-			continue
-		}
-		var parents []*core.FactMeta
-		for hi := 0; hi < nh; hi++ {
-			ci := base + k*nh + hi
-			c := &e.cands[ci]
-			if c.Rel == nil {
-				// Arity-drifted head: classic admission of the prepared fact.
-				f, _, _ := lg.PreparedHead(int(i), hi)
-				if parents == nil {
-					parents = lg.ParentsAppend(cr, int(i), e.parentsBuf[:0])
-					e.parentsBuf = parents
-				}
-				if _, err := e.admit(f, cr.Rule.ID, parents); err != nil {
-					return err
-				}
-				continue
-			}
-			if c.Rel.RetractGen() == c.Gen {
-				// Duplicate verdicts are exact for pre-batch state and for
-				// earlier inserted candidates; restride preserves fact
-				// equality, so they stay valid across arity drift too.
-				v := e.candVerdict[ci]
-				if v == storage.PrepassDupStored ||
-					(v == storage.PrepassDupBatch && e.candInserted[e.candDupOf[ci]]) {
-					continue
-				}
-			}
-			if c.Rel.Arity() != len(c.Row) {
-				// The relation restrided mid-merge: the prepared row no
-				// longer matches its stride — admit classically.
-				f, _, _ := lg.PreparedHead(int(i), hi)
-				if parents == nil {
-					parents = lg.ParentsAppend(cr, int(i), e.parentsBuf[:0])
-					e.parentsBuf = parents
-				}
-				if _, err := e.admit(f, cr.Rule.ID, parents); err != nil {
-					return err
-				}
-				continue
-			}
-			if c.Rel.ContainsRowHash(c.Row, c.Hash) {
-				continue
-			}
-			f, _, _ := lg.PreparedHead(int(i), hi)
-			if parents == nil {
-				parents = lg.ParentsAppend(cr, int(i), e.parentsBuf[:0])
-				e.parentsBuf = parents
-			}
-			m := e.strat.Derive(f, cr.Rule.ID, parents)
-			if !e.strat.CheckTermination(m) {
-				continue
-			}
-			if !e.meter.TryCharge() {
-				return fmt.Errorf("%w (%d facts)", ErrBudget, e.meter.Used())
-			}
-			c.Rel.InsertPrepared(m, c.Row, c.Hash)
-			e.candInserted[ci] = true
-			e.meter.NoteShardAdmit(int(c.Hash & shardMask))
-			e.queue = append(e.queue, m)
-			e.insertTagTwin(f)
-		}
-	}
-	return nil
-}
-
 // ensureWorkers grows the worker pool to n workers, each with its own
 // snapshot Matcher and per-rule Bindings.
 func (e *Engine) ensureWorkers(n int) {
@@ -1188,11 +861,11 @@ func (e *Engine) ensureWorkers(n int) {
 		n = 1
 	}
 	for len(e.workers) < n {
-		w := &matchWorker{mt: &eval.Matcher{DB: e.db, Snapshot: true}}
+		w := &matchWorker{mt: &eval.Matcher{DB: e.DB(), Snapshot: true}}
 		w.mt.OnIndexMiss = func(pred string, mask uint32) {
 			w.missed = append(w.missed, indexMiss{pred: pred, mask: mask})
 		}
-		for _, cr := range e.c.rules {
+		for _, cr := range e.c.Rules {
 			w.bindings = append(w.bindings, eval.NewBinding(cr))
 		}
 		for gi := range e.c.groups {
@@ -1212,7 +885,7 @@ func (e *Engine) ensureWorkers(n int) {
 func (e *Engine) promoteMisses() {
 	for _, w := range e.workers {
 		for _, ms := range w.missed {
-			if rel := e.db.Lookup(ms.pred); rel != nil {
+			if rel := e.DB().Lookup(ms.pred); rel != nil {
 				rel.PromoteIndex(ms.mask, 0)
 			}
 		}
@@ -1239,212 +912,20 @@ func (e *Engine) PhaseStats() (match, prepass, admit time.Duration) {
 	return e.phaseMatch, e.phasePrepass, e.phaseAdmit
 }
 
-// Shards returns the resolved duplicate-table shard count the engine runs
-// with.
-func (e *Engine) Shards() int { return e.shards }
-
-// Meter exposes the engine's derivation meter (per-shard pre-pass
-// statistics, budget usage) for diagnostics and tests.
-func (e *Engine) Meter() *core.Meter { return e.meter }
-
 // fire applies rule ri with its pos-th body atom pinned to delta fact m,
 // matching and emitting fused on the calling goroutine (the serial path
 // for rules whose matching mints nulls).
 func (e *Engine) fire(ri, pos int, m *core.FactMeta) error {
-	cr := e.c.rules[ri]
-	b := e.bindings[ri]
-	return e.mt.MatchPinned(cr, pos, m, b, func(b *eval.Binding) error {
-		return e.emit(ri, cr, b)
+	return e.mt.MatchPinned(e.c.Rules[ri], pos, m, e.bindings[ri], func(b *eval.Binding) error {
+		return e.emit(ri, b)
 	})
 }
 
-func (e *Engine) emit(ri int, cr *eval.CompiledRule, b *eval.Binding) error {
-	rule := cr.Rule
-	switch {
-	case rule.IsConstraint:
-		return fmt.Errorf("%w: constraint fired: %s", ErrInconsistent, rule.String())
-	case rule.EGD != nil:
-		l := b.Val(cr.VarSlot[rule.EGD.Left])
-		r := b.Val(cr.VarSlot[rule.EGD.Right])
-		if err := e.subst.Unify(l, r); err != nil {
-			return fmt.Errorf("%w: %v (egd %s)", ErrInconsistent, err, rule.String())
-		}
-		return nil
-	}
-	if cr.Agg != nil {
-		// The group/contrib tuples are assembled in engine-owned buffers
-		// reused across firings: AggState keys copy what they retain, so
-		// nothing here escapes the call.
-		group := e.groupBuf[:0]
-		for _, s := range cr.Agg.GroupSlots {
-			group = append(group, b.Val(s))
-		}
-		e.groupBuf = group
-		contrib := e.contribBuf[:0]
-		for _, s := range cr.Agg.ContribSlots {
-			contrib = append(contrib, b.Val(s))
-		}
-		e.contribBuf = contrib
-		var x term.Value
-		if cr.Agg.ArgSlot >= 0 {
-			x = b.Val(cr.Agg.ArgSlot)
-		} else {
-			var err error
-			x, err = cr.Agg.Arg.Eval(b.Env(cr, cr.Agg.ArgDeps))
-			if err != nil {
-				return err
-			}
-		}
-		agg, improved, err := e.aggs[ri].Update(group, contrib, x)
-		if err != nil {
-			return err
-		}
-		if !improved && cr.Agg.SkipSafe {
-			// The group's aggregate did not change and the post-aggregate
-			// conditions depend only on (result, group): this match
-			// evaluates exactly like the one that already emitted, so
-			// there is nothing new to emit. Unsafe rules (conditions over
-			// other body variables, existential heads) fall through to the
-			// full path; supersession makes re-emission idempotent.
-			return nil
-		}
-		b.Set(cr.Agg.ResultSlot, agg)
-		for i := range e.c.postAgg[ri] {
-			c := &e.c.postAgg[ri][i]
-			if c.Fast {
-				if !c.EvalFast(b) {
-					return nil
-				}
-				continue
-			}
-			// The aggregate result reaches the environment through its
-			// slot (set above), so the dependency-restricted env suffices.
-			ok, err := ast.EvalCondition(c.Cond, b.Env(cr, c.Deps))
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-		}
-	}
-	e.mt.InstantiateExistentials(cr, b)
-	heads, err := eval.HeadFactsAppend(cr, b, e.subst, e.headsBuf[:0])
-	e.headsBuf = heads
-	if err != nil {
-		return err
-	}
-	parents := eval.WardFirstParentsAppend(cr, b, e.parentsBuf[:0])
-	e.parentsBuf = parents
-	for hi, hf := range heads {
-		// Existential aggregate heads mint per-binding nulls: each binding
-		// is its own fact, not an improvement of the previous one, so they
-		// take the plain admission path (no supersession).
-		if cr.Agg != nil && len(cr.Exists) == 0 {
-			if err := e.admitAggregate(ri, hi, hf, rule.ID, parents); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := e.admit(hf, rule.ID, parents); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// admitAggregate admits an aggregate-head fact with supersession: when the
-// rule has previously admitted a fact for the current group (and this head
-// index), the improved fact replaces it in place — same FactMeta, same
-// forest roots and provenance — instead of accumulating next to the
-// superseded intermediate. Replacements count against the derivation
-// budget (they are chase steps) and re-enter the queue so dependent rules
-// observe the improved value.
-func (e *Engine) admitAggregate(ri, hi int, f ast.Fact, ruleID int, parents []*core.FactMeta) error {
-	st := e.aggs[ri]
-	prev, ok := st.LastEmitted(hi)
-	if !ok {
-		m, err := e.admit(f, ruleID, parents)
-		if err != nil {
-			return err
-		}
-		if m != nil {
-			rel := e.db.Rel(f.Pred, len(f.Args))
-			st.RecordEmitted(hi, m, rel.Len()-1)
-		}
-		return nil
-	}
-	old := prev.Meta.Fact
-	rel := e.db.Rel(f.Pred, len(f.Args))
-	switch rel.Replace(prev.Row, f) {
-	case storage.ReplaceUnchanged:
-		return nil // e.g. the aggregate result does not occur in the head
-	case storage.ReplaceRetracted:
-		// The improved value already exists as an independently stored
-		// fact; the superseded intermediate was retracted and the group is
-		// represented by that fact. The next improvement starts fresh.
-		st.RecordEmitted(hi, nil, 0)
-		e.noteSuperseded(old)
-		return nil
-	default: // ReplaceDone
-		if !e.meter.TryCharge() {
-			return fmt.Errorf("%w (%d facts)", ErrBudget, e.meter.Used())
-		}
-		e.queue = append(e.queue, prev.Meta)
-		e.noteSuperseded(old)
-		e.replaceTagTwin(old, f)
-		return nil
-	}
-}
-
-// noteSuperseded tells fact-memorizing termination policies that old is no
-// longer stored.
-func (e *Engine) noteSuperseded(old ast.Fact) {
-	if obs, ok := e.strat.(core.SupersessionObserver); ok {
-		obs.NoteSuperseded(old)
-	}
-}
-
-// admit runs the set-semantics duplicate check, the termination strategy,
-// and on success stores the fact and schedules it. It returns the stored
-// metadata, nil when the fact was rejected.
-func (e *Engine) admit(f ast.Fact, ruleID int, parents []*core.FactMeta) (*core.FactMeta, error) {
-	rel := e.db.Rel(f.Pred, len(f.Args))
-	if rel.Contains(f) {
-		return nil, nil
-	}
-	m := e.strat.Derive(f, ruleID, parents)
-	if !e.strat.CheckTermination(m) {
-		return nil, nil
-	}
-	if !e.meter.TryCharge() {
-		return nil, fmt.Errorf("%w (%d facts)", ErrBudget, e.meter.Used())
-	}
-	rel.Insert(m)
-	e.queue = append(e.queue, m)
-	e.insertTagTwin(f)
-	return m, nil
-}
-
-// replaceTagTwin mirrors an aggregate supersession into the tag twin of a
-// tagged predicate: the twin of the superseded fact is replaced by the
-// twin of the improved one.
-func (e *Engine) replaceTagTwin(old, f ast.Fact) {
-	twin, ok := e.c.rw.TagPreds[f.Pred]
-	if !ok {
-		return
-	}
-	oldTwin := e.tagTwinFact(twin, old)
-	newTwin := e.tagTwinFact(twin, f)
-	rel := e.db.Rel(twin, len(newTwin.Args))
-	idx, found := rel.FindExact(oldTwin)
-	if !found {
-		e.insertTagTwin(f)
-		return
-	}
-	if rel.Replace(idx, newTwin) == storage.ReplaceDone {
-		e.queue = append(e.queue, rel.At(idx))
-	}
+// emit hands one complete binding of rule ri to the admission core; what
+// it admits comes back through enqueue.
+func (e *Engine) emit(ri int, b *eval.Binding) error {
+	_, err := e.Emit(ri, b)
+	return err
 }
 
 // Run is the convenience one-shot entry point.

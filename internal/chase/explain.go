@@ -16,14 +16,10 @@ import (
 // evaluated inline on their static schedules and carry no annotation.
 // With the planner disabled, Explain renders the plain plan.
 func (e *Engine) Explain() string {
-	preds, err := e.c.prog.Predicates()
-	if err != nil {
-		preds = nil
-	}
 	var annotate func(ri int, cr *eval.CompiledRule) []string
 	if e.pl != nil {
 		annotate = func(ri int, cr *eval.CompiledRule) []string {
-			if !e.c.parSafe[ri] {
+			if e.c.Skolem[ri] {
 				return []string{"static schedule (inline rule)"}
 			}
 			lines := make([]string, 0, len(cr.Pos))
@@ -37,5 +33,5 @@ func (e *Engine) Explain() string {
 			return lines
 		}
 	}
-	return planner.RenderPlan(e.c.prog, preds, e.c.rules, annotate)
+	return planner.RenderPlan(e.c.Prog, e.c.Preds, e.c.Rules, annotate)
 }

@@ -92,7 +92,7 @@ func TestPlannerSkewOrder(t *testing.T) {
 	if _, err := e.Run(context.Background(), facts); err != nil {
 		t.Fatal(err)
 	}
-	cr := e.c.rules[0]
+	cr := e.c.Rules[0]
 	// Pos: src=0 wide=1 narrow=2; pinned on the src delta the planner
 	// must join narrow (est ~1) before wide (est ~400).
 	p := e.pl.PlanFor(cr, 0)

@@ -314,6 +314,16 @@ func (st *AggState) currentSumProd(g *groupState) term.Value {
 	return term.Float(g.sumF)
 }
 
+// Unsettle withdraws the "already emitted" mark Update put on the value it
+// just returned, so the group's next Update reports improved again; Settle
+// restores it. The admission core brackets every emission with the pair: an
+// emission that is refused or crashes half-way leaves the group unsettled,
+// and the re-fired delta re-emits instead of skipping.
+func (st *AggState) Unsettle() { st.cur.hasLast = false }
+
+// Settle marks the value of the most recent Update as emitted.
+func (st *AggState) Settle() { st.cur.hasLast = true }
+
 // LastEmitted returns the fact the owning rule last admitted for head
 // index hi of the group touched by the most recent Update, or ok=false
 // when no fact has been admitted for it yet.

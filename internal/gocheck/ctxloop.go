@@ -25,6 +25,7 @@ var CtxLoop = &Analyzer{
 }
 
 var ctxLoopScope = []string{
+	"internal/admit",
 	"internal/chase",
 	"internal/pipeline",
 }

@@ -26,6 +26,7 @@ var FloatFold = &Analyzer{
 }
 
 var floatFoldScope = []string{
+	"internal/admit",
 	"internal/chase",
 	"internal/pipeline",
 	"internal/eval",

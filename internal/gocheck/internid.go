@@ -30,6 +30,7 @@ var InternID = &Analyzer{
 }
 
 var internIDScope = []string{
+	"internal/admit",
 	"internal/chase",
 	"internal/pipeline",
 	"internal/eval",

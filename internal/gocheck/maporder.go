@@ -32,9 +32,10 @@ var MapOrder = &Analyzer{
 }
 
 // mapOrderScope is the set of package-path suffixes maporder watches:
-// the storage→eval→engine emission spine plus the planner and the lint
+// the storage→eval→admit→engine emission spine plus the planner and the lint
 // renderer, whose outputs are all pinned byte-identical by tests.
 var mapOrderScope = []string{
+	"internal/admit",
 	"internal/chase",
 	"internal/pipeline",
 	"internal/eval",

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/core"
@@ -24,7 +25,6 @@ import (
 	"repro/internal/planner"
 	"repro/internal/rewrite"
 	"repro/internal/storage"
-	"repro/internal/term"
 )
 
 // siteLoad guards the streaming-load seam: it fires at the head of
@@ -32,11 +32,12 @@ import (
 // nothing the engine has accepted.
 var siteLoad = fault.NewSite("pipeline.load")
 
-// ErrInconsistent mirrors chase.ErrInconsistent for the pipeline engine.
-var ErrInconsistent = errors.New("pipeline: knowledge base is inconsistent")
-
-// ErrBudget is returned when the derivation budget is exceeded.
-var ErrBudget = errors.New("pipeline: derivation budget exceeded")
+// ErrInconsistent and ErrBudget are the admission core's sentinels under
+// this package's name: errors.Is holds against either.
+var (
+	ErrInconsistent = admit.ErrInconsistent
+	ErrBudget       = admit.ErrBudget
+)
 
 // Options configures a pipeline session.
 type Options struct {
@@ -89,12 +90,13 @@ const (
 // and are for use by a single goroutine; share the Compiled, not the
 // Session.
 type Session struct {
-	c     *Compiled
-	db    *storage.Database
-	strat core.Policy
-	mt    *eval.Matcher
-	subst *eval.NullSubst
-	bm    *storage.BufferManager
+	// Core owns the database, termination policy, meter and aggregate
+	// state and does everything that happens to a match once found; the
+	// session's part of admission is admitted, the hook it hands the core.
+	*admit.Core
+	c  *Compiled
+	mt *eval.Matcher
+	bm *storage.BufferManager
 
 	filters []*ruleFilter
 	hubs    map[string]*hub
@@ -107,19 +109,8 @@ type Session struct {
 	ctxDone  bool
 	pollTick uint32
 
-	derivations int
-	budget      int
-	failure     error
-	quiesced    bool
-
-	// groupBuf/contribBuf/headsBuf/parentsBuf are reused across emissions
-	// so emit allocates no per-match container slices (AggState keys copy
-	// what they keep; stored facts retain only the per-head Args slices,
-	// which stay freshly allocated).
-	groupBuf   []term.Value
-	contribBuf []term.Value
-	headsBuf   []ast.Fact
-	parentsBuf []*core.FactMeta
+	failure  error
+	quiesced bool
 
 	// pl derives cost-based join schedules from live statistics (nil when
 	// Options.DisablePlanner). log and permBuf buffer one firing's
@@ -128,17 +119,6 @@ type Session struct {
 	pl      *planner.Planner
 	log     eval.BindingLog
 	permBuf []int32
-
-	// Partitioned admission (Options.Shards > 1): the flattened candidate
-	// buffers one firing's captured heads are deduplicated through. The
-	// slices are reused across firings; candInserted marks candidates the
-	// merge actually admitted, which is what validates PrepassDupBatch
-	// verdicts pointing at them.
-	shards       int
-	cands        []storage.PrepassCand
-	candVerdict  []uint8
-	candDupOf    []int32
-	candInserted []bool
 
 	// timing/clock accumulate the phase wall-time split when
 	// Options.PhaseTiming is set.
@@ -174,10 +154,6 @@ func (s *Session) PhaseStats() (match, prepass, admit time.Duration) {
 	return s.clock.match, s.clock.prepass, s.clock.admit
 }
 
-// Shards returns the resolved duplicate-table shard count the session
-// runs with.
-func (s *Session) Shards() int { return s.shards }
-
 // replanStride paces adaptive re-planning: the pipeline has no epoch
 // boundaries, so its statistics generation advances once per stride of
 // admitted facts, which is when cached plans are revalidated against the
@@ -190,11 +166,11 @@ type sessionCatalog struct{ s *Session }
 
 // RelStats implements planner.Catalog.
 func (c sessionCatalog) RelStats(pred string) (storage.RelStats, bool) {
-	return c.s.db.RelStats(pred, false)
+	return c.s.DB().RelStats(pred, false)
 }
 
 // Gen implements planner.Catalog.
-func (c sessionCatalog) Gen() uint64 { return uint64(c.s.derivations / replanStride) }
+func (c sessionCatalog) Gen() uint64 { return uint64(c.s.Derivations() / replanStride) }
 
 // hub is the meeting point of all producers of one predicate: the
 // predicate's buffered relation plus the filters feeding it.
@@ -205,15 +181,12 @@ type hub struct {
 	rr        int
 }
 
-// ruleFilter is one rule's filter node with its termination-strategy
-// wrapper state. cr and postAgg are shared read-only with the Compiled
-// artifact; everything else is per-session.
+// ruleFilter is one rule's filter node. cr is shared read-only with the
+// Compiled artifact; everything else is per-session.
 type ruleFilter struct {
 	idx     int
 	cr      *eval.CompiledRule
 	binding *eval.Binding
-	agg     *eval.AggState
-	postAgg []eval.CCond
 
 	// cursors[i] counts facts of body atom i's relation already consumed
 	// as deltas.
@@ -225,8 +198,6 @@ type ruleFilter struct {
 	// firings pinned at pos; hints re-apply only when re-planning yields
 	// a new plan, not on every firing.
 	sized []*planner.Plan
-
-	produced int
 }
 
 // New compiles prog and opens a session over it in one step (the
@@ -245,18 +216,23 @@ func New(prog *ast.Program, opts Options) (*Session, error) {
 // derivations (incremental reasoning).
 func (s *Session) Load(facts ...ast.Fact) {
 	for _, f := range facts {
-		rel := s.db.Rel(f.Pred, len(f.Args))
-		if rel.Contains(f) {
-			continue
-		}
-		s.db.InsertEDB(f, s.strat)
-		s.derivations++
-		s.insertTagTwin(f)
-		if s.hubs[f.Pred] == nil {
-			s.hubs[f.Pred] = &hub{pred: f.Pred, rel: rel}
-		}
-		s.quiesced = false
+		s.Core.Load(f)
 	}
+}
+
+// admitted is the session's admission hook: every fact the core stores or
+// replaces in place touches its buffer segment, opens a hub when its
+// predicate is new to the session, and ends any quiescence. (A replaced
+// row needs no more: the relation's delta log re-delivers it, so
+// downstream filters observe the improved value as a fresh delta while
+// their cursors stay put.)
+func (s *Session) admitted(m *core.FactMeta) {
+	pred := m.Fact.Pred
+	s.bm.Touch(pred)
+	if s.hubs[pred] == nil {
+		s.hubs[pred] = &hub{pred: pred, rel: s.DB().Lookup(pred)}
+	}
+	s.quiesced = false
 }
 
 // LoadChunk admits one chunk of EDB facts and then reports any pending
@@ -269,47 +245,14 @@ func (s *Session) Load(facts ...ast.Fact) {
 // A crash mid-chunk (storage fault) is recovered into a typed error with
 // the already-admitted prefix intact, so re-feeding the chunk resumes
 // exactly where the crash struck.
-func (s *Session) LoadChunk(ctx context.Context, facts []ast.Fact) (err error) {
-	defer func() {
-		if r := recover(); r != nil { //vadalint:panicguard load-path crash isolation: convert storage faults into typed resumable errors
-			err = &core.PanicError{Engine: "pipeline load", Value: r, Stack: debug.Stack()}
+func (s *Session) LoadChunk(ctx context.Context, facts []ast.Fact) error {
+	return admit.Guard("pipeline load", func() error {
+		if err := siteLoad.Check(); err != nil {
+			return fmt.Errorf("pipeline: load: %w", err)
 		}
-	}()
-	if err := siteLoad.Check(); err != nil {
-		return fmt.Errorf("pipeline: load: %w", err)
-	}
-	s.Load(facts...)
-	return ctx.Err()
-}
-
-func (s *Session) insertTagTwin(f ast.Fact) {
-	twin, ok := s.c.rw.TagPreds[f.Pred]
-	if !ok {
-		return
-	}
-	tf := s.tagTwinFact(twin, f)
-	rel := s.db.Rel(twin, len(tf.Args))
-	if rel.Contains(tf) {
-		return
-	}
-	rel.Insert(s.strat.NewEDBFact(tf))
-	if s.hubs[twin] == nil {
-		s.hubs[twin] = &hub{pred: twin, rel: rel}
-	}
-}
-
-// tagTwinFact renders the tag-twin image of f: labelled nulls replaced by
-// their canonical ground keys.
-func (s *Session) tagTwinFact(twin string, f ast.Fact) ast.Fact {
-	args := make([]term.Value, len(f.Args))
-	for i, v := range f.Args {
-		if v.IsNull() {
-			args[i] = term.String("\x00" + s.db.Nulls.KeyOf(v))
-		} else {
-			args[i] = v
-		}
-	}
-	return ast.Fact{Pred: twin, Args: args}
+		s.Load(facts...)
+		return ctx.Err()
+	})
 }
 
 // Next ensures at least n+1 facts of pred exist, pulling through the
@@ -397,7 +340,7 @@ func (s *Session) step(f *ruleFilter) stepResult {
 		// Round-robin over body atoms, preferring available deltas.
 		for k := 0; k < len(f.cr.Pos); k++ {
 			i := (f.rr + k) % len(f.cr.Pos)
-			rel := s.db.Rel(f.cr.Pos[i].Pred, f.cr.Pos[i].Arity())
+			rel := s.DB().Rel(f.cr.Pos[i].Pred, f.cr.Pos[i].Arity())
 			for f.cursors[i] < rel.DeltaLen() {
 				if s.cancelled() {
 					return stepDry
@@ -500,7 +443,7 @@ func (s *Session) sweep() bool {
 			continue
 		}
 		for i := range f.cr.Pos {
-			rel := s.db.Rel(f.cr.Pos[i].Pred, f.cr.Pos[i].Arity())
+			rel := s.DB().Rel(f.cr.Pos[i].Pred, f.cr.Pos[i].Arity())
 			for f.cursors[i] < rel.DeltaLen() {
 				if s.cancelled() {
 					return false
@@ -528,7 +471,7 @@ func (s *Session) sweep() bool {
 func (s *Session) allQuiesced() bool {
 	for _, f := range s.filters {
 		for i := range f.cr.Pos {
-			rel := s.db.Lookup(f.cr.Pos[i].Pred)
+			rel := s.DB().Lookup(f.cr.Pos[i].Pred)
 			if rel != nil && f.cursors[i] < rel.DeltaLen() {
 				return false
 			}
@@ -565,7 +508,7 @@ func (s *Session) clearResumableFailure() {
 		s.failure = nil
 		return
 	}
-	if errors.Is(s.failure, ErrBudget) && s.derivations < s.budget {
+	if errors.Is(s.failure, ErrBudget) && s.Derivations() < s.Meter().Limit() {
 		s.failure = nil
 	}
 }
@@ -587,7 +530,7 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 		defer s.lap(&s.clock.match, t0) // fused: matching and admission interleave
 		admitted := 0
 		err := s.mt.MatchPinned(cr, pos, m, f.binding, func(b *eval.Binding) error {
-			n, err := s.emit(f, b)
+			n, err := s.Emit(f.idx, b)
 			admitted += n
 			return err
 		})
@@ -600,7 +543,7 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 		if f.sized[pos] != p {
 			f.sized[pos] = p
 			for _, pr := range p.Probes {
-				if rel := s.db.Lookup(pr.Pred); rel != nil {
+				if rel := s.DB().Lookup(pr.Pred); rel != nil {
 					rel.EnsureIndexSized(pr.Mask, pr.Keys)
 				}
 			}
@@ -615,13 +558,13 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 		defer s.lap(&s.clock.match, t0) // fused: matching and admission interleave
 		admitted := 0
 		err := s.mt.MatchPinnedSteps(cr, pos, m, steps, f.binding, func(b *eval.Binding) error {
-			n, err := s.emit(f, b)
+			n, err := s.Emit(f.idx, b)
 			admitted += n
 			return err
 		})
 		return admitted, err
 	}
-	prepared := s.shards > 1 && s.c.prepared[f.idx]
+	prepared := s.Shards() > 1 && s.c.prepared[f.idx]
 	lg := &s.log
 	lg.Reset(cr)
 	if prepared {
@@ -631,7 +574,7 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 	err := s.mt.MatchPinnedSteps(cr, pos, m, steps, f.binding, func(b *eval.Binding) error {
 		lg.Capture(b)
 		if prepared {
-			lg.CaptureHeads(cr, b, s.subst)
+			lg.CaptureHeads(cr, b, s.Subst())
 		}
 		return nil
 	})
@@ -641,334 +584,23 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 	}
 	perm := lg.CanonicalOrder(s.permBuf)
 	s.permBuf = perm
+	base := 0
 	if prepared {
-		return s.mergeFiring(f, lg, perm)
+		// Partitioned admission: the heads pre-interned and pre-hashed
+		// during capture are flattened in canonical order and deduplicated
+		// by the sharded pre-pass; the merge then admits exactly what a
+		// plain replay would. The subst snapshot taken at capture time is
+		// still current: only this rule emits between capture and merge,
+		// and prepared rules never unify nulls.
+		tp := s.now()
+		s.ResetCands()
+		base = s.Flatten(f.idx, lg, perm)
+		s.Prepass()
+		s.lap(&s.clock.prepass, tp)
 	}
 	ta := s.now()
 	defer s.lap(&s.clock.admit, ta)
-	admitted := 0
-	for _, idx := range perm {
-		lg.Restore(int(idx), s.db.Interner(), f.binding)
-		n, err := s.emit(f, f.binding)
-		admitted += n
-		if err != nil {
-			return admitted, err
-		}
-	}
-	return admitted, nil
-}
-
-// mergeFiring admits one firing's captured candidates through partitioned
-// admission: the heads pre-interned and pre-hashed during capture are
-// flattened in canonical (perm, head) order, the sharded pre-pass computes
-// dedup verdicts in parallel (storage.RunPrepass), and the serial merge
-// walks the same order admitting exactly what the classic replay loop
-// would — unprepared entries fall back to Restore+emit, candidates whose
-// relation drifted fall back to the classic admit, everything else takes
-// the O(1) verdict-or-reprobe path. The subst snapshot taken at capture
-// time is still current here: only this rule emits between capture and
-// merge, and prepared rules never unify nulls.
-func (s *Session) mergeFiring(f *ruleFilter, lg *eval.BindingLog, perm []int32) (int, error) {
-	cr := f.cr
-	nh := len(cr.Heads)
-	tp := s.now()
-	s.cands = s.cands[:0]
-	for _, idx := range perm {
-		if !lg.EntryPrepared(int(idx)) {
-			for hi := 0; hi < nh; hi++ {
-				s.cands = append(s.cands, storage.PrepassCand{})
-			}
-			continue
-		}
-		for hi := 0; hi < nh; hi++ {
-			hf, row, h := lg.PreparedHead(int(idx), hi)
-			rel := s.db.Rel(hf.Pred, len(hf.Args))
-			if rel.Arity() != len(row) {
-				s.cands = append(s.cands, storage.PrepassCand{}) // drifted stride: classic admit below
-				continue
-			}
-			s.cands = append(s.cands, storage.PrepassCand{Rel: rel, Row: row, Hash: h, Gen: rel.RetractGen()})
-		}
-	}
-	n := len(s.cands)
-	if cap(s.candVerdict) < n {
-		s.candVerdict = make([]uint8, n)
-		s.candDupOf = make([]int32, n)
-		s.candInserted = make([]bool, n)
-	}
-	s.candVerdict = s.candVerdict[:n]
-	s.candDupOf = s.candDupOf[:n]
-	s.candInserted = s.candInserted[:n]
-	for i := 0; i < n; i++ {
-		s.candVerdict[i] = storage.PrepassUnknown
-		s.candDupOf[i] = -1
-		s.candInserted[i] = false
-	}
-	storage.RunPrepass(s.cands, s.candVerdict, s.candDupOf, s.shards, nil)
-	s.lap(&s.clock.prepass, tp)
-
-	ta := s.now()
-	defer s.lap(&s.clock.admit, ta)
-	admitted := 0
-	for k, idx := range perm {
-		i := int(idx)
-		if !lg.EntryPrepared(i) {
-			lg.Restore(i, s.db.Interner(), f.binding)
-			an, err := s.emit(f, f.binding)
-			admitted += an
-			if err != nil {
-				return admitted, err
-			}
-			continue
-		}
-		var parents []*core.FactMeta
-		for hi := 0; hi < nh; hi++ {
-			ci := k*nh + hi
-			c := &s.cands[ci]
-			if c.Rel == nil || c.Rel.Arity() != len(c.Row) {
-				// Flatten-time or mid-merge arity drift: the row no longer
-				// matches the relation's stride — admit classically.
-				hf, _, _ := lg.PreparedHead(i, hi)
-				if parents == nil {
-					parents = lg.ParentsAppend(cr, i, s.parentsBuf[:0])
-					s.parentsBuf = parents
-				}
-				m, err := s.admit(hf, cr.Rule.ID, parents)
-				if err != nil {
-					return admitted, err
-				}
-				if m != nil {
-					admitted++
-					f.produced++
-				}
-				continue
-			}
-			if c.Rel.RetractGen() == c.Gen {
-				v := s.candVerdict[ci]
-				if v == storage.PrepassDupStored ||
-					(v == storage.PrepassDupBatch && s.candInserted[s.candDupOf[ci]]) {
-					continue
-				}
-			}
-			if c.Rel.ContainsRowHash(c.Row, c.Hash) {
-				continue
-			}
-			hf, _, _ := lg.PreparedHead(i, hi)
-			if parents == nil {
-				parents = lg.ParentsAppend(cr, i, s.parentsBuf[:0])
-				s.parentsBuf = parents
-			}
-			m := s.strat.Derive(hf, cr.Rule.ID, parents)
-			if !s.strat.CheckTermination(m) {
-				continue
-			}
-			if s.derivations >= s.budget {
-				return admitted, fmt.Errorf("%w (%d facts)", ErrBudget, s.derivations)
-			}
-			c.Rel.InsertPrepared(m, c.Row, c.Hash)
-			s.candInserted[ci] = true
-			s.derivations++
-			s.bm.Touch(hf.Pred)
-			s.insertTagTwin(hf)
-			admitted++
-			f.produced++
-		}
-	}
-	return admitted, nil
-}
-
-func (s *Session) emit(f *ruleFilter, b *eval.Binding) (int, error) {
-	cr := f.cr
-	rule := cr.Rule
-	switch {
-	case rule.IsConstraint:
-		return 0, fmt.Errorf("%w: constraint fired: %s", ErrInconsistent, rule.String())
-	case rule.EGD != nil:
-		l := b.Val(cr.VarSlot[rule.EGD.Left])
-		r := b.Val(cr.VarSlot[rule.EGD.Right])
-		if err := s.subst.Unify(l, r); err != nil {
-			return 0, fmt.Errorf("%w: %v (egd %s)", ErrInconsistent, err, rule.String())
-		}
-		return 0, nil
-	}
-	if cr.Agg != nil {
-		// Group/contrib tuples live in session-owned buffers reused across
-		// firings: AggState keys copy what they retain, so nothing escapes.
-		group := s.groupBuf[:0]
-		for _, sl := range cr.Agg.GroupSlots {
-			group = append(group, b.Val(sl))
-		}
-		s.groupBuf = group
-		contrib := s.contribBuf[:0]
-		for _, sl := range cr.Agg.ContribSlots {
-			contrib = append(contrib, b.Val(sl))
-		}
-		s.contribBuf = contrib
-		var x term.Value
-		if cr.Agg.ArgSlot >= 0 {
-			x = b.Val(cr.Agg.ArgSlot)
-		} else {
-			var err error
-			x, err = cr.Agg.Arg.Eval(b.Env(cr, cr.Agg.ArgDeps))
-			if err != nil {
-				return 0, err
-			}
-		}
-		agg, improved, err := f.agg.Update(group, contrib, x)
-		if err != nil {
-			return 0, err
-		}
-		if !improved && cr.Agg.SkipSafe {
-			// The group's aggregate did not change and the post-aggregate
-			// conditions depend only on (result, group): this match
-			// evaluates exactly like the one that already emitted, so
-			// there is nothing new to emit. Unsafe rules (conditions over
-			// other body variables, existential heads) fall through to the
-			// full path; supersession makes re-emission idempotent.
-			return 0, nil
-		}
-		b.Set(cr.Agg.ResultSlot, agg)
-		for i := range f.postAgg {
-			c := &f.postAgg[i]
-			if c.Fast {
-				if !c.EvalFast(b) {
-					return 0, nil
-				}
-				continue
-			}
-			// The aggregate result reaches the environment through its slot
-			// (set above), so the dependency-restricted env suffices.
-			ok, err := ast.EvalCondition(c.Cond, b.Env(cr, c.Deps))
-			if err != nil {
-				return 0, err
-			}
-			if !ok {
-				return 0, nil
-			}
-		}
-	}
-	s.mt.InstantiateExistentials(cr, b)
-	heads, err := eval.HeadFactsAppend(cr, b, s.subst, s.headsBuf[:0])
-	s.headsBuf = heads
-	if err != nil {
-		return 0, err
-	}
-	parents := eval.WardFirstParentsAppend(cr, b, s.parentsBuf[:0])
-	s.parentsBuf = parents
-	admitted := 0
-	for hi, hf := range heads {
-		// Existential aggregate heads mint per-binding nulls: each binding
-		// is its own fact, not an improvement of the previous one, so they
-		// take the plain admission path (no supersession).
-		if cr.Agg != nil && len(cr.Exists) == 0 {
-			n, err := s.admitAggregate(f, hi, hf, rule.ID, parents)
-			admitted += n
-			f.produced += n
-			if err != nil {
-				return admitted, err
-			}
-			continue
-		}
-		m, err := s.admit(hf, rule.ID, parents)
-		if err != nil {
-			return admitted, err
-		}
-		if m != nil {
-			admitted++
-			f.produced++
-		}
-	}
-	return admitted, nil
-}
-
-// admitAggregate admits an aggregate-head fact with supersession, the
-// pipeline counterpart of the chase engine's: an improving group replaces
-// the fact the filter previously admitted for it in place. The relation's
-// delta log re-delivers the replaced row, so downstream filters observe
-// the improved value as a fresh delta while their cursors stay put.
-// Replacements count as produced facts (step progress) and against the
-// derivation budget.
-func (s *Session) admitAggregate(f *ruleFilter, hi int, hf ast.Fact, ruleID int, parents []*core.FactMeta) (int, error) {
-	prev, ok := f.agg.LastEmitted(hi)
-	if !ok {
-		m, err := s.admit(hf, ruleID, parents)
-		if err != nil {
-			return 0, err
-		}
-		if m == nil {
-			return 0, nil
-		}
-		rel := s.db.Rel(hf.Pred, len(hf.Args))
-		f.agg.RecordEmitted(hi, m, rel.Len()-1)
-		return 1, nil
-	}
-	old := prev.Meta.Fact
-	rel := s.db.Rel(hf.Pred, len(hf.Args))
-	switch rel.Replace(prev.Row, hf) {
-	case storage.ReplaceUnchanged:
-		return 0, nil // e.g. the aggregate result does not occur in the head
-	case storage.ReplaceRetracted:
-		// The improved value already exists as an independently stored
-		// fact; the superseded intermediate was retracted. The next
-		// improvement starts fresh.
-		f.agg.RecordEmitted(hi, nil, 0)
-		s.noteSuperseded(old)
-		return 0, nil
-	default: // ReplaceDone
-		if s.derivations >= s.budget {
-			return 0, fmt.Errorf("%w (%d facts)", ErrBudget, s.derivations)
-		}
-		s.derivations++
-		s.bm.Touch(hf.Pred)
-		s.noteSuperseded(old)
-		s.replaceTagTwin(old, hf)
-		return 1, nil
-	}
-}
-
-// noteSuperseded tells fact-memorizing termination policies that old is no
-// longer stored.
-func (s *Session) noteSuperseded(old ast.Fact) {
-	if obs, ok := s.strat.(core.SupersessionObserver); ok {
-		obs.NoteSuperseded(old)
-	}
-}
-
-func (s *Session) admit(hf ast.Fact, ruleID int, parents []*core.FactMeta) (*core.FactMeta, error) {
-	rel := s.db.Rel(hf.Pred, len(hf.Args))
-	if rel.Contains(hf) {
-		return nil, nil
-	}
-	m := s.strat.Derive(hf, ruleID, parents)
-	if !s.strat.CheckTermination(m) {
-		return nil, nil
-	}
-	if s.derivations >= s.budget {
-		return nil, fmt.Errorf("%w (%d facts)", ErrBudget, s.derivations)
-	}
-	rel.Insert(m)
-	s.derivations++
-	s.bm.Touch(hf.Pred)
-	s.insertTagTwin(hf)
-	return m, nil
-}
-
-// replaceTagTwin mirrors an aggregate supersession into the tag twin of a
-// tagged predicate.
-func (s *Session) replaceTagTwin(old, hf ast.Fact) {
-	twin, ok := s.c.rw.TagPreds[hf.Pred]
-	if !ok {
-		return
-	}
-	oldTwin := s.tagTwinFact(twin, old)
-	newTwin := s.tagTwinFact(twin, hf)
-	rel := s.db.Rel(twin, len(newTwin.Args))
-	idx, found := rel.FindExact(oldTwin)
-	if !found {
-		s.insertTagTwin(hf)
-		return
-	}
-	rel.Replace(idx, newTwin)
+	return s.Merge(f.idx, lg, perm, base, f.binding)
 }
 
 // Drain materializes the complete reasoning result (all output predicates
@@ -979,12 +611,12 @@ func (s *Session) Drain(ctx context.Context) error {
 	s.clearResumableFailure()
 	// Drive every output hub to exhaustion; if the program declares no
 	// outputs, drive every IDB predicate (universal tuple inference).
-	targets := make([]string, 0, len(s.c.prog.Outputs))
-	for pred := range s.c.prog.Outputs {
+	targets := make([]string, 0, len(s.c.Prog.Outputs))
+	for pred := range s.c.Prog.Outputs {
 		targets = append(targets, pred)
 	}
 	if len(targets) == 0 {
-		for pred := range s.c.prog.IDBPreds() {
+		for pred := range s.c.Prog.IDBPreds() {
 			targets = append(targets, pred)
 		}
 	}
@@ -1021,7 +653,7 @@ func (s *Session) Drain(ctx context.Context) error {
 // facts Run loads before the EDB. Streaming callers that drive Next
 // directly (bypassing Run) must call it once before pulling.
 func (s *Session) LoadProgramFacts() {
-	for _, f := range s.c.prog.Facts {
+	for _, f := range s.c.Prog.Facts {
 		s.Load(f)
 	}
 }
@@ -1029,52 +661,25 @@ func (s *Session) LoadProgramFacts() {
 // Run loads facts, drains the pipeline and returns the materialized
 // result. Cancelling ctx aborts the fixpoint between rule firings.
 func (s *Session) Run(ctx context.Context, edb []ast.Fact) error {
-	if err := s.loadGuarded(edb); err != nil {
+	// Loading skips duplicates, so a resumed Run re-feeding the same facts
+	// admits only what an earlier crash cut off.
+	err := admit.Guard("pipeline load", func() error {
+		s.LoadProgramFacts()
+		s.Load(edb...)
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	return s.Drain(ctx)
 }
 
-// loadGuarded runs Run's initial loads under the same crash isolation as
-// LoadChunk: loading skips duplicates, so a resumed Run re-feeding the
-// same facts admits only what the crash cut off.
-func (s *Session) loadGuarded(edb []ast.Fact) (err error) {
-	defer func() {
-		if r := recover(); r != nil { //vadalint:panicguard load-path crash isolation: convert storage faults into typed resumable errors
-			err = &core.PanicError{Engine: "pipeline load", Value: r, Stack: debug.Stack()}
-		}
-	}()
-	s.LoadProgramFacts()
-	s.Load(edb...)
-	return nil
-}
-
-// Output returns pred's facts with @post directives applied, like
-// chase.Result.Output.
-func (s *Session) Output(pred string) []ast.Fact {
-	return eval.ApplyPost(s.db.FactsOf(pred), s.c.prog.Posts, pred, s.subst)
-}
-
-// DB exposes the session's database (benchmarks, diagnostics).
-func (s *Session) DB() *storage.Database { return s.db }
-
 // Planner exposes the session's join planner for its statistics and
 // -explain rendering; nil when Options.DisablePlanner.
 func (s *Session) Planner() *planner.Planner { return s.pl }
 
-// Strategy exposes the termination policy for its statistics.
-func (s *Session) Strategy() core.Policy { return s.strat }
-
 // Buffer exposes the buffer manager for its statistics.
 func (s *Session) Buffer() *storage.BufferManager { return s.bm }
-
-// Derivations reports the number of admitted facts.
-func (s *Session) Derivations() int { return s.derivations }
-
-// SetBudget replaces the derivation budget for subsequent admissions —
-// how a session resumes after an ErrBudget partial result (the latched
-// budget failure clears on the next drive once the budget allows more).
-func (s *Session) SetBudget(n int) { s.budget = n }
 
 // Quiesced reports whether the pipeline has reached its fixpoint: no
 // failure is latched and no filter has unconsumed deltas. After an
@@ -1083,10 +688,10 @@ func (s *Session) SetBudget(n int) { s.budget = n }
 func (s *Session) Quiesced() bool { return s.failure == nil && s.allQuiesced() }
 
 // Program returns the rewritten program the session executes.
-func (s *Session) Program() *ast.Program { return s.c.prog }
+func (s *Session) Program() *ast.Program { return s.c.Prog }
 
 // Analysis returns the warded analysis of the executed program.
-func (s *Session) Analysis() *analysis.Result { return s.c.res }
+func (s *Session) Analysis() *analysis.Result { return s.c.Res }
 
 // Compiled returns the shared compile-time artifact backing the session.
 func (s *Session) Compiled() *Compiled { return s.c }

@@ -11,7 +11,7 @@ import (
 // pipes from the predicates it reads to the predicate it feeds. The plan
 // is a compile-time artifact: it exists before any session runs.
 func (c *Compiled) Plan() string {
-	return planner.RenderPlan(c.prog, c.preds, c.rules, nil)
+	return planner.RenderPlan(c.Prog, c.Preds, c.Rules, nil)
 }
 
 // Plan renders the session's reasoning access plan (delegates to the
@@ -39,5 +39,5 @@ func (s *Session) Explain() string {
 			return lines
 		}
 	}
-	return planner.RenderPlan(s.c.prog, s.c.preds, s.c.rules, annotate)
+	return planner.RenderPlan(s.c.Prog, s.c.Preds, s.c.Rules, annotate)
 }

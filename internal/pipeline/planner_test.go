@@ -18,8 +18,8 @@ import (
 // same stored order with the same null identities iff the runs agree.
 func sessionBytes(s *Session) string {
 	var sb strings.Builder
-	for _, pred := range s.db.Predicates() {
-		rel := s.db.Lookup(pred)
+	for _, pred := range s.DB().Predicates() {
+		rel := s.DB().Lookup(pred)
 		fmt.Fprintf(&sb, "%s[%d]\n", pred, rel.Len())
 		for i := 0; i < rel.Len(); i++ {
 			m := rel.At(i)
@@ -32,7 +32,7 @@ func sessionBytes(s *Session) string {
 			sb.WriteByte('\n')
 		}
 	}
-	fmt.Fprintf(&sb, "derivations=%d nulls=%d\n", s.derivations, s.db.Nulls.Count())
+	fmt.Fprintf(&sb, "derivations=%d nulls=%d\n", s.Derivations(), s.DB().Nulls.Count())
 	return sb.String()
 }
 

@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -368,5 +372,118 @@ func TestFactsBreakKeepsSessionResumable(t *testing.T) {
 	}
 	if got, want := len(s.Output("tc")), 10*11/2; got != want {
 		t.Fatalf("tc after break+run: %d facts, want %d", got, want)
+	}
+}
+
+// budgetSweepOutputs renders every @output predicate of s, sorted — the
+// admission-order-insensitive form the sweep compares.
+func budgetSweepOutputs(s *Session, prog *Program) string {
+	var preds []string
+	for pred := range prog.Outputs {
+		preds = append(preds, pred)
+	}
+	sort.Strings(preds)
+	var sb strings.Builder
+	for _, pred := range preds {
+		sb.WriteString(chaosDigest(s.Output(pred)))
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// TestBudgetSweepResumeEquivalence cuts a run at every possible budget,
+// raises the budget and resumes to convergence, on both engines, and
+// requires the answer of an unbudgeted run: wherever ErrBudget lands — a
+// plain admission, an aggregate's first emission, a supersession step, a
+// tag-twin mirror — the refused step must leave nothing half-applied that
+// the re-fired delta cannot redo.
+func TestBudgetSweepResumeEquivalence(t *testing.T) {
+	// A chain feeds one msum group a contribution per delta batch, and big
+	// depends on the group's final value: the last supersession step is the
+	// only one that crosses the threshold.
+	chain := `
+		at(N), succ(N,M) -> mid(M).
+		mid(M) -> at(M).
+		at(N), w(N,W), V = msum(W,<N>) -> total("g",V).
+		total(G,V), V > 0.95 -> big(G).
+		@output("total"). @output("big").
+	`
+	chainFacts := []Fact{MakeFact("at", Int(0))}
+	for i := 0; i < 10; i++ {
+		chainFacts = append(chainFacts,
+			MakeFact("succ", Int(int64(i)), Int(int64(i+1))),
+			MakeFact("w", Int(int64(i)), Flt(0.1)))
+	}
+	readProgram := func(name string) string {
+		src, err := os.ReadFile(filepath.Join("..", "examples", "programs", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(src)
+	}
+	// stronglinks: the harmful join on P is rewritten dynamically, so psc
+	// carries a live tag twin fed by both ground and null-valued facts.
+	linkFacts := []Fact{
+		MakeFact("company", Str("a")), MakeFact("company", Str("b")), MakeFact("company", Str("c")),
+		MakeFact("keyPerson", Str("a"), Str("p1")), MakeFact("keyPerson", Str("b"), Str("p1")),
+		MakeFact("keyPerson", Str("b"), Str("p2")), MakeFact("keyPerson", Str("c"), Str("p2")),
+		MakeFact("control", Str("a"), Str("b")), MakeFact("control", Str("b"), Str("c")),
+	}
+	controlFacts := []Fact{
+		MakeFact("own", Str("a"), Str("b"), Flt(0.6)), MakeFact("own", Str("a"), Str("c"), Flt(0.3)),
+		MakeFact("own", Str("b"), Str("c"), Flt(0.3)), MakeFact("own", Str("b"), Str("d"), Flt(0.4)),
+		MakeFact("own", Str("c"), Str("d"), Flt(0.2)), MakeFact("own", Str("d"), Str("e"), Flt(0.7)),
+		MakeFact("own", Str("a"), Str("f"), Flt(0.2)), MakeFact("own", Str("e"), Str("f"), Flt(0.4)),
+	}
+	scenarios := []struct {
+		name  string
+		src   string
+		facts []Fact
+	}{
+		{"chain-msum", chain, chainFacts},
+		{"stronglinks", readProgram("stronglinks.vada"), linkFacts},
+		{"companycontrol", readProgram("companycontrol.vada"), controlFacts},
+	}
+	for _, sc := range scenarios {
+		for _, engine := range []Engine{EnginePipeline, EngineChase} {
+			t.Run(fmt.Sprintf("%s/%v", sc.name, engine), func(t *testing.T) {
+				prog := MustParse(sc.src)
+				r, err := Compile(prog, &Options{Engine: engine})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := r.NewSession()
+				ref.Load(sc.facts...)
+				if err := ref.Run(); err != nil {
+					t.Fatal(err)
+				}
+				want, total := budgetSweepOutputs(ref, prog), ref.Derivations()
+				if strings.TrimSpace(want) == "" {
+					t.Fatal("scenario produced no output (vacuous comparison)")
+				}
+				for budget := 1; budget <= total+1; budget++ {
+					s := r.NewSession()
+					s.SetMaxDerivations(budget)
+					s.Load(sc.facts...)
+					err := s.Run()
+					if err != nil && !errors.Is(err, ErrBudget) {
+						t.Fatalf("budget %d: %v", budget, err)
+					}
+					if err == nil && budget < total {
+						t.Fatalf("budget %d < %d derivations did not cut the run", budget, total)
+					}
+					s.SetMaxDerivations(0)
+					for i := 0; err != nil; i++ {
+						if i == 5 {
+							t.Fatalf("budget %d: resume did not converge: %v", budget, err)
+						}
+						err = s.Run()
+					}
+					if got := budgetSweepOutputs(s, prog); got != want {
+						t.Errorf("budget %d: resumed answer differs from the unbudgeted run\n got: %q\nwant: %q", budget, got, want)
+					}
+				}
+			})
+		}
 	}
 }

@@ -340,11 +340,13 @@ func (s *Session) RunContext(ctx context.Context) error {
 	return s.wrapPartial(s.writeBoundOutputs(ctx))
 }
 
+// mapErr lifts the engines' sentinels (one pair, shared by both through
+// the admission core) to this package's.
 func mapErr(err error) error {
 	switch {
-	case errors.Is(err, pipeline.ErrInconsistent), errors.Is(err, chase.ErrInconsistent):
+	case errors.Is(err, pipeline.ErrInconsistent):
 		return fmt.Errorf("%w: %v", ErrInconsistent, err)
-	case errors.Is(err, pipeline.ErrBudget), errors.Is(err, chase.ErrBudget):
+	case errors.Is(err, pipeline.ErrBudget):
 		return fmt.Errorf("%w: %v", ErrBudget, err)
 	default:
 		return err
