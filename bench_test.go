@@ -63,10 +63,11 @@ func runOnce(b *testing.B, src string, facts []ast.Fact, outPred string, opts *v
 	if err != nil {
 		b.Fatal(err)
 	}
-	sess, err := vadalog.NewSession(prog, opts)
+	r, err := vadalog.Compile(prog, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
+	sess := r.NewSession()
 	sess.Load(facts...)
 	if err := sess.Run(); err != nil {
 		b.Fatal(err)
@@ -571,12 +572,11 @@ func BenchmarkCompileOnceVsPerQuery(b *testing.B) {
 	b.Run("session-per-query", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sess, err := vadalog.NewSession(prog, nil)
+			r, err := vadalog.Compile(prog, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			sess.Load(g.Facts...)
-			if err := sess.Run(); err != nil {
+			if _, err := r.Query(context.Background(), g.Facts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -870,9 +870,8 @@ func BenchmarkStreamingLoad(b *testing.B) {
 // REPRO_BENCH_SCALE. Every cell runs the batched chase (the engine with
 // both axes) on identical inputs, so the final database is
 // byte-identical across the whole matrix and the only variables are
-// match parallelism and duplicate-table partitioning. ns/op, B/op and
-// allocs/op per cell feed BENCH_pr10.json via cmd/benchjson; on a
-// single-core host the w=1/s=1 column is the serial overhead control.
+// match parallelism and duplicate-table partitioning. On a single-core
+// host the w=1/s=1 column is the serial overhead control.
 func BenchmarkScalingMatrix(b *testing.B) {
 	target := int(1_000_000 * benchScale())
 	if target < 2_000 {

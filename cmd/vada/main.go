@@ -23,16 +23,18 @@
 //	                           and vada exits 4
 //	-parallel N                chase match workers (0 = GOMAXPROCS,
 //	                           1 = single-threaded; results are identical)
-//	-shards N                  duplicate-table shards for the parallel
-//	                           admission pre-pass (0 = engine default;
-//	                           results are identical)
+//	-shards N                  chase duplicate-table shards for the
+//	                           parallel admission pre-pass (0 = min(
+//	                           GOMAXPROCS, 8); results are identical;
+//	                           like -parallel, the pipeline ignores it)
 //	-noplan                    disable the cost-based join planner
 //	                           (static schedules; results are identical)
 //	-explain                   after the run, print the access plan with
 //	                           the chosen join orders and their estimates
 //	                           to stderr
 //	-phases                    after the run, print the match/pre-pass/
-//	                           admit wall-time split to stderr
+//	                           admit wall-time split to stderr (the
+//	                           pipeline has no pre-pass: always 0s)
 //	-facts pred=file.csv       extra CSV input (repeatable)
 //	-bind pred=driver:target   override (or add) a predicate's binding
 //	                           without editing the program (repeatable),
@@ -332,7 +334,7 @@ func cmdRun(args []string) {
 	maxDer := fs.Int("max", 0, "derivation budget (0 = default)")
 	timeout := fs.Duration("timeout", 0, "wall-clock bound; on expiry print the partial result and exit 4 (0 = none)")
 	parallel := fs.Int("parallel", 0, "chase match workers (0 = GOMAXPROCS, 1 = single-threaded)")
-	shards := fs.Int("shards", 0, "duplicate-table shards for the parallel admission pre-pass (0 = engine default; results are identical)")
+	shards := fs.Int("shards", 0, "chase duplicate-table shards for the parallel admission pre-pass (0 = min(GOMAXPROCS, 8); results are identical; the pipeline ignores it)")
 	noplan := fs.Bool("noplan", false, "disable the cost-based join planner")
 	explain := fs.Bool("explain", false, "print the access plan with chosen join orders after the run")
 	phases := fs.Bool("phases", false, "print the match/pre-pass/admit wall-time split after the run")

@@ -43,8 +43,8 @@ var ErrInconsistent = errors.New("admit: knowledge base is inconsistent")
 // the budget (SetBudget) and re-firing the delta resumes the run.
 var ErrBudget = errors.New("admit: derivation budget exceeded")
 
-// defaultBudget caps admitted facts when Config.MaxDerivations is unset.
-const defaultBudget = 10_000_000
+// DefaultBudget caps admitted facts when Config.MaxDerivations is unset.
+const DefaultBudget = 10_000_000
 
 // Config is what both engines' Options say about compilation and
 // admission; scheduling knobs stay with the engines.
@@ -108,7 +108,7 @@ func Compile(prog *ast.Program, cfg Config) (*Compiled, error) {
 		return nil, err
 	}
 	if cfg.MaxDerivations <= 0 {
-		cfg.MaxDerivations = defaultBudget
+		cfg.MaxDerivations = DefaultBudget
 	}
 	p := &Compiled{cfg: cfg, Prog: rw.Program, Res: res, RW: rw, Preds: preds}
 	for i, r := range rw.Program.Rules {
@@ -558,6 +558,13 @@ func (c *Core) replaceTagTwin(old, f ast.Fact) {
 // ResetCands empties the candidate array ahead of a round of Flatten
 // calls.
 func (c *Core) ResetCands() { c.cands = c.cands[:0] }
+
+// ReleaseCands drops the candidate array and its verdicts: they are sized
+// by the largest round Flatten ever laid out, and an engine at its fixpoint
+// has no use for them until the next round re-grows them.
+func (c *Core) ReleaseCands() {
+	c.cands, c.candVerdict, c.candDupOf, c.candInserted = nil, nil, nil, nil
+}
 
 // Flatten appends the prepared heads of lg (captured for rule ri with
 // PrepareHeads/CaptureHeads) to the candidate array in canonical (perm,

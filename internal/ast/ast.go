@@ -321,20 +321,6 @@ func (r *Rule) IsLinear() bool {
 	return n <= 1
 }
 
-// IsFact reports whether the rule has an empty body and a single ground
-// head, i.e. is an inline fact.
-func (r *Rule) IsFact() bool {
-	if len(r.Body) != 0 || len(r.Heads) != 1 || r.IsConstraint || r.EGD != nil {
-		return false
-	}
-	for _, a := range r.Heads[0].Args {
-		if a.IsVar {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the rule in surface syntax.
 func (r *Rule) String() string {
 	var parts []string

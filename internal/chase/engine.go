@@ -428,6 +428,7 @@ func (e *Engine) Run(ctx context.Context, edb []ast.Fact) (*Result, error) {
 			return nil, err
 		}
 	}
+	e.releaseBatch()
 	return &Result{
 		DB:          e.DB(),
 		Program:     e.c.Prog,
@@ -438,6 +439,20 @@ func (e *Engine) Run(ctx context.Context, edb []ast.Fact) (*Result, error) {
 		Derivations: e.Derivations(),
 		posts:       e.c.Prog.Posts,
 	}, nil
+}
+
+// releaseBatch drops the per-batch scratch — the drained queue's backing
+// array, the task list, the captured match logs, schedules, canonical
+// orders, the worker pool and the core's candidate array — once the
+// fixpoint is reached. All of it is sized by the largest batch of the run
+// and nothing reads it between runs, so an engine kept for its answer (a
+// vadalog.Result reads through it, a session may wait for more facts)
+// keeps the database reachable and not the run's buffers; a later Run
+// re-grows them.
+func (e *Engine) releaseBatch() {
+	e.queue, e.tasks, e.results, e.workers = nil, nil, nil, nil
+	e.batchSteps, e.perms, e.candStart = nil, nil, nil
+	e.ReleaseCands()
 }
 
 // step drains one delta batch: it schedules every (rule, pinned atom,

@@ -641,21 +641,6 @@ func (cr *CompiledRule) PostMatchSteps() []Step {
 	return steps
 }
 
-// PosIndexesByPred returns the indexes of positive body atoms with the
-// given predicate (used by engines to pin deltas).
-func (cr *CompiledRule) PosIndexesByPred(pred string) []int {
-	var out []int
-	for i, a := range cr.Pos {
-		if a.Pred == pred {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SkolemBaseOf formats the default Skolem base name of a rule.
-func SkolemBaseOf(id int) string { return fmt.Sprintf("r%d", id) }
-
 // String renders the plan compactly for diagnostics.
 func (cr *CompiledRule) String() string {
 	var sb strings.Builder

@@ -63,10 +63,11 @@ func run(src string, facts []ast.Fact, outPred string, opts *vadalog.Options) (r
 	if err != nil {
 		return runResult{}, err
 	}
-	sess, err := vadalog.NewSession(prog, opts)
+	r, err := vadalog.Compile(prog, opts)
 	if err != nil {
 		return runResult{}, err
 	}
+	sess := r.NewSession()
 	sess.Load(facts...)
 	start := time.Now()
 	runErr := sess.Run()

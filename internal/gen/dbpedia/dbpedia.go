@@ -26,12 +26,6 @@ type Config struct {
 	Seed        int64
 }
 
-// PaperScale returns the full DBpedia-like scale (67K companies, persons
-// as given).
-func PaperScale(persons int) Config {
-	return Config{Companies: 67_000, Persons: persons, KeyPersonRate: 1.2, ControlRate: 0.35, Seed: 7}
-}
-
 // Dataset holds the generated facts.
 type Dataset struct {
 	Companies  []ast.Fact // company(c)

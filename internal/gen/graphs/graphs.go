@@ -207,15 +207,6 @@ func (g *Graph) OwnFacts() []ast.Fact {
 	return out
 }
 
-// CompanyFacts lists company(ci) facts.
-func (g *Graph) CompanyFacts() []ast.Fact {
-	out := make([]ast.Fact, 0, g.N)
-	for i := 0; i < g.N; i++ {
-		out = append(out, ast.NewFact("company", CompanyName(i)))
-	}
-	return out
-}
-
 // ControlProgram is the company-control reasoning task of Example 2: a
 // company controls another when it directly or jointly (via controlled
 // companies, monotonic sum) owns more than half of it.

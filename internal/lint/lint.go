@@ -115,17 +115,6 @@ func Render(diags []Diagnostic) string {
 	return sb.String()
 }
 
-// MaxSeverity returns the highest severity among diags (Info when empty).
-func MaxSeverity(diags []Diagnostic) Severity {
-	max := Info
-	for _, d := range diags {
-		if d.Severity > max {
-			max = d.Severity
-		}
-	}
-	return max
-}
-
 // Options configures a lint run.
 type Options struct {
 	// File labels every diagnostic position with the source filename.

@@ -28,16 +28,6 @@ type Compiled struct {
 	// state, so admissions interleave with matching exactly as the serial
 	// semantics prescribe.
 	inline []bool
-	// prepared marks rules eligible for partitioned admission (Options.
-	// Shards > 1): buffered-path rules with plain admission effects — no
-	// aggregate supersession, no EGD unification, no constraint, no
-	// existential instantiation, at least one head — whose candidate heads
-	// can therefore be materialized and hashed at capture time. Unlike the
-	// chase, EGDs elsewhere in the program do not disqualify a rule: within
-	// one firing nothing unifies nulls between capture and merge, so the
-	// capture-time substitution snapshot stays exact.
-	prepared []bool
-
 	// producers maps a predicate (or constraintHub) to the indexes of the
 	// rules feeding it, in rule order.
 	producers map[string][]int
@@ -60,9 +50,7 @@ func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
 	}
 	c := &Compiled{Compiled: ac, opts: opts, producers: make(map[string][]int)}
 	for i, cr := range c.Rules {
-		inl := c.Skolem[i] || len(cr.Neg) > 0
-		c.inline = append(c.inline, inl)
-		c.prepared = append(c.prepared, !inl && c.Plain(i))
+		c.inline = append(c.inline, c.Skolem[i] || len(cr.Neg) > 0)
 		hub := constraintHub
 		if r := cr.Rule; !r.IsConstraint && r.EGD == nil {
 			hub = r.Heads[0].Pred
@@ -82,7 +70,7 @@ func (c *Compiled) NewSession() *Session {
 		bm:     storage.NewBufferManager(c.opts.BufferCapacity),
 		timing: c.opts.PhaseTiming,
 	}
-	s.Core = c.NewCore(c.opts.Shards, s.admitted)
+	s.Core = c.NewCore(1, s.admitted) // serial admission: no dedup pre-pass
 	if !c.opts.DisablePlanner {
 		s.pl = planner.New(sessionCatalog{s: s})
 	}

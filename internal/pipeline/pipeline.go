@@ -59,17 +59,9 @@ type Options struct {
 	// canonical either way, so reasoning output is byte-identical with the
 	// planner on or off.
 	DisablePlanner bool
-	// Shards sets how many duplicate-table shards each relation keeps and
-	// enables the partitioned admission pre-pass on the buffered
-	// canonical-order path: a firing's candidate heads are pre-interned and
-	// pre-hashed during capture and deduplicated by parallel per-shard
-	// goroutines before the serial merge admits them. Rounded up to a power
-	// of two; 0 or 1 keeps the classic fully-serial replay. Output is
-	// byte-identical for every setting.
-	Shards int
-	// PhaseTiming accumulates the wall-time split between matching, the
-	// dedup pre-pass and admission (Session.PhaseStats). Firings on the
-	// fused inline/short-rule paths count as match time.
+	// PhaseTiming accumulates the wall-time split between matching and
+	// admission (Session.PhaseStats). Firings on the fused inline/short-rule
+	// paths count as match time.
 	PhaseTiming bool
 }
 
@@ -127,9 +119,8 @@ type Session struct {
 }
 
 // phaseClock is the cumulative wall-time split of evaluation phases:
-// match enumeration (fused firings included), the sharded dedup pre-pass,
-// and serial admission.
-type phaseClock struct{ match, prepass, admit time.Duration }
+// match enumeration (fused firings included) and serial admission.
+type phaseClock struct{ match, admit time.Duration }
 
 // now returns the current time when phase timing is on (zero otherwise, so
 // untimed sessions never touch the clock).
@@ -148,10 +139,11 @@ func (s *Session) lap(d *time.Duration, t0 time.Time) {
 }
 
 // PhaseStats reports cumulative wall time spent matching (fused firings
-// included), in the sharded dedup pre-pass, and in serial admission. All
-// zero unless the session was created with Options.PhaseTiming.
+// included) and in serial admission, in the chase engine's three-phase
+// shape: the pipeline admits serially, so its pre-pass share is always
+// zero. All zero unless the session was created with Options.PhaseTiming.
 func (s *Session) PhaseStats() (match, prepass, admit time.Duration) {
-	return s.clock.match, s.clock.prepass, s.clock.admit
+	return s.clock.match, 0, s.clock.admit
 }
 
 // replanStride paces adaptive re-planning: the pipeline has no epoch
@@ -564,18 +556,11 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 		})
 		return admitted, err
 	}
-	prepared := s.Shards() > 1 && s.c.prepared[f.idx]
 	lg := &s.log
 	lg.Reset(cr)
-	if prepared {
-		lg.PrepareHeads(cr)
-	}
 	tm := s.now()
 	err := s.mt.MatchPinnedSteps(cr, pos, m, steps, f.binding, func(b *eval.Binding) error {
 		lg.Capture(b)
-		if prepared {
-			lg.CaptureHeads(cr, b, s.Subst())
-		}
 		return nil
 	})
 	s.lap(&s.clock.match, tm)
@@ -584,23 +569,10 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 	}
 	perm := lg.CanonicalOrder(s.permBuf)
 	s.permBuf = perm
-	base := 0
-	if prepared {
-		// Partitioned admission: the heads pre-interned and pre-hashed
-		// during capture are flattened in canonical order and deduplicated
-		// by the sharded pre-pass; the merge then admits exactly what a
-		// plain replay would. The subst snapshot taken at capture time is
-		// still current: only this rule emits between capture and merge,
-		// and prepared rules never unify nulls.
-		tp := s.now()
-		s.ResetCands()
-		base = s.Flatten(f.idx, lg, perm)
-		s.Prepass()
-		s.lap(&s.clock.prepass, tp)
-	}
 	ta := s.now()
 	defer s.lap(&s.clock.admit, ta)
-	return s.Merge(f.idx, lg, perm, base, f.binding)
+	// The log carries no prepared heads, so Merge is a plain replay.
+	return s.Merge(f.idx, lg, perm, 0, f.binding)
 }
 
 // Drain materializes the complete reasoning result (all output predicates
@@ -689,9 +661,3 @@ func (s *Session) Quiesced() bool { return s.failure == nil && s.allQuiesced() }
 
 // Program returns the rewritten program the session executes.
 func (s *Session) Program() *ast.Program { return s.c.Prog }
-
-// Analysis returns the warded analysis of the executed program.
-func (s *Session) Analysis() *analysis.Result { return s.c.Res }
-
-// Compiled returns the shared compile-time artifact backing the session.
-func (s *Session) Compiled() *Compiled { return s.c }

@@ -230,11 +230,7 @@ func (s *Session) loadProgramFacts() {
 		return
 	}
 	s.progLoaded = true
-	if s.pl != nil {
-		s.pl.LoadProgramFacts()
-	} else {
-		s.ch.LoadProgramFacts()
-	}
+	s.eng.LoadProgramFacts()
 }
 
 // loadRows feeds one cursor chunk into the engine as facts of pred,
@@ -247,26 +243,12 @@ func (s *Session) loadRows(ctx context.Context, pred string, rows [][]term.Value
 	for i, row := range rows {
 		for _, v := range row {
 			if v.IsNull() {
-				s.nulls().Reserve(v.NullID())
+				s.eng.DB().Nulls.Reserve(v.NullID())
 			}
 		}
 		facts[i] = ast.Fact{Pred: pred, Args: row}
 	}
-	if s.pl != nil {
-		return s.pl.LoadChunk(ctx, facts)
-	}
-	if err := s.ch.LoadChunk(facts); err != nil {
-		return err
-	}
-	return ctx.Err()
-}
-
-// nulls returns the engine's null factory.
-func (s *Session) nulls() *term.NullFactory {
-	if s.pl != nil {
-		return s.pl.DB().Nulls
-	}
-	return s.ch.DB().Nulls
+	return s.eng.LoadChunk(ctx, facts)
 }
 
 // Close releases the session's record-manager resources: the input

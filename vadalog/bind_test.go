@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/source"
-	"repro/internal/storage"
 	"repro/internal/term"
 )
 
@@ -70,7 +69,7 @@ func TestCompileBindingValidation(t *testing.T) {
 				t.Errorf("error %q lacks a line:col position", err)
 			}
 			// The compile-per-run shim surfaces the same error.
-			if _, err := NewSession(prog, nil); err == nil {
+			if _, err := Compile(prog, nil); err == nil {
 				t.Error("NewSession succeeded on an invalid binding")
 			}
 		})
@@ -188,6 +187,7 @@ type chunkyDriver struct {
 	chunk  int
 	cancel context.CancelFunc
 	opens  int
+	closes int
 }
 
 func (d *chunkyDriver) Open(ctx context.Context, b SourceBinding) (RecordCursor, error) {
@@ -220,7 +220,10 @@ func (c *chunkyCursor) Next(ctx context.Context) ([][]term.Value, error) {
 	return chunk, nil
 }
 
-func (c *chunkyCursor) Close() error { return nil }
+func (c *chunkyCursor) Close() error {
+	c.d.closes++
+	return nil
+}
 
 // TestCancelMidLoadResumes: cancelling mid-load leaves a resumable
 // session — the open cursor keeps its position, and a later run with a
@@ -238,10 +241,7 @@ func TestCancelMidLoadResumes(t *testing.T) {
 	prog := MustParse(`
 		@bind("p","chunky","t").
 	`)
-	sess, err := NewSession(prog, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := newSession(t, prog, opts)
 	if err := sess.RunContext(ctx); err == nil {
 		t.Fatal("cancelled run succeeded")
 	}
@@ -331,15 +331,7 @@ func TestMemDriverConcurrentQueries(t *testing.T) {
 // admission order, retraction marks, derivation and null counters).
 func dbBytes(t *testing.T, s *Session) string {
 	t.Helper()
-	var db *storage.Database
-	switch {
-	case s.pl != nil:
-		db = s.pl.DB()
-	case s.chRes != nil:
-		db = s.chRes.DB
-	default:
-		t.Fatal("session has no database")
-	}
+	db := s.eng.DB()
 	var sb strings.Builder
 	for _, pred := range db.Predicates() {
 		rel := db.Lookup(pred)
@@ -382,10 +374,7 @@ func TestStreamingMatchesEagerByteIdentical(t *testing.T) {
 	plain := MustParse(rules)
 	for _, engine := range []Engine{EnginePipeline, EngineChase} {
 		opts := &Options{Engine: engine}
-		streaming, err := NewSession(bound, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		streaming := newSession(t, bound, opts)
 		if err := streaming.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -393,10 +382,7 @@ func TestStreamingMatchesEagerByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eager, err := NewSession(plain, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eager := newSession(t, plain, opts)
 		eager.Load(facts...)
 		if err := eager.Run(); err != nil {
 			t.Fatal(err)
@@ -497,38 +483,6 @@ func TestLoadedNullsDoNotCollide(t *testing.T) {
 		if z := f.Args[0]; z == term.Null(1) || z == term.Null(7) {
 			t.Fatalf("minted null %v collides with a loaded id", z)
 		}
-	}
-}
-
-// TestSessionCloseAfterCancel: abandoning a cancelled load through
-// Close releases the kept cursor; a completed session's Close is a
-// no-op.
-func TestSessionCloseAfterCancel(t *testing.T) {
-	rows := make([][]term.Value, 10)
-	for i := range rows {
-		rows[i] = []term.Value{term.Int(int64(i))}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	drv := &chunkyDriver{rows: rows, chunk: 3, cancel: cancel}
-	opts := (&Options{}).RegisterDriver("chunky2", drv)
-	sess, err := NewSession(MustParse(`@bind("p","chunky2","t").`), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.RunContext(ctx); err == nil {
-		t.Fatal("cancelled run succeeded")
-	}
-	if sess.cur == nil {
-		t.Fatal("cancelled load kept no cursor")
-	}
-	if err := sess.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if sess.cur != nil {
-		t.Fatal("Close left the cursor open")
-	}
-	if err := sess.Close(); err != nil { // idempotent
-		t.Fatal(err)
 	}
 }
 

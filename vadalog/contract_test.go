@@ -1,0 +1,235 @@
+package vadalog
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/term"
+)
+
+// boundPathSrc is pathSrc with its edges served by a record manager.
+const boundPathSrc = `@bind("edge","chunky","t").` + pathSrc
+
+// chainRows is chainFacts as the rows a driver serves.
+func chainRows(label string, k int) [][]term.Value {
+	rows := make([][]term.Value, 0, k)
+	for _, f := range chainFacts(label, k) {
+		rows = append(rows, f.Args)
+	}
+	return rows
+}
+
+// lastErr ranges seq to its end and returns how many facts it yielded and
+// the error that ended it, if any.
+func lastErr(seq func(func(Fact, error) bool)) (n int, err error) {
+	for _, e := range seq {
+		if e != nil {
+			return n, e
+		}
+		n++
+	}
+	return n, nil
+}
+
+// TestSessionContract pins what a Session promises whichever engine runs
+// behind it: every row drives the public API only and must hold for the
+// pipeline and the chase alike.
+func TestSessionContract(t *testing.T) {
+	bg := context.Background()
+	rows := []struct {
+		name string
+		run  func(t *testing.T, engine Engine)
+	}{
+		{"result before run is ErrNotRun", func(t *testing.T, engine Engine) {
+			s := newSession(t, MustParse(pathSrc), &Options{Engine: engine})
+			if _, err := s.Result(); !errors.Is(err, ErrNotRun) {
+				t.Fatalf("want ErrNotRun before Run, got %v", err)
+			}
+			if out := s.Output("path"); len(out) != 0 {
+				t.Errorf("Output before Run: %v, want empty", out)
+			}
+			if d := s.Derivations(); d != 0 {
+				t.Errorf("Derivations before Run: %d, want 0", d)
+			}
+			s.Load(chainFacts("n", 2)...)
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Result()
+			if err != nil {
+				t.Fatalf("Result after Run: %v", err)
+			}
+			if got := len(res.Output("path")); got != 3 {
+				t.Errorf("%d paths, want 3", got)
+			}
+			if res.Derivations() == 0 {
+				t.Error("zero derivations reported")
+			}
+		}},
+		{"load, run, output, load more, run", func(t *testing.T, engine Engine) {
+			s := newSession(t, MustParse(pathSrc), &Options{Engine: engine})
+			s.Load(chainFacts("n", 3)...)
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(s.Output("path")); got != 6 {
+				t.Fatalf("paths after first run: %d, want 6", got)
+			}
+			// Staged facts reach the engine exactly once.
+			der := s.Derivations()
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if s.Derivations() != der {
+				t.Errorf("second Run changed derivations: %d -> %d", der, s.Derivations())
+			}
+			s.Load(MakeFact("edge", Str("n3"), Str("n4")))
+			if s.Quiesced() {
+				t.Error("session with staged facts claims quiescence")
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(s.Output("path")); got != 10 {
+				t.Errorf("paths after incremental run: %d, want 10", got)
+			}
+			if !s.Quiesced() {
+				t.Error("completed session does not report quiescence")
+			}
+		}},
+		{"Facts early break, then resume", func(t *testing.T, engine Engine) {
+			s := newSession(t, MustParse(pathSrc), &Options{Engine: engine})
+			s.Load(chainFacts("n", 10)...)
+			n := 0
+			for _, err := range s.Facts(bg, "path") {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n++; n == 3 {
+					break
+				}
+			}
+			if err := s.Run(); err != nil {
+				t.Fatalf("run after early break: %v", err)
+			}
+			if got, want := len(s.Output("path")), 10*11/2; got != want {
+				t.Fatalf("paths after break+run: %d, want %d", got, want)
+			}
+			if got, want := len(pull(t, s, "path")), 10*11/2; got != want {
+				t.Errorf("Facts after the run yielded %d, want %d", got, want)
+			}
+		}},
+		{"Facts sees facts loaded after an earlier pull", func(t *testing.T, engine Engine) {
+			s := newSession(t, MustParse(pathSrc), &Options{Engine: engine})
+			s.Load(MakeFact("edge", Str("a"), Str("b")))
+			if got := len(pull(t, s, "path")); got != 1 {
+				t.Fatalf("first range yielded %d paths, want 1", got)
+			}
+			s.Load(MakeFact("edge", Str("b"), Str("c")))
+			if got := len(pull(t, s, "path")); got != 3 { // a->b, b->c, a->c
+				t.Errorf("range after Load yielded %d paths, want 3", got)
+			}
+			if !s.Quiesced() {
+				t.Error("exhausted Facts left the session unquiesced")
+			}
+		}},
+		{"budget PartialResult, SetMaxDerivations, Resume", func(t *testing.T, engine Engine) {
+			opts := &Options{Engine: engine, MaxDerivations: 25}
+			s := newSession(t, MustParse(pathSrc), opts)
+			s.Load(chainFacts("n", 20)...)
+			err := s.Run()
+			var pr *PartialResult
+			if !errors.As(err, &pr) {
+				t.Fatalf("budget-bounded run returned %v, want *PartialResult", err)
+			}
+			if !errors.Is(err, ErrBudget) {
+				t.Fatalf("PartialResult does not unwrap to ErrBudget: %v", err)
+			}
+			if pr.Quiesced() {
+				t.Fatal("budget-bounded partial result claims quiescence")
+			}
+			if pr.Derivations() == 0 || len(pr.Output("path")) == 0 {
+				t.Fatalf("partial result is empty: %d derivations, %d paths",
+					pr.Derivations(), len(pr.Output("path")))
+			}
+			pr.Session().SetMaxDerivations(0) // back to the default cap
+			for i := 0; err != nil; i++ {
+				if i == 5 {
+					t.Fatalf("resume did not converge: %v", err)
+				}
+				err = pr.Resume(bg)
+			}
+			if got, want := len(s.Output("path")), 20*21/2; got != want {
+				t.Fatalf("paths after resume: %d, want %d", got, want)
+			}
+			if !s.Quiesced() {
+				t.Error("completed session does not report quiescence")
+			}
+			// The pull entry point reports the same bound the same way.
+			s = newSession(t, MustParse(pathSrc), opts)
+			s.Load(chainFacts("n", 20)...)
+			if _, err := lastErr(s.Facts(bg, "path")); !errors.As(err, &pr) || !errors.Is(err, ErrBudget) {
+				t.Errorf("budget-bounded Facts ended with %v, want *PartialResult over ErrBudget", err)
+			}
+		}},
+		{"cancelled bound-input load, then Close", func(t *testing.T, engine Engine) {
+			ctx, cancel := context.WithCancel(bg)
+			drv := &chunkyDriver{rows: chainRows("n", 10), chunk: 3, cancel: cancel}
+			opts := (&Options{Engine: engine}).RegisterDriver("chunky", drv)
+			s := newSession(t, MustParse(boundPathSrc), opts)
+			if err := s.RunContext(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled load returned %v, want context.Canceled", err)
+			}
+			if s.Quiesced() {
+				t.Error("session with a half-drained input claims quiescence")
+			}
+			if drv.opens != 1 || drv.closes != 0 {
+				t.Fatalf("cancelled load: %d opens, %d closes; want the cursor kept open", drv.opens, drv.closes)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if drv.closes != 1 {
+				t.Fatalf("Close released %d cursors, want 1", drv.closes)
+			}
+			if err := s.Close(); err != nil || drv.closes != 1 { // idempotent
+				t.Fatalf("second Close: %v, %d closes", err, drv.closes)
+			}
+		}},
+		{"deadline during a bound-input load is a resumable PartialResult", func(t *testing.T, engine Engine) {
+			expired, cancel := context.WithDeadline(bg, time.Now().Add(-time.Second))
+			defer cancel()
+			drives := map[string]func(*Session) error{
+				"RunContext": func(s *Session) error { return s.RunContext(expired) },
+				"Facts": func(s *Session) error {
+					_, err := lastErr(s.Facts(expired, "path"))
+					return err
+				},
+			}
+			for name, drive := range drives {
+				drv := &chunkyDriver{rows: chainRows("n", 10), chunk: 3}
+				opts := (&Options{Engine: engine}).RegisterDriver("chunky", drv)
+				s := newSession(t, MustParse(boundPathSrc), opts)
+				err := drive(s)
+				var pr *PartialResult
+				if !errors.As(err, &pr) || !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("%s: expired load returned %v, want *PartialResult over DeadlineExceeded", name, err)
+				}
+				if err := pr.Resume(bg); err != nil {
+					t.Fatalf("%s: resume: %v", name, err)
+				}
+				if got, want := len(s.Output("path")), 10*11/2; got != want {
+					t.Errorf("%s: paths after resume: %d, want %d", name, got, want)
+				}
+			}
+		}},
+	}
+	for _, row := range rows {
+		for _, engine := range []Engine{EnginePipeline, EngineChase} {
+			t.Run(fmt.Sprintf("%s/%v", row.name, engine), func(t *testing.T) { row.run(t, engine) })
+		}
+	}
+}

@@ -22,10 +22,11 @@ func ExamplePartialResult() {
 		edge(X,Y), path(Y,Z) -> path(X,Z).
 		@output("path").
 	`)
-	s, err := vadalog.NewSession(prog, &vadalog.Options{MaxDerivations: 25})
+	r, err := vadalog.Compile(prog, &vadalog.Options{MaxDerivations: 25})
 	if err != nil {
 		log.Fatal(err)
 	}
+	s := r.NewSession()
 	for i := 0; i < 20; i++ {
 		s.Load(vadalog.MakeFact("edge",
 			vadalog.Str(fmt.Sprintf("n%d", i)), vadalog.Str(fmt.Sprintf("n%d", i+1))))

@@ -18,10 +18,7 @@ func TestKeepMaxPostDirective(t *testing.T) {
 		@output("strongLink").
 		@post("strongLink","keepMax",3).
 	`)
-	sess, err := NewSession(prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := newSession(t, prog, nil)
 	sess.Load(
 		MakeFact("company", Str("a")),
 		MakeFact("company", Str("b")),
@@ -48,44 +45,6 @@ func TestKeepMaxPostDirective(t *testing.T) {
 	}
 	if w := seen["b|a"]; w < 2 {
 		t.Errorf("final shared-PSC count for (b,a): %d, want ≥2 (bob, eve, invented)", w)
-	}
-}
-
-// TestIncrementalLoad: facts loaded after a run are visible to subsequent
-// pulls (the pipeline keeps its cursors).
-func TestIncrementalLoad(t *testing.T) {
-	prog := MustParse(`
-		edge(X,Y) -> path(X,Y).
-		path(X,Y), edge(Y,Z) -> path(X,Z).
-		@output("path").
-	`)
-	sess, err := NewSession(prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.Load(MakeFact("edge", Str("a"), Str("b")))
-	if err := sess.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(sess.Output("path")); got != 1 {
-		t.Fatalf("initial paths: %d", got)
-	}
-	// Incremental: extend the graph, then continue pulling.
-	sess.Load(MakeFact("edge", Str("b"), Str("c")))
-	next := sess.Stream("path")
-	count := 0
-	for {
-		_, ok, err := next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		count++
-	}
-	if count != 3 { // a->b, b->c, a->c
-		t.Errorf("paths after incremental load: %d, want 3", count)
 	}
 }
 
@@ -133,14 +92,14 @@ func TestParserNeverPanics(t *testing.T) {
 	}
 }
 
-// TestPlanString renders the reasoning access plan without running.
-func TestPlanString(t *testing.T) {
+// TestPlanRendering renders the reasoning access plan without running.
+func TestPlanRendering(t *testing.T) {
 	prog := MustParse(`
 		company(X) -> psc(X, P).
 		psc(X,P), controls(X,Y) -> psc(Y,P).
 		@output("psc").
 	`)
-	plan, err := PlanString(prog)
+	plan, err := MustCompile(prog, nil).Plan()
 	if err != nil {
 		t.Fatal(err)
 	}

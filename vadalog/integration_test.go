@@ -18,10 +18,7 @@ import (
 func groundOutputs(t *testing.T, src string, facts []Fact, opts *Options) string {
 	t.Helper()
 	prog := MustParse(src)
-	sess, err := NewSession(prog, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := newSession(t, prog, opts)
 	sess.Load(facts...)
 	if err := sess.Run(); err != nil {
 		t.Fatal(err)
@@ -251,10 +248,7 @@ func TestStreamSkipsRetractedIntermediates(t *testing.T) {
 		seed(W) -> size(W).
 		@output("size").
 	`
-	sess, err := NewSession(MustParse(src), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := newSession(t, MustParse(src), nil)
 	sess.Load(
 		MakeFact("seed", Int(2)),
 		MakeFact("a", Str("x")),
@@ -267,18 +261,7 @@ func TestStreamSkipsRetractedIntermediates(t *testing.T) {
 	if err := sess.Run(); err != nil {
 		t.Fatal(err)
 	}
-	next := sess.Stream("size")
-	var got []string
-	for {
-		f, ok, err := next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got = append(got, f.String())
-	}
+	got := pull(t, sess, "size")
 	sort.Strings(got)
 	if strings.Join(got, ";") != "size(2)" {
 		t.Errorf("stream yielded %v, want just size(2)", got)
@@ -350,23 +333,9 @@ func TestStreamMatchesDrain(t *testing.T) {
 	}
 	drained := groundOutputs(t, src, facts, nil)
 
-	sess, err := NewSession(MustParse(src), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := newSession(t, MustParse(src), nil)
 	sess.Load(facts...)
-	next := sess.Stream("path")
-	var lines []string
-	for {
-		f, ok, err := next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		lines = append(lines, f.String())
-	}
+	lines := pull(t, sess, "path")
 	sort.Strings(lines)
 	if got := strings.Join(lines, "\n"); got != drained {
 		t.Errorf("stream (%d) differs from drain (%d)", len(lines), len(strings.Split(drained, "\n")))

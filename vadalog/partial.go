@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/source"
 )
@@ -119,12 +120,7 @@ func (p *PartialResult) Unwrap() error { return p.Reason }
 
 // Output returns the facts of pred derived before the bound struck, with
 // @post directives applied — the partial answer.
-func (p *PartialResult) Output(pred string) []Fact {
-	if p.s.pl != nil {
-		return p.s.pl.Output(pred)
-	}
-	return p.s.ch.Output(pred)
-}
+func (p *PartialResult) Output(pred string) []Fact { return p.s.Output(pred) }
 
 // Derivations reports the facts admitted before the bound struck.
 func (p *PartialResult) Derivations() int { return p.s.Derivations() }
@@ -158,16 +154,12 @@ func (s *Session) wrapPartial(err error) error {
 
 // SetMaxDerivations replaces the session's derivation budget — how a
 // session resumes past an ErrBudget PartialResult. n <= 0 selects the
-// default cap (10M). Only safe between runs.
+// default cap (admit.DefaultBudget, 10M). Only safe between runs.
 func (s *Session) SetMaxDerivations(n int) {
 	if n <= 0 {
-		n = 10_000_000
+		n = admit.DefaultBudget
 	}
-	if s.pl != nil {
-		s.pl.SetBudget(n)
-		return
-	}
-	s.ch.SetBudget(n)
+	s.eng.SetBudget(n)
 }
 
 // Quiesced reports whether the session's reasoning is complete: every
@@ -175,11 +167,5 @@ func (s *Session) SetMaxDerivations(n int) {
 // its fixpoint. After an interrupted run it distinguishes "the answer is
 // complete" from "resuming would derive more".
 func (s *Session) Quiesced() bool {
-	if !s.ran || !s.loaded || len(s.pending) > 0 {
-		return false
-	}
-	if s.pl != nil {
-		return s.pl.Quiesced()
-	}
-	return s.ch.Quiesced()
+	return s.ran && s.loaded && len(s.pending) == 0 && s.eng.Quiesced()
 }

@@ -26,12 +26,14 @@ var ErrNotRun = errors.New("vadalog: session has not been run")
 // Query, NewSession or Stream, each of which spins up cheap per-request
 // runtime state (database, interner, termination strategy, buffers).
 type Reasoner struct {
-	opts  Options
-	prog  *ast.Program
-	plc   *pipeline.Compiled
-	chc   *chase.Compiled
-	binds []boundIO // @bind/@qbind annotations resolved against the driver registry
-	diags []Diagnostic
+	opts Options
+	prog *ast.Program
+	// newEngine derives fresh per-run engine state over the compiled
+	// program — the one place the choice of engine lives on.
+	newEngine func() engine
+	plc       *pipeline.Compiled // Plan only; nil on the chase engine
+	binds     []boundIO          // @bind/@qbind annotations resolved against the driver registry
+	diags     []Diagnostic
 }
 
 // Compile compiles prog into a shareable Reasoner. opts == nil selects
@@ -83,13 +85,13 @@ func Compile(prog *Program, opts *Options) (*Reasoner, error) {
 			DisableSummary:      disableSummary,
 			DisableDynamicIndex: o.DisableDynamicIndex,
 			DisablePlanner:      o.DisablePlanner,
-			Shards:              o.Shards,
 			PhaseTiming:         o.PhaseTiming,
 		})
 		if err != nil {
 			return nil, err
 		}
 		r.plc = plc
+		r.newEngine = func() engine { return plc.NewSession() }
 	case EngineChase:
 		chc, err := chase.Compile(prog, chase.Options{
 			Rewrite:             rw,
@@ -105,7 +107,7 @@ func Compile(prog *Program, opts *Options) (*Reasoner, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.chc = chc
+		r.newEngine = func() engine { return chaseEngine{chc.NewEngine()} }
 	default:
 		return nil, fmt.Errorf("vadalog: unknown engine %d", o.Engine)
 	}
@@ -125,13 +127,7 @@ func MustCompile(prog *Program, opts *Options) *Reasoner {
 // compiled program. Sessions are cheap (no analysis, rewriting or rule
 // compilation happens); each is for use by a single goroutine.
 func (r *Reasoner) NewSession() *Session {
-	s := &Session{opts: r.opts, prog: r.prog, binds: r.binds}
-	if r.plc != nil {
-		s.pl = r.plc.NewSession()
-	} else {
-		s.ch = r.chc.NewEngine()
-	}
-	return s
+	return &Session{opts: r.opts, prog: r.prog, binds: r.binds, eng: r.newEngine()}
 }
 
 // Query runs the compiled program over facts in a fresh single-use
@@ -207,19 +203,17 @@ func (r *Reasoner) Program() *Program { return r.prog }
 // compiled with Options.Lint (or Options.Strict) set.
 func (r *Reasoner) Diagnostics() []Diagnostic { return r.diags }
 
-// Result is the materialized outcome of one reasoning run. Outputs are
-// read through it; a Result only exists for sessions that actually ran,
-// which makes the "read before run" mistake unrepresentable (cf.
-// ErrNotRun).
+// Result is the outcome of a reasoning run, read through the engine that
+// produced it (it keeps that engine's database reachable). A Result only
+// exists for sessions that actually ran, which makes the "read before run"
+// mistake unrepresentable (cf. ErrNotRun).
 type Result struct {
-	prog        *ast.Program
-	output      func(pred string) []Fact
-	derivations int
-	strategy    core.Policy
+	prog *ast.Program
+	eng  engine
 }
 
 // Output returns the facts of pred with @post directives applied.
-func (res *Result) Output(pred string) []Fact { return res.output(pred) }
+func (res *Result) Output(pred string) []Fact { return res.eng.Output(pred) }
 
 // All returns the outputs of every @output predicate (every IDB
 // predicate when none are declared), keyed by predicate.
@@ -230,19 +224,14 @@ func (res *Result) All() map[string][]Fact {
 	}
 	out := make(map[string][]Fact, len(preds))
 	for pred := range preds {
-		out[pred] = res.output(pred)
+		out[pred] = res.eng.Output(pred)
 	}
 	return out
 }
 
 // Derivations reports the number of admitted facts (EDB included).
-func (res *Result) Derivations() int { return res.derivations }
+func (res *Result) Derivations() int { return res.eng.Derivations() }
 
 // StrategyStats returns the termination-strategy counters when the full
 // strategy is in use.
-func (res *Result) StrategyStats() (core.Stats, bool) {
-	if st, ok := res.strategy.(*core.Strategy); ok {
-		return st.Stats(), true
-	}
-	return core.Stats{}, false
-}
+func (res *Result) StrategyStats() (core.Stats, bool) { return strategyStats(res.eng) }

@@ -172,25 +172,6 @@ func TestReasonerStreamIterator(t *testing.T) {
 	}
 }
 
-func TestSessionFactsIterator(t *testing.T) {
-	r, err := Compile(MustParse(pathSrc), &Options{Engine: EngineChase})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := r.NewSession()
-	s.Load(chainFacts("n", 3)...)
-	count := 0
-	for _, err := range s.Facts(context.Background(), "path") {
-		if err != nil {
-			t.Fatal(err)
-		}
-		count++
-	}
-	if count != 6 {
-		t.Errorf("chase-engine Facts yielded %d, want 6", count)
-	}
-}
-
 // TestRunAfterStreamDoesNotReloadBinds is the double-loading regression:
 // Run after Stream (or a second Run) must not re-read @bind'ed CSV inputs
 // nor re-stage pending facts. Deleting the input file between the two
@@ -207,23 +188,8 @@ func TestRunAfterStreamDoesNotReloadBinds(t *testing.T) {
 		@output("control").
 		@bind("own","csv","` + in + `").
 	`)
-	sess, err := NewSession(prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := sess.Stream("control")
-	streamed := 0
-	for {
-		_, ok, err := next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		streamed++
-	}
-	if streamed != 2 {
+	sess := newSession(t, prog, nil)
+	if streamed := len(pull(t, sess, "control")); streamed != 2 {
 		t.Fatalf("streamed %d control facts, want 2", streamed)
 	}
 	if err := os.Remove(in); err != nil {
@@ -242,63 +208,7 @@ func TestRunAfterStreamDoesNotReloadBinds(t *testing.T) {
 	}
 }
 
-// TestDoubleRunDoesNotRestagePending: staged facts are handed to the
-// engine exactly once even across repeated Run calls.
-func TestDoubleRunDoesNotRestagePending(t *testing.T) {
-	sess, err := NewSession(MustParse(pathSrc), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.Load(chainFacts("n", 3)...)
-	if err := sess.Run(); err != nil {
-		t.Fatal(err)
-	}
-	der := sess.Derivations()
-	if err := sess.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if sess.Derivations() != der {
-		t.Errorf("second Run changed derivations: %d -> %d", der, sess.Derivations())
-	}
-	if got := len(sess.Output("path")); got != 6 {
-		t.Errorf("paths after double Run: %d, want 6", got)
-	}
-}
-
-func TestResultErrNotRun(t *testing.T) {
-	for _, engine := range []Engine{EnginePipeline, EngineChase} {
-		sess, err := NewSession(MustParse(pathSrc), &Options{Engine: engine})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Result(); !errors.Is(err, ErrNotRun) {
-			t.Fatalf("engine %v: want ErrNotRun before Run, got %v", engine, err)
-		}
-		// The documented (legacy) contract: silent empties before Run.
-		if out := sess.Output("path"); len(out) != 0 {
-			t.Errorf("engine %v: Output before Run: %v, want empty", engine, out)
-		}
-		if d := sess.Derivations(); d != 0 {
-			t.Errorf("engine %v: Derivations before Run: %d, want 0", engine, d)
-		}
-		sess.Load(chainFacts("n", 2)...)
-		if err := sess.Run(); err != nil {
-			t.Fatal(err)
-		}
-		res, err := sess.Result()
-		if err != nil {
-			t.Fatalf("engine %v: Result after Run: %v", engine, err)
-		}
-		if got := len(res.Output("path")); got != 3 {
-			t.Errorf("engine %v: %d paths, want 3", engine, got)
-		}
-		if res.Derivations() == 0 {
-			t.Errorf("engine %v: zero derivations reported", engine)
-		}
-	}
-}
-
-// TestQueryResultAll mirrors Reason's output map on the Result type.
+// TestQueryResultAll: Result.All keys every @output predicate's facts.
 func TestQueryResultAll(t *testing.T) {
 	r, err := Compile(MustParse(pathSrc), nil)
 	if err != nil {
@@ -367,24 +277,6 @@ func TestStreamIncludesProgramFacts(t *testing.T) {
 	}
 	if streamed != want {
 		t.Errorf("stream yielded %d paths, query materialized %d", streamed, want)
-	}
-	// The legacy closure Stream takes the same loader path.
-	sess := r.NewSession()
-	sess.Load(extra...)
-	next := sess.Stream("path")
-	n := 0
-	for {
-		_, ok, err := next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != want {
-		t.Errorf("legacy Stream yielded %d paths, want %d", n, want)
 	}
 }
 

@@ -87,10 +87,7 @@ func TestRetryPolicyAbsorbsTransientFaults(t *testing.T) {
 	d := &flakyDriver{rows: edgeRows(10), failures: 2}
 	opts := (&Options{Retry: &RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}}).
 		RegisterDriver("flaky", d)
-	s, err := NewSession(MustParse(flakyTC), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSession(t, MustParse(flakyTC), opts)
 	if err := s.Run(); err != nil {
 		t.Fatalf("run with transient faults under retry: %v", err)
 	}
@@ -112,10 +109,7 @@ func TestRetryPolicyAbsorbsTransientFaults(t *testing.T) {
 func TestRetryExhaustionIsTransientAndResumable(t *testing.T) {
 	d := &flakyDriver{rows: edgeRows(10), failures: 1}
 	opts := (&Options{Retry: &RetryPolicy{MaxAttempts: 1}}).RegisterDriver("flaky", d)
-	s, err := NewSession(MustParse(flakyTC), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSession(t, MustParse(flakyTC), opts)
 	runs := 0
 	for err := s.Run(); err != nil; err = s.Run() {
 		if !IsTransient(err) {
@@ -136,58 +130,6 @@ func TestRetryExhaustionIsTransientAndResumable(t *testing.T) {
 	}
 }
 
-// TestPartialResultOnBudget: a run cut short by the derivation budget
-// returns a *PartialResult whose facts are readable, and raising the
-// budget and resuming completes the answer.
-func TestPartialResultOnBudget(t *testing.T) {
-	for _, engine := range []Engine{EnginePipeline, EngineChase} {
-		t.Run(fmt.Sprint(engine), func(t *testing.T) {
-			prog := MustParse(`
-				edge(X,Y) -> tc(X,Y).
-				edge(X,Y), tc(Y,Z) -> tc(X,Z).
-				@output("tc").
-			`)
-			s, err := NewSession(prog, &Options{Engine: engine, MaxDerivations: 25})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var facts []Fact
-			for i := 0; i < 20; i++ {
-				facts = append(facts, MakeFact("edge", Str(fmt.Sprintf("n%d", i)), Str(fmt.Sprintf("n%d", i+1))))
-			}
-			s.Load(facts...)
-			err = s.Run()
-			var pr *PartialResult
-			if !errors.As(err, &pr) {
-				t.Fatalf("budget-bounded run returned %v, want *PartialResult", err)
-			}
-			if !errors.Is(err, ErrBudget) {
-				t.Fatalf("PartialResult does not unwrap to ErrBudget: %v", err)
-			}
-			if pr.Quiesced() {
-				t.Fatal("budget-bounded partial result claims quiescence")
-			}
-			if pr.Derivations() == 0 || len(pr.Output("tc")) == 0 {
-				t.Fatalf("partial result is empty: %d derivations, %d tc facts",
-					pr.Derivations(), len(pr.Output("tc")))
-			}
-			pr.Session().SetMaxDerivations(0) // back to the default cap
-			for i := 0; err != nil; i++ {
-				if i == 5 {
-					t.Fatalf("resume did not converge: %v", err)
-				}
-				err = pr.Resume(context.Background())
-			}
-			if got, want := len(s.Output("tc")), 20*21/2; got != want {
-				t.Fatalf("tc after resume: %d facts, want %d", got, want)
-			}
-			if !s.Quiesced() {
-				t.Error("completed session does not report quiescence")
-			}
-		})
-	}
-}
-
 // TestPartialResultOnDeadline: an expired deadline surfaces as a
 // *PartialResult (unlike plain cancellation), and a fresh context
 // resumes the run to completion.
@@ -197,16 +139,13 @@ func TestPartialResultOnDeadline(t *testing.T) {
 		edge(X,Y), tc(Y,Z) -> tc(X,Z).
 		@output("tc").
 	`)
-	s, err := NewSession(prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSession(t, prog, nil)
 	for i := 0; i < 20; i++ {
 		s.Load(MakeFact("edge", Str(fmt.Sprintf("n%d", i)), Str(fmt.Sprintf("n%d", i+1))))
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	err = s.RunContext(ctx)
+	err := s.RunContext(ctx)
 	var pr *PartialResult
 	if !errors.As(err, &pr) {
 		t.Fatalf("deadline-bounded run returned %v, want *PartialResult", err)
@@ -228,13 +167,10 @@ func TestPartialResultOnDeadline(t *testing.T) {
 // TestCancellationIsNotPartial: context.Canceled is the caller's own
 // signal and must surface untouched, never dressed as a PartialResult.
 func TestCancellationIsNotPartial(t *testing.T) {
-	s, err := NewSession(MustParse(`a(1). @output("a").`), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSession(t, MustParse(`a(1). @output("a").`), nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = s.RunContext(ctx)
+	err := s.RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
@@ -254,10 +190,7 @@ func TestWorkerPanicIsolation(t *testing.T) {
 		edge(X,Y), tc(Y,Z) -> tc(X,Z).
 		@output("tc").
 	`)
-	s, err := NewSession(prog, &Options{Engine: EngineChase, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSession(t, prog, &Options{Engine: EngineChase, Parallelism: 4})
 	// 200 edges: delta batches stay above the engine's fan-out threshold,
 	// so the crash really happens on a worker goroutine.
 	for i := 0; i < 200; i++ {
@@ -267,7 +200,7 @@ func TestWorkerPanicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fault.Disable()
-	err = s.Run()
+	err := s.Run()
 	var pe *core.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("worker crash surfaced as %v, want *PanicError", err)
@@ -340,38 +273,6 @@ func TestStreamCompletedRunLeavesNoCursor(t *testing.T) {
 	}
 	if d.opened == 0 || d.opened != d.closed {
 		t.Fatalf("stream leaked cursors: %d opened, %d closed", d.opened, d.closed)
-	}
-}
-
-// TestFactsBreakKeepsSessionResumable: breaking out of Session.Facts
-// leaves the session consistent — a later Run completes the fixpoint
-// and the full answer is readable.
-func TestFactsBreakKeepsSessionResumable(t *testing.T) {
-	s, err := NewSession(MustParse(`
-		edge(X,Y) -> tc(X,Y).
-		edge(X,Y), tc(Y,Z) -> tc(X,Z).
-		@output("tc").
-	`), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		s.Load(MakeFact("edge", Str(fmt.Sprintf("n%d", i)), Str(fmt.Sprintf("n%d", i+1))))
-	}
-	n := 0
-	for _, e := range s.Facts(context.Background(), "tc") {
-		if e != nil {
-			t.Fatal(e)
-		}
-		if n++; n == 3 {
-			break
-		}
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("run after early break: %v", err)
-	}
-	if got, want := len(s.Output("tc")), 10*11/2; got != want {
-		t.Fatalf("tc after break+run: %d facts, want %d", got, want)
 	}
 }
 

@@ -18,16 +18,16 @@
 //	})
 //	for _, f := range res.Output("control") { ... }
 //
-// Query calls on a shared Reasoner are safe to issue concurrently and
-// honor context cancellation mid-fixpoint. Derived facts can also be
-// consumed lazily with Reasoner.Stream (a range-over-func iterator), and
-// incremental multi-step workloads use Reasoner.NewSession. NewSession
-// (package level) and Reason are the original compile-per-run entry
-// points, kept as thin shims over Compile.
+// There are three ways in, all on the compiled Reasoner: Query runs one
+// request to completion (safe to call concurrently on a shared Reasoner,
+// honors context cancellation mid-fixpoint), Stream consumes derived facts
+// lazily as a range-over-func iterator, and NewSession opens an
+// incremental multi-step session (load, run, load more, resume).
 //
 // The default engine is the streaming pipeline of the paper's Sec. 4; the
 // reference chase engine and the baseline termination policies of the
-// evaluation are selectable through Options.
+// evaluation are selectable through Options. Which engine runs is decided
+// once, in Compile: everything after it drives the same session surface.
 package vadalog
 
 import (
@@ -38,6 +38,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/baseline"
@@ -45,7 +46,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lint"
 	"repro/internal/parser"
-	"repro/internal/pipeline"
+	"repro/internal/storage"
 	"repro/internal/term"
 )
 
@@ -142,12 +143,12 @@ type Options struct {
 	// machine and ignores this option.
 	Parallelism int
 	// Shards sets how many duplicate-table shards each relation keeps —
-	// the partition count of the parallel admission dedup pre-pass. For
-	// the chase engine 0 selects min(GOMAXPROCS, 8); for the pipeline
-	// engine 0 or 1 keeps the classic fully-serial admission. Rounded up
-	// to a power of two. The final database is byte-identical for every
+	// the partition count of the chase engine's parallel admission dedup
+	// pre-pass; 0 selects min(GOMAXPROCS, 8), any value is rounded up to a
+	// power of two. The final database is byte-identical for every
 	// setting (sharding only parallelizes duplicate detection; admission
-	// itself stays serial in canonical order).
+	// itself stays serial in canonical order). Like Parallelism it is
+	// chase-only: the pipeline engine admits serially and ignores it.
 	Shards int
 	// PhaseTiming makes the engines accumulate the wall-time split
 	// between matching, the dedup pre-pass and admission, reported by
@@ -218,6 +219,64 @@ func Lint(prog *Program, file string) []Diagnostic {
 	return lint.Check(prog, lint.Options{File: file})
 }
 
+// engine is the scheduling surface a Session drives — the one pull
+// interface of the paper's Sec. 4, with the chase of Algorithm 2 behind it
+// as the reference implementation. *pipeline.Session satisfies it as it
+// stands and *chase.Engine through chaseEngine; everything below DB is
+// what both promote from their embedded *admit.Core. Compile picks the
+// implementation; nothing after it asks which one runs.
+type engine interface {
+	LoadProgramFacts()
+	LoadChunk(ctx context.Context, facts []ast.Fact) error
+	Run(ctx context.Context, facts []ast.Fact) error
+	Next(ctx context.Context, pred string, n int) (ast.Fact, bool, error)
+	Quiesced() bool
+	Explain() string
+	PhaseStats() (match, prepass, admit time.Duration)
+
+	DB() *storage.Database
+	Strategy() core.Policy
+	Derivations() int
+	SetBudget(n int)
+	Output(pred string) []ast.Fact
+	Shards() int
+}
+
+// chaseEngine fits *chase.Engine to the engine seam; the engine's own
+// LoadChunk and Run signatures are the benchmark harness's and stay.
+type chaseEngine struct{ *chase.Engine }
+
+// LoadChunk admits the chunk, then reports any pending cancellation (the
+// pipeline's contract: a chunk already pulled from a cursor is never
+// dropped).
+func (c chaseEngine) LoadChunk(ctx context.Context, facts []ast.Fact) error {
+	if err := c.Engine.LoadChunk(facts); err != nil {
+		return err
+	}
+	return ctx.Err()
+}
+
+func (c chaseEngine) Run(ctx context.Context, facts []ast.Fact) error {
+	_, err := c.Engine.Run(ctx, facts)
+	return err
+}
+
+// Next returns pred's n-th live fact. The chase has no lazy path: whenever
+// deltas are waiting — a first pull, facts loaded since the last one — it
+// runs to its fixpoint before answering.
+func (c chaseEngine) Next(ctx context.Context, pred string, n int) (ast.Fact, bool, error) {
+	if !c.Quiesced() {
+		if err := c.Run(ctx, nil); err != nil {
+			return ast.Fact{}, false, err
+		}
+	}
+	rel := c.DB().Lookup(pred)
+	if rel == nil || rel.Live() <= n {
+		return ast.Fact{}, false, nil
+	}
+	return rel.LiveAt(n).Fact, true, nil
+}
+
 // Session is one reasoning session over a program: per-run state (facts,
 // database, strategy) layered over a compiled Reasoner. Sessions are for
 // use by a single goroutine; to serve concurrent requests share the
@@ -225,9 +284,7 @@ func Lint(prog *Program, file string) []Diagnostic {
 type Session struct {
 	opts    Options
 	prog    *ast.Program
-	pl      *pipeline.Session
-	ch      *chase.Engine
-	chRes   *chase.Result
+	eng     engine
 	pending []ast.Fact
 	ran     bool
 
@@ -241,18 +298,6 @@ type Session struct {
 	chunk      [][]term.Value // pulled but not yet admitted (engine load failed)
 	loaded     bool           // every @bind'ed input has been drained (exactly once)
 	progLoaded bool           // inline program facts admitted ahead of bound inputs
-}
-
-// NewSession compiles prog and opens a session over it in one step (the
-// original compile-per-run entry point). opts == nil selects the
-// defaults. To amortize compilation across runs, use Compile once and
-// Reasoner.NewSession per run.
-func NewSession(prog *Program, opts *Options) (*Session, error) {
-	r, err := Compile(prog, opts)
-	if err != nil {
-		return nil, err
-	}
-	return r.NewSession(), nil
 }
 
 func policyFactory(p Policy) (func(*analysis.Result) core.Policy, bool) {
@@ -270,21 +315,18 @@ func policyFactory(p Policy) (func(*analysis.Result) core.Policy, bool) {
 	}
 }
 
-// Load stages facts for the run. Labelled nulls among the facts (e.g.
-// "_:nK" cells materialized by ReadCSV) reserve their ids in the
-// session's null factory, so nulls the run mints never collide with
-// loaded ones.
+// Load stages facts for the next drive of the session (Run, or a pull of
+// Facts): loading into a session that already ran resumes it, since new
+// facts can enable new derivations. Labelled nulls among the facts (e.g.
+// "_:nK" cells materialized by ReadCSV) reserve their ids in the session's
+// null factory, so nulls the run mints never collide with loaded ones.
 func (s *Session) Load(facts ...Fact) {
 	for _, f := range facts {
 		for _, v := range f.Args {
 			if v.IsNull() {
-				s.nulls().Reserve(v.NullID())
+				s.eng.DB().Nulls.Reserve(v.NullID())
 			}
 		}
-	}
-	if s.pl != nil && s.ran {
-		s.pl.Load(facts...) // incremental load into a running pipeline
-		return
 	}
 	s.pending = append(s.pending, facts...)
 }
@@ -312,63 +354,58 @@ func (s *Session) Run() error { return s.RunContext(context.Background()) }
 // *PanicError with the engine rolled back to a consistent, resumable
 // boundary.
 func (s *Session) RunContext(ctx context.Context) error {
-	if err := s.stage(ctx); err != nil {
-		// mapErr: a budget can already strike while loading bound inputs,
-		// and it must surface as the same typed PartialResult as one
-		// striking mid-fixpoint.
-		return s.wrapPartial(mapErr(err))
+	if err := s.feed(ctx); err != nil {
+		return err
 	}
-	facts := s.pending
-	s.pending = nil
-	s.ran = true
-	switch {
-	case s.pl != nil:
-		if err := s.pl.Run(ctx, facts); err != nil {
-			// Restore the staged facts: a resumed run re-feeds them, and
-			// since loading skips duplicates nothing is admitted twice.
-			s.pending = facts
-			return s.wrapPartial(mapErr(err))
-		}
-	default:
-		res, err := s.ch.Run(ctx, facts)
-		if err != nil {
-			s.pending = facts
-			return s.wrapPartial(mapErr(err))
-		}
-		s.chRes = res
+	if err := s.eng.Run(ctx, nil); err != nil {
+		return s.wrapPartial(mapErr(err))
 	}
 	return s.wrapPartial(s.writeBoundOutputs(ctx))
 }
 
-// mapErr lifts the engines' sentinels (one pair, shared by both through
-// the admission core) to this package's.
+// feed brings the engine up to date with what the session holds for it —
+// the bound inputs, streamed once per session (see stage), then the facts
+// staged by Load — and marks the session run. Every drive goes through
+// it, so a bound striking mid-load surfaces the same way from each: a
+// budget can already be exhausted while a bound input is loading, and
+// that, like a deadline, is a resumable *PartialResult.
+func (s *Session) feed(ctx context.Context) error {
+	if err := s.stage(ctx); err != nil {
+		return s.wrapPartial(mapErr(err))
+	}
+	s.ran = true
+	if len(s.pending) == 0 {
+		return nil
+	}
+	// On failure the staged facts stay: loading skips duplicates, so the
+	// resumed feed admits only what was cut off.
+	if err := s.eng.LoadChunk(ctx, s.pending); err != nil {
+		return s.wrapPartial(mapErr(err))
+	}
+	s.pending = nil
+	return nil
+}
+
+// mapErr lifts the admission core's sentinels to this package's.
 func mapErr(err error) error {
 	switch {
-	case errors.Is(err, pipeline.ErrInconsistent):
+	case errors.Is(err, admit.ErrInconsistent):
 		return fmt.Errorf("%w: %v", ErrInconsistent, err)
-	case errors.Is(err, pipeline.ErrBudget):
+	case errors.Is(err, admit.ErrBudget):
 		return fmt.Errorf("%w: %v", ErrBudget, err)
 	default:
 		return err
 	}
 }
 
-// Output returns the facts of pred with @post directives applied.
+// Output returns the facts of pred with @post directives applied, against
+// the session's database as it stands — after an interrupted run, the
+// partial answer.
 //
-// Contract: before the session has been run, Output returns nil (there is
-// no result yet). Use Result, which fails with ErrNotRun instead of
-// silently returning nothing, when "not run yet" must be distinguishable
-// from "empty answer".
-func (s *Session) Output(pred string) []Fact {
-	switch {
-	case s.pl != nil:
-		return s.pl.Output(pred)
-	case s.chRes != nil:
-		return s.chRes.Output(pred)
-	default:
-		return nil
-	}
-}
+// Contract: before the session has been run there are no facts to return.
+// Use Result, which fails with ErrNotRun instead of silently returning
+// nothing, when "not run yet" must be distinguishable from "empty answer".
+func (s *Session) Output(pred string) []Fact { return s.eng.Output(pred) }
 
 // Explain renders the session's access plan annotated, per rule and per
 // delta-pinned body atom, with the join order the cost-based planner
@@ -376,132 +413,44 @@ func (s *Session) Output(pred string) []Fact {
 // statistics at call time: before Run the estimates reflect an empty
 // database, after Run the orders the fixpoint converged on. With
 // Options.DisablePlanner the plain plan is rendered.
-func (s *Session) Explain() string {
-	if s.pl != nil {
-		return s.pl.Explain()
-	}
-	return s.ch.Explain()
-}
+func (s *Session) Explain() string { return s.eng.Explain() }
 
-// Result returns the session's materialized reasoning result, or ErrNotRun
+// Result returns the session's reasoning result — a view of the session's
+// database, so it also reflects runs made after the call — or ErrNotRun
 // when the session has not been run yet.
 func (s *Session) Result() (*Result, error) {
-	res := &Result{prog: s.prog}
-	switch {
-	case s.pl != nil && s.ran:
-		pl := s.pl
-		res.output = pl.Output
-		res.derivations = pl.Derivations()
-		res.strategy = pl.Strategy()
-	case s.chRes != nil:
-		chRes := s.chRes
-		res.output = chRes.Output
-		res.derivations = chRes.Derivations
-		res.strategy = chRes.Strategy
-	default:
+	if !s.ran {
 		return nil, ErrNotRun
 	}
-	return res, nil
+	return &Result{prog: s.prog, eng: s.eng}, nil
 }
 
-// Facts pulls the facts of pred lazily as a range-over-func iterator: the
-// pipeline engine derives them on demand (volcano next()); the chase
-// engine materializes on the first pull and then iterates (facts loaded
-// after that point require a new session). The sequence yields (fact,
-// nil) pairs until exhaustion; a reasoning failure or context
-// cancellation yields one final (zero fact, err) pair and stops.
+// Facts pulls the stored facts of pred lazily as a range-over-func
+// iterator: the pipeline engine derives them on demand (volcano next());
+// the chase engine runs to its fixpoint on the first pull and then
+// iterates. Facts loaded between pulls or between two ranges are picked
+// up on either engine. The sequence yields (fact, nil) pairs until
+// exhaustion; a reasoning failure or context cancellation yields one
+// final (zero fact, err) pair and stops — a *PartialResult when a
+// resource bound struck, as from RunContext. @post directives describe
+// the materialized answer and apply to Output, not to the stream.
 func (s *Session) Facts(ctx context.Context, pred string) iter.Seq2[Fact, error] {
 	return func(yield func(Fact, error) bool) {
-		if s.pl != nil {
-			if !s.ran {
-				if err := s.stage(ctx); err != nil {
-					yield(Fact{}, err)
-					return
-				}
-				s.pl.Load(s.pending...)
-				s.pending = nil
-				s.ran = true
-			}
-			for n := 0; ; n++ {
-				f, ok, err := s.pl.Next(ctx, pred, n)
-				if err != nil {
-					yield(Fact{}, mapErr(err))
-					return
-				}
-				if !ok {
-					return
-				}
-				if !yield(f, nil) {
-					return
-				}
-			}
-		}
-		if s.chRes == nil {
-			if err := s.RunContext(ctx); err != nil {
+		for n := 0; ; n++ {
+			if err := s.feed(ctx); err != nil {
 				yield(Fact{}, err)
 				return
 			}
-		}
-		for _, f := range s.chRes.Output(pred) {
-			if !yield(f, nil) {
+			f, ok, err := s.eng.Next(ctx, pred, n)
+			if err != nil {
+				yield(Fact{}, s.wrapPartial(mapErr(err)))
+				return
+			}
+			if !ok || !yield(f, nil) {
 				return
 			}
 		}
 	}
-}
-
-// Stream pulls facts of pred lazily through the pipeline (volcano next());
-// it falls back to materialized iteration on the chase engine. The
-// returned function yields (fact, true) until exhaustion.
-//
-// Stream is the original closure-based streaming API; new code should
-// range over Session.Facts or Reasoner.Stream instead.
-func (s *Session) Stream(pred string) func() (Fact, bool, error) {
-	if s.pl != nil {
-		if !s.ran {
-			if err := s.stage(context.Background()); err != nil {
-				return func() (Fact, bool, error) { return Fact{}, false, err }
-			}
-			s.pl.Load(s.pending...)
-			s.pending = nil
-			s.ran = true
-		}
-		n := 0
-		return func() (Fact, bool, error) {
-			f, ok, err := s.pl.Next(context.Background(), pred, n)
-			if ok {
-				n++
-			}
-			return f, ok, mapNilErr(err)
-		}
-	}
-	var facts []Fact
-	i := 0
-	loaded := false
-	return func() (Fact, bool, error) {
-		if !loaded {
-			if s.chRes == nil {
-				if err := s.Run(); err != nil {
-					return Fact{}, false, err
-				}
-			}
-			facts = s.chRes.Output(pred)
-			loaded = true
-		}
-		if i >= len(facts) {
-			return Fact{}, false, nil
-		}
-		f := facts[i]
-		i++
-		return f, true, nil
-	}
-}
-
-func mapNilErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	return mapErr(err)
 }
 
 // Derivations reports the number of admitted facts (EDB included).
@@ -509,33 +458,14 @@ func mapNilErr(err error) error {
 // Contract: before the session has been run it reports the facts admitted
 // so far (0 when nothing is loaded); see Result / ErrNotRun to tell "not
 // run" apart from "derived nothing".
-func (s *Session) Derivations() int {
-	switch {
-	case s.pl != nil:
-		return s.pl.Derivations()
-	case s.chRes != nil:
-		return s.chRes.Derivations
-	case s.ch != nil:
-		// No materialized result yet — a run interrupted by a bound or
-		// fault: report the engine's live count, which is what a
-		// PartialResult's Derivations must reflect.
-		return s.ch.Derivations()
-	default:
-		return 0
-	}
-}
+func (s *Session) Derivations() int { return s.eng.Derivations() }
 
 // StrategyStats returns the termination-strategy counters when the full
 // strategy is in use.
-func (s *Session) StrategyStats() (core.Stats, bool) {
-	var pol core.Policy
-	switch {
-	case s.pl != nil:
-		pol = s.pl.Strategy()
-	case s.chRes != nil:
-		pol = s.chRes.Strategy
-	}
-	if st, ok := pol.(*core.Strategy); ok {
+func (s *Session) StrategyStats() (core.Stats, bool) { return strategyStats(s.eng) }
+
+func strategyStats(eng engine) (core.Stats, bool) {
+	if st, ok := eng.Strategy().(*core.Strategy); ok {
 		return st.Stats(), true
 	}
 	return core.Stats{}, false
@@ -544,50 +474,14 @@ func (s *Session) StrategyStats() (core.Stats, bool) {
 // PhaseStats reports the cumulative wall-time split of the session's
 // evaluation phases: matching, the sharded dedup pre-pass and serial
 // admission. The chase engine always collects it; the pipeline engine
-// only under Options.PhaseTiming (all-zero otherwise, with fused firings
-// counted as match time when enabled).
-func (s *Session) PhaseStats() (match, prepass, admit time.Duration) {
-	if s.pl != nil {
-		return s.pl.PhaseStats()
-	}
-	return s.ch.PhaseStats()
-}
+// only under Options.PhaseTiming (all-zero otherwise; it has no pre-pass,
+// and fused firings count as match time).
+func (s *Session) PhaseStats() (match, prepass, admit time.Duration) { return s.eng.PhaseStats() }
 
 // Shards reports the resolved duplicate-table shard count the session's
 // engine runs with (Options.Shards after defaulting and power-of-two
-// rounding).
-func (s *Session) Shards() int {
-	if s.pl != nil {
-		return s.pl.Shards()
-	}
-	return s.ch.Shards()
-}
-
-// Reason is the one-shot entry point: compile prog, run it over facts and
-// collect the outputs of the @output predicates (all IDB predicates when
-// none are declared). It is a shim over Compile + Query.
-func Reason(prog *Program, facts []Fact, opts *Options) (map[string][]Fact, error) {
-	r, err := Compile(prog, opts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := r.Query(context.Background(), facts)
-	if err != nil {
-		return nil, err
-	}
-	return res.All(), nil
-}
-
-// PlanString compiles prog with the default options and renders its
-// reasoning access plan (the logic compiler's filter pipeline, paper
-// Sec. 4) without running it.
-func PlanString(prog *Program) (string, error) {
-	c, err := pipeline.Compile(prog, pipeline.Options{})
-	if err != nil {
-		return "", err
-	}
-	return c.Plan(), nil
-}
+// rounding; always 1 on the pipeline engine).
+func (s *Session) Shards() int { return s.eng.Shards() }
 
 // Check analyzes prog and returns a wardedness report without running it.
 func Check(prog *Program) *Report {

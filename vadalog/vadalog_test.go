@@ -1,6 +1,7 @@
 package vadalog
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -25,13 +26,35 @@ func controlFacts() []Fact {
 	}
 }
 
-func TestReasonOneShot(t *testing.T) {
-	prog := MustParse(controlSrc)
-	out, err := Reason(prog, controlFacts(), nil)
+// newSession compiles prog and opens one session over it.
+func newSession(t testing.TB, prog *Program, opts *Options) *Session {
+	t.Helper()
+	r, err := Compile(prog, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := out["control"]
+	return r.NewSession()
+}
+
+// pull ranges s.Facts(pred) to exhaustion and renders what it yielded.
+func pull(t testing.TB, s *Session, pred string) []string {
+	t.Helper()
+	var out []string
+	for f, err := range s.Facts(context.Background(), pred) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, f.String())
+	}
+	return out
+}
+
+func TestQueryOneShot(t *testing.T) {
+	res, err := MustCompile(MustParse(controlSrc), nil).Query(context.Background(), controlFacts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := res.All()["control"]
 	found := map[string]bool{}
 	for _, f := range ctrl {
 		found[f.Args[0].Str()+">"+f.Args[1].Str()] = true
@@ -44,10 +67,7 @@ func TestReasonOneShot(t *testing.T) {
 func TestEnginesAgree(t *testing.T) {
 	for _, engine := range []Engine{EnginePipeline, EngineChase} {
 		prog := MustParse(controlSrc)
-		sess, err := NewSession(prog, &Options{Engine: engine})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sess := newSession(t, prog, &Options{Engine: engine})
 		sess.Load(controlFacts()...)
 		if err := sess.Run(); err != nil {
 			t.Fatal(err)
@@ -79,10 +99,7 @@ func TestAllPoliciesAgreeOnGroundAnswers(t *testing.T) {
 	var want []string
 	for _, pol := range []Policy{PolicyFull, PolicyNoSummary, PolicyTrivialIso, PolicyRestricted, PolicySkolem} {
 		prog := MustParse(src)
-		sess, err := NewSession(prog, &Options{Policy: pol, MaxDerivations: 100_000})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sess := newSession(t, prog, &Options{Policy: pol, MaxDerivations: 100_000})
 		sess.Load(facts...)
 		if err := sess.Run(); err != nil {
 			t.Fatalf("policy %v: %v", pol, err)
@@ -100,37 +117,6 @@ func TestAllPoliciesAgreeOnGroundAnswers(t *testing.T) {
 		if len(got) != len(want) {
 			t.Errorf("policy %v: %d ground answers, want %d", pol, len(got), len(want))
 		}
-	}
-}
-
-func TestStreamAPI(t *testing.T) {
-	prog := MustParse(`
-		edge(X,Y) -> path(X,Y).
-		path(X,Y), edge(Y,Z) -> path(X,Z).
-		@output("path").
-	`)
-	sess, err := NewSession(prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.Load(
-		MakeFact("edge", Str("a"), Str("b")),
-		MakeFact("edge", Str("b"), Str("c")),
-	)
-	next := sess.Stream("path")
-	count := 0
-	for {
-		_, ok, err := next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		count++
-	}
-	if count != 3 {
-		t.Errorf("streamed %d paths, want 3", count)
 	}
 }
 
@@ -159,10 +145,7 @@ func TestInconsistencyError(t *testing.T) {
 		p(X, Y) -> q(X, Y).
 		@output("q").
 	`)
-	sess, err := NewSession(prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := newSession(t, prog, nil)
 	sess.Load(MakeFact("p", Str("a"), Str("a")))
 	if err := sess.Run(); !errors.Is(err, ErrInconsistent) {
 		t.Fatalf("want ErrInconsistent, got %v", err)
@@ -174,10 +157,7 @@ func TestBudgetError(t *testing.T) {
 		a(X), a(Y) -> pair(X, Y).
 		@output("pair").
 	`)
-	sess, err := NewSession(prog, &Options{MaxDerivations: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := newSession(t, prog, &Options{MaxDerivations: 10})
 	for i := 0; i < 30; i++ {
 		sess.Load(MakeFact("a", Int(int64(i))))
 	}
@@ -201,10 +181,7 @@ func TestCSVEndToEnd(t *testing.T) {
 		@bind("own","csv","` + in + `").
 		@bind("control","csv","` + out + `").
 	`)
-	sess, err := NewSession(prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := newSession(t, prog, nil)
 	if err := sess.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -231,10 +208,7 @@ func TestStrategyStatsExposed(t *testing.T) {
 		q(Z, X) -> p(Z).
 		@output("p").
 	`)
-	sess, err := NewSession(prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := newSession(t, prog, nil)
 	sess.Load(MakeFact("p", Str("a")))
 	if err := sess.Run(); err != nil {
 		t.Fatal(err)
@@ -247,7 +221,7 @@ func TestStrategyStatsExposed(t *testing.T) {
 		t.Error("no checks recorded")
 	}
 	// Baseline policies do not expose strategy stats.
-	sess2, _ := NewSession(MustParse(controlSrc), &Options{Policy: PolicySkolem})
+	sess2 := newSession(t, MustParse(controlSrc), &Options{Policy: PolicySkolem})
 	if _, ok := sess2.StrategyStats(); ok {
 		t.Error("skolem policy must not expose strategy stats")
 	}
@@ -259,10 +233,7 @@ func TestDisableRewriting(t *testing.T) {
 		psc(X,P), psc(Y,P), X != Y -> strongLink(X,Y).
 		@output("strongLink").
 	`)
-	sess, err := NewSession(prog, &Options{DisableRewriting: true, MaxDerivations: 10_000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := newSession(t, prog, &Options{DisableRewriting: true, MaxDerivations: 10_000})
 	sess.Load(MakeFact("company", Str("a")), MakeFact("company", Str("b")))
 	if err := sess.Run(); err != nil {
 		t.Fatal(err)
