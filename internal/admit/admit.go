@@ -143,8 +143,8 @@ func Compile(prog *ast.Program, cfg Config) (*Compiled, error) {
 
 // Plain reports whether rule ri has plain admission effects — no aggregate
 // supersession, no EGD unification, no constraint, no existential
-// instantiation, at least one head — so its head facts can be materialized
-// and hashed at capture time for the partitioned admission path.
+// instantiation, at least one head — so its head rows can be resolved and
+// hashed at capture time for the partitioned admission path.
 func (p *Compiled) Plain(ri int) bool {
 	cr := p.Rules[ri]
 	return cr.Agg == nil && cr.Rule.EGD == nil && !cr.Rule.IsConstraint &&
@@ -167,13 +167,13 @@ type Core struct {
 	// onAdmit is the engine's one hook: m was stored, or replaced in place.
 	onAdmit func(m *core.FactMeta)
 
-	// groupBuf/contribBuf/headsBuf/parentsBuf are reused across emissions
-	// so Emit allocates no per-match container slices (AggState keys copy
-	// what they keep; stored facts retain only the per-head Args slices,
-	// which stay freshly allocated).
+	// groupBuf/contribBuf/rowBuf/parentsBuf are reused across emissions so
+	// Emit allocates nothing for a match whose heads are all stored already
+	// (AggState keys copy what they keep; a fact and its Args slice are
+	// allocated on admission only).
 	groupBuf   []term.Value
 	contribBuf []term.Value
-	headsBuf   []ast.Fact
+	rowBuf     []uint32
 	parentsBuf []*core.FactMeta
 
 	// Partitioned admission state. shards is the resolved duplicate-table
@@ -252,7 +252,8 @@ func (c *Core) SetBudget(n int) { c.meter.SetLimit(n) }
 
 // Output returns pred's facts with the program's @post directives applied
 // (certain-answer filtering, ordering, limit, keepMax/keepMin) and the EGD
-// null substitution resolved, against the current database — readable
+// null substitution resolved, in canonical order (eval.ApplyPost;
+// orderBy ties fall back to it), against the current database — readable
 // mid-run, which is what a partial result reports.
 func (c *Core) Output(pred string) []ast.Fact {
 	return eval.ApplyPost(c.db.FactsOf(pred), c.p.Prog.Posts, pred, c.subst)
@@ -278,8 +279,7 @@ func (c *Core) Load(f ast.Fact) {
 	}
 	rel := c.db.Lookup(f.Pred)
 	c.meter.Charge()
-	c.onAdmit(rel.At(rel.Len() - 1))
-	c.insertTagTwin(f)
+	c.stored(rel.At(rel.Len() - 1))
 }
 
 // Guard runs load under the load path's crash isolation: a panic (a
@@ -366,7 +366,9 @@ func (c *Core) Emit(ri int, b *eval.Binding) (int, error) {
 }
 
 // emitHeads is Emit past the aggregate update: post-aggregate conditions,
-// existential instantiation, head materialization, admission.
+// existential instantiation, then per head the interned row and its
+// admission. No fact is materialized here — only admit does that, for a
+// candidate that survived the duplicate check.
 func (c *Core) emitHeads(ri int, cr *eval.CompiledRule, b *eval.Binding) (int, error) {
 	for i := range c.p.postAgg[ri] {
 		cond := &c.p.postAgg[ri][i]
@@ -384,11 +386,6 @@ func (c *Core) emitHeads(ri int, cr *eval.CompiledRule, b *eval.Binding) (int, e
 		}
 	}
 	c.mt.InstantiateExistentials(cr, b)
-	heads, err := eval.HeadFactsAppend(cr, b, c.subst, c.headsBuf[:0])
-	c.headsBuf = heads
-	if err != nil {
-		return 0, err
-	}
 	parents := eval.WardFirstParentsAppend(cr, b, c.parentsBuf[:0])
 	c.parentsBuf = parents
 	// Existential aggregate heads mint per-binding nulls: each binding is
@@ -396,12 +393,18 @@ func (c *Core) emitHeads(ri int, cr *eval.CompiledRule, b *eval.Binding) (int, e
 	// the plain admission path (no supersession).
 	supersede := cr.Agg != nil && len(cr.Exists) == 0
 	admitted := 0
-	for hi, hf := range heads {
+	for hi := range cr.Heads {
+		row, miss, err := b.AppendHeadRow(c.rowBuf[:0], cr, hi, c.subst)
+		c.rowBuf = row
+		if err != nil {
+			return admitted, err
+		}
+		rel := c.db.Rel(cr.Heads[hi].Pred, len(row))
 		var n int
 		if supersede {
-			n, err = c.admitAggregate(c.aggs[ri], hi, hf, cr.Rule.ID, parents)
+			n, err = c.admitAggregate(c.aggs[ri], hi, rel, row, miss, cr.Rule.ID, parents)
 		} else {
-			n, err = c.admit(hf, cr.Rule.ID, parents)
+			n, err = c.admit(rel, row, storage.HashRow(row), miss, cr.Rule.ID, parents)
 		}
 		admitted += n
 		if err != nil {
@@ -411,36 +414,43 @@ func (c *Core) emitHeads(ri int, cr *eval.CompiledRule, b *eval.Binding) (int, e
 	return admitted, nil
 }
 
-// admit runs the set-semantics duplicate check and the termination
-// strategy, and on success stores the fact and reports it to the engine.
-// It returns 1 when the fact was stored, 0 when it was rejected.
-func (c *Core) admit(f ast.Fact, ruleID int, parents []*core.FactMeta) (int, error) {
-	rel := c.db.Rel(f.Pred, len(f.Args))
-	if rel.Contains(f) {
+// admit is the one probe → derive → insert sequence every derived fact
+// passes through, whichever scheduler found it: the set-semantics duplicate
+// check in ID space, then — for a survivor only — the fact itself, the
+// termination strategy, storage and the engine's hook. row is the
+// candidate's interned tuple at its head's arity and h its HashRow; a
+// non-nil miss carries values the interner has never seen (see
+// eval.AppendHeadRow), so the fact is stored nowhere and there is nothing to
+// probe. It returns 1 when the fact was stored, 0 when it was rejected.
+func (c *Core) admit(rel *storage.Relation, row []uint32, h uint64, miss []term.Value, ruleID int, parents []*core.FactMeta) (int, error) {
+	n := len(row)
+	if miss == nil && n < rel.Arity() {
+		// The relation restrided past this head's arity (an arity-drifting
+		// EDB): stored rows carry invalid-ID padding, so the probe does too.
+		for len(row) < rel.Arity() {
+			row = append(row, 0)
+		}
+		h = storage.HashRow(row)
+	}
+	prepared := miss == nil && len(row) == rel.Arity()
+	if prepared && rel.ContainsRowHash(row, h) {
 		return 0, nil
 	}
-	m, err := c.derive(f, ruleID, parents)
-	if m == nil {
-		return 0, err
-	}
-	rel.Insert(m)
-	c.stored(m)
-	return 1, nil
-}
-
-// derive is the termination-strategy wrapper around a fact known not to be
-// stored: ErrBudget when the budget is exhausted, nil, nil when the
-// strategy prunes the fact, otherwise the charged metadata ready to insert.
-func (c *Core) derive(f ast.Fact, ruleID int, parents []*core.FactMeta) (*core.FactMeta, error) {
 	if c.exhausted() {
-		return nil, c.errBudget()
+		return 0, c.errBudget()
 	}
-	m := c.strat.Derive(f, ruleID, parents)
+	m := c.strat.Derive(eval.RowFact(rel.Name(), row[:n], c.db.Interner(), miss), ruleID, parents)
 	if !c.strat.CheckTermination(m) {
-		return nil, nil
+		return 0, nil
 	}
 	c.meter.Charge()
-	return m, nil
+	if prepared {
+		rel.InsertPrepared(m, row, h)
+	} else {
+		rel.Insert(m) // interns the missing values, restrides a narrower relation
+	}
+	c.stored(m)
+	return 1, nil
 }
 
 // stored reports a freshly inserted fact to the engine and mirrors it into
@@ -450,7 +460,7 @@ func (c *Core) stored(m *core.FactMeta) {
 	c.insertTagTwin(m.Fact)
 }
 
-// admitAggregate admits an aggregate-head fact with supersession: when the
+// admitAggregate admits an aggregate-head row with supersession: when the
 // rule has previously admitted a fact for the current group (and this head
 // index), the improved fact replaces it in place — same FactMeta, same
 // forest roots and provenance — instead of accumulating next to the
@@ -458,12 +468,13 @@ func (c *Core) stored(m *core.FactMeta) {
 // budget (they are chase steps) and are reported to the engine so dependent
 // rules observe the improved value. A supersession step needs budget in
 // hand before it touches the row: a refusal leaves storage, the policy's
-// memory and the tag twin exactly as they were.
-func (c *Core) admitAggregate(st *eval.AggState, hi int, f ast.Fact, ruleID int, parents []*core.FactMeta) (int, error) {
-	rel := c.db.Rel(f.Pred, len(f.Args))
+// memory and the tag twin exactly as they were. The replacing fact is
+// materialized before it is known to differ: every emission that gets here
+// is an improvement by construction.
+func (c *Core) admitAggregate(st *eval.AggState, hi int, rel *storage.Relation, row []uint32, miss []term.Value, ruleID int, parents []*core.FactMeta) (int, error) {
 	prev, ok := st.LastEmitted(hi)
 	if !ok {
-		n, err := c.admit(f, ruleID, parents)
+		n, err := c.admit(rel, row, storage.HashRow(row), miss, ruleID, parents)
 		if n > 0 {
 			st.RecordEmitted(hi, rel.At(rel.Len()-1), rel.Len()-1)
 		}
@@ -473,6 +484,7 @@ func (c *Core) admitAggregate(st *eval.AggState, hi int, f ast.Fact, ruleID int,
 		return 0, c.errBudget()
 	}
 	old := prev.Meta.Fact
+	f := eval.RowFact(rel.Name(), row, c.db.Interner(), miss)
 	switch rel.Replace(prev.Row, f) {
 	case storage.ReplaceUnchanged:
 		return 0, nil // e.g. the aggregate result does not occur in the head
@@ -511,13 +523,9 @@ func (c *Core) insertTagTwin(f ast.Fact) {
 		return
 	}
 	tf := c.tagTwinFact(twin, f)
-	rel := c.db.Rel(twin, len(tf.Args))
-	if rel.Contains(tf) {
-		return
+	if m := c.db.Rel(twin, len(tf.Args)).InsertEDB(tf, c.strat); m != nil {
+		c.onAdmit(m)
 	}
-	m := c.strat.NewEDBFact(tf)
-	rel.Insert(m)
-	c.onAdmit(m)
 }
 
 // tagTwinFact renders the tag-twin image of f: labelled nulls replaced by
@@ -574,13 +582,13 @@ func (c *Core) ReleaseCands() {
 // capture (restride) get placeholder slots (Rel nil).
 func (c *Core) Flatten(ri int, lg *eval.BindingLog, perm []int32) int {
 	base := len(c.cands)
-	nh := len(c.p.Rules[ri].Heads)
+	heads := c.p.Rules[ri].Heads
 	for _, i := range perm {
-		for hi := 0; hi < nh; hi++ {
+		for hi := range heads {
 			var cand storage.PrepassCand
 			if lg.EntryPrepared(int(i)) {
-				f, row, h := lg.PreparedHead(int(i), hi)
-				if rel := c.db.Rel(f.Pred, len(f.Args)); rel.Arity() == len(row) {
+				row, h := lg.PreparedHead(int(i), hi)
+				if rel := c.db.Rel(heads[hi].Pred, len(row)); rel.Arity() == len(row) {
 					cand = storage.PrepassCand{Rel: rel, Row: row, Hash: h, Gen: rel.RetractGen()}
 				}
 			}
@@ -621,14 +629,14 @@ func (c *Core) Prepass() {
 // candidate it consumes the pre-pass verdict: duplicate verdicts skip
 // outright while the relation's retraction generation still matches the
 // candidate's snapshot (a retraction since Flatten invalidates them);
-// everything else takes an O(1) re-probe against live state, so the
-// decision sequence is exactly the classic replay's. Fresh candidates run
-// the same termination wrapper as Emit, then append via InsertPrepared —
-// no re-interning, no re-hashing. Entries whose heads did not prepare fall
-// back to Restore into b + Emit — so a log captured without PrepareHeads
-// needs no Flatten and is simply replayed, base unused; candidates whose
-// relation restrided since capture fall back to the classic admit. It
-// returns how many facts were stored or replaced.
+// everything else goes through admit with the prepared row and hash, whose
+// O(1) re-probe against live state makes the decision sequence exactly the
+// classic replay's — and which materializes a fact only for a row that
+// survives it. Entries whose heads did not prepare fall back to Restore
+// into b + Emit — so a log captured without PrepareHeads needs no Flatten
+// and is simply replayed, base unused; a candidate whose relation restrided
+// since capture skips its verdict and lets admit re-fit the row. It returns
+// how many facts were stored or replaced.
 func (c *Core) Merge(ri int, lg *eval.BindingLog, perm []int32, base int, b *eval.Binding) (int, error) {
 	cr := c.p.Rules[ri]
 	nh := len(cr.Heads)
@@ -648,48 +656,33 @@ func (c *Core) Merge(ri int, lg *eval.BindingLog, perm []int32, base int, b *eva
 		var parents []*core.FactMeta
 		for hi := 0; hi < nh; hi++ {
 			ci := base + k*nh + hi
-			cand := &c.cands[ci]
-			drifted := cand.Rel == nil || cand.Rel.Arity() != len(cand.Row)
-			if !drifted {
-				if cand.Rel.RetractGen() == cand.Gen {
-					// Duplicate verdicts are exact for pre-Flatten state and
-					// for earlier inserted candidates.
-					v := c.candVerdict[ci]
-					if v == storage.PrepassDupStored ||
-						(v == storage.PrepassDupBatch && c.candInserted[c.candDupOf[ci]]) {
-						continue
-					}
-				}
-				if cand.Rel.ContainsRowHash(cand.Row, cand.Hash) {
+			row, h := lg.PreparedHead(i, hi)
+			rel := c.cands[ci].Rel
+			if rel == nil || rel.Arity() != len(row) {
+				// The prepared row does not match the relation's stride.
+				rel = c.db.Rel(cr.Heads[hi].Pred, len(row))
+			} else if rel.RetractGen() == c.cands[ci].Gen {
+				// Duplicate verdicts are exact for pre-Flatten state and
+				// for earlier inserted candidates.
+				v := c.candVerdict[ci]
+				if v == storage.PrepassDupStored ||
+					(v == storage.PrepassDupBatch && c.candInserted[c.candDupOf[ci]]) {
 					continue
 				}
 			}
-			f, _, _ := lg.PreparedHead(i, hi)
 			if parents == nil {
 				parents = lg.ParentsAppend(cr, i, c.parentsBuf[:0])
 				c.parentsBuf = parents
 			}
-			if drifted {
-				// The prepared row no longer matches the relation's stride.
-				n, err := c.admit(f, cr.Rule.ID, parents)
-				admitted += n
-				if err != nil {
-					return admitted, err
-				}
-				continue
-			}
-			m, err := c.derive(f, cr.Rule.ID, parents)
+			n, err := c.admit(rel, row, h, nil, cr.Rule.ID, parents)
 			if err != nil {
 				return admitted, err
 			}
-			if m == nil {
-				continue
+			if n > 0 {
+				c.candInserted[ci] = true
+				c.meter.NoteShardAdmit(int(h & shardMask))
+				admitted++
 			}
-			cand.Rel.InsertPrepared(m, cand.Row, cand.Hash)
-			c.candInserted[ci] = true
-			c.meter.NoteShardAdmit(int(cand.Hash & shardMask))
-			c.stored(m)
-			admitted++
 		}
 	}
 	return admitted, nil

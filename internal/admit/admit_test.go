@@ -13,6 +13,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/parser"
 	"repro/internal/storage"
+	"repro/internal/term"
 )
 
 // harness is the smallest possible engine over a Core: its hook records
@@ -326,4 +327,137 @@ func mergeDrive(retract bool) func(h *harness, step int) error {
 		_, err := h.c.Merge(0, l.lg, l.perm, l.base, h.bs[0])
 		return err
 	}
+}
+
+// TestRowPathEdges covers what admitting by interned row can get wrong and
+// admitting by boxed fact could not: every case fires deltas one at a time
+// and pins the complete mutable state afterwards.
+func TestRowPathEdges(t *testing.T) {
+	t.Run("relation wider than the head pads the probe", func(t *testing.T) {
+		// An EDB fact of arity 3 sets the stride; the rule's binary head is
+		// probed and stored with invalid-ID padding, and found again.
+		h := newHarness(t, `a(X) -> p(X,X). a(1). a(2).`, nil, "")
+		h.c.Load(ast.NewFact("p", term.Int(1), term.Int(1), term.Int(7)))
+		h.events = nil
+		for _, d := range []string{"a(1)", "a(2)", "a(1)"} {
+			if err := h.fire(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := []string{"p(1,1)", "p(2,2)"}; !reflect.DeepEqual(h.events, want) {
+			t.Errorf("events = %v, want %v", h.events, want)
+		}
+		if rel := h.c.DB().Lookup("p"); rel.Arity() != 3 || rel.Len() != 3 {
+			t.Errorf("p: arity %d, %d rows, want arity 3, 3 rows", rel.Arity(), rel.Len())
+		}
+	})
+	t.Run("relation narrower than the head restrides on insert", func(t *testing.T) {
+		h := newHarness(t, `a(X) -> p(X,X). a(1).`, nil, "")
+		h.c.Load(ast.NewFact("p", term.Int(1)))
+		h.events = nil
+		for i := 0; i < 2; i++ {
+			if err := h.fire("a(1)"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := []string{"p(1,1)"}; !reflect.DeepEqual(h.events, want) {
+			t.Errorf("events = %v, want %v", h.events, want)
+		}
+		if rel := h.c.DB().Lookup("p"); rel.Arity() != 2 || !rel.Contains(ast.NewFact("p", term.Int(1))) {
+			t.Errorf("p: arity %d, want 2 with p(1) still stored", rel.Arity())
+		}
+	})
+	t.Run("restride between capture and merge", func(t *testing.T) {
+		// The rows were prepared at stride 1; an EDB load restrides p before
+		// the merge, which must re-fit them instead of trusting the capture.
+		h := newHarness(t, `e(X,Y) -> p(Y). e(1,5). e(2,5). e(3,6).`, nil, "")
+		h.c.ResetCands()
+		var logs []preparedLog
+		for _, delta := range []string{"e(1,5)", "e(2,5)", "e(3,6)"} {
+			lg, perm := h.capture(delta)
+			logs = append(logs, preparedLog{lg: lg, perm: perm, base: h.c.Flatten(0, lg, perm)})
+		}
+		h.c.Prepass()
+		h.c.Load(ast.NewFact("p", term.Int(6), term.Int(0)))
+		h.events = nil
+		for _, l := range logs {
+			if _, err := h.c.Merge(0, l.lg, l.perm, l.base, h.bs[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := []string{"p(5)", "p(6)"}; !reflect.DeepEqual(h.events, want) {
+			t.Errorf("events = %v, want %v", h.events, want)
+		}
+	})
+	t.Run("head constant never seen by the interner", func(t *testing.T) {
+		// The first emission cannot resolve "fresh" — the fact is stored
+		// nowhere, no probe — and its insert interns it; later emissions
+		// resolve the constant and take the prepared path.
+		h := newHarness(t, `a(X) -> p(X,"fresh"). a(1). a(2).`, nil, "")
+		h.events = nil
+		if _, ok := h.c.DB().Interner().IDOf(term.String("fresh")); ok {
+			t.Fatal("the head constant is interned before any emission")
+		}
+		for _, d := range []string{"a(1)", "a(2)", "a(1)", "a(2)"} {
+			if err := h.fire(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := []string{"p(1,fresh)", "p(2,fresh)"}; !reflect.DeepEqual(h.events, want) {
+			t.Errorf("events = %v, want %v", h.events, want)
+		}
+	})
+	t.Run("NaN head values share one ID", func(t *testing.T) {
+		// Two different computations yield NaN; the second is a duplicate of
+		// the first although NaN != NaN.
+		h := newHarness(t, `v(X), Y = X / X -> w(Y). w(X), Y = X + 1.0 -> w(Y). v(0.0).`, nil, "")
+		h.events = nil
+		if err := h.fire("v(0)"); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.fire("w(NaN)"); err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"w(NaN)"}; !reflect.DeepEqual(h.events, want) {
+			t.Errorf("events = %v, want %v", h.events, want)
+		}
+	})
+	t.Run("EGD substitution resolves head values before the probe", func(t *testing.T) {
+		// Once the EGD equates the null with "c", s(Y) is s(c) — stored
+		// already, so a duplicate; an unresolved row would admit s(_:n1).
+		h := newHarness(t, `a(X) -> q(X,Z). q(X,Y), r(X,W) -> Y = W. q(X,Y) -> s(Y).
+			a(1). r(1,"c"). s("c").`, nil, "")
+		h.events = nil
+		if err := h.fire("a(1)"); err != nil {
+			t.Fatal(err)
+		}
+		q := h.c.DB().Lookup("q").At(0).Fact.String()
+		if err := h.fire(q); err != nil {
+			t.Fatal(err)
+		}
+		if h.c.Subst().Empty() {
+			t.Fatal("the EGD did not fire")
+		}
+		if want := []string{q}; !reflect.DeepEqual(h.events, want) {
+			t.Errorf("events = %v, want %v", h.events, want)
+		}
+		if n := h.c.DB().Lookup("s").Len(); n != 1 {
+			t.Errorf("s holds %d rows, want only the inline s(c)", n)
+		}
+	})
+	t.Run("tag twin of an admitted row", func(t *testing.T) {
+		h := newHarness(t, `a(X) -> p(X). a(1).`, map[string]string{"p": "p__tag"}, "")
+		h.events = nil
+		for i := 0; i < 2; i++ {
+			if err := h.fire("a(1)"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := []string{"p(1)", "p__tag(1)"}; !reflect.DeepEqual(h.events, want) {
+			t.Errorf("events = %v, want %v", h.events, want)
+		}
+		if got := h.c.Derivations() - len(h.p.Prog.Facts); got != 1 {
+			t.Errorf("charged %d derivations, want 1 (twins are not charged)", got)
+		}
+	})
 }

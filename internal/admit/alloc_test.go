@@ -1,0 +1,173 @@
+package admit
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/ast"
+	"repro/internal/core"
+	"repro/internal/eval"
+	"repro/internal/parser"
+	"repro/internal/term"
+)
+
+// kernel is a Core with a no-op hook plus what it takes to re-emit matches
+// of rule 0 pinned to stored facts of its first body predicate — the
+// admission kernel without a scheduler, for the allocation contract and the
+// benchmarks beside it.
+type kernel struct {
+	c   *Core
+	cr  *eval.CompiledRule
+	mt  *eval.Matcher
+	b   *eval.Binding
+	err error
+}
+
+func newKernel(tb testing.TB, src string, edb []ast.Fact) *kernel {
+	tb.Helper()
+	p, err := Compile(parser.MustParse(src), Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	k := &kernel{c: p.NewCore(1, func(*core.FactMeta) {}), cr: p.Rules[0]}
+	k.mt = &eval.Matcher{DB: k.c.DB()}
+	k.b = eval.NewBinding(k.cr)
+	for _, f := range edb {
+		k.c.Load(f)
+	}
+	return k
+}
+
+// emit runs every match of rule 0 pinned to the i-th stored fact of its
+// first body atom's relation through Core.Emit.
+func (k *kernel) emit(i int) {
+	m := k.c.DB().Lookup(k.cr.Pos[0].Pred).At(i)
+	err := k.mt.MatchPinned(k.cr, 0, m, k.b, k.emitBinding)
+	if err != nil {
+		k.err = err
+	}
+}
+
+func (k *kernel) emitBinding(b *eval.Binding) error {
+	_, err := k.c.Emit(0, b)
+	return err
+}
+
+func intFacts(pred string, n int) []ast.Fact {
+	out := make([]ast.Fact, n)
+	for i := range out {
+		out[i] = ast.NewFact(pred, term.Int(int64(i)), term.Int(int64(i%7)))
+	}
+	return out
+}
+
+// TestEmitAllocationContract pins what a match costs after it is found: a
+// binding whose every head is stored already dies in ID space — no fact, no
+// args, no key, zero allocations — for a plain rule and for an existential
+// rule whose Skolem null already exists; an admitted fact pays a small
+// fixed count.
+func TestEmitAllocationContract(t *testing.T) {
+	const n = 2000
+	for _, tc := range []struct {
+		name, src string
+		// perAdmit bounds the allocations of one admitting emission at the
+		// count measured today (6.0 and 14.9 on average; the race detector
+		// adds one to the second): the fact's Args, its FactMeta, the
+		// duplicate table's bucket, and the strategy's bookkeeping — a
+		// linear rule copies its provenance and, every delta here being a
+		// fresh linear-forest root, renders that root's pattern key; an
+		// existential rule also mints its null (Skolem key and two map
+		// entries) and renders the fact to its iso-key, twice, to store it
+		// in its tree.
+		perAdmit float64
+	}{
+		{"plain rule", `e(X,Y) -> p(Y,X).`, 6},
+		{"existential rule", `e(X,Y) -> q(X,Z).`, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := newKernel(t, tc.src, intFacts("e", n))
+			next := 0
+			admit := testing.AllocsPerRun(n/2, func() { k.emit(next); next++ })
+			if admit > tc.perAdmit {
+				t.Errorf("an admitting emission costs %.0f allocations, want at most %.0f", admit, tc.perAdmit)
+			}
+			for ; next < n; next++ {
+				k.emit(next)
+			}
+			stored := k.c.Derivations()
+			next = 0
+			dup := testing.AllocsPerRun(n-1, func() { k.emit(next); next++ })
+			if dup != 0 {
+				t.Errorf("an emission whose head is already stored costs %.0f allocations, want 0", dup)
+			}
+			if k.err != nil {
+				t.Fatal(k.err)
+			}
+			if k.c.Derivations() != stored || stored != 2*n {
+				t.Errorf("derivations: %d after the duplicate pass, %d before, want %d both", k.c.Derivations(), stored, 2*n)
+			}
+		})
+	}
+}
+
+// TestOutputAllocationContract: ordering n facts renders each key once into
+// one arena, so Output allocates a fixed handful of slices — the snapshot,
+// the arena, the permutation — however large n is, not two strings per
+// comparison.
+func TestOutputAllocationContract(t *testing.T) {
+	for _, n := range []int{500, 8000} {
+		k := newKernel(t, `e(X,Y) -> p(Y,X).`, intFacts("e", n))
+		for i := 0; i < n; i++ {
+			k.emit(i)
+		}
+		var out []ast.Fact
+		got := testing.AllocsPerRun(5, func() { out = k.c.Output("p") })
+		if len(out) != n {
+			t.Fatalf("Output returned %d facts, want %d", len(out), n)
+		}
+		if got > 6 {
+			t.Errorf("Output of %d facts costs %.0f allocations, want a fixed handful (at most 6)", n, got)
+		}
+	}
+}
+
+func BenchmarkEmitDuplicate(b *testing.B) {
+	for _, tc := range []struct{ name, src string }{
+		{"plain", `e(X,Y) -> p(Y,X).`},
+		{"existential", `e(X,Y) -> q(X,Z).`},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			const n = 4096
+			k := newKernel(b, tc.src, intFacts("e", n))
+			for i := 0; i < n; i++ {
+				k.emit(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.emit(i % n)
+			}
+			if k.err != nil {
+				b.Fatal(k.err)
+			}
+		})
+	}
+}
+
+func BenchmarkOutputOrder(b *testing.B) {
+	for _, n := range []int{1000, 100000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			k := newKernel(b, `e(X,Y) -> p(Y,X).`, intFacts("e", n))
+			for i := 0; i < n; i++ {
+				k.emit(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if out := k.c.Output("p"); len(out) != n {
+					b.Fatalf("Output returned %d facts, want %d", len(out), n)
+				}
+			}
+		})
+	}
+}

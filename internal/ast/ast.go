@@ -429,6 +429,17 @@ func (f Fact) Key() string {
 	return sb.String()
 }
 
+// AppendArgsKey appends the part of Key() after the predicate — every
+// argument's rendering preceded by a 0 byte — to dst: the renderer behind
+// canonical output order and the post-processing group keys, which fill
+// reused buffers instead of building a string per fact.
+func (f Fact) AppendArgsKey(dst []byte) []byte {
+	for _, a := range f.Args {
+		dst = a.AppendString(append(dst, '\x00'))
+	}
+	return dst
+}
+
 // PatternKey returns the canonical pattern of the fact per the paper's
 // pattern-isomorphism: constants are numbered by first occurrence and so
 // are nulls, e.g. P(1,2,x,y) and P(3,4,z,y) share pattern P(c1,c2,n1,n2).

@@ -103,7 +103,8 @@ type Result struct {
 
 // Output returns the facts of pred with the program's @post directives
 // applied (certain-answer filtering, ordering, limit, keepMax/keepMin
-// final aggregates) and the EGD null substitution resolved.
+// final aggregates) and the EGD null substitution resolved, in canonical
+// order (eval.ApplyPost; orderBy ties fall back to it).
 func (r *Result) Output(pred string) []ast.Fact {
 	return eval.ApplyPost(r.DB.FactsOf(pred), r.posts, pred, r.Subst)
 }
@@ -732,8 +733,9 @@ func (e *Engine) matchTask(w *matchWorker, ti int) {
 	}
 	lg := &e.results[ti]
 	lg.Reset(cr)
-	// Prepared tasks also materialize, intern and hash their head facts
-	// here on the worker — the serial merge then only probes and appends.
+	// Prepared tasks also resolve and hash their head rows here on the
+	// worker — the serial merge then only probes, and builds a fact only
+	// for a row it appends.
 	// The nil substitution is sound because preparation is disabled
 	// program-wide when any EGD exists.
 	prep := t.g < 0 && e.c.prepared[t.ri]

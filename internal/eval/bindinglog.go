@@ -3,7 +3,6 @@ package eval
 import (
 	"sort"
 
-	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/term"
@@ -34,19 +33,19 @@ type BindingLog struct {
 	rows    []int32 // matched storage rows per entry (stride npos)
 
 	// Prepared-head extension (partitioned admission): when headsN > 0 the
-	// log also carries, per entry, the materialized head facts plus their
-	// interned rows and duplicate-table hashes, all computed on the match
-	// worker against the frozen epoch. headPrep marks entries whose every
-	// head materialized and fully resolved through the interner; entries
-	// where it is false (an unbound head slot, a computed value the
-	// interner has never seen) take the classic Restore+emit path, which
-	// reproduces the exact serial behavior including its errors.
-	headsN    int   // heads per entry (0 = preparation off)
-	headOff   []int // per-head row offsets within an entry (len headsN+1)
-	headFacts []ast.Fact
-	headRows  []uint32
-	headHash  []uint64
-	headPrep  []bool
+	// log also carries, per entry, the heads' interned rows and
+	// duplicate-table hashes, computed on the match worker against the
+	// frozen epoch; the facts themselves are materialized by the merge, and
+	// only for rows that survive the duplicate check. headPrep marks entries
+	// whose every head fully resolved through the interner; entries where
+	// it is false (an unbound head slot, a computed value the interner has
+	// never seen) take the classic Restore+emit path, which reproduces the
+	// exact serial behavior including its errors.
+	headsN   int   // heads per entry (0 = preparation off)
+	headOff  []int // per-head row offsets within an entry (len headsN+1)
+	headRows []uint32
+	headHash []uint64
+	headPrep []bool
 
 	// Err is the error that aborted the producing enumeration, if any; the
 	// engine surfaces it after replaying the captured prefix, which is
@@ -62,7 +61,6 @@ type BindingLog struct {
 func (lg *BindingLog) Reset(cr *CompiledRule) {
 	clear(lg.vals)
 	clear(lg.parents)
-	clear(lg.headFacts)
 	lg.n = 0
 	lg.nslots = cr.NSlots
 	lg.npos = len(cr.Pos)
@@ -71,7 +69,6 @@ func (lg *BindingLog) Reset(cr *CompiledRule) {
 	lg.parents = lg.parents[:0]
 	lg.rows = lg.rows[:0]
 	lg.headsN = 0
-	lg.headFacts = lg.headFacts[:0]
 	lg.headRows = lg.headRows[:0]
 	lg.headHash = lg.headHash[:0]
 	lg.headPrep = lg.headPrep[:0]
@@ -138,97 +135,52 @@ func (lg *BindingLog) Restore(i int, in *storage.Interner, b *Binding) {
 	copy(b.ParentRows, lg.rows[i*lg.npos:(i+1)*lg.npos])
 }
 
-// CaptureHeads materializes the head facts of the binding just Captured,
-// together with their interned rows and duplicate-table hashes — the
-// worker-side half of partitioned admission. It must be called exactly
-// once after each Capture, on the capturing goroutine, against a frozen
-// interner (reads only: IDOf/ValueOf). subst is the EGD null substitution
-// to resolve head values through; engines that cannot guarantee a stable
+// CaptureHeads resolves the head rows of the binding just Captured and
+// hashes them — the worker-side half of partitioned admission, over the same
+// head-row builder the serial emit path uses. It must be called exactly once
+// after each Capture, on the capturing goroutine, against a frozen interner
+// (AppendHeadRow only reads it). subst is the EGD null substitution to
+// resolve head values through; engines that cannot guarantee a stable
 // substitution between capture and merge must not prepare such rules at
 // all (the chase disables preparation program-wide when any EGD exists).
 //
-// Preparation never fails: an entry whose heads cannot fully materialize
-// or resolve (unbound head slot, value absent from the interner) is
-// marked unprepared and padded, and the merge falls back to the classic
-// Restore+emit path for it.
+// Preparation never fails: an entry whose heads cannot fully resolve
+// (unbound head slot, value absent from the interner) is marked unprepared
+// and padded, and the merge falls back to the classic Restore+emit path for
+// it.
 func (lg *BindingLog) CaptureHeads(cr *CompiledRule, b *Binding, subst *NullSubst) {
-	baseF, baseR := len(lg.headFacts), len(lg.headRows)
+	baseR, baseH := len(lg.headRows), len(lg.headHash)
 	ok := true
-capture:
-	for hi := 0; hi < lg.headsN; hi++ {
-		h := &cr.Heads[hi]
-		args := make([]term.Value, h.arity())
+	for hi := 0; hi < lg.headsN && ok; hi++ {
 		rowStart := len(lg.headRows)
-		for i, isv := range h.IsVar {
-			var id uint32
-			if !isv {
-				args[i] = h.Const[i]
-				cid, idOK := b.in.IDOf(h.Const[i])
-				if !idOK {
-					ok = false
-					break capture
-				}
-				id = cid
-			} else {
-				s := h.Slot[i]
-				if !b.Bound[s] {
-					ok = false // the classic path reproduces the unbound-slot error
-					break capture
-				}
-				if subst == nil && !b.hasVal[s] {
-					// Matched slot: the interned ID is already in hand.
-					id = b.IDs[s]
-					args[i] = b.in.ValueOf(id)
-				} else {
-					v := b.Val(s)
-					if subst != nil {
-						v = subst.Resolve(v)
-					}
-					vid, idOK := b.in.IDOf(v)
-					if !idOK {
-						ok = false // a value no stored fact contains: cannot pre-hash
-						break capture
-					}
-					args[i] = v
-					id = vid
-				}
-			}
-			lg.headRows = append(lg.headRows, id)
-		}
-		lg.headFacts = append(lg.headFacts, ast.Fact{Pred: h.Pred, Args: args})
+		var miss []term.Value
+		var err error
+		lg.headRows, miss, err = b.AppendHeadRow(lg.headRows, cr, hi, subst)
+		ok = err == nil && miss == nil
 		lg.headHash = append(lg.headHash, storage.HashRow(lg.headRows[rowStart:]))
 	}
 	if !ok {
 		// Pad the entry so strides stay aligned; the merge replays it
 		// through Restore+emit.
-		lg.headFacts = lg.headFacts[:baseF]
-		lg.headRows = lg.headRows[:baseR]
-		lg.headHash = lg.headHash[:baseF]
-		for hi := 0; hi < lg.headsN; hi++ {
-			lg.headFacts = append(lg.headFacts, ast.Fact{})
-			lg.headHash = append(lg.headHash, 0)
-		}
-		lg.headRows = append(lg.headRows, make([]uint32, lg.headOff[lg.headsN])...)
+		lg.headRows = append(lg.headRows[:baseR], make([]uint32, lg.headOff[lg.headsN])...)
+		lg.headHash = append(lg.headHash[:baseH], make([]uint64, lg.headsN)...)
 	}
 	lg.headPrep = append(lg.headPrep, ok)
 }
 
-// EntryPrepared reports whether entry i's heads were fully materialized
-// and resolved by CaptureHeads.
+// EntryPrepared reports whether entry i's heads were fully resolved by
+// CaptureHeads.
 func (lg *BindingLog) EntryPrepared(i int) bool {
 	return lg.headsN > 0 && lg.headPrep[i]
 }
 
-// PreparedHead returns entry i's hi-th head fact with its interned row
-// and duplicate-table hash. Valid only when EntryPrepared(i). The row
-// aliases log storage: valid until the next Reset, never mutated by the
-// caller.
-func (lg *BindingLog) PreparedHead(i, hi int) (ast.Fact, []uint32, uint64) {
+// PreparedHead returns the interned row and duplicate-table hash of entry
+// i's hi-th head. Valid only when EntryPrepared(i). The row aliases log
+// storage: valid until the next Reset, never mutated by the caller.
+func (lg *BindingLog) PreparedHead(i, hi int) ([]uint32, uint64) {
 	stride := lg.headOff[lg.headsN]
 	rows := lg.headRows[i*stride:]
-	return lg.headFacts[i*lg.headsN+hi],
-		rows[lg.headOff[hi]:lg.headOff[hi+1]:lg.headOff[hi+1]],
-		lg.headHash[i*lg.headsN+hi]
+	return rows[lg.headOff[hi]:lg.headOff[hi+1]:lg.headOff[hi+1]], lg.headHash[i*lg.headsN+hi]
 }
 
 // ParentsAppend appends entry i's matched parents in ward-first order —

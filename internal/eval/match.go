@@ -34,6 +34,14 @@ type Binding struct {
 	hasVal []bool
 	vals   []term.Value
 
+	// headMiss, constIDs and constIn are AppendHeadRow's scratch: the
+	// values of head positions the interner has never seen, and the cached
+	// IDs of head constants with the interner they were resolved against.
+	// All are allocated on first need — most rules have neither.
+	headMiss []term.Value
+	constIDs [][]uint32
+	constIn  *storage.Interner
+
 	envBuf map[string]term.Value
 	// probes holds one reusable lookup buffer per positive body atom;
 	// negProbes per negated atom; skArgs for Skolem argument evaluation.
@@ -472,38 +480,94 @@ func (mt *Matcher) InstantiateExistentials(cr *CompiledRule, b *Binding) {
 	}
 }
 
-// HeadFacts materializes the head atoms of cr under b (after existential
-// instantiation), applying the null substitution subst when non-nil.
-// This is the decode boundary: interned slot IDs become term.Values.
-func HeadFacts(cr *CompiledRule, b *Binding, subst *NullSubst) ([]ast.Fact, error) {
-	return HeadFactsAppend(cr, b, subst, make([]ast.Fact, 0, len(cr.Heads)))
+// AppendHeadRow is the head-row builder: it appends the interned row of
+// cr's hi-th head under b (after existential instantiation) to dst and
+// returns the extended slice. Matched slots already hold IDs and head
+// constants resolve through the interner once per run; only computed values
+// — Skolem nulls, assignment and aggregate results, and every value once
+// subst is non-empty, since an EGD may have rewritten it — are looked up
+// (never interned: the builder only reads, so match workers may run it
+// against a frozen epoch).
+//
+// miss is nil when every argument resolved. Otherwise some value occurs in
+// no stored fact, so the head fact is stored nowhere and needs no duplicate
+// probe: the row holds the invalid ID 0 at those positions and miss, indexed
+// by head position and valid until the binding's next AppendHeadRow, holds
+// their values for RowFact.
+func (b *Binding) AppendHeadRow(dst []uint32, cr *CompiledRule, hi int, subst *NullSubst) (row []uint32, miss []term.Value, err error) {
+	h := &cr.Heads[hi]
+	resolve := subst != nil && !subst.Empty()
+	for i, isv := range h.IsVar {
+		var id uint32
+		var v term.Value
+		ok := true
+		switch {
+		case !isv:
+			if id = b.headConstID(cr, hi, i); id == 0 {
+				v, ok = h.Const[i], false
+			}
+		case !b.Bound[h.Slot[i]]:
+			return dst, nil, fmt.Errorf("eval: head variable slot %d unbound in rule %d", h.Slot[i], cr.Rule.ID)
+		case resolve:
+			v = subst.Resolve(b.Val(h.Slot[i]))
+			id, ok = b.in.IDOf(v)
+		case b.hasVal[h.Slot[i]]:
+			v = b.vals[h.Slot[i]]
+			id, ok = b.in.IDOf(v)
+		default:
+			id = b.IDs[h.Slot[i]]
+		}
+		if !ok {
+			if miss == nil {
+				if len(b.headMiss) < len(h.IsVar) {
+					b.headMiss = make([]term.Value, len(h.IsVar))
+				}
+				miss = b.headMiss
+			}
+			miss[i], id = v, 0
+		}
+		dst = append(dst, id)
+	}
+	return dst, miss, nil
 }
 
-// HeadFactsAppend is HeadFacts appending into a caller-owned buffer, so
-// engines reuse one container slice across emissions. The per-head Args
-// slices are still freshly allocated — stored facts retain them.
-func HeadFactsAppend(cr *CompiledRule, b *Binding, subst *NullSubst, out []ast.Fact) ([]ast.Fact, error) {
-	for hi := range cr.Heads {
-		h := &cr.Heads[hi]
-		args := make([]term.Value, h.arity())
-		for i, isv := range h.IsVar {
-			if !isv {
-				args[i] = h.Const[i]
-				continue
-			}
-			s := h.Slot[i]
-			if !b.Bound[s] {
-				return nil, fmt.Errorf("eval: head variable slot %d unbound in rule %d", s, cr.Rule.ID)
-			}
-			v := b.Val(s)
-			if subst != nil {
-				v = subst.Resolve(v)
-			}
-			args[i] = v
-		}
-		out = append(out, ast.Fact{Pred: h.Pred, Args: args})
+// headConstID returns the interned ID of the constant at position i of cr's
+// hi-th head, 0 while no stored fact contains it. Hits are cached per
+// binding — a binding serves one rule over one interner for a whole run, so
+// each constant is hashed once; misses are retried, because the first
+// insertion of the head fact interns the constant.
+func (b *Binding) headConstID(cr *CompiledRule, hi, i int) uint32 {
+	if b.constIn != b.in {
+		b.constIn, b.constIDs = b.in, nil // rebound to another database
 	}
-	return out, nil
+	if b.constIDs == nil {
+		b.constIDs = make([][]uint32, len(cr.Heads))
+	}
+	if b.constIDs[hi] == nil {
+		b.constIDs[hi] = make([]uint32, cr.Heads[hi].arity())
+	}
+	id := b.constIDs[hi][i]
+	if id == 0 {
+		id, _ = b.in.IDOf(cr.Heads[hi].Const[i])
+		b.constIDs[hi][i] = id
+	}
+	return id
+}
+
+// RowFact materializes the fact of an interned row of pred: the decode
+// boundary, reached only by candidates that survived the duplicate check.
+// Positions holding the invalid ID 0 take their value from miss (see
+// AppendHeadRow); a fully interned row needs none.
+func RowFact(pred string, row []uint32, in *storage.Interner, miss []term.Value) ast.Fact {
+	args := make([]term.Value, len(row))
+	for i, id := range row {
+		if id != 0 {
+			args[i] = in.ValueOf(id)
+		} else {
+			args[i] = miss[i]
+		}
+	}
+	return ast.Fact{Pred: pred, Args: args}
 }
 
 // WardFirstParents orders the matched parents so that the ward's fact

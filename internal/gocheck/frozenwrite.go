@@ -50,6 +50,7 @@ var frozenSinks = map[string]map[string]string{
 		"PromoteIndex": "storage", "observeRow": "storage",
 		"usage": "storage", "internRow": "storage",
 		"InsertPrepared": "storage", "insertRow": "storage",
+		"InsertEDB": "storage", "Resolve": "storage",
 		"SetShards": "storage",
 	},
 	"Database": {

@@ -144,12 +144,9 @@ func (db *Database) Insert(m *core.FactMeta) bool {
 // domain and wires its termination-strategy metadata through strat.
 // It reports whether the fact was new.
 func (db *Database) InsertEDB(f ast.Fact, strat core.Policy) bool {
-	rel := db.Rel(f.Pred, len(f.Args))
-	if rel.Contains(f) {
+	if db.Rel(f.Pred, len(f.Args)).InsertEDB(f, strat) == nil {
 		return false
 	}
-	m := strat.NewEDBFact(f)
-	rel.Insert(m)
 	for _, v := range f.Args {
 		if v.IsGround() {
 			db.activeDom[db.in.Intern(v)] = struct{}{}

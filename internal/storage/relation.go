@@ -140,19 +140,9 @@ type Relation struct {
 	gen      uint64
 	idxUse   map[uint32]*idxUsage
 
-	scratch  []uint32 // reusable row buffer for Insert/Contains
+	scratch  []uint32 // reusable row buffer for Insert/Resolve
 	probeBuf []uint32 // reusable probe-ID buffer for value-based Lookup
 	replBuf  []uint32 // reusable old-row copy for Replace
-
-	// prep memoizes the interned row (in scratch) and its hash computed by
-	// the last Contains miss, so the engines' admit pattern — Contains(f),
-	// then Insert of a meta wrapping the same f — interns and hashes each
-	// tuple once instead of twice. prepArgs identifies the fact by its
-	// args-slice address; any other scratch writer invalidates the memo.
-	prepArgs *term.Value
-	prepLen  int
-	prepHash uint64
-	prepOK   bool
 }
 
 type dynIndex struct {
@@ -372,19 +362,8 @@ func (r *Relation) Insert(m *core.FactMeta) bool {
 	if len(m.Fact.Args) > r.arity {
 		r.restride(len(m.Fact.Args))
 	}
-	var row []uint32
-	var h uint64
-	if r.prepOK && len(m.Fact.Args) > 0 && r.prepLen == len(m.Fact.Args) && &m.Fact.Args[0] == r.prepArgs {
-		// The row was interned and hashed by the Contains call that just
-		// missed on this very fact; reuse both. The length guard keeps the
-		// nullary case from taking &Args[0] of an empty slice.
-		row, h = r.scratch, r.prepHash
-	} else {
-		row = r.internRow(m.Fact.Args)
-		h = hashRow(row)
-	}
-	r.prepOK = false
-	return r.insertRow(m, row, h)
+	row := r.internRow(m.Fact.Args)
+	return r.insertRow(m, row, hashRow(row))
 }
 
 // insertRow is the shared admission tail of Insert and InsertPrepared:
@@ -410,9 +389,9 @@ func (r *Relation) insertRow(m *core.FactMeta, row []uint32, h uint64) bool {
 
 // ContainsRowHash reports whether a fact whose interned row is exactly row
 // (stride = the relation's arity; h = HashRow(row)) is stored — the
-// read-only merge-time probe of the partitioned admission path. Unlike
-// Contains it neither interns nor memoizes; callers have already resolved
-// and hashed the row on a match worker.
+// duplicate check of every admission path: callers hold the row and its
+// hash (from the head-row builder, a match worker, or Resolve) and hand the
+// same pair to InsertPrepared when the probe misses. A pure read.
 func (r *Relation) ContainsRowHash(row []uint32, h uint64) bool {
 	for _, ri := range r.exactShard(h)[h] {
 		if r.rowEqual(int(ri), row) {
@@ -422,8 +401,8 @@ func (r *Relation) ContainsRowHash(row []uint32, h uint64) bool {
 	return false
 }
 
-// InsertPrepared appends m using a row interned and hashed during the
-// match phase, skipping the serial re-intern/re-hash of Insert. When the
+// InsertPrepared appends m using the row and hash its caller already
+// probed with, skipping the re-intern/re-hash of Insert. When the
 // relation's arity drifted since the row was prepared (restride by an
 // inconsistent-arity program) it falls back to the classic path. It
 // reports whether the fact was new.
@@ -433,7 +412,6 @@ func (r *Relation) InsertPrepared(m *core.FactMeta, row []uint32, h uint64) bool
 	}
 	// Same crash seam as Insert: fire before any mutation.
 	siteInsert.Hit()
-	r.prepOK = false
 	return r.insertRow(m, row, h)
 }
 
@@ -470,7 +448,6 @@ func (r *Relation) Replace(i int, f ast.Fact) ReplaceOutcome {
 	if len(f.Args) > r.arity {
 		r.restride(len(f.Args))
 	}
-	r.prepOK = false
 	newRow := r.internRow(f.Args)
 	if r.rowEqual(i, newRow) {
 		return ReplaceUnchanged
@@ -570,18 +547,22 @@ func maskedIDsEqual(a, b []uint32, mask uint32) bool {
 	return true
 }
 
-// FindExact returns the row index of the stored fact exactly equal to f.
-// Like Contains it never interns.
-func (r *Relation) FindExact(f ast.Fact) (int, bool) {
-	r.prepOK = false
-	if len(f.Args) > r.arity {
-		return 0, false
+// Resolve encodes args as the relation's interned row — in the relation's
+// scratch, padded to its stride, without interning — and hashes it: the
+// explicit hand-off from a duplicate check to the insert that follows a
+// miss (ContainsRowHash, then InsertPrepared with the same row and hash).
+// ok is false when a value was never interned or args outgrow the stride:
+// such a fact is stored nowhere, and inserting it goes through Insert. The
+// row is valid until the relation's next Insert, Replace or Resolve.
+func (r *Relation) Resolve(args []term.Value) (row []uint32, h uint64, ok bool) {
+	if len(args) > r.arity {
+		return nil, 0, false
 	}
-	row := r.scratch[:0]
-	for _, v := range f.Args {
-		id, ok := r.in.IDOf(v)
-		if !ok {
-			return 0, false
+	row = r.scratch[:0]
+	for _, v := range args {
+		id, interned := r.in.IDOf(v)
+		if !interned {
+			return nil, 0, false
 		}
 		row = append(row, id)
 	}
@@ -589,7 +570,33 @@ func (r *Relation) FindExact(f ast.Fact) (int, bool) {
 		row = append(row, 0)
 	}
 	r.scratch = row
-	h := hashRow(row)
+	return row, hashRow(row), true
+}
+
+// InsertEDB stores the database fact f unless it is already stored, wiring
+// its termination-strategy metadata through strat only once it is known to
+// be new; it returns the stored metadata, nil for a duplicate.
+func (r *Relation) InsertEDB(f ast.Fact, strat core.Policy) *core.FactMeta {
+	row, h, ok := r.Resolve(f.Args)
+	if ok && r.ContainsRowHash(row, h) {
+		return nil
+	}
+	m := strat.NewEDBFact(f)
+	if ok {
+		r.InsertPrepared(m, row, h)
+	} else {
+		r.Insert(m)
+	}
+	return m
+}
+
+// FindExact returns the row index of the stored fact exactly equal to f.
+// Like Contains it never interns.
+func (r *Relation) FindExact(f ast.Fact) (int, bool) {
+	row, h, ok := r.Resolve(f.Args)
+	if !ok {
+		return 0, false
+	}
 	for _, ri := range r.exactShard(h)[h] {
 		if r.rowEqual(int(ri), row) {
 			return int(ri), true
@@ -599,39 +606,10 @@ func (r *Relation) FindExact(f ast.Fact) (int, bool) {
 }
 
 // Contains reports whether an exactly equal fact is stored. It never
-// interns: a value absent from the symbol table occurs in no stored
-// fact. A miss whose tuple resolved fully is memoized so an immediately
-// following Insert of the same fact skips re-interning and re-hashing.
+// interns: a value absent from the symbol table occurs in no stored fact.
 func (r *Relation) Contains(f ast.Fact) bool {
-	r.prepOK = false
-	if len(f.Args) > r.arity {
-		return false
-	}
-	row := r.scratch[:0]
-	for _, v := range f.Args {
-		id, ok := r.in.IDOf(v)
-		if !ok {
-			return false
-		}
-		row = append(row, id)
-	}
-	for len(row) < r.arity {
-		row = append(row, 0)
-	}
-	r.scratch = row
-	h := hashRow(row)
-	for _, ri := range r.exactShard(h)[h] {
-		if r.rowEqual(int(ri), row) {
-			return true
-		}
-	}
-	if len(f.Args) > 0 {
-		r.prepArgs = &f.Args[0]
-		r.prepLen = len(f.Args)
-		r.prepHash = h
-		r.prepOK = true
-	}
-	return false
+	row, h, ok := r.Resolve(f.Args)
+	return ok && r.ContainsRowHash(row, h)
 }
 
 // restride migrates the relation to a larger arity (inconsistent-arity
@@ -659,7 +637,6 @@ func (r *Relation) restride(arity int) {
 	r.scratch = nil
 	r.probeBuf = nil
 	r.replBuf = nil
-	r.prepOK = false
 }
 
 // NoIndex disables dynamic indexing for this relation: every Lookup scans

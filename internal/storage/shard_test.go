@@ -4,21 +4,19 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/term"
 )
 
-// TestNullaryFactInsert: inserting a zero-arity fact must not touch the
-// prep memo's &Args[0] (regression: the fast-path guard used to evaluate
-// the address before checking the length) and must dedup like any fact.
+// TestNullaryFactInsert: a zero-arity fact resolves to the empty row and
+// must dedup like any fact.
 func TestNullaryFactInsert(t *testing.T) {
 	r := NewRelation("flag", 0)
 	if r.Contains(ast.NewFact("flag")) {
 		t.Fatal("empty relation must not contain the nullary fact")
 	}
-	// The Contains→Insert admit pattern with an empty Args slice: the
-	// memo must stay unset and the insert must not panic.
 	if !r.Insert(meta("flag")) {
 		t.Fatal("first nullary insert must succeed")
 	}
@@ -30,6 +28,41 @@ func TestNullaryFactInsert(t *testing.T) {
 	}
 	if r.Len() != 1 {
 		t.Fatalf("len: %d", r.Len())
+	}
+}
+
+// TestResolveHandOff: Resolve's row and hash are what ContainsRowHash and
+// InsertPrepared take — the explicit probe → insert hand-off — padded to the
+// stride, never interning, and refusing what cannot be stored.
+func TestResolveHandOff(t *testing.T) {
+	r := NewRelation("p", 3)
+	r.Insert(meta("p", term.Int(1), term.String("a"), term.Int(9)))
+	before := r.Interner().Len()
+	if _, _, ok := r.Resolve([]term.Value{term.Int(1), term.String("never")}); ok {
+		t.Fatal("a never-interned value must not resolve")
+	}
+	if _, _, ok := r.Resolve([]term.Value{term.Int(1), term.Int(1), term.Int(1), term.Int(1)}); ok {
+		t.Fatal("args beyond the stride must not resolve")
+	}
+	row, h, ok := r.Resolve([]term.Value{term.Int(1), term.String("a")})
+	if !ok || len(row) != 3 || row[2] != 0 || h != HashRow(row) {
+		t.Fatalf("Resolve = %v, %d, %v; want a padded stride-3 row with its hash", row, h, ok)
+	}
+	if r.Interner().Len() != before {
+		t.Fatal("Resolve interned a value")
+	}
+	if r.ContainsRowHash(row, h) {
+		t.Fatal("p(1,a) is not stored: p(1,a,9) is")
+	}
+	if !r.InsertPrepared(meta("p", term.Int(1), term.String("a")), row, h) {
+		t.Fatal("insert after a missed probe must succeed")
+	}
+	strat := core.NewStrategy(&analysis.Result{})
+	if r.InsertEDB(ast.NewFact("p", term.Int(1), term.String("a")), strat) != nil {
+		t.Fatal("InsertEDB admitted a stored fact")
+	}
+	if m := r.InsertEDB(ast.NewFact("p", term.String("never")), strat); m == nil || r.At(r.Len()-1) != m {
+		t.Fatal("InsertEDB must store a fact with never-interned values and return its metadata")
 	}
 }
 

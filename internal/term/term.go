@@ -261,6 +261,37 @@ func (v Value) String() string {
 	}
 }
 
+// AppendString appends the bytes of v.String() to dst and returns the
+// extended buffer — the allocation-free renderer behind canonical output
+// ordering, post-processing group keys and Skolem keys, which render into
+// reused buffers instead of building a string per value.
+func (v Value) AppendString(dst []byte) []byte {
+	switch v.kind {
+	case KindString:
+		if needsQuoting(v.s) {
+			return strconv.AppendQuote(dst, v.s)
+		}
+		return append(dst, v.s...)
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	case KindBool:
+		if v.i != 0 {
+			return append(dst, "#t"...)
+		}
+		return append(dst, "#f"...)
+	case KindDate:
+		return strconv.AppendInt(append(dst, 'd'), v.i, 10)
+	case KindNull:
+		return strconv.AppendInt(append(dst, "_:n"...), v.i, 10)
+	case KindSet:
+		return append(dst, v.s...)
+	default:
+		return append(dst, "<invalid>"...)
+	}
+}
+
 func needsQuoting(s string) bool {
 	if s == "" {
 		return true
@@ -376,6 +407,7 @@ type NullFactory struct {
 	next   int64
 	skolem map[string]int64
 	keys   map[int64]string
+	keyBuf []byte // reused Skolem-key scratch
 }
 
 // NewNullFactory returns a factory whose first fresh null has id 1.
@@ -405,24 +437,30 @@ func (nf *NullFactory) Reserve(id int64) {
 // SkolemKey renders the canonical ground key of fn applied to args; two
 // Skolem applications yield equal nulls iff their keys are equal.
 func (nf *NullFactory) SkolemKey(fn string, args ...Value) string {
-	var sb strings.Builder
-	sb.WriteString(fn)
+	return string(appendSkolemKey(nil, fn, args))
+}
+
+func appendSkolemKey(dst []byte, fn string, args []Value) []byte {
+	dst = append(dst, fn...)
 	for _, a := range args {
-		sb.WriteByte('\x00')
-		sb.WriteString(strconv.Itoa(int(a.kind)))
-		sb.WriteByte('\x01')
-		sb.WriteString(a.String())
+		dst = append(dst, '\x00')
+		dst = strconv.AppendInt(dst, int64(a.kind), 10)
+		dst = append(dst, '\x01')
+		dst = a.AppendString(dst)
 	}
-	return sb.String()
+	return dst
 }
 
 // Skolem returns the labelled null for function fn applied to args,
-// minting it on first use.
+// minting it on first use. The key is rendered into a buffer the factory
+// reuses, so looking up an already minted null — every repeated rule firing
+// — allocates nothing.
 func (nf *NullFactory) Skolem(fn string, args ...Value) Value {
-	key := nf.SkolemKey(fn, args...)
-	if id, ok := nf.skolem[key]; ok {
+	nf.keyBuf = appendSkolemKey(nf.keyBuf[:0], fn, args)
+	if id, ok := nf.skolem[string(nf.keyBuf)]; ok {
 		return Null(id)
 	}
+	key := string(nf.keyBuf)
 	id := nf.next
 	nf.next++
 	nf.skolem[key] = id

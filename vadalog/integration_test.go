@@ -3,6 +3,7 @@ package vadalog
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -374,5 +375,42 @@ func TestSkolemPolicyAgreesWhenTerminating(t *testing.T) {
 	skolem := groundOutputs(t, g.Source, g.Facts, &Options{Policy: PolicySkolem, MaxDerivations: 2_000_000})
 	if base != skolem {
 		t.Error("skolem chase diverges on a terminating scenario")
+	}
+}
+
+// TestOrderByTiesAgreeAcrossEngines: @post orderBy breaks ties by the
+// canonical output order, not by admission order — which the breadth-first
+// chase and the depth-first pipeline do not share — so orderBy + limit cuts
+// the same facts on both engines and for every chase worker count, even
+// when the limit falls inside a tie group.
+func TestOrderByTiesAgreeAcrossEngines(t *testing.T) {
+	src := pathSrc + `@post("path", "orderBy", 1). @post("path", "limit", 4).`
+	// Two diamonds hanging off one source: n0 reaches seven nodes, so the
+	// limit of 4 cuts inside the orderBy tie group of n0.
+	var facts []Fact
+	for _, e := range [][2]string{
+		{"n0", "n9"}, {"n0", "n5"}, {"n9", "n3"}, {"n5", "n3"}, {"n3", "n7"},
+		{"n7", "n1"}, {"n7", "n8"}, {"n1", "n2"}, {"n8", "n2"},
+	} {
+		facts = append(facts, MakeFact("edge", Str(e[0]), Str(e[1])))
+	}
+	want := []string{"path(n0,n1)", "path(n0,n2)", "path(n0,n3)", "path(n0,n5)"}
+	for _, opts := range []*Options{
+		{Engine: EnginePipeline},
+		{Engine: EngineChase, Parallelism: 1},
+		{Engine: EngineChase, Parallelism: 4},
+	} {
+		s := newSession(t, MustParse(src), opts)
+		s.Load(facts...)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, f := range s.Output("path") {
+			got = append(got, f.String())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("engine %v parallelism %d: Output = %v, want %v", opts.Engine, opts.Parallelism, got, want)
+		}
 	}
 }

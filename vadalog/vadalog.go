@@ -400,7 +400,7 @@ func mapErr(err error) error {
 
 // Output returns the facts of pred with @post directives applied, against
 // the session's database as it stands — after an interrupted run, the
-// partial answer.
+// partial answer — in the canonical order of Result.Output.
 //
 // Contract: before the session has been run there are no facts to return.
 // Use Result, which fails with ErrNotRun instead of silently returning
