@@ -270,17 +270,20 @@ func (c *Core) errBudget() error {
 	return fmt.Errorf("%w (%d facts)", ErrBudget, c.meter.Used())
 }
 
-// Load admits one EDB fact; duplicates are skipped, so re-feeding after an
-// interrupted load is idempotent. EDB facts are never refused: they charge
-// the meter unconditionally.
-func (c *Core) Load(f ast.Fact) {
-	if !c.db.InsertEDB(f, c.strat) {
-		return
+// LoadRow is the one EDB admission primitive, for record-manager rows and
+// program or session facts alike (storage.Database.InsertEDB: intern once,
+// probe in ID space, metadata for a survivor only). Duplicates are skipped,
+// so re-feeding after an interrupted load is idempotent. EDB facts are never
+// refused: they charge the meter unconditionally. The fact retains args.
+func (c *Core) LoadRow(pred string, args []term.Value) {
+	if m := c.db.InsertEDB(pred, args, c.strat); m != nil {
+		c.meter.Charge()
+		c.stored(m)
 	}
-	rel := c.db.Lookup(f.Pred)
-	c.meter.Charge()
-	c.stored(rel.At(rel.Len() - 1))
 }
+
+// Load admits one EDB fact through LoadRow.
+func (c *Core) Load(f ast.Fact) { c.LoadRow(f.Pred, f.Args) }
 
 // Guard runs load under the load path's crash isolation: a panic (a
 // storage fault mid-chunk) becomes a typed error labelled engine, with the
@@ -523,7 +526,8 @@ func (c *Core) insertTagTwin(f ast.Fact) {
 		return
 	}
 	tf := c.tagTwinFact(twin, f)
-	if m := c.db.Rel(twin, len(tf.Args)).InsertEDB(tf, c.strat); m != nil {
+	// Relation-level: twin constants are bookkeeping, not ACDom members.
+	if m := c.db.Rel(twin, len(tf.Args)).InsertEDB(tf.Args, c.strat); m != nil {
 		c.onAdmit(m)
 	}
 }

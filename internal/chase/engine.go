@@ -33,6 +33,7 @@ import (
 	"repro/internal/planner"
 	"repro/internal/rewrite"
 	"repro/internal/storage"
+	"repro/internal/term"
 )
 
 // siteMatch guards the parallel match seam: it fires inside matchTask on
@@ -394,6 +395,17 @@ func (e *Engine) LoadProgramFacts() { e.LoadFacts(e.c.Prog.Facts) }
 func (e *Engine) LoadChunk(facts []ast.Fact) error {
 	return admit.Guard("chase load", func() error {
 		e.LoadFacts(facts)
+		return nil
+	})
+}
+
+// LoadRows is LoadChunk for one chunk of a record manager's cursor: rows
+// are admitted as facts of pred without being staged as facts first.
+func (e *Engine) LoadRows(pred string, rows [][]term.Value) error {
+	return admit.Guard("chase load", func() error {
+		for _, row := range rows {
+			e.LoadRow(pred, row)
+		}
 		return nil
 	})
 }

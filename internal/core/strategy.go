@@ -42,11 +42,24 @@ type FactMeta struct {
 	// stability) but is no longer part of the database — lookups,
 	// duplicate checks, outputs and the engines skip it.
 	Retracted bool
+	// row is 1 + the index of the relation row holding this fact; the zero
+	// value means stored nowhere. Set once, on insertion: supersession
+	// rewrites the row in place, retraction and restriding keep positions.
+	// The matcher pins a delta by reading that row instead of re-interning
+	// Fact.Args. It sits in the padding after the two flags.
+	row int32
 	// id distinguishes tree roots inside the strategy's maps; pattern
 	// memoizes the fact's PatternKey (computed lazily for roots).
 	id      int64
 	pattern string
 }
+
+// SetRowIndex records the fact's row; only its relation calls it, on insertion.
+func (m *FactMeta) SetRowIndex(i int) { m.row = int32(i) + 1 }
+
+// RowIndex returns the index of the relation row holding the fact, -1 when
+// the fact was never stored.
+func (m *FactMeta) RowIndex() int { return int(m.row) - 1 }
 
 // ReplaceFact substitutes the fact this metadata describes, keeping kind,
 // forest roots, provenance and generating rule: a supersession update of a

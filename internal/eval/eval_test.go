@@ -28,7 +28,7 @@ func loadDB(t *testing.T, res *analysis.Result, facts ...ast.Fact) *storage.Data
 	db := storage.NewDatabase()
 	strat := core.NewStrategy(res)
 	for _, f := range facts {
-		db.InsertEDB(f, strat)
+		db.InsertEDB(f.Pred, f.Args, strat)
 	}
 	return db
 }

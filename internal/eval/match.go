@@ -187,42 +187,34 @@ func (mt *Matcher) countRows(rel *storage.Relation, pred string, mask uint32, pr
 	return n
 }
 
-// unifyPinned binds the pinned atom against fact; reports success. ro
-// (Snapshot mode) forbids interner writes: pinned facts are stored facts,
-// so their arguments are already interned and IDOf suffices.
-func unifyPinned(b *Binding, a *CAtom, m *core.FactMeta, ro bool) bool {
-	f := m.Fact
-	if len(f.Args) != a.arity() {
-		return false
-	}
+// unifyRow unifies atom a with a stored row in ID space — the one loop
+// behind every atom of a match, the pinned delta included. Positions in
+// checked are guaranteed by the index probe that produced the row. At any
+// other: the arity-padding ID 0 (a restrided relation's older rows) matches
+// nothing, a constant must be the row's value, a bound variable must hold
+// the row's ID, an unbound one is bound to it and recorded in b.newly for
+// the caller to unbind. A pure read of the store.
+func (b *Binding) unifyRow(a *CAtom, row []uint32, checked uint32) bool {
 	for i, isv := range a.IsVar {
+		if checked&(1<<uint(i)) != 0 {
+			continue
+		}
+		id := row[i]
+		if id == 0 {
+			return false
+		}
 		if !isv {
-			if f.Args[i] != a.Const[i] {
+			if b.in.ValueOf(id) != a.Const[i] {
 				return false
 			}
 			continue
 		}
-		var id uint32
-		if ro {
-			var ok bool
-			if id, ok = b.in.IDOf(f.Args[i]); !ok {
-				return false // not a stored fact: cannot match read-only
-			}
-		} else {
-			// Pinned facts are (in practice) stored facts, so interning here
-			// is a lookup; it also keeps exotic callers with foreign metas
-			// decodable.
-			//vadalint:frozenwrite guarded by ro: Snapshot callers pass ro=true and take the IDOf branch
-			id = b.in.Intern(f.Args[i])
-		}
 		s := a.Slot[i]
-		if b.Bound[s] {
-			sid, ok := b.slotID(s)
-			if !ok || sid != id {
-				return false
-			}
-		} else {
+		if !b.Bound[s] {
 			b.bindID(s, id)
+			b.newly = append(b.newly, s)
+		} else if sid, ok := b.slotID(s); !ok || sid != id {
+			return false
 		}
 	}
 	return true
@@ -230,8 +222,10 @@ func unifyPinned(b *Binding, a *CAtom, m *core.FactMeta, ro bool) bool {
 
 // MatchPinned enumerates all matches of cr's positive body where Pos
 // [pinned] is bound to pinnedMeta, invoking emit for each complete
-// binding. emit must not retain b (copy what it needs). Returning an
-// error from emit aborts the enumeration.
+// binding. pinnedMeta must be a fact stored in that atom's relation (the
+// pin reads its row); one stored nowhere matches nothing. emit must not
+// retain b (copy what it needs). Returning an error from emit aborts the
+// enumeration.
 //
 // When pinned == len(cr.Pos) the rule is evaluated without a pin (naive
 // evaluation over the whole database).
@@ -254,8 +248,14 @@ func (mt *Matcher) MatchPinnedSteps(cr *CompiledRule, pinned int, pinnedMeta *co
 		b.Parents[i] = nil
 		b.ParentRows[i] = -1
 	}
+	b.newly = b.newly[:0]
 	if pinned < len(cr.Pos) {
-		if !unifyPinned(b, &cr.Pos[pinned], pinnedMeta, mt.Snapshot) {
+		// The delta is a stored fact: its row holds the IDs, nothing is
+		// interned to pin it. A fact of another arity does not match.
+		a := &cr.Pos[pinned]
+		rel, ri := mt.DB.Lookup(a.Pred), pinnedMeta.RowIndex()
+		if rel == nil || ri < 0 || len(pinnedMeta.Fact.Args) != a.arity() ||
+			!b.unifyRow(a, rel.Row(ri), 0) {
 			return nil
 		}
 		b.Parents[pinned] = pinnedMeta
@@ -364,31 +364,7 @@ func (mt *Matcher) matchAtom(cr *CompiledRule, steps []Step, si int, ai int, b *
 	rows := mt.lookupRows(rel, a.Pred, mask, probe)
 	markNewly := len(b.newly)
 	for _, rowIdx := range rows {
-		row := rel.Row(int(rowIdx))
-		ok := true
-		for i, isv := range a.IsVar {
-			if !isv || mask&(1<<uint(i)) != 0 {
-				continue // constants and pre-bound positions guaranteed by index
-			}
-			if row[i] == 0 {
-				// Arity-padding ID (restrided relation): the fact has no
-				// value at this position, so it cannot match the atom.
-				ok = false
-				break
-			}
-			s := a.Slot[i]
-			if b.Bound[s] {
-				sid, sok := b.slotID(s)
-				if !sok || sid != row[i] { // repeated variable within atom
-					ok = false
-					break
-				}
-			} else {
-				b.bindID(s, row[i])
-				b.newly = append(b.newly, s)
-			}
-		}
-		if ok {
+		if b.unifyRow(a, rel.Row(int(rowIdx)), mask) {
 			b.Parents[ai] = rel.At(int(rowIdx))
 			b.ParentRows[ai] = rowIdx
 			if err := mt.runSteps(cr, steps, si+1, b, emit); err != nil {

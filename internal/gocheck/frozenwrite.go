@@ -37,7 +37,7 @@ var FrozenWrite = &Analyzer{
 
 // frozenSinks lists the mutating methods per receiver type name. Type
 // names are matched together with their declaring package's path suffix
-// (storage, term), so testdata fixtures participate.
+// (storage, term, admit), so testdata fixtures participate.
 var frozenSinks = map[string]map[string]string{
 	"Relation": {
 		"Insert": "storage", "Replace": "storage", "retract": "storage",
@@ -50,12 +50,16 @@ var frozenSinks = map[string]map[string]string{
 		"PromoteIndex": "storage", "observeRow": "storage",
 		"usage": "storage", "internRow": "storage",
 		"InsertPrepared": "storage", "insertRow": "storage",
-		"InsertEDB": "storage", "Resolve": "storage",
-		"SetShards": "storage",
+		"appendRow": "storage", "InsertEDB": "storage",
+		"resolve": "storage", "SetShards": "storage",
 	},
 	"Database": {
 		"Insert": "storage", "InsertEDB": "storage", "Rel": "storage",
 		"Freeze": "storage", "DisableIndexes": "storage",
+		"addActive": "storage",
+	},
+	"Core": {
+		"LoadRow": "admit",
 	},
 	"Interner": {
 		"Intern": "storage",

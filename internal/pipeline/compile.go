@@ -82,13 +82,18 @@ func (c *Compiled) NewSession() *Session {
 		s.bm.Register(pred, rel)
 	}
 	for i, cr := range c.Rules {
-		s.filters = append(s.filters, &ruleFilter{
+		f := &ruleFilter{
 			idx:     i,
 			cr:      cr,
 			binding: eval.NewBinding(cr),
+			rels:    make([]*storage.Relation, len(cr.Pos)),
 			cursors: make([]int, len(cr.Pos)),
 			sized:   make([]*planner.Plan, len(cr.Pos)),
-		})
+		}
+		for k := range cr.Pos {
+			f.rels[k] = s.DB().Rel(cr.Pos[k].Pred, cr.Pos[k].Arity())
+		}
+		s.filters = append(s.filters, f)
 	}
 	//vadalint:ordered each hub's producer list is built from its own key's ruleIdxs only
 	for pred, ruleIdxs := range c.producers {

@@ -25,6 +25,7 @@ import (
 	"repro/internal/planner"
 	"repro/internal/rewrite"
 	"repro/internal/storage"
+	"repro/internal/term"
 )
 
 // siteLoad guards the streaming-load seam: it fires at the head of
@@ -180,8 +181,9 @@ type ruleFilter struct {
 	cr      *eval.CompiledRule
 	binding *eval.Binding
 
-	// cursors[i] counts facts of body atom i's relation already consumed
-	// as deltas.
+	// rels[i] is body atom i's relation, resolved once at session start;
+	// cursors[i] counts its facts already consumed as deltas.
+	rels    []*storage.Relation
 	cursors []int
 	rr      int
 	active  bool // on the current pull stack (runtime cycle detection)
@@ -228,9 +230,7 @@ func (s *Session) admitted(m *core.FactMeta) {
 }
 
 // LoadChunk admits one chunk of EDB facts and then reports any pending
-// cancellation — the streaming-load entry point: record managers feed
-// their cursors through it instead of materializing the whole source
-// into one slice. The chunk is always admitted before the context is
+// cancellation. The chunk is always admitted before the context is
 // consulted, so a chunk already pulled from a cursor is never dropped
 // (the caller stops before pulling the next one); duplicates are
 // skipped, so re-feeding after an interrupted load stays idempotent.
@@ -238,11 +238,28 @@ func (s *Session) admitted(m *core.FactMeta) {
 // the already-admitted prefix intact, so re-feeding the chunk resumes
 // exactly where the crash struck.
 func (s *Session) LoadChunk(ctx context.Context, facts []ast.Fact) error {
+	return s.loadGuarded(ctx, func() { s.Load(facts...) })
+}
+
+// LoadRows is LoadChunk for one chunk of a record manager's cursor: rows
+// are admitted as facts of pred without being staged as facts first — the
+// streaming-load entry point.
+func (s *Session) LoadRows(ctx context.Context, pred string, rows [][]term.Value) error {
+	return s.loadGuarded(ctx, func() {
+		for _, row := range rows {
+			s.LoadRow(pred, row)
+		}
+	})
+}
+
+// loadGuarded runs one chunk's admission behind the load fault site and
+// the load path's crash isolation, then reports ctx's state.
+func (s *Session) loadGuarded(ctx context.Context, load func()) error {
 	return admit.Guard("pipeline load", func() error {
 		if err := siteLoad.Check(); err != nil {
 			return fmt.Errorf("pipeline: load: %w", err)
 		}
-		s.Load(facts...)
+		load()
 		return ctx.Err()
 	})
 }
@@ -332,7 +349,7 @@ func (s *Session) step(f *ruleFilter) stepResult {
 		// Round-robin over body atoms, preferring available deltas.
 		for k := 0; k < len(f.cr.Pos); k++ {
 			i := (f.rr + k) % len(f.cr.Pos)
-			rel := s.DB().Rel(f.cr.Pos[i].Pred, f.cr.Pos[i].Arity())
+			rel := f.rels[i]
 			for f.cursors[i] < rel.DeltaLen() {
 				if s.cancelled() {
 					return stepDry
@@ -434,8 +451,7 @@ func (s *Session) sweep() bool {
 		if f.active {
 			continue
 		}
-		for i := range f.cr.Pos {
-			rel := s.DB().Rel(f.cr.Pos[i].Pred, f.cr.Pos[i].Arity())
+		for i, rel := range f.rels {
 			for f.cursors[i] < rel.DeltaLen() {
 				if s.cancelled() {
 					return false
@@ -462,9 +478,8 @@ func (s *Session) sweep() bool {
 
 func (s *Session) allQuiesced() bool {
 	for _, f := range s.filters {
-		for i := range f.cr.Pos {
-			rel := s.DB().Lookup(f.cr.Pos[i].Pred)
-			if rel != nil && f.cursors[i] < rel.DeltaLen() {
+		for i, rel := range f.rels {
+			if f.cursors[i] < rel.DeltaLen() {
 				return false
 			}
 		}
@@ -624,11 +639,7 @@ func (s *Session) Drain(ctx context.Context) error {
 // LoadProgramFacts admits the program's inline fact literals — the same
 // facts Run loads before the EDB. Streaming callers that drive Next
 // directly (bypassing Run) must call it once before pulling.
-func (s *Session) LoadProgramFacts() {
-	for _, f := range s.c.Prog.Facts {
-		s.Load(f)
-	}
-}
+func (s *Session) LoadProgramFacts() { s.Load(s.c.Prog.Facts...) }
 
 // Run loads facts, drains the pipeline and returns the materialized
 // result. Cancelling ctx aborts the fixpoint between rule firings.

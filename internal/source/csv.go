@@ -78,6 +78,7 @@ func (c *csvCursor) Next(ctx context.Context) ([][]term.Value, error) {
 		return nil, nil
 	}
 	out := make([][]term.Value, 0, ChunkSize)
+	var rows chunkRows
 	for len(out) < ChunkSize {
 		rec, err := c.r.Read()
 		if err != nil {
@@ -87,11 +88,12 @@ func (c *csvCursor) Next(ctx context.Context) ([][]term.Value, error) {
 			}
 			return nil, Classify(fmt.Errorf("source: read %s: %w", c.target, err))
 		}
-		row, err := projectRecord(rec, c.proj, c.target)
+		row, err := projectRecord(rec, c.proj, c.target, &rows)
 		if err != nil {
 			return nil, err
 		}
 		if c.q != nil && !c.q.Matches(row) {
+			rows.drop()
 			continue
 		}
 		out = append(out, row)
@@ -99,15 +101,15 @@ func (c *csvCursor) Next(ctx context.Context) ([][]term.Value, error) {
 	return out, nil
 }
 
-func projectRecord(rec []string, proj []int, target string) ([]term.Value, error) {
+func projectRecord(rec []string, proj []int, target string, rows *chunkRows) ([]term.Value, error) {
 	if proj == nil {
-		row := make([]term.Value, len(rec))
+		row := rows.next(len(rec))
 		for i, cell := range rec {
 			row[i] = ParseCell(cell)
 		}
 		return row, nil
 	}
-	row := make([]term.Value, len(proj))
+	row := rows.next(len(proj))
 	for j, i := range proj {
 		if i >= len(rec) {
 			return nil, fmt.Errorf("source: %s: record %v misses mapped column %d", target, rec, i+1)

@@ -56,6 +56,7 @@ func (c *jsonlCursor) Next(ctx context.Context) ([][]term.Value, error) {
 		return nil, nil
 	}
 	out := make([][]term.Value, 0, ChunkSize)
+	var rows chunkRows
 	for len(out) < ChunkSize {
 		if !c.sc.Scan() {
 			if err := c.sc.Err(); err != nil {
@@ -69,11 +70,12 @@ func (c *jsonlCursor) Next(ctx context.Context) ([][]term.Value, error) {
 		if len(data) == 0 {
 			continue
 		}
-		row, err := decodeJSONRow(data, c.cols, c.target, c.line)
+		row, err := decodeJSONRow(data, c.cols, c.target, c.line, &rows)
 		if err != nil {
 			return nil, err
 		}
 		if c.q != nil && !c.q.Matches(row) {
+			rows.drop()
 			continue
 		}
 		out = append(out, row)
@@ -83,7 +85,7 @@ func (c *jsonlCursor) Next(ctx context.Context) ([][]term.Value, error) {
 
 func (c *jsonlCursor) Close() error { return c.f.Close() }
 
-func decodeJSONRow(data []byte, cols []string, target string, line int) ([]term.Value, error) {
+func decodeJSONRow(data []byte, cols []string, target string, line int, rows *chunkRows) ([]term.Value, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()
 	var raw any
@@ -95,7 +97,7 @@ func decodeJSONRow(data []byte, cols []string, target string, line int) ([]term.
 		if len(cols) > 0 {
 			return nil, fmt.Errorf("source: %s:%d: @mapping binds named keys, but the row is an array", target, line)
 		}
-		row := make([]term.Value, len(rec))
+		row := rows.next(len(rec))
 		for i, cell := range rec {
 			v, err := decodeJSONCell(cell)
 			if err != nil {
@@ -108,7 +110,7 @@ func decodeJSONRow(data []byte, cols []string, target string, line int) ([]term.
 		if len(cols) == 0 {
 			return nil, fmt.Errorf("source: %s:%d: object rows need an @mapping naming the keys to project", target, line)
 		}
-		row := make([]term.Value, len(cols))
+		row := rows.next(len(cols))
 		for j, col := range cols {
 			cell, ok := rec[col]
 			if !ok {

@@ -34,6 +34,38 @@ var (
 // constant also bounds cancellation latency during loads.
 const ChunkSize = 1024
 
+// chunkRows hands out the rows of one chunk from a single ChunkSize × width
+// backing block instead of one allocation per record, with full slice
+// expressions so appending to a row can never write into its neighbour.
+// The zero value is ready; use one per chunk (the chunk retains the block).
+type chunkRows struct {
+	block     []term.Value
+	width     int // row width the block was cut for: the chunk's first row's
+	off, last int // values handed out so far, and by the latest next call
+}
+
+// next returns a row of n values for the caller to fill: the block's next
+// slot, or a slice of its own when n differs from the chunk's width.
+func (c *chunkRows) next(n int) []term.Value {
+	if c.block == nil {
+		c.width, c.block = n, make([]term.Value, ChunkSize*n)
+	}
+	if n != c.width || c.off+n > len(c.block) {
+		c.last = 0
+		return make([]term.Value, n)
+	}
+	c.last = n
+	c.off += n
+	return c.block[c.off-n : c.off : c.off]
+}
+
+// drop gives back the row of the latest next call — one the pushdown
+// selection filtered out — so the following row reuses its slot.
+func (c *chunkRows) drop() {
+	c.off -= c.last
+	c.last = 0
+}
+
 // Binding describes one resolved predicate binding: which external
 // target to scan (or write), and the selection/projection the consumer
 // wants applied.

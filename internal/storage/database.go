@@ -27,8 +27,11 @@ type Database struct {
 	// that repeated rule firings are deterministic.
 	Nulls *term.NullFactory
 
-	in        *Interner
-	activeDom map[uint32]struct{} // interned IDs of ACDom constants
+	in *Interner
+	// activeDom is ACDom as a bitset over the dense ID space (bit id: the
+	// value interned as id is an EDB constant); activeLen counts its bits.
+	activeDom []uint64
+	activeLen int
 	noIndex   bool
 	shards    int    // duplicate-table shards per relation (0 = 1)
 	gen       uint64 // Freeze epochs opened so far (plan-cache keying)
@@ -37,10 +40,9 @@ type Database struct {
 // NewDatabase returns an empty database.
 func NewDatabase() *Database {
 	return &Database{
-		rels:      make(map[string]*Relation),
-		Nulls:     term.NewNullFactory(),
-		in:        NewInterner(),
-		activeDom: make(map[uint32]struct{}),
+		rels:  make(map[string]*Relation),
+		Nulls: term.NewNullFactory(),
+		in:    NewInterner(),
 	}
 }
 
@@ -86,8 +88,10 @@ func (db *Database) Rel(pred string, arity int) *Relation {
 			r.SetShards(db.shards)
 		}
 		db.rels[pred] = r
-		db.names = append(db.names, pred)
-		sort.Strings(db.names)
+		at := sort.SearchStrings(db.names, pred)
+		db.names = append(db.names, "")
+		copy(db.names[at+1:], db.names[at:])
+		db.names[at] = pred
 	}
 	return r
 }
@@ -140,19 +144,35 @@ func (db *Database) Insert(m *core.FactMeta) bool {
 	return db.Rel(m.Fact.Pred, len(m.Fact.Args)).Insert(m)
 }
 
-// InsertEDB stores a database fact, registers its constants in the active
-// domain and wires its termination-strategy metadata through strat.
-// It reports whether the fact was new.
-func (db *Database) InsertEDB(f ast.Fact, strat core.Policy) bool {
-	if db.Rel(f.Pred, len(f.Args)).InsertEDB(f, strat) == nil {
-		return false
+// InsertEDB stores the database fact pred(args) through Relation.InsertEDB
+// and registers its constants in the active domain, straight from the IDs of
+// the row just stored. It returns the stored metadata, nil for a duplicate.
+func (db *Database) InsertEDB(pred string, args []term.Value, strat core.Policy) *core.FactMeta {
+	r := db.Rel(pred, len(args))
+	m := r.InsertEDB(args, strat)
+	if m == nil {
+		return nil
 	}
-	for _, v := range f.Args {
+	row := r.Row(r.Len() - 1)
+	for i, v := range args {
 		if v.IsGround() {
-			db.activeDom[db.in.Intern(v)] = struct{}{}
+			db.addActive(row[i])
 		}
 	}
-	return true
+	return m
+}
+
+// addActive sets id's bit, growing the bitset to cover it (IDs are dense:
+// a word at a time, amortized by append).
+func (db *Database) addActive(id uint32) {
+	word, bit := int(id>>6), uint64(1)<<(id&63)
+	for word >= len(db.activeDom) {
+		db.activeDom = append(db.activeDom, 0)
+	}
+	if db.activeDom[word]&bit == 0 {
+		db.activeDom[word] |= bit
+		db.activeLen++
+	}
 }
 
 // InActiveDomain reports whether v is a constant of the active domain.
@@ -161,22 +181,18 @@ func (db *Database) InActiveDomain(v term.Value) bool {
 		return false
 	}
 	id, ok := db.in.IDOf(v)
-	if !ok {
-		return false
-	}
-	_, in := db.activeDom[id]
-	return in
+	return ok && db.InActiveDomainID(id)
 }
 
 // InActiveDomainID reports whether the interned ID denotes an ACDom
-// constant.
+// constant. A pure read.
 func (db *Database) InActiveDomainID(id uint32) bool {
-	_, in := db.activeDom[id]
-	return in
+	word := int(id >> 6)
+	return word < len(db.activeDom) && db.activeDom[word]&(1<<(id&63)) != 0
 }
 
 // ActiveDomainSize returns |ACDom|.
-func (db *Database) ActiveDomainSize() int { return len(db.activeDom) }
+func (db *Database) ActiveDomainSize() int { return db.activeLen }
 
 // TotalFacts counts all stored rows, retracted rows included.
 func (db *Database) TotalFacts() int {

@@ -16,60 +16,84 @@ import (
 // they have the same null identity (term.Value equality), so null
 // identity survives interning exactly.
 //
-// Equality semantics: IDs coincide iff the term.Values are identical
-// (strict Value identity; float NaNs excepted, see nanID). This is a
-// deliberate cleanup over the rendered-string keys it replaces, which
-// conflated values with equal renderings — notably Int(1) and
-// Float(1.0) — in duplicate checks and index probes while unification
-// kept them distinct. Interned storage applies strict identity
-// uniformly across dedup, indexes and unification; numeric-widening
-// comparison remains available in conditions via term.Equal/Compare.
+// Equality semantics: IDs coincide iff the term.Values are identical —
+// strict identity, applied uniformly across dedup, indexes and unification
+// (Int(1) and Float(1.0) are distinct; numeric-widening comparison stays
+// available in conditions via term.Equal/Compare).
 //
-// Concurrency: the Interner is single-writer. IDOf and ValueOf are safe
-// to call from multiple goroutines only while no Intern call is in
-// flight (reads touch the map and the slice without synchronization).
-// Both engines are single-goroutine today; a future parallel engine
-// must either shard interners or wrap Intern in its own mutex.
+// Layout: the table is keyed by payload, so a lookup hashes only the bytes
+// that distinguish the value, not the 40-byte term.Value: strings by their
+// text (the runtime's fast string map), sets by their canonical rendering
+// in a map of their own, every other kind — int, bool, date, null, float —
+// by the fixed-size scalarKey. Three identities are part of the contract:
+// kinds never mix (Int(1), Float(1.0), Bool(true), Date(1), Null(1),
+// String("1") are six IDs; a set that renders like a string is not that
+// string), every NaN shares nanID, and -0.0 shares 0.0's ID.
+//
+// Concurrency: single-writer. IDOf and ValueOf are safe from multiple
+// goroutines only while no Intern call is in flight: the parallel chase's
+// match workers read during frozen epochs, all interning happens on the
+// serial admission path.
 type Interner struct {
-	ids  map[term.Value]uint32
-	vals []term.Value
+	strs    map[string]uint32
+	sets    map[string]uint32
+	scalars map[scalarKey]uint32
+	vals    []term.Value
 	// nanID is the single ID shared by all float NaN values: NaN never
-	// compares equal to itself, so it can never be found in ids; the
-	// rendered-key representation this replaces collapsed every NaN to
-	// the string "NaN", and conflating them here preserves that exact
-	// duplicate-detection behaviour (and with it chase termination).
+	// equals itself and NaNs differ in payload bits, so no key could find
+	// them; one ID keeps NaN facts duplicates of each other (and with it
+	// chase termination).
 	nanID uint32
 	bytes int64
 }
 
-func isNaN(v term.Value) bool {
-	return v.Kind() == term.KindFloat && math.IsNaN(v.FloatVal())
+// scalarKey identifies a non-string, non-set value: its kind plus the
+// integer payload or the float's IEEE bits.
+type scalarKey struct {
+	kind term.Kind
+	bits uint64
 }
 
 // NewInterner returns an empty interner; slot 0 holds the invalid Value.
 func NewInterner() *Interner {
 	return &Interner{
-		ids:  make(map[term.Value]uint32),
-		vals: make([]term.Value, 1),
+		strs:    make(map[string]uint32),
+		sets:    make(map[string]uint32),
+		scalars: make(map[scalarKey]uint32),
+		vals:    make([]term.Value, 1),
 	}
+}
+
+// scalarKeyOf returns the key of a value that is neither string, set nor
+// NaN; -0.0 takes 0.0's bits.
+func scalarKeyOf(v term.Value) scalarKey {
+	if v.Kind() != term.KindFloat {
+		return scalarKey{v.Kind(), uint64(v.IntVal())}
+	}
+	f := v.FloatVal()
+	if f == 0 {
+		f = 0
+	}
+	return scalarKey{term.KindFloat, math.Float64bits(f)}
 }
 
 // Intern returns the ID of v, assigning the next dense ID on first use.
 // All float NaNs intern to one shared ID (see nanID).
 func (in *Interner) Intern(v term.Value) uint32 {
-	if isNaN(v) {
-		if in.nanID == 0 {
-			in.nanID = uint32(len(in.vals))
-			in.vals = append(in.vals, v)
-			in.bytes += 64
-		}
-		return in.nanID
-	}
-	if id, ok := in.ids[v]; ok {
+	if id, ok := in.IDOf(v); ok {
 		return id
 	}
 	id := uint32(len(in.vals))
-	in.ids[v] = id
+	switch {
+	case v.Kind() == term.KindString:
+		in.strs[v.Str()] = id
+	case v.Kind() == term.KindSet:
+		in.sets[v.Str()] = id
+	case isNaN(v):
+		in.nanID = id
+	default:
+		in.scalars[scalarKeyOf(v)] = id
+	}
 	in.vals = append(in.vals, v)
 	// Value struct + string payload + map entry overhead.
 	in.bytes += int64(len(v.Str())) + 64
@@ -78,12 +102,22 @@ func (in *Interner) Intern(v term.Value) uint32 {
 
 // IDOf returns the ID of v without interning it; ok is false when v has
 // never been interned (hence occurs in no stored fact).
-func (in *Interner) IDOf(v term.Value) (uint32, bool) {
-	if isNaN(v) {
-		return in.nanID, in.nanID != 0
+func (in *Interner) IDOf(v term.Value) (id uint32, ok bool) {
+	switch {
+	case v.Kind() == term.KindString:
+		id, ok = in.strs[v.Str()]
+	case v.Kind() == term.KindSet:
+		id, ok = in.sets[v.Str()]
+	case isNaN(v):
+		id, ok = in.nanID, in.nanID != 0
+	default:
+		id, ok = in.scalars[scalarKeyOf(v)]
 	}
-	id, ok := in.ids[v]
 	return id, ok
+}
+
+func isNaN(v term.Value) bool {
+	return v.Kind() == term.KindFloat && math.IsNaN(v.FloatVal())
 }
 
 // ValueOf decodes an ID back to its Value. ID 0 (and any out-of-range

@@ -182,8 +182,8 @@ func TestLookupExactUnderCollisions(t *testing.T) {
 func TestSharedInternerAcrossRelations(t *testing.T) {
 	db := NewDatabase()
 	strat := &fakePolicy{}
-	db.InsertEDB(ast.NewFact("p", term.String("x")), strat)
-	db.InsertEDB(ast.NewFact("q", term.String("x"), term.Int(1)), strat)
+	db.InsertEDB("p", []term.Value{term.String("x")}, strat)
+	db.InsertEDB("q", []term.Value{term.String("x"), term.Int(1)}, strat)
 	p, q := db.Lookup("p"), db.Lookup("q")
 	if p.Interner() != q.Interner() || p.Interner() != db.Interner() {
 		t.Fatal("relations must share the database interner")

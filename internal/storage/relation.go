@@ -140,7 +140,7 @@ type Relation struct {
 	gen      uint64
 	idxUse   map[uint32]*idxUsage
 
-	scratch  []uint32 // reusable row buffer for Insert/Resolve
+	scratch  []uint32 // reusable row buffer for Insert/InsertEDB/resolve
 	probeBuf []uint32 // reusable probe-ID buffer for value-based Lookup
 	replBuf  []uint32 // reusable old-row copy for Replace
 }
@@ -367,31 +367,36 @@ func (r *Relation) Insert(m *core.FactMeta) bool {
 }
 
 // insertRow is the shared admission tail of Insert and InsertPrepared:
-// duplicate probe against the hash's shard, then append to every
-// structure. row must have exactly the relation's arity.
+// duplicate probe against the hash's shard, then appendRow. row must have
+// exactly the relation's arity.
 func (r *Relation) insertRow(m *core.FactMeta, row []uint32, h uint64) bool {
-	for _, ri := range r.exactShard(h)[h] {
-		if r.rowEqual(int(ri), row) {
-			return false
-		}
+	if r.ContainsRowHash(row, h) {
+		return false
 	}
+	r.appendRow(m, row, h)
+	return true
+}
+
+// appendRow stores a row already known to be new in every structure and
+// records its index on m.
+func (r *Relation) appendRow(m *core.FactMeta, row []uint32, h uint64) {
 	shard := r.exactShardMut(h)
 	shard[h] = append(shard[h], int32(len(r.metas)))
 	if r.log != nil {
 		r.log = append(r.log, int32(len(r.metas)))
 	}
+	m.SetRowIndex(len(r.metas))
 	r.metas = append(r.metas, m)
 	r.rows = append(r.rows, row...)
 	r.bytes += int64(4*r.arity) + 48
 	r.observeRow(row)
-	return true
 }
 
 // ContainsRowHash reports whether a fact whose interned row is exactly row
 // (stride = the relation's arity; h = HashRow(row)) is stored — the
 // duplicate check of every admission path: callers hold the row and its
-// hash (from the head-row builder, a match worker, or Resolve) and hand the
-// same pair to InsertPrepared when the probe misses. A pure read.
+// hash (from the head-row builder or a match worker) and hand the same pair
+// to InsertPrepared when the probe misses. A pure read.
 func (r *Relation) ContainsRowHash(row []uint32, h uint64) bool {
 	for _, ri := range r.exactShard(h)[h] {
 		if r.rowEqual(int(ri), row) {
@@ -547,14 +552,13 @@ func maskedIDsEqual(a, b []uint32, mask uint32) bool {
 	return true
 }
 
-// Resolve encodes args as the relation's interned row — in the relation's
-// scratch, padded to its stride, without interning — and hashes it: the
-// explicit hand-off from a duplicate check to the insert that follows a
-// miss (ContainsRowHash, then InsertPrepared with the same row and hash).
-// ok is false when a value was never interned or args outgrow the stride:
-// such a fact is stored nowhere, and inserting it goes through Insert. The
-// row is valid until the relation's next Insert, Replace or Resolve.
-func (r *Relation) Resolve(args []term.Value) (row []uint32, h uint64, ok bool) {
+// resolve encodes args as the relation's interned row — in the relation's
+// scratch, padded to its stride, without interning — and hashes it, for the
+// read-only probes Contains and FindExact. ok is false when a value was
+// never interned or args outgrow the stride: such a fact is stored nowhere.
+// The row is valid until the relation's next Insert, InsertEDB, Replace or
+// resolve.
+func (r *Relation) resolve(args []term.Value) (row []uint32, h uint64, ok bool) {
 	if len(args) > r.arity {
 		return nil, 0, false
 	}
@@ -573,27 +577,35 @@ func (r *Relation) Resolve(args []term.Value) (row []uint32, h uint64, ok bool) 
 	return row, hashRow(row), true
 }
 
-// InsertEDB stores the database fact f unless it is already stored, wiring
-// its termination-strategy metadata through strat only once it is known to
-// be new; it returns the stored metadata, nil for a duplicate.
-func (r *Relation) InsertEDB(f ast.Fact, strat core.Policy) *core.FactMeta {
-	row, h, ok := r.Resolve(f.Args)
-	if ok && r.ContainsRowHash(row, h) {
+// InsertEDB is the one function that turns a database row — a loaded
+// source row, a program or session fact, a tag twin — into a stored row:
+// each value is interned once, into the relation's scratch (restriding
+// first when args are wider than the stride), the row is hashed and probed
+// in ID space, and only a survivor gets metadata from strat and is appended
+// as the relation's last row. It returns that metadata, nil for a duplicate.
+// Interning before the probe assigns the IDs interning after it would: a
+// duplicate's values are interned already, a new row's are interned in
+// argument order either way. The fault site fires for survivors, before
+// strat or the relation learn of the fact, so a re-feed resumes at that row.
+func (r *Relation) InsertEDB(args []term.Value, strat core.Policy) *core.FactMeta {
+	if len(args) > r.arity {
+		r.restride(len(args))
+	}
+	row := r.internRow(args)
+	h := hashRow(row)
+	if r.ContainsRowHash(row, h) {
 		return nil
 	}
-	m := strat.NewEDBFact(f)
-	if ok {
-		r.InsertPrepared(m, row, h)
-	} else {
-		r.Insert(m)
-	}
+	siteInsert.Hit()
+	m := strat.NewEDBFact(ast.Fact{Pred: r.name, Args: args})
+	r.appendRow(m, row, h)
 	return m
 }
 
 // FindExact returns the row index of the stored fact exactly equal to f.
 // Like Contains it never interns.
 func (r *Relation) FindExact(f ast.Fact) (int, bool) {
-	row, h, ok := r.Resolve(f.Args)
+	row, h, ok := r.resolve(f.Args)
 	if !ok {
 		return 0, false
 	}
@@ -608,7 +620,7 @@ func (r *Relation) FindExact(f ast.Fact) (int, bool) {
 // Contains reports whether an exactly equal fact is stored. It never
 // interns: a value absent from the symbol table occurs in no stored fact.
 func (r *Relation) Contains(f ast.Fact) bool {
-	row, h, ok := r.Resolve(f.Args)
+	row, h, ok := r.resolve(f.Args)
 	return ok && r.ContainsRowHash(row, h)
 }
 

@@ -31,25 +31,25 @@ func TestNullaryFactInsert(t *testing.T) {
 	}
 }
 
-// TestResolveHandOff: Resolve's row and hash are what ContainsRowHash and
+// TestResolveHandOff: resolve's row and hash are what ContainsRowHash and
 // InsertPrepared take — the explicit probe → insert hand-off — padded to the
 // stride, never interning, and refusing what cannot be stored.
 func TestResolveHandOff(t *testing.T) {
 	r := NewRelation("p", 3)
 	r.Insert(meta("p", term.Int(1), term.String("a"), term.Int(9)))
 	before := r.Interner().Len()
-	if _, _, ok := r.Resolve([]term.Value{term.Int(1), term.String("never")}); ok {
+	if _, _, ok := r.resolve([]term.Value{term.Int(1), term.String("never")}); ok {
 		t.Fatal("a never-interned value must not resolve")
 	}
-	if _, _, ok := r.Resolve([]term.Value{term.Int(1), term.Int(1), term.Int(1), term.Int(1)}); ok {
+	if _, _, ok := r.resolve([]term.Value{term.Int(1), term.Int(1), term.Int(1), term.Int(1)}); ok {
 		t.Fatal("args beyond the stride must not resolve")
 	}
-	row, h, ok := r.Resolve([]term.Value{term.Int(1), term.String("a")})
+	row, h, ok := r.resolve([]term.Value{term.Int(1), term.String("a")})
 	if !ok || len(row) != 3 || row[2] != 0 || h != HashRow(row) {
-		t.Fatalf("Resolve = %v, %d, %v; want a padded stride-3 row with its hash", row, h, ok)
+		t.Fatalf("resolve = %v, %d, %v; want a padded stride-3 row with its hash", row, h, ok)
 	}
 	if r.Interner().Len() != before {
-		t.Fatal("Resolve interned a value")
+		t.Fatal("resolve interned a value")
 	}
 	if r.ContainsRowHash(row, h) {
 		t.Fatal("p(1,a) is not stored: p(1,a,9) is")
@@ -58,10 +58,10 @@ func TestResolveHandOff(t *testing.T) {
 		t.Fatal("insert after a missed probe must succeed")
 	}
 	strat := core.NewStrategy(&analysis.Result{})
-	if r.InsertEDB(ast.NewFact("p", term.Int(1), term.String("a")), strat) != nil {
+	if r.InsertEDB([]term.Value{term.Int(1), term.String("a")}, strat) != nil {
 		t.Fatal("InsertEDB admitted a stored fact")
 	}
-	if m := r.InsertEDB(ast.NewFact("p", term.String("never")), strat); m == nil || r.At(r.Len()-1) != m {
+	if m := r.InsertEDB([]term.Value{term.String("never")}, strat); m == nil || r.At(r.Len()-1) != m {
 		t.Fatal("InsertEDB must store a fact with never-interned values and return its metadata")
 	}
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/ast"
@@ -138,7 +139,7 @@ func TestDropIndexes(t *testing.T) {
 func TestDatabaseActiveDomain(t *testing.T) {
 	db := NewDatabase()
 	strat := &fakePolicy{}
-	db.InsertEDB(ast.NewFact("p", term.String("a"), term.Int(5)), strat)
+	db.InsertEDB("p", []term.Value{term.String("a"), term.Int(5)}, strat)
 	if !db.InActiveDomain(term.String("a")) || !db.InActiveDomain(term.Int(5)) {
 		t.Error("EDB constants must be in the active domain")
 	}
@@ -187,8 +188,8 @@ func TestBufferManagerEviction(t *testing.T) {
 func TestDatabaseTotals(t *testing.T) {
 	db := NewDatabase()
 	strat := &fakePolicy{}
-	db.InsertEDB(ast.NewFact("p", term.Int(1)), strat)
-	db.InsertEDB(ast.NewFact("q", term.Int(2), term.Int(3)), strat)
+	db.InsertEDB("p", []term.Value{term.Int(1)}, strat)
+	db.InsertEDB("q", []term.Value{term.Int(2), term.Int(3)}, strat)
 	if db.TotalFacts() != 2 {
 		t.Errorf("total: %d", db.TotalFacts())
 	}
@@ -301,5 +302,47 @@ func TestRelationReplaceRetractsOnDuplicate(t *testing.T) {
 	}
 	if idx, found := r.FindExact(ast.NewFact("agg", term.String("g"), term.Int(2))); !found || idx != 1 {
 		t.Errorf("FindExact: idx=%d found=%v", idx, found)
+	}
+}
+
+// TestPredicatesStaySorted: relations created in any order are listed in
+// sorted order (Rel inserts the name at its place instead of re-sorting).
+func TestPredicatesStaySorted(t *testing.T) {
+	db := NewDatabase()
+	for _, pred := range []string{"m", "b", "z", "a", "m", "q", "aa", ""} {
+		db.Rel(pred, 1)
+	}
+	want := []string{"", "a", "aa", "b", "m", "q", "z"}
+	if got := db.Predicates(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Predicates() = %q, want %q", got, want)
+	}
+}
+
+// TestActiveDomainBitset: ACDom is a set over dense IDs — it grows across
+// word boundaries, counts each constant once, and holds neither nulls nor
+// the values of facts that were not loaded as EDB.
+func TestActiveDomainBitset(t *testing.T) {
+	db := NewDatabase()
+	strat := &fakePolicy{}
+	db.Insert(meta("idb", term.String("derived-only")))
+	const n = 200
+	for round := 0; round < 2; round++ {
+		for i := 0; i < n; i++ {
+			db.InsertEDB("p", []term.Value{term.Int(int64(i)), term.Null(int64(i + 1)), term.String("shared")}, strat)
+		}
+	}
+	if got := db.ActiveDomainSize(); got != n+1 {
+		t.Fatalf("|ACDom| = %d, want %d ints and one string", got, n+1)
+	}
+	for i := 0; i < n; i++ {
+		if !db.InActiveDomain(term.Int(int64(i))) || db.InActiveDomain(term.Null(int64(i+1))) {
+			t.Fatalf("int %d must be in ACDom and null %d must not", i, i+1)
+		}
+	}
+	if db.InActiveDomain(term.String("derived-only")) || db.InActiveDomain(term.String("never")) {
+		t.Error("only EDB constants belong to ACDom")
+	}
+	if db.InActiveDomainID(0) || db.InActiveDomainID(1<<20) {
+		t.Error("the invalid ID and IDs past the table are not in ACDom")
 	}
 }

@@ -483,6 +483,13 @@ func (nf *NullFactory) KeyOf(v Value) string {
 // ParseLiteral parses the textual form of a constant: quoted strings,
 // integers, floats, #t/#f booleans. Bare identifiers are returned as
 // string constants. It is the inverse of Value.String for ground values.
+//
+// The numeric shapes are strconv's — base-10 ParseInt, then ParseFloat
+// (decimal and hexadecimal floats, digit-separating underscores, and
+// case-insensitively "inf", "infinity", "nan") — but the text is classified
+// first: everything those two accept starts, after an optional sign, with a
+// digit or '.', or is one of the three words. Any other text is a string,
+// returned without two failed parses and their allocations.
 func ParseLiteral(s string) (Value, error) {
 	switch {
 	case s == "":
@@ -497,6 +504,8 @@ func ParseLiteral(s string) (Value, error) {
 			return Value{}, fmt.Errorf("term: bad string literal %s: %w", s, err)
 		}
 		return String(u), nil
+	case !numericShape(s):
+		return String(s), nil
 	}
 	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
 		return Int(i), nil
@@ -505,6 +514,22 @@ func ParseLiteral(s string) (Value, error) {
 		return Float(f), nil
 	}
 	return String(s), nil
+}
+
+// numericShape reports whether the non-empty s could be accepted by
+// strconv.ParseInt(s, 10, 64) or strconv.ParseFloat(s, 64). It errs only
+// towards true: strconv still decides.
+func numericShape(s string) bool {
+	if s[0] == '+' || s[0] == '-' {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	if c := s[0]; c == '.' || (c >= '0' && c <= '9') {
+		return true
+	}
+	return strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") || strings.EqualFold(s, "nan")
 }
 
 // ParseCanonicalSet parses the braced "{...}" rendering of a set value

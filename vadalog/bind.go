@@ -233,22 +233,20 @@ func (s *Session) loadProgramFacts() {
 	s.eng.LoadProgramFacts()
 }
 
-// loadRows feeds one cursor chunk into the engine as facts of pred,
-// then reports any pending cancellation (the chunk itself is always
-// admitted; see Session.stage). Labelled nulls imported from the source
-// ("_:nK" cells) reserve their ids in the session's null factory first,
-// so they can never collide with nulls the run mints afterwards.
+// loadRows feeds one cursor chunk into the engine as rows of pred, then
+// reports any pending cancellation (the chunk itself is always admitted;
+// see Session.stage). Labelled nulls imported from the source ("_:nK"
+// cells) reserve their ids in the session's null factory first, so they
+// can never collide with nulls the run mints afterwards.
 func (s *Session) loadRows(ctx context.Context, pred string, rows [][]term.Value) error {
-	facts := make([]ast.Fact, len(rows))
-	for i, row := range rows {
+	for _, row := range rows {
 		for _, v := range row {
 			if v.IsNull() {
 				s.eng.DB().Nulls.Reserve(v.NullID())
 			}
 		}
-		facts[i] = ast.Fact{Pred: pred, Args: row}
 	}
-	return s.eng.LoadChunk(ctx, facts)
+	return s.eng.LoadRows(ctx, pred, rows)
 }
 
 // Close releases the session's record-manager resources: the input

@@ -228,6 +228,7 @@ func Lint(prog *Program, file string) []Diagnostic {
 type engine interface {
 	LoadProgramFacts()
 	LoadChunk(ctx context.Context, facts []ast.Fact) error
+	LoadRows(ctx context.Context, pred string, rows [][]term.Value) error
 	Run(ctx context.Context, facts []ast.Fact) error
 	Next(ctx context.Context, pred string, n int) (ast.Fact, bool, error)
 	Quiesced() bool
@@ -251,6 +252,13 @@ type chaseEngine struct{ *chase.Engine }
 // dropped).
 func (c chaseEngine) LoadChunk(ctx context.Context, facts []ast.Fact) error {
 	if err := c.Engine.LoadChunk(facts); err != nil {
+		return err
+	}
+	return ctx.Err()
+}
+
+func (c chaseEngine) LoadRows(ctx context.Context, pred string, rows [][]term.Value) error {
+	if err := c.Engine.LoadRows(pred, rows); err != nil {
 		return err
 	}
 	return ctx.Err()
