@@ -163,6 +163,9 @@ type Core struct {
 	meter *core.Meter
 	mt    eval.Matcher // existential instantiation only
 	aggs  []*eval.AggState
+	// headRels caches, per rule and head, the relation emitHeads admits
+	// into: resolved by name on the first emission, never dropped after.
+	headRels [][]*storage.Relation
 
 	// onAdmit is the engine's one hook: m was stored, or replaced in place.
 	onAdmit func(m *core.FactMeta)
@@ -215,12 +218,19 @@ func (p *Compiled) NewCore(shards int, onAdmit func(m *core.FactMeta)) *Core {
 	c.shards = c.db.Shards()
 	c.meter.SetShards(c.shards)
 	c.mt.DB = c.db
+	nHeads := 0
 	for _, cr := range p.Rules {
+		nHeads += len(cr.Heads)
+	}
+	rels := make([]*storage.Relation, nHeads) // one block, cut per rule
+	c.headRels = make([][]*storage.Relation, len(p.Rules))
+	for ri, cr := range p.Rules {
 		var st *eval.AggState
 		if cr.Rule.Aggregate != nil {
 			st = eval.NewAggState(cr.Rule.Aggregate.Func, c.db.Interner())
 		}
 		c.aggs = append(c.aggs, st)
+		c.headRels[ri], rels = rels[:len(cr.Heads):len(cr.Heads)], rels[len(cr.Heads):]
 	}
 	return c
 }
@@ -402,7 +412,11 @@ func (c *Core) emitHeads(ri int, cr *eval.CompiledRule, b *eval.Binding) (int, e
 		if err != nil {
 			return admitted, err
 		}
-		rel := c.db.Rel(cr.Heads[hi].Pred, len(row))
+		rel := c.headRels[ri][hi]
+		if rel == nil {
+			rel = c.db.Rel(cr.Heads[hi].Pred, len(row))
+			c.headRels[ri][hi] = rel
+		}
 		var n int
 		if supersede {
 			n, err = c.admitAggregate(c.aggs[ri], hi, rel, row, miss, cr.Rule.ID, parents)

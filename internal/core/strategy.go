@@ -300,7 +300,9 @@ func (s *Strategy) Derive(f ast.Fact, ruleID int, parents []*FactMeta) *FactMeta
 func (s *Strategy) CheckTermination(a *FactMeta) bool {
 	s.stats.Checked++
 	if a.Kind == analysis.KindLinear || a.Kind == analysis.KindWarded {
-		if !s.DisableSummary {
+		// No stop-provenance learnt yet (never, on a ground program): the
+		// root's pattern key is not even rendered.
+		if !s.DisableSummary && len(s.summary) != 0 {
 			if trie := s.summary[a.LRoot.patternKey()]; trie != nil {
 				beyond, within := trie.query(a.Provenance)
 				if beyond {

@@ -42,6 +42,11 @@ type Binding struct {
 	constIDs [][]uint32
 	constIn  *storage.Interner
 
+	// rels caches the relation of each positive body atom, as resolved
+	// against relsDB (see posRel).
+	rels   []*storage.Relation
+	relsDB *storage.Database
+
 	envBuf map[string]term.Value
 	// probes holds one reusable lookup buffer per positive body atom;
 	// negProbes per negated atom; skArgs for Skolem argument evaluation.
@@ -62,6 +67,7 @@ func NewBinding(cr *CompiledRule) *Binding {
 		ParentRows: make([]int32, len(cr.Pos)),
 		envBuf:     make(map[string]term.Value),
 		probes:     make([][]uint32, len(cr.Pos)),
+		rels:       make([]*storage.Relation, len(cr.Pos)),
 		newly:      make([]int, 0, cr.NSlots),
 	}
 	for i := range cr.Pos {
@@ -104,6 +110,24 @@ func (b *Binding) slotID(s int) (uint32, bool) {
 		return b.in.IDOf(b.vals[s])
 	}
 	return b.IDs[s], true
+}
+
+// posRel returns the relation of cr's ai-th positive atom in db, nil while
+// the predicate has none. Hits are cached per binding — a binding serves one
+// rule on one goroutine, and a database never drops a relation — so the
+// by-name lookup is paid once per run; misses are retried, because a later
+// insertion creates the relation. A pure read of the store.
+func (b *Binding) posRel(db *storage.Database, cr *CompiledRule, ai int) *storage.Relation {
+	if b.relsDB != db {
+		b.relsDB = db // rebound to another database
+		clear(b.rels)
+	}
+	rel := b.rels[ai]
+	if rel == nil {
+		rel = db.Lookup(cr.Pos[ai].Pred)
+		b.rels[ai] = rel
+	}
+	return rel
 }
 
 // env materializes a variable->value map for expression evaluation,
@@ -253,7 +277,7 @@ func (mt *Matcher) MatchPinnedSteps(cr *CompiledRule, pinned int, pinnedMeta *co
 		// The delta is a stored fact: its row holds the IDs, nothing is
 		// interned to pin it. A fact of another arity does not match.
 		a := &cr.Pos[pinned]
-		rel, ri := mt.DB.Lookup(a.Pred), pinnedMeta.RowIndex()
+		rel, ri := b.posRel(mt.DB, cr, pinned), pinnedMeta.RowIndex()
 		if rel == nil || ri < 0 || len(pinnedMeta.Fact.Args) != a.arity() ||
 			!b.unifyRow(a, rel.Row(ri), 0) {
 			return nil
@@ -335,7 +359,7 @@ func (mt *Matcher) runSteps(cr *CompiledRule, steps []Step, si int, b *Binding, 
 // IDs; no probe allocates or renders values.
 func (mt *Matcher) matchAtom(cr *CompiledRule, steps []Step, si int, ai int, b *Binding, emit func(b *Binding) error) error {
 	a := &cr.Pos[ai]
-	rel := mt.DB.Lookup(a.Pred)
+	rel := b.posRel(mt.DB, cr, ai)
 	if rel == nil {
 		return nil
 	}

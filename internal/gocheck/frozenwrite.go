@@ -53,6 +53,16 @@ var frozenSinks = map[string]map[string]string{
 		"appendRow": "storage", "InsertEDB": "storage",
 		"resolve": "storage", "SetShards": "storage",
 	},
+	// The relation's hash structures (storage/table.go): seek, find and
+	// rows are the pure probes; everything else moves slots or buckets.
+	"flatTable": {
+		"insert": "storage", "place": "storage", "remove": "storage",
+		"grow": "storage", "reserve": "storage", "rehash": "storage",
+	},
+	"dynIndex": {
+		"bucketFor": "storage", "room": "storage", "push": "storage",
+		"remove": "storage",
+	},
 	"Database": {
 		"Insert": "storage", "InsertEDB": "storage", "Rel": "storage",
 		"Freeze": "storage", "DisableIndexes": "storage",

@@ -109,3 +109,18 @@ func (p *prepass) runShard(s int) {
 func shardHelper(r *Relation) {
 	r.InsertPrepared(nil) // want "Relation.InsertPrepared"
 }
+
+// flatTable mirrors the storage hash table under a relation: seek is the
+// pure probe, insert a mutating sink.
+type flatTable struct{ slots []uint64 }
+
+func (t *flatTable) seek(tag uint64, p int) (ref, next int) { return -1, 0 }
+
+func (t *flatTable) insert(h uint64, ref int) { t.slots = append(t.slots, h) }
+
+// matchTable probes the table from the match path — clean — and inserts
+// into it — flagged.
+func (m *Matcher) matchTable(t *flatTable) {
+	_, _ = t.seek(0, 0)
+	t.insert(0, 0) // want "flatTable.insert"
+}

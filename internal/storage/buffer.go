@@ -47,8 +47,12 @@ func (bm *BufferManager) Pin(name string) {
 }
 
 // Touch records an access to the named segment and runs eviction when the
-// total retained size exceeds capacity.
+// total retained size exceeds capacity. Without a capacity nothing is ever
+// evicted, so there is no recency to keep: the matcher calls this per probe.
 func (bm *BufferManager) Touch(name string) {
+	if bm.capacity <= 0 {
+		return
+	}
 	bm.clock++
 	if s := bm.segments[name]; s != nil {
 		s.lastUsed = bm.clock

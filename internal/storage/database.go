@@ -33,7 +33,7 @@ type Database struct {
 	activeDom []uint64
 	activeLen int
 	noIndex   bool
-	shards    int    // duplicate-table shards per relation (0 = 1)
+	shards    int    // pre-pass partitions recorded on every relation (0 = 1)
 	gen       uint64 // Freeze epochs opened so far (plan-cache keying)
 }
 
@@ -58,10 +58,10 @@ func (db *Database) DisableIndexes() {
 	}
 }
 
-// SetShards sets how many duplicate-table shards every relation (present
-// and future) keeps — the partition count of the parallel admission
-// pre-pass. Rounded up to a power of two. Engines call it once at
-// construction; like all mutation it is single-goroutine.
+// SetShards records on every relation (present and future) the partition
+// count of the parallel admission pre-pass. Rounded up to a power of two.
+// Engines call it once at construction; like all mutation it is
+// single-goroutine.
 func (db *Database) SetShards(n int) {
 	db.shards = ceilPow2(n)
 	for _, name := range db.names {
@@ -69,7 +69,7 @@ func (db *Database) SetShards(n int) {
 	}
 }
 
-// Shards returns the per-relation duplicate-table shard count.
+// Shards returns the pre-pass partition count.
 func (db *Database) Shards() int {
 	if db.shards < 1 {
 		return 1

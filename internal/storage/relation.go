@@ -7,14 +7,17 @@
 // Facts are stored as interned tuples: every term.Value is mapped to a
 // dense uint32 ID by the database-wide Interner, and each relation keeps
 // its rows as a flat []uint32 (arity IDs per fact). Duplicate checks and
-// dynamic-index probes hash those IDs with FNV-1a into uint64 keys;
-// hash buckets chain row indexes and every candidate is verified by ID
-// comparison, so collisions are resolved exactly and no probe allocates.
+// dynamic-index probes hash those IDs with FNV-1a into uint64 keys and look
+// them up in one kind of table (flatTable, table.go): open addressing over a
+// []uint64 of tag+reference slots, the reference a row index for the
+// duplicate check and a bucket for an index, whose rows lie contiguous in
+// the index's one []int32 arena. Every candidate is verified by ID
+// comparison, so collisions are resolved exactly; no probe allocates, no
+// stored row costs an allocation of its own, and none of it holds a pointer
+// for the collector to follow.
 package storage
 
 import (
-	"sync/atomic"
-
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -82,14 +85,12 @@ type Relation struct {
 	// which no real value interns to, so padding is exact.
 	rows []uint32
 
-	// exact chains row indexes per full-row hash for duplicate detection.
-	// It is sharded by the low bits of the hash (shard = hash & shardMask,
-	// len(exact) a power of two): the partitioned admission pre-pass probes
-	// each shard from its own goroutine, which is safe exactly because a
-	// row's hash fully determines its shard. One shard (the default) is the
-	// unsharded layout with one map.
-	exact     []map[uint64][]int32
-	shardMask uint64
+	// exact is the duplicate table: one slot per live row, under the row's
+	// full hash. The partitioned admission pre-pass probes it from one
+	// goroutine per shard; shards only records the partition count the
+	// engine asked for — the pre-pass partitions candidates itself.
+	exact  flatTable
+	shards int
 
 	// retractGen counts retractions. The partitioned admission pre-pass
 	// snapshots it per candidate: a dedup verdict computed against the
@@ -130,8 +131,6 @@ type Relation struct {
 	// database — excluded from lookups, duplicate checks and Facts.
 	retracted int
 
-	bytes int64 // rough retained-size accounting for the buffer manager
-
 	// Planner statistics (see stats.go): per-column distinct sketches
 	// maintained at insert/replace, the snapshot captured by the last
 	// Freeze, its generation counter, and per-mask index-usage records.
@@ -143,18 +142,6 @@ type Relation struct {
 	scratch  []uint32 // reusable row buffer for Insert/InsertEDB/resolve
 	probeBuf []uint32 // reusable probe-ID buffer for value-based Lookup
 	replBuf  []uint32 // reusable old-row copy for Replace
-}
-
-type dynIndex struct {
-	mask    uint32
-	entries map[uint64][]int32
-	upTo    int // facts [0, upTo) are indexed
-	bytes   int64
-
-	// hits counts probes served by this index since it was built. Atomic
-	// because frozen-epoch probes (SnapshotLookupIDs) run concurrently
-	// from match workers; all other access is single-goroutine.
-	hits atomic.Int64
 }
 
 // NewRelation creates an empty relation for pred with the given arity
@@ -172,55 +159,18 @@ func NewRelationInterned(pred string, arity int, in *Interner) *Relation {
 		name:    pred,
 		arity:   arity,
 		in:      in,
-		exact:   make([]map[uint64][]int32, 1),
+		shards:  1,
 		indexes: make(map[uint32]*dynIndex),
 	}
 }
 
-// exactShard returns the duplicate-table shard owning hash h, possibly
-// nil (shard maps allocate lazily on first write, so sharding a database
-// of many small relations does not cost len(exact) empty maps each).
-// Reads — probes and range — are safe on the nil map.
-func (r *Relation) exactShard(h uint64) map[uint64][]int32 {
-	return r.exact[h&r.shardMask]
-}
+// Shards returns the pre-pass partition count recorded by SetShards.
+func (r *Relation) Shards() int { return r.shards }
 
-// exactShardMut returns the shard owning hash h for writing, allocating
-// it on first use.
-func (r *Relation) exactShardMut(h uint64) map[uint64][]int32 {
-	s := h & r.shardMask
-	if r.exact[s] == nil {
-		r.exact[s] = make(map[uint64][]int32)
-	}
-	return r.exact[s]
-}
-
-// Shards returns the number of duplicate-table shards.
-func (r *Relation) Shards() int { return len(r.exact) }
-
-// SetShards re-buckets the exact-duplicate table into n shards (rounded up
-// to a power of two, minimum 1). Like all mutation it is single-goroutine;
-// engines call it once at construction, before any facts are stored.
-func (r *Relation) SetShards(n int) {
-	n = ceilPow2(n)
-	if n == len(r.exact) {
-		return
-	}
-	shards := make([]map[uint64][]int32, n)
-	mask := uint64(n - 1)
-	for _, old := range r.exact {
-		//vadalint:ordered keyed moves: each hash lands in the one shard its low bits select
-		for h, bucket := range old {
-			s := h & mask
-			if shards[s] == nil {
-				shards[s] = make(map[uint64][]int32)
-			}
-			shards[s][h] = bucket
-		}
-	}
-	r.exact = shards
-	r.shardMask = mask
-}
+// SetShards records the partition count of the admission pre-pass (rounded
+// up to a power of two, minimum 1). The duplicate table itself is one flat
+// table at every count.
+func (r *Relation) SetShards(n int) { r.shards = ceilPow2(n) }
 
 // ceilPow2 rounds n up to the nearest power of two, minimum 1, capped at
 // 256 (more shards than that buys nothing for a dedup table).
@@ -318,11 +268,14 @@ func (r *Relation) Row(i int) []uint32 {
 // through.
 func (r *Relation) Interner() *Interner { return r.in }
 
-// Bytes returns the rough retained size of the relation incl. indexes.
+// Bytes returns the memory the relation's own arrays hold — rows, metadata
+// pointers, delta log, live-row cache, duplicate table and every index —
+// from their capacities. The facts the metadata points at are not counted.
 func (r *Relation) Bytes() int64 {
-	b := r.bytes
+	b := int64(4*cap(r.rows) + 8*cap(r.metas) + 4*cap(r.log) + 4*cap(r.liveRows) + 8*cap(r.exact.slots))
+	//vadalint:ordered integer fold; bytes is a pure size read
 	for _, ix := range r.indexes {
-		b += ix.bytes
+		b += ix.bytes()
 	}
 	return b
 }
@@ -367,8 +320,8 @@ func (r *Relation) Insert(m *core.FactMeta) bool {
 }
 
 // insertRow is the shared admission tail of Insert and InsertPrepared:
-// duplicate probe against the hash's shard, then appendRow. row must have
-// exactly the relation's arity.
+// duplicate probe, then appendRow. row must have exactly the relation's
+// arity.
 func (r *Relation) insertRow(m *core.FactMeta, row []uint32, h uint64) bool {
 	if r.ContainsRowHash(row, h) {
 		return false
@@ -380,15 +333,13 @@ func (r *Relation) insertRow(m *core.FactMeta, row []uint32, h uint64) bool {
 // appendRow stores a row already known to be new in every structure and
 // records its index on m.
 func (r *Relation) appendRow(m *core.FactMeta, row []uint32, h uint64) {
-	shard := r.exactShardMut(h)
-	shard[h] = append(shard[h], int32(len(r.metas)))
+	r.exact.insert(h, len(r.metas))
 	if r.log != nil {
 		r.log = append(r.log, int32(len(r.metas)))
 	}
 	m.SetRowIndex(len(r.metas))
 	r.metas = append(r.metas, m)
 	r.rows = append(r.rows, row...)
-	r.bytes += int64(4*r.arity) + 48
 	r.observeRow(row)
 }
 
@@ -398,12 +349,21 @@ func (r *Relation) appendRow(m *core.FactMeta, row []uint32, h uint64) {
 // hash (from the head-row builder or a match worker) and hand the same pair
 // to InsertPrepared when the probe misses. A pure read.
 func (r *Relation) ContainsRowHash(row []uint32, h uint64) bool {
-	for _, ri := range r.exactShard(h)[h] {
-		if r.rowEqual(int(ri), row) {
-			return true
+	return r.findRow(row, h) >= 0
+}
+
+// findRow returns the index of the live row exactly equal to row (stride =
+// the relation's arity; h = HashRow(row)), -1 when none is stored: it walks
+// the run of slots carrying h's tag and verifies each candidate by ID. A
+// pure read.
+func (r *Relation) findRow(row []uint32, h uint64) int {
+	tag := tagOf(h)
+	for ri, p := r.exact.seek(tag, r.exact.home(tag)); ri >= 0; ri, p = r.exact.seek(tag, p) {
+		if r.rowEqual(ri, row) {
+			return ri
 		}
 	}
-	return false
+	return -1
 }
 
 // InsertPrepared appends m using the row and hash its caller already
@@ -458,27 +418,22 @@ func (r *Relation) Replace(i int, f ast.Fact) ReplaceOutcome {
 		return ReplaceUnchanged
 	}
 	newH := hashRow(newRow)
-	for _, rj := range r.exactShard(newH)[newH] {
-		if int(rj) != i && r.rowEqual(int(rj), newRow) {
-			r.retract(i)
-			return ReplaceRetracted
-		}
+	if r.findRow(newRow, newH) >= 0 { // another row: row i differs from newRow
+		r.retract(i)
+		return ReplaceRetracted
 	}
 	old := append(r.replBuf[:0], r.Row(i)...)
 	r.replBuf = old
-	oldH := hashRow(old)
-	removeRow(r.exactShard(oldH), oldH, i)
+	r.exact.remove(hashRow(old), i)
 	copy(r.rows[i*r.arity:(i+1)*r.arity], newRow)
-	moved := r.exactShardMut(newH)
-	moved[newH] = append(moved[newH], int32(i))
+	r.exact.insert(newH, i)
 	//vadalint:ordered each dynamic index is updated independently from its own mask and buckets
 	for _, ix := range r.indexes {
 		if i >= ix.upTo || maskedIDsEqual(old, newRow, ix.mask) {
 			continue
 		}
-		removeRow(ix.entries, hashMasked(old, ix.mask), i)
-		nh := hashMasked(newRow, ix.mask)
-		ix.entries[nh] = append(ix.entries[nh], int32(i))
+		ix.remove(hashMasked(old, ix.mask), int32(i))
+		ix.push(ix.bucketFor(hashMasked(newRow, ix.mask)), int32(i))
 	}
 	r.metas[i].ReplaceFact(f)
 	r.observeRow(newRow)
@@ -499,13 +454,12 @@ func (r *Relation) Replace(i int, f ast.Fact) ReplaceOutcome {
 // retraction is the rare path, so the rebuild cost stays off the hot loop.
 func (r *Relation) retract(i int) {
 	row := r.Row(i)
-	h := hashRow(row)
-	removeRow(r.exactShard(h), h, i)
+	r.exact.remove(hashRow(row), i)
 	r.retractGen++
 	//vadalint:ordered each dynamic index drops the row from its own buckets independently
 	for _, ix := range r.indexes {
 		if i < ix.upTo {
-			removeRow(ix.entries, hashMasked(row, ix.mask), i)
+			ix.remove(hashMasked(row, ix.mask), int32(i))
 		}
 	}
 	r.metas[i].Retracted = true
@@ -529,17 +483,6 @@ func (r *Relation) liveSnapshot() []int32 {
 		}
 	}
 	return r.liveRows
-}
-
-// removeRow deletes row index i from the hash bucket at h.
-func removeRow(m map[uint64][]int32, h uint64, i int) {
-	bucket := m[h]
-	for k, ri := range bucket {
-		if ri == int32(i) {
-			m[h] = append(bucket[:k], bucket[k+1:]...)
-			return
-		}
-	}
 }
 
 // maskedIDsEqual reports whether a and b agree on every masked position.
@@ -609,12 +552,8 @@ func (r *Relation) FindExact(f ast.Fact) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	for _, ri := range r.exactShard(h)[h] {
-		if r.rowEqual(int(ri), row) {
-			return int(ri), true
-		}
-	}
-	return 0, false
+	ri := r.findRow(row, h)
+	return max(ri, 0), ri >= 0
 }
 
 // Contains reports whether an exactly equal fact is stored. It never
@@ -625,13 +564,13 @@ func (r *Relation) Contains(f ast.Fact) bool {
 }
 
 // restride migrates the relation to a larger arity (inconsistent-arity
-// programs only): rows are re-flattened with 0-padding, the exact map is
-// rehashed and dynamic indexes dropped (rebuilt on demand).
+// programs only): rows are re-flattened with 0-padding, the duplicate table
+// is rebuilt and dynamic indexes dropped (rebuilt on demand).
 func (r *Relation) restride(arity int) {
 	old, oldStride := r.rows, r.arity
 	r.arity = arity
 	r.rows = make([]uint32, 0, len(r.metas)*arity)
-	r.exact = make([]map[uint64][]int32, len(r.exact))
+	r.exact = flatTable{}
 	for i := range r.metas {
 		start := len(r.rows)
 		r.rows = append(r.rows, old[i*oldStride:(i+1)*oldStride]...)
@@ -641,9 +580,7 @@ func (r *Relation) restride(arity int) {
 		if r.metas[i].Retracted {
 			continue // retracted rows keep their position but no key
 		}
-		h := hashRow(r.rows[start:])
-		sh := r.exactShardMut(h)
-		sh[h] = append(sh[h], int32(i))
+		r.exact.insert(hashRow(r.rows[start:]), i)
 	}
 	r.indexes = make(map[uint32]*dynIndex)
 	r.scratch = nil
@@ -686,20 +623,53 @@ func (r *Relation) LookupIDs(mask uint32, probe []uint32) []int32 {
 	}
 	ix := r.ensureIndexSized(mask, 0)
 	ix.hits.Add(1)
-	return r.filterBucket(ix.entries[hashMasked(probe, mask)], mask, probe)
+	return r.filterBucket(ix.rows(hashMasked(probe, mask)), mask, probe)
 }
 
-// extendIndex covers facts appended since the index's last probe;
-// retracted rows (removed from every index at retraction) never enter.
+// bulkMinRows is the shortest unindexed suffix extendIndex covers in two
+// passes; below it the passes' scratch costs more than a few moved buckets.
+const bulkMinRows = 16
+
+// extendIndex covers facts appended since the index's last probe, in
+// ascending row order; retracted rows (removed from every index at
+// retraction) never enter. A suffix longer than the indexed prefix — a fresh
+// EnsureIndex, a Freeze after a load — is covered in two passes, count then
+// place: every bucket gets its room in one piece, so a new bucket is never
+// moved and an old one at most once.
 func (r *Relation) extendIndex(ix *dynIndex) {
-	for ; ix.upTo < len(r.metas); ix.upTo++ {
-		if r.metas[ix.upTo].Retracted {
+	base := ix.upTo
+	if n := len(r.metas) - base; n < bulkMinRows || n <= base {
+		for ; ix.upTo < len(r.metas); ix.upTo++ {
+			if !r.metas[ix.upTo].Retracted {
+				ix.push(ix.bucketFor(hashMasked(r.Row(ix.upTo), ix.mask)), int32(ix.upTo))
+			}
+		}
+		return
+	}
+	ids := make([]int32, len(r.metas)-base) // the bucket of each suffix row
+	for k := range ids {
+		ids[k] = -1
+		if !r.metas[base+k].Retracted {
+			ids[k] = int32(ix.bucketFor(hashMasked(r.Row(base+k), ix.mask)))
+		}
+	}
+	need := make([]int32, len(ix.spans))
+	for _, b := range ids {
+		if b >= 0 {
+			need[b]++
+		}
+	}
+	for k, b := range ids {
+		if b < 0 {
 			continue
 		}
-		h := hashMasked(r.rows[ix.upTo*r.arity:(ix.upTo+1)*r.arity], ix.mask)
-		ix.entries[h] = append(ix.entries[h], int32(ix.upTo))
-		ix.bytes += 20
+		if need[b] > 0 {
+			ix.room(int(b), need[b])
+			need[b] = 0
+		}
+		ix.push(int(b), int32(base+k))
 	}
+	ix.upTo = len(r.metas)
 }
 
 // filterBucket verifies a hash bucket's candidates by ID comparison. Fast
@@ -783,7 +753,12 @@ func (r *Relation) EnsureIndexSized(mask uint32, sizeHint int) {
 func (r *Relation) ensureIndexSized(mask uint32, sizeHint int) *dynIndex {
 	ix := r.indexes[mask]
 	if ix == nil {
-		ix = &dynIndex{mask: mask, entries: make(map[uint64][]int32, sizeHint)}
+		ix = &dynIndex{mask: mask}
+		if sizeHint > 0 {
+			ix.table.reserve(sizeHint)
+			ix.hashes = make([]uint64, 0, sizeHint)
+			ix.spans = make([]span, 0, sizeHint)
+		}
 		r.indexes[mask] = ix
 		u := r.usage(mask)
 		u.builds++
@@ -820,7 +795,7 @@ func (r *Relation) SnapshotLookupIDs(mask uint32, probe []uint32) ([]int32, bool
 	}
 	if ix := r.indexes[mask]; ix != nil && ix.upTo == len(r.metas) {
 		ix.hits.Add(1)
-		return r.filterBucket(ix.entries[hashMasked(probe, mask)], mask, probe), true
+		return r.filterBucket(ix.rows(hashMasked(probe, mask)), mask, probe), true
 	}
 	return r.scanMasked(mask, probe), false
 }
@@ -835,7 +810,7 @@ func (r *Relation) SnapshotLookupCountIDs(mask uint32, probe []uint32) (int, boo
 		if ix := r.indexes[mask]; ix != nil && ix.upTo == len(r.metas) {
 			ix.hits.Add(1)
 			n := 0
-			for _, ri := range ix.entries[hashMasked(probe, mask)] {
+			for _, ri := range ix.rows(hashMasked(probe, mask)) {
 				if r.maskedEqual(int(ri), mask, probe) {
 					n++
 				}

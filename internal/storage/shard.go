@@ -11,8 +11,10 @@ import (
 // facts whose rows were interned and hashed on match workers are bucketed
 // into shards by the low bits of the row hash, and one goroutine per shard
 // computes a dedup verdict for every candidate it owns — against the
-// relation's own duplicate-table shard (pre-batch state) and against the
-// earlier candidates of the same shard (batch-local duplicates). Verdicts
+// relation's duplicate table (pre-batch state) and against the earlier
+// candidates of the same shard (batch-local duplicates). The partition is
+// the pre-pass's own: a relation keeps one flat duplicate table, which any
+// number of goroutines may probe while nothing mutates it. Verdicts
 // are advisory for freshness and exact for duplication at pre-pass time:
 // the serial merge re-validates anything a concurrent serial-path mutation
 // (aggregate supersession, EGD, Skolem admission) could have invalidated,
@@ -116,13 +118,12 @@ func (p *prepass) noteShardPanic(r any) {
 }
 
 // runShard computes the verdicts of every candidate whose hash maps to
-// shard s. It touches only shard-local structures: the relation
-// duplicate-table shard its candidates' hashes select (reads via
-// ContainsRowHash — safe concurrently because no mutation runs during the
-// pre-pass, and aligned with s when the relation's shard count matches the
-// pre-pass's), a private batch-local pending table, and the owner-exclusive
-// verdict slots of its own candidates. The frozenwrite analyzer roots this
-// method and verifies no mutating storage call is reachable from it.
+// shard s. It reads the relations' duplicate tables (ContainsRowHash — safe
+// concurrently because no mutation runs during the pre-pass) and writes only
+// shard-local structures: a private batch-local pending table and the
+// owner-exclusive verdict slots of its own candidates. The frozenwrite
+// analyzer roots this method and verifies no mutating storage call is
+// reachable from it.
 func (p *prepass) runShard(s int) {
 	defer func() {
 		if r := recover(); r != nil { //vadalint:panicguard shard isolation: latch the crash; RunPrepass re-raises it on the merge goroutine where engine recovery converts it into a typed resumable error
