@@ -75,7 +75,7 @@ var frozenSinks = map[string]map[string]string{
 		"Intern": "storage",
 	},
 	"NullFactory": {
-		"Skolem": "term", "Fresh": "term", "Reserve": "term",
+		"Skolem": "term", "Fresh": "term", "Import": "term",
 	},
 }
 

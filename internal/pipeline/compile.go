@@ -28,6 +28,9 @@ type Compiled struct {
 	// state, so admissions interleave with matching exactly as the serial
 	// semantics prescribe.
 	inline []bool
+	// negation reports a negated body atom anywhere in the program: its
+	// sessions take all their input before the first pull (Session.Next).
+	negation bool
 	// producers maps a predicate (or constraintHub) to the indexes of the
 	// rules feeding it, in rule order.
 	producers map[string][]int
@@ -51,6 +54,7 @@ func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
 	c := &Compiled{Compiled: ac, opts: opts, producers: make(map[string][]int)}
 	for i, cr := range c.Rules {
 		c.inline = append(c.inline, c.Skolem[i] || len(cr.Neg) > 0)
+		c.negation = c.negation || len(cr.Neg) > 0
 		hub := constraintHub
 		if r := cr.Rule; !r.IsConstraint && r.EGD == nil {
 			hub = r.Heads[0].Pred

@@ -77,6 +77,27 @@ const (
 	stepDry
 )
 
+// Feeder loads one more chunk of a run's input into the session — the
+// sources of the paper's pull stream, as one function: the program's facts,
+// a bound record manager's next cursor chunk, the next staged facts — and
+// reports whether anything was left to load. A step that fails has lost
+// nothing: calling again resumes at the same row. Whoever owns the input
+// (package vadalog's Session) supplies it; Next calls it when a pull comes
+// back dry.
+type Feeder func(ctx context.Context) (more bool, err error)
+
+// Drain steps f until the input is exhausted or a step fails. A nil Feeder
+// has no input.
+func (f Feeder) Drain(ctx context.Context) error {
+	for f != nil {
+		more, err := f(ctx)
+		if err != nil || !more {
+			return err
+		}
+	}
+	return nil
+}
+
 // Session is the per-run state of one reasoning task over a shared
 // Compiled artifact: database, interner, termination strategy, buffers,
 // bindings and cursors. Sessions are cheap to create (Compiled.NewSession)
@@ -93,6 +114,10 @@ type Session struct {
 
 	filters []*ruleFilter
 	hubs    map[string]*hub
+
+	// feed is where Next gets more input from when a pull comes back dry;
+	// nil for a session loaded through Load/LoadRows/Run alone.
+	feed Feeder
 
 	// ctx is the context of the drive call currently on the stack; the
 	// recursive pull machinery checks it between rule firings. ctxDone
@@ -205,6 +230,10 @@ func New(prog *ast.Program, opts Options) (*Session, error) {
 	return c.NewSession(), nil
 }
 
+// SetFeeder hands the session the source of its input (see Feeder). Set it
+// once, before the first pull.
+func (s *Session) SetFeeder(f Feeder) { s.feed = f }
+
 // Load admits EDB facts into the pipeline's source relations. Loading
 // after the pipeline has quiesced resumes it: new facts can enable new
 // derivations (incremental reasoning).
@@ -270,6 +299,17 @@ func (s *Session) loadGuarded(ctx context.Context, load func()) error {
 // aborts the pull between rule firings; the session stays consistent and
 // can be driven again with a live context.
 //
+// Input is pulled too. When the producers of pred come back dry, Next asks
+// the session's Feeder for one more chunk and pulls again; only with the
+// input exhausted does it sweep and, failing that, quiesce. It asks before
+// honouring an earlier quiescence or a predicate nothing has stored yet —
+// facts staged since the last pull must be seen — and it never sweeps while
+// input remains, so the work before the first answer is at most what
+// loading everything first would have cost. The one exception is a program
+// with a negated body atom, which takes all its input before the first
+// pull: nothing orders firings by stratum, so a negation must not be tested
+// against a relation whose rows are still arriving.
+//
 // Facts are addressed by live-row position: retracted rows (superseded
 // aggregate intermediates whose value already existed elsewhere) are
 // skipped, and for an aggregate predicate a row's fact is the group's best
@@ -279,33 +319,47 @@ func (s *Session) loadGuarded(ctx context.Context, load func()) error {
 func (s *Session) Next(ctx context.Context, pred string, n int) (ast.Fact, bool, error) {
 	s.ctx, s.ctxDone = ctx, false
 	s.clearResumableFailure()
-	h := s.hubs[pred]
-	if h == nil {
-		return ast.Fact{}, false, nil
+	if s.c.negation {
+		if err := s.feed.Drain(ctx); err != nil {
+			return ast.Fact{}, false, err
+		}
 	}
-	for h.rel.Live() <= n {
+	h := s.hubs[pred]
+	for h == nil || h.rel.Live() <= n {
 		if err := ctx.Err(); err != nil {
 			return ast.Fact{}, false, err
 		}
 		if s.failure != nil {
 			return ast.Fact{}, false, s.failure
 		}
-		if s.quiesced {
+		if h != nil && !s.quiesced && s.pull(h) {
+			continue
+		}
+		if s.feed != nil {
+			more, err := s.feed(ctx)
+			if err != nil {
+				return ast.Fact{}, false, err
+			}
+			if more {
+				h = s.hubs[pred]
+				continue
+			}
+		}
+		if h == nil || s.quiesced {
 			return ast.Fact{}, false, nil
 		}
-		if !s.pull(h) {
-			// All producers report dry or cyclic: one global sweep decides
-			// whether the cycles can still be fed (real-miss detection).
-			if !s.sweep() {
-				if err := ctx.Err(); err != nil {
-					// The dry round was (possibly) a cancellation unwind, not
-					// a real miss: report the cancellation, not exhaustion.
-					return ast.Fact{}, false, err
-				}
-				s.quiesced = s.allQuiesced()
-				if h.rel.Live() <= n {
-					return ast.Fact{}, false, s.failure
-				}
+		// All producers report dry or cyclic and no input is left: one
+		// global sweep decides whether the cycles can still be fed
+		// (real-miss detection).
+		if !s.sweep() {
+			if err := ctx.Err(); err != nil {
+				// The dry round was (possibly) a cancellation unwind, not
+				// a real miss: report the cancellation, not exhaustion.
+				return ast.Fact{}, false, err
+			}
+			s.quiesced = s.allQuiesced()
+			if h.rel.Live() <= n {
+				return ast.Fact{}, false, s.failure
 			}
 		}
 	}

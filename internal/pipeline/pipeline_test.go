@@ -80,6 +80,76 @@ func TestPipelineStreaming(t *testing.T) {
 	}
 }
 
+// TestNextPullsInputWhenDry pins the order inside Next — pull, then one more
+// chunk of input, then sweep, then quiesce — with a Feeder that loads one
+// edge per step and counts its steps.
+func TestNextPullsInputWhenDry(t *testing.T) {
+	const edges = 50
+	newFed := func(src string) (s *Session, steps *int) {
+		s, err := New(parser.MustParse(src), Options{})
+		if err != nil {
+			t.Fatalf("new: %v", err)
+		}
+		steps = new(int)
+		s.SetFeeder(func(ctx context.Context) (bool, error) {
+			if *steps == edges {
+				return false, nil
+			}
+			s.Load(ast.NewFact("edge", term.Int(int64(*steps)), term.Int(int64(*steps+1))))
+			*steps++
+			return true, nil
+		})
+		return s, steps
+	}
+	ctx := context.Background()
+	tc := `
+		edge(X,Y) -> path(X,Y).
+		path(X,Y), edge(Y,Z) -> path(X,Z).
+	`
+	s, steps := newFed(tc)
+	if _, ok, err := s.Next(ctx, "path", 0); err != nil || !ok || *steps != 1 {
+		t.Fatalf("first path: ok=%v err=%v after %d input steps, want one", ok, err, *steps)
+	}
+	n := 1
+	for ok := true; ok; n++ {
+		var err error
+		if _, ok, err = s.Next(ctx, "path", n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := edges * (edges + 1) / 2; n-1 != want || *steps != edges || !s.Quiesced() {
+		t.Errorf("%d paths after %d steps, quiesced=%v; want %d, %d, true", n-1, *steps, s.Quiesced(), want, edges)
+	}
+	// A predicate nothing has stored yet is answered only once the input is in.
+	s, steps = newFed(tc)
+	if _, ok, err := s.Next(ctx, "nosuch", 0); err != nil || ok || *steps != edges {
+		t.Errorf("unknown predicate: ok=%v err=%v after %d input steps, want a miss after all %d", ok, err, *steps, edges)
+	}
+	// A negated atom: all the input before the first pull.
+	s, steps = newFed(`edge(X,Y), not edge(Y,X) -> oneway(X,Y).`)
+	if _, ok, err := s.Next(ctx, "oneway", 0); err != nil || !ok || *steps != edges {
+		t.Errorf("negated program: ok=%v err=%v after %d input steps, want the first answer after all %d", ok, err, *steps, edges)
+	}
+	// A failing step surfaces as it is, and the next pull carries on.
+	s, steps = newFed(tc)
+	boom := errors.New("boom")
+	feed, failed := s.feed, false
+	s.SetFeeder(func(ctx context.Context) (bool, error) {
+		if *steps == 3 && !failed {
+			failed = true
+			return false, boom
+		}
+		return feed(ctx)
+	})
+	_, _, err := s.Next(ctx, "path", 20)
+	if !errors.Is(err, boom) {
+		t.Fatalf("failing feeder: %v, want boom", err)
+	}
+	if _, ok, err := s.Next(ctx, "path", 20); err != nil || !ok {
+		t.Errorf("pull after a failed step: ok=%v err=%v", ok, err)
+	}
+}
+
 func TestPipelineCycleManagement(t *testing.T) {
 	// Mutually recursive predicates: runtime cycles must resolve to real
 	// misses, not hangs or premature termination.

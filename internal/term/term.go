@@ -408,6 +408,9 @@ type NullFactory struct {
 	skolem map[string]int64
 	keys   map[int64]string
 	keyBuf []byte // reused Skolem-key scratch
+	// imported maps the label of every null adopted by Import to its id
+	// here (itself unless renamed); nil until the first import.
+	imported map[int64]int64
 }
 
 // NewNullFactory returns a factory whose first fresh null has id 1.
@@ -425,13 +428,31 @@ func (nf *NullFactory) Fresh() Value {
 // Count returns how many nulls have been minted so far.
 func (nf *NullFactory) Count() int64 { return nf.next - 1 }
 
-// Reserve advances the factory past id, so nulls imported with explicit
-// ids (record-manager loads of "_:nK" cells) can never collide with
-// nulls the session mints afterwards.
-func (nf *NullFactory) Reserve(id int64) {
+// Import adopts a labelled null that arrives with loaded data (a "_:nK"
+// cell of a record-manager row, a staged fact) and returns the null it is
+// inside this factory. An id the factory has not reached keeps its label,
+// and the factory advances past it so nothing minted later can collide. An
+// id it has already passed and did not itself import belongs to a null the
+// run minted — rows may arrive while rules fire — so the imported null is
+// renamed to a fresh id. Either way the answer is remembered: the same
+// label imports to the same null for the factory's lifetime, which keeps a
+// re-fed chunk a set of duplicates.
+func (nf *NullFactory) Import(id int64) Value {
+	if to, ok := nf.imported[id]; ok {
+		return Null(to)
+	}
+	to := id
 	if id >= nf.next {
 		nf.next = id + 1
+	} else {
+		to = nf.next
+		nf.next++
 	}
+	if nf.imported == nil {
+		nf.imported = make(map[int64]int64)
+	}
+	nf.imported[id] = to
+	return Null(to)
 }
 
 // SkolemKey renders the canonical ground key of fn applied to args; two

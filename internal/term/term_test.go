@@ -191,6 +191,38 @@ func TestFreshNullsDistinct(t *testing.T) {
 	}
 }
 
+// TestImportKeepsUnreachedRenamesPassed: an imported label the factory has
+// not reached keeps its id and is never minted afterwards; one it has passed
+// without importing it names a minted null (or a skipped id) and is renamed;
+// either answer is the same every time the label is seen.
+func TestImportKeepsUnreachedRenamesPassed(t *testing.T) {
+	nf := NewNullFactory()
+	minted := nf.Skolem("f", Int(1)) // _:n1
+	if got := nf.Import(7); got != Null(7) {
+		t.Fatalf("Import(7) on a factory at 2 = %v, want the label kept", got)
+	}
+	if next := nf.Fresh(); next != Null(8) {
+		t.Fatalf("minted %v after importing 7, want _:n8", next)
+	}
+	renamed := nf.Import(1)
+	if renamed == minted || renamed == Null(7) || renamed == Null(8) {
+		t.Fatalf("Import(1) = %v collides with a live null", renamed)
+	}
+	if again := nf.Import(1); again != renamed {
+		t.Errorf("Import(1) = %v, then %v: one label must stay one null", renamed, again)
+	}
+	if again := nf.Import(7); again != Null(7) {
+		t.Errorf("re-importing a kept label gave %v", again)
+	}
+	// The id a rename handed out is itself passed-and-not-imported as a label.
+	if other := nf.Import(renamed.NullID()); other == renamed {
+		t.Errorf("label %v imported onto the null another label was renamed to", renamed)
+	}
+	if nf.Skolem("f", Int(1)) != minted {
+		t.Error("importing disturbed a memoized Skolem null")
+	}
+}
+
 func TestSortValues(t *testing.T) {
 	vs := []Value{String("b"), Int(2), String("a"), Int(1)}
 	SortValues(vs)

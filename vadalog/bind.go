@@ -3,6 +3,7 @@ package vadalog
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/ast"
@@ -147,106 +148,144 @@ func bindErr(line, col int, format string, args ...any) error {
 	return fmt.Errorf("vadalog: %s", msg)
 }
 
-// stage streams the @bind'ed input sources into the engine — program
-// facts first, then each binding's cursor chunk by chunk, then (by the
-// caller) the staged facts, so the admission order matches the historical
-// materialize-all path exactly. Cancellation is honored between chunks;
-// a cancelled stage keeps its open cursor and resumes where it stopped
-// on the next call, so no rows are lost or re-read. Once every input is
-// drained the stage is done for the session's lifetime, however many
-// times Run or Stream are invoked afterwards.
+// step is the session's pipeline.Feeder: it loads one more chunk of input
+// into the engine and reports whether anything was left to load. Input
+// comes in a fixed order — the program's inline facts, then each input
+// binding's cursor in declaration order, one chunk per step, then the
+// facts staged by Load, source.ChunkSize per step — so stepping to
+// exhaustion admits exactly what materializing everything up front would,
+// in the same order. The engine calls it on demand (a pipeline pull that
+// came back dry, the chase before its fixpoint) and feed steps it to the
+// end; bound inputs are read exactly once per session, however many times
+// it is driven afterwards.
 //
-// Transient source failures (IsTransient) are retried in place with
-// capped exponential backoff (Options.Retry): a failed chunk pull
-// consumed nothing, so the retry — and, should the retries run out, the
-// next stage call — resumes at the exact row the fault struck.
-func (s *Session) stage(ctx context.Context) error {
-	if s.loaded {
-		return nil
+// Cancellation is honored between chunks, and a step that fails loses
+// nothing: the open cursor and any chunk pulled but not yet admitted stay
+// on the session, so the next step resumes at the same row. Transient
+// source failures (IsTransient) are retried in place with capped
+// exponential backoff (Options.Retry): a failed chunk pull consumed
+// nothing, so the retry — and, should the retries run out, the next step —
+// resumes at the exact row the fault struck. Errors come back as the
+// engine or the driver reported them; the drive that surfaces one maps it
+// (mapErr, wrapPartial), once.
+func (s *Session) step(ctx context.Context) (more bool, err error) {
+	s.ran = true
+	if !s.progLoaded {
+		// Once per session: the engines skip duplicates, but the guard
+		// keeps the work one-shot.
+		s.progLoaded = true
+		s.eng.LoadProgramFacts()
+		return true, nil
 	}
-	s.loadProgramFacts()
 	for ; s.bindIdx < len(s.binds); s.bindIdx++ {
 		bio := &s.binds[s.bindIdx]
 		if bio.out {
 			continue
 		}
-		if s.cur == nil {
-			err := s.retryTransient(ctx, func() error {
-				cur, err := source.Open(ctx, bio.drv, bio.b)
-				if err == nil {
-					s.cur = cur
-				}
-				return err
-			})
-			if err != nil {
-				return err
-			}
+		if more, err := s.stepCursor(ctx, bio); more || err != nil {
+			return more, err
 		}
-		for {
-			chunk := s.chunk
-			if chunk == nil {
-				err := s.retryTransient(ctx, func() error {
-					var err error
-					chunk, err = s.cur.Next(ctx)
-					return err
-				})
-				if err != nil {
-					if ctx.Err() != nil || IsTransient(err) {
-						// Cancellation, or a transient fault that outlived its
-						// retries: the failed pull consumed nothing, so the
-						// cursor stays open and the next call resumes here.
-						return err
-					}
-					s.cur.Close()
-					s.cur = nil
-					return err
-				}
-				if len(chunk) == 0 {
-					break
-				}
-			}
-			// The cursor has moved past the pulled chunk, so the chunk is
-			// held on the session until the engine admits it: a failed or
-			// interrupted load resumes by re-admitting it (duplicates are
-			// skipped), losing and re-reading nothing.
-			s.chunk = chunk
-			if err := s.loadRows(ctx, bio.b.Pred, chunk); err != nil {
-				return err // chunk and cursor kept: the load resumes here
-			}
-			s.chunk = nil
-		}
-		s.cur.Close()
-		s.cur = nil
 	}
 	s.loaded = true
-	return nil
-}
-
-// loadProgramFacts admits the program's inline facts ahead of the bound
-// inputs, once per session (the engines skip duplicates, but the guard
-// keeps the work one-shot).
-func (s *Session) loadProgramFacts() {
-	if s.progLoaded {
-		return
+	if len(s.pending) == 0 {
+		return false, nil
 	}
-	s.progLoaded = true
-	s.eng.LoadProgramFacts()
+	// On failure the staged chunk stays: loading skips duplicates, so the
+	// resumed step admits only what was cut off.
+	n := min(len(s.pending), source.ChunkSize)
+	if err := s.eng.LoadChunk(ctx, s.pending[:n]); err != nil {
+		return false, err
+	}
+	if s.pending = s.pending[n:]; len(s.pending) == 0 {
+		s.pending = nil // release the staged block
+	}
+	return true, nil
 }
 
-// loadRows feeds one cursor chunk into the engine as rows of pred, then
-// reports any pending cancellation (the chunk itself is always admitted;
-// see Session.stage). Labelled nulls imported from the source ("_:nK"
-// cells) reserve their ids in the session's null factory first, so they
-// can never collide with nulls the run mints afterwards.
-func (s *Session) loadRows(ctx context.Context, pred string, rows [][]term.Value) error {
-	for _, row := range rows {
-		for _, v := range row {
-			if v.IsNull() {
-				s.eng.DB().Nulls.Reserve(v.NullID())
+// stepCursor loads the next chunk of input binding bio, opening its cursor
+// first when none is open. It reports false, with the cursor closed, once
+// the source is exhausted.
+func (s *Session) stepCursor(ctx context.Context, bio *boundIO) (more bool, err error) {
+	if s.cur == nil {
+		err := s.retryTransient(ctx, func() error {
+			cur, err := source.Open(ctx, bio.drv, bio.b)
+			if err == nil {
+				s.cur = cur
 			}
+			return err
+		})
+		if err != nil {
+			return false, err
 		}
 	}
-	return s.eng.LoadRows(ctx, pred, rows)
+	if s.chunk == nil {
+		var chunk [][]term.Value
+		err := s.retryTransient(ctx, func() error {
+			var err error
+			chunk, err = s.cur.Next(ctx)
+			return err
+		})
+		if err != nil {
+			if ctx.Err() == nil && !IsTransient(err) {
+				s.cur.Close()
+				s.cur = nil
+			}
+			// Otherwise cancellation, or a transient fault that outlived
+			// its retries: the failed pull consumed nothing, so the cursor
+			// stays open and the next step resumes here.
+			return false, err
+		}
+		if len(chunk) == 0 {
+			s.cur.Close()
+			s.cur = nil
+			return false, nil
+		}
+		// The cursor has moved past the pulled chunk, so the chunk is held
+		// on the session until the engine admits it: a failed or
+		// interrupted load resumes by re-admitting it (duplicates are
+		// skipped), losing and re-reading nothing.
+		s.chunk = importNulls(s.eng.DB().Nulls, chunk)
+	}
+	if err := s.eng.LoadRows(ctx, bio.b.Pred, s.chunk); err != nil {
+		return false, err // chunk and cursor kept: the load resumes here
+	}
+	s.chunk = nil
+	return true, nil
+}
+
+// importNulls passes the labelled nulls of rows ("_:nK" cells a source
+// materialized) through nf.Import, so an imported null is never conflated
+// with one the run has minted — rows can arrive after rules have fired —
+// and equal labels stay one null. It returns rows itself when no null was
+// renamed, and otherwise a copy sharing every untouched row: a chunk may
+// alias storage its driver still owns.
+func importNulls(nf *term.NullFactory, rows [][]term.Value) [][]term.Value {
+	shared := true
+	for i, row := range rows {
+		if r, renamed := importRow(nf, row); renamed {
+			if shared {
+				rows, shared = slices.Clone(rows), false
+			}
+			rows[i] = r
+		}
+	}
+	return rows
+}
+
+// importRow is importNulls for one row: args itself, or a renamed copy.
+func importRow(nf *term.NullFactory, args []term.Value) (_ []term.Value, renamed bool) {
+	for j, v := range args {
+		if !v.IsNull() {
+			continue
+		}
+		if w := nf.Import(v.NullID()); w != v {
+			if !renamed {
+				args, renamed = slices.Clone(args), true
+			}
+			args[j] = w
+		}
+	}
+	return args, renamed
 }
 
 // Close releases the session's record-manager resources: the input

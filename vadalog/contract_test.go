@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -39,6 +40,26 @@ func lastErr(seq func(func(Fact, error) bool)) (n int, err error) {
 // pipeline and the chase alike.
 func TestSessionContract(t *testing.T) {
 	bg := context.Background()
+	// The lazy-drive rows pull "path" over a k-edge chain served three rows
+	// per chunk, so what they test happens while input is still arriving.
+	const k = 20
+	wantPaths := k * (k + 1) / 2
+	// drain ranges Facts to its end, collecting what it yields into seen.
+	drain := func(ctx context.Context, s *Session, seen map[string]int) error {
+		for f, err := range s.Facts(ctx, "path") {
+			if err != nil {
+				return err
+			}
+			seen[f.String()]++
+		}
+		return nil
+	}
+	complete := func(t *testing.T, seen map[string]int) {
+		t.Helper()
+		if len(seen) != wantPaths {
+			t.Errorf("%d distinct paths streamed, want %d", len(seen), wantPaths)
+		}
+	}
 	rows := []struct {
 		name string
 		run  func(t *testing.T, engine Engine)
@@ -224,6 +245,137 @@ func TestSessionContract(t *testing.T) {
 				if got, want := len(s.Output("path")), 10*11/2; got != want {
 					t.Errorf("%s: paths after resume: %d, want %d", name, got, want)
 				}
+			}
+		}},
+		{"cancel between pulled chunks keeps the cursor", func(t *testing.T, engine Engine) {
+			prog, d, opts := bindTables(MustParse(pathSrc), chainFacts("n", k), 3, Options{Engine: engine})
+			s := newSession(t, prog, opts)
+			ctx, cancel := context.WithCancel(bg)
+			defer cancel()
+			d.before = func(_ string, pos int) error {
+				if pos == 9 {
+					cancel() // chunk 4 of 7 is served and admitted; the check after it sees this
+				}
+				return nil
+			}
+			seen := map[string]int{}
+			err := drain(ctx, s, seen)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled stream ended with %v, want context.Canceled", err)
+			}
+			var pr *PartialResult
+			if errors.As(err, &pr) {
+				t.Fatalf("cancellation surfaced as a PartialResult: %v", err)
+			}
+			if d.nexts != 4 || d.closes != 0 || s.Quiesced() {
+				t.Fatalf("%d chunks pulled at the cancel, %d closes, quiesced=%v; want 4, the cursor open, input left",
+					d.nexts, d.closes, s.Quiesced())
+			}
+			if engine == EnginePipeline && len(seen) == 0 {
+				t.Error("pipeline yielded nothing from the three chunks before the cancel")
+			}
+			// The resumed range starts over at position 0 of the stored
+			// predicate and carries on into what had not been read.
+			seen = map[string]int{}
+			if err := drain(bg, s, seen); err != nil {
+				t.Fatalf("resumed stream: %v", err)
+			}
+			complete(t, seen)
+			if len(d.opened) != 1 || d.closes != 1 || d.nexts != d.pulls(k) {
+				t.Errorf("%d opens, %d closes, %d pulls (want 1, 1, %d): rows were lost or re-read",
+					len(d.opened), d.closes, d.nexts, d.pulls(k))
+			}
+			if got, want := s.Derivations(), k+wantPaths; got != want {
+				t.Errorf("derivations = %d, want %d", got, want)
+			}
+		}},
+		{"transient fault mid-stream is retried at the row", func(t *testing.T, engine Engine) {
+			prog, d, opts := bindTables(MustParse(pathSrc), chainFacts("n", k), 3, Options{Engine: engine})
+			var faultsAt []int
+			fails := 0
+			d.before = func(_ string, pos int) error {
+				if pos == 9 && fails < 2 { // chunk 4 of 7 fails twice, then heals
+					fails++
+					faultsAt = append(faultsAt, pos)
+					return &TransientError{Err: errors.New("simulated outage")}
+				}
+				return nil
+			}
+			opts.Retry = &RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
+			s := newSession(t, prog, opts)
+			seen := map[string]int{}
+			if err := drain(bg, s, seen); err != nil {
+				t.Fatalf("stream with a healing fault under retry: %v", err)
+			}
+			complete(t, seen)
+			if !slices.Equal(faultsAt, []int{9, 9}) || len(d.opened) != 1 || d.nexts != d.pulls(k) {
+				t.Errorf("faults at %v, %d opens, %d pulls; want two retries at row 9 on one cursor and %d pulls",
+					faultsAt, len(d.opened), d.nexts, d.pulls(k))
+			}
+		}},
+		{"retries run out mid-stream: transient and resumable", func(t *testing.T, engine Engine) {
+			prog, d, opts := bindTables(MustParse(pathSrc), chainFacts("n", k), 3, Options{Engine: engine})
+			failed := map[int]bool{}
+			d.before = func(_ string, pos int) error {
+				if pos > 0 && !failed[pos] { // every chunk after the first fails once
+					failed[pos] = true
+					return &TransientError{Err: errors.New("simulated outage")}
+				}
+				return nil
+			}
+			opts.Retry = &RetryPolicy{MaxAttempts: 1}
+			s := newSession(t, prog, opts)
+			seen := map[string]int{}
+			surfaced := 0
+			for err := drain(bg, s, seen); err != nil; err = drain(bg, s, seen) {
+				if !IsTransient(err) {
+					t.Fatalf("surfaced error is not transient: %v", err)
+				}
+				if s.Quiesced() {
+					t.Fatal("session with unread input claims quiescence")
+				}
+				if surfaced++; surfaced > d.pulls(k) {
+					t.Fatalf("stream did not converge after %d resumes: %v", surfaced, err)
+				}
+			}
+			if surfaced != d.pulls(k)-1 {
+				t.Errorf("%d transient errors surfaced, want one per chunk pull after the first (%d)", surfaced, d.pulls(k)-1)
+			}
+			complete(t, seen)
+			if len(d.opened) != 1 || d.closes != 1 || d.nexts != d.pulls(k) {
+				t.Errorf("%d opens, %d closes, %d pulls (want 1, 1, %d): resumption must continue the kept cursor",
+					len(d.opened), d.closes, d.nexts, d.pulls(k))
+			}
+		}},
+		{"budget cut while input is arriving is one PartialResult", func(t *testing.T, engine Engine) {
+			prog, d, opts := bindTables(MustParse(pathSrc), chainFacts("n", k), 3, Options{Engine: engine, MaxDerivations: 30})
+			s := newSession(t, prog, opts)
+			err := drain(bg, s, map[string]int{})
+			var pr, inner *PartialResult
+			if !errors.As(err, &pr) || !errors.Is(err, ErrBudget) {
+				t.Fatalf("budget-bounded stream ended with %v, want *PartialResult over ErrBudget", err)
+			}
+			if errors.As(pr.Reason, &inner) {
+				t.Fatalf("PartialResult wrapped twice: %v", err)
+			}
+			if pr.Quiesced() {
+				t.Fatal("budget-bounded partial result claims quiescence")
+			}
+			if engine == EnginePipeline && d.nexts >= d.pulls(k) {
+				t.Fatalf("pipeline had read all %d chunks when the budget struck; the cut was meant to land mid-input", d.nexts)
+			}
+			s.SetMaxDerivations(0)
+			for i := 0; err != nil; i++ {
+				if i == 5 {
+					t.Fatalf("resume did not converge: %v", err)
+				}
+				err = pr.Resume(bg)
+			}
+			if got := len(s.Output("path")); got != wantPaths {
+				t.Errorf("paths after resume: %d, want %d", got, wantPaths)
+			}
+			if !s.Quiesced() || len(d.opened) != 1 || d.nexts != d.pulls(k) {
+				t.Errorf("quiesced=%v, %d opens, %d pulls (want %d)", s.Quiesced(), len(d.opened), d.nexts, d.pulls(k))
 			}
 		}},
 	}

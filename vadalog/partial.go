@@ -33,7 +33,8 @@ func IsTransient(err error) bool { return source.IsTransient(err) }
 type TransientError = source.Transient
 
 // RetryPolicy tunes how a Session retries transient source I/O failures
-// (see IsTransient) while staging @bind'ed inputs. Retries happen at the
+// (see IsTransient) while reading @bind'ed inputs — up front under
+// RunContext/Query, mid-stream under Facts/Stream. Retries happen at the
 // cursor seam: an interrupted chunk pull consumed nothing, so a retry
 // resumes exactly where the failure struck and re-reads no rows.
 type RetryPolicy struct {
@@ -163,7 +164,7 @@ func (s *Session) SetMaxDerivations(n int) {
 }
 
 // Quiesced reports whether the session's reasoning is complete: every
-// bound input fully staged, no staged facts waiting, and the engine at
+// bound input fully read, no staged facts waiting, and the engine at
 // its fixpoint. After an interrupted run it distinguishes "the answer is
 // complete" from "resuming would derive more".
 func (s *Session) Quiesced() bool {

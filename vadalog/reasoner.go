@@ -29,8 +29,9 @@ type Reasoner struct {
 	opts Options
 	prog *ast.Program
 	// newEngine derives fresh per-run engine state over the compiled
-	// program — the one place the choice of engine lives on.
-	newEngine func() engine
+	// program, pulling its input from feed — the one place the choice of
+	// engine lives on.
+	newEngine func(feed pipeline.Feeder) engine
 	plc       *pipeline.Compiled // Plan only; nil on the chase engine
 	binds     []boundIO          // @bind/@qbind annotations resolved against the driver registry
 	diags     []Diagnostic
@@ -91,7 +92,11 @@ func Compile(prog *Program, opts *Options) (*Reasoner, error) {
 			return nil, err
 		}
 		r.plc = plc
-		r.newEngine = func() engine { return plc.NewSession() }
+		r.newEngine = func(feed pipeline.Feeder) engine {
+			s := plc.NewSession()
+			s.SetFeeder(feed)
+			return s
+		}
 	case EngineChase:
 		chc, err := chase.Compile(prog, chase.Options{
 			Rewrite:             rw,
@@ -107,7 +112,7 @@ func Compile(prog *Program, opts *Options) (*Reasoner, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.newEngine = func() engine { return chaseEngine{chc.NewEngine()} }
+		r.newEngine = func(feed pipeline.Feeder) engine { return chaseEngine{chc.NewEngine(), feed} }
 	default:
 		return nil, fmt.Errorf("vadalog: unknown engine %d", o.Engine)
 	}
@@ -127,7 +132,9 @@ func MustCompile(prog *Program, opts *Options) *Reasoner {
 // compiled program. Sessions are cheap (no analysis, rewriting or rule
 // compilation happens); each is for use by a single goroutine.
 func (r *Reasoner) NewSession() *Session {
-	return &Session{opts: r.opts, prog: r.prog, binds: r.binds, eng: r.newEngine()}
+	s := &Session{opts: r.opts, prog: r.prog, binds: r.binds}
+	s.eng = r.newEngine(s.step)
+	return s
 }
 
 // Query runs the compiled program over facts in a fresh single-use
@@ -149,10 +156,14 @@ func (r *Reasoner) Query(ctx context.Context, facts []Fact) (*Result, error) {
 // Stream runs the compiled program over facts in a fresh single-use
 // session and yields the facts of pred lazily as they are derived (the
 // volcano next() of the paper, surfaced as a Go 1.23+ range-over-func
-// iterator). The sequence yields (fact, nil) pairs until exhaustion; a
-// reasoning failure or context cancellation yields one final
-// (zero fact, err) pair. It is safe to call concurrently on a shared
-// Reasoner.
+// iterator). On the pipeline engine the input is pulled as well: @bind'ed
+// sources and facts are read one chunk at a time, only when the pull of
+// pred comes back dry, so the first fact does not wait for the last row and
+// an early break leaves the rest unread (see Session.Facts for the order
+// and the exceptions). The sequence yields (fact, nil) pairs until
+// exhaustion; a reasoning or source failure or context cancellation yields
+// one final (zero fact, err) pair. It is safe to call concurrently on a
+// shared Reasoner.
 //
 // Monotonic aggregates (msum, mprod, mmin, mmax, mcount, munion) stream
 // improving values only: each fact yielded for an aggregate group carries
@@ -166,8 +177,9 @@ func (r *Reasoner) Stream(ctx context.Context, facts []Fact, pred string) iter.S
 	return func(yield func(Fact, error) bool) {
 		s := r.NewSession()
 		// The session is internal and unreachable once iteration ends, so
-		// whatever cut it short — an early break, cancellation mid-load —
-		// its open input cursor must be released here or it leaks.
+		// whatever cut it short — an early break with input still unread,
+		// cancellation mid-load — its open input cursor must be released
+		// here or it leaks.
 		defer s.Close()
 		s.Load(facts...)
 		for f, err := range s.Facts(ctx, pred) {

@@ -46,6 +46,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lint"
 	"repro/internal/parser"
+	"repro/internal/pipeline"
 	"repro/internal/storage"
 	"repro/internal/term"
 )
@@ -162,7 +163,7 @@ type Options struct {
 	// to populate it.
 	Drivers map[string]Driver
 	// Retry tunes how sessions retry transient source I/O failures while
-	// staging @bind'ed inputs (see RetryPolicy and IsTransient). nil
+	// reading @bind'ed inputs (see RetryPolicy and IsTransient). nil
 	// selects the default policy (4 attempts, 5ms base backoff doubling
 	// to a 500ms cap); MaxAttempts: 1 disables retrying.
 	Retry *RetryPolicy
@@ -224,7 +225,10 @@ func Lint(prog *Program, file string) []Diagnostic {
 // as the reference implementation. *pipeline.Session satisfies it as it
 // stands and *chase.Engine through chaseEngine; everything below DB is
 // what both promote from their embedded *admit.Core. Compile picks the
-// implementation; nothing after it asks which one runs.
+// implementation; nothing after it asks which one runs. An engine is
+// created holding its session's input as a pipeline.Feeder (Session.step),
+// and Next pulls from it: chunk by chunk on the pipeline, all at once on
+// the chase.
 type engine interface {
 	LoadProgramFacts()
 	LoadChunk(ctx context.Context, facts []ast.Fact) error
@@ -244,8 +248,12 @@ type engine interface {
 }
 
 // chaseEngine fits *chase.Engine to the engine seam; the engine's own
-// LoadChunk and Run signatures are the benchmark harness's and stay.
-type chaseEngine struct{ *chase.Engine }
+// LoadChunk and Run signatures are the benchmark harness's and stay. feed
+// is the session's input (see Session.step).
+type chaseEngine struct {
+	*chase.Engine
+	feed pipeline.Feeder
+}
 
 // LoadChunk admits the chunk, then reports any pending cancellation (the
 // pipeline's contract: a chunk already pulled from a cursor is never
@@ -269,10 +277,14 @@ func (c chaseEngine) Run(ctx context.Context, facts []ast.Fact) error {
 	return err
 }
 
-// Next returns pred's n-th live fact. The chase has no lazy path: whenever
-// deltas are waiting — a first pull, facts loaded since the last one — it
-// runs to its fixpoint before answering.
+// Next returns pred's n-th live fact. The chase has no lazy path: it takes
+// all the input there is, and whenever deltas are waiting — a first pull,
+// facts loaded since the last one — it runs to its fixpoint before
+// answering.
 func (c chaseEngine) Next(ctx context.Context, pred string, n int) (ast.Fact, bool, error) {
+	if err := c.feed.Drain(ctx); err != nil {
+		return ast.Fact{}, false, err
+	}
 	if !c.Quiesced() {
 		if err := c.Run(ctx, nil); err != nil {
 			return ast.Fact{}, false, err
@@ -296,9 +308,9 @@ type Session struct {
 	pending []ast.Fact
 	ran     bool
 
-	// Streaming-load state: the compile-time-resolved bindings shared
+	// Input state (see step): the compile-time-resolved bindings shared
 	// with the Reasoner, the index of the input binding currently being
-	// drained, its open cursor (kept across a cancelled load so the
+	// read, its open cursor (kept across a cancelled or failed step so the
 	// session resumes where it stopped), and the done flags.
 	binds      []boundIO
 	bindIdx    int
@@ -326,17 +338,21 @@ func policyFactory(p Policy) (func(*analysis.Result) core.Policy, bool) {
 // Load stages facts for the next drive of the session (Run, or a pull of
 // Facts): loading into a session that already ran resumes it, since new
 // facts can enable new derivations. Labelled nulls among the facts (e.g.
-// "_:nK" cells materialized by ReadCSV) reserve their ids in the session's
-// null factory, so nulls the run mints never collide with loaded ones.
+// "_:nK" cells materialized by ReadCSV) are imported into the session's
+// null factory: a label the session has not reached is kept and never
+// minted afterwards; one it has already minted — Load after a run — names
+// a different null, so the loaded one is renamed, the same way every time
+// the label is seen. Equal labels are one null across everything a session
+// loads, bound sources included.
 func (s *Session) Load(facts ...Fact) {
-	for _, f := range facts {
-		for _, v := range f.Args {
-			if v.IsNull() {
-				s.eng.DB().Nulls.Reserve(v.NullID())
-			}
+	s.pending = append(s.pending, facts...)
+	nulls := s.eng.DB().Nulls
+	staged := s.pending[len(s.pending)-len(facts):]
+	for i := range staged {
+		if args, renamed := importRow(nulls, staged[i].Args); renamed {
+			staged[i].Args = args
 		}
 	}
-	s.pending = append(s.pending, facts...)
 }
 
 // Run executes the reasoning task to completion: it streams any
@@ -371,27 +387,12 @@ func (s *Session) RunContext(ctx context.Context) error {
 	return s.wrapPartial(s.writeBoundOutputs(ctx))
 }
 
-// feed brings the engine up to date with what the session holds for it —
-// the bound inputs, streamed once per session (see stage), then the facts
-// staged by Load — and marks the session run. Every drive goes through
-// it, so a bound striking mid-load surfaces the same way from each: a
-// budget can already be exhausted while a bound input is loading, and
-// that, like a deadline, is a resumable *PartialResult.
+// feed steps the session's input to exhaustion (see step): the batch
+// drives load everything, then drain. A bound striking mid-load surfaces
+// the way it does from a drain — a deadline while a bound input is loading
+// is a resumable *PartialResult.
 func (s *Session) feed(ctx context.Context) error {
-	if err := s.stage(ctx); err != nil {
-		return s.wrapPartial(mapErr(err))
-	}
-	s.ran = true
-	if len(s.pending) == 0 {
-		return nil
-	}
-	// On failure the staged facts stay: loading skips duplicates, so the
-	// resumed feed admits only what was cut off.
-	if err := s.eng.LoadChunk(ctx, s.pending); err != nil {
-		return s.wrapPartial(mapErr(err))
-	}
-	s.pending = nil
-	return nil
+	return s.wrapPartial(mapErr(pipeline.Feeder(s.step).Drain(ctx)))
 }
 
 // mapErr lifts the admission core's sentinels to this package's.
@@ -434,21 +435,29 @@ func (s *Session) Result() (*Result, error) {
 }
 
 // Facts pulls the stored facts of pred lazily as a range-over-func
-// iterator: the pipeline engine derives them on demand (volcano next());
-// the chase engine runs to its fixpoint on the first pull and then
-// iterates. Facts loaded between pulls or between two ranges are picked
-// up on either engine. The sequence yields (fact, nil) pairs until
-// exhaustion; a reasoning failure or context cancellation yields one
-// final (zero fact, err) pair and stops — a *PartialResult when a
-// resource bound struck, as from RunContext. @post directives describe
-// the materialized answer and apply to Output, not to the stream.
+// iterator. On the pipeline engine both ends are lazy (the volcano next()
+// of the paper): facts are derived on demand, and input is read on demand
+// too — a pull that comes back dry loads one more chunk (program facts,
+// then each @bind'ed input's next cursor chunk in declaration order, then
+// the staged facts) and pulls again, so the first fact is yielded after
+// the first chunk that can derive it, not after the last row. A program
+// with a negated body atom reads all its input before the first pull. The
+// chase engine reads everything and runs to its fixpoint on the first
+// pull, then iterates. Facts loaded between pulls or between two ranges
+// are picked up on either engine; breaking out early leaves the rest of
+// the input unread, its cursor open for the next drive (or Close).
+//
+// The sequence yields (fact, nil) pairs until exhaustion; a reasoning or
+// source failure or context cancellation yields one final (zero fact, err)
+// pair and stops — a *PartialResult when a resource bound struck, as from
+// RunContext — and the session stays resumable exactly as after a failed
+// RunContext. The order of the stream is the engine's admission order,
+// which depends on how the input was chunked; the set of facts, and
+// Output's canonical order, do not. @post directives describe the
+// materialized answer and apply to Output, not to the stream.
 func (s *Session) Facts(ctx context.Context, pred string) iter.Seq2[Fact, error] {
 	return func(yield func(Fact, error) bool) {
 		for n := 0; ; n++ {
-			if err := s.feed(ctx); err != nil {
-				yield(Fact{}, err)
-				return
-			}
 			f, ok, err := s.eng.Next(ctx, pred, n)
 			if err != nil {
 				yield(Fact{}, s.wrapPartial(mapErr(err)))
