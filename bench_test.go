@@ -864,14 +864,12 @@ func BenchmarkStreamingLoad(b *testing.B) {
 	})
 }
 
-// BenchmarkScalingMatrix records the partitioned-admission scaling curve
-// (PR 10): worker count × shard count over three admission-bound
-// generator families, each wired to the million-fact range at full
-// REPRO_BENCH_SCALE. Every cell runs the batched chase (the engine with
-// both axes) on identical inputs, so the final database is
-// byte-identical across the whole matrix and the only variables are
-// match parallelism and duplicate-table partitioning. On a single-core
-// host the w=1/s=1 column is the serial overhead control.
+// BenchmarkScalingMatrix records the parallel chase's scaling curve: worker
+// count over three admission-bound generator families, each wired to the
+// million-fact range at full REPRO_BENCH_SCALE. Every cell runs the batched
+// chase on identical inputs, so the final database is byte-identical across
+// the whole matrix and the only variable is match parallelism. On a
+// single-core host the w=1 column is the serial overhead control.
 func BenchmarkScalingMatrix(b *testing.B) {
 	target := int(1_000_000 * benchScale())
 	if target < 2_000 {
@@ -916,17 +914,14 @@ func BenchmarkScalingMatrix(b *testing.B) {
 
 	for _, sc := range scenarios {
 		for _, workers := range []int{1, 2, 4, 8} {
-			for _, shards := range []int{1, 2, 8} {
-				opts := vadalog.Options{Engine: vadalog.EngineChase,
-					Parallelism: workers, Shards: shards}
-				b.Run(fmt.Sprintf("%s/w=%d/s=%d", sc.name, workers, shards), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						runOnce(b, sc.src, sc.facts, sc.out, &opts)
-					}
-					b.ReportMetric(float64(len(sc.facts)), "input-facts")
-				})
-			}
+			opts := vadalog.Options{Engine: vadalog.EngineChase, Parallelism: workers}
+			b.Run(fmt.Sprintf("%s/w=%d", sc.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					runOnce(b, sc.src, sc.facts, sc.out, &opts)
+				}
+				b.ReportMetric(float64(len(sc.facts)), "input-facts")
+			})
 		}
 	}
 }

@@ -23,18 +23,13 @@
 //	                           and vada exits 4
 //	-parallel N                chase match workers (0 = GOMAXPROCS,
 //	                           1 = single-threaded; results are identical)
-//	-shards N                  chase duplicate-table shards for the
-//	                           parallel admission pre-pass (0 = min(
-//	                           GOMAXPROCS, 8); results are identical;
-//	                           like -parallel, the pipeline ignores it)
 //	-noplan                    disable the cost-based join planner
 //	                           (static schedules; results are identical)
 //	-explain                   after the run, print the access plan with
 //	                           the chosen join orders and their estimates
 //	                           to stderr
-//	-phases                    after the run, print the match/pre-pass/
-//	                           admit wall-time split to stderr (the
-//	                           pipeline has no pre-pass: always 0s)
+//	-phases                    after the run, print the match/admit
+//	                           wall-time split to stderr
 //	-facts pred=file.csv       extra CSV input (repeatable)
 //	-bind pred=driver:target   override (or add) a predicate's binding
 //	                           without editing the program (repeatable),
@@ -334,10 +329,9 @@ func cmdRun(args []string) {
 	maxDer := fs.Int("max", 0, "derivation budget (0 = default)")
 	timeout := fs.Duration("timeout", 0, "wall-clock bound; on expiry print the partial result and exit 4 (0 = none)")
 	parallel := fs.Int("parallel", 0, "chase match workers (0 = GOMAXPROCS, 1 = single-threaded)")
-	shards := fs.Int("shards", 0, "chase duplicate-table shards for the parallel admission pre-pass (0 = min(GOMAXPROCS, 8); results are identical; the pipeline ignores it)")
 	noplan := fs.Bool("noplan", false, "disable the cost-based join planner")
 	explain := fs.Bool("explain", false, "print the access plan with chosen join orders after the run")
-	phases := fs.Bool("phases", false, "print the match/pre-pass/admit wall-time split after the run")
+	phases := fs.Bool("phases", false, "print the match/admit wall-time split after the run")
 	var extraFacts, printPreds, bindOverrides multiFlag
 	fs.Var(&extraFacts, "facts", "pred=file.csv extra input (repeatable)")
 	fs.Var(&printPreds, "print", "predicate to print (repeatable)")
@@ -368,7 +362,7 @@ exit codes:
 	}
 
 	opts := &vadalog.Options{MaxDerivations: *maxDer, Parallelism: *parallel,
-		Shards: *shards, PhaseTiming: *phases, DisablePlanner: *noplan}
+		PhaseTiming: *phases, DisablePlanner: *noplan}
 	switch *engine {
 	case "pipeline":
 		opts.Engine = vadalog.EnginePipeline
@@ -440,9 +434,8 @@ exit codes:
 		fmt.Fprint(os.Stderr, sess.Explain())
 	}
 	if *phases {
-		match, prepass, admit := sess.PhaseStats()
-		fmt.Fprintf(os.Stderr, "vada: phases: match %v, prepass %v, admit %v (%d shards)\n",
-			match, prepass, admit, sess.Shards())
+		match, _, admit := sess.PhaseStats()
+		fmt.Fprintf(os.Stderr, "vada: phases: match %v, admit %v\n", match, admit)
 	}
 
 	for _, pred := range preds {

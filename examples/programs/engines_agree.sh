@@ -2,8 +2,8 @@
 # Runs every example program through the vada CLI on both engines, over
 # the facts in facts/<program>/<pred>.csv, and requires the same printed
 # answer (sorted, labelled nulls compared up to their ids). -phases and
-# -explain ride along so PhaseStats, Shards and Explain are driven on both
-# engines from the outermost caller. Usage: engines_agree.sh [vada-binary]
+# -explain ride along so PhaseStats and Explain are driven on both engines
+# from the outermost caller. Usage: engines_agree.sh [vada-binary]
 set -euo pipefail
 here=$(cd "$(dirname "$0")" && pwd)
 vada=${1:-}

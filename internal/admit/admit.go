@@ -6,8 +6,8 @@
 // find matches; what happens to a match afterwards — constraint and EGD
 // enforcement, monotonic aggregation with supersession, existential
 // instantiation, the duplicate check, the termination check, budget
-// metering, storage, tag-twin mirroring and the partitioned-admission merge
-// — lives here, once.
+// metering, storage, tag-twin mirroring and the canonical-order replay of
+// buffered matches — lives here, once.
 //
 // Compiled is the compile-time half (rewrite, warded analysis, per-rule
 // plans); Core is the per-run half (database, policy, meter, aggregate
@@ -141,16 +141,6 @@ func Compile(prog *ast.Program, cfg Config) (*Compiled, error) {
 	return p, nil
 }
 
-// Plain reports whether rule ri has plain admission effects — no aggregate
-// supersession, no EGD unification, no constraint, no existential
-// instantiation, at least one head — so its head rows can be resolved and
-// hashed at capture time for the partitioned admission path.
-func (p *Compiled) Plain(ri int) bool {
-	cr := p.Rules[ri]
-	return cr.Agg == nil && cr.Rule.EGD == nil && !cr.Rule.IsConstraint &&
-		len(cr.Exists) == 0 && len(cr.Heads) > 0
-}
-
 // Core is the per-run admission state over a shared Compiled: it owns the
 // database, the termination policy, the null substitution, the derivation
 // meter and the per-rule aggregate state, and is the only code that
@@ -178,25 +168,11 @@ type Core struct {
 	contribBuf []term.Value
 	rowBuf     []uint32
 	parentsBuf []*core.FactMeta
-
-	// Partitioned admission state. shards is the resolved duplicate-table
-	// shard count (a power of two). cands is the flattened candidate array
-	// — one slot per (log, canonical entry, head), in exactly the order
-	// Merge consumes them — with the pre-pass verdicts alongside;
-	// candInserted marks candidates Merge actually admitted, which is what
-	// validates PrepassDupBatch verdicts pointing at them.
-	shards       int
-	cands        []storage.PrepassCand
-	candVerdict  []uint8
-	candDupOf    []int32
-	candInserted []bool
 }
 
-// NewCore derives fresh run-time state over p. shards is the engine's
-// requested duplicate-table shard count (rounded up to a power of two, <= 1
-// disables the parallel pre-pass); onAdmit is called, on the admitting
-// goroutine, with every fact stored or replaced in place.
-func (p *Compiled) NewCore(shards int, onAdmit func(m *core.FactMeta)) *Core {
+// NewCore derives fresh run-time state over p. onAdmit is called, on the
+// admitting goroutine, with every fact stored or replaced in place.
+func (p *Compiled) NewCore(onAdmit func(m *core.FactMeta)) *Core {
 	c := &Core{
 		p:       p,
 		db:      storage.NewDatabase(),
@@ -214,9 +190,6 @@ func (p *Compiled) NewCore(shards int, onAdmit func(m *core.FactMeta)) *Core {
 	if p.cfg.DisableDynamicIndex {
 		c.db.DisableIndexes()
 	}
-	c.db.SetShards(shards)
-	c.shards = c.db.Shards()
-	c.meter.SetShards(c.shards)
 	c.mt.DB = c.db
 	nHeads := 0
 	for _, cr := range p.Rules {
@@ -244,12 +217,8 @@ func (c *Core) Strategy() core.Policy { return c.strat }
 // Subst exposes the EGD null substitution.
 func (c *Core) Subst() *eval.NullSubst { return c.subst }
 
-// Meter exposes the derivation meter (budget usage, per-shard pre-pass
-// statistics).
+// Meter exposes the derivation meter (budget usage).
 func (c *Core) Meter() *core.Meter { return c.meter }
-
-// Shards returns the resolved duplicate-table shard count.
-func (c *Core) Shards() int { return c.shards }
 
 // Derivations reports admitted (inserted or superseded-in-place) facts so
 // far, EDB included.
@@ -581,126 +550,19 @@ func (c *Core) replaceTagTwin(old, f ast.Fact) {
 	}
 }
 
-// ResetCands empties the candidate array ahead of a round of Flatten
-// calls.
-func (c *Core) ResetCands() { c.cands = c.cands[:0] }
-
-// ReleaseCands drops the candidate array and its verdicts: they are sized
-// by the largest round Flatten ever laid out, and an engine at its fixpoint
-// has no use for them until the next round re-grows them.
-func (c *Core) ReleaseCands() {
-	c.cands, c.candVerdict, c.candDupOf, c.candInserted = nil, nil, nil, nil
-}
-
-// Flatten appends the prepared heads of lg (captured for rule ri with
-// PrepareHeads/CaptureHeads) to the candidate array in canonical (perm,
-// head) order and returns the index of the first slot, which Merge takes
-// back. Target relations are created here, while mutation is serial.
-// Unprepared entries and heads whose relation's arity drifted since
-// capture (restride) get placeholder slots (Rel nil).
-func (c *Core) Flatten(ri int, lg *eval.BindingLog, perm []int32) int {
-	base := len(c.cands)
-	heads := c.p.Rules[ri].Heads
-	for _, i := range perm {
-		for hi := range heads {
-			var cand storage.PrepassCand
-			if lg.EntryPrepared(int(i)) {
-				row, h := lg.PreparedHead(int(i), hi)
-				if rel := c.db.Rel(heads[hi].Pred, len(row)); rel.Arity() == len(row) {
-					cand = storage.PrepassCand{Rel: rel, Row: row, Hash: h, Gen: rel.RetractGen()}
-				}
-			}
-			c.cands = append(c.cands, cand)
-		}
-	}
-	return base
-}
-
-// Prepass computes sharded dedup verdicts for the flattened candidates in
-// parallel (storage.RunPrepass). Verdicts only ever skip work Merge would
-// redo identically, so this phase is invisible to the final database for
-// every shard count. A crash in it (the storage.merge fault seam, a
-// shard-goroutine panic) unwinds with nothing admitted.
-func (c *Core) Prepass() {
-	n := len(c.cands)
-	if n == 0 {
-		return
-	}
-	if cap(c.candVerdict) < n {
-		c.candVerdict = make([]uint8, n)
-		c.candDupOf = make([]int32, n)
-		c.candInserted = make([]bool, n)
-	}
-	c.candVerdict = c.candVerdict[:n]
-	c.candDupOf = c.candDupOf[:n]
-	c.candInserted = c.candInserted[:n]
-	for i := range c.candVerdict {
-		c.candVerdict[i] = storage.PrepassUnknown
-		c.candDupOf[i] = -1
-		c.candInserted[i] = false
-	}
-	storage.RunPrepass(c.cands, c.candVerdict, c.candDupOf, c.shards, c.meter)
-}
-
-// Merge admits the candidates Flatten laid out for (ri, lg, perm) at base,
-// in canonical order — the serial merge of partitioned admission. Per
-// candidate it consumes the pre-pass verdict: duplicate verdicts skip
-// outright while the relation's retraction generation still matches the
-// candidate's snapshot (a retraction since Flatten invalidates them);
-// everything else goes through admit with the prepared row and hash, whose
-// O(1) re-probe against live state makes the decision sequence exactly the
-// classic replay's — and which materializes a fact only for a row that
-// survives it. Entries whose heads did not prepare fall back to Restore
-// into b + Emit — so a log captured without PrepareHeads needs no Flatten
-// and is simply replayed, base unused; a candidate whose relation restrided
-// since capture skips its verdict and lets admit re-fit the row. It returns
-// how many facts were stored or replaced.
-func (c *Core) Merge(ri int, lg *eval.BindingLog, perm []int32, base int, b *eval.Binding) (int, error) {
-	cr := c.p.Rules[ri]
-	nh := len(cr.Heads)
-	shardMask := uint64(c.shards - 1)
+// Replay runs the bindings lg captured for rule ri through Emit in the
+// order perm gives (eval.BindingLog.CanonicalOrder), restoring each into b —
+// the one path from a buffered match to the store, for the chase's batch
+// logs and the pipeline's buffered firings alike. It returns how many facts
+// were stored or replaced.
+func (c *Core) Replay(ri int, lg *eval.BindingLog, perm []int32, b *eval.Binding) (int, error) {
 	admitted := 0
-	for k, idx := range perm {
-		i := int(idx)
-		if !lg.EntryPrepared(i) {
-			lg.Restore(i, c.db.Interner(), b)
-			n, err := c.Emit(ri, b)
-			admitted += n
-			if err != nil {
-				return admitted, err
-			}
-			continue
-		}
-		var parents []*core.FactMeta
-		for hi := 0; hi < nh; hi++ {
-			ci := base + k*nh + hi
-			row, h := lg.PreparedHead(i, hi)
-			rel := c.cands[ci].Rel
-			if rel == nil || rel.Arity() != len(row) {
-				// The prepared row does not match the relation's stride.
-				rel = c.db.Rel(cr.Heads[hi].Pred, len(row))
-			} else if rel.RetractGen() == c.cands[ci].Gen {
-				// Duplicate verdicts are exact for pre-Flatten state and
-				// for earlier inserted candidates.
-				v := c.candVerdict[ci]
-				if v == storage.PrepassDupStored ||
-					(v == storage.PrepassDupBatch && c.candInserted[c.candDupOf[ci]]) {
-					continue
-				}
-			}
-			if parents == nil {
-				parents = lg.ParentsAppend(cr, i, c.parentsBuf[:0])
-				c.parentsBuf = parents
-			}
-			n, err := c.admit(rel, row, h, nil, cr.Rule.ID, parents)
-			if err != nil {
-				return admitted, err
-			}
-			if n > 0 {
-				c.candInserted[ci] = true
-				c.meter.NoteShardAdmit(int(h & shardMask))
-				admitted++
-			}
+	for _, i := range perm {
+		lg.Restore(int(i), c.db.Interner(), b)
+		n, err := c.Emit(ri, b)
+		admitted += n
+		if err != nil {
+			return admitted, err
 		}
 	}
 	return admitted, nil

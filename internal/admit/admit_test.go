@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/parser"
-	"repro/internal/storage"
 	"repro/internal/term"
 )
 
@@ -29,15 +28,6 @@ type harness struct {
 	events     []string // hook calls, in order
 	superseded []string // SupersessionObserver calls
 	checks     int      // CheckTermination calls
-
-	logs [2]preparedLog // the merge cases' captured deltas
-}
-
-// preparedLog is one delta's prepared-head log, flattened at base.
-type preparedLog struct {
-	lg   *eval.BindingLog
-	perm []int32
-	base int
 }
 
 // spyPolicy wraps the full strategy: it counts termination checks (a
@@ -76,7 +66,7 @@ func newHarness(t *testing.T, src string, tags map[string]string, reject string)
 	for pred, twin := range tags {
 		p.RW.TagPreds[pred] = twin
 	}
-	h.p, h.c = p, p.NewCore(4, func(m *core.FactMeta) { h.events = append(h.events, m.Fact.String()) })
+	h.p, h.c = p, p.NewCore(func(m *core.FactMeta) { h.events = append(h.events, m.Fact.String()) })
 	h.mt = &eval.Matcher{DB: h.c.DB()}
 	for _, cr := range p.Rules {
 		h.bs = append(h.bs, eval.NewBinding(cr))
@@ -120,22 +110,29 @@ func (h *harness) fire(delta string) error {
 	return nil
 }
 
-// capture matches rule 0 pinned to delta into a prepared-head log, the way
-// a match worker does.
-func (h *harness) capture(delta string) (*eval.BindingLog, []int32) {
+// capture matches rule 0 pinned to delta into a binding log, the way a
+// match worker or a buffered pipeline firing does.
+func (h *harness) capture(delta string) *eval.BindingLog {
 	cr := h.p.Rules[0]
 	lg := &eval.BindingLog{}
 	lg.Reset(cr)
-	lg.PrepareHeads(cr)
 	err := h.mt.MatchPinned(cr, 0, h.meta(delta), h.bs[0], func(b *eval.Binding) error {
 		lg.Capture(b)
-		lg.CaptureHeads(cr, b, nil)
 		return nil
 	})
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	return lg, lg.CanonicalOrder(nil)
+	return lg
+}
+
+// replay runs lg's captured bindings of rule 0 through Core.Replay in
+// canonical order.
+func (h *harness) replay(lg *eval.BindingLog) {
+	h.t.Helper()
+	if _, err := h.c.Replay(0, lg, lg.CanonicalOrder(nil), h.bs[0]); err != nil {
+		h.t.Fatal(err)
+	}
 }
 
 // state renders everything a step may mutate: every row of every relation
@@ -172,11 +169,8 @@ func TestHookContract(t *testing.T) {
 		src    string
 		tags   map[string]string
 		reject string
-		// steps are stored facts fired as deltas, in order; a step may
-		// instead be a custom drive (the merge cases).
+		// steps are stored facts fired as deltas, in order.
 		steps []string
-		drive func(h *harness, step int) error
-		nstep int
 
 		events     []string // hook events after the loads
 		charged    int      // meter charges after the loads
@@ -223,32 +217,16 @@ func TestHookContract(t *testing.T) {
 			events: []string{"total(g,1)", "total__tag(g,1)", "total(g,3)", "total__tag(g,3)"}, charged: 2,
 			superseded: []string{"total(g,1)"},
 		},
-		{
-			// Two deltas derive p(5); the pre-pass marked the second a
-			// batch duplicate of the first, so the merge skips it unprobed.
-			name: "prepared merge, DupBatch verdict", src: `e(X,Y) -> p(Y). e(1,5). e(2,5).`,
-			nstep: 3, drive: mergeDrive(false), events: []string{"p(5)"}, charged: 1,
-		},
-		{
-			// Same, but the row the verdict points at is retracted between
-			// the two merges: the verdict is stale, the merge must re-probe
-			// and admit p(5) afresh.
-			name: "prepared merge, stale DupBatch verdict after a retraction", src: `e(X,Y) -> p(Y). p(7). e(1,5). e(2,5).`,
-			nstep: 4, drive: mergeDrive(true), events: []string{"p(5)", "p(5)"}, charged: 2,
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.drive == nil {
-				tc.nstep = len(tc.steps)
-				tc.drive = func(h *harness, step int) error { return h.fire(tc.steps[step]) }
-			}
+			drive := func(h *harness, step int) error { return h.fire(tc.steps[step]) }
 			run := func(cutAt int) *harness {
 				h := newHarness(t, tc.src, tc.tags, tc.reject)
 				h.events, h.checks = nil, 0
-				for step := 0; step < tc.nstep; step++ {
+				for step := 0; step < len(tc.steps); step++ {
 					if step != cutAt {
-						if err := tc.drive(h, step); err != nil {
+						if err := drive(h, step); err != nil {
 							t.Fatalf("step %d: %v", step, err)
 						}
 						continue
@@ -256,7 +234,7 @@ func TestHookContract(t *testing.T) {
 					limit := h.c.Meter().Limit()
 					h.c.SetBudget(h.c.Derivations())
 					before := h.state()
-					err := tc.drive(h, step)
+					err := drive(h, step)
 					if err != nil && !errors.Is(err, ErrBudget) {
 						t.Fatalf("step %d under an exhausted budget: %v", step, err)
 					}
@@ -267,7 +245,7 @@ func TestHookContract(t *testing.T) {
 					if err == nil {
 						continue // the step needed no budget
 					}
-					if err := tc.drive(h, step); err != nil {
+					if err := drive(h, step); err != nil {
 						t.Fatalf("step %d re-fired under the raised budget: %v", step, err)
 					}
 				}
@@ -284,48 +262,12 @@ func TestHookContract(t *testing.T) {
 				t.Errorf("supersession notices = %v, want %v", h.superseded, tc.superseded)
 			}
 			want := h.state()
-			for cutAt := 0; cutAt < tc.nstep; cutAt++ {
+			for cutAt := 0; cutAt < len(tc.steps); cutAt++ {
 				if got := run(cutAt).state(); got != want {
 					t.Errorf("budget cut before step %d: final state differs\n got: %s\nwant: %s", cutAt, got, want)
 				}
 			}
 		})
-	}
-}
-
-// mergeDrive drives the prepared-path cases: step 0 captures both deltas'
-// logs, flattens them and plants the verdicts a pre-pass over this batch
-// computes (too small a batch for RunPrepass to fan out); step 1 merges the
-// first log; step 2 — when retract is set — retracts the row that merge
-// admitted; the last step merges the second log.
-func mergeDrive(retract bool) func(h *harness, step int) error {
-	return func(h *harness, step int) error {
-		if !retract && step >= 2 {
-			step++
-		}
-		switch step {
-		case 0:
-			h.c.ResetCands()
-			for i, delta := range []string{"e(1,5)", "e(2,5)"} {
-				l := &h.logs[i]
-				l.lg, l.perm = h.capture(delta)
-				l.base = h.c.Flatten(0, l.lg, l.perm)
-			}
-			h.c.Prepass()
-			h.c.candVerdict[0], h.c.candVerdict[1] = storage.PrepassFresh, storage.PrepassDupBatch
-			h.c.candDupOf[1] = 0
-			return nil
-		case 2:
-			// p(5) sits in row 1 behind the inline p(7): superseding it
-			// with p(7) retracts it, as an aggregate rule's Replace would.
-			if out := h.c.DB().Lookup("p").Replace(1, h.meta("p(7)").Fact); out != storage.ReplaceRetracted {
-				h.t.Fatalf("Replace = %v, want ReplaceRetracted", out)
-			}
-			return nil
-		}
-		l := h.logs[step/2]
-		_, err := h.c.Merge(0, l.lg, l.perm, l.base, h.bs[0])
-		return err
 	}
 }
 
@@ -368,37 +310,38 @@ func TestRowPathEdges(t *testing.T) {
 		}
 	})
 	t.Run("restride between capture and merge", func(t *testing.T) {
-		// The rows were prepared at stride 1; an EDB load restrides p before
-		// the merge, which must re-fit them instead of trusting the capture.
+		// The bindings were captured while p had stride 1; an EDB load
+		// restrides p before the replay, whose probes must fit the live
+		// stride: p(5) once, and p(6) although p(6,0) is stored.
 		h := newHarness(t, `e(X,Y) -> p(Y). e(1,5). e(2,5). e(3,6).`, nil, "")
-		h.c.ResetCands()
-		var logs []preparedLog
+		h.c.Load(ast.NewFact("p", term.Int(9)))
+		var logs []*eval.BindingLog
 		for _, delta := range []string{"e(1,5)", "e(2,5)", "e(3,6)"} {
-			lg, perm := h.capture(delta)
-			logs = append(logs, preparedLog{lg: lg, perm: perm, base: h.c.Flatten(0, lg, perm)})
+			logs = append(logs, h.capture(delta))
 		}
-		h.c.Prepass()
 		h.c.Load(ast.NewFact("p", term.Int(6), term.Int(0)))
 		h.events = nil
-		for _, l := range logs {
-			if _, err := h.c.Merge(0, l.lg, l.perm, l.base, h.bs[0]); err != nil {
-				t.Fatal(err)
-			}
+		for _, lg := range logs {
+			h.replay(lg)
 		}
 		if want := []string{"p(5)", "p(6)"}; !reflect.DeepEqual(h.events, want) {
 			t.Errorf("events = %v, want %v", h.events, want)
 		}
 	})
 	t.Run("head constant never seen by the interner", func(t *testing.T) {
-		// The first emission cannot resolve "fresh" — the fact is stored
-		// nowhere, no probe — and its insert interns it; later emissions
-		// resolve the constant and take the prepared path.
+		// The first emission — replayed from a log captured before anything
+		// held the constant — cannot resolve "fresh": the fact is stored
+		// nowhere, no probe, and its insert interns it; later emissions
+		// resolve the constant and probe by row.
 		h := newHarness(t, `a(X) -> p(X,"fresh"). a(1). a(2).`, nil, "")
 		h.events = nil
 		if _, ok := h.c.DB().Interner().IDOf(term.String("fresh")); ok {
 			t.Fatal("the head constant is interned before any emission")
 		}
-		for _, d := range []string{"a(1)", "a(2)", "a(1)", "a(2)"} {
+		lg1, lg2 := h.capture("a(1)"), h.capture("a(2)")
+		h.replay(lg1)
+		h.replay(lg2)
+		for _, d := range []string{"a(1)", "a(2)"} {
 			if err := h.fire(d); err != nil {
 				t.Fatal(err)
 			}

@@ -29,7 +29,7 @@ func newKernel(tb testing.TB, src string, edb []ast.Fact) *kernel {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	k := &kernel{c: p.NewCore(1, func(*core.FactMeta) {}), cr: p.Rules[0]}
+	k := &kernel{c: p.NewCore(func(*core.FactMeta) {}), cr: p.Rules[0]}
 	k.mt = &eval.Matcher{DB: k.c.DB()}
 	k.b = eval.NewBinding(k.cr)
 	for _, f := range edb {
@@ -64,8 +64,8 @@ func intFacts(pred string, n int) []ast.Fact {
 // TestEmitAllocationContract pins what a match costs after it is found: a
 // binding whose every head is stored already dies in ID space — no fact, no
 // args, no key, zero allocations — for a plain rule and for an existential
-// rule whose Skolem null already exists; an admitted fact pays a small
-// fixed count.
+// rule whose Skolem null already exists, emitted as matched or replayed from
+// a binding log; an admitted fact pays a small fixed count.
 func TestEmitAllocationContract(t *testing.T) {
 	const n = 2000
 	for _, tc := range []struct {
@@ -99,11 +99,34 @@ func TestEmitAllocationContract(t *testing.T) {
 			if dup != 0 {
 				t.Errorf("an emission whose head is already stored costs %.0f allocations, want 0", dup)
 			}
+			// The buffered path: the same candidates captured into a log and
+			// replayed restore IDs and probe — nothing is decoded or built.
+			lg := &eval.BindingLog{}
+			lg.Reset(k.cr)
+			rel := k.c.DB().Lookup("e")
+			for i := 0; i < n; i++ {
+				err := k.mt.MatchPinned(k.cr, 0, rel.At(i), k.b, func(b *eval.Binding) error {
+					lg.Capture(b)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			perm := lg.CanonicalOrder(nil)
+			replayed := testing.AllocsPerRun(5, func() {
+				if _, err := k.c.Replay(0, lg, perm, k.b); err != nil {
+					k.err = err
+				}
+			})
+			if replayed != 0 {
+				t.Errorf("replaying %d captured candidates whose heads are all stored costs %.0f allocations, want 0", lg.Len(), replayed)
+			}
 			if k.err != nil {
 				t.Fatal(k.err)
 			}
 			if k.c.Derivations() != stored || stored != 2*n {
-				t.Errorf("derivations: %d after the duplicate pass, %d before, want %d both", k.c.Derivations(), stored, 2*n)
+				t.Errorf("derivations: %d after the duplicate passes, %d before, want %d both", k.c.Derivations(), stored, 2*n)
 			}
 		})
 	}

@@ -107,7 +107,7 @@ func TestLoadIdentities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := p.NewCore(1, func(*core.FactMeta) {})
+	c := p.NewCore(func(*core.FactMeta) {})
 	ref, acdom := storage.NewDatabase(), map[uint32]bool{}
 	for _, f := range loadPayload() {
 		c.Load(f)
@@ -161,7 +161,7 @@ func TestLoadResumesAfterInsertFault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p.NewCore(1, func(*core.FactMeta) {})
+		return p.NewCore(func(*core.FactMeta) {})
 	}
 	for name, load := range map[string]func(c *Core){
 		"facts": func(c *Core) {

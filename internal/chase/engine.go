@@ -79,13 +79,6 @@ type Options struct {
 	// compiled into the rule. Candidates are still admitted in canonical
 	// order, so output is byte-identical with the planner on or off.
 	DisablePlanner bool
-	// Shards sets how many partitions the admission pre-pass (and every
-	// relation's exact-duplicate table) uses; 0 selects GOMAXPROCS capped
-	// at 8, any value is rounded up to a power of two, and 1 disables the
-	// parallel dedup pre-pass. Like Parallelism it only moves work between
-	// goroutines — candidates merge serially in canonical order, so every
-	// shard count produces a byte-identical final database.
-	Shards int
 }
 
 // Result is the outcome of a reasoning run.
@@ -121,15 +114,6 @@ type Compiled struct {
 
 	// byPred maps predicate -> (rule idx, pos idx) pairs for delta pinning.
 	byPred map[string][][2]int
-	// prepared marks rules eligible for the partitioned admission path:
-	// matched on workers (rules whose bodies mint Skolem nulls — a
-	// null-factory write — are evaluated inline on the serial admit path
-	// instead) and with plain heads only: no aggregate (supersession must
-	// see serial state), no constraint, no existentials (null minting must
-	// stay in canonical admission order). EGDs disable preparation
-	// program-wide: they mutate the null substitution during admission, so
-	// head values resolved on match workers could go stale by merge time.
-	prepared []bool
 
 	// CSE body sharing (planner enabled only): rules whose positive
 	// bodies are identical under canonical slot renaming form a group per
@@ -163,16 +147,10 @@ func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
 		return nil, err
 	}
 	c := &Compiled{Compiled: ac, opts: opts, byPred: make(map[string][][2]int)}
-	egd := false
 	for i, cr := range c.Rules {
-		c.prepared = append(c.prepared, !c.Skolem[i] && c.Plain(i))
-		egd = egd || cr.Rule.EGD != nil
 		for pi, a := range cr.Pos {
 			c.byPred[a.Pred] = append(c.byPred[a.Pred], [2]int{i, pi})
 		}
-	}
-	if egd {
-		clear(c.prepared) // see the prepared field: EGDs disable preparation program-wide
 	}
 	if !opts.DisablePlanner {
 		c.buildCSEGroups()
@@ -282,19 +260,14 @@ type Engine struct {
 	cseSeen    map[cseSeenKey]int
 	shared     int // follower firings served from a shared body log
 
-	// Partitioned admission: perms[ti] is task ti's canonical admission
-	// order, computed serially at the batch boundary; candStart[ti] is task
-	// ti's first slot in the core's flattened candidate array (-1 for tasks
-	// outside the prepared path).
-	perms     [][]int32
-	candStart []int
+	// perms[ti] is task ti's canonical admission order, computed serially
+	// between the match phase and the replay.
+	perms [][]int32
 
 	// Wall-time split across the batch phases, for the -phases CLI report
-	// and the scaling benchmarks: parallel match, dedup pre-pass, serial
-	// admission/merge.
-	phaseMatch   time.Duration
-	phasePrepass time.Duration
-	phaseAdmit   time.Duration
+	// and the scaling benchmarks: parallel match, serial admission.
+	phaseMatch time.Duration
+	phaseAdmit time.Duration
 }
 
 // task is one scheduled firing: rule ri with its pos-th body atom pinned
@@ -340,11 +313,7 @@ func (c *Compiled) NewEngine() *Engine {
 	if e.nworkers <= 0 {
 		e.nworkers = runtime.GOMAXPROCS(0)
 	}
-	shards := c.opts.Shards
-	if shards <= 0 {
-		shards = min(runtime.GOMAXPROCS(0), 8)
-	}
-	e.Core = c.NewCore(shards, e.enqueue)
+	e.Core = c.NewCore(e.enqueue)
 	e.mt = &eval.Matcher{DB: e.DB()}
 	if !c.opts.DisablePlanner {
 		e.pl = planner.New(planner.FrozenCatalog{DB: e.DB()})
@@ -456,16 +425,14 @@ func (e *Engine) Run(ctx context.Context, edb []ast.Fact) (*Result, error) {
 
 // releaseBatch drops the per-batch scratch — the drained queue's backing
 // array, the task list, the captured match logs, schedules, canonical
-// orders, the worker pool and the core's candidate array — once the
-// fixpoint is reached. All of it is sized by the largest batch of the run
-// and nothing reads it between runs, so an engine kept for its answer (a
-// vadalog.Result reads through it, a session may wait for more facts)
-// keeps the database reachable and not the run's buffers; a later Run
-// re-grows them.
+// orders and the worker pool — once the fixpoint is reached. All of it is
+// sized by the largest batch of the run and nothing reads it between runs,
+// so an engine kept for its answer (a vadalog.Result reads through it, a
+// session may wait for more facts) keeps the database reachable and not
+// the run's buffers; a later Run re-grows them.
 func (e *Engine) releaseBatch() {
 	e.queue, e.tasks, e.results, e.workers = nil, nil, nil, nil
-	e.batchSteps, e.perms, e.candStart = nil, nil, nil
-	e.ReleaseCands()
+	e.batchSteps, e.perms = nil, nil
 }
 
 // step drains one delta batch: it schedules every (rule, pinned atom,
@@ -554,15 +521,8 @@ func (e *Engine) step(ctx context.Context) (err error) {
 		requeue()
 		return fmt.Errorf("%w (batch candidate buffer overflow)", ErrBudget)
 	}
-	// Partitioned admission pre-pass: canonical orders, the flattened
-	// candidate array and the sharded dedup verdicts are all computed here,
-	// between the read-only match phase and the serial merge. A crash in it
-	// (the storage.merge fault seam, a shard-goroutine panic) unwinds
-	// through the recover above with nothing admitted.
-	tPre := time.Now()
-	e.prepassBatch()
-	e.phasePrepass += time.Since(tPre)
 	tAdmit := time.Now()
+	e.orderBatch()
 	err = e.admitBatch(ctx)
 	e.phaseAdmit += time.Since(tAdmit)
 	if err != nil {
@@ -745,15 +705,6 @@ func (e *Engine) matchTask(w *matchWorker, ti int) {
 	}
 	lg := &e.results[ti]
 	lg.Reset(cr)
-	// Prepared tasks also resolve and hash their head rows here on the
-	// worker — the serial merge then only probes, and builds a fact only
-	// for a row it appends.
-	// The nil substitution is sound because preparation is disabled
-	// program-wide when any EGD exists.
-	prep := t.g < 0 && e.c.prepared[t.ri]
-	if prep {
-		lg.PrepareHeads(cr)
-	}
 	if err := siteMatch.Check(); err != nil {
 		rule := e.c.Rules[t.ri].Rule
 		lg.Err = fmt.Errorf("chase: %d:%d: rule %d: %w", rule.Line, rule.Col, rule.ID, err)
@@ -765,9 +716,6 @@ func (e *Engine) matchTask(w *matchWorker, ti int) {
 			return errBatchOverflow
 		}
 		lg.Capture(b)
-		if prep {
-			lg.CaptureHeads(cr, b, nil)
-		}
 		return nil
 	}); err != nil {
 		lg.Err = err
@@ -779,43 +727,24 @@ func (e *Engine) matchTask(w *matchWorker, ti int) {
 // surfaces ErrBudget, so this sentinel never escapes the engine.
 var errBatchOverflow = errors.New("chase: batch candidate buffer overflow")
 
-// prepassBatch prepares the batch's serial merge. It runs serially,
-// between the match phase and admission:
-//
-//  1. Every log-owning task's canonical admission order is computed into
-//     perms (followers reuse their leader's).
-//  2. The candidates of prepared tasks are flattened into the core's
-//     candidate array, in exactly the order admitBatch merges them.
-//  3. The core computes sharded dedup verdicts in parallel.
-//
-// Verdicts only ever skip work the merge would redo identically, so this
-// phase is invisible to the final database for every shard count.
-func (e *Engine) prepassBatch() {
+// orderBatch computes every log-owning task's canonical admission order
+// into perms (followers reuse their leader's). It runs serially, between
+// the match phase and the replay.
+func (e *Engine) orderBatch() {
 	if cap(e.perms) < len(e.tasks) {
 		perms := make([][]int32, len(e.tasks))
 		copy(perms, e.perms)
 		e.perms = perms
 	}
 	e.perms = e.perms[:len(e.tasks)]
-	if cap(e.candStart) < len(e.tasks) {
-		e.candStart = make([]int, len(e.tasks))
-	}
-	e.candStart = e.candStart[:len(e.tasks)]
-	e.ResetCands()
 	for ti := range e.tasks {
 		t := &e.tasks[ti]
-		e.candStart[ti] = -1
 		if e.c.Skolem[t.ri] || (t.lead >= 0 && t.lead != ti) {
 			e.perms[ti] = e.perms[ti][:0]
 			continue
 		}
-		lg := &e.results[ti]
-		e.perms[ti] = lg.CanonicalOrder(e.perms[ti])
-		if t.g < 0 && e.c.prepared[t.ri] {
-			e.candStart[ti] = e.Flatten(t.ri, lg, e.perms[ti])
-		}
+		e.perms[ti] = e.results[ti].CanonicalOrder(e.perms[ti])
 	}
-	e.Prepass()
 }
 
 // admitBatch replays the batch's candidates in canonical (task, match)
@@ -858,9 +787,7 @@ func (e *Engine) admitBatch(ctx context.Context) error {
 		}
 		b := e.bindings[t.ri]
 		if t.g < 0 {
-			// The task's own log: prepared entries take the verdict path of
-			// partitioned admission, the rest are restored and emitted.
-			if _, err := e.Merge(t.ri, lg, perm, e.candStart[ti], b); err != nil {
+			if _, err := e.Replay(t.ri, lg, perm, b); err != nil {
 				return err
 			}
 		} else {
@@ -933,12 +860,13 @@ func (e *Engine) PlannerStats() (derives, replans, sharedFirings int) {
 	return derives, replans, e.shared
 }
 
-// PhaseStats reports cumulative wall time spent in the three phases of the
-// delta-batched loop: parallel match, sharded dedup pre-pass, and serial
-// admission (the merge). The split shows whether a workload is
-// admission-bound — the case partitioned admission targets.
+// PhaseStats reports cumulative wall time spent in the phases of the
+// delta-batched loop — parallel match and serial admission (canonical
+// ordering included) — in the three-value shape the benchmark harness
+// reads: there is no pre-pass, so its share is always zero, as on the
+// pipeline. The split shows whether a workload is admission-bound.
 func (e *Engine) PhaseStats() (match, prepass, admit time.Duration) {
-	return e.phaseMatch, e.phasePrepass, e.phaseAdmit
+	return e.phaseMatch, 0, e.phaseAdmit
 }
 
 // fire applies rule ri with its pos-th body atom pinned to delta fact m,

@@ -27,14 +27,13 @@ type Meter struct {
 	used    atomic.Int64
 	pending atomic.Int64
 
-	// Per-shard accounting of the partitioned admission pre-pass. The
-	// slices are plain ints, not atomics, because the slots are exclusive:
+	// Per-shard accounting of storage.RunPrepass, which only the benchmark
+	// harness calls; the counters leave with storage/shard.go. The slices
+	// are plain ints, not atomics, because the slots are exclusive:
 	// shardCands/shardDups[s] is written only by the pre-pass goroutine
-	// owning shard s, shardAdmits only by the serial merge, and the
-	// pre-pass WaitGroup orders the two phases.
-	shardCands  []int64
-	shardDups   []int64
-	shardAdmits []int64
+	// owning shard s.
+	shardCands []int64
+	shardDups  []int64
 }
 
 // NewMeter returns a meter admitting at most limit derivations.
@@ -92,9 +91,9 @@ func (m *Meter) Reserve(n int) bool {
 // ResetPending releases all transient reservations (batch boundary).
 func (m *Meter) ResetPending() { m.pending.Store(0) }
 
-// SetShards sizes the per-shard counters for the partitioned admission
-// pre-pass. Safe only between batches (no pre-pass in flight); existing
-// counts are preserved when the shard count is unchanged.
+// SetShards sizes the per-shard counters for storage.RunPrepass. Safe only
+// with no pre-pass in flight; existing counts are preserved when the shard
+// count is unchanged.
 func (m *Meter) SetShards(n int) {
 	if n < 1 {
 		n = 1
@@ -104,7 +103,6 @@ func (m *Meter) SetShards(n int) {
 	}
 	m.shardCands = make([]int64, n)
 	m.shardDups = make([]int64, n)
-	m.shardAdmits = make([]int64, n)
 }
 
 // NoteShardScan records that the pre-pass goroutine owning shard
@@ -117,19 +115,12 @@ func (m *Meter) NoteShardScan(shard, cands, dups int) {
 	}
 }
 
-// NoteShardAdmit records one admission whose dedup hash belongs to shard.
-// Called only from the serial merge.
-func (m *Meter) NoteShardAdmit(shard int) {
-	if shard < len(m.shardAdmits) {
-		m.shardAdmits[shard]++
-	}
-}
-
-// ShardStats returns copies of the per-shard pre-pass counters:
-// candidates scanned, duplicates detected, and admissions per shard. Nil
-// slices when no pre-pass ever ran.
+// ShardStats returns copies of the per-shard pre-pass counters: candidates
+// scanned and duplicates detected per shard, empty when SetShards was never
+// called. No engine admits by shard, so admits is all zeros; it keeps the
+// shape the benchmark harness reads.
 func (m *Meter) ShardStats() (cands, dups, admits []int64) {
 	return append([]int64(nil), m.shardCands...),
 		append([]int64(nil), m.shardDups...),
-		append([]int64(nil), m.shardAdmits...)
+		make([]int64, len(m.shardCands))
 }

@@ -189,7 +189,7 @@ func TestWardFirstParents(t *testing.T) {
 	e := &core.FactMeta{Fact: ast.NewFact("e", term.String("a"), term.String("b"))}
 	b.Parents[0] = w
 	b.Parents[1] = e
-	parents := WardFirstParents(cr, b)
+	parents := WardFirstParentsAppend(cr, b, nil)
 	if parents[0] != w {
 		t.Error("ward parent must come first")
 	}

@@ -485,9 +485,9 @@ func (mt *Matcher) InstantiateExistentials(cr *CompiledRule, b *Binding) {
 // returns the extended slice. Matched slots already hold IDs and head
 // constants resolve through the interner once per run; only computed values
 // — Skolem nulls, assignment and aggregate results, and every value once
-// subst is non-empty, since an EGD may have rewritten it — are looked up
-// (never interned: the builder only reads, so match workers may run it
-// against a frozen epoch).
+// subst is non-empty, since an EGD may have rewritten it — are looked up,
+// never interned: a value no stored fact holds stays out of the interner
+// until its fact is admitted.
 //
 // miss is nil when every argument resolved. Otherwise some value occurs in
 // no stored fact, so the head fact is stored nowhere and needs no duplicate
@@ -570,15 +570,11 @@ func RowFact(pred string, row []uint32, in *storage.Interner, miss []term.Value)
 	return ast.Fact{Pred: pred, Args: args}
 }
 
-// WardFirstParents orders the matched parents so that the ward's fact
-// comes first, as core.Strategy.Derive expects for warded rules.
-func WardFirstParents(cr *CompiledRule, b *Binding) []*core.FactMeta {
-	return WardFirstParentsAppend(cr, b, make([]*core.FactMeta, 0, len(b.Parents)))
-}
-
-// WardFirstParentsAppend is WardFirstParents appending into a caller-owned
-// buffer reused across emissions; safe because termination policies may
-// retain parent facts but never the slice itself (see core.Policy).
+// WardFirstParentsAppend appends the matched parents to out with the ward's
+// fact first, as core.Strategy.Derive expects for warded rules. out is a
+// caller-owned buffer reused across emissions; safe because termination
+// policies may retain parent facts but never the slice itself (see
+// core.Policy).
 func WardFirstParentsAppend(cr *CompiledRule, b *Binding, out []*core.FactMeta) []*core.FactMeta {
 	if cr.WardPos >= 0 && cr.WardPos < len(b.Parents) {
 		out = append(out, b.Parents[cr.WardPos])

@@ -19,8 +19,9 @@ import (
 // workers — (b) any function that constructs a Matcher with
 // Snapshot: true or calls the read-only SnapshotLookup probes directly,
 // and (c) the storage prepass's runShard method — the per-shard dedup
-// goroutines of partitioned admission, which probe relation shards
-// concurrently and must stay read-only for the same reason workers must.
+// goroutines of storage.RunPrepass (rooted for as long as storage/shard.go
+// stays), which probe relations concurrently and must stay read-only for
+// the same reason workers must.
 // The analyzer walks the static call graph from the roots and reports
 // every call edge into a mutating storage method (the sink set below).
 //
@@ -46,9 +47,8 @@ var frozenSinks = map[string]map[string]string{
 		"extendIndex": "storage", "liveSnapshot": "storage",
 		"SetNoIndex": "storage", "DropIndexes": "storage",
 		"LookupIDs": "storage", "Lookup": "storage",
-		"LookupCount": "storage", "LookupCountIDs": "storage",
-		"PromoteIndex": "storage", "observeRow": "storage",
-		"usage": "storage", "internRow": "storage",
+		"LookupCountIDs": "storage", "PromoteIndex": "storage",
+		"observeRow": "storage", "usage": "storage", "internRow": "storage",
 		"InsertPrepared": "storage", "insertRow": "storage",
 		"appendRow": "storage", "InsertEDB": "storage",
 		"resolve": "storage", "SetShards": "storage",

@@ -83,7 +83,7 @@ func probeCaller(r *Relation) {
 	r.Freeze() // want "Relation.Freeze"
 }
 
-// InsertPrepared is a mutating sink (serial-merge only).
+// InsertPrepared is a mutating sink (serial admission only).
 func (r *Relation) InsertPrepared(row []uint32) bool {
 	r.rows = append(r.rows, row)
 	return true

@@ -74,7 +74,7 @@ func (c *Compiled) NewSession() *Session {
 		bm:     storage.NewBufferManager(c.opts.BufferCapacity),
 		timing: c.opts.PhaseTiming,
 	}
-	s.Core = c.NewCore(1, s.admitted) // serial admission: no dedup pre-pass
+	s.Core = c.NewCore(s.admitted)
 	if !c.opts.DisablePlanner {
 		s.pl = planner.New(sessionCatalog{s: s})
 	}

@@ -61,8 +61,8 @@ type Options struct {
 	// planner on or off.
 	DisablePlanner bool
 	// PhaseTiming accumulates the wall-time split between matching and
-	// admission (Session.PhaseStats). Firings on the fused inline/short-rule
-	// paths count as match time.
+	// admission (Session.PhaseStats). Fused firings (inline and short rules)
+	// count as match time.
 	PhaseTiming bool
 }
 
@@ -577,28 +577,18 @@ func (s *Session) clearResumableFailure() {
 // fire evaluates filter f with body atom pos pinned to delta m, admitting
 // any derived head facts; it returns how many facts were admitted.
 //
-// Rules marked inline run the legacy path: the static schedule, with each
-// complete match emitted as it is enumerated. Everything else runs the
-// planned path: the (possibly cost-based) schedule enumerates candidates
-// into a binding log against pre-firing state, and the candidates are
-// admitted in canonical order (eval.BindingLog.CanonicalOrder) — the order
-// depends only on which rows matched, so every join order produces
-// byte-identical output.
+// Rules marked inline keep the static schedule; everything else runs the
+// (possibly cost-based) planned one. A firing whose enumeration order is
+// already canonical is fused — each complete match is emitted as it is
+// enumerated; any other is buffered — candidates go into a binding log
+// against pre-firing state and are replayed in canonical order
+// (eval.BindingLog.CanonicalOrder), which depends only on which rows
+// matched, so every join order produces byte-identical output.
 func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 	cr := f.cr
-	if s.c.inline[f.idx] {
-		t0 := s.now()
-		defer s.lap(&s.clock.match, t0) // fused: matching and admission interleave
-		admitted := 0
-		err := s.mt.MatchPinned(cr, pos, m, f.binding, func(b *eval.Binding) error {
-			n, err := s.Emit(f.idx, b)
-			admitted += n
-			return err
-		})
-		return admitted, err
-	}
+	inline := s.c.inline[f.idx]
 	steps := cr.Schedule(pos)
-	if s.pl != nil {
+	if s.pl != nil && !inline {
 		p := s.pl.PlanFor(cr, pos)
 		steps = p.Steps
 		if f.sized[pos] != p {
@@ -610,11 +600,12 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 			}
 		}
 	}
-	if len(cr.Pos) <= 2 {
-		// At most one body atom remains after pinning, so there is only
-		// one possible join order: enumeration order is plan-independent
-		// (storage row order) and already canonical. Admit inline and
-		// skip the capture/sort/replay round trip.
+	if inline || len(cr.Pos) <= 2 {
+		// Inline rules fix their order by construction. With at most one
+		// body atom left after pinning there is only one possible join
+		// order: enumeration order is plan-independent (storage row order)
+		// and already canonical. Admit as matched and skip the
+		// capture/sort/replay round trip.
 		t0 := s.now()
 		defer s.lap(&s.clock.match, t0) // fused: matching and admission interleave
 		admitted := 0
@@ -640,8 +631,7 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 	s.permBuf = perm
 	ta := s.now()
 	defer s.lap(&s.clock.admit, ta)
-	// The log carries no prepared heads, so Merge is a plain replay.
-	return s.Merge(f.idx, lg, perm, 0, f.binding)
+	return s.Replay(f.idx, lg, perm, f.binding)
 }
 
 // Drain materializes the complete reasoning result (all output predicates

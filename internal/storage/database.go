@@ -59,22 +59,13 @@ func (db *Database) DisableIndexes() {
 }
 
 // SetShards records on every relation (present and future) the partition
-// count of the parallel admission pre-pass. Rounded up to a power of two.
-// Engines call it once at construction; like all mutation it is
-// single-goroutine.
+// count of the pre-pass kernel (shard.go, with which it leaves). Rounded
+// up to a power of two; like all mutation it is single-goroutine.
 func (db *Database) SetShards(n int) {
 	db.shards = ceilPow2(n)
 	for _, name := range db.names {
 		db.rels[name].SetShards(db.shards)
 	}
-}
-
-// Shards returns the pre-pass partition count.
-func (db *Database) Shards() int {
-	if db.shards < 1 {
-		return 1
-	}
-	return db.shards
 }
 
 // Rel returns the relation for pred, creating it with the given arity on

@@ -86,17 +86,14 @@ type Relation struct {
 	rows []uint32
 
 	// exact is the duplicate table: one slot per live row, under the row's
-	// full hash. The partitioned admission pre-pass probes it from one
-	// goroutine per shard; shards only records the partition count the
-	// engine asked for — the pre-pass partitions candidates itself.
-	exact  flatTable
-	shards int
+	// full hash.
+	exact flatTable
 
-	// retractGen counts retractions. The partitioned admission pre-pass
-	// snapshots it per candidate: a dedup verdict computed against the
-	// pre-batch table is trusted at merge time only while no retraction has
-	// intervened (aggregate supersession on the serial path can retract the
-	// very row a verdict points at).
+	// shards and retractGen serve only the pre-pass kernel of shard.go and
+	// leave with it: the partition count SetShards recorded (the kernel
+	// partitions candidates itself) and the retractions so far, which a
+	// PrepassCand snapshots.
+	shards     int
 	retractGen uint64
 
 	// indexes maps a position bitmask to a dynamically built hash index
@@ -164,11 +161,8 @@ func NewRelationInterned(pred string, arity int, in *Interner) *Relation {
 	}
 }
 
-// Shards returns the pre-pass partition count recorded by SetShards.
-func (r *Relation) Shards() int { return r.shards }
-
-// SetShards records the partition count of the admission pre-pass (rounded
-// up to a power of two, minimum 1). The duplicate table itself is one flat
+// SetShards records the partition count of the pre-pass kernel (rounded up
+// to a power of two, minimum 1). The duplicate table itself is one flat
 // table at every count.
 func (r *Relation) SetShards(n int) { r.shards = ceilPow2(n) }
 
@@ -188,8 +182,7 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// RetractGen counts retractions performed so far — the merge-time guard
-// for dedup verdicts computed by the partitioned admission pre-pass.
+// RetractGen counts retractions performed so far, for PrepassCand.Gen.
 func (r *Relation) RetractGen() uint64 { return r.retractGen }
 
 // HashRow returns the duplicate-table hash of a fully interned row. It is
@@ -346,8 +339,8 @@ func (r *Relation) appendRow(m *core.FactMeta, row []uint32, h uint64) {
 // ContainsRowHash reports whether a fact whose interned row is exactly row
 // (stride = the relation's arity; h = HashRow(row)) is stored — the
 // duplicate check of every admission path: callers hold the row and its
-// hash (from the head-row builder or a match worker) and hand the same pair
-// to InsertPrepared when the probe misses. A pure read.
+// hash (from the head-row builder) and hand the same pair to InsertPrepared
+// when the probe misses. A pure read.
 func (r *Relation) ContainsRowHash(row []uint32, h uint64) bool {
 	return r.findRow(row, h) >= 0
 }
@@ -366,11 +359,11 @@ func (r *Relation) findRow(row []uint32, h uint64) int {
 	return -1
 }
 
-// InsertPrepared appends m using the row and hash its caller already
-// probed with, skipping the re-intern/re-hash of Insert. When the
-// relation's arity drifted since the row was prepared (restride by an
-// inconsistent-arity program) it falls back to the classic path. It
-// reports whether the fact was new.
+// InsertPrepared is the row-first insert: it appends m using the interned
+// row and hash its caller already probed with (admit.Core.admit, straight
+// after ContainsRowHash), skipping the re-intern/re-hash of Insert. A row
+// that does not have the relation's arity goes through Insert. It reports
+// whether the fact was new.
 func (r *Relation) InsertPrepared(m *core.FactMeta, row []uint32, h uint64) bool {
 	if len(row) != r.arity {
 		return r.Insert(m)
@@ -854,13 +847,8 @@ func (r *Relation) Lookup(mask uint32, probe []term.Value) []int32 {
 	return r.LookupIDs(mask, ids)
 }
 
-// LookupCount returns how many facts match without materializing a slice
-// beyond the index bucket.
-func (r *Relation) LookupCount(mask uint32, probe []term.Value) int {
-	return len(r.Lookup(mask, probe))
-}
-
-// LookupCountIDs is the ID-based counterpart of LookupCount.
+// LookupCountIDs returns how many facts match without materializing a
+// slice beyond the index bucket.
 func (r *Relation) LookupCountIDs(mask uint32, probe []uint32) int {
 	return len(r.LookupIDs(mask, probe))
 }

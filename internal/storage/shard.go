@@ -7,18 +7,21 @@ import (
 	"repro/internal/fault"
 )
 
-// This file implements the partitioned admission pre-pass: candidate head
-// facts whose rows were interned and hashed on match workers are bucketed
+// This file implements the partitioned admission pre-pass. No engine runs
+// it: its only caller is the benchmark harness kernel storage.prepass_ns
+// (bench/kernels.go), so the [benchmark] change that drops that kernel
+// deletes this file, shard_test.go, the storage.merge fault site,
+// Database.SetShards / Relation.SetShards / RetractGen and the Meter's
+// shard counters with it.
+//
+// Candidate head rows, interned and hashed by the caller, are bucketed
 // into shards by the low bits of the row hash, and one goroutine per shard
 // computes a dedup verdict for every candidate it owns — against the
 // relation's duplicate table (pre-batch state) and against the earlier
 // candidates of the same shard (batch-local duplicates). The partition is
 // the pre-pass's own: a relation keeps one flat duplicate table, which any
-// number of goroutines may probe while nothing mutates it. Verdicts
-// are advisory for freshness and exact for duplication at pre-pass time:
-// the serial merge re-validates anything a concurrent serial-path mutation
-// (aggregate supersession, EGD, Skolem admission) could have invalidated,
-// so the final database stays byte-identical to the unsharded run.
+// number of goroutines may probe while nothing mutates it. Verdicts are
+// advisory for freshness and exact for duplication at pre-pass time.
 
 // siteMerge guards the shard-merge boundary: it fires on the calling
 // (serial) goroutine before any shard goroutine spawns and before any

@@ -76,8 +76,8 @@ func TestSetShardsRebucket(t *testing.T) {
 	for _, n := range []int{8, 1, 3, 256} {
 		r.SetShards(n)
 		want := ceilPow2(n)
-		if r.Shards() != want {
-			t.Fatalf("SetShards(%d): %d shards, want %d", n, r.Shards(), want)
+		if r.shards != want {
+			t.Fatalf("SetShards(%d): %d shards, want %d", n, r.shards, want)
 		}
 		for i := 0; i < 100; i++ {
 			f := ast.NewFact("p", term.Int(int64(i)), term.String(fmt.Sprint(i)))
@@ -322,21 +322,18 @@ func TestRunPrepassSkipsNilRel(t *testing.T) {
 }
 
 // TestDatabaseSetShards: the shard count applies to present and future
-// relations and reports 1 when unset.
+// relations.
 func TestDatabaseSetShards(t *testing.T) {
 	db := NewDatabase()
-	if db.Shards() != 1 {
-		t.Fatalf("default shards: %d", db.Shards())
-	}
 	before := db.Rel("a", 2)
 	db.SetShards(6) // rounds to 8
-	if db.Shards() != 8 {
-		t.Fatalf("shards: %d, want 8", db.Shards())
+	if db.shards != 8 {
+		t.Fatalf("shards: %d, want 8", db.shards)
 	}
-	if before.Shards() != 8 {
-		t.Fatalf("existing relation shards: %d", before.Shards())
+	if before.shards != 8 {
+		t.Fatalf("existing relation shards: %d", before.shards)
 	}
-	if db.Rel("b", 1).Shards() != 8 {
-		t.Fatalf("new relation shards: %d", db.Rel("b", 1).Shards())
+	if db.Rel("b", 1).shards != 8 {
+		t.Fatalf("new relation shards: %d", db.Rel("b", 1).shards)
 	}
 }

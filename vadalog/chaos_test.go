@@ -22,6 +22,10 @@ import (
 // and after disarming the fault a resumed session converges to a final
 // database canonically identical to an unfaulted run's.
 //
+// A site no configuration consults is skipped, not failed: storage.merge
+// stays registered (storage/shard.go) but no engine reaches it any more, so
+// it has no cells in the matrix.
+//
 // Runs are deterministic: hit positions derive from the per-site hit
 // counts of a counting run plus a seed (REPRO_FAULT="seed:N", default
 // 1), so a failing configuration reproduces exactly.

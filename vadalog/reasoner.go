@@ -107,7 +107,6 @@ func Compile(prog *Program, opts *Options) (*Reasoner, error) {
 			DisableDynamicIndex: o.DisableDynamicIndex,
 			DisablePlanner:      o.DisablePlanner,
 			Parallelism:         o.Parallelism,
-			Shards:              o.Shards,
 		})
 		if err != nil {
 			return nil, err
@@ -227,8 +226,8 @@ type Result struct {
 // Output returns the facts of pred with @post directives applied, in
 // canonical order: by predicate, then column by column by the arguments'
 // rendered form (so 1 < 10 < 2, and bare strings order by byte) — the order
-// of Fact.Key(), identical on both engines and for every Parallelism and
-// Shards setting. @post orderBy stable-sorts that order on its column:
+// of Fact.Key(), identical on both engines and for every Parallelism
+// setting. @post orderBy stable-sorts that order on its column:
 // facts tying on the column stay in canonical order, so orderBy + limit
 // keeps the same facts whichever engine admitted them first.
 func (res *Result) Output(pred string) []Fact { return res.eng.Output(pred) }

@@ -143,18 +143,10 @@ type Options struct {
 	// database. The streaming pipeline engine is a single-goroutine pull
 	// machine and ignores this option.
 	Parallelism int
-	// Shards sets how many duplicate-table shards each relation keeps —
-	// the partition count of the chase engine's parallel admission dedup
-	// pre-pass; 0 selects min(GOMAXPROCS, 8), any value is rounded up to a
-	// power of two. The final database is byte-identical for every
-	// setting (sharding only parallelizes duplicate detection; admission
-	// itself stays serial in canonical order). Like Parallelism it is
-	// chase-only: the pipeline engine admits serially and ignores it.
-	Shards int
 	// PhaseTiming makes the engines accumulate the wall-time split
-	// between matching, the dedup pre-pass and admission, reported by
-	// Session.PhaseStats (the chase engine always collects it; the flag
-	// enables the pipeline's per-firing clocks).
+	// between matching and admission, reported by Session.PhaseStats (the
+	// chase engine always collects it; the flag enables the pipeline's
+	// per-firing clocks).
 	PhaseTiming bool
 	// Drivers overlays the process-global record-manager registry for
 	// programs compiled with these options: @bind/@qbind driver names
@@ -244,7 +236,6 @@ type engine interface {
 	Derivations() int
 	SetBudget(n int)
 	Output(pred string) []ast.Fact
-	Shards() int
 }
 
 // chaseEngine fits *chase.Engine to the engine seam; the engine's own
@@ -489,16 +480,11 @@ func strategyStats(eng engine) (core.Stats, bool) {
 }
 
 // PhaseStats reports the cumulative wall-time split of the session's
-// evaluation phases: matching, the sharded dedup pre-pass and serial
-// admission. The chase engine always collects it; the pipeline engine
-// only under Options.PhaseTiming (all-zero otherwise; it has no pre-pass,
-// and fused firings count as match time).
+// evaluation phases: matching and serial admission. No engine has a dedup
+// pre-pass, so prepass is always zero. The chase engine always collects the
+// split; the pipeline engine only under Options.PhaseTiming (all-zero
+// otherwise; fused firings count as match time).
 func (s *Session) PhaseStats() (match, prepass, admit time.Duration) { return s.eng.PhaseStats() }
-
-// Shards reports the resolved duplicate-table shard count the session's
-// engine runs with (Options.Shards after defaulting and power-of-two
-// rounding; always 1 on the pipeline engine).
-func (s *Session) Shards() int { return s.eng.Shards() }
 
 // Check analyzes prog and returns a wardedness report without running it.
 func Check(prog *Program) *Report {
