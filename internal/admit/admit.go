@@ -168,6 +168,12 @@ type Core struct {
 	contribBuf []term.Value
 	rowBuf     []uint32
 	parentsBuf []*core.FactMeta
+
+	// twinBuf is insertTagTwin's row scratch; twinKeys maps a labelled
+	// null's interned ID to the interned ID of its tag-twin key (0: not yet
+	// rendered).
+	twinBuf  []uint32
+	twinKeys []uint32
 }
 
 // NewCore derives fresh run-time state over p. onAdmit is called, on the
@@ -443,7 +449,7 @@ func (c *Core) admit(rel *storage.Relation, row []uint32, h uint64, miss []term.
 // its tag twin.
 func (c *Core) stored(m *core.FactMeta) {
 	c.onAdmit(m)
-	c.insertTagTwin(m.Fact)
+	c.insertTagTwin(m)
 }
 
 // admitAggregate admits an aggregate-head row with supersession: when the
@@ -485,7 +491,7 @@ func (c *Core) admitAggregate(st *eval.AggState, hi int, rel *storage.Relation, 
 		c.meter.Charge()
 		c.onAdmit(prev.Meta)
 		c.noteSuperseded(old)
-		c.replaceTagTwin(old, f)
+		c.replaceTagTwin(old, prev.Meta)
 		return 1, nil
 	}
 }
@@ -498,54 +504,86 @@ func (c *Core) noteSuperseded(old ast.Fact) {
 	}
 }
 
-// insertTagTwin mirrors an admitted fact of a tagged predicate into its
-// tag twin, with labelled nulls replaced by their canonical ground keys
+// insertTagTwin mirrors a stored fact of a tagged predicate into its tag
+// twin, with labelled nulls replaced by their canonical ground keys
 // (dynamic harmful-join elimination; see
-// rewrite.EliminateHarmfulJoinsDynamic). Twins are bookkeeping, not
-// derivations: they do not charge the meter.
-func (c *Core) insertTagTwin(f ast.Fact) {
-	twin, ok := c.p.RW.TagPreds[f.Pred]
+// rewrite.EliminateHarmfulJoinsDynamic). The twin is built in ID space from
+// the fact's stored row — a null's twin key is rendered and interned once
+// per null (twinKey) — and probed there, so a twin already stored dies
+// without an allocation; values are built for a new twin only. Twins are
+// bookkeeping, not derivations: they do not charge the meter.
+func (c *Core) insertTagTwin(m *core.FactMeta) {
+	twin, ok := c.p.RW.TagPreds[m.Fact.Pred]
 	if !ok {
 		return
 	}
-	tf := c.tagTwinFact(twin, f)
+	stored := c.db.Lookup(m.Fact.Pred).Row(m.RowIndex())
+	row := c.twinBuf[:0]
+	for i, v := range m.Fact.Args {
+		id := stored[i]
+		if v.IsNull() {
+			id = c.twinKey(id, v)
+		}
+		row = append(row, id)
+	}
+	c.twinBuf = row
+	rel := c.db.Rel(twin, len(row))
+	if len(row) == rel.Arity() && rel.ContainsRowHash(row, storage.HashRow(row)) {
+		return
+	}
 	// Relation-level: twin constants are bookkeeping, not ACDom members.
-	if m := c.db.Rel(twin, len(tf.Args)).InsertEDB(tf.Args, c.strat); m != nil {
-		c.onAdmit(m)
+	if tm := rel.InsertEDB(c.tagTwinArgs(m.Fact), c.strat); tm != nil {
+		c.onAdmit(tm)
 	}
 }
 
-// tagTwinFact renders the tag-twin image of f: labelled nulls replaced by
-// their canonical ground keys.
-func (c *Core) tagTwinFact(twin string, f ast.Fact) ast.Fact {
+// twinKey returns the interned ID of the tag-twin image of the labelled
+// null v, interned as id: the string "\x00" + its canonical ground key,
+// rendered on the null's first twin and remembered by id after that (a
+// null's key never changes).
+func (c *Core) twinKey(id uint32, v term.Value) uint32 {
+	if int(id) < len(c.twinKeys) && c.twinKeys[id] != 0 {
+		return c.twinKeys[id]
+	}
+	k := c.db.Interner().Intern(term.String("\x00" + c.db.Nulls.KeyOf(v)))
+	if int(id) >= len(c.twinKeys) {
+		c.twinKeys = append(c.twinKeys, make([]uint32, int(id)+1-len(c.twinKeys))...)
+	}
+	c.twinKeys[id] = k
+	return k
+}
+
+// tagTwinArgs returns the tag-twin image of the stored fact f's arguments:
+// labelled nulls replaced by their twin keys.
+func (c *Core) tagTwinArgs(f ast.Fact) []term.Value {
+	in := c.db.Interner()
 	args := make([]term.Value, len(f.Args))
 	for i, v := range f.Args {
+		args[i] = v
 		if v.IsNull() {
-			args[i] = term.String("\x00" + c.db.Nulls.KeyOf(v))
-		} else {
-			args[i] = v
+			id, _ := in.IDOf(v) // stored, hence interned
+			args[i] = in.ValueOf(c.twinKey(id, v))
 		}
 	}
-	return ast.Fact{Pred: twin, Args: args}
+	return args
 }
 
 // replaceTagTwin mirrors an aggregate supersession into the tag twin of a
-// tagged predicate: the twin of the superseded fact is replaced by the
-// twin of the improved one.
-func (c *Core) replaceTagTwin(old, f ast.Fact) {
-	twin, ok := c.p.RW.TagPreds[f.Pred]
+// tagged predicate: the twin of the superseded fact old is replaced by the
+// twin of m, the fact that replaced it in place.
+func (c *Core) replaceTagTwin(old ast.Fact, m *core.FactMeta) {
+	twin, ok := c.p.RW.TagPreds[old.Pred]
 	if !ok {
 		return
 	}
-	oldTwin := c.tagTwinFact(twin, old)
-	newTwin := c.tagTwinFact(twin, f)
-	rel := c.db.Rel(twin, len(newTwin.Args))
-	idx, found := rel.FindExact(oldTwin)
+	newArgs := c.tagTwinArgs(m.Fact)
+	rel := c.db.Rel(twin, len(newArgs))
+	idx, found := rel.FindExact(ast.Fact{Pred: twin, Args: c.tagTwinArgs(old)})
 	if !found {
-		c.insertTagTwin(f)
+		c.insertTagTwin(m)
 		return
 	}
-	if rel.Replace(idx, newTwin) == storage.ReplaceDone {
+	if rel.Replace(idx, ast.Fact{Pred: twin, Args: newArgs}) == storage.ReplaceDone {
 		c.onAdmit(rel.At(idx))
 	}
 }

@@ -71,17 +71,18 @@ func TestEmitAllocationContract(t *testing.T) {
 	for _, tc := range []struct {
 		name, src string
 		// perAdmit bounds the allocations of one admitting emission at the
-		// count measured today (3 and 11; the race detector adds one to the
-		// second): the fact's Args, its FactMeta and the provenance copy of
-		// a linear rule — storing the row allocates nothing of its own, and
-		// no stop-provenance being learnt here, no pattern key is rendered;
-		// an existential rule also mints its null (Skolem key and two map
-		// entries) and renders the fact to its iso-key, twice, to store it
-		// in its tree.
+		// count measured today: the fact's Args and its FactMeta — storing
+		// the row allocates nothing of its own, the provenance of a linear
+		// rule is a node of the strategy's path tree found among its
+		// parent's children, and no stop-provenance being learnt here,
+		// nothing about the root's pattern is stored; an existential rule
+		// also mints its null (the Skolem key) and stores the fact in its
+		// tree of the ground structure, which hashes values and appends to
+		// one arena — nothing rendered.
 		perAdmit float64
 	}{
-		{"plain rule", `e(X,Y) -> p(Y,X).`, 3},
-		{"existential rule", `e(X,Y) -> q(X,Z).`, 12},
+		{"plain rule", `e(X,Y) -> p(Y,X).`, 2},
+		{"existential rule", `e(X,Y) -> q(X,Z).`, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k := newKernel(t, tc.src, intFacts("e", n))

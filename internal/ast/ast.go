@@ -297,16 +297,40 @@ func (r *Rule) BoundVars() map[string]bool {
 }
 
 // Existentials returns the head variables that are existentially
-// quantified, in order of first occurrence in the head.
+// quantified, in order of first occurrence in the head. Compilation asks
+// it of every rule in several passes, so it builds no BoundVars map: a
+// rule has a handful of variables, each looked up by a scan.
 func (r *Rule) Existentials() []string {
-	bound := r.BoundVars()
 	var ex []string
-	for _, v := range r.HeadVars() {
-		if !bound[v] && !containsStr(ex, v) {
-			ex = append(ex, v)
+	for _, h := range r.Heads {
+		for _, arg := range h.Args {
+			if v := arg.Var; arg.IsVar && v != "_" && !containsStr(ex, v) && !r.binds(v) {
+				ex = append(ex, v)
+			}
 		}
 	}
 	return ex
+}
+
+// binds reports whether v is in BoundVars: a variable of a positive body
+// atom, an assignment's or the aggregate's result.
+func (r *Rule) binds(v string) bool {
+	for _, a := range r.Body {
+		if a.Negated {
+			continue
+		}
+		for _, arg := range a.Args {
+			if arg.IsVar && arg.Var == v {
+				return true
+			}
+		}
+	}
+	for _, as := range r.Assignments {
+		if as.Var == v {
+			return true
+		}
+	}
+	return r.Aggregate != nil && r.Aggregate.Result == v
 }
 
 // IsLinear reports whether the rule has at most one positive body atom
@@ -443,6 +467,9 @@ func (f Fact) AppendArgsKey(dst []byte) []byte {
 // PatternKey returns the canonical pattern of the fact per the paper's
 // pattern-isomorphism: constants are numbered by first occurrence and so
 // are nulls, e.g. P(1,2,x,y) and P(3,4,z,y) share pattern P(c1,c2,n1,n2).
+// It is the rendered reference the termination strategy's value-space
+// pattern comparison is fuzzed against (core.FuzzIsoShape); the strategy
+// itself renders nothing.
 func (f Fact) PatternKey() string {
 	var sb strings.Builder
 	sb.WriteString(f.Pred)
@@ -495,7 +522,9 @@ func (f Fact) String() string {
 
 // Isomorphic reports whether facts a and b are isomorphic per Sec. 3.1:
 // same predicate, equal constants in the same positions, and a bijection
-// between their labelled nulls.
+// between their labelled nulls. It is the map-based reference for
+// core.IsoEqual, which compares constants by the store's identity (one NaN)
+// and allocates nothing.
 func Isomorphic(a, b Fact) bool {
 	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
 		return false
@@ -533,29 +562,6 @@ func Isomorphic(a, b Fact) bool {
 		}
 	}
 	return true
-}
-
-// IsoKey returns a canonical key identifying the fact up to isomorphism of
-// labelled nulls: constants stay as-is, nulls are numbered by first
-// occurrence. Two facts are isomorphic iff their IsoKeys are equal.
-func (f Fact) IsoKey() string {
-	var sb strings.Builder
-	sb.WriteString(f.Pred)
-	nulls := make(map[int64]int)
-	for _, a := range f.Args {
-		sb.WriteByte('\x00')
-		if a.IsNull() {
-			id, ok := nulls[a.NullID()]
-			if !ok {
-				id = len(nulls) + 1
-				nulls[a.NullID()] = id
-			}
-			fmt.Fprintf(&sb, "\x02%d", id)
-		} else {
-			sb.WriteString(a.String())
-		}
-	}
-	return sb.String()
 }
 
 // Binding is an @bind or @qbind annotation attaching a predicate to an

@@ -1,9 +1,7 @@
 package ast
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/term"
 )
@@ -15,39 +13,8 @@ func TestFactKeys(t *testing.T) {
 	if f1.Key() == f2.Key() {
 		t.Error("exact keys must distinguish null identities")
 	}
-	if f1.IsoKey() != f2.IsoKey() {
-		t.Error("iso keys must identify isomorphic facts")
-	}
-	if f1.IsoKey() == f3.IsoKey() {
-		t.Error("iso keys must distinguish constants")
-	}
-}
-
-// TestIsomorphicMatchesIsoKey is the property the strategy relies on:
-// Isomorphic(a,b) iff IsoKey(a) == IsoKey(b).
-func TestIsomorphicMatchesIsoKey(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	genFact := func() Fact {
-		n := 1 + rng.Intn(4)
-		args := make([]term.Value, n)
-		for i := range args {
-			if rng.Intn(2) == 0 {
-				args[i] = term.String(string(rune('a' + rng.Intn(3))))
-			} else {
-				args[i] = term.Null(int64(rng.Intn(3)))
-			}
-		}
-		return Fact{Pred: "p", Args: args}
-	}
-	for i := 0; i < 3000; i++ {
-		a, b := genFact(), genFact()
-		if len(a.Args) != len(b.Args) {
-			continue
-		}
-		if Isomorphic(a, b) != (a.IsoKey() == b.IsoKey()) {
-			t.Fatalf("iso mismatch: %v vs %v (iso=%v keys %q %q)",
-				a, b, Isomorphic(a, b), a.IsoKey(), b.IsoKey())
-		}
+	if f1.Key() == f3.Key() {
+		t.Error("exact keys must distinguish constants")
 	}
 }
 
@@ -218,17 +185,5 @@ func TestDivisionByZero(t *testing.T) {
 	_, err := BinExpr{Op: "/", L: VarExpr{Name: "X"}, R: VarExpr{Name: "Z"}}.Eval(env)
 	if err == nil {
 		t.Error("integer division by zero must error")
-	}
-}
-
-func TestIsoKeyQuick(t *testing.T) {
-	// Renaming nulls consistently preserves IsoKey.
-	f := func(a, b, c uint8) bool {
-		base := NewFact("p", term.Null(int64(a%4)+1), term.Null(int64(b%4)+1), term.Int(int64(c)))
-		shift := NewFact("p", term.Null(int64(a%4)+100), term.Null(int64(b%4)+100), term.Int(int64(c)))
-		return base.IsoKey() == shift.IsoKey()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -21,22 +21,40 @@ import (
 // retrieval) and cut the chase whenever an isomorphic fact was already
 // generated anywhere. Unlike the full strategy it keeps a single global
 // store, so memory grows with the whole chase and no pattern learning
-// (lifted linear forest) amortizes the checks.
+// (lifted linear forest) amortizes the checks. Isomorphism is the full
+// strategy's: core.IsoEqual under the store's value identity, so Int(1)
+// and Float(1.0) are never one class.
 type TrivialIso struct {
-	res  *analysis.Result
-	seen map[string]bool
+	res *analysis.Result
+	// seen holds every remembered fact under its core.IsoHash; n counts them.
+	seen map[uint64][]ast.Fact
+	n    int
 	// Checks counts isomorphism probes (every candidate fact pays one).
 	Checks int
 }
 
 // NewTrivialIso builds the policy for an analyzed program.
 func NewTrivialIso(res *analysis.Result) *TrivialIso {
-	return &TrivialIso{res: res, seen: make(map[string]bool)}
+	return &TrivialIso{res: res, seen: make(map[uint64][]ast.Fact)}
+}
+
+// remember stores f unless an isomorphic fact is stored; it reports
+// whether f was new.
+func (p *TrivialIso) remember(f ast.Fact) bool {
+	h := core.IsoHash(f)
+	for _, g := range p.seen[h] {
+		if core.IsoEqual(f, g) {
+			return false
+		}
+	}
+	p.seen[h] = append(p.seen[h], f)
+	p.n++
+	return true
 }
 
 // NewEDBFact registers a database fact.
 func (p *TrivialIso) NewEDBFact(f ast.Fact) *core.FactMeta {
-	p.seen[f.IsoKey()] = true
+	p.remember(f)
 	return &core.FactMeta{Fact: f, Kind: analysis.KindNonLinear}
 }
 
@@ -49,23 +67,32 @@ func (p *TrivialIso) Derive(f ast.Fact, ruleID int, parents []*core.FactMeta) *c
 // before, storing it otherwise.
 func (p *TrivialIso) CheckTermination(m *core.FactMeta) bool {
 	p.Checks++
-	k := m.Fact.IsoKey()
-	if p.seen[k] {
-		return false
-	}
-	p.seen[k] = true
-	return true
+	return p.remember(m.Fact)
 }
 
 // NoteSuperseded forgets a superseded aggregate intermediate: the fact is
 // no longer stored, so its isomorphism class must not cut a later,
 // independent derivation of the same value (core.SupersessionObserver).
 func (p *TrivialIso) NoteSuperseded(old ast.Fact) {
-	delete(p.seen, old.IsoKey())
+	h := core.IsoHash(old)
+	bucket := p.seen[h]
+	for i, g := range bucket {
+		if core.IsoEqual(old, g) {
+			last := len(bucket) - 1
+			bucket[i] = bucket[last]
+			if last == 0 {
+				delete(p.seen, h)
+			} else {
+				p.seen[h] = bucket[:last]
+			}
+			p.n--
+			return
+		}
+	}
 }
 
 // StoredFacts returns how many facts the global store holds.
-func (p *TrivialIso) StoredFacts() int { return len(p.seen) }
+func (p *TrivialIso) StoredFacts() int { return p.n }
 
 // RestrictedHom emulates the restricted chase of back-end based systems:
 // before admitting a fact produced by an existential rule firing (fresh

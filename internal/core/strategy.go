@@ -5,11 +5,19 @@
 // (summary structure S of stop-provenances) — and decides, for every fact
 // the chase is about to generate, whether generating it can be skipped
 // without compromising the universal answer.
+//
+// The structures decide on values, never on rendered keys. G and S are hash
+// tables from a 64-bit isomorphism (pattern) hash to a chain of the facts
+// (pattern roots) stored under it, and every hit is verified exactly by an
+// allocation-free comparison (IsoEqual, patternEqual) under the identity
+// the store interns by (term.Identical): collisions cost a comparison,
+// never a decision. A fact's provenance is a node of one path tree shared
+// by every fact derived along the same rule sequence, not a copy of it.
 package core
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/analysis"
@@ -28,8 +36,10 @@ type FactMeta struct {
 	LRoot *FactMeta
 	// WRoot is the root of this fact's tree in the warded forest.
 	WRoot *FactMeta
-	// Provenance is the ordered list of rule IDs applied from LRoot.
-	Provenance []int
+	// Provenance is the sequence of rule IDs applied from LRoot: a node of
+	// the strategy's path tree, shared by every fact derived along the same
+	// sequence; nil at a linear-forest root.
+	Provenance *Path
 	// RuleID identifies the generating rule (-1 for EDB facts).
 	RuleID int
 	// FreshNulls reports whether every labelled null in Fact was minted by
@@ -48,10 +58,11 @@ type FactMeta struct {
 	// The matcher pins a delta by reading that row instead of re-interning
 	// Fact.Args. It sits in the padding after the two flags.
 	row int32
-	// id distinguishes tree roots inside the strategy's maps; pattern
-	// memoizes the fact's PatternKey (computed lazily for roots).
+	// id names the warded-forest tree this fact roots in G's hash; pattern
+	// memoizes the fact's pattern hash (0 until a root is first looked up
+	// in S).
 	id      int64
-	pattern string
+	pattern uint64
 }
 
 // SetRowIndex records the fact's row; only its relation calls it, on insertion.
@@ -65,17 +76,17 @@ func (m *FactMeta) RowIndex() int { return int(m.row) - 1 }
 // forest roots, provenance and generating rule: a supersession update of a
 // monotonic-aggregation intermediate by an improved value, not a fresh
 // derivation — the termination strategy is not consulted again and the
-// guide structures keep the original entry. The memoized pattern key is
+// guide structures keep the original entry. The memoized pattern hash is
 // invalidated (recomputed lazily).
 func (m *FactMeta) ReplaceFact(f ast.Fact) {
 	m.Fact = f
-	m.pattern = ""
+	m.pattern = 0
 }
 
-// patternKey returns the memoized pattern of the fact.
-func (m *FactMeta) patternKey() string {
-	if m.pattern == "" {
-		m.pattern = m.Fact.PatternKey()
+// patternHash returns the memoized pattern hash of the fact, never 0.
+func (m *FactMeta) patternHash() uint64 {
+	if m.pattern == 0 {
+		m.pattern = patternHash(m.Fact) | 1
 	}
 	return m.pattern
 }
@@ -87,18 +98,47 @@ func (m *FactMeta) String() string {
 	sb.WriteString(" [")
 	sb.WriteString(m.Kind.String())
 	sb.WriteString(" prov=")
-	for i, r := range m.Provenance {
+	for i, r := range m.Provenance.AppendRules(nil) {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		fmt.Fprintf(&sb, "%d", r)
+		sb.WriteString(strconv.Itoa(r))
 	}
 	sb.WriteByte(']')
 	return sb.String()
 }
 
+// Path is a node of a strategy's provenance tree: the sequence of rule IDs
+// applied from a linear-forest root, interned so that every fact derived
+// along the same sequence points at one node. A linear derivation looks its
+// node up among its parent's children instead of copying the path.
+type Path struct {
+	parent         *Path
+	child, sibling *Path // first child; next child of the parent
+	rule, depth    int32
+}
+
+// Len returns the number of rule applications on the path (0 for nil).
+func (p *Path) Len() int {
+	if p == nil {
+		return 0
+	}
+	return int(p.depth)
+}
+
+// AppendRules appends the path's rule IDs, root first, to dst.
+func (p *Path) AppendRules(dst []int) []int {
+	n := len(dst)
+	dst = slices.Grow(dst, p.Len())[:n+p.Len()]
+	for i, q := len(dst)-1, p; i >= n; i, q = i-1, q.parent {
+		dst[i] = int(q.rule)
+	}
+	return dst
+}
+
 // provTrie stores a set of stop-provenances (rule-ID sequences) supporting
-// the two prefix queries of Algorithm 1.
+// the two prefix queries of Algorithm 1; a path is walked into a reused
+// buffer to query it.
 type provTrie struct {
 	children map[int]*provTrie
 	terminal bool
@@ -201,16 +241,23 @@ type Stats struct {
 type Strategy struct {
 	rules []*analysis.RuleInfo // indexed by rule ID
 
-	// ground is the ground structure G: warded-forest tree root id ->
-	// iso-keys of the facts stored for that tree. Storing canonical iso
-	// keys makes the per-tree isomorphism check a single map lookup while
-	// remaining faithful to "each fact is checked only against the other
-	// facts in the same tree".
-	ground map[int64]map[string]bool
+	// ground is the ground structure G: every null-carrying fact admitted
+	// into a warded-forest tree, chained under the isoHash of (tree, fact).
+	// A lookup is faithful to "each fact is checked only against the other
+	// facts in the same tree": an entry of another tree never verifies.
+	ground      map[uint64]int32 // hash -> first entry of its chain
+	groundFacts []groundEntry
 
-	// summary is the summary structure S: lifted-linear-forest root
-	// pattern -> trie of stop-provenances.
-	summary map[string]*provTrie
+	// summary is the summary structure S: per lifted-linear-forest root
+	// pattern, the trie of stop-provenances, chained under the pattern hash
+	// and verified against the first root the pattern was learnt from.
+	summary  map[uint64]int32 // hash -> first entry of its chain
+	patterns []summaryEntry
+
+	// paths holds the first-level nodes of the provenance tree, indexed by
+	// rule ID; provBuf is the buffer a path is walked into for S.
+	paths   []*Path
+	provBuf []int
 
 	nextID int64
 	stats  Stats
@@ -221,18 +268,37 @@ type Strategy struct {
 	DisableSummary bool
 }
 
+// groundEntry is one fact of G: the admitted fact itself (a header copy
+// sharing its Args), its tree, and the next entry of its hash chain (-1
+// ends it).
+type groundEntry struct {
+	tree int64
+	fact ast.Fact
+	next int32
+}
+
+// summaryEntry is one pattern of S: the root it was learnt from, its
+// stop-provenances, and the next entry of its hash chain (-1 ends it).
+type summaryEntry struct {
+	root ast.Fact
+	trie *provTrie
+	next int32
+}
+
 // NewStrategy builds a termination strategy for an analyzed program.
 func NewStrategy(res *analysis.Result) *Strategy {
 	return &Strategy{
 		rules:   res.Rules,
-		ground:  make(map[int64]map[string]bool),
-		summary: make(map[string]*provTrie),
+		ground:  make(map[uint64]int32),
+		summary: make(map[uint64]int32),
+		paths:   make([]*Path, len(res.Rules)),
 	}
 }
 
 // Stats returns a snapshot of the decision counters.
 func (s *Strategy) Stats() Stats {
-	s.stats.Patterns = len(s.summary)
+	s.stats.GroundFacts = len(s.groundFacts)
+	s.stats.Patterns = len(s.patterns)
 	return s.stats
 }
 
@@ -246,7 +312,9 @@ func (s *Strategy) NewEDBFact(f ast.Fact) *FactMeta {
 	m.LRoot = m
 	m.WRoot = m
 	if !f.IsGround() {
-		s.addToGround(m)
+		// The root opens its own tree: nothing there to be isomorphic to.
+		h := isoHash(m.id, f)
+		s.ground[h] = s.pushGround(m.id, f, chain(s.ground, h))
 	}
 	s.stats.NewTrees++
 	return m
@@ -254,9 +322,11 @@ func (s *Strategy) NewEDBFact(f ast.Fact) *FactMeta {
 
 // Derive builds the fact structure for a fact freshly produced by rule
 // (identified by ruleID) from the given parent facts. For linear rules
-// parents has one element; for warded rules the ward parent must be
-// passed first. The returned metadata is not yet admitted: call
-// CheckTermination to decide whether the chase step may proceed.
+// parents has one element and the fact's provenance extends the parent's
+// by ruleID — a lookup in the path tree, allocating only when the path is
+// new; for warded rules the ward parent must be passed first. The returned
+// metadata is not yet admitted: call CheckTermination to decide whether
+// the chase step may proceed.
 func (s *Strategy) Derive(f ast.Fact, ruleID int, parents []*FactMeta) *FactMeta {
 	ri := s.rules[ruleID]
 	m := &FactMeta{Fact: f, Kind: ri.Kind, RuleID: ruleID}
@@ -268,21 +338,39 @@ func (s *Strategy) Derive(f ast.Fact, ruleID int, parents []*FactMeta) *FactMeta
 		p := parents[0]
 		m.LRoot = p.LRoot
 		m.WRoot = p.WRoot
-		m.Provenance = append(append(make([]int, 0, len(p.Provenance)+1), p.Provenance...), ruleID)
+		m.Provenance = s.extend(p.Provenance, ruleID)
 	case analysis.KindWarded:
 		// The warded forest keeps the edge from the ward; the linear
 		// forest starts a new tree here (provenance reset).
-		ward := parents[0]
-		m.WRoot = ward.WRoot
+		m.WRoot = parents[0].WRoot
 		m.LRoot = m
-		m.Provenance = nil
 	default:
 		// Other non-linear rules open a new tree in both forests.
 		m.WRoot = m
 		m.LRoot = m
-		m.Provenance = nil
 	}
 	return m
+}
+
+// extend returns the path node of p followed by rule, creating it on the
+// path's first use.
+func (s *Strategy) extend(p *Path, rule int) *Path {
+	if p == nil {
+		if n := s.paths[rule]; n != nil {
+			return n
+		}
+		n := &Path{rule: int32(rule), depth: 1}
+		s.paths[rule] = n
+		return n
+	}
+	for c := p.child; c != nil; c = c.sibling {
+		if c.rule == int32(rule) {
+			return c
+		}
+	}
+	c := &Path{parent: p, sibling: p.child, rule: int32(rule), depth: p.depth + 1}
+	p.child = c
+	return c
 }
 
 // CheckTermination is Algorithm 1: it reports whether the chase step that
@@ -301,10 +389,11 @@ func (s *Strategy) CheckTermination(a *FactMeta) bool {
 	s.stats.Checked++
 	if a.Kind == analysis.KindLinear || a.Kind == analysis.KindWarded {
 		// No stop-provenance learnt yet (never, on a ground program): the
-		// root's pattern key is not even rendered.
-		if !s.DisableSummary && len(s.summary) != 0 {
-			if trie := s.summary[a.LRoot.patternKey()]; trie != nil {
-				beyond, within := trie.query(a.Provenance)
+		// root's pattern is not even hashed.
+		if !s.DisableSummary && len(s.patterns) != 0 {
+			if trie := s.findPattern(a.LRoot); trie != nil {
+				s.provBuf = a.Provenance.AppendRules(s.provBuf[:0])
+				beyond, within := trie.query(s.provBuf)
 				if beyond {
 					s.stats.BeyondStop++
 					return false // beyond a stop provenance
@@ -320,16 +409,19 @@ func (s *Strategy) CheckTermination(a *FactMeta) bool {
 		}
 		// Continue exploration: local isomorphism check in the warded tree.
 		s.stats.IsoChecks++
-		tree := s.ground[a.WRoot.id]
-		iso := a.Fact.IsoKey()
-		if tree != nil && tree[iso] {
-			s.stats.IsoHits++
-			if !s.DisableSummary {
-				s.learnStop(a)
+		tree := a.WRoot.id
+		h := isoHash(tree, a.Fact)
+		head := chain(s.ground, h)
+		for i := head; i >= 0; i = s.groundFacts[i].next {
+			if e := &s.groundFacts[i]; e.tree == tree && IsoEqual(e.fact, a.Fact) {
+				s.stats.IsoHits++
+				if !s.DisableSummary {
+					s.learnStop(a)
+				}
+				return false // isomorphism found
 			}
-			return false // isomorphism found
 		}
-		s.addToGround(a)
+		s.ground[h] = s.pushGround(tree, a.Fact, head)
 		return true // isomorphism not found
 	}
 	// Other non-linear generating rules: the produced fact is ground (the
@@ -340,45 +432,53 @@ func (s *Strategy) CheckTermination(a *FactMeta) bool {
 	return true
 }
 
-// learnStop records a.provenance as a stop-provenance for the pattern of
+// chain returns the first entry of h's chain in G's or S's hash table, -1
+// when h has none.
+func chain(table map[uint64]int32, h uint64) int32 {
+	if i, ok := table[h]; ok {
+		return i
+	}
+	return -1
+}
+
+// pushGround appends f of tree to G in front of the chain starting at next
+// and returns the new entry's index, the chain's new head.
+func (s *Strategy) pushGround(tree int64, f ast.Fact, next int32) int32 {
+	s.groundFacts = append(s.groundFacts, groundEntry{tree: tree, fact: f, next: next})
+	return int32(len(s.groundFacts) - 1)
+}
+
+// findPattern returns the stop-provenances learnt for the pattern of root,
+// nil when none were.
+func (s *Strategy) findPattern(root *FactMeta) *provTrie {
+	for i := chain(s.summary, root.patternHash()); i >= 0; i = s.patterns[i].next {
+		if e := &s.patterns[i]; patternEqual(e.root, root.Fact) {
+			return e.trie
+		}
+	}
+	return nil
+}
+
+// learnStop records a's provenance as a stop-provenance for the pattern of
 // a's linear-forest root.
 func (s *Strategy) learnStop(a *FactMeta) {
-	pk := a.LRoot.patternKey()
-	trie := s.summary[pk]
+	trie := s.findPattern(a.LRoot)
 	if trie == nil {
+		h := a.LRoot.patternHash()
 		trie = &provTrie{}
-		s.summary[pk] = trie
+		s.patterns = append(s.patterns, summaryEntry{root: a.LRoot.Fact, trie: trie, next: chain(s.summary, h)})
+		s.summary[h] = int32(len(s.patterns) - 1)
 	}
-	trie.insert(a.Provenance)
-}
-
-func (s *Strategy) addToGround(a *FactMeta) {
-	tree := s.ground[a.WRoot.id]
-	if tree == nil {
-		tree = make(map[string]bool)
-		s.ground[a.WRoot.id] = tree
-	}
-	tree[a.Fact.IsoKey()] = true
-	s.stats.GroundFacts++
-}
-
-// EvictTree drops the stored ground values of a fully-explored warded tree
-// (except its root), the memory optimization noted at the end of Sec. 3.4.
-func (s *Strategy) EvictTree(root *FactMeta) {
-	if tree := s.ground[root.id]; tree != nil {
-		s.stats.GroundFacts -= len(tree)
-		rootKey := root.Fact.IsoKey()
-		s.ground[root.id] = map[string]bool{rootKey: true}
-		s.stats.GroundFacts++
-	}
+	s.provBuf = a.Provenance.AppendRules(s.provBuf[:0])
+	trie.insert(s.provBuf)
 }
 
 // SummarySize returns the number of stop-provenances currently stored, a
 // proxy for the memory footprint of the lifted linear forest.
 func (s *Strategy) SummarySize() int {
 	n := 0
-	for _, t := range s.summary {
-		n += countTerminals(t)
+	for _, e := range s.patterns {
+		n += countTerminals(e.trie)
 	}
 	return n
 }
@@ -392,17 +492,6 @@ func countTerminals(t *provTrie) int {
 		n += countTerminals(c)
 	}
 	return n
-}
-
-// Patterns returns the sorted distinct l_root patterns in the summary,
-// useful in tests asserting horizontal-pruning behaviour.
-func (s *Strategy) Patterns() []string {
-	out := make([]string, 0, len(s.summary))
-	for k := range s.summary {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // freshNulls reports whether every labelled null of f is absent from the

@@ -180,37 +180,29 @@ func TestWardedDeriveKeepsWardTree(t *testing.T) {
 	if w2.LRoot != w2 {
 		t.Error("warded rule must start a new linear-forest tree")
 	}
-	if len(w2.Provenance) != 0 {
+	if w2.Provenance != nil {
 		t.Error("warded rule must reset provenance")
 	}
 }
 
-func TestEvictTree(t *testing.T) {
-	res := analyzed(t, `
-		p(X, N) -> q(X, N).
-	`)
-	s := NewStrategy(res)
-	nulls := term.NewNullFactory()
-	root := s.NewEDBFact(ast.NewFact("p", term.String("a"), nulls.Fresh()))
-	f := s.Derive(ast.NewFact("q", term.String("a"), root.Fact.Args[1]), 0, []*FactMeta{root})
-	if !s.CheckTermination(f) {
-		t.Fatal("admit")
-	}
-	before := s.Stats().GroundFacts
-	s.EvictTree(root)
-	if after := s.Stats().GroundFacts; after >= before {
-		t.Errorf("eviction should shrink the ground structure: %d -> %d", before, after)
-	}
-}
-
 func TestFactMetaString(t *testing.T) {
-	res := analyzed(t, `p(X) -> q(X).`)
+	res := analyzed(t, `p(X) -> q(X). q(X) -> r(X).`)
 	s := NewStrategy(res)
 	m := s.NewEDBFact(ast.NewFact("p", term.String("a")))
-	if m.String() == "" {
-		t.Error("empty String()")
+	q := s.Derive(ast.NewFact("q", term.String("a")), 0, []*FactMeta{m})
+	r := s.Derive(ast.NewFact("r", term.String("a")), 1, []*FactMeta{q})
+	for _, c := range []struct {
+		m    *FactMeta
+		want string
+	}{
+		{m, `p(a) [non-linear prov=]`},
+		{r, `r(a) [linear prov=0,1]`},
+	} {
+		if got := c.m.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
 	}
-	if len(s.Patterns()) != 0 {
+	if s.Stats().Patterns != 0 {
 		t.Error("no patterns before any learning")
 	}
 }

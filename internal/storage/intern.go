@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"math"
-
-	"repro/internal/term"
-)
+import "repro/internal/term"
 
 // Interner is the database-wide symbol table: it maps each distinct
 // term.Value to a dense uint32 ID and back. Relations store facts as
@@ -25,10 +21,13 @@ import (
 // that distinguish the value, not the 40-byte term.Value: strings by their
 // text (the runtime's fast string map), sets by their canonical rendering
 // in a map of their own, every other kind — int, bool, date, null, float —
-// by the fixed-size scalarKey. Three identities are part of the contract:
-// kinds never mix (Int(1), Float(1.0), Bool(true), Date(1), Null(1),
-// String("1") are six IDs; a set that renders like a string is not that
-// string), every NaN shares nanID, and -0.0 shares 0.0's ID.
+// by the fixed-size scalarKey. The identity is term.Identical, the one the
+// termination strategy compares by too: kinds never mix (Int(1),
+// Float(1.0), Bool(true), Date(1), Null(1), String("1") are six IDs; a set
+// that renders like a string is not that string), every NaN shares one ID
+// (NaN never equals itself, so only term.IdentityBits' canonical NaN keeps
+// NaN facts duplicates of each other — and with it chase termination), and
+// -0.0 shares 0.0's.
 //
 // Concurrency: single-writer. IDOf and ValueOf are safe from multiple
 // goroutines only while no Intern call is in flight: the parallel chase's
@@ -39,16 +38,11 @@ type Interner struct {
 	sets    map[string]uint32
 	scalars map[scalarKey]uint32
 	vals    []term.Value
-	// nanID is the single ID shared by all float NaN values: NaN never
-	// equals itself and NaNs differ in payload bits, so no key could find
-	// them; one ID keeps NaN facts duplicates of each other (and with it
-	// chase termination).
-	nanID uint32
-	bytes int64
+	bytes   int64
 }
 
-// scalarKey identifies a non-string, non-set value: its kind plus the
-// integer payload or the float's IEEE bits.
+// scalarKey identifies a non-string, non-set value: its kind plus
+// term.IdentityBits.
 type scalarKey struct {
 	kind term.Kind
 	bits uint64
@@ -64,21 +58,7 @@ func NewInterner() *Interner {
 	}
 }
 
-// scalarKeyOf returns the key of a value that is neither string, set nor
-// NaN; -0.0 takes 0.0's bits.
-func scalarKeyOf(v term.Value) scalarKey {
-	if v.Kind() != term.KindFloat {
-		return scalarKey{v.Kind(), uint64(v.IntVal())}
-	}
-	f := v.FloatVal()
-	if f == 0 {
-		f = 0
-	}
-	return scalarKey{term.KindFloat, math.Float64bits(f)}
-}
-
 // Intern returns the ID of v, assigning the next dense ID on first use.
-// All float NaNs intern to one shared ID (see nanID).
 func (in *Interner) Intern(v term.Value) uint32 {
 	if id, ok := in.IDOf(v); ok {
 		return id
@@ -89,10 +69,8 @@ func (in *Interner) Intern(v term.Value) uint32 {
 		in.strs[v.Str()] = id
 	case v.Kind() == term.KindSet:
 		in.sets[v.Str()] = id
-	case isNaN(v):
-		in.nanID = id
 	default:
-		in.scalars[scalarKeyOf(v)] = id
+		in.scalars[scalarKey{v.Kind(), v.IdentityBits()}] = id
 	}
 	in.vals = append(in.vals, v)
 	// Value struct + string payload + map entry overhead.
@@ -108,16 +86,10 @@ func (in *Interner) IDOf(v term.Value) (id uint32, ok bool) {
 		id, ok = in.strs[v.Str()]
 	case v.Kind() == term.KindSet:
 		id, ok = in.sets[v.Str()]
-	case isNaN(v):
-		id, ok = in.nanID, in.nanID != 0
 	default:
-		id, ok = in.scalars[scalarKeyOf(v)]
+		id, ok = in.scalars[scalarKey{v.Kind(), v.IdentityBits()}]
 	}
 	return id, ok
-}
-
-func isNaN(v term.Value) bool {
-	return v.Kind() == term.KindFloat && math.IsNaN(v.FloatVal())
 }
 
 // ValueOf decodes an ID back to its Value. ID 0 (and any out-of-range

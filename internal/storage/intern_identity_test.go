@@ -42,6 +42,10 @@ func (r *valueKeyedInterner) idOf(v term.Value) (uint32, bool) {
 	return id, ok
 }
 
+func isNaN(v term.Value) bool {
+	return v.Kind() == term.KindFloat && math.IsNaN(v.FloatVal())
+}
+
 // identityPool holds values chosen to collide wherever a per-kind layout
 // could go wrong: equal payload bits across kinds, text that renders alike
 // across kinds, both zeros, NaNs of several payloads, multi-digit nulls.

@@ -9,6 +9,7 @@ package term
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"sort"
 	"strconv"
@@ -370,30 +371,58 @@ func Equal(a, b Value) bool {
 	return false
 }
 
-// Hash returns a 64-bit hash of v, mixing kind and payload (FNV-1a).
-func (v Value) Hash() uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= 1099511628211
-			x >>= 8
-		}
+// canonicalNaN is the payload every NaN takes under Identical.
+const canonicalNaN = 0x7ff8000000000001
+
+// IdentityBits returns the fixed-size payload Identical compares for a
+// value that is neither a string nor a set: the integer payload of an int,
+// bool, date or null, or a float's IEEE bits with every NaN mapped to one
+// pattern and -0.0 to 0.0's.
+func (v Value) IdentityBits() uint64 {
+	if v.kind != KindFloat {
+		return uint64(v.i)
 	}
-	h ^= uint64(v.kind)
-	h *= 1099511628211
-	switch v.kind {
-	case KindString, KindSet:
-		for i := 0; i < len(v.s); i++ {
-			h ^= uint64(v.s[i])
-			h *= 1099511628211
-		}
-	case KindFloat:
-		mix(math.Float64bits(v.f))
+	switch f := v.f; {
+	case f != f:
+		return canonicalNaN
+	case f == 0:
+		return 0
 	default:
-		mix(uint64(v.i))
+		return math.Float64bits(f)
 	}
-	return h
+}
+
+// Identical reports whether a and b are one value under the identity the
+// store keys values by — storage.Interner's IDs and the termination
+// strategy's isomorphism and pattern checks: the same kind and the same
+// payload, where every float NaN is one value and -0.0 is 0.0. Kinds never
+// mix (Int(1), Float(1.0), Date(1) and String("1") are four values). It
+// differs from == only for NaN, which == never equates.
+func Identical(a, b Value) bool {
+	if a.kind != b.kind {
+		return false
+	}
+	if a.kind == KindString || a.kind == KindSet {
+		return a.s == b.s
+	}
+	return a.IdentityBits() == b.IdentityBits()
+}
+
+// hashSeed keys Hash's string hashing for the process.
+var hashSeed = maphash.MakeSeed()
+
+// Hash returns a 64-bit hash of v consistent with Identical: identical
+// values hash alike. Strings and sets hash by their text, other kinds by
+// IdentityBits; the kind is mixed in either way. The hash is stable within
+// a process only.
+func (v Value) Hash() uint64 {
+	x := v.IdentityBits()
+	if v.kind == KindString || v.kind == KindSet {
+		x = maphash.String(hashSeed, v.s)
+	}
+	x ^= uint64(v.kind) << 56
+	x *= 0x9e3779b97f4a7c15
+	return x ^ x>>32
 }
 
 // NullFactory mints fresh labelled nulls and memoizes Skolem applications.

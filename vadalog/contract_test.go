@@ -378,6 +378,33 @@ func TestSessionContract(t *testing.T) {
 				t.Errorf("quiesced=%v, %d opens, %d pulls (want %d)", s.Quiesced(), len(d.opened), d.nexts, d.pulls(k))
 			}
 		}},
+		{"isomorphism keeps constants of different kinds apart", func(t *testing.T, engine Engine) {
+			// r(1,ν) and r(1.0,ν) render alike but are two values, so two
+			// facts: neither is isomorphic to the other, and no
+			// stop-provenance is learnt from a false isomorphism.
+			const src = `a(1).
+				a(X) -> p(X,N).
+				p(X,N), Y = X + 0.5 - 0.5 -> r(Y,N).
+				p(X,N) -> r(X,N).
+				@output("r").`
+			for _, pol := range []Policy{PolicyFull, PolicyTrivialIso} {
+				s := newSession(t, MustParse(src), &Options{Engine: engine, Policy: pol})
+				if err := s.Run(); err != nil {
+					t.Fatal(err)
+				}
+				var kinds []term.Kind
+				for _, f := range s.Output("r") {
+					kinds = append(kinds, f.Args[0].Kind())
+				}
+				slices.Sort(kinds)
+				if !slices.Equal(kinds, []term.Kind{term.KindInt, term.KindFloat}) {
+					t.Errorf("policy %v: r holds constants of kinds %v, want one int and one float", pol, kinds)
+				}
+				if st, ok := s.StrategyStats(); ok && (st.Patterns != 0 || st.IsoHits != 0) {
+					t.Errorf("policy %v: %d iso hits, %d patterns learnt, want none", pol, st.IsoHits, st.Patterns)
+				}
+			}
+		}},
 	}
 	for _, row := range rows {
 		for _, engine := range []Engine{EnginePipeline, EngineChase} {
