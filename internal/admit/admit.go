@@ -101,6 +101,13 @@ func Compile(prog *ast.Program, cfg Config) (*Compiled, error) {
 			return nil, fmt.Errorf("admit: %w", err)
 		}
 	}
+	// Negation through recursion has no stratified model to compute. Only a
+	// program that negates pays for the check.
+	if negates(rw.Program) {
+		if _, err := analysis.Stratify(rw.Program); err != nil {
+			return nil, fmt.Errorf("admit: %w", err)
+		}
+	}
 	// Parse does not reject arity drift (the lint layer reports it as
 	// A001); Predicates does.
 	preds, err := rw.Program.Predicates()
@@ -139,6 +146,18 @@ func Compile(prog *ast.Program, cfg Config) (*Compiled, error) {
 		p.Skolem = append(p.Skolem, skolem)
 	}
 	return p, nil
+}
+
+// negates reports whether some rule of p has a negated body atom.
+func negates(p *ast.Program) bool {
+	for _, r := range p.Rules {
+		for _, a := range r.Body {
+			if a.Negated {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Core is the per-run admission state over a shared Compiled: it owns the

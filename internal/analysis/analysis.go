@@ -8,6 +8,7 @@ package analysis
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/ast"
 )
@@ -492,13 +493,21 @@ func Stratify(p *ast.Program) (map[string]int, error) {
 			comp[pred] = i
 		}
 	}
-	// Negation within an SCC is unstratifiable.
+	// Negation within an SCC is unstratifiable. The offending negated
+	// predicates are named in sorted order, so the error is the same on
+	// every run.
+	var bad []string
 	for from, tos := range g.NegEdges {
 		for to := range tos {
 			if comp[from] == comp[to] {
-				return nil, fmt.Errorf("analysis: negation through recursive predicate %s is not stratified", from)
+				bad = append(bad, from)
+				break
 			}
 		}
+	}
+	if len(bad) > 0 {
+		sort.Strings(bad)
+		return nil, fmt.Errorf("analysis: negation through recursive predicate %s is not stratified", strings.Join(bad, ", "))
 	}
 	// Longest-path strata over the SCC condensation: stratum(head SCC) ≥
 	// stratum(body SCC), strictly greater across negation. Tarjan emits

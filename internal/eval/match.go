@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ast"
 	"repro/internal/core"
@@ -28,6 +29,12 @@ type Binding struct {
 	// is what lets the engines admit candidates in a canonical order no
 	// matter which plan produced them.
 	ParentRows []int32
+	// RowBound, when non-nil, bounds each positive body atom to the rows
+	// its engine has already consumed there: atom i matches only rows with
+	// index < RowBound[i] (semi-naive evaluation, see pipeline.fire). Nil —
+	// the chase, the baseline, every rule the pipeline leaves unbounded —
+	// matches every stored row.
+	RowBound []int
 
 	in *storage.Interner // set by the Matcher on each MatchPinned
 
@@ -356,7 +363,9 @@ func (mt *Matcher) runSteps(cr *CompiledRule, steps []Step, si int, b *Binding, 
 // matchAtom enumerates the facts matching Pos[ai] under the current
 // binding using the dynamic index, then recurses into the remaining
 // steps. Probes and candidate verification work entirely on interned
-// IDs; no probe allocates or renders values.
+// IDs; no probe allocates or renders values. Under a row bound it stops at
+// the first row at or past b.RowBound[ai]: lookups return ascending row
+// indexes, so every later row is past it too.
 func (mt *Matcher) matchAtom(cr *CompiledRule, steps []Step, si int, ai int, b *Binding, emit func(b *Binding) error) error {
 	a := &cr.Pos[ai]
 	rel := b.posRel(mt.DB, cr, ai)
@@ -386,8 +395,15 @@ func (mt *Matcher) matchAtom(cr *CompiledRule, steps []Step, si int, ai int, b *
 		}
 	}
 	rows := mt.lookupRows(rel, a.Pred, mask, probe)
+	bound := math.MaxInt
+	if b.RowBound != nil {
+		bound = b.RowBound[ai]
+	}
 	markNewly := len(b.newly)
 	for _, rowIdx := range rows {
+		if int(rowIdx) >= bound {
+			break
+		}
 		if b.unifyRow(a, rel.Row(int(rowIdx)), mask) {
 			b.Parents[ai] = rel.At(int(rowIdx))
 			b.ParentRows[ai] = rowIdx

@@ -61,7 +61,7 @@ var frozenSinks = map[string]map[string]string{
 	},
 	"dynIndex": {
 		"bucketFor": "storage", "room": "storage", "push": "storage",
-		"remove": "storage",
+		"insertSorted": "storage", "remove": "storage",
 	},
 	"Database": {
 		"Insert": "storage", "InsertEDB": "storage", "Rel": "storage",

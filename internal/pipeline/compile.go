@@ -28,6 +28,14 @@ type Compiled struct {
 	// state, so admissions interleave with matching exactly as the serial
 	// semantics prescribe.
 	inline []bool
+	// bounded marks rules whose firings join a delta only against rows the
+	// filter has already consumed (semi-naive; see Session.fire): rules with
+	// two or more positive atoms, no aggregate, and no positive atom over a
+	// predicate supersession rewrites in place — an aggregate head or its
+	// tag twin. There the number of supersession steps, each a derivation,
+	// depends on how often and in which order matches are emitted, so those
+	// rules keep enumerating against the whole relation.
+	bounded []bool
 	// negation reports a negated body atom anywhere in the program: its
 	// sessions take all their input before the first pull (Session.Next).
 	negation bool
@@ -52,7 +60,24 @@ func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
 		return nil, err
 	}
 	c := &Compiled{Compiled: ac, opts: opts, producers: make(map[string][]int)}
+	superseded := make(map[string]bool)
+	for _, cr := range c.Rules {
+		if cr.Rule.Aggregate == nil {
+			continue
+		}
+		for _, h := range cr.Rule.Heads {
+			superseded[h.Pred] = true
+			if twin, ok := c.RW.TagPreds[h.Pred]; ok {
+				superseded[twin] = true
+			}
+		}
+	}
 	for i, cr := range c.Rules {
+		bounded := len(cr.Pos) >= 2 && cr.Rule.Aggregate == nil
+		for _, a := range cr.Pos {
+			bounded = bounded && !superseded[a.Pred]
+		}
+		c.bounded = append(c.bounded, bounded)
 		c.inline = append(c.inline, c.Skolem[i] || len(cr.Neg) > 0)
 		c.negation = c.negation || len(cr.Neg) > 0
 		hub := constraintHub
@@ -96,6 +121,11 @@ func (c *Compiled) NewSession() *Session {
 		}
 		for k := range cr.Pos {
 			f.rels[k] = s.DB().Rel(cr.Pos[k].Pred, cr.Pos[k].Arity())
+		}
+		if c.bounded[i] {
+			// The cursors are the bound: none of these relations is ever
+			// rewritten in place, so a cursor's delta count is a row count.
+			f.binding.RowBound = f.cursors
 		}
 		s.filters = append(s.filters, f)
 	}

@@ -6,6 +6,14 @@
 // round-robin; runtime invocation cycles are detected and reported as
 // cyclic misses (notifyCycle) distinct from real misses; each filter wraps
 // fact production in a termination-strategy wrapper running Algorithm 1.
+//
+// A filter reads each body atom through a cursor of its own, and a firing
+// pins one delta and joins it only against rows the filter has already
+// consumed at the other atoms — semi-naive evaluation, with the cursors as
+// the bound — so each combination of body facts is matched exactly once.
+// Aggregate rules and rules over an aggregate head (or its tag twin) are the
+// exception: supersession makes their emissions order-dependent, so they
+// join against whole relations (Compiled.bounded).
 package pipeline
 
 import (
@@ -137,6 +145,9 @@ type Session struct {
 	pl      *planner.Planner
 	log     eval.BindingLog
 	permBuf []int32
+
+	// matches counts complete matches handed to admission (Emit or Replay).
+	matches int
 
 	// timing/clock accumulate the phase wall-time split when
 	// Options.PhaseTiming is set.
@@ -577,6 +588,15 @@ func (s *Session) clearResumableFailure() {
 // fire evaluates filter f with body atom pos pinned to delta m, admitting
 // any derived head facts; it returns how many facts were admitted.
 //
+// A bounded rule (Compiled.bounded) joins the delta only against rows f has
+// already consumed: every other atom j reads rows below f.cursors[j], which
+// its binding carries as eval.Binding.RowBound. A combination of body facts
+// is then matched exactly once, by the firing of whichever member f consumes
+// last; against whole relations it would be matched again for every member
+// still waiting in a cursor, each repeat paying the probe and duplicate
+// check of Emit. Rules over superseded predicates and aggregate rules match
+// against the whole relation.
+//
 // Rules marked inline keep the static schedule; everything else runs the
 // (possibly cost-based) planned one. A firing whose enumeration order is
 // already canonical is fused — each complete match is emitted as it is
@@ -610,6 +630,7 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 		defer s.lap(&s.clock.match, t0) // fused: matching and admission interleave
 		admitted := 0
 		err := s.mt.MatchPinnedSteps(cr, pos, m, steps, f.binding, func(b *eval.Binding) error {
+			s.matches++
 			n, err := s.Emit(f.idx, b)
 			admitted += n
 			return err
@@ -623,6 +644,7 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 		lg.Capture(b)
 		return nil
 	})
+	s.matches += lg.Len()
 	s.lap(&s.clock.match, tm)
 	if err != nil {
 		return 0, err

@@ -426,7 +426,7 @@ func (r *Relation) Replace(i int, f ast.Fact) ReplaceOutcome {
 			continue
 		}
 		ix.remove(hashMasked(old, ix.mask), int32(i))
-		ix.push(ix.bucketFor(hashMasked(newRow, ix.mask)), int32(i))
+		ix.insertSorted(ix.bucketFor(hashMasked(newRow, ix.mask)), int32(i))
 	}
 	r.metas[i].ReplaceFact(f)
 	r.observeRow(newRow)
@@ -598,7 +598,10 @@ func (r *Relation) maskedEqual(ri int, mask uint32, probe []uint32) bool {
 }
 
 // LookupIDs returns the indexes of all facts whose masked positions
-// equal the corresponding positions of probe (interned IDs). It builds
+// equal the corresponding positions of probe (interned IDs), in ascending
+// row order — from an index bucket, the live-row list and a scan alike, and
+// after any Replace or retraction — so a caller bounded to a row prefix may
+// stop at the first index past it (eval.Binding.RowBound). It builds
 // or extends the dynamic index for mask as a side effect (optimistic
 // probe, then scan of the unindexed suffix, as in the paper's slot
 // machine join). Candidates from the hash bucket are verified by ID
@@ -768,7 +771,8 @@ func (r *Relation) ensureIndexSized(mask uint32, sizeHint int) *dynIndex {
 // the live-row cache) served the probe; false means the probe fell back to
 // a full scan because no current index covers mask — callers should record
 // the miss and EnsureIndex at the next batch boundary. Returned slices
-// alias shared storage exactly like LookupIDs' and must not be modified.
+// alias shared storage exactly like LookupIDs' and must not be modified, and
+// hold ascending row indexes like LookupIDs' do.
 func (r *Relation) SnapshotLookupIDs(mask uint32, probe []uint32) ([]int32, bool) {
 	if mask == 0 {
 		if r.liveUpTo == len(r.metas) {

@@ -189,8 +189,9 @@ func (ix *dynIndex) find(h uint64) int {
 // the caller cannot reach the neighbouring bucket. The slice stays a valid
 // snapshot while the index changes — push writes past its end, a bucket
 // that outgrows its span moves and leaves the old region alone, and a
-// reallocated arena leaves the old array to its holders; only remove shifts
-// a bucket's rows in place. A pure read.
+// reallocated arena leaves the old array to its holders; only remove and
+// insertSorted (a retraction or a Replace) shift a bucket's rows in place.
+// A pure read.
 func (ix *dynIndex) rows(h uint64) []int32 {
 	b := ix.find(h)
 	if b < 0 {
@@ -231,11 +232,24 @@ func (ix *dynIndex) room(b int, need int32) {
 	s.cap = grown
 }
 
-// push appends row ri at the tail of bucket b.
+// push appends row ri at the tail of bucket b: ri is past every row the
+// bucket holds, so the bucket stays ascending.
 func (ix *dynIndex) push(b int, ri int32) {
 	ix.room(b, 1)
 	s := &ix.spans[b]
 	ix.arena[s.off+s.n] = ri
+	s.n++
+}
+
+// insertSorted inserts row ri into bucket b at its ascending position — how a
+// replaced row, which keeps its index, enters the bucket of its new value.
+func (ix *dynIndex) insertSorted(b int, ri int32) {
+	ix.room(b, 1)
+	s := &ix.spans[b]
+	bucket := ix.arena[s.off : s.off+s.n+1]
+	k, _ := slices.BinarySearch(bucket[:s.n], ri)
+	copy(bucket[k+1:], bucket[k:s.n])
+	bucket[k] = ri
 	s.n++
 }
 

@@ -14,9 +14,10 @@ import (
 // refRelation is the reference the flat table is checked against: the
 // duplicate table and the dynamic indexes as maps from a 64-bit hash to a
 // chained bucket of row indexes, with the bucket discipline the relation
-// promises — rows enter an index in ascending order when it is extended, a
-// replaced row leaves its old bucket in place and re-enters at its new
-// bucket's tail, a retracted row leaves everything.
+// promises — every bucket ascends: rows enter an index in ascending order
+// when it is extended, a replaced row leaves its old bucket in place and
+// enters its new bucket at its row's position, a retracted row leaves
+// everything.
 type refRelation struct {
 	arity int
 	rows  [][]uint32
@@ -106,7 +107,8 @@ func (m *refRelation) replace(i int, row []uint32) ReplaceOutcome {
 		if i < ix.upTo && !maskedIDsEqual(old, row, mask) {
 			refRemove(ix.entries, hashMasked(old, mask), i)
 			nh := hashMasked(row, mask)
-			ix.entries[nh] = append(ix.entries[nh], int32(i))
+			k, _ := slices.BinarySearch(ix.entries[nh], int32(i))
+			ix.entries[nh] = slices.Insert(ix.entries[nh], k, int32(i))
 		}
 	}
 	m.rows[i] = slices.Clone(row)
@@ -160,11 +162,36 @@ func (m *refRelation) agree(t *testing.T, r *Relation, step int) {
 			t.Fatalf("step %d: index %b: %+v, reference covers %d rows in %d buckets", step, mask, ix, want.upTo, len(want.entries))
 		}
 		for h, bucket := range want.entries {
-			if got := ix.rows(h); !slices.Equal(got, bucket) {
-				t.Fatalf("step %d: index %b bucket %x is %v, reference %v", step, mask, h, got, bucket)
+			if got := ix.rows(h); !slices.Equal(got, bucket) || !ascending(got) {
+				t.Fatalf("step %d: index %b bucket %x is %v, reference %v (ascending)", step, mask, h, got, bucket)
 			}
 		}
 	}
+	// The pure reads: the live-row list, and per mask a bucket or a scan.
+	live, _ := r.SnapshotLookupIDs(0, nil)
+	if len(live) != m.live() || !ascending(live) {
+		t.Fatalf("step %d: live rows %v, want %d ascending", step, live, m.live())
+	}
+	if len(live) > 0 {
+		probe := r.Row(int(live[len(live)/2]))
+		for _, mask := range []uint32{1, 2, 3} {
+			if got, _ := r.SnapshotLookupIDs(mask, probe); !ascending(got) {
+				t.Fatalf("step %d: snapshot probe %b of %v is %v, not ascending", step, mask, probe, got)
+			}
+		}
+	}
+}
+
+// ascending reports whether rows strictly ascends — the order every lookup
+// hands row indexes out in, which the matcher's row bound relies on
+// (eval.Binding.RowBound stops at the first row past it).
+func ascending(rows []int32) bool {
+	for k := 1; k < len(rows); k++ {
+		if rows[k-1] >= rows[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // runTableModel decodes ops — three bytes each: kind, a, b — into one
@@ -202,9 +229,14 @@ func runTableModel(t *testing.T, ops []byte, every int) *Relation {
 			if got, want := ok && r.ContainsRowHash(row, h), ok && m.find(row) >= 0; got != want {
 				t.Fatalf("step %d: contains %v = %v, reference %v", step, fact(a, b), got, want)
 			}
-		case 5, 6: // index probe: builds or extends the mask's index
+		case 5, 6: // index probe: builds or extends the mask's index, in bulk or row by row
 			mask := masks[int(kind/8)%len(masks)]
-			r.LookupIDs(mask, r.internRow(fact(a, b).Args))
+			if got := r.LookupIDs(mask, r.internRow(fact(a, b).Args)); !ascending(got) {
+				t.Fatalf("step %d: lookup %b of %v is %v, not ascending", step, mask, fact(a, b), got)
+			}
+			if got := r.LookupIDs(0, nil); !ascending(got) {
+				t.Fatalf("step %d: live-row list %v is not ascending", step, got)
+			}
 			m.extend(mask)
 		case 7:
 			if a%4 != 0 { // Freeze: every existing index is extended

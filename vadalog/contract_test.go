@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -403,6 +404,18 @@ func TestSessionContract(t *testing.T) {
 				if st, ok := s.StrategyStats(); ok && (st.Patterns != 0 || st.IsoHits != 0) {
 					t.Errorf("policy %v: %d iso hits, %d patterns learnt, want none", pol, st.IsoHits, st.Patterns)
 				}
+			}
+		}},
+		{"unstratifiable negation is a compile error", func(t *testing.T, engine Engine) {
+			// r(1) holds only if q(1) does not, and q(1) holds if r(1) does:
+			// there is no stratified model, so there is no answer to print.
+			const src = `p(1).
+				p(X), not q(X) -> r(X).
+				r(X) -> q(X).
+				@output("r").`
+			_, err := Compile(MustParse(src), &Options{Engine: engine})
+			if want := "negation through recursive predicate q is not stratified"; err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("compile: %v, want an error containing %q", err, want)
 			}
 		}},
 	}
