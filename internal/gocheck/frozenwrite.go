@@ -71,6 +71,8 @@ var frozenSinks = map[string]map[string]string{
 	"Core": {
 		"LoadRow": "admit",
 	},
+	// The symbol table (storage/intern.go): IDOf, ValueOf and find are the
+	// pure reads; Intern alone fills a page and inserts into its flatTable.
 	"Interner": {
 		"Intern": "storage",
 	},

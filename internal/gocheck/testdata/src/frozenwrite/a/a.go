@@ -124,3 +124,24 @@ func (m *Matcher) matchTable(t *flatTable) {
 	_, _ = t.seek(0, 0)
 	t.insert(0, 0) // want "flatTable.insert"
 }
+
+// Interner mirrors the storage symbol table: IDOf and ValueOf are the pure
+// reads, Intern the mutating sink.
+type Interner struct{ vals []string }
+
+func (in *Interner) IDOf(v string) (uint32, bool) { return 0, false }
+
+func (in *Interner) ValueOf(id uint32) string { return "" }
+
+func (in *Interner) Intern(v string) uint32 {
+	in.vals = append(in.vals, v)
+	return uint32(len(in.vals))
+}
+
+// matchValue decodes and looks up from the match path — clean — and
+// interns — flagged.
+func (m *Matcher) matchValue(in *Interner) {
+	_ = in.ValueOf(1)
+	_, _ = in.IDOf("a")
+	_ = in.Intern("a") // want "Interner.Intern"
+}

@@ -1,6 +1,10 @@
 package storage
 
-import "repro/internal/term"
+import (
+	"unsafe"
+
+	"repro/internal/term"
+)
 
 // Interner is the database-wide symbol table: it maps each distinct
 // term.Value to a dense uint32 ID and back. Relations store facts as
@@ -17,93 +21,100 @@ import "repro/internal/term"
 // (Int(1) and Float(1.0) are distinct; numeric-widening comparison stays
 // available in conditions via term.Equal/Compare).
 //
-// Layout: the table is keyed by payload, so a lookup hashes only the bytes
-// that distinguish the value, not the 40-byte term.Value: strings by their
-// text (the runtime's fast string map), sets by their canonical rendering
-// in a map of their own, every other kind — int, bool, date, null, float —
-// by the fixed-size scalarKey. The identity is term.Identical, the one the
-// termination strategy compares by too: kinds never mix (Int(1),
-// Float(1.0), Bool(true), Date(1), Null(1), String("1") are six IDs; a set
-// that renders like a string is not that string), every NaN shares one ID
-// (NaN never equals itself, so only term.IdentityBits' canonical NaN keeps
-// NaN facts duplicates of each other — and with it chase termination), and
-// -0.0 shares 0.0's.
+// Layout: one flatTable (table.go) maps term.Value.Hash to the ID, for
+// every kind alike, and each candidate of a tag's run is verified by
+// term.Identical against the stored value — the identity the termination
+// strategy compares by too, which Hash is consistent with: kinds never mix
+// (Int(1), Float(1.0), Bool(true), Date(1), Null(1), String("1") are six
+// IDs; a set that renders like a string is not that string), every NaN
+// shares one ID (NaN never equals itself, so only term.IdentityBits'
+// canonical NaN keeps NaN facts duplicates of each other — and with it chase
+// termination), and -0.0 shares 0.0's. The values themselves live in
+// fixed-size pages of pageSize, ID id at pages[id>>pageBits][id&pageMask]:
+// a new page is one allocation, and growth never copies or clears the
+// values already stored — only the short page list moves. Besides the pages
+// and the string payloads they point at, nothing here holds a pointer.
 //
-// Concurrency: single-writer. IDOf and ValueOf are safe from multiple
-// goroutines only while no Intern call is in flight: the parallel chase's
-// match workers read during frozen epochs, all interning happens on the
-// serial admission path.
+// Concurrency: single-writer. IDOf and ValueOf are pure reads, safe from
+// multiple goroutines only while no Intern call is in flight: the parallel
+// chase's match workers read during frozen epochs, all interning happens on
+// the serial admission path.
 type Interner struct {
-	strs    map[string]uint32
-	sets    map[string]uint32
-	scalars map[scalarKey]uint32
-	vals    []term.Value
-	bytes   int64
+	table flatTable
+	pages []*[pageSize]term.Value
+	n     uint32 // IDs handed out, the reserved 0 included
+	text  int64  // bytes of string and set payload interned
 }
 
-// scalarKey identifies a non-string, non-set value: its kind plus
-// term.IdentityBits.
-type scalarKey struct {
-	kind term.Kind
-	bits uint64
-}
+const (
+	pageBits = 8
+	pageSize = 1 << pageBits // values per page, the first included: 10 KiB
+	pageMask = pageSize - 1
 
-// NewInterner returns an empty interner; slot 0 holds the invalid Value.
+	valueBytes = int64(unsafe.Sizeof(term.Value{}))
+)
+
+// hashValue is term.Value.Hash. It is a variable only so collision tests can
+// force every value onto one tag.
+var hashValue = term.Value.Hash
+
+// NewInterner returns an empty interner; ID 0 decodes to the invalid Value.
 func NewInterner() *Interner {
-	return &Interner{
-		strs:    make(map[string]uint32),
-		sets:    make(map[string]uint32),
-		scalars: make(map[scalarKey]uint32),
-		vals:    make([]term.Value, 1),
-	}
+	return &Interner{n: 1}
 }
 
-// Intern returns the ID of v, assigning the next dense ID on first use.
+// Intern returns the ID of v, assigning the next dense ID on first use. It
+// probes the table once; a miss stores v under the hash already in hand.
 func (in *Interner) Intern(v term.Value) uint32 {
-	if id, ok := in.IDOf(v); ok {
+	h := hashValue(v)
+	if id, ok := in.find(v, h); ok {
 		return id
 	}
-	id := uint32(len(in.vals))
-	switch {
-	case v.Kind() == term.KindString:
-		in.strs[v.Str()] = id
-	case v.Kind() == term.KindSet:
-		in.sets[v.Str()] = id
-	default:
-		in.scalars[scalarKey{v.Kind(), v.IdentityBits()}] = id
+	id := in.n
+	if int(id>>pageBits) == len(in.pages) {
+		in.pages = append(in.pages, new([pageSize]term.Value))
 	}
-	in.vals = append(in.vals, v)
-	// Value struct + string payload + map entry overhead.
-	in.bytes += int64(len(v.Str())) + 64
+	in.pages[id>>pageBits][id&pageMask] = v
+	in.n++
+	in.table.insert(h, int(id))
+	in.text += int64(len(v.Str()))
 	return id
 }
 
 // IDOf returns the ID of v without interning it; ok is false when v has
-// never been interned (hence occurs in no stored fact).
+// never been interned (hence occurs in no stored fact). A pure read.
 func (in *Interner) IDOf(v term.Value) (id uint32, ok bool) {
-	switch {
-	case v.Kind() == term.KindString:
-		id, ok = in.strs[v.Str()]
-	case v.Kind() == term.KindSet:
-		id, ok = in.sets[v.Str()]
-	default:
-		id, ok = in.scalars[scalarKey{v.Kind(), v.IdentityBits()}]
+	return in.find(v, hashValue(v))
+}
+
+// find walks the run of slots carrying h's tag and returns the first ID
+// whose value is identical to v. A pure read.
+func (in *Interner) find(v term.Value, h uint64) (uint32, bool) {
+	tag := tagOf(h)
+	for ref, p := in.table.seek(tag, in.table.home(tag)); ref >= 0; ref, p = in.table.seek(tag, p) {
+		if term.Identical(in.pages[ref>>pageBits][ref&pageMask], v) {
+			return uint32(ref), true
+		}
 	}
-	return id, ok
+	return 0, false
 }
 
 // ValueOf decodes an ID back to its Value. ID 0 (and any out-of-range
-// ID) decodes to the invalid zero Value.
+// ID) decodes to the invalid zero Value. A pure read.
 func (in *Interner) ValueOf(id uint32) term.Value {
-	if int(id) >= len(in.vals) {
+	if id == 0 || id >= in.n {
 		return term.Value{}
 	}
-	return in.vals[id]
+	return in.pages[id>>pageBits][id&pageMask]
 }
 
 // Len returns the number of interned values (excluding the reserved
 // invalid slot).
-func (in *Interner) Len() int { return len(in.vals) - 1 }
+func (in *Interner) Len() int { return int(in.n) - 1 }
 
-// Bytes returns the rough retained size of the symbol table.
-func (in *Interner) Bytes() int64 { return in.bytes }
+// Bytes returns the memory the symbol table holds, from its capacities:
+// table slots, the page list, the pages, and the string and set payload
+// bytes of the interned values.
+func (in *Interner) Bytes() int64 {
+	return int64(8*cap(in.table.slots)+8*cap(in.pages)) + valueBytes*pageSize*int64(len(in.pages)) + in.text
+}

@@ -11,10 +11,12 @@
 // them up in one kind of table (flatTable, table.go): open addressing over a
 // []uint64 of tag+reference slots, the reference a row index for the
 // duplicate check and a bucket for an index, whose rows lie contiguous in
-// the index's one []int32 arena. Every candidate is verified by ID
-// comparison, so collisions are resolved exactly; no probe allocates, no
-// stored row costs an allocation of its own, and none of it holds a pointer
-// for the collector to follow.
+// the index's one []int32 arena. The symbol table is a flatTable too, from
+// term.Value.Hash to the ID, its values kept in fixed-size pages. Every
+// candidate is verified — rows by ID comparison, values by term.Identical —
+// so collisions are resolved exactly; no probe allocates, no stored row or
+// value costs an allocation of its own, and none of the tables holds a
+// pointer for the collector to follow.
 package storage
 
 import (
@@ -209,8 +211,8 @@ func (r *Relation) At(i int) *core.FactMeta { return r.metas[i] }
 
 // LiveAt returns the n-th live (non-retracted) fact, nil when fewer than
 // n+1 live facts exist. With no retractions (the overwhelmingly common
-// case) it is a direct index; otherwise it scans, which only the rare
-// retraction path pays.
+// case) it is a direct index; otherwise it reads the live-row cache, which
+// a retraction rebuilds once, not every call.
 func (r *Relation) LiveAt(n int) *core.FactMeta {
 	if r.retracted == 0 {
 		if n < len(r.metas) {
@@ -218,14 +220,8 @@ func (r *Relation) LiveAt(n int) *core.FactMeta {
 		}
 		return nil
 	}
-	for i := range r.metas {
-		if r.metas[i].Retracted {
-			continue
-		}
-		if n == 0 {
-			return r.metas[i]
-		}
-		n--
+	if live := r.liveSnapshot(); n < len(live) {
+		return r.metas[live[n]]
 	}
 	return nil
 }

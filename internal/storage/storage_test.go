@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ast"
@@ -302,6 +303,49 @@ func TestRelationReplaceRetractsOnDuplicate(t *testing.T) {
 	}
 	if idx, found := r.FindExact(ast.NewFact("agg", term.String("g"), term.Int(2))); !found || idx != 1 {
 		t.Errorf("FindExact: idx=%d found=%v", idx, found)
+	}
+}
+
+// TestLiveAtModel interleaves inserts, Replaces — a good share of which
+// retract, their new value being stored elsewhere — and LiveAt reads, and
+// requires LiveAt to agree with a plain list of the live rows after every
+// step, past its end included.
+func TestLiveAtModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	r := NewRelation("p", 1)
+	var live []int // row indexes of the live rows, ascending
+	fact := func() ast.Fact { return ast.NewFact("p", term.Int(int64(rng.Intn(40)))) }
+	retracted := 0
+	for step := 0; step < 3000; step++ {
+		switch op := rng.Intn(4); {
+		case op == 0 && r.Len() > 0:
+			i := rng.Intn(r.Len())
+			if r.Replace(i, fact()) == ReplaceRetracted {
+				k := slices.Index(live, i)
+				live = slices.Delete(live, k, k+1)
+				retracted++
+			}
+		case op == 1:
+			if r.Insert(meta("p", fact().Args...)) {
+				live = append(live, r.Len()-1)
+			}
+		default:
+			n := rng.Intn(len(live) + 2)
+			got := r.LiveAt(n)
+			if n >= len(live) {
+				if got != nil {
+					t.Fatalf("step %d: LiveAt(%d) of %d live rows = %v, want nil", step, n, len(live), got.Fact)
+				}
+			} else if got != r.At(live[n]) {
+				t.Fatalf("step %d: LiveAt(%d) is not row %d", step, n, live[n])
+			}
+		}
+		if r.Live() != len(live) {
+			t.Fatalf("step %d: Live = %d, the list holds %d", step, r.Live(), len(live))
+		}
+	}
+	if retracted < 10 {
+		t.Fatalf("only %d retractions: the stream must exercise them", retracted)
 	}
 }
 

@@ -413,16 +413,22 @@ var hashSeed = maphash.MakeSeed()
 
 // Hash returns a 64-bit hash of v consistent with Identical: identical
 // values hash alike. Strings and sets hash by their text, other kinds by
-// IdentityBits; the kind is mixed in either way. The hash is stable within
-// a process only.
+// IdentityBits; the kind is mixed in either way, and the finalizer
+// (MurmurHash3's fmix64) leaves every output bit depending on every input
+// bit — a table that keys on the two halves folded together
+// (storage.Interner) still tells apart floats whose low payload bits are
+// all zero. The hash is stable within a process only.
 func (v Value) Hash() uint64 {
 	x := v.IdentityBits()
 	if v.kind == KindString || v.kind == KindSet {
 		x = maphash.String(hashSeed, v.s)
 	}
 	x ^= uint64(v.kind) << 56
-	x *= 0x9e3779b97f4a7c15
-	return x ^ x>>32
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
 }
 
 // NullFactory mints fresh labelled nulls and memoizes Skolem applications.
