@@ -753,9 +753,7 @@ func BenchmarkAggregate_Supersession(b *testing.B) {
 // (synthA) end to end, allocations reported. The pipeline sub-benchmark
 // continues the historical compile-per-run trajectory; the chase
 // sub-benchmark compiles once and queries per iteration with the batched
-// parallel chase, whose worker count defaults to GOMAXPROCS — so
-// `-cpu 1,4` compares 1 worker against 4 on identical work (the final
-// database is byte-identical by construction).
+// chase. Both report the same derived-facts.
 func BenchmarkScenario_IWarded(b *testing.B) {
 	cfg, ok := iwarded.Scenario("synthA")
 	if !ok {
@@ -864,12 +862,9 @@ func BenchmarkStreamingLoad(b *testing.B) {
 	})
 }
 
-// BenchmarkScalingMatrix records the parallel chase's scaling curve: worker
-// count over three admission-bound generator families, each wired to the
-// million-fact range at full REPRO_BENCH_SCALE. Every cell runs the batched
-// chase on identical inputs, so the final database is byte-identical across
-// the whole matrix and the only variable is match parallelism. On a
-// single-core host the w=1 column is the serial overhead control.
+// BenchmarkScalingMatrix runs the chase over three admission-bound
+// generator families, each wired to the million-fact range at full
+// REPRO_BENCH_SCALE; runs at several scales give the size curve.
 func BenchmarkScalingMatrix(b *testing.B) {
 	target := int(1_000_000 * benchScale())
 	if target < 2_000 {
@@ -912,17 +907,15 @@ func BenchmarkScalingMatrix(b *testing.B) {
 	lf := lubm.Generate(lubm.Config{Universities: unis, Seed: 3})
 	scenarios = append(scenarios, scenario{"lubm", lubm.Ontology + lubm.Queries()[8], "q9", lf})
 
+	opts := vadalog.Options{Engine: vadalog.EngineChase}
 	for _, sc := range scenarios {
-		for _, workers := range []int{1, 2, 4, 8} {
-			opts := vadalog.Options{Engine: vadalog.EngineChase, Parallelism: workers}
-			b.Run(fmt.Sprintf("%s/w=%d", sc.name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					runOnce(b, sc.src, sc.facts, sc.out, &opts)
-				}
-				b.ReportMetric(float64(len(sc.facts)), "input-facts")
-			})
-		}
+		b.Run(sc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runOnce(b, sc.src, sc.facts, sc.out, &opts)
+			}
+			b.ReportMetric(float64(len(sc.facts)), "input-facts")
+		})
 	}
 }
 

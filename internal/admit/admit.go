@@ -78,7 +78,7 @@ type Compiled struct {
 	Rules []*eval.CompiledRule
 	// Skolem marks rules whose body assignments mint nulls while matching:
 	// their enumeration order is part of the result, so both engines match
-	// them serially on the static schedule.
+	// them fused with admission, on the static schedule.
 	Skolem []bool
 
 	postAgg [][]eval.CCond // per rule: conditions reading the aggregate result

@@ -6,22 +6,19 @@
 // readable, correctness-first counterpart used for cross-validation.
 //
 // The chase is evaluated in delta batches: the queue is drained a batch at
-// a time, the (rule, pinned atom, delta fact) firings of the batch are
-// matched against a frozen storage epoch — in parallel when Options.
-// Parallelism allows — and the candidate facts are admitted serially in
-// canonical (task, match) order. Because matching is read-only and
-// admission order is independent of scheduling, the final database is
-// byte-identical for every worker count.
+// a time, every (rule, pinned atom, delta fact) firing of the batch is
+// matched against the database as it stood when the batch began, and the
+// candidate facts are then admitted in canonical (task, match) order.
+// Nothing is admitted while the batch matches, so the live store is that
+// state, and because the canonical order depends only on what matched, the
+// final database is byte-identical for every join order the planner picks.
 package chase
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/admit"
@@ -36,9 +33,9 @@ import (
 	"repro/internal/term"
 )
 
-// siteMatch guards the parallel match seam: it fires inside matchTask on
-// worker goroutines, so error terms exercise the captured-error path and
-// panic terms exercise worker panic isolation.
+// siteMatch guards the match phase: it fires in matchTask, once per matched
+// task, so error terms exercise the captured-error path and panic terms the
+// batch requeue of step's crash recovery.
 var siteMatch = fault.NewSite("chase.match")
 
 // ErrInconsistent and ErrBudget are the admission core's sentinels under
@@ -67,13 +64,6 @@ type Options struct {
 	// DisableDynamicIndex turns off the slot machine join's dynamic
 	// in-memory indexing (ablation): lookups scan.
 	DisableDynamicIndex bool
-	// Parallelism sets how many worker goroutines evaluate each delta
-	// batch's matches; 0 (the default) selects runtime.GOMAXPROCS(0) and 1
-	// runs the whole batch on the calling goroutine. Workers only
-	// parallelize the read-only match phase against a frozen storage
-	// epoch; candidate facts are always admitted serially in canonical
-	// order, so every setting produces a byte-identical final database.
-	Parallelism int
 	// DisablePlanner turns off the cost-based join planner and its CSE
 	// body sharing: every firing runs the static bound-count schedule
 	// compiled into the rule. Candidates are still admitted in canonical
@@ -211,8 +201,7 @@ func (c *Compiled) buildCSEGroups() {
 
 // Engine is the per-run state of a single reasoning session over a
 // shared Compiled artifact. Engines are cheap to create and are for use
-// by a single goroutine (the worker goroutines an engine spins up per
-// delta batch are internal); share the Compiled, not the Engine.
+// by a single goroutine; share the Compiled, not the Engine.
 type Engine struct {
 	// Core owns the database, termination policy, meter and aggregate
 	// state and does everything that happens to a match once found; the
@@ -221,51 +210,41 @@ type Engine struct {
 	c  *Compiled
 	mt *eval.Matcher
 
-	bindings []*eval.Binding
+	// bindings holds one reusable Binding per rule, gbindings one per CSE
+	// group body.
+	bindings  []*eval.Binding
+	gbindings []*eval.Binding
 
 	queue []*core.FactMeta
-	// overflow latches a failed worker-side meter reservation for the
-	// current batch; step turns it into a whole-batch abort.
-	overflow atomic.Bool
+	// room is how many more candidates the current batch may buffer before
+	// the runaway ceiling (see candHeadroom) aborts it.
+	room int
 
-	// panicMu/panicErr latch the first recovered match-worker panic of the
-	// current batch in canonical task order (minimum task index), so the
-	// surfaced crash is the same whatever the worker count or scheduling.
-	panicMu  sync.Mutex
-	panicErr *core.PanicError
-	panicTi  int
-	// firing is the rule the serial admit path is currently evaluating,
-	// giving step's crash recovery a source position.
+	// firing is the rule being matched or admitted, giving step's crash
+	// recovery a source position.
 	firing *ast.Rule
 
-	// nworkers is the resolved Options.Parallelism; workers holds the
-	// per-worker match state (snapshot Matcher + private Bindings),
-	// created lazily at the first batch.
-	nworkers int
-	workers  []*matchWorker
-
 	// tasks and results are the current batch: one (delta, rule, pinned
-	// atom) firing per task, with the captured candidate bindings of
-	// parallel-safe tasks in the matching results slot.
+	// atom) firing per task; results[ti] holds the candidate bindings task
+	// ti captured in the match phase.
 	tasks   []task
 	results []eval.BindingLog
 
-	// pl derives cost-based schedules from the frozen statistics snapshot
-	// (nil when Options.DisablePlanner). batchSteps[ti] is task ti's
-	// schedule for the current batch (nil = the static schedule); it is
-	// filled serially at the batch boundary so workers read it lock-free.
+	// pl derives cost-based schedules from live statistics (nil when
+	// Options.DisablePlanner). batchSteps[ti] is task ti's schedule for the
+	// current batch (nil = the static schedule).
 	pl         *planner.Planner
 	batchSteps [][]eval.Step
 	planSeen   map[[2]int][]eval.Step
 	cseSeen    map[cseSeenKey]int
 	shared     int // follower firings served from a shared body log
 
-	// perms[ti] is task ti's canonical admission order, computed serially
-	// between the match phase and the replay.
+	// perms[ti] is task ti's canonical admission order, computed between
+	// the match phase and the replay.
 	perms [][]int32
 
 	// Wall-time split across the batch phases, for the -phases CLI report
-	// and the scaling benchmarks: parallel match, serial admission.
+	// and the benchmarks: match, admission.
 	phaseMatch time.Duration
 	phaseAdmit time.Duration
 }
@@ -289,39 +268,22 @@ type cseSeenKey struct {
 	g int
 }
 
-// matchWorker is the per-goroutine match state: a snapshot Matcher (pure
-// reads against the frozen epoch), private per-rule Bindings (plus one
-// per CSE group body), and the (pred, mask) probes that had to scan for
-// want of an index — promoted to real indexes at the batch boundary.
-type matchWorker struct {
-	mt        *eval.Matcher
-	bindings  []*eval.Binding
-	gbindings []*eval.Binding
-	missed    []indexMiss
-}
-
-type indexMiss struct {
-	pred string
-	mask uint32
-}
-
 // NewEngine derives fresh run-time state (database, interner, strategy,
 // bindings, queue) over the shared compiled artifact.
 func (c *Compiled) NewEngine() *Engine {
 	e := &Engine{c: c}
-	e.nworkers = c.opts.Parallelism
-	if e.nworkers <= 0 {
-		e.nworkers = runtime.GOMAXPROCS(0)
-	}
 	e.Core = c.NewCore(e.enqueue)
 	e.mt = &eval.Matcher{DB: e.DB()}
 	if !c.opts.DisablePlanner {
-		e.pl = planner.New(planner.FrozenCatalog{DB: e.DB()})
+		e.pl = planner.New(planner.LiveCatalog{DB: e.DB(), Meter: e.Meter()})
 	}
 	e.planSeen = make(map[[2]int][]eval.Step)
 	e.cseSeen = make(map[cseSeenKey]int)
 	for _, cr := range c.Rules {
 		e.bindings = append(e.bindings, eval.NewBinding(cr))
+	}
+	for gi := range c.groups {
+		e.gbindings = append(e.gbindings, eval.NewBinding(c.groups[gi].body))
 	}
 	return e
 }
@@ -385,14 +347,25 @@ func (e *Engine) LoadRows(pred string, rows [][]term.Value) error {
 func (e *Engine) Quiesced() bool { return len(e.queue) == 0 }
 
 // maxBatchDeltas caps how many delta facts one batch drains: candidate
-// facts are buffered until the serial admit phase, so the cap bounds the
-// buffering (and the first-batch index-miss scans) without affecting the
-// fixpoint.
+// facts are buffered until the admit phase, so the cap bounds the
+// buffering without affecting the fixpoint.
 const maxBatchDeltas = 2048
 
+// candHeadroom and candFloor set the runaway ceiling on the candidates one
+// batch buffers: candHeadroom× the derivation budget, never below
+// candFloor. A batch may buffer far more candidates than it admits
+// (duplicates and strategy-rejected facts are filtered at admission, and
+// are never charged to the budget), so the ceiling is a memory backstop
+// for non-terminating programs, not a budget check: tight budgets must not
+// fail duplicate-heavy batches.
+const (
+	candHeadroom = 4
+	candFloor    = 1 << 20
+)
+
 // Run executes the chase to fixpoint and returns the result. Cancelling
-// ctx aborts the loop between delta batches (and stops in-flight match
-// workers between tasks).
+// ctx aborts the loop between delta batches and between the tasks of a
+// batch.
 func (e *Engine) Run(ctx context.Context, edb []ast.Fact) (*Result, error) {
 	// Both loads skip duplicates, so a resumed Run re-feeding them admits
 	// only what an earlier crash cut off.
@@ -424,32 +397,32 @@ func (e *Engine) Run(ctx context.Context, edb []ast.Fact) (*Result, error) {
 }
 
 // releaseBatch drops the per-batch scratch — the drained queue's backing
-// array, the task list, the captured match logs, schedules, canonical
-// orders and the worker pool — once the fixpoint is reached. All of it is
-// sized by the largest batch of the run and nothing reads it between runs,
-// so an engine kept for its answer (a vadalog.Result reads through it, a
+// array, the task list, the captured match logs, schedules and canonical
+// orders — once the fixpoint is reached. All of it is sized by the largest
+// batch of the run and nothing reads it between runs, so an engine kept for its answer (a vadalog.Result reads through it, a
 // session may wait for more facts) keeps the database reachable and not
 // the run's buffers; a later Run re-grows them.
 func (e *Engine) releaseBatch() {
-	e.queue, e.tasks, e.results, e.workers = nil, nil, nil, nil
+	e.queue, e.tasks, e.results = nil, nil, nil
 	e.batchSteps, e.perms = nil, nil
 }
 
 // step drains one delta batch: it schedules every (rule, pinned atom,
-// delta) firing of the batch as a task, matches the parallel-safe tasks
-// against a frozen storage epoch (fanned out to the worker pool), then
-// admits all candidates serially in task order. Tasks of rules whose
-// matching mints nulls run inline during the admit phase, at their
-// canonical position. New facts enqueue for the next batch.
+// delta) firing of the batch as a task, matches the tasks against the
+// database as the batch found it, capturing their candidates, then admits
+// all candidates in task order. Tasks of rules whose matching mints nulls
+// run inline during the admit phase, at their canonical position. New
+// facts enqueue for the next batch.
 //
 // On ANY abnormal exit — cancellation, a captured match error, a
 // recovered crash, budget exhaustion or candidate-buffer overflow — the
 // whole batch is put back at the head of the queue: a resumed Run
 // re-fires it, which is idempotent (duplicates are eliminated, aggregate
 // updates retain per-contributor maxima, Skolem minting is memoized), so
-// no delta's derivations are ever lost. On candidate-buffer overflow (a
-// runaway batch) nothing of the batch is admitted, keeping the database
-// state at the error deterministic.
+// no delta's derivations are ever lost. A crash while matching or a
+// candidate-buffer overflow (a runaway batch) strikes before anything of
+// the batch is admitted, keeping the database at the previous batch's
+// state.
 func (e *Engine) step(ctx context.Context) (err error) {
 	n := len(e.queue)
 	if n > maxBatchDeltas {
@@ -481,94 +454,41 @@ func (e *Engine) step(ctx context.Context) (err error) {
 	if len(e.tasks) == 0 {
 		return nil
 	}
-	requeue := func() {
-		e.Meter().ResetPending()
-		e.queue = append(batch, e.queue...)
-	}
-	// Crash isolation for the serial phases (Freeze, planning, admission):
-	// a panic here — a storage fault mid-admission, say — leaves the store
-	// consistent (mutations are per-fact atomic), so requeueing the batch
-	// keeps the session resumable and the crash surfaces as a positioned
-	// engine error instead of killing the process.
+	// Crash isolation: a panic while planning, matching or admitting — a
+	// storage fault mid-admission, say — leaves the store consistent
+	// (mutations are per-fact atomic), so requeueing the batch keeps the
+	// session resumable and the crash surfaces as a positioned engine error
+	// instead of killing the process.
 	defer func() {
-		if r := recover(); r != nil { //vadalint:panicguard serial chase phases: requeue the batch and surface a positioned resumable error
-			requeue()
+		if r := recover(); r != nil { //vadalint:panicguard chase batch: requeue the batch and surface a positioned resumable error
+			e.queue = append(batch, e.queue...)
 			err = &core.PanicError{Engine: "chase", Rule: e.firing, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	e.overflow.Store(false)
-	e.panicErr, e.panicTi, e.firing = nil, 0, nil
-	e.DB().Freeze()
+	e.firing = nil
 	e.planBatch()
 	tMatch := time.Now()
-	e.matchBatch(ctx)
+	err = e.matchBatch(ctx)
 	e.phaseMatch += time.Since(tMatch)
-	if pe := e.batchPanic(); pe != nil {
-		// A match worker crashed: nothing of the batch was admitted
-		// (admission is skipped wholesale), so requeueing it keeps the
-		// database exactly at the previous batch's state for every worker
-		// count, and a resumed Run re-matches the whole batch.
-		requeue()
-		return pe
+	if err == nil {
+		tAdmit := time.Now()
+		e.orderBatch()
+		err = e.admitBatch(ctx)
+		e.phaseAdmit += time.Since(tAdmit)
 	}
-	if e.overflow.Load() {
-		// The batch buffered more candidates than the meter's runaway
-		// ceiling allows. Nothing was admitted, so the database at the
-		// error is the previous batch's state for every worker count
-		// (which worker observed the crossing is scheduling-dependent;
-		// what was admitted is not). The batch goes back on the queue: a
-		// raised budget resumes it.
-		requeue()
-		return fmt.Errorf("%w (batch candidate buffer overflow)", ErrBudget)
-	}
-	tAdmit := time.Now()
-	e.orderBatch()
-	err = e.admitBatch(ctx)
-	e.phaseAdmit += time.Since(tAdmit)
 	if err != nil {
-		// Whatever interrupted admission — cancellation, budget
-		// exhaustion, a captured match error, an inconsistency — the
-		// partially admitted batch is restored wholesale; re-firing the
-		// admitted prefix is idempotent.
-		requeue()
-		return err
+		// Whatever interrupted the batch — cancellation, overflow, budget
+		// exhaustion, a captured match error, an inconsistency — it is
+		// restored wholesale; re-firing an admitted prefix is idempotent.
+		e.queue = append(batch, e.queue...)
 	}
-	e.Meter().ResetPending()
-	e.promoteMisses()
-	return nil
-}
-
-// batchPanic returns the crash latched for the current batch, nil if the
-// match phase completed cleanly.
-func (e *Engine) batchPanic() *core.PanicError {
-	e.panicMu.Lock()
-	defer e.panicMu.Unlock()
-	return e.panicErr
-}
-
-// notePanic latches a recovered match-task crash, keeping the one with
-// the smallest task index so the surfaced error is canonical.
-func (e *Engine) notePanic(ti int, r any) {
-	e.panicMu.Lock()
-	defer e.panicMu.Unlock()
-	if e.panicErr == nil || ti < e.panicTi {
-		e.panicErr = &core.PanicError{
-			Engine: "chase",
-			Rule:   e.c.Rules[e.tasks[ti].ri].Rule,
-			Value:  r,
-			Stack:  debug.Stack(),
-		}
-		e.panicTi = ti
-	}
+	return err
 }
 
 // planBatch derives (or revalidates) the schedule of every distinct
-// firing shape in the batch against the statistics snapshot the Freeze
-// just captured, presizing planned probe indexes while mutation is still
-// safe. It runs serially between Freeze and worker fan-out, so workers
-// read batchSteps lock-free and every worker plans against the same
-// numbers it matches against. With the planner disabled batchSteps stays
-// nil and every firing runs its static schedule.
+// firing shape in the batch against the current statistics, presizing
+// planned probe indexes. With the planner disabled batchSteps stays nil
+// and every firing runs its static schedule.
 func (e *Engine) planBatch() {
 	if cap(e.batchSteps) < len(e.tasks) {
 		e.batchSteps = make([][]eval.Step, len(e.tasks))
@@ -607,97 +527,51 @@ func (e *Engine) planBatch() {
 	}
 }
 
-// matchBatch runs the read-only match phase: the batch's parallel-safe
-// tasks are matched against the epoch step just froze by nworkers
-// goroutines pulling task indexes off a shared counter. With one worker
-// the phase runs inline on the calling goroutine — same algorithm, no
-// pool.
-func (e *Engine) matchBatch(ctx context.Context) {
+// matchBatch runs the match phase: every task of the batch is matched, in
+// task order, and its candidates captured. Nothing is admitted until the
+// phase ends, so every task sees the database as the batch found it. A
+// batch that buffers more candidates than the runaway ceiling allows stops
+// here with ErrBudget, before any of it is admitted.
+func (e *Engine) matchBatch(ctx context.Context) error {
 	if cap(e.results) < len(e.tasks) {
 		e.results = make([]eval.BindingLog, len(e.tasks))
 	}
 	e.results = e.results[:len(e.tasks)]
-	// Small batches are not worth goroutine fan-out: run them inline. The
-	// threshold depends only on the task count, never on the worker count
-	// or scheduling, so determinism is unaffected.
-	const fanoutThreshold = 64
-	nw := e.nworkers
-	if nw > len(e.tasks) {
-		nw = len(e.tasks)
-	}
-	if len(e.tasks) < fanoutThreshold {
-		nw = 1
-	}
-	e.ensureWorkers(nw)
-	if nw <= 1 {
-		w := e.workers[0]
-		for ti := range e.tasks {
-			if ctx.Err() != nil {
-				return
-			}
-			e.matchTask(w, ti)
+	m := e.Meter()
+	e.room = max(candHeadroom*m.Limit(), candFloor) - m.Used()
+	for ti := range e.tasks {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		return
+		e.matchTask(ti)
+		if e.room < 0 {
+			return fmt.Errorf("%w (batch candidate buffer overflow)", ErrBudget)
+		}
 	}
-	// Workers claim fixed-size chunks of the task array off one atomic
-	// cursor: cheap, locality-friendly, and the assignment of tasks to
-	// workers is irrelevant to the result (results land in per-task slots).
-	const chunk = 16
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < nw; k++ {
-		w := e.workers[k]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				start := int(next.Add(chunk)) - chunk
-				if start >= len(e.tasks) || ctx.Err() != nil {
-					return
-				}
-				end := start + chunk
-				if end > len(e.tasks) {
-					end = len(e.tasks)
-				}
-				for ti := start; ti < end; ti++ {
-					e.matchTask(w, ti)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	e.firing = nil
+	return nil
 }
 
-// matchTask enumerates the matches of one firing against the frozen epoch
-// and captures each complete binding into the task's log. Budget pressure
-// is metered atomically: a batch that buffers far more candidates than the
-// derivation budget aborts instead of growing without bound.
-//
-// A panicking task never kills the process (worker isolation): the crash
-// is recovered here, latched in canonical task order, and step turns it
-// into a positioned engine error with the whole batch requeued.
-func (e *Engine) matchTask(w *matchWorker, ti int) {
-	defer func() {
-		if r := recover(); r != nil { //vadalint:panicguard worker panic isolation: latch the crash, step requeues the batch
-			e.notePanic(ti, r)
-		}
-	}()
+// matchTask enumerates the matches of one firing and captures each
+// complete binding into the task's log, counting it against the batch's
+// candidate room. A group leader enumerates the shared body once for all
+// members, so each of its candidates counts once per member.
+func (e *Engine) matchTask(ti int) {
 	t := &e.tasks[ti]
 	if e.c.Skolem[t.ri] {
-		return // evaluated inline on the serial admit path
+		return // evaluated inline on the admit path
 	}
 	if t.lead >= 0 && t.lead != ti {
 		return // follower: replays the leader's shared body log at admit
 	}
 	cr := e.c.Rules[t.ri]
-	b := w.bindings[t.ri]
-	reserve := 1
+	e.firing = cr.Rule
+	b := e.bindings[t.ri]
+	n := 1
 	if t.lead == ti {
-		// Leader of a CSE group: enumerate the shared body once; every
-		// member admits each candidate, so reserve for all of them.
 		cr = e.c.groups[t.g].body
-		b = w.gbindings[t.g]
-		reserve = len(e.c.groups[t.g].members)
+		b = e.gbindings[t.g]
+		n = len(e.c.groups[t.g].members)
 	}
 	steps := e.batchSteps[ti]
 	if steps == nil {
@@ -706,13 +580,12 @@ func (e *Engine) matchTask(w *matchWorker, ti int) {
 	lg := &e.results[ti]
 	lg.Reset(cr)
 	if err := siteMatch.Check(); err != nil {
-		rule := e.c.Rules[t.ri].Rule
+		rule := e.firing
 		lg.Err = fmt.Errorf("chase: %d:%d: rule %d: %w", rule.Line, rule.Col, rule.ID, err)
 		return
 	}
-	if err := w.mt.MatchPinnedSteps(cr, t.pos, t.m, steps, b, func(b *eval.Binding) error {
-		if !e.Meter().Reserve(reserve) {
-			e.overflow.Store(true)
+	if err := e.mt.MatchPinnedSteps(cr, t.pos, t.m, steps, b, func(b *eval.Binding) error {
+		if e.room -= n; e.room < 0 {
 			return errBatchOverflow
 		}
 		lg.Capture(b)
@@ -722,14 +595,14 @@ func (e *Engine) matchTask(w *matchWorker, ti int) {
 	}
 }
 
-// errBatchOverflow aborts a task's enumeration when candidate buffering
-// overran the meter's runaway ceiling; step discards the whole batch and
-// surfaces ErrBudget, so this sentinel never escapes the engine.
+// errBatchOverflow stops a task's enumeration once the batch overran its
+// candidate room; matchBatch turns it into ErrBudget, so this sentinel
+// never escapes the engine.
 var errBatchOverflow = errors.New("chase: batch candidate buffer overflow")
 
 // orderBatch computes every log-owning task's canonical admission order
-// into perms (followers reuse their leader's). It runs serially, between
-// the match phase and the replay.
+// into perms (followers reuse their leader's). It runs between the match
+// phase and the replay.
 func (e *Engine) orderBatch() {
 	if cap(e.perms) < len(e.tasks) {
 		perms := make([][]int32, len(e.tasks))
@@ -748,10 +621,8 @@ func (e *Engine) orderBatch() {
 }
 
 // admitBatch replays the batch's candidates in canonical (task, match)
-// order through the serial emit path: aggregation state, EGD unification,
-// existential instantiation and admission all happen here, on the calling
-// goroutine, so the database evolves identically for every worker count.
-// Within a task, candidates are admitted in the canonical order of their
+// order through the emit path: aggregation state, EGD unification,
+// existential instantiation and admission all happen here. Within a task, candidates are admitted in the canonical order of their
 // matched source rows (eval.BindingLog.CanonicalOrder), which depends
 // only on what matched — never on the join order that found it — so the
 // database also evolves identically for every plan choice. A task's
@@ -810,45 +681,6 @@ func (e *Engine) admitBatch(ctx context.Context) error {
 	return nil
 }
 
-// ensureWorkers grows the worker pool to n workers, each with its own
-// snapshot Matcher and per-rule Bindings.
-func (e *Engine) ensureWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	for len(e.workers) < n {
-		w := &matchWorker{mt: &eval.Matcher{DB: e.DB(), Snapshot: true}}
-		w.mt.OnIndexMiss = func(pred string, mask uint32) {
-			w.missed = append(w.missed, indexMiss{pred: pred, mask: mask})
-		}
-		for _, cr := range e.c.Rules {
-			w.bindings = append(w.bindings, eval.NewBinding(cr))
-		}
-		for gi := range e.c.groups {
-			w.gbindings = append(w.gbindings, eval.NewBinding(e.c.groups[gi].body))
-		}
-		e.workers = append(e.workers, w)
-	}
-}
-
-// promoteMisses promotes every (pred, mask) a snapshot probe had to scan
-// this batch, so subsequent batches probe them hashed — the slot machine
-// join's lazy indexing, deferred to batch boundaries where mutation is
-// safe. Promotion goes through Relation.PromoteIndex, which records the
-// scan in the mask's usage counters and declines to rebuild a cold index
-// (one that was built before and evicted without ever serving a probe),
-// so never-paying masks stop being re-promoted every epoch.
-func (e *Engine) promoteMisses() {
-	for _, w := range e.workers {
-		for _, ms := range w.missed {
-			if rel := e.DB().Lookup(ms.pred); rel != nil {
-				rel.PromoteIndex(ms.mask, 0)
-			}
-		}
-		w.missed = w.missed[:0]
-	}
-}
-
 // PlannerStats reports, for diagnostics and tests: how many plans the
 // cost-based planner derived and how many were drift-triggered
 // recomputations (0, 0 with the planner disabled), and how many firings
@@ -861,8 +693,7 @@ func (e *Engine) PlannerStats() (derives, replans, sharedFirings int) {
 }
 
 // PhaseStats reports cumulative wall time spent in the phases of the
-// delta-batched loop — parallel match and serial admission (canonical
-// ordering included) — in the three-value shape the benchmark harness
+// delta-batched loop — match and admission (canonical ordering included) — in the three-value shape the benchmark harness
 // reads: there is no pre-pass, so its share is always zero, as on the
 // pipeline. The split shows whether a workload is admission-bound.
 func (e *Engine) PhaseStats() (match, prepass, admit time.Duration) {
@@ -870,8 +701,8 @@ func (e *Engine) PhaseStats() (match, prepass, admit time.Duration) {
 }
 
 // fire applies rule ri with its pos-th body atom pinned to delta fact m,
-// matching and emitting fused on the calling goroutine (the serial path
-// for rules whose matching mints nulls).
+// matching and emitting fused (the admit-phase path for rules whose
+// matching mints nulls).
 func (e *Engine) fire(ri, pos int, m *core.FactMeta) error {
 	return e.mt.MatchPinned(e.c.Rules[ri], pos, m, e.bindings[ri], func(b *eval.Binding) error {
 		return e.emit(ri, b)

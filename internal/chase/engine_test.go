@@ -4,25 +4,118 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/gen/dbpedia"
+	"repro/internal/gen/graphs"
+	"repro/internal/gen/iwarded"
 	"repro/internal/parser"
 	"repro/internal/term"
 )
 
 func run(t *testing.T, src string, edb []ast.Fact) *Result {
 	t.Helper()
+	return runWithOpts(t, src, edb, Options{})
+}
+
+func runWithOpts(t *testing.T, src string, facts []ast.Fact, opts Options) *Result {
+	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := Run(context.Background(), prog, edb, Options{})
+	res, err := Run(context.Background(), prog, facts, opts)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	return res
+}
+
+// dbBytes renders the full final database byte-exactly: every predicate in
+// sorted order, every stored row in insertion order (retracted rows
+// included, marked), nulls with their identities. Two runs agree on this
+// string iff they admitted the same facts in the same order.
+func dbBytes(res *Result) string {
+	var sb strings.Builder
+	for _, pred := range res.DB.Predicates() {
+		rel := res.DB.Lookup(pred)
+		fmt.Fprintf(&sb, "%s[%d]\n", pred, rel.Len())
+		for i := 0; i < rel.Len(); i++ {
+			m := rel.At(i)
+			if m.Retracted {
+				sb.WriteString("  x ")
+			} else {
+				sb.WriteString("    ")
+			}
+			sb.WriteString(m.Fact.String())
+			sb.WriteByte('\n')
+		}
+	}
+	fmt.Fprintf(&sb, "derivations=%d nulls=%d\n", res.Derivations, res.DB.Nulls.Count())
+	return sb.String()
+}
+
+// scenarios mirrors the examples/ scenarios (plus a rule-heavy iWarded
+// instance): every workload class the repository ships — plain recursion,
+// existentials, harmful joins, monotonic aggregation over floats and sets,
+// EGD-free ontologies.
+func scenarios(t *testing.T) []struct {
+	name  string
+	src   string
+	facts []ast.Fact
+} {
+	t.Helper()
+	ownership := graphs.ScaleFree(120, graphs.PaperParams(), 1)
+	persons := dbpedia.Generate(dbpedia.Config{Companies: 60, Persons: 180,
+		KeyPersonRate: 1.2, ControlRate: 0.35, Seed: 7})
+	quickstart := `
+		company(X) -> keyPerson(P, X).
+		control(X,Y), keyPerson(P,X) -> keyPerson(P,Y).
+		@output("keyPerson").
+	`
+	quickFacts := []ast.Fact{
+		ast.NewFact("company", term.String("acme")),
+		ast.NewFact("company", term.String("subco")),
+		ast.NewFact("control", term.String("acme"), term.String("subco")),
+		ast.NewFact("keyPerson", term.String("ada"), term.String("acme")),
+	}
+	cfg, ok := iwarded.Scenario("synthA")
+	if !ok {
+		t.Fatal("synthA scenario missing")
+	}
+	cfg.FactsPerRel = 30
+	g, err := iwarded.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []struct {
+		name  string
+		src   string
+		facts []ast.Fact
+	}{
+		{"quickstart", quickstart, quickFacts},
+		{"companycontrol", graphs.ControlProgram, ownership.OwnFacts()},
+		{"psc", dbpedia.PSCProgram, persons.All()},
+		{"allpsc", dbpedia.AllPSCProgram, persons.All()},
+		{"stronglinks", dbpedia.StrongLinksProgram(3), persons.All()},
+		{"iwarded-synthA", g.Source, g.Facts},
+	}
+}
+
+// sortedGround renders the ground facts of pred's output, sorted.
+func sortedGround(res *Result, pred string) string {
+	var lines []string
+	for _, f := range res.Output(pred) {
+		if f.IsGround() {
+			lines = append(lines, f.String())
+		}
+	}
+	slices.Sort(lines)
+	return strings.Join(lines, "\n")
 }
 
 func factStrings(fs []ast.Fact) []string {
@@ -516,6 +609,63 @@ func TestChaseCancellation(t *testing.T) {
 	}
 }
 
+// planSettings are the join-plan paths a run can take: the cost-based
+// planner with CSE body sharing, the static schedule, and the planner
+// forced to its worst order.
+var planSettings = []string{"default", "noplanner", "worst"}
+
+// engineFor compiles prog for one of planSettings.
+func engineFor(t *testing.T, prog *ast.Program, setting string, opts Options) *Engine {
+	t.Helper()
+	opts.DisablePlanner = setting == "noplanner"
+	c, err := Compile(prog, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", setting, err)
+	}
+	e := c.NewEngine()
+	if setting == "worst" {
+		e.pl.Worst = true
+	}
+	return e
+}
+
+// TestParallelBudgetExceeded: the derivation budget stops the cross
+// product on every join-plan path, not only the default one. (The name
+// dates from the worker-pool chase, when it also varied the worker count.)
+func TestParallelBudgetExceeded(t *testing.T) {
+	prog := parser.MustParse("a(X), a(Y) -> pair(X,Y).")
+	var edb []ast.Fact
+	for i := 0; i < 100; i++ {
+		edb = append(edb, ast.NewFact("a", term.Int(int64(i))))
+	}
+	for _, setting := range planSettings {
+		_, err := engineFor(t, prog, setting, Options{MaxDerivations: 50}).Run(context.Background(), edb)
+		if !errors.Is(err, ErrBudget) {
+			t.Errorf("%s: want ErrBudget, got %v", setting, err)
+		}
+	}
+}
+
+// TestParallelCancellation: a context cancelled part-way through a run,
+// rather than before it, aborts with context.Canceled on every join-plan
+// path. (The name dates from the worker-pool chase.)
+func TestParallelCancellation(t *testing.T) {
+	prog := parser.MustParse("a(X), a(Y) -> pair(X,Y).")
+	var edb []ast.Fact
+	for i := 0; i < 200; i++ {
+		edb = append(edb, ast.NewFact("a", term.Int(int64(i))))
+	}
+	for _, setting := range planSettings {
+		for _, after := range []int{1, 2} {
+			ctx := &stepCtx{Context: context.Background(), after: after}
+			_, err := engineFor(t, prog, setting, Options{}).Run(ctx, edb)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s, after=%d: want context.Canceled, got %v", setting, after, err)
+			}
+		}
+	}
+}
+
 // TestAggregateSupersession: an improving aggregate replaces its
 // previously admitted fact in place, so at quiescence the relation holds
 // exactly one live fact per group — the limit — and rules downstream of
@@ -580,5 +730,162 @@ func TestAggregateBudgetCountsReplacements(t *testing.T) {
 	_, err := Run(context.Background(), prog, edb, Options{MaxDerivations: 60})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("expected budget error from metered replacements, got %v", err)
+	}
+}
+
+// TestShuffledAggregateDeterminism stresses canonical admission under
+// adversarial input orders: for each shuffled EDB order of the
+// AllPSC/munion scenario, the planner on and off admit the same bytes, and
+// all orders agree on the final (sorted) ground answers.
+func TestShuffledAggregateDeterminism(t *testing.T) {
+	persons := dbpedia.Generate(dbpedia.Config{Companies: 30, Persons: 90,
+		KeyPersonRate: 1.4, ControlRate: 0.5, Seed: 11})
+	facts := persons.All()
+	var groundBase string
+	for seed := int64(1); seed <= 3; seed++ {
+		order := append([]ast.Fact(nil), facts...)
+		rand.New(rand.NewSource(seed)).Shuffle(len(order), func(i, j int) {
+			order[i], order[j] = order[j], order[i]
+		})
+		res := run(t, dbpedia.AllPSCProgram, order)
+		noPlan := runWithOpts(t, dbpedia.AllPSCProgram, order, Options{DisablePlanner: true})
+		if dbBytes(noPlan) != dbBytes(res) {
+			t.Errorf("seed %d: planner off diverges from planner on", seed)
+		}
+		ground := sortedGround(res, "pscSet")
+		if groundBase == "" {
+			groundBase = ground
+		} else if ground != groundBase {
+			t.Errorf("seed %d: final aggregates depend on admission order", seed)
+		}
+	}
+	if groundBase == "" {
+		t.Fatal("no ground answers (vacuous)")
+	}
+}
+
+// TestConcurrentEngines runs several engines concurrently over one shared
+// Compiled — the serving topology — and checks all sessions agree. Run
+// under -race this covers the shared compiled artifact.
+func TestConcurrentEngines(t *testing.T) {
+	ownership := graphs.ScaleFree(80, graphs.PaperParams(), 3)
+	c, err := Compile(parser.MustParse(graphs.ControlProgram), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sessions = 4
+	type outcome struct {
+		bytes string
+		err   error
+	}
+	done := make(chan outcome, sessions)
+	for k := 0; k < sessions; k++ {
+		go func() {
+			res, err := c.NewEngine().Run(context.Background(), ownership.OwnFacts())
+			if err != nil {
+				done <- outcome{err: err}
+				return
+			}
+			done <- outcome{bytes: dbBytes(res)}
+		}()
+	}
+	var first string
+	for k := 0; k < sessions; k++ {
+		o := <-done
+		if o.err != nil {
+			t.Fatalf("session: %v", o.err)
+		}
+		if k == 0 {
+			first = o.bytes
+		} else if o.bytes != first {
+			t.Errorf("sessions diverge")
+		}
+	}
+}
+
+// TestSkolemBodyAssignments pins the admit-phase routing: rules whose
+// bodies mint Skolem nulls while matching run at their canonical position
+// during admission and still produce deterministic results.
+func TestSkolemBodyAssignments(t *testing.T) {
+	src := `
+		p(X), Z = #f(X) -> q(X, Z).
+		q(X, Z), p(Y), W = #g(Z, Y) -> r(X, Y, W).
+	`
+	var edb []ast.Fact
+	for i := 0; i < 12; i++ {
+		edb = append(edb, ast.NewFact("p", term.Int(int64(i))))
+	}
+	base := dbBytes(run(t, src, edb))
+	if got := dbBytes(run(t, src, edb)); got != base {
+		t.Error("skolem-body program is not deterministic")
+	}
+	if !strings.Contains(base, "r[") {
+		t.Fatalf("skolem chain produced no r facts:\n%s", base)
+	}
+}
+
+// TestTightBudgetDuplicateHeavyBatch: candidate buffering is a runaway
+// backstop, never a budget check — a duplicate-heavy program that admits
+// few facts must complete under a tight MaxDerivations even though its
+// batches enumerate far more candidate matches than the budget.
+func TestTightBudgetDuplicateHeavyBatch(t *testing.T) {
+	// Every (a, a) pair matches, but all firings emit the same single
+	// fact: thousands of candidates, one admission.
+	prog := parser.MustParse("a(X), a(Y) -> one(\"yes\").")
+	var edb []ast.Fact
+	for i := 0; i < 60; i++ {
+		edb = append(edb, ast.NewFact("a", term.Int(int64(i))))
+	}
+	res, err := Run(context.Background(), prog, edb, Options{MaxDerivations: 61})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(res.Output("one")); got != 1 {
+		t.Errorf("%d facts, want 1", got)
+	}
+}
+
+// stepCtx is a context whose Err starts reporting Canceled after the
+// n-th poll — a deterministic way to cancel mid-run.
+type stepCtx struct {
+	context.Context
+	polls, after int
+}
+
+func (c *stepCtx) Err() error {
+	if c.polls++; c.polls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelResumeLosesNoDeltas: cancelling mid-batch must not drop the
+// in-flight deltas — a resumed Run picks the batch back up and quiesces
+// with exactly the ground answers of an uninterrupted run.
+func TestCancelResumeLosesNoDeltas(t *testing.T) {
+	ownership := graphs.ScaleFree(100, graphs.PaperParams(), 5)
+	prog := parser.MustParse(graphs.ControlProgram)
+	want := sortedGround(run(t, graphs.ControlProgram, ownership.OwnFacts()), "control")
+	if want == "" {
+		t.Fatal("vacuous scenario")
+	}
+	for _, after := range []int{1, 3, 25} {
+		c, err := Compile(prog, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := c.NewEngine()
+		_, err = e.Run(&stepCtx{Context: context.Background(), after: after}, ownership.OwnFacts())
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("after=%d: want cancellation, got %v", after, err)
+		}
+		res, err := e.Run(context.Background(), nil)
+		if err != nil {
+			t.Fatalf("after=%d: resume: %v", after, err)
+		}
+		if got := sortedGround(res, "control"); got != want {
+			t.Errorf("after=%d: resumed run lost derivations (%d vs %d bytes)",
+				after, len(got), len(want))
+		}
 	}
 }

@@ -9,9 +9,8 @@ import (
 
 // Explain renders the access plan annotated, per rule and per delta-pinned
 // body atom, with the join order the cost-based planner chooses and the
-// estimates that drove it — against the statistics frozen at the last
-// epoch boundary, so explaining after Run shows the orders the fixpoint
-// converged on. Firings whose positive body is shared with other rules
+// estimates that drove it — the plans the planner holds, so explaining
+// after Run shows the orders the fixpoint converged on. Firings whose positive body is shared with other rules
 // (CSE) carry the group size; rules with Skolem body assignments are
 // evaluated inline on their static schedules and carry no annotation.
 // With the planner disabled, Explain renders the plain plan.

@@ -2,30 +2,12 @@ package core
 
 import "sync/atomic"
 
-// reserveHeadroom and reserveFloor bound transient worker-side
-// reservations: a frozen-epoch match phase may buffer far more candidates
-// than it will admit (duplicates and strategy-rejected facts are only
-// filtered on the serial admit path, and were never budget-charged by the
-// serial engine either), so the reservation ceiling is a runaway-memory
-// backstop, not a budget check — reserveHeadroom× the budget, but never
-// below reserveFloor so tight user budgets cannot make duplicate-heavy
-// batches fail spuriously. Admissions themselves are always metered
-// exactly, by the serial admit path.
-const (
-	reserveHeadroom = 4
-	reserveFloor    = 1 << 20
-)
-
-// Meter is the engines' derivation budget, safe for concurrent use. The
-// serial admission path charges admitted facts exactly (Charge/TryCharge),
-// while parallel match workers reserve candidate capacity transiently
-// (Reserve) so a batch of a non-terminating program aborts instead of
-// buffering unbounded candidate facts. Reservations are released wholesale
-// at batch boundaries (ResetPending); they never count as derivations.
+// Meter is the engines' derivation budget, safe for concurrent use: the
+// admission path charges every admitted fact (Charge/TryCharge), and a
+// step that would exceed the budget is refused.
 type Meter struct {
-	limit   int64
-	used    atomic.Int64
-	pending atomic.Int64
+	limit int64
+	used  atomic.Int64
 
 	// Per-shard accounting of storage.RunPrepass, which only the benchmark
 	// harness calls; the counters leave with storage/shard.go. The slices
@@ -44,9 +26,9 @@ func NewMeter(limit int) *Meter {
 // Limit returns the derivation budget.
 func (m *Meter) Limit() int { return int(m.limit) }
 
-// SetLimit replaces the derivation budget. It is only safe between runs
-// (no workers in flight): raising the budget is how a session resumes
-// after a budget-exhausted partial result.
+// SetLimit replaces the derivation budget. It is only safe between runs:
+// raising the budget is how a session resumes after a budget-exhausted
+// partial result.
 func (m *Meter) SetLimit(limit int) { m.limit = int64(limit) }
 
 // Used returns the number of derivations charged so far.
@@ -70,26 +52,6 @@ func (m *Meter) TryCharge() bool {
 		}
 	}
 }
-
-// Reserve transiently accounts n candidate facts a match worker is about
-// to buffer; it reports false when charged derivations plus pending
-// reservations exceed the runaway ceiling (reserveHeadroom× the budget,
-// floored at reserveFloor), telling the worker to stop buffering.
-// Whether a batch crosses the ceiling at all is scheduling-independent
-// (reservations only accumulate within a batch), though which caller
-// observes the crossing is not — engines must turn a failed reservation
-// into a whole-batch abort, never a partial one.
-func (m *Meter) Reserve(n int) bool {
-	p := m.pending.Add(int64(n))
-	ceil := reserveHeadroom * m.limit
-	if ceil < reserveFloor {
-		ceil = reserveFloor
-	}
-	return m.used.Load()+p <= ceil
-}
-
-// ResetPending releases all transient reservations (batch boundary).
-func (m *Meter) ResetPending() { m.pending.Store(0) }
 
 // SetShards sizes the per-shard counters for storage.RunPrepass. Safe only
 // with no pre-pass in flight; existing counts are preserved when the shard

@@ -11,10 +11,10 @@ import (
 // BindingLog is a packed log of complete rule bindings in the store's own
 // form — the hand-off between enumerating a rule's matches and running the
 // side-effecting emit path over them in canonical order (aggregation, EGD
-// unification, existential instantiation, admission). The parallel chase
-// fills one log per task on a worker goroutine against a frozen storage
-// epoch and replays it serially; the pipeline buffers one firing the same
-// way; CSE followers restore a shared body log into their own binding.
+// unification, existential instantiation, admission). The chase fills one
+// log per task of a delta batch before it admits anything and replays them
+// in task order; the pipeline buffers one firing the same way; CSE
+// followers restore a shared body log into their own binding.
 //
 // An entry holds what a Binding holds: per slot a state and, for a matched
 // slot, its interned ID — valid for every later state of the run's

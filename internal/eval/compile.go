@@ -528,7 +528,7 @@ func (cr *CompiledRule) NBodySlots() int {
 // be matched through one shared body cursor per delta and replay only
 // their private assignments, conditions and heads per match (the CSE of
 // the paper's execution optimizer). Ineligible are rules whose body
-// match itself is not a pure function of the frozen store: negated
+// match itself is not a pure function of the batch-start store: negated
 // atoms and dom() restrictions (their evaluation time matters when the
 // database grows mid-batch), Skolem-minting assignments (null identity
 // depends on firing order), and assignments feeding slots matched by

@@ -170,52 +170,11 @@ func (b *Binding) Env(cr *CompiledRule, deps []int) map[string]term.Value {
 }
 
 // Matcher runs compiled rules against a database. It owns no mutable state
-// beyond per-rule reusable bindings, so one Matcher per engine suffices —
-// and in Snapshot mode several Matchers (one per worker goroutine) can
-// probe the same frozen database concurrently.
+// beyond per-rule reusable bindings, so one Matcher per engine suffices.
+// Probes build and extend the dynamic indexes they use (the slot machine
+// join's lazy indexing), so a Matcher is for one goroutine at a time.
 type Matcher struct {
 	DB *storage.Database
-	// OnIndexProbe, when set, is invoked with the predicate name on each
-	// index lookup (buffer-manager touch hook).
-	OnIndexProbe func(pred string)
-	// Snapshot makes every probe strictly read-only against a database
-	// frozen with Database.Freeze: lookups neither build nor extend
-	// dynamic indexes and the interner is never written, so any number of
-	// Snapshot matchers may run concurrently over one database. Masks
-	// without a covering index fall back to scans and are reported through
-	// OnIndexMiss for promotion at the next batch boundary.
-	Snapshot bool
-	// OnIndexMiss, when set, is invoked with (predicate, mask) whenever a
-	// Snapshot probe had to scan because no current index covers the mask.
-	OnIndexMiss func(pred string, mask uint32)
-}
-
-// lookupRows dispatches a probe to the mutating slot-machine lookup or,
-// in Snapshot mode, its read-only counterpart.
-func (mt *Matcher) lookupRows(rel *storage.Relation, pred string, mask uint32, probe []uint32) []int32 {
-	if !mt.Snapshot {
-		//vadalint:frozenwrite guarded by !mt.Snapshot: workers always take the SnapshotLookupIDs branch
-		return rel.LookupIDs(mask, probe)
-	}
-	rows, indexed := rel.SnapshotLookupIDs(mask, probe)
-	if !indexed && mt.OnIndexMiss != nil {
-		mt.OnIndexMiss(pred, mask)
-	}
-	return rows
-}
-
-// countRows is lookupRows' counting counterpart (negated atoms): neither
-// path materializes a row slice beyond the index bucket.
-func (mt *Matcher) countRows(rel *storage.Relation, pred string, mask uint32, probe []uint32) int {
-	if !mt.Snapshot {
-		//vadalint:frozenwrite guarded by !mt.Snapshot: workers always take the SnapshotLookupCountIDs branch
-		return rel.LookupCountIDs(mask, probe)
-	}
-	n, indexed := rel.SnapshotLookupCountIDs(mask, probe)
-	if !indexed && mt.OnIndexMiss != nil {
-		mt.OnIndexMiss(pred, mask)
-	}
-	return n
 }
 
 // unifyRow unifies atom a with a stored row in ID space — the one loop
@@ -372,9 +331,6 @@ func (mt *Matcher) matchAtom(cr *CompiledRule, steps []Step, si int, ai int, b *
 	if rel == nil {
 		return nil
 	}
-	if mt.OnIndexProbe != nil {
-		mt.OnIndexProbe(a.Pred)
-	}
 	probe := b.probes[ai]
 	var mask uint32
 	for i, isv := range a.IsVar {
@@ -394,7 +350,7 @@ func (mt *Matcher) matchAtom(cr *CompiledRule, steps []Step, si int, ai int, b *
 			probe[i] = id
 		}
 	}
-	rows := mt.lookupRows(rel, a.Pred, mask, probe)
+	rows := rel.LookupIDs(mask, probe)
 	bound := math.MaxInt
 	if b.RowBound != nil {
 		bound = b.RowBound[ai]
@@ -453,7 +409,7 @@ func (mt *Matcher) negCount(a *CAtom, b *Binding, probe []uint32) (int, error) {
 		mask |= 1 << uint(i)
 		probe[i] = id
 	}
-	return mt.countRows(rel, a.Pred, mask, probe), nil
+	return rel.LookupCountIDs(mask, probe), nil
 }
 
 // evalAssign computes one assignment; Skolem calls mint deterministic
@@ -471,7 +427,6 @@ func (mt *Matcher) evalAssign(cr *CompiledRule, a *CAssign, b *Binding) (bool, e
 			}
 			b.skArgs = append(b.skArgs, v)
 		}
-		//vadalint:frozenwrite skolem-assign rules are not parSafe: the chase runs them on the serial path only
 		b.Set(a.Slot, mt.DB.Nulls.Skolem(a.SkName, b.skArgs...))
 		return true, nil
 	}
@@ -491,7 +446,6 @@ func (mt *Matcher) InstantiateExistentials(cr *CompiledRule, b *Binding) {
 		for _, s := range ex.ArgSlots {
 			b.skArgs = append(b.skArgs, b.Val(s))
 		}
-		//vadalint:frozenwrite runs on the serial emit/admit path, after workers have returned their bindings
 		b.Set(ex.Slot, mt.DB.Nulls.Skolem(ex.SkName, b.skArgs...))
 	}
 }

@@ -1,7 +1,7 @@
 // Package fault is the deterministic fault-injection registry behind the
 // resilience test matrix: named injection sites compiled into the
-// engine's seams (source cursor reads, storage freeze/insert, chase
-// worker matching, pipeline chunk loads) that do nothing — one atomic
+// engine's seams (source cursor reads, storage inserts, chase matching,
+// pipeline chunk loads) that do nothing — one atomic
 // load — until a plan arms them, and then fail at exact per-site hit
 // counts, so every chaos run is reproducible.
 //

@@ -8,30 +8,20 @@ import (
 	"strings"
 )
 
-// FrozenWrite enforces the frozen-epoch discipline of the parallel
-// chase: between Database.Freeze and the next serial mutation, match
-// workers probe storage concurrently, so nothing reachable from the
-// snapshot match path may mutate a Relation, a Database, the Interner or
-// the null factory.
+// FrozenWrite keeps the storage pre-pass read-only: the per-shard dedup
+// goroutines of storage.RunPrepass (its runShard method, the one root)
+// probe relations concurrently, so nothing reachable from runShard may
+// mutate a Relation, a Database, the Interner or the null factory. The
+// root stays for as long as storage/shard.go does.
 //
-// Roots of the frozen region are (a) every method of the eval Matcher —
-// the dual-mode matcher whose whole method set runs under Snapshot
-// workers — (b) any function that constructs a Matcher with
-// Snapshot: true or calls the read-only SnapshotLookup probes directly,
-// and (c) the storage prepass's runShard method — the per-shard dedup
-// goroutines of storage.RunPrepass (rooted for as long as storage/shard.go
-// stays), which probe relations concurrently and must stay read-only for
-// the same reason workers must.
-// The analyzer walks the static call graph from the roots and reports
-// every call edge into a mutating storage method (the sink set below).
-//
-// Runtime-guarded dispatch sites (the !mt.Snapshot branches) are the
-// expected suppressions: annotate the call line or the enclosing
-// function's doc comment with //vadalint:frozenwrite <reason> stating
-// why the mutating branch cannot execute on the worker path.
+// The analyzer walks the static call graph from the root and reports
+// every call edge into a mutating storage method (the sink set below). A
+// call that is runtime-guarded off the concurrent path is suppressed by
+// annotating the call line or the enclosing function's doc comment with
+// //vadalint:frozenwrite <reason>.
 var FrozenWrite = &Analyzer{
 	Name:    "frozenwrite",
-	Doc:     "flags mutating storage calls reachable from the snapshot match path",
+	Doc:     "flags mutating storage calls reachable from the concurrent storage pre-pass",
 	Program: true,
 	Run:     runFrozenWrite,
 }
@@ -45,10 +35,8 @@ var frozenSinks = map[string]map[string]string{
 		"restride": "storage", "Freeze": "storage", "EnsureIndex": "storage",
 		"EnsureIndexSized": "storage", "ensureIndexSized": "storage",
 		"extendIndex": "storage", "liveSnapshot": "storage",
-		"SetNoIndex": "storage", "DropIndexes": "storage",
-		"LookupIDs": "storage", "Lookup": "storage",
-		"LookupCountIDs": "storage", "PromoteIndex": "storage",
-		"observeRow": "storage", "usage": "storage", "internRow": "storage",
+		"SetNoIndex": "storage", "LookupIDs": "storage", "Lookup": "storage",
+		"LookupCountIDs": "storage", "observeRow": "storage", "internRow": "storage",
 		"InsertPrepared": "storage", "insertRow": "storage",
 		"appendRow": "storage", "InsertEDB": "storage",
 		"resolve": "storage", "SetShards": "storage",
@@ -106,7 +94,7 @@ func runFrozenWrite(pass *Pass) error {
 	var roots []string
 
 	// Pass 1: index declarations, collect call edges, classify sinks at
-	// the edge (by callee name), and mark roots.
+	// the edge (by callee name), and mark the roots.
 	for _, pkg := range pass.Prog {
 		for _, f := range pkg.Syntax {
 			for _, decl := range f.Decls {
@@ -120,31 +108,18 @@ func runFrozenWrite(pass *Pass) error {
 				}
 				node := &funcNode{decl: fd, pkg: pkg}
 				nodes[fn.FullName()] = node
-				isRoot := isMatcherMethod(fn) || isShardGoroutine(fn)
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.CallExpr:
-						if callee := calleeFunc(pkg.Info, n); callee != nil {
+					if call, ok := n.(*ast.CallExpr); ok {
+						if callee := calleeFunc(pkg.Info, call); callee != nil {
 							label, _ := sinkLabel(callee)
 							node.calls = append(node.calls, callEdge{
-								callee: callee.FullName(), sink: label, pos: n.Pos(),
+								callee: callee.FullName(), sink: label, pos: call.Pos(),
 							})
-							if callee.Name() == "SnapshotLookupIDs" || callee.Name() == "SnapshotLookupCountIDs" {
-								isRoot = true
-							}
-						}
-					case *ast.CompositeLit:
-						if snapshotTrueLiteral(pkg.Info, n) {
-							isRoot = true
-						}
-					case *ast.AssignStmt:
-						if assignsSnapshotTrue(pkg.Info, n) {
-							isRoot = true
 						}
 					}
 					return true
 				})
-				if isRoot {
+				if isShardGoroutine(fn) {
 					roots = append(roots, fn.FullName())
 				}
 			}
@@ -197,7 +172,7 @@ func runFrozenWrite(pass *Pass) error {
 				continue
 			}
 			pass.ReportfIn(node.pkg, node.decl.Doc, e.pos,
-				"mutating %s call is reachable from the frozen-epoch match path (%s): workers probe concurrently between Freeze and the next serial mutation; guard it and annotate //vadalint:frozenwrite <reason>",
+				"mutating %s call is reachable from the storage pre-pass (%s): its shard goroutines probe relations concurrently; guard it and annotate //vadalint:frozenwrite <reason>",
 				e.sink, chainString(parent, name))
 		}
 	}
@@ -247,16 +222,6 @@ func recvTypeName(fn *types.Func) string {
 	return ""
 }
 
-// isMatcherMethod reports whether fn is a method of the eval Matcher
-// (or a testdata fixture's Matcher).
-func isMatcherMethod(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return isNamedIn(sig.Recv().Type(), "Matcher", "eval")
-}
-
 // isShardGoroutine reports whether fn is the storage prepass's runShard
 // method (or a fixture's) — the body of a shard-local dedup goroutine of
 // partitioned admission, which may probe but never mutate.
@@ -271,48 +236,8 @@ func isShardGoroutine(fn *types.Func) bool {
 	return isNamedIn(sig.Recv().Type(), "prepass", "storage")
 }
 
-// snapshotTrueLiteral matches Matcher{..., Snapshot: true, ...}.
-func snapshotTrueLiteral(info *types.Info, cl *ast.CompositeLit) bool {
-	if !isNamedIn(info.TypeOf(cl), "Matcher", "eval") {
-		return false
-	}
-	for _, el := range cl.Elts {
-		kv, ok := el.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		key, ok := kv.Key.(*ast.Ident)
-		if !ok || key.Name != "Snapshot" {
-			continue
-		}
-		if v, ok := kv.Value.(*ast.Ident); ok && v.Name == "true" {
-			return true
-		}
-	}
-	return false
-}
-
-// assignsSnapshotTrue matches m.Snapshot = true.
-func assignsSnapshotTrue(info *types.Info, as *ast.AssignStmt) bool {
-	for i, lhs := range as.Lhs {
-		sel, ok := lhs.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Snapshot" {
-			continue
-		}
-		if !isNamedIn(info.TypeOf(sel.X), "Matcher", "eval") {
-			continue
-		}
-		if i < len(as.Rhs) {
-			if v, ok := as.Rhs[i].(*ast.Ident); ok && v.Name == "true" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // chainString renders the BFS path from a root to fn, e.g.
-// "via (*...eval.Matcher).lookupRows -> helper".
+// "via (*prepass).runShard -> helper".
 func chainString(parent map[string]string, name string) string {
 	var hops []string
 	for n := name; n != ""; n = parent[n] {
@@ -326,8 +251,8 @@ func chainString(parent map[string]string, name string) string {
 }
 
 // shortFuncName strips package paths from a FullName for readable
-// chains: "(*repro/internal/eval.Matcher).lookupRows" becomes
-// "(*Matcher).lookupRows".
+// chains: "(*repro/internal/storage.prepass).runShard" becomes
+// "(*prepass).runShard".
 func shortFuncName(full string) string {
 	out := full
 	if i := strings.LastIndex(out, "/"); i >= 0 {

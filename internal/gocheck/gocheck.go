@@ -5,16 +5,16 @@
 // standard library's export-data importer, so the suite runs with
 // nothing beyond the Go toolchain itself.
 //
-// The analyzers encode the invariants every engine PR has pinned
-// dynamically — byte-identical databases across engines, worker counts
-// and admission orders — as compile-time checks:
+// The analyzers encode invariants the tests pin dynamically —
+// byte-identical databases across engines, plans and admission orders —
+// as compile-time checks:
 //
 //	maporder     range over a map on an emission/ordering-sensitive
 //	             path without a sort (determinism)
 //	internid     raw integers or cross-interner values flowing into
 //	             interned-ID positions (ID-space discipline)
 //	frozenwrite  mutating Relation/Database/Interner calls reachable
-//	             from the frozen-epoch snapshot match path
+//	             from the concurrent storage pre-pass (runShard)
 //	ctxloop      unbounded fixpoint/drain loops that never observe ctx
 //	floatfold    float accumulation inside unsorted map iteration
 //	             (bit-determinism)

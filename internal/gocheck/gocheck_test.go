@@ -69,7 +69,7 @@ func TestParseSuppression(t *testing.T) {
 		{"//vadalint:ordered2 reason", "ordered", "", false},
 		{"// plain comment", "ordered", "", false},
 		{"//vadalint:ctxloop drains bounded queue", "ctxloop", "drains bounded queue", true},
-		{"\t//vadalint:frozenwrite guarded by !mt.Snapshot", "frozenwrite", "guarded by !mt.Snapshot", true},
+		{"\t//vadalint:frozenwrite guarded off the shard path", "frozenwrite", "guarded off the shard path", true},
 	}
 	for _, c := range cases {
 		reason, found := parseSuppression(c.comment, c.tag)

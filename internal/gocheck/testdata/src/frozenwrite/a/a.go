@@ -1,87 +1,18 @@
-// Package a is the frozenwrite fixture: a miniature Relation/Matcher
-// pair reproducing the frozen-epoch worker topology.
+// Package a is the frozenwrite fixture: a miniature Relation and storage
+// pre-pass reproducing the concurrent shard-goroutine topology.
 package a
 
-// Relation mirrors the storage Relation's mutating and snapshot APIs.
+// Relation mirrors the storage Relation's mutating and read-only APIs.
 type Relation struct {
-	rows   [][]uint32
-	frozen bool
-}
-
-// Insert is a mutating sink.
-func (r *Relation) Insert(row []uint32) bool {
-	r.rows = append(r.rows, row)
-	return true
+	rows [][]uint32
+	t    flatTable
 }
 
 // Freeze is a mutating sink.
-func (r *Relation) Freeze() { r.frozen = true }
+func (r *Relation) Freeze() {}
 
 // EnsureIndex is a mutating sink.
 func (r *Relation) EnsureIndex(cols []int) {}
-
-// SnapshotLookupIDs is the pure frozen-epoch probe (a root marker for
-// its callers, not a sink).
-func (r *Relation) SnapshotLookupIDs(key []uint32) [][]uint32 { return nil }
-
-// Matcher mirrors the eval Matcher: its whole method set is a root.
-type Matcher struct{ Snapshot bool }
-
-// matchBad mutates storage from the match path: flagged.
-func (m *Matcher) matchBad(r *Relation) {
-	r.Insert(nil) // want "Relation.Insert"
-}
-
-// matchVia reaches a sink through a helper: the helper's call site is
-// flagged with the chain.
-func (m *Matcher) matchVia(r *Relation) {
-	deepHelper(r)
-}
-
-func deepHelper(r *Relation) {
-	r.Freeze() // want "Relation.Freeze"
-}
-
-// matchClean only probes the snapshot: clean.
-func (m *Matcher) matchClean(r *Relation) [][]uint32 {
-	return r.SnapshotLookupIDs(nil)
-}
-
-// guardedDispatch mirrors the engine's dual-mode lookup: the mutating
-// branch is runtime-guarded by !m.Snapshot, so the suppression carries
-// the reason.
-func (m *Matcher) guardedDispatch(r *Relation) {
-	if !m.Snapshot {
-		//vadalint:frozenwrite fixture: non-snapshot branch runs serially
-		r.EnsureIndex(nil)
-	}
-}
-
-// workerLaunch constructs a Snapshot matcher, making it a root; the
-// sink it reaches downstream is flagged.
-func workerLaunch(r *Relation) {
-	m := Matcher{Snapshot: true}
-	_ = m
-	launchHelper(r)
-}
-
-func launchHelper(r *Relation) {
-	r.Insert(nil) // want "Relation.Insert"
-}
-
-// serialAdmission is never reached from any root: mutating freely is
-// clean.
-func serialAdmission(r *Relation) {
-	r.Insert(nil)
-	r.Freeze()
-}
-
-// probeCaller calls the snapshot probe directly, becoming a root; its
-// own mutation is flagged.
-func probeCaller(r *Relation) {
-	_ = r.SnapshotLookupIDs(nil)
-	r.Freeze() // want "Relation.Freeze"
-}
 
 // InsertPrepared is a mutating sink (serial admission only).
 func (r *Relation) InsertPrepared(row []uint32) bool {
@@ -89,13 +20,17 @@ func (r *Relation) InsertPrepared(row []uint32) bool {
 	return true
 }
 
-// ContainsRowHash is the pure concurrent-read probe of partitioned
-// admission (not a sink).
+// ContainsRowHash is the pure concurrent-read probe of the pre-pass (not
+// a sink).
 func (r *Relation) ContainsRowHash(row []uint32, h uint64) bool { return false }
 
 // prepass mirrors the storage prepass: runShard is the body of a
-// shard-local dedup goroutine and roots the frozen region.
-type prepass struct{ rels []*Relation }
+// shard-local dedup goroutine and roots the checked region.
+type prepass struct {
+	rels []*Relation
+	in   *Interner
+	safe bool
+}
 
 // runShard probing is clean; mutating — directly or via a helper — is
 // flagged.
@@ -104,6 +39,13 @@ func (p *prepass) runShard(s int) {
 		_ = r.ContainsRowHash(nil, 0)
 	}
 	shardHelper(p.rels[s])
+	p.rels[s].Freeze() // want "Relation.Freeze"
+	tableHelper(&p.rels[s].t)
+	internHelper(p.in)
+	if p.safe {
+		//vadalint:frozenwrite fixture: the guarded branch never runs on a shard goroutine
+		p.rels[s].EnsureIndex(nil)
+	}
 }
 
 func shardHelper(r *Relation) {
@@ -118,9 +60,8 @@ func (t *flatTable) seek(tag uint64, p int) (ref, next int) { return -1, 0 }
 
 func (t *flatTable) insert(h uint64, ref int) { t.slots = append(t.slots, h) }
 
-// matchTable probes the table from the match path — clean — and inserts
-// into it — flagged.
-func (m *Matcher) matchTable(t *flatTable) {
+// tableHelper probes the table — clean — and inserts into it — flagged.
+func tableHelper(t *flatTable) {
 	_, _ = t.seek(0, 0)
 	t.insert(0, 0) // want "flatTable.insert"
 }
@@ -138,10 +79,16 @@ func (in *Interner) Intern(v string) uint32 {
 	return uint32(len(in.vals))
 }
 
-// matchValue decodes and looks up from the match path — clean — and
-// interns — flagged.
-func (m *Matcher) matchValue(in *Interner) {
+// internHelper decodes and looks up — clean — and interns — flagged.
+func internHelper(in *Interner) {
 	_ = in.ValueOf(1)
 	_, _ = in.IDOf("a")
 	_ = in.Intern("a") // want "Interner.Intern"
+}
+
+// serialAdmission is never reached from the root: mutating freely is
+// clean.
+func serialAdmission(r *Relation) {
+	r.InsertPrepared(nil)
+	r.Freeze()
 }

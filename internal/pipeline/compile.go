@@ -96,19 +96,16 @@ func (c *Compiled) NewSession() *Session {
 	s := &Session{
 		c:      c,
 		hubs:   make(map[string]*hub),
-		bm:     storage.NewBufferManager(c.opts.BufferCapacity),
 		timing: c.opts.PhaseTiming,
 	}
 	s.Core = c.NewCore(s.admitted)
 	if !c.opts.DisablePlanner {
-		s.pl = planner.New(sessionCatalog{s: s})
+		s.pl = planner.New(planner.LiveCatalog{DB: s.DB(), Meter: s.Meter()})
 	}
-	s.mt = &eval.Matcher{DB: s.DB(), OnIndexProbe: func(pred string) { s.bm.Touch(pred) }}
-	//vadalint:ordered keyed effects only: Rel keeps db.names sorted, hub/segment registration is per-pred
+	s.mt = &eval.Matcher{DB: s.DB()}
+	//vadalint:ordered keyed effects only: Rel keeps db.names sorted, hub registration is per-pred
 	for pred, arity := range c.Preds {
-		rel := s.DB().Rel(pred, arity)
-		s.hubs[pred] = &hub{pred: pred, rel: rel}
-		s.bm.Register(pred, rel)
+		s.hubs[pred] = &hub{pred: pred, rel: s.DB().Rel(pred, arity)}
 	}
 	for i, cr := range c.Rules {
 		f := &ruleFilter{

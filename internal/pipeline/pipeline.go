@@ -54,9 +54,6 @@ type Options struct {
 	DisableSummary bool
 	MaxDerivations int
 	RequireWarded  bool
-	// BufferCapacity bounds the buffer cache in (approximate) bytes;
-	// 0 disables eviction.
-	BufferCapacity int64
 	// NewPolicy overrides the termination policy (nil = the full strategy
 	// of Algorithm 1). Baselines live in internal/baseline.
 	NewPolicy func(*analysis.Result) core.Policy
@@ -118,7 +115,6 @@ type Session struct {
 	*admit.Core
 	c  *Compiled
 	mt *eval.Matcher
-	bm *storage.BufferManager
 
 	filters []*ruleFilter
 	hubs    map[string]*hub
@@ -183,24 +179,6 @@ func (s *Session) PhaseStats() (match, prepass, admit time.Duration) {
 	return s.clock.match, 0, s.clock.admit
 }
 
-// replanStride paces adaptive re-planning: the pipeline has no epoch
-// boundaries, so its statistics generation advances once per stride of
-// admitted facts, which is when cached plans are revalidated against the
-// current relation sizes. Must be a power of two.
-const replanStride = 1024
-
-// sessionCatalog adapts a session's live database statistics to the
-// planner's Catalog, deriving the generation from the derivation count.
-type sessionCatalog struct{ s *Session }
-
-// RelStats implements planner.Catalog.
-func (c sessionCatalog) RelStats(pred string) (storage.RelStats, bool) {
-	return c.s.DB().RelStats(pred, false)
-}
-
-// Gen implements planner.Catalog.
-func (c sessionCatalog) Gen() uint64 { return uint64(c.s.Derivations() / replanStride) }
-
 // hub is the meeting point of all producers of one predicate: the
 // predicate's buffered relation plus the filters feeding it.
 type hub struct {
@@ -255,14 +233,12 @@ func (s *Session) Load(facts ...ast.Fact) {
 }
 
 // admitted is the session's admission hook: every fact the core stores or
-// replaces in place touches its buffer segment, opens a hub when its
-// predicate is new to the session, and ends any quiescence. (A replaced
-// row needs no more: the relation's delta log re-delivers it, so
-// downstream filters observe the improved value as a fresh delta while
-// their cursors stay put.)
+// replaces in place opens a hub when its predicate is new to the session,
+// and ends any quiescence. (A replaced row needs no more: the relation's
+// delta log re-delivers it, so downstream filters observe the improved
+// value as a fresh delta while their cursors stay put.)
 func (s *Session) admitted(m *core.FactMeta) {
 	pred := m.Fact.Pred
-	s.bm.Touch(pred)
 	if s.hubs[pred] == nil {
 		s.hubs[pred] = &hub{pred: pred, rel: s.DB().Lookup(pred)}
 	}
@@ -726,9 +702,6 @@ func (s *Session) Run(ctx context.Context, edb []ast.Fact) error {
 // Planner exposes the session's join planner for its statistics and
 // -explain rendering; nil when Options.DisablePlanner.
 func (s *Session) Planner() *planner.Planner { return s.pl }
-
-// Buffer exposes the buffer manager for its statistics.
-func (s *Session) Buffer() *storage.BufferManager { return s.bm }
 
 // Quiesced reports whether the pipeline has reached its fixpoint: no
 // failure is latched and no filter has unconsumed deltas. After an

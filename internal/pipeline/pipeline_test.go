@@ -343,35 +343,6 @@ func TestPipelineNullRecursionTerminates(t *testing.T) {
 	}
 }
 
-func TestPipelineBufferEviction(t *testing.T) {
-	src := `
-		edge(X,Y) -> path(X,Y).
-		path(X,Y), edge(Y,Z) -> path(X,Z).
-		@output("path").
-	`
-	prog := parser.MustParse(src)
-	s, err := New(prog, Options{BufferCapacity: 1024}) // tiny: force eviction
-	if err != nil {
-		t.Fatalf("new: %v", err)
-	}
-	var edb []ast.Fact
-	for i := 0; i < 60; i++ {
-		edb = append(edb, ast.NewFact("edge",
-			term.String(fmt.Sprintf("n%d", i)), term.String(fmt.Sprintf("n%d", i+1))))
-	}
-	if err := s.Run(context.Background(), edb); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if s.Buffer().Evictions == 0 {
-		t.Error("expected index evictions under a tiny buffer capacity")
-	}
-	// Correctness unaffected by eviction.
-	want := 60 * 61 / 2
-	if got := len(s.Output("path")); got != want {
-		t.Fatalf("want %d paths, got %d", want, got)
-	}
-}
-
 func TestPipelineDeterminism(t *testing.T) {
 	src := `
 		edge(X,Y) -> path(X,Y).

@@ -8,14 +8,14 @@
 // (storage.RelStats), and the atom with the smallest estimated
 // intermediate is matched first.
 //
-// Plans are cached per (rule, pinned atom) and revalidated against the
-// statistics generation at every batch/epoch boundary: when the live
-// size of a body relation has drifted past a threshold since the plan
-// was derived, the plan is recomputed (adaptive re-planning — early
-// chase rounds see empty derived relations, late rounds see them
-// dominating). Plans only reorder candidate enumeration; the engines
-// admit candidates in a canonical order (eval.BindingLog.CanonicalOrder)
-// so reasoning output stays byte-identical for every plan choice.
+// Plans are cached per (rule, pinned atom) and revalidated whenever the
+// statistics generation advances: when the live size of a body relation
+// has drifted past a threshold since the plan was derived, the plan is
+// recomputed (adaptive re-planning — early chase rounds see empty derived
+// relations, late rounds see them dominating). Plans only reorder
+// candidate enumeration; the engines admit candidates in a canonical order
+// (eval.BindingLog.CanonicalOrder) so reasoning output stays
+// byte-identical for every plan choice.
 //
 // Entry points: New builds a Planner over a statistics Catalog;
 // PlanFor returns (deriving or revalidating as needed) the plan for one
@@ -28,6 +28,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/storage"
 )
@@ -43,38 +44,38 @@ type Catalog interface {
 	Gen() uint64
 }
 
+// ReplanStride paces adaptive re-planning: the statistics generation of a
+// LiveCatalog advances once per stride of derivations, which is when cached
+// plans are revalidated against the current relation sizes.
+const ReplanStride = 1024
+
 // LiveCatalog reads statistics computed from the database's current
-// contents — the single-threaded pipeline engine's view, always current.
-type LiveCatalog struct{ DB *storage.Database }
+// contents — the view both engines plan against. Its generation is the
+// derivations charged to Meter so far divided by ReplanStride; with no
+// Meter it stays 0, and each plan is derived once.
+type LiveCatalog struct {
+	DB    *storage.Database
+	Meter *core.Meter
+}
 
 // RelStats implements Catalog.
 func (c LiveCatalog) RelStats(pred string) (storage.RelStats, bool) {
-	return c.DB.RelStats(pred, false)
-}
-
-// Gen implements Catalog. The live view has no epochs; advancing the
-// generation on every Freeze keeps the cache honest without making every
-// PlanFor a recomputation.
-func (c LiveCatalog) Gen() uint64 { return c.DB.StatsGen() }
-
-// FrozenCatalog reads the snapshots captured by the last Database.Freeze
-// — what the parallel chase must plan against, so workers plan with
-// exactly the numbers they match against.
-type FrozenCatalog struct{ DB *storage.Database }
-
-// RelStats implements Catalog.
-func (c FrozenCatalog) RelStats(pred string) (storage.RelStats, bool) {
-	return c.DB.RelStats(pred, true)
+	return c.DB.RelStats(pred)
 }
 
 // Gen implements Catalog.
-func (c FrozenCatalog) Gen() uint64 { return c.DB.StatsGen() }
+func (c LiveCatalog) Gen() uint64 {
+	if c.Meter == nil {
+		return 0
+	}
+	return uint64(c.Meter.Used() / ReplanStride)
+}
 
 // Probe is a presize hint: the plan expects to probe pred through an
 // index over the positions in Mask holding about Keys distinct keys.
-// Engines pass the hint to storage.Relation.EnsureIndexSized at a safe
-// (single-threaded) boundary so the index's bucket table is allocated
-// once instead of growing through rehashes.
+// Engines pass the hint to storage.Relation.EnsureIndexSized so the
+// index's bucket table is allocated once instead of growing through
+// rehashes.
 type Probe struct {
 	Pred string
 	Mask uint32
@@ -108,9 +109,8 @@ type planKey struct {
 }
 
 // Planner derives and caches plans against a statistics catalog. A
-// Planner is not safe for concurrent use; the engines call it only from
-// their serial sections (batch boundaries, the pipeline's single
-// goroutine) and share the resulting immutable step slices with workers.
+// Planner is not safe for concurrent use: one belongs to one engine
+// session.
 type Planner struct {
 	cat Catalog
 

@@ -5,15 +5,8 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/term"
 )
-
-// siteFreeze guards the epoch boundary. Freeze has no error path, so the
-// site is panic-only, and it fires before any relation is touched — an
-// injected crash leaves every snapshot at the previous epoch, which is
-// exactly the state a resumed run re-freezes from.
-var siteFreeze = fault.NewPanicSite("storage.freeze")
 
 // Database is the in-memory instance the engines operate on: one relation
 // per predicate, a null factory, the database-wide term interner shared
@@ -33,8 +26,7 @@ type Database struct {
 	activeDom []uint64
 	activeLen int
 	noIndex   bool
-	shards    int    // pre-pass partitions recorded on every relation (0 = 1)
-	gen       uint64 // Freeze epochs opened so far (plan-cache keying)
+	shards    int // pre-pass partitions recorded on every relation (0 = 1)
 }
 
 // NewDatabase returns an empty database.
@@ -95,36 +87,23 @@ func (db *Database) Predicates() []string {
 	return append([]string(nil), db.names...)
 }
 
-// Freeze opens a read-only evaluation epoch over every relation: dynamic
-// indexes and live-row caches are eagerly extended to cover all stored
-// rows, after which SnapshotLookupIDs probes (and the interner's read
-// paths) are safe from any number of goroutines until the next mutation.
-// The parallel chase freezes the database before fanning a delta batch
-// out to its match workers and mutates it only on the serial admit path.
+// Freeze extends every relation's dynamic indexes and live-row cache over
+// all stored rows. No engine calls it: lookups extend what they probe on
+// their own. It stays because the benchmark harness times it as the
+// storage.freeze_s kernel, and leaves with that kernel.
 func (db *Database) Freeze() {
-	siteFreeze.Hit()
-	db.gen++
 	for _, name := range db.names {
 		db.rels[name].Freeze()
 	}
 }
 
-// StatsGen counts the Freeze epochs opened so far. Plan caches key on it
-// to detect that a new consistent statistics snapshot exists.
-func (db *Database) StatsGen() uint64 { return db.gen }
-
-// RelStats returns planner statistics for pred. Frozen selects the
-// snapshot captured by the last Freeze (what parallel-chase workers must
-// plan against); otherwise the statistics are computed live (the
-// single-threaded pipeline's view). The boolean is false when the
-// predicate has no relation yet.
-func (db *Database) RelStats(pred string, frozen bool) (RelStats, bool) {
+// RelStats returns the planner statistics of pred, computed from the
+// relation's current contents; false when the predicate has no relation
+// yet.
+func (db *Database) RelStats(pred string) (RelStats, bool) {
 	r := db.rels[pred]
 	if r == nil {
 		return RelStats{}, false
-	}
-	if frozen {
-		return r.FrozenStats(), true
 	}
 	return r.Stats(), true
 }

@@ -36,9 +36,7 @@ import (
 // and the string payloads they point at, nothing here holds a pointer.
 //
 // Concurrency: single-writer. IDOf and ValueOf are pure reads, safe from
-// multiple goroutines only while no Intern call is in flight: the parallel
-// chase's match workers read during frozen epochs, all interning happens on
-// the serial admission path.
+// multiple goroutines only while no Intern call is in flight.
 type Interner struct {
 	table flatTable
 	pages []*[pageSize]term.Value

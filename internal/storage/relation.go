@@ -1,8 +1,7 @@
 // Package storage implements the in-memory fact store of the Vadalog
 // system: append-only relations with exact-duplicate elimination, the
 // dynamic in-memory indexes that back the slot-machine join (paper
-// Sec. 4), the active constant domain (ACDom) and a buffer manager with
-// per-segment accounting and LRU index eviction.
+// Sec. 4) and the active constant domain (ACDom).
 //
 // Facts are stored as interned tuples: every term.Value is mapped to a
 // dense uint32 ID by the database-wide Interner, and each relation keeps
@@ -119,24 +118,14 @@ type Relation struct {
 	liveRows []int32
 	liveUpTo int
 
-	// epoch is the row watermark recorded by the last Freeze: rows
-	// [0, epoch) are covered by every dynamic index and by the live-row
-	// cache, making SnapshotLookupIDs a pure read. Appends after Freeze
-	// move len(metas) past epoch; the next Freeze re-covers them.
-	epoch int
-
 	// retracted counts rows whose metadata is marked Retracted: physically
 	// present (row indexes stay stable) but no longer part of the
 	// database — excluded from lookups, duplicate checks and Facts.
 	retracted int
 
-	// Planner statistics (see stats.go): per-column distinct sketches
-	// maintained at insert/replace, the snapshot captured by the last
-	// Freeze, its generation counter, and per-mask index-usage records.
+	// sketches are the planner's per-column distinct estimates (see
+	// stats.go), maintained at insert/replace.
 	sketches []distinctSketch
-	frozen   RelStats
-	gen      uint64
-	idxUse   map[uint32]*idxUsage
 
 	scratch  []uint32 // reusable row buffer for Insert/InsertEDB/resolve
 	probeBuf []uint32 // reusable probe-ID buffer for value-based Lookup
@@ -614,7 +603,7 @@ func (r *Relation) LookupIDs(mask uint32, probe []uint32) []int32 {
 		return r.scanMasked(mask, probe)
 	}
 	ix := r.ensureIndexSized(mask, 0)
-	ix.hits.Add(1)
+	ix.hits++
 	return r.filterBucket(ix.rows(hashMasked(probe, mask)), mask, probe)
 }
 
@@ -696,31 +685,19 @@ func (r *Relation) scanMasked(mask uint32, probe []uint32) []int32 {
 	return out
 }
 
-// Freeze prepares the relation for a read-only evaluation epoch: every
-// dynamic index and the live-row cache are eagerly extended to cover all
-// stored rows, and the row watermark is recorded. After Freeze — and until
-// the next Insert/Replace — SnapshotLookupIDs probes are pure reads, safe
-// to issue from any number of goroutines concurrently. Freeze itself (and
-// all mutation) must stay single-goroutine.
+// Freeze extends every dynamic index and the live-row cache over all
+// stored rows (see Database.Freeze).
 func (r *Relation) Freeze() {
 	r.liveSnapshot()
 	//vadalint:ordered extendIndex touches only its argument index; the extensions commute
 	for _, ix := range r.indexes {
 		r.extendIndex(ix)
 	}
-	r.epoch = len(r.metas)
-	r.gen++
-	r.frozen = r.Stats()
 }
 
-// Epoch returns the row watermark of the last Freeze: rows [0, Epoch())
-// are covered by every dynamic index and the live-row cache.
-func (r *Relation) Epoch() int { return r.epoch }
-
 // EnsureIndex builds (or extends to full coverage) the dynamic index for
-// mask without probing it — the batch-boundary promotion for masks that
-// SnapshotLookupIDs had to scan during a frozen epoch. A no-op for the
-// trivial mask and under SetNoIndex.
+// mask without probing it. A no-op for the trivial mask and under
+// SetNoIndex.
 func (r *Relation) EnsureIndex(mask uint32) {
 	if mask == 0 || r.noIndex {
 		return
@@ -752,72 +729,9 @@ func (r *Relation) ensureIndexSized(mask uint32, sizeHint int) *dynIndex {
 			ix.spans = make([]span, 0, sizeHint)
 		}
 		r.indexes[mask] = ix
-		u := r.usage(mask)
-		u.builds++
-		u.built = true
 	}
 	r.extendIndex(ix)
 	return ix
-}
-
-// SnapshotLookupIDs is the read-only counterpart of LookupIDs for frozen
-// epochs: it answers the same probe without building or extending any
-// index, so concurrent probes from worker goroutines are safe between
-// Freeze and the next mutation. The boolean reports whether an index (or
-// the live-row cache) served the probe; false means the probe fell back to
-// a full scan because no current index covers mask — callers should record
-// the miss and EnsureIndex at the next batch boundary. Returned slices
-// alias shared storage exactly like LookupIDs' and must not be modified, and
-// hold ascending row indexes like LookupIDs' do.
-func (r *Relation) SnapshotLookupIDs(mask uint32, probe []uint32) ([]int32, bool) {
-	if mask == 0 {
-		if r.liveUpTo == len(r.metas) {
-			return r.liveRows, true
-		}
-		// Unfrozen caller: serve a private scan rather than touch the cache.
-		out := make([]int32, 0, len(r.metas)-r.retracted)
-		for i := range r.metas {
-			if !r.metas[i].Retracted {
-				out = append(out, int32(i))
-			}
-		}
-		return out, true
-	}
-	if r.noIndex {
-		return r.scanMasked(mask, probe), true
-	}
-	if ix := r.indexes[mask]; ix != nil && ix.upTo == len(r.metas) {
-		ix.hits.Add(1)
-		return r.filterBucket(ix.rows(hashMasked(probe, mask)), mask, probe), true
-	}
-	return r.scanMasked(mask, probe), false
-}
-
-// SnapshotLookupCountIDs counts matches with SnapshotLookupIDs semantics
-// without materializing a row slice even on the scan fallback.
-func (r *Relation) SnapshotLookupCountIDs(mask uint32, probe []uint32) (int, bool) {
-	if mask == 0 {
-		return len(r.metas) - r.retracted, true
-	}
-	if !r.noIndex {
-		if ix := r.indexes[mask]; ix != nil && ix.upTo == len(r.metas) {
-			ix.hits.Add(1)
-			n := 0
-			for _, ri := range ix.rows(hashMasked(probe, mask)) {
-				if r.maskedEqual(int(ri), mask, probe) {
-					n++
-				}
-			}
-			return n, true
-		}
-	}
-	n := 0
-	for i := range r.metas {
-		if !r.metas[i].Retracted && r.maskedEqual(i, mask, probe) {
-			n++
-		}
-	}
-	return n, r.noIndex
 }
 
 // Lookup is the value-based probe: vals must have the relation's arity
@@ -851,24 +765,6 @@ func (r *Relation) Lookup(mask uint32, probe []term.Value) []int32 {
 // slice beyond the index bucket.
 func (r *Relation) LookupCountIDs(mask uint32, probe []uint32) int {
 	return len(r.LookupIDs(mask, probe))
-}
-
-// DropIndexes discards all dynamic indexes (they are rebuilt on demand);
-// used by the buffer manager under memory pressure. Each evicted build's
-// hit count is folded into the mask's usage record, so a later
-// PromoteIndex can tell a cold index (built, never hit) from a hot one.
-func (r *Relation) DropIndexes() {
-	if len(r.indexes) == 0 {
-		return
-	}
-	//vadalint:ordered each index's hits fold into its own mask's usage record
-	for mask, ix := range r.indexes {
-		u := r.usage(mask)
-		h := ix.hits.Load()
-		u.hits += h
-		u.lastHits = h
-	}
-	r.indexes = make(map[uint32]*dynIndex)
 }
 
 // IndexCount returns how many dynamic indexes currently exist.

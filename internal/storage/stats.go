@@ -8,9 +8,8 @@ import (
 // This file holds the cheap per-relation statistics that feed the
 // cost-based join planner (paper Sec. 6, Optimizations): a live-row
 // count, per-column distinct-ID estimates maintained incrementally at
-// insert/replace time, and per-index usage counters. Statistics are
-// snapshotted at the Freeze epoch boundary so that parallel-chase
-// workers plan against exactly the numbers they match against.
+// insert/replace time, and per-index hit counters. Statistics are read
+// live, whenever a plan is derived or revalidated.
 
 // sketchRegisters is the register count (m) of the per-column distinct
 // sketches. 64 registers give a ~13% standard error — far more precision
@@ -71,9 +70,6 @@ func (s *distinctSketch) estimate() float64 {
 
 // RelStats is a snapshot of one relation's planner-facing statistics.
 type RelStats struct {
-	// Gen counts the relation's Freeze epochs; a frozen snapshot carries
-	// the generation it was captured at, so plan caches can key on it.
-	Gen uint64
 	// Live is the number of non-retracted facts at snapshot time.
 	Live int
 	// Distinct estimates the number of distinct interned IDs per column
@@ -99,10 +95,9 @@ func (r *Relation) observeRow(row []uint32) {
 	}
 }
 
-// Stats computes the relation's statistics from its current contents:
-// the live view the single-threaded pipeline engine plans against.
+// Stats computes the relation's statistics from its current contents.
 func (r *Relation) Stats() RelStats {
-	st := RelStats{Gen: r.gen, Live: r.Live()}
+	st := RelStats{Live: r.Live()}
 	if len(r.sketches) > 0 {
 		st.Distinct = make([]float64, len(r.sketches))
 		for i := range r.sketches {
@@ -112,70 +107,11 @@ func (r *Relation) Stats() RelStats {
 	return st
 }
 
-// FrozenStats returns the snapshot captured by the last Freeze. Workers
-// of the parallel chase must use this — never Stats — so every worker
-// plans against the same numbers it matches against. The Distinct slice
-// is shared; callers must not modify it.
-func (r *Relation) FrozenStats() RelStats { return r.frozen }
-
-// idxUsage records, per position bitmask, how often the mask's dynamic
-// index was built, how often it was probed, and how many frozen-epoch
-// probes had to fall back to a full scan. lastHits remembers the hit
-// count of the most recently evicted build: a mask that was built and
-// then evicted without a single hit is "cold" and is not worth
-// re-promoting at every epoch boundary.
-type idxUsage struct {
-	builds   int64
-	scans    int64
-	hits     int64 // hits folded in from evicted builds
-	lastHits int64 // hits during the most recently evicted build's lifetime
-	built    bool  // a build has happened (and possibly been evicted)
-}
-
-// usage returns (creating on demand) the usage record for mask.
-func (r *Relation) usage(mask uint32) *idxUsage {
-	u := r.idxUse[mask]
-	if u == nil {
-		if r.idxUse == nil {
-			r.idxUse = make(map[uint32]*idxUsage)
-		}
-		u = &idxUsage{}
-		r.idxUse[mask] = u
-	}
-	return u
-}
-
-// IndexUsage reports the accumulated counters for mask: builds, probes
-// served by an index (current build included), and frozen-epoch scan
-// fallbacks recorded at batch boundaries.
-func (r *Relation) IndexUsage(mask uint32) (builds, hits, scans int64) {
-	u := r.idxUse[mask]
-	if u == nil {
-		return 0, 0, 0
-	}
-	hits = u.hits
+// IndexHits reports how many probes the dynamic index over mask has served
+// since it was built; ok is false when no such index exists.
+func (r *Relation) IndexHits(mask uint32) (hits int64, ok bool) {
 	if ix := r.indexes[mask]; ix != nil {
-		hits += ix.hits.Load()
+		return ix.hits, true
 	}
-	return u.builds, hits, u.scans
-}
-
-// PromoteIndex is the batch-boundary promotion for a mask that
-// SnapshotLookupIDs had to scan during a frozen epoch. It records the
-// scan and builds (or extends) the index — unless the mask is cold: a
-// previously built index that was evicted without ever serving a hit is
-// not rebuilt, so relations whose probes never repeat stop paying an
-// index build every epoch. sizeHint presizes a fresh index's bucket
-// table (0 means unknown). It reports whether the index is (now) built.
-func (r *Relation) PromoteIndex(mask uint32, sizeHint int) bool {
-	if mask == 0 || r.noIndex {
-		return false
-	}
-	u := r.usage(mask)
-	u.scans++
-	if r.indexes[mask] == nil && u.built && u.lastHits == 0 {
-		return false
-	}
-	r.ensureIndexSized(mask, sizeHint)
-	return true
+	return 0, false
 }

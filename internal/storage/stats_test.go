@@ -30,118 +30,28 @@ func TestDistinctEstimateAccuracy(t *testing.T) {
 	}
 }
 
-// TestFrozenStatsSnapshot: FrozenStats reports the numbers captured at the
-// last Freeze — not the live state — and the generation counts epochs.
-func TestFrozenStatsSnapshot(t *testing.T) {
-	r := NewRelation("p", 1)
-	for i := 0; i < 10; i++ {
-		r.Insert(meta("p", term.Int(int64(i))))
-	}
-	if !r.FrozenStats().Empty() {
-		t.Fatal("unfrozen relation must report empty frozen stats")
-	}
-	r.Freeze()
-	if st := r.FrozenStats(); st.Live != 10 || st.Gen != 1 {
-		t.Fatalf("after first freeze: live=%d gen=%d, want 10/1", st.Live, st.Gen)
-	}
-	for i := 10; i < 30; i++ {
-		r.Insert(meta("p", term.Int(int64(i))))
-	}
-	if st := r.FrozenStats(); st.Live != 10 {
-		t.Fatalf("frozen stats moved with live inserts: live=%d, want 10", st.Live)
-	}
-	if st := r.Stats(); st.Live != 30 {
-		t.Fatalf("live stats: %d, want 30", st.Live)
-	}
-	r.Freeze()
-	if st := r.FrozenStats(); st.Live != 30 || st.Gen != 2 {
-		t.Fatalf("after second freeze: live=%d gen=%d, want 30/2", st.Live, st.Gen)
-	}
-}
-
-// TestDatabaseStatsGen: the database-level generation advances with every
-// Freeze and RelStats routes to the live or frozen view.
-func TestDatabaseStatsGen(t *testing.T) {
-	db := NewDatabase()
-	rel := db.Rel("p", 1)
-	rel.Insert(meta("p", term.Int(1)))
-	if db.StatsGen() != 0 {
-		t.Fatalf("fresh gen: %d", db.StatsGen())
-	}
-	db.Freeze()
-	if db.StatsGen() != 1 {
-		t.Fatalf("gen after freeze: %d", db.StatsGen())
-	}
-	rel.Insert(meta("p", term.Int(2)))
-	live, ok := db.RelStats("p", false)
-	if !ok || live.Live != 2 {
-		t.Fatalf("live RelStats: %+v ok=%v", live, ok)
-	}
-	frozen, ok := db.RelStats("p", true)
-	if !ok || frozen.Live != 1 {
-		t.Fatalf("frozen RelStats: %+v ok=%v", frozen, ok)
-	}
-	if _, ok := db.RelStats("missing", false); ok {
-		t.Fatal("missing predicate must report !ok")
-	}
-}
-
-// TestIndexUsageCounters: index probes count as hits, and the counters
-// survive eviction (DropIndexes folds the per-build hit count in).
+// TestIndexUsageCounters: every probe an index serves counts as a hit; a
+// mask without an index reports none.
 func TestIndexUsageCounters(t *testing.T) {
 	r := NewRelation("p", 2)
 	for i := 0; i < 50; i++ {
 		r.Insert(meta("p", term.Int(int64(i%5)), term.Int(int64(i))))
 	}
+	if _, ok := r.IndexHits(1); ok {
+		t.Fatal("no index over mask 1 was built yet")
+	}
 	probe := []term.Value{term.Int(3), {}}
 	for i := 0; i < 3; i++ {
 		r.Lookup(1, probe)
 	}
-	builds, hits, _ := r.IndexUsage(1)
-	if builds != 1 || hits != 3 {
-		t.Fatalf("builds=%d hits=%d, want 1/3", builds, hits)
+	if hits, ok := r.IndexHits(1); !ok || hits != 3 {
+		t.Fatalf("hits=%d ok=%v, want 3/true", hits, ok)
 	}
-	r.DropIndexes()
-	builds, hits, _ = r.IndexUsage(1)
-	if builds != 1 || hits != 3 {
-		t.Fatalf("after eviction: builds=%d hits=%d, want 1/3 (folded)", builds, hits)
+	r.Insert(meta("p", term.Int(3), term.Int(99)))
+	if got := len(r.Lookup(1, probe)); got != 11 {
+		t.Fatalf("lookup rows after extension: %d, want 11", got)
 	}
-	r.Lookup(1, probe)
-	builds, hits, _ = r.IndexUsage(1)
-	if builds != 2 || hits != 4 {
-		t.Fatalf("after rebuild: builds=%d hits=%d, want 2/4", builds, hits)
-	}
-}
-
-// TestColdIndexNotRepromoted: a mask whose index was built and evicted
-// without a single hit is cold — PromoteIndex declines to rebuild it,
-// until a later build actually serves probes.
-func TestColdIndexNotRepromoted(t *testing.T) {
-	r := NewRelation("p", 2)
-	for i := 0; i < 20; i++ {
-		r.Insert(meta("p", term.Int(int64(i%4)), term.Int(int64(i))))
-	}
-	if !r.PromoteIndex(1, 8) {
-		t.Fatal("first promotion must build")
-	}
-	if r.IndexCount() != 1 {
-		t.Fatalf("index count: %d", r.IndexCount())
-	}
-	r.DropIndexes() // evicted with zero hits: cold
-	if r.PromoteIndex(1, 8) {
-		t.Fatal("cold mask must not be re-promoted")
-	}
-	if r.IndexCount() != 0 {
-		t.Fatalf("cold promotion built anyway: %d indexes", r.IndexCount())
-	}
-	// A direct lookup builds the index and serves a hit; after the next
-	// eviction the mask is warm again.
-	probe := []term.Value{term.Int(2), {}}
-	if got := len(r.Lookup(1, probe)); got != 5 {
-		t.Fatalf("lookup rows: %d, want 5", got)
-	}
-	r.DropIndexes()
-	if !r.PromoteIndex(1, 8) {
-		t.Fatal("warm mask (hits in last build) must be re-promoted")
+	if hits, _ := r.IndexHits(1); hits != 4 {
+		t.Fatalf("hits=%d after another probe, want 4", hits)
 	}
 }

@@ -16,6 +16,14 @@ func meta(pred string, args ...term.Value) *core.FactMeta {
 	return &core.FactMeta{Fact: ast.NewFact(pred, args...)}
 }
 
+func fillRel(n int) *Relation {
+	r := NewRelation("p", 2)
+	for i := 0; i < n; i++ {
+		r.Insert(meta("p", term.String(fmt.Sprintf("k%d", i%7)), term.Int(int64(i))))
+	}
+	return r
+}
+
 func TestRelationInsertDedup(t *testing.T) {
 	r := NewRelation("p", 2)
 	if !r.Insert(meta("p", term.String("a"), term.Int(1))) {
@@ -120,23 +128,6 @@ func TestNoIndexMode(t *testing.T) {
 	}
 }
 
-func TestDropIndexes(t *testing.T) {
-	r := NewRelation("p", 2)
-	r.Insert(meta("p", term.Int(1), term.Int(2)))
-	r.Lookup(1, []term.Value{term.Int(1), {}})
-	if r.IndexCount() != 1 {
-		t.Fatal("index expected")
-	}
-	r.DropIndexes()
-	if r.IndexCount() != 0 {
-		t.Fatal("indexes must be dropped")
-	}
-	// Rebuilt on demand.
-	if got := len(r.Lookup(1, []term.Value{term.Int(1), {}})); got != 1 {
-		t.Fatalf("after rebuild: %d", got)
-	}
-}
-
 func TestDatabaseActiveDomain(t *testing.T) {
 	db := NewDatabase()
 	strat := &fakePolicy{}
@@ -162,29 +153,6 @@ func (f *fakePolicy) Derive(fa ast.Fact, ruleID int, parents []*core.FactMeta) *
 	return &core.FactMeta{Fact: fa}
 }
 func (f *fakePolicy) CheckTermination(m *core.FactMeta) bool { return true }
-
-func TestBufferManagerEviction(t *testing.T) {
-	bm := NewBufferManager(200)
-	rels := make([]*Relation, 3)
-	for i := range rels {
-		rels[i] = NewRelation(fmt.Sprintf("p%d", i), 2)
-		bm.Register(fmt.Sprintf("p%d", i), rels[i])
-		for k := 0; k < 20; k++ {
-			rels[i].Insert(meta(fmt.Sprintf("p%d", i), term.Int(int64(k)), term.Int(int64(k))))
-		}
-		rels[i].Lookup(1, []term.Value{term.Int(1), {}})
-	}
-	bm.Pin("p2")
-	bm.Touch("p0")
-	bm.Touch("p1")
-	bm.Touch("p0") // p1 is now least recently used among evictables
-	if bm.Evictions == 0 {
-		t.Fatal("expected evictions under pressure")
-	}
-	if rels[2].IndexCount() == 0 {
-		t.Error("pinned segment must keep its indexes")
-	}
-}
 
 func TestDatabaseTotals(t *testing.T) {
 	db := NewDatabase()
@@ -294,7 +262,6 @@ func TestRelationReplaceRetractsOnDuplicate(t *testing.T) {
 		t.Errorf("full scan returns retracted rows: %d", got)
 	}
 	// A fresh index built after the retraction must skip the dead row.
-	r.DropIndexes()
 	if got := len(r.Lookup(2, []term.Value{{}, term.Int(1)})); got != 0 {
 		t.Errorf("rebuilt index resurrected a retracted row: %d", got)
 	}
@@ -388,5 +355,37 @@ func TestActiveDomainBitset(t *testing.T) {
 	}
 	if db.InActiveDomainID(0) || db.InActiveDomainID(1<<20) {
 		t.Error("the invalid ID and IDs past the table are not in ACDom")
+	}
+}
+
+// TestLiveRowCache: repeated full-scan lookups reuse one cached slice,
+// the cache extends over appended rows, and retraction invalidates it.
+func TestLiveRowCache(t *testing.T) {
+	r := fillRel(50)
+	a := r.LookupIDs(0, nil)
+	b := r.LookupIDs(0, nil)
+	if len(a) != 50 || len(b) != 50 {
+		t.Fatalf("live scan: %d/%d", len(a), len(b))
+	}
+	if &a[0] != &b[0] {
+		t.Error("mask-0 lookups should share the cached live-row slice")
+	}
+	r.Insert(meta("p", term.String("new"), term.Int(999)))
+	if got := r.LookupIDs(0, nil); len(got) != 51 {
+		t.Errorf("cache did not extend over the append: %d", len(got))
+	}
+	// Retract via Replace-to-existing: row 0 collides with row 1's value.
+	f1 := r.At(1).Fact
+	if out := r.Replace(0, f1); out != ReplaceRetracted {
+		t.Fatalf("replace outcome: %v", out)
+	}
+	got := r.LookupIDs(0, nil)
+	if len(got) != 50 {
+		t.Errorf("after retraction: %d live rows, want 50", len(got))
+	}
+	for _, ri := range got {
+		if ri == 0 {
+			t.Error("retracted row 0 still in the live cache")
+		}
 	}
 }

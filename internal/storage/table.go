@@ -3,7 +3,6 @@ package storage
 import (
 	"math/bits"
 	"slices"
-	"sync/atomic"
 )
 
 // flatTable is the one hash structure of a Relation: a pointer-free
@@ -163,10 +162,8 @@ type dynIndex struct {
 	spans  []span
 	arena  []int32
 
-	// hits counts probes served by this index since it was built. Atomic
-	// because frozen-epoch probes (SnapshotLookupIDs) run concurrently
-	// from match workers; all other access is single-goroutine.
-	hits atomic.Int64
+	// hits counts probes served by this index since it was built.
+	hits int64
 }
 
 // span locates a bucket in the arena: arena[off:off+n] are its rows,

@@ -343,22 +343,6 @@ func TestStreamMatchesDrain(t *testing.T) {
 	}
 }
 
-// TestBufferCapacityDoesNotChangeAnswers: evicting indexes under memory
-// pressure must not affect results.
-func TestBufferCapacityDoesNotChangeAnswers(t *testing.T) {
-	cfg, _ := iwarded.Scenario("synthA")
-	cfg.FactsPerRel = 25
-	g, err := iwarded.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := groundOutputs(t, g.Source, g.Facts, nil)
-	tiny := groundOutputs(t, g.Source, g.Facts, &Options{BufferCapacity: 2048})
-	if base != tiny {
-		t.Error("buffer eviction changed answers")
-	}
-}
-
 // TestSkolemPolicyAgreesWhenTerminating: on scenarios without
 // null-generating recursion the Skolem chase terminates and must agree.
 func TestSkolemPolicyAgreesWhenTerminating(t *testing.T) {
@@ -397,8 +381,7 @@ func TestOrderByTiesAgreeAcrossEngines(t *testing.T) {
 	want := []string{"path(n0,n1)", "path(n0,n2)", "path(n0,n3)", "path(n0,n5)"}
 	for _, opts := range []*Options{
 		{Engine: EnginePipeline},
-		{Engine: EngineChase, Parallelism: 1},
-		{Engine: EngineChase, Parallelism: 4},
+		{Engine: EngineChase},
 	} {
 		s := newSession(t, MustParse(src), opts)
 		s.Load(facts...)
@@ -410,7 +393,7 @@ func TestOrderByTiesAgreeAcrossEngines(t *testing.T) {
 			got = append(got, f.String())
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("engine %v parallelism %d: Output = %v, want %v", opts.Engine, opts.Parallelism, got, want)
+			t.Errorf("engine %v: Output = %v, want %v", opts.Engine, got, want)
 		}
 	}
 }

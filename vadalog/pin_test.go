@@ -35,8 +35,8 @@ func pinFacts() []Fact {
 }
 
 // TestPinnedByRowAcrossEngines runs pinSrc on the pipeline and on the chase
-// with one and four match workers (whose pins read rows during a frozen
-// epoch; run under -race) and requires the one answer all of them owe.
+// (which matches on one goroutine, one worker) and requires the one answer
+// both owe.
 func TestPinnedByRowAcrossEngines(t *testing.T) {
 	want := map[string][]string{
 		"total": {`total(a,6)`, `total(b,5)`},
@@ -45,9 +45,8 @@ func TestPinnedByRowAcrossEngines(t *testing.T) {
 		"wide":  {`wide(v,w)`},
 	}
 	for name, cfg := range map[string]Options{
-		"pipeline":        {Engine: EnginePipeline},
-		"chase 1 worker":  {Engine: EngineChase, Parallelism: 1},
-		"chase 4 workers": {Engine: EngineChase, Parallelism: 4},
+		"pipeline":       {Engine: EnginePipeline},
+		"chase 1 worker": {Engine: EngineChase},
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := newSession(t, MustParse(pinSrc), &cfg)

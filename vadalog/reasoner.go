@@ -80,7 +80,6 @@ func Compile(prog *Program, opts *Options) (*Reasoner, error) {
 		plc, err := pipeline.Compile(prog, pipeline.Options{
 			Rewrite:             rw,
 			MaxDerivations:      o.MaxDerivations,
-			BufferCapacity:      o.BufferCapacity,
 			RequireWarded:       o.RequireWarded,
 			NewPolicy:           newPolicy,
 			DisableSummary:      disableSummary,
@@ -106,7 +105,6 @@ func Compile(prog *Program, opts *Options) (*Reasoner, error) {
 			DisableSummary:      disableSummary,
 			DisableDynamicIndex: o.DisableDynamicIndex,
 			DisablePlanner:      o.DisablePlanner,
-			Parallelism:         o.Parallelism,
 		})
 		if err != nil {
 			return nil, err
@@ -226,10 +224,10 @@ type Result struct {
 // Output returns the facts of pred with @post directives applied, in
 // canonical order: by predicate, then column by column by the arguments'
 // rendered form (so 1 < 10 < 2, and bare strings order by byte) — the order
-// of Fact.Key(), identical on both engines and for every Parallelism
-// setting. @post orderBy stable-sorts that order on its column:
-// facts tying on the column stay in canonical order, so orderBy + limit
-// keeps the same facts whichever engine admitted them first.
+// of Fact.Key(), identical on both engines. @post orderBy stable-sorts
+// that order on its column: facts tying on the column stay in canonical
+// order, so orderBy + limit keeps the same facts whichever engine admitted
+// them first.
 func (res *Result) Output(pred string) []Fact { return res.eng.Output(pred) }
 
 // All returns the outputs of every @output predicate (every IDB

@@ -279,46 +279,3 @@ func TestStreamIncludesProgramFacts(t *testing.T) {
 		t.Errorf("stream yielded %d paths, query materialized %d", streamed, want)
 	}
 }
-
-// TestParallelismOption: the chase engine's worker count is threaded from
-// the public Options and every setting returns the same answers — with
-// concurrent parallel queries on one shared Reasoner race-free.
-func TestParallelismOption(t *testing.T) {
-	var base []string
-	for _, workers := range []int{1, 2, 8} {
-		r, err := Compile(MustParse(pathSrc), &Options{Engine: EngineChase, Parallelism: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		outs := make([][]string, 3)
-		for k := range outs {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				res, err := r.Query(context.Background(), chainFacts("n", 6))
-				if err != nil {
-					t.Errorf("workers=%d query %d: %v", workers, k, err)
-					return
-				}
-				for _, f := range res.Output("path") {
-					outs[k] = append(outs[k], f.String())
-				}
-			}(k)
-		}
-		wg.Wait()
-		for k := range outs {
-			if len(outs[k]) != 21 {
-				t.Fatalf("workers=%d query %d: %d paths, want 21", workers, k, len(outs[k]))
-			}
-			if base == nil {
-				base = outs[k]
-			}
-			for i := range base {
-				if outs[k][i] != base[i] {
-					t.Errorf("workers=%d query %d: fact order diverges at %d", workers, k, i)
-				}
-			}
-		}
-	}
-}

@@ -180,7 +180,7 @@ func TestCancellationIsNotPartial(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicIsolation: a panic on a parallel chase match worker is
+// TestWorkerPanicIsolation: a panic in the chase's match phase is
 // recovered into a positioned *PanicError — the process survives, the
 // error names the crashed rule, and the session resumes to the complete
 // answer.
@@ -190,9 +190,7 @@ func TestWorkerPanicIsolation(t *testing.T) {
 		edge(X,Y), tc(Y,Z) -> tc(X,Z).
 		@output("tc").
 	`)
-	s := newSession(t, prog, &Options{Engine: EngineChase, Parallelism: 4})
-	// 200 edges: delta batches stay above the engine's fan-out threshold,
-	// so the crash really happens on a worker goroutine.
+	s := newSession(t, prog, &Options{Engine: EngineChase})
 	for i := 0; i < 200; i++ {
 		s.Load(MakeFact("edge", Str(fmt.Sprintf("n%d", i)), Str(fmt.Sprintf("n%d", i+1))))
 	}
@@ -203,7 +201,7 @@ func TestWorkerPanicIsolation(t *testing.T) {
 	err := s.Run()
 	var pe *core.PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("worker crash surfaced as %v, want *PanicError", err)
+		t.Fatalf("match-phase crash surfaced as %v, want *PanicError", err)
 	}
 	if pe.Engine != "chase" {
 		t.Errorf("PanicError.Engine = %q, want \"chase\"", pe.Engine)
@@ -217,7 +215,7 @@ func TestWorkerPanicIsolation(t *testing.T) {
 	}
 	fault.Disable()
 	if err := s.Run(); err != nil {
-		t.Fatalf("resume after worker panic: %v", err)
+		t.Fatalf("resume after match-phase panic: %v", err)
 	}
 	if got, want := len(s.Output("tc")), 200*201/2; got != want {
 		t.Fatalf("tc after resume: %d facts, want %d", got, want)

@@ -111,8 +111,6 @@ type Options struct {
 	// MaxDerivations caps admitted facts (0 = 10M). With baseline
 	// policies this is the safeguard against genuine non-termination.
 	MaxDerivations int
-	// BufferCapacity bounds the pipeline buffer cache (bytes; 0 = off).
-	BufferCapacity int64
 	// RequireWarded fails session creation when the program is not warded.
 	RequireWarded bool
 	// DisableRewriting skips the logic optimizer (harmful joins are then
@@ -135,14 +133,6 @@ type Options struct {
 	// diagnostic of Warning severity or above is reported, not just the
 	// errors the engines reject on their own.
 	Strict bool
-	// Parallelism sets how many worker goroutines the chase engine uses to
-	// match each delta batch against a frozen storage epoch; 0 (the
-	// default) selects runtime.GOMAXPROCS(0) and 1 evaluates batches on
-	// the calling goroutine. Candidate facts are always admitted serially
-	// in a canonical order, so every setting yields a byte-identical final
-	// database. The streaming pipeline engine is a single-goroutine pull
-	// machine and ignores this option.
-	Parallelism int
 	// PhaseTiming makes the engines accumulate the wall-time split
 	// between matching and admission, reported by Session.PhaseStats (the
 	// chase engine always collects it; the flag enables the pipeline's
