@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/baseline"
+	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/gen/dbpedia"
@@ -44,21 +45,9 @@ func benchScale() float64 {
 	return 0.01
 }
 
-// benchNoPlan reports whether REPRO_BENCH_NOPLAN asked for the
-// planner-off ablation run (the before/after switch for BENCH records).
-func benchNoPlan() bool { return os.Getenv("REPRO_BENCH_NOPLAN") != "" }
-
 // runOnce executes one reasoning task and reports facts/sec-style metrics.
 func runOnce(b *testing.B, src string, facts []ast.Fact, outPred string, opts *vadalog.Options) {
 	b.Helper()
-	if benchNoPlan() {
-		o := vadalog.Options{}
-		if opts != nil {
-			o = *opts
-		}
-		o.DisablePlanner = true
-		opts = &o
-	}
 	prog, err := vadalog.Parse(src)
 	if err != nil {
 		b.Fatal(err)
@@ -455,41 +444,52 @@ func BenchmarkAblation_SkewJoin(b *testing.B) {
 		// One narrow row per X, keyed on a W the wide side contains.
 		facts = append(facts, ast.NewFact("narrow", term.Int(int64(x*fanout)), term.Int(int64(x+1))))
 	}
-	for _, eng := range []struct {
+	prog := parser.MustParse(src)
+	// Planner-off is an engine option, not a public one: both engines are
+	// driven directly.
+	engines := []struct {
 		name string
-		eng  vadalog.Engine
-	}{{"pipeline", vadalog.EnginePipeline}, {"chase", vadalog.EngineChase}} {
+		run  func(opts pipeline.Options) (derived, out int, err error)
+	}{
+		{"pipeline", func(opts pipeline.Options) (int, int, error) {
+			s, err := pipeline.New(prog, opts)
+			if err != nil {
+				return 0, 0, err
+			}
+			if err := s.Run(context.Background(), facts); err != nil {
+				return 0, 0, err
+			}
+			return s.Derivations(), len(s.Output("out")), nil
+		}},
+		{"chase", func(opts chase.Options) (int, int, error) {
+			res, err := chase.Run(context.Background(), prog, facts, opts)
+			if err != nil {
+				return 0, 0, err
+			}
+			return res.Derivations, len(res.Output("out")), nil
+		}},
+	}
+	for _, eng := range engines {
+		derived := map[bool]int{} // per planner setting: same bytes, same count
 		for _, plan := range []bool{true, false} {
-			opts := vadalog.Options{Engine: eng.eng, DisablePlanner: !plan}
+			opts := pipeline.Options{DisablePlanner: !plan}
 			b.Run(fmt.Sprintf("%s/plan=%v", eng.name, plan), func(b *testing.B) {
+				var d, out int
 				for i := 0; i < b.N; i++ {
-					runOnce(b, src, facts, "out", &opts)
+					var err error
+					if d, out, err = eng.run(opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(out), "output-facts")
+				b.ReportMetric(float64(d), "derived-facts")
+				derived[plan] = d
+				if other, ok := derived[!plan]; ok && other != d {
+					b.Fatalf("planner on and off derive different facts: %d vs %d", derived[true], derived[false])
 				}
 			})
 		}
 	}
-}
-
-// BenchmarkAblation_DynamicIndex isolates the slot machine join's dynamic
-// indexing.
-func BenchmarkAblation_DynamicIndex(b *testing.B) {
-	companies := int(20_000 * benchScale())
-	if companies < 300 {
-		companies = 300
-	}
-	data := dbpedia.Generate(dbpedia.Config{Companies: companies, Persons: companies * 4,
-		KeyPersonRate: 1.2, ControlRate: 0.35, Seed: 7})
-	b.Run("on", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runOnce(b, dbpedia.PSCProgram, data.All(), "psc", nil)
-		}
-	})
-	b.Run("off", func(b *testing.B) {
-		opts := vadalog.Options{DisableDynamicIndex: true}
-		for i := 0; i < b.N; i++ {
-			runOnce(b, dbpedia.PSCProgram, data.All(), "psc", &opts)
-		}
-	})
 }
 
 // BenchmarkAblation_Pruning isolates the lifted linear forest (horizontal
@@ -775,7 +775,7 @@ func BenchmarkScenario_IWarded(b *testing.B) {
 	})
 	b.Run("chase", func(b *testing.B) {
 		r, err := vadalog.Compile(vadalog.MustParse(g.Source),
-			&vadalog.Options{Engine: vadalog.EngineChase, DisablePlanner: benchNoPlan()})
+			&vadalog.Options{Engine: vadalog.EngineChase})
 		if err != nil {
 			b.Fatal(err)
 		}

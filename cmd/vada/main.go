@@ -21,8 +21,6 @@
 //	-timeout D                 wall-clock bound (e.g. 30s); on expiry the
 //	                           partial result derived so far is printed
 //	                           and vada exits 4
-//	-noplan                    disable the cost-based join planner
-//	                           (static schedules; results are identical)
 //	-explain                   after the run, print the access plan with
 //	                           the chosen join orders and their estimates
 //	                           to stderr
@@ -326,7 +324,6 @@ func cmdRun(args []string) {
 	policy := fs.String("policy", "full", "full|nosummary|trivial|restricted|skolem")
 	maxDer := fs.Int("max", 0, "derivation budget (0 = default)")
 	timeout := fs.Duration("timeout", 0, "wall-clock bound; on expiry print the partial result and exit 4 (0 = none)")
-	noplan := fs.Bool("noplan", false, "disable the cost-based join planner")
 	explain := fs.Bool("explain", false, "print the access plan with chosen join orders after the run")
 	phases := fs.Bool("phases", false, "print the match/admit wall-time split after the run")
 	var extraFacts, printPreds, bindOverrides multiFlag
@@ -358,7 +355,7 @@ exit codes:
 		}
 	}
 
-	opts := &vadalog.Options{MaxDerivations: *maxDer, PhaseTiming: *phases, DisablePlanner: *noplan}
+	opts := &vadalog.Options{MaxDerivations: *maxDer, PhaseTiming: *phases}
 	switch *engine {
 	case "pipeline":
 		opts.Engine = vadalog.EnginePipeline

@@ -10,11 +10,11 @@
 // buffered matches — lives here, once.
 //
 // Compiled is the compile-time half (rewrite, warded analysis, per-rule
-// plans); Core is the per-run half (database, policy, meter, aggregate
-// state). An engine hands NewCore one hook, called with every fact that
-// was stored or replaced in place, and schedules from it: the chase
-// appends to its delta queue, the pipeline wakes its buffers. The core
-// never learns which engine drives it.
+// plans); Core is the per-run half (database, policy, meter, join planner,
+// aggregate state). An engine hands NewCore one hook, called with every
+// fact that was stored or replaced in place, and schedules from it: the
+// chase appends to its delta queue, the pipeline wakes its buffers. The
+// core never learns which engine drives it.
 package admit
 
 import (
@@ -27,6 +27,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/lint"
+	"repro/internal/planner"
 	"repro/internal/rewrite"
 	"repro/internal/storage"
 	"repro/internal/term"
@@ -46,23 +47,28 @@ var ErrBudget = errors.New("admit: derivation budget exceeded")
 // DefaultBudget caps admitted facts when Config.MaxDerivations is unset.
 const DefaultBudget = 10_000_000
 
-// Config is what both engines' Options say about compilation and
-// admission; scheduling knobs stay with the engines.
+// Config is the one option set of both engines (chase.Options and
+// pipeline.Options are aliases of it): what compilation, admission and join
+// planning need to know. The zero value is the production configuration.
 type Config struct {
-	// Rewrite selects the logic-optimizer passes; nil means
-	// rewrite.DefaultOptions().
-	Rewrite *rewrite.Options
 	// RequireWarded makes Compile fail when the rewritten program is not
 	// warded instead of proceeding best-effort.
 	RequireWarded bool
 	// MaxDerivations caps admitted facts (0 = 10_000_000).
 	MaxDerivations int
 	// NewPolicy overrides the termination policy (nil = the full strategy
-	// of Algorithm 1, with DisableSummary turning off horizontal pruning).
-	NewPolicy      func(*analysis.Result) core.Policy
-	DisableSummary bool
-	// DisableDynamicIndex makes every lookup scan (ablation).
-	DisableDynamicIndex bool
+	// of Algorithm 1). Baselines live in internal/baseline.
+	NewPolicy func(*analysis.Result) core.Policy
+	// DisablePlanner turns off the cost-based join planner (and with it the
+	// chase's common-subexpression body sharing): every firing runs the
+	// static bound-count schedule compiled into its rule. Candidates are
+	// admitted in canonical order either way, so the database is
+	// byte-identical with the planner on or off; the planner-off run is the
+	// reference of the digest tests and of BenchmarkAblation_SkewJoin.
+	DisablePlanner bool
+	// PhaseTiming switches on the pipeline's per-firing clocks behind its
+	// Session.PhaseStats. The chase times its batches whatever it says.
+	PhaseTiming bool
 }
 
 // Compiled is the immutable compile-time artifact both engines build
@@ -87,11 +93,7 @@ type Compiled struct {
 // Compile runs rewriting, wardedness analysis and rule compilation on
 // prog.
 func Compile(prog *ast.Program, cfg Config) (*Compiled, error) {
-	rwOpts := rewrite.DefaultOptions()
-	if cfg.Rewrite != nil {
-		rwOpts = *cfg.Rewrite
-	}
-	rw, err := rewrite.Apply(prog, rwOpts)
+	rw, err := rewrite.Apply(prog, rewrite.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -148,6 +150,9 @@ func Compile(prog *ast.Program, cfg Config) (*Compiled, error) {
 	return p, nil
 }
 
+// Config returns the options p was compiled with, MaxDerivations resolved.
+func (p *Compiled) Config() Config { return p.cfg }
+
 // negates reports whether some rule of p has a negated body atom.
 func negates(p *ast.Program) bool {
 	for _, r := range p.Rules {
@@ -162,15 +167,16 @@ func negates(p *ast.Program) bool {
 
 // Core is the per-run admission state over a shared Compiled: it owns the
 // database, the termination policy, the null substitution, the derivation
-// meter and the per-rule aggregate state, and is the only code that
-// mutates them. For use by a single goroutine.
+// meter, the join planner and the per-rule aggregate state, and is the only
+// code that mutates them. For use by a single goroutine.
 type Core struct {
 	p     *Compiled
 	db    *storage.Database
 	strat core.Policy
 	subst *eval.NullSubst
 	meter *core.Meter
-	mt    eval.Matcher // existential instantiation only
+	pl    *planner.Planner // nil under Config.DisablePlanner
+	mt    eval.Matcher     // existential instantiation only
 	aggs  []*eval.AggState
 	// headRels caches, per rule and head, the relation emitHeads admits
 	// into: resolved by name on the first emission, never dropped after.
@@ -195,8 +201,9 @@ type Core struct {
 	twinKeys []uint32
 }
 
-// NewCore derives fresh run-time state over p. onAdmit is called, on the
-// admitting goroutine, with every fact stored or replaced in place.
+// NewCore derives fresh run-time state over p — database, policy, meter,
+// join planner, aggregate state. onAdmit is called, on the admitting
+// goroutine, with every fact stored or replaced in place.
 func (p *Compiled) NewCore(onAdmit func(m *core.FactMeta)) *Core {
 	c := &Core{
 		p:       p,
@@ -208,12 +215,10 @@ func (p *Compiled) NewCore(onAdmit func(m *core.FactMeta)) *Core {
 	if p.cfg.NewPolicy != nil {
 		c.strat = p.cfg.NewPolicy(p.Res)
 	} else {
-		full := core.NewStrategy(p.Res)
-		full.DisableSummary = p.cfg.DisableSummary
-		c.strat = full
+		c.strat = core.NewStrategy(p.Res)
 	}
-	if p.cfg.DisableDynamicIndex {
-		c.db.DisableIndexes()
+	if !p.cfg.DisablePlanner {
+		c.pl = planner.New(planner.LiveCatalog{DB: c.db, Meter: c.meter})
 	}
 	c.mt.DB = c.db
 	nHeads := 0
@@ -238,6 +243,11 @@ func (c *Core) DB() *storage.Database { return c.db }
 
 // Strategy exposes the termination policy for its statistics.
 func (c *Core) Strategy() core.Policy { return c.strat }
+
+// Planner exposes the run's cost-based join planner, which derives
+// schedules from the live statistics of DB; nil under Config.DisablePlanner,
+// when every firing runs its rule's static schedule.
+func (c *Core) Planner() *planner.Planner { return c.pl }
 
 // Subst exposes the EGD null substitution.
 func (c *Core) Subst() *eval.NullSubst { return c.subst }

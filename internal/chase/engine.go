@@ -27,7 +27,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/fault"
-	"repro/internal/planner"
 	"repro/internal/rewrite"
 	"repro/internal/storage"
 	"repro/internal/term"
@@ -45,31 +44,9 @@ var (
 	ErrBudget       = admit.ErrBudget
 )
 
-// Options configures a reasoning run.
-type Options struct {
-	// Rewrite selects the logic-optimizer passes; zero value means
-	// rewrite.DefaultOptions().
-	Rewrite *rewrite.Options
-	// DisableSummary turns off horizontal pruning (lifted linear forest)
-	// for ablations.
-	DisableSummary bool
-	// MaxDerivations caps admitted facts (0 = 10_000_000).
-	MaxDerivations int
-	// RequireWarded makes Run fail when the (rewritten) program is not
-	// warded instead of proceeding best-effort.
-	RequireWarded bool
-	// NewPolicy overrides the termination policy (nil = the full strategy
-	// of Algorithm 1). Baselines live in internal/baseline.
-	NewPolicy func(*analysis.Result) core.Policy
-	// DisableDynamicIndex turns off the slot machine join's dynamic
-	// in-memory indexing (ablation): lookups scan.
-	DisableDynamicIndex bool
-	// DisablePlanner turns off the cost-based join planner and its CSE
-	// body sharing: every firing runs the static bound-count schedule
-	// compiled into the rule. Candidates are still admitted in canonical
-	// order, so output is byte-identical with the planner on or off.
-	DisablePlanner bool
-}
+// Options configures a reasoning run: the admission core's one option set
+// (admit.Config). The chase times its batches whatever PhaseTiming says.
+type Options = admit.Config
 
 // Result is the outcome of a reasoning run.
 type Result struct {
@@ -100,7 +77,6 @@ func (r *Result) Output(pred string) []ast.Fact {
 // state with NewEngine.
 type Compiled struct {
 	*admit.Compiled // rewritten program, analysis, per-rule plans
-	opts            Options
 
 	// byPred maps predicate -> (rule idx, pos idx) pairs for delta pinning.
 	byPred map[string][][2]int
@@ -125,18 +101,11 @@ type cseGroup struct {
 // Compile runs rewriting, wardedness analysis and rule compilation on
 // prog and returns the shareable artifact.
 func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
-	ac, err := admit.Compile(prog, admit.Config{
-		Rewrite:             opts.Rewrite,
-		RequireWarded:       opts.RequireWarded,
-		MaxDerivations:      opts.MaxDerivations,
-		NewPolicy:           opts.NewPolicy,
-		DisableSummary:      opts.DisableSummary,
-		DisableDynamicIndex: opts.DisableDynamicIndex,
-	})
+	ac, err := admit.Compile(prog, opts)
 	if err != nil {
 		return nil, err
 	}
-	c := &Compiled{Compiled: ac, opts: opts, byPred: make(map[string][][2]int)}
+	c := &Compiled{Compiled: ac, byPred: make(map[string][][2]int)}
 	for i, cr := range c.Rules {
 		for pi, a := range cr.Pos {
 			c.byPred[a.Pred] = append(c.byPred[a.Pred], [2]int{i, pi})
@@ -230,10 +199,8 @@ type Engine struct {
 	tasks   []task
 	results []eval.BindingLog
 
-	// pl derives cost-based schedules from live statistics (nil when
-	// Options.DisablePlanner). batchSteps[ti] is task ti's schedule for the
-	// current batch (nil = the static schedule).
-	pl         *planner.Planner
+	// batchSteps[ti] is task ti's schedule for the current batch, derived by
+	// the core's planner (nil = the static schedule).
 	batchSteps [][]eval.Step
 	planSeen   map[[2]int][]eval.Step
 	cseSeen    map[cseSeenKey]int
@@ -274,9 +241,6 @@ func (c *Compiled) NewEngine() *Engine {
 	e := &Engine{c: c}
 	e.Core = c.NewCore(e.enqueue)
 	e.mt = &eval.Matcher{DB: e.DB()}
-	if !c.opts.DisablePlanner {
-		e.pl = planner.New(planner.LiveCatalog{DB: e.DB(), Meter: e.Meter()})
-	}
 	e.planSeen = make(map[[2]int][]eval.Step)
 	e.cseSeen = make(map[cseSeenKey]int)
 	for _, cr := range c.Rules {
@@ -497,7 +461,8 @@ func (e *Engine) planBatch() {
 	for ti := range e.batchSteps {
 		e.batchSteps[ti] = nil
 	}
-	if e.pl == nil {
+	pl := e.Planner()
+	if pl == nil {
 		return
 	}
 	clear(e.planSeen)
@@ -514,7 +479,7 @@ func (e *Engine) planBatch() {
 		}
 		steps, ok := e.planSeen[key]
 		if !ok {
-			plan := e.pl.PlanFor(cr, t.pos)
+			plan := pl.PlanFor(cr, t.pos)
 			for _, pr := range plan.Probes {
 				if rel := e.DB().Lookup(pr.Pred); rel != nil {
 					rel.EnsureIndexSized(pr.Mask, pr.Keys)
@@ -686,8 +651,8 @@ func (e *Engine) admitBatch(ctx context.Context) error {
 // recomputations (0, 0 with the planner disabled), and how many firings
 // were served from a CSE-shared body enumeration.
 func (e *Engine) PlannerStats() (derives, replans, sharedFirings int) {
-	if e.pl != nil {
-		derives, replans = e.pl.Derives(), e.pl.Replans()
+	if pl := e.Planner(); pl != nil {
+		derives, replans = pl.Derives(), pl.Replans()
 	}
 	return derives, replans, e.shared
 }

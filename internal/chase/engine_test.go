@@ -612,19 +612,19 @@ func TestChaseCancellation(t *testing.T) {
 // planSettings are the join-plan paths a run can take: the cost-based
 // planner with CSE body sharing, the static schedule, and the planner
 // forced to its worst order.
-var planSettings = []string{"default", "noplanner", "worst"}
+var planSettings = []string{"default", "off", "worst"}
 
 // engineFor compiles prog for one of planSettings.
 func engineFor(t *testing.T, prog *ast.Program, setting string, opts Options) *Engine {
 	t.Helper()
-	opts.DisablePlanner = setting == "noplanner"
+	opts.DisablePlanner = setting == "off"
 	c, err := Compile(prog, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", setting, err)
 	}
 	e := c.NewEngine()
 	if setting == "worst" {
-		e.pl.Worst = true
+		e.Planner().Worst = true
 	}
 	return e
 }

@@ -37,7 +37,7 @@ func TestWorstPlanByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := c.NewEngine()
-			e.pl.Worst = true
+			e.Planner().Worst = true
 			res, err := e.Run(context.Background(), sc.facts)
 			if err != nil {
 				t.Fatal(err)
@@ -75,7 +75,7 @@ func TestPlannerSkewOrder(t *testing.T) {
 	cr := e.c.Rules[0]
 	// Pos: src=0 wide=1 narrow=2; pinned on the src delta the planner
 	// must join narrow (est ~1) before wide (est ~400).
-	p := e.pl.PlanFor(cr, 0)
+	p := e.Planner().PlanFor(cr, 0)
 	if len(p.Order) != 2 || p.Order[0] != 2 {
 		t.Fatalf("skew order: %v (ests %v, rows %v), want narrow (atom 2) first",
 			p.Order, p.Est, p.Rows)

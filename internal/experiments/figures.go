@@ -423,10 +423,11 @@ func Figure8(scale float64) (*Table, error) {
 	return t, nil
 }
 
-// Ablations measures the design-choice ablations DESIGN.md calls out:
-// dynamic indexing on/off, horizontal pruning on/off, pipeline vs chase.
+// Ablations measures the design choices README discusses that the public
+// API can select: horizontal pruning on/off (PolicyNoSummary) and pipeline
+// vs chase. The planner's ablation is BenchmarkAblation_SkewJoin.
 func Ablations(scale float64) (*Table, error) {
-	t := &Table{ID: "Ablations", Title: "Design ablations (dynamic index, pruning, engine)"}
+	t := &Table{ID: "Ablations", Title: "Design ablations (pruning, engine)"}
 	companies := int(20_000 * scale)
 	if companies < 300 {
 		companies = 300
@@ -439,8 +440,6 @@ func Ablations(scale float64) (*Table, error) {
 		scenario, system string
 		opts             vadalog.Options
 	}{
-		{"PSC", "index-on", vadalog.Options{}},
-		{"PSC", "index-off", vadalog.Options{DisableDynamicIndex: true}},
 		{"StrongLinks", "summary-on", vadalog.Options{}},
 		{"StrongLinks", "summary-off", vadalog.Options{Policy: vadalog.PolicyNoSummary}},
 		{"PSC", "pipeline", vadalog.Options{Engine: vadalog.EnginePipeline}},

@@ -35,7 +35,7 @@ var frozenSinks = map[string]map[string]string{
 		"restride": "storage", "Freeze": "storage", "EnsureIndex": "storage",
 		"EnsureIndexSized": "storage", "ensureIndexSized": "storage",
 		"extendIndex": "storage", "liveSnapshot": "storage",
-		"SetNoIndex": "storage", "LookupIDs": "storage", "Lookup": "storage",
+		"LookupIDs": "storage", "Lookup": "storage",
 		"LookupCountIDs": "storage", "observeRow": "storage", "internRow": "storage",
 		"InsertPrepared": "storage", "insertRow": "storage",
 		"appendRow": "storage", "InsertEDB": "storage",
@@ -53,8 +53,7 @@ var frozenSinks = map[string]map[string]string{
 	},
 	"Database": {
 		"Insert": "storage", "InsertEDB": "storage", "Rel": "storage",
-		"Freeze": "storage", "DisableIndexes": "storage",
-		"addActive": "storage",
+		"Freeze": "storage", "addActive": "storage",
 	},
 	"Core": {
 		"LoadRow": "admit",

@@ -1,5 +1,5 @@
 // Package parser implements the lexer and recursive-descent parser for the
-// Vadalog surface syntax used throughout this repository (see DESIGN.md).
+// Vadalog surface syntax used throughout this repository (see README).
 package parser
 
 import (

@@ -19,7 +19,6 @@ const constraintHub = "#constraints"
 // deriving cheap per-run state with NewSession.
 type Compiled struct {
 	*admit.Compiled // rewritten program, analysis, per-rule plans
-	opts            Options
 
 	// inline marks rules whose firings bypass the buffered canonical-order
 	// admission path: Skolem assignments in the body mint nulls while
@@ -48,18 +47,11 @@ type Compiled struct {
 // prog and returns the shareable artifact. This is the expensive step:
 // sessions created from the result skip all of it.
 func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
-	ac, err := admit.Compile(prog, admit.Config{
-		Rewrite:             opts.Rewrite,
-		RequireWarded:       opts.RequireWarded,
-		MaxDerivations:      opts.MaxDerivations,
-		NewPolicy:           opts.NewPolicy,
-		DisableSummary:      opts.DisableSummary,
-		DisableDynamicIndex: opts.DisableDynamicIndex,
-	})
+	ac, err := admit.Compile(prog, opts)
 	if err != nil {
 		return nil, err
 	}
-	c := &Compiled{Compiled: ac, opts: opts, producers: make(map[string][]int)}
+	c := &Compiled{Compiled: ac, producers: make(map[string][]int)}
 	superseded := make(map[string]bool)
 	for _, cr := range c.Rules {
 		if cr.Rule.Aggregate == nil {
@@ -96,12 +88,9 @@ func (c *Compiled) NewSession() *Session {
 	s := &Session{
 		c:      c,
 		hubs:   make(map[string]*hub),
-		timing: c.opts.PhaseTiming,
+		timing: c.Config().PhaseTiming,
 	}
 	s.Core = c.NewCore(s.admitted)
-	if !c.opts.DisablePlanner {
-		s.pl = planner.New(planner.LiveCatalog{DB: s.DB(), Meter: s.Meter()})
-	}
 	s.mt = &eval.Matcher{DB: s.DB()}
 	//vadalint:ordered keyed effects only: Rel keeps db.names sorted, hub registration is per-pred
 	for pred, arity := range c.Preds {

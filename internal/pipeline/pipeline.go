@@ -25,13 +25,11 @@ import (
 	"time"
 
 	"repro/internal/admit"
-	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/fault"
 	"repro/internal/planner"
-	"repro/internal/rewrite"
 	"repro/internal/storage"
 	"repro/internal/term"
 )
@@ -48,28 +46,11 @@ var (
 	ErrBudget       = admit.ErrBudget
 )
 
-// Options configures a pipeline session.
-type Options struct {
-	Rewrite        *rewrite.Options
-	DisableSummary bool
-	MaxDerivations int
-	RequireWarded  bool
-	// NewPolicy overrides the termination policy (nil = the full strategy
-	// of Algorithm 1). Baselines live in internal/baseline.
-	NewPolicy func(*analysis.Result) core.Policy
-	// DisableDynamicIndex turns off the slot machine join's dynamic
-	// in-memory indexing (ablation): lookups scan.
-	DisableDynamicIndex bool
-	// DisablePlanner turns off cost-based join planning (ablation): rules
-	// run their static compile-time schedules. Admission order is
-	// canonical either way, so reasoning output is byte-identical with the
-	// planner on or off.
-	DisablePlanner bool
-	// PhaseTiming accumulates the wall-time split between matching and
-	// admission (Session.PhaseStats). Fused firings (inline and short rules)
-	// count as match time.
-	PhaseTiming bool
-}
+// Options configures a pipeline session: the admission core's one option
+// set (admit.Config). PhaseTiming switches on the per-firing clocks behind
+// Session.PhaseStats; fused firings (inline and short rules) count as match
+// time.
+type Options = admit.Config
 
 // stepResult is a filter's answer to a pull: it produced a fact, it cannot
 // right now because of a runtime cycle (cyclic miss), or it is dry (real
@@ -134,11 +115,9 @@ type Session struct {
 	failure  error
 	quiesced bool
 
-	// pl derives cost-based join schedules from live statistics (nil when
-	// Options.DisablePlanner). log and permBuf buffer one firing's
-	// candidate bindings so they are admitted in canonical order
-	// regardless of the join order that enumerated them.
-	pl      *planner.Planner
+	// log and permBuf buffer one firing's candidate bindings so they are
+	// admitted in canonical order regardless of the join order (the core's
+	// planner, or the static schedule) that enumerated them.
 	log     eval.BindingLog
 	permBuf []int32
 
@@ -584,8 +563,8 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 	cr := f.cr
 	inline := s.c.inline[f.idx]
 	steps := cr.Schedule(pos)
-	if s.pl != nil && !inline {
-		p := s.pl.PlanFor(cr, pos)
+	if pl := s.Planner(); pl != nil && !inline {
+		p := pl.PlanFor(cr, pos)
 		steps = p.Steps
 		if f.sized[pos] != p {
 			f.sized[pos] = p
@@ -698,10 +677,6 @@ func (s *Session) Run(ctx context.Context, edb []ast.Fact) error {
 	}
 	return s.Drain(ctx)
 }
-
-// Planner exposes the session's join planner for its statistics and
-// -explain rendering; nil when Options.DisablePlanner.
-func (s *Session) Planner() *planner.Planner { return s.pl }
 
 // Quiesced reports whether the pipeline has reached its fixpoint: no
 // failure is latched and no filter has unconsumed deltas. After an

@@ -27,14 +27,14 @@ func (s *Session) Plan() string { return s.c.Plan() }
 // renders the plain plan.
 func (s *Session) Explain() string {
 	var annotate func(ri int, cr *eval.CompiledRule) []string
-	if s.pl != nil {
+	if pl := s.Planner(); pl != nil {
 		annotate = func(ri int, cr *eval.CompiledRule) []string {
 			if s.c.inline[ri] {
 				return []string{"static schedule (inline rule)"}
 			}
 			lines := make([]string, 0, len(cr.Pos))
 			for pi := range cr.Pos {
-				lines = append(lines, s.pl.Describe(cr, pi))
+				lines = append(lines, pl.Describe(cr, pi))
 			}
 			return lines
 		}

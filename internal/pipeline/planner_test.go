@@ -64,7 +64,7 @@ func runSession(t *testing.T, src string, facts []ast.Fact, opts Options, worst 
 		t.Fatal(err)
 	}
 	if worst {
-		s.pl.Worst = true
+		s.Planner().Worst = true
 	}
 	if err := s.Run(context.Background(), facts); err != nil {
 		t.Fatalf("run: %v", err)

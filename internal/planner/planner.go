@@ -108,19 +108,21 @@ type planKey struct {
 	pinned int
 }
 
+// driftFactor and minDrift control adaptive re-planning: a cached plan is
+// recomputed when some body relation's live-row count has grown or shrunk
+// by more than driftFactor× since the plan was derived, provided the
+// absolute change is at least minDrift rows (tiny relations churn ratios
+// without changing any good order).
+const (
+	driftFactor = 2
+	minDrift    = 16
+)
+
 // Planner derives and caches plans against a statistics catalog. A
 // Planner is not safe for concurrent use: one belongs to one engine
 // session.
 type Planner struct {
 	cat Catalog
-
-	// DriftFactor and MinDrift control adaptive re-planning: a cached
-	// plan is recomputed when some body relation's live-row count has
-	// grown or shrunk by more than DriftFactor× since the plan was
-	// derived, provided the absolute change is at least MinDrift rows
-	// (tiny relations churn ratios without changing any good order).
-	DriftFactor float64
-	MinDrift    int
 
 	// Worst inverts the cost objective: the planner picks the largest
 	// estimated intermediate at every step. A deliberately terrible
@@ -133,9 +135,9 @@ type Planner struct {
 	replans int
 }
 
-// New returns a Planner over cat with default re-planning thresholds.
+// New returns a Planner over cat.
 func New(cat Catalog) *Planner {
-	return &Planner{cat: cat, DriftFactor: 2, MinDrift: 16, plans: make(map[planKey]*Plan)}
+	return &Planner{cat: cat, plans: make(map[planKey]*Plan)}
 }
 
 // Derives returns how many plans were computed from scratch; Replans
@@ -172,10 +174,6 @@ func (pl *Planner) PlanFor(cr *eval.CompiledRule, pinned int) *Plan {
 // drifted reports whether some body relation's live size moved past the
 // re-planning threshold since p was derived.
 func (pl *Planner) drifted(cr *eval.CompiledRule, p *Plan) bool {
-	f := pl.DriftFactor
-	if f < 1 {
-		f = 1
-	}
 	for i := range cr.Pos {
 		was := p.Rows[i]
 		st, _ := pl.cat.RelStats(cr.Pos[i].Pred)
@@ -184,10 +182,10 @@ func (pl *Planner) drifted(cr *eval.CompiledRule, p *Plan) bool {
 		if diff < 0 {
 			diff = -diff
 		}
-		if diff < pl.MinDrift {
+		if diff < minDrift {
 			continue
 		}
-		if float64(cur) > float64(was)*f || float64(was) > float64(cur)*f {
+		if cur > was*driftFactor || was > cur*driftFactor {
 			return true
 		}
 	}

@@ -1,10 +1,7 @@
 // Package rewrite implements the logic optimizer of paper Sec. 4 (step 1):
 // multiple-head elimination, confinement of existential quantification to
-// linear rules, and the Harmful Joins Elimination of Sec. 3.2. The static
-// elimination (grounding + direct/indirect cause unfolding + Skolem
-// simplification) is implemented in hje.go; this file provides the
-// elementary rewritings and the dynamic (tag-twin) elimination that the
-// engines use by default.
+// linear rules, and the Harmful Joins Elimination of Sec. 3.2 in its
+// dynamic (tag-twin) form, which both engines run.
 package rewrite
 
 import (

@@ -1,7 +1,6 @@
 package rewrite
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -82,75 +81,6 @@ func TestDynamicHJENoChange(t *testing.T) {
 	}
 }
 
-// TestStaticHJENonRecursive runs the paper's static algorithm on a
-// non-recursive cause structure and checks the result is harmless.
-func TestStaticHJENonRecursive(t *testing.T) {
-	prog := parser.MustParse(`
-		company(X) -> psc(X, P).
-		keyPerson(X,P) -> psc(X,P).
-		psc(X,P), psc(Y,P), X > Y -> strongLink(X,Y).
-	`)
-	out, err := EliminateHarmfulJoinsStatic(prog, 0)
-	if err != nil {
-		t.Fatalf("static HJE: %v", err)
-	}
-	res := analysis.Analyze(out)
-	for _, ri := range res.Rules {
-		if ri.HasHarmfulJoin {
-			t.Errorf("harmful join survives: %s", ri.Rule)
-		}
-	}
-	// The grounding step must have produced a dom-guarded copy.
-	found := false
-	for _, r := range out.Rules {
-		if len(r.DomVars) > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("grounding step missing (no dom-guarded rule)")
-	}
-}
-
-// TestStaticHJERecursiveGivesUp: recursive causes exceed the budget and
-// report an error (callers then use the dynamic elimination).
-func TestStaticHJERecursiveGivesUp(t *testing.T) {
-	prog := parser.MustParse(`
-		company(X) -> psc(X, P).
-		control(Y,X), psc(Y,P) -> psc(X,P).
-		psc(X,P), psc(Y,P), X > Y -> strongLink(X,Y).
-	`)
-	_, err := EliminateHarmfulJoinsStatic(prog, 50)
-	if err == nil {
-		t.Skip("static HJE handled the recursive case (folding not required)")
-	}
-	if !strings.Contains(err.Error(), "budget") {
-		t.Errorf("expected budget error, got: %v", err)
-	}
-}
-
-// TestStaticHJESkolemSimplification: a direct cause whose Skolem term
-// would need to equal a constant yields a virtual join (dropped).
-func TestStaticHJEVirtualJoin(t *testing.T) {
-	prog := parser.MustParse(`
-		company(X) -> psc(X, P).
-		psc(X,P), psc(Y,P), X > Y -> strongLink(X,Y).
-	`)
-	out, err := EliminateHarmfulJoinsStatic(prog, 0)
-	if err != nil {
-		t.Fatalf("static HJE: %v", err)
-	}
-	// The composed rule psc'(X,f(X)), psc(Y,f(X)) linearizes by
-	// injectivity: X=Y, contradicting X > Y at runtime — but the rewrite
-	// must at least terminate and stay harmless.
-	res := analysis.Analyze(out)
-	for _, ri := range res.Rules {
-		if ri.HasHarmfulJoin {
-			t.Errorf("harmful join survives: %s", ri.Rule)
-		}
-	}
-}
-
 func TestApplyDefaultPipeline(t *testing.T) {
 	prog := parser.MustParse(`
 		incorp(X,Y) -> own(Z, X), own(Z, Y).
@@ -181,17 +111,5 @@ func TestApplyDefaultPipeline(t *testing.T) {
 		if r.ID != i {
 			t.Errorf("rule %d has ID %d", i, r.ID)
 		}
-	}
-}
-
-func TestRuleSignatureAlphaEquivalence(t *testing.T) {
-	r1 := parser.MustParse(`p(X,Y), q(Y,Z) -> r(X,Z).`).Rules[0]
-	r2 := parser.MustParse(`p(A,B), q(B,C) -> r(A,C).`).Rules[0]
-	r3 := parser.MustParse(`p(A,B), q(C,B) -> r(A,C).`).Rules[0]
-	if ruleSignature(r1) != ruleSignature(r2) {
-		t.Error("alpha-equivalent rules must share a signature")
-	}
-	if ruleSignature(r1) == ruleSignature(r3) {
-		t.Error("different rules must not share a signature")
 	}
 }

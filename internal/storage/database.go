@@ -25,7 +25,6 @@ type Database struct {
 	// value interned as id is an EDB constant); activeLen counts its bits.
 	activeDom []uint64
 	activeLen int
-	noIndex   bool
 	shards    int // pre-pass partitions recorded on every relation (0 = 1)
 }
 
@@ -40,15 +39,6 @@ func NewDatabase() *Database {
 
 // Interner returns the database-wide symbol table.
 func (db *Database) Interner() *Interner { return db.in }
-
-// DisableIndexes makes every relation (present and future) scan instead
-// of using dynamic indexes — the slot-machine-join ablation.
-func (db *Database) DisableIndexes() {
-	db.noIndex = true
-	for _, name := range db.names {
-		db.rels[name].SetNoIndex(true)
-	}
-}
 
 // SetShards records on every relation (present and future) the partition
 // count of the pre-pass kernel (shard.go, with which it leaves). Rounded
@@ -66,7 +56,6 @@ func (db *Database) Rel(pred string, arity int) *Relation {
 	r := db.rels[pred]
 	if r == nil {
 		r = NewRelationInterned(pred, arity, db.in)
-		r.SetNoIndex(db.noIndex)
 		if db.shards > 1 {
 			r.SetShards(db.shards)
 		}

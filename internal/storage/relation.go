@@ -102,7 +102,6 @@ type Relation struct {
 	// extended lazily to cover facts appended since the last probe —
 	// the "dynamic indexing" of the slot machine join.
 	indexes map[uint32]*dynIndex
-	noIndex bool
 
 	// log is the delta stream consumed by cursor-based engines: nil means
 	// "identical to row order". It is materialized by the first Replace,
@@ -566,10 +565,6 @@ func (r *Relation) restride(arity int) {
 	r.replBuf = nil
 }
 
-// NoIndex disables dynamic indexing for this relation: every Lookup scans
-// (the ablation baseline for the slot machine join).
-func (r *Relation) SetNoIndex(v bool) { r.noIndex = v }
-
 // maskedEqual reports whether the masked positions of stored row ri
 // equal the corresponding positions of probe.
 func (r *Relation) maskedEqual(ri int, mask uint32, probe []uint32) bool {
@@ -598,9 +593,6 @@ func (r *Relation) maskedEqual(ri int, mask uint32, probe []uint32) bool {
 func (r *Relation) LookupIDs(mask uint32, probe []uint32) []int32 {
 	if mask == 0 {
 		return r.liveSnapshot()
-	}
-	if r.noIndex {
-		return r.scanMasked(mask, probe)
 	}
 	ix := r.ensureIndexSized(mask, 0)
 	ix.hits++
@@ -673,18 +665,6 @@ func (r *Relation) filterBucket(bucket []int32, mask uint32, probe []uint32) []i
 	return bucket
 }
 
-// scanMasked is the index-free probe: a full scan verifying the masked
-// positions of every live row.
-func (r *Relation) scanMasked(mask uint32, probe []uint32) []int32 {
-	var out []int32
-	for i := range r.metas {
-		if !r.metas[i].Retracted && r.maskedEqual(i, mask, probe) {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}
-
 // Freeze extends every dynamic index and the live-row cache over all
 // stored rows (see Database.Freeze).
 func (r *Relation) Freeze() {
@@ -696,10 +676,9 @@ func (r *Relation) Freeze() {
 }
 
 // EnsureIndex builds (or extends to full coverage) the dynamic index for
-// mask without probing it. A no-op for the trivial mask and under
-// SetNoIndex.
+// mask without probing it. A no-op for the trivial mask.
 func (r *Relation) EnsureIndex(mask uint32) {
-	if mask == 0 || r.noIndex {
+	if mask == 0 {
 		return
 	}
 	r.ensureIndexSized(mask, 0)
@@ -711,7 +690,7 @@ func (r *Relation) EnsureIndex(mask uint32) {
 // once instead of growing through rehashes. The hint is ignored for an
 // already existing index.
 func (r *Relation) EnsureIndexSized(mask uint32, sizeHint int) {
-	if mask == 0 || r.noIndex {
+	if mask == 0 {
 		return
 	}
 	r.ensureIndexSized(mask, sizeHint)

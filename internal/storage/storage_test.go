@@ -113,21 +113,6 @@ func TestLookupMatchesScan(t *testing.T) {
 	}
 }
 
-func TestNoIndexMode(t *testing.T) {
-	r := NewRelation("p", 2)
-	r.SetNoIndex(true)
-	for i := 0; i < 20; i++ {
-		r.Insert(meta("p", term.Int(int64(i%5)), term.Int(int64(i))))
-	}
-	rows := r.Lookup(1, []term.Value{term.Int(2), {}})
-	if len(rows) != 4 {
-		t.Fatalf("scan rows: %d", len(rows))
-	}
-	if r.IndexCount() != 0 {
-		t.Fatal("no index must be built in no-index mode")
-	}
-}
-
 func TestDatabaseActiveDomain(t *testing.T) {
 	db := NewDatabase()
 	strat := &fakePolicy{}

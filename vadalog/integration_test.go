@@ -72,7 +72,6 @@ func TestRandomScenarioPolicyAgreement(t *testing.T) {
 		}{
 			{"chase", Options{Engine: EngineChase}},
 			{"nosummary", Options{Policy: PolicyNoSummary}},
-			{"noindex", Options{DisableDynamicIndex: true}},
 		}
 		if harmful == 0 {
 			// The trivial global isomorphism check is only complete on

@@ -7,11 +7,11 @@ import (
 	"iter"
 	"strings"
 
+	"repro/internal/admit"
 	"repro/internal/ast"
 	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/pipeline"
-	"repro/internal/rewrite"
 )
 
 // ErrNotRun is returned by Session.Result when the session has not been
@@ -38,8 +38,7 @@ type Reasoner struct {
 }
 
 // Compile compiles prog into a shareable Reasoner. opts == nil selects
-// the defaults (pipeline engine, full termination strategy, default
-// rewriting).
+// the defaults (pipeline engine, full termination strategy).
 func Compile(prog *Program, opts *Options) (*Reasoner, error) {
 	o := Options{}
 	if opts != nil {
@@ -70,23 +69,15 @@ func Compile(prog *Program, opts *Options) (*Reasoner, error) {
 		return nil, err
 	}
 	r.binds = binds
-	var rw *rewrite.Options
-	if o.DisableRewriting {
-		rw = &rewrite.Options{}
+	cfg := admit.Config{
+		RequireWarded:  o.RequireWarded,
+		MaxDerivations: o.MaxDerivations,
+		NewPolicy:      newPolicy(o.Policy),
+		PhaseTiming:    o.PhaseTiming,
 	}
-	newPolicy, disableSummary := policyFactory(o.Policy)
 	switch o.Engine {
 	case EnginePipeline:
-		plc, err := pipeline.Compile(prog, pipeline.Options{
-			Rewrite:             rw,
-			MaxDerivations:      o.MaxDerivations,
-			RequireWarded:       o.RequireWarded,
-			NewPolicy:           newPolicy,
-			DisableSummary:      disableSummary,
-			DisableDynamicIndex: o.DisableDynamicIndex,
-			DisablePlanner:      o.DisablePlanner,
-			PhaseTiming:         o.PhaseTiming,
-		})
+		plc, err := pipeline.Compile(prog, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -97,15 +88,7 @@ func Compile(prog *Program, opts *Options) (*Reasoner, error) {
 			return s
 		}
 	case EngineChase:
-		chc, err := chase.Compile(prog, chase.Options{
-			Rewrite:             rw,
-			MaxDerivations:      o.MaxDerivations,
-			RequireWarded:       o.RequireWarded,
-			NewPolicy:           newPolicy,
-			DisableSummary:      disableSummary,
-			DisableDynamicIndex: o.DisableDynamicIndex,
-			DisablePlanner:      o.DisablePlanner,
-		})
+		chc, err := chase.Compile(prog, cfg)
 		if err != nil {
 			return nil, err
 		}

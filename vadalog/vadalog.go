@@ -103,8 +103,10 @@ const (
 )
 
 // Options tunes a session. The zero value (or nil) gives the production
-// configuration: pipeline engine, full termination strategy, default
-// rewriting.
+// configuration: pipeline engine, full termination strategy. The fields
+// choose what is computed and from where (engine, policy, budget, checks,
+// drivers, retries) and what is reported. There are no ablation switches:
+// harmful-join rewriting, dynamic indexing and the join planner always run.
 type Options struct {
 	Engine Engine
 	Policy Policy
@@ -113,17 +115,6 @@ type Options struct {
 	MaxDerivations int
 	// RequireWarded fails session creation when the program is not warded.
 	RequireWarded bool
-	// DisableRewriting skips the logic optimizer (harmful joins are then
-	// evaluated directly over Skolem nulls; termination guarantees weaken).
-	DisableRewriting bool
-	// DisableDynamicIndex turns off the slot machine join's dynamic
-	// indexing (ablation benchmarks).
-	DisableDynamicIndex bool
-	// DisablePlanner turns off the cost-based join planner (ablation
-	// benchmarks): rules run the static schedules compiled into them and
-	// common-subexpression body sharing is off. Admitted facts are
-	// byte-identical either way; only evaluation order and speed change.
-	DisablePlanner bool
 	// Lint collects the structured diagnostics of the static analysis
 	// layer (wardedness, stratification, arity, dead rules, type
 	// conflicts — see Reasoner.Diagnostics) at compile time. Lint is
@@ -301,18 +292,24 @@ type Session struct {
 	progLoaded bool           // inline program facts admitted ahead of bound inputs
 }
 
-func policyFactory(p Policy) (func(*analysis.Result) core.Policy, bool) {
+// newPolicy returns the admission core's policy factory for p; nil selects
+// the full strategy of Algorithm 1.
+func newPolicy(p Policy) func(*analysis.Result) core.Policy {
 	switch p {
 	case PolicyNoSummary:
-		return nil, true
+		return func(res *analysis.Result) core.Policy {
+			s := core.NewStrategy(res)
+			s.DisableSummary = true
+			return s
+		}
 	case PolicyTrivialIso:
-		return func(res *analysis.Result) core.Policy { return baseline.NewTrivialIso(res) }, false
+		return func(res *analysis.Result) core.Policy { return baseline.NewTrivialIso(res) }
 	case PolicyRestricted:
-		return func(res *analysis.Result) core.Policy { return baseline.NewRestrictedHom(res) }, false
+		return func(res *analysis.Result) core.Policy { return baseline.NewRestrictedHom(res) }
 	case PolicySkolem:
-		return func(res *analysis.Result) core.Policy { return baseline.NewSkolemChase(res) }, false
+		return func(res *analysis.Result) core.Policy { return baseline.NewSkolemChase(res) }
 	default:
-		return nil, false
+		return nil
 	}
 }
 
@@ -401,8 +398,7 @@ func (s *Session) Output(pred string) []Fact { return s.eng.Output(pred) }
 // delta-pinned body atom, with the join order the cost-based planner
 // chooses and the estimates that drove it, against the session's
 // statistics at call time: before Run the estimates reflect an empty
-// database, after Run the orders the fixpoint converged on. With
-// Options.DisablePlanner the plain plan is rendered.
+// database, after Run the orders the fixpoint converged on.
 func (s *Session) Explain() string { return s.eng.Explain() }
 
 // Result returns the session's reasoning result — a view of the session's

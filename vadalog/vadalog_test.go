@@ -227,20 +227,41 @@ func TestStrategyStatsExposed(t *testing.T) {
 	}
 }
 
-func TestDisableRewriting(t *testing.T) {
+// TestNoSummaryPolicyReachesStrategy: PolicyNoSummary turns horizontal
+// pruning off inside the strategy, on both engines. The answers agree with
+// PolicyFull either way, so only the summary's pattern count tells them
+// apart: a null-generating recursion learns stop-provenances under the full
+// strategy and none without the summary.
+func TestNoSummaryPolicyReachesStrategy(t *testing.T) {
 	prog := MustParse(`
-		company(X) -> psc(X, P).
-		psc(X,P), psc(Y,P), X != Y -> strongLink(X,Y).
-		@output("strongLink").
+		p(X, N) -> p(X, M).
+		p(X, N), e(X, Y) -> p(Y, N).
+		@output("p").
 	`)
-	sess := newSession(t, prog, &Options{DisableRewriting: true, MaxDerivations: 10_000})
-	sess.Load(MakeFact("company", Str("a")), MakeFact("company", Str("b")))
-	if err := sess.Run(); err != nil {
-		t.Fatal(err)
+	facts := []Fact{
+		MakeFact("p", Str("a"), Str("seed")),
+		MakeFact("e", Str("a"), Str("b")),
+		MakeFact("e", Str("b"), Str("c")),
 	}
-	// Without rewriting the harmful join runs directly over Skolem nulls:
-	// distinct companies get distinct nulls, so no strong links.
-	if n := len(sess.Output("strongLink")); n != 0 {
-		t.Errorf("unexpected strong links: %d", n)
+	for _, eng := range []Engine{EnginePipeline, EngineChase} {
+		patterns := map[Policy]int{}
+		for _, pol := range []Policy{PolicyFull, PolicyNoSummary} {
+			sess := newSession(t, prog, &Options{Engine: eng, Policy: pol, MaxDerivations: 10_000})
+			sess.Load(facts...)
+			if err := sess.Run(); err != nil {
+				t.Fatalf("engine %d policy %d: %v", eng, pol, err)
+			}
+			st, ok := sess.StrategyStats()
+			if !ok {
+				t.Fatalf("engine %d policy %d: no strategy stats", eng, pol)
+			}
+			patterns[pol] = st.Patterns
+		}
+		if patterns[PolicyFull] == 0 {
+			t.Errorf("engine %d: the full strategy learnt no summary pattern", eng)
+		}
+		if patterns[PolicyNoSummary] != 0 {
+			t.Errorf("engine %d: PolicyNoSummary learnt %d summary patterns, want 0", eng, patterns[PolicyNoSummary])
+		}
 	}
 }
