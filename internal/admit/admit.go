@@ -9,9 +9,9 @@
 // metering, storage, tag-twin mirroring and the canonical-order replay of
 // buffered matches — lives here, once.
 //
-// Compiled is the compile-time half (rewrite, warded analysis, per-rule
-// plans); Core is the per-run half (database, policy, meter, join planner,
-// aggregate state). An engine hands NewCore one hook, called with every
+// Compiled is the compile-time half (rewrite, warded analysis, strata,
+// per-rule plans); Core is the per-run half (database, policy, meter, join
+// planner, aggregate state). An engine hands NewCore one hook, called with every
 // fact that was stored or replaced in place, and schedules from it: the
 // chase appends to its delta queue, the pipeline wakes its buffers. The
 // core never learns which engine drives it.
@@ -86,27 +86,25 @@ type Compiled struct {
 	// their enumeration order is part of the result, so both engines match
 	// them fused with admission, on the static schedule.
 	Skolem []bool
+	// Strata maps every predicate of Prog to its stratum when some rule
+	// negates (analysis.Condensation, tag twins derived from their
+	// predicates). Both engines fire a stratum's rules only once the strata
+	// below it are complete. nil means one stratum: no rule negates.
+	Strata map[string]int
 
 	postAgg [][]eval.CCond // per rule: conditions reading the aggregate result
 }
 
 // Compile runs rewriting, wardedness analysis and rule compilation on
-// prog.
+// prog. The analysis is the one rewrite.Apply hands on.
 func Compile(prog *ast.Program, cfg Config) (*Compiled, error) {
 	rw, err := rewrite.Apply(prog, rewrite.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
-	res := analysis.Analyze(rw.Program)
+	res := rw.Analysis
 	if cfg.RequireWarded {
 		if err := lint.RequireWarded(res); err != nil {
-			return nil, fmt.Errorf("admit: %w", err)
-		}
-	}
-	// Negation through recursion has no stratified model to compute. Only a
-	// program that negates pays for the check.
-	if negates(rw.Program) {
-		if _, err := analysis.Stratify(rw.Program); err != nil {
 			return nil, fmt.Errorf("admit: %w", err)
 		}
 	}
@@ -120,6 +118,7 @@ func Compile(prog *ast.Program, cfg Config) (*Compiled, error) {
 		cfg.MaxDerivations = DefaultBudget
 	}
 	p := &Compiled{cfg: cfg, Prog: rw.Program, Res: res, RW: rw, Preds: preds}
+	negates := false
 	for i, r := range rw.Program.Rules {
 		cr, err := eval.Compile(r, res.Rules[i])
 		if err != nil {
@@ -143,27 +142,25 @@ func Compile(prog *ast.Program, cfg Config) (*Compiled, error) {
 		for _, asg := range cr.Assigns {
 			skolem = skolem || asg.IsSkolem
 		}
+		negates = negates || len(cr.Neg) > 0
 		p.Rules = append(p.Rules, cr)
 		p.postAgg = append(p.postAgg, pa)
 		p.Skolem = append(p.Skolem, skolem)
+	}
+	// Only a program that negates pays for the condensation. Negation
+	// through recursion has no stratified model to compute.
+	if negates {
+		g := analysis.Condense(rw.Program, rw.TagPreds)
+		if err := g.Err(); err != nil {
+			return nil, fmt.Errorf("admit: %w", err)
+		}
+		p.Strata = g.Strata()
 	}
 	return p, nil
 }
 
 // Config returns the options p was compiled with, MaxDerivations resolved.
 func (p *Compiled) Config() Config { return p.cfg }
-
-// negates reports whether some rule of p has a negated body atom.
-func negates(p *ast.Program) bool {
-	for _, r := range p.Rules {
-		for _, a := range r.Body {
-			if a.Negated {
-				return true
-			}
-		}
-	}
-	return false
-}
 
 // Core is the per-run admission state over a shared Compiled: it owns the
 // database, the termination policy, the null substitution, the derivation

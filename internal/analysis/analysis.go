@@ -1,8 +1,11 @@
 // Package analysis implements the static analysis of Vadalog programs from
 // Section 2 of the paper: affected positions, the harmless / harmful /
 // dangerous classification of variables, ward detection and the wardedness
-// check, plus the predicate dependency graph with SCC-based recursion
-// detection and stratification of negation.
+// check, plus the condensation of the predicate dependency graph: its
+// strongly connected components in topological order, which of them are
+// recursive, and the least strata of stratified negation, all from one
+// linear-time pass (Condense). The compile, lint and the wardedness report
+// each read that one value.
 package analysis
 
 import (
@@ -323,221 +326,214 @@ func candidateAtoms(r *ast.Rule, v string) []int {
 	return out
 }
 
-// DependencyGraph is the predicate dependency graph: an edge p -> q when
-// some rule has p in the body and q in the head. Negative edges are
-// tracked separately for stratification.
-type DependencyGraph struct {
-	Preds    []string
-	Edges    map[string]map[string]bool // body pred -> head preds
-	NegEdges map[string]map[string]bool // negated body pred -> head preds
+// Condensation is the predicate dependency graph — an edge p -> q when some
+// rule reads p in its body (negated or not) and derives q — condensed into
+// its strongly connected components in one linear pass. Components are
+// numbered in topological order: for every edge p -> q, Comp[p] <= Comp[q],
+// so the predicates a component reads sit in it or in components before it.
+// Every consumer of recursion and stratification reads this one value.
+type Condensation struct {
+	// Preds names the nodes in order of first mention: rule by rule, each
+	// head and then its body atoms, then fact predicates, then tag twins.
+	Preds []string
+	// Comp is each node's component.
+	Comp []int
+	// Recursive reports per component whether it has a cycle: two or more
+	// predicates, or one predicate that reads itself.
+	Recursive []bool
+	// Stratum is each component's stratum: the longest path into it over the
+	// condensation, where a negative edge counts 1 and a positive one 0. The
+	// strata are the least ones that stratify the program.
+	Stratum []int
+	// Unstratified lists, sorted, the negated predicates that stay inside
+	// their own component: negation through recursion, which has no
+	// stratified model.
+	Unstratified []string
+
+	index map[string]int
+	out   [][]Edge // per node, its out-edges in rule order
 }
 
-// BuildDependencyGraph constructs the graph for p.
-func BuildDependencyGraph(p *ast.Program) *DependencyGraph {
-	g := &DependencyGraph{
-		Edges:    make(map[string]map[string]bool),
-		NegEdges: make(map[string]map[string]bool),
-	}
-	predSet := make(map[string]bool)
-	note := func(pred string) {
-		if !predSet[pred] {
-			predSet[pred] = true
-			g.Preds = append(g.Preds, pred)
-		}
-	}
+// Edge is a dependency edge to node To; Neg marks a negated body atom.
+type Edge struct {
+	To  int
+	Neg bool
+}
+
+// Condense builds the condensation of p's dependency graph. twins maps a
+// predicate to its tag twin (rewrite.Result.TagPreds; nil for a program as
+// written): the engine, not a rule, inserts a twin's facts, so each twin is
+// derived from its predicate by an edge of its own.
+func Condense(p *ast.Program, twins map[string]string) *Condensation {
+	c := &Condensation{index: make(map[string]int)}
 	for _, r := range p.Rules {
 		for _, h := range r.Heads {
-			note(h.Pred)
+			hv := c.node(h.Pred)
 			for _, b := range r.Body {
 				if b.Pred == ast.DomPred {
 					continue
 				}
-				note(b.Pred)
-				dst := g.Edges
-				if b.Negated {
-					dst = g.NegEdges
-				}
-				if dst[b.Pred] == nil {
-					dst[b.Pred] = make(map[string]bool)
-				}
-				dst[b.Pred][h.Pred] = true
+				bv := c.node(b.Pred)
+				c.out[bv] = append(c.out[bv], Edge{To: hv, Neg: b.Negated})
 			}
 		}
 	}
 	for _, f := range p.Facts {
-		note(f.Pred)
+		c.node(f.Pred)
 	}
-	sort.Strings(g.Preds)
-	return g
-}
-
-// SCCs returns the strongly connected components of the positive+negative
-// dependency graph using Tarjan's algorithm. Components are emitted
-// downstream-first: every component appears before the components whose
-// facts feed it (a component's successors — the heads it derives — are
-// emitted earlier).
-func (g *DependencyGraph) SCCs() [][]string {
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	var stack []string
-	var sccs [][]string
-	counter := 0
-
-	succ := func(p string) []string {
-		var out []string
-		for q := range g.Edges[p] {
-			out = append(out, q)
+	for v, n := 0, len(c.Preds); v < n; v++ {
+		if twin, ok := twins[c.Preds[v]]; ok {
+			tv := c.node(twin)
+			c.out[v] = append(c.out[v], Edge{To: tv})
 		}
-		for q := range g.NegEdges[p] {
-			out = append(out, q)
-		}
-		sort.Strings(out)
-		return out
 	}
-
-	// Iterative Tarjan to survive deep graphs.
-	type frame struct {
-		node  string
-		succs []string
-		next  int
-	}
-	var strongconnect func(root string)
-	strongconnect = func(root string) {
-		frames := []frame{{node: root, succs: succ(root)}}
-		index[root] = counter
-		low[root] = counter
-		counter++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			advanced := false
-			for f.next < len(f.succs) {
-				w := f.succs[f.next]
-				f.next++
-				if _, seen := index[w]; !seen {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{node: w, succs: succ(w)})
-					advanced = true
-					break
-				} else if onStack[w] && index[w] < low[f.node] {
-					low[f.node] = index[w]
-				}
-			}
-			if advanced {
+	popped := c.tarjan()
+	// Tarjan pops every component after all the components it reaches, so
+	// the pops read backwards visit components in topological order: a
+	// component's stratum is final before it is pushed along its out-edges.
+	c.Stratum = make([]int, len(c.Recursive))
+	bad := make([]bool, len(c.Preds))
+	for i := len(popped) - 1; i >= 0; i-- {
+		v := popped[i]
+		cv := c.Comp[v]
+		for _, e := range c.out[v] {
+			ce := c.Comp[e.To]
+			if ce == cv {
+				c.Recursive[cv] = true
+				bad[v] = bad[v] || e.Neg
 				continue
 			}
-			// Pop f.
-			v := f.node
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := &frames[len(frames)-1]
-				if low[v] < low[parent.node] {
-					low[parent.node] = low[v]
-				}
+			s := c.Stratum[cv]
+			if e.Neg {
+				s++
 			}
-			if low[v] == index[v] {
-				var comp []string
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				sort.Strings(comp)
-				sccs = append(sccs, comp)
-			}
+			c.Stratum[ce] = max(c.Stratum[ce], s)
 		}
 	}
-	for _, p := range g.Preds {
-		if _, seen := index[p]; !seen {
-			strongconnect(p)
+	for v, b := range bad {
+		if b {
+			c.Unstratified = append(c.Unstratified, c.Preds[v])
 		}
 	}
-	return sccs
+	sort.Strings(c.Unstratified)
+	return c
 }
 
-// RecursivePreds returns the predicates involved in recursion: members of
-// a multi-node SCC or with a self-loop.
-func (g *DependencyGraph) RecursivePreds() map[string]bool {
-	rec := make(map[string]bool)
-	for _, comp := range g.SCCs() {
-		if len(comp) > 1 {
-			for _, p := range comp {
-				rec[p] = true
+// node returns pred's node, adding it on first mention.
+func (c *Condensation) node(pred string) int {
+	v, ok := c.index[pred]
+	if !ok {
+		v = len(c.Preds)
+		c.index[pred] = v
+		c.Preds = append(c.Preds, pred)
+		c.out = append(c.out, nil)
+	}
+	return v
+}
+
+// tarjan assigns Comp, numbering components in topological order, sizes
+// Recursive, and returns the nodes in the order Tarjan's algorithm pops
+// them. It is iterative, so deep graphs do not grow the goroutine stack.
+func (c *Condensation) tarjan() []int {
+	n := len(c.Preds)
+	index := make([]int, n) // visit order + 1; 0 = unvisited
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	c.Comp = make([]int, n)
+	stack := make([]int, 0, n)
+	popped := make([]int, 0, n)
+	type frame struct{ v, next int }
+	var frames []frame
+	visited, comps := 0, 0
+	visit := func(v int) {
+		visited++
+		index[v], low[v] = visited, visited
+		stack = append(stack, v)
+		onStack[v] = true
+		frames = append(frames, frame{v: v})
+	}
+	for root := 0; root < n; root++ {
+		if index[root] != 0 {
+			continue
+		}
+		visit(root)
+		for len(frames) > 0 {
+			f := &frames[len(frames)-1]
+			if f.next < len(c.out[f.v]) {
+				w := c.out[f.v][f.next].To
+				f.next++
+				if index[w] == 0 {
+					visit(w)
+				} else if onStack[w] {
+					low[f.v] = min(low[f.v], index[w])
+				}
+				continue
 			}
-		} else if p := comp[0]; g.Edges[p][p] || g.NegEdges[p][p] {
-			rec[p] = true
+			v := f.v
+			frames = frames[:len(frames)-1]
+			if len(frames) > 0 {
+				parent := frames[len(frames)-1].v
+				low[parent] = min(low[parent], low[v])
+			}
+			if low[v] != index[v] {
+				continue
+			}
+			for {
+				w := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				onStack[w] = false
+				c.Comp[w] = comps // reverse topological for now
+				popped = append(popped, w)
+				if w == v {
+					break
+				}
+			}
+			comps++
 		}
 	}
-	return rec
+	for v := range c.Comp {
+		c.Comp[v] = comps - 1 - c.Comp[v]
+	}
+	c.Recursive = make([]bool, comps)
+	return popped
+}
+
+// Out returns node v's out-edges, in rule order.
+func (c *Condensation) Out(v int) []Edge { return c.out[v] }
+
+// InCycle reports whether pred lies on a dependency cycle.
+func (c *Condensation) InCycle(pred string) bool {
+	v, ok := c.index[pred]
+	return ok && c.Recursive[c.Comp[v]]
+}
+
+// Strata maps every node to its stratum.
+func (c *Condensation) Strata() map[string]int {
+	out := make(map[string]int, len(c.Preds))
+	for v, pred := range c.Preds {
+		out[pred] = c.Stratum[c.Comp[v]]
+	}
+	return out
+}
+
+// Err reports negation through recursion, naming the negated predicates in
+// sorted order; nil when the program is stratified.
+func (c *Condensation) Err() error {
+	if len(c.Unstratified) == 0 {
+		return nil
+	}
+	return fmt.Errorf("analysis: negation through recursive predicate %s is not stratified", strings.Join(c.Unstratified, ", "))
 }
 
 // Stratify computes a stratification of the program's predicates under
-// stratified negation: pred -> stratum (0-based). It returns an error when
-// negation occurs inside a recursive cycle.
+// stratified negation: pred -> stratum (0-based), the least strata there
+// are. It returns an error when negation occurs inside a recursive cycle.
 func Stratify(p *ast.Program) (map[string]int, error) {
-	g := BuildDependencyGraph(p)
-	sccs := g.SCCs()
-	comp := make(map[string]int)
-	for i, c := range sccs {
-		for _, pred := range c {
-			comp[pred] = i
-		}
+	c := Condense(p, nil)
+	if err := c.Err(); err != nil {
+		return nil, err
 	}
-	// Negation within an SCC is unstratifiable. The offending negated
-	// predicates are named in sorted order, so the error is the same on
-	// every run.
-	var bad []string
-	for from, tos := range g.NegEdges {
-		for to := range tos {
-			if comp[from] == comp[to] {
-				bad = append(bad, from)
-				break
-			}
-		}
-	}
-	if len(bad) > 0 {
-		sort.Strings(bad)
-		return nil, fmt.Errorf("analysis: negation through recursive predicate %s is not stratified", strings.Join(bad, ", "))
-	}
-	// Longest-path strata over the SCC condensation: stratum(head SCC) ≥
-	// stratum(body SCC), strictly greater across negation. Tarjan emits
-	// downstream components first, so iterate in reverse (bodies before
-	// heads) for a single pass.
-	strata := make([]int, len(sccs))
-	for i := len(sccs) - 1; i >= 0; i-- {
-		s := 0
-		// Consider incoming edges: body pred -> head pred where head in c.
-		for from, tos := range g.Edges {
-			for to := range tos {
-				if comp[to] == i && comp[from] != i && strata[comp[from]] > s {
-					s = strata[comp[from]]
-				}
-			}
-		}
-		for from, tos := range g.NegEdges {
-			for to := range tos {
-				if comp[to] == i && strata[comp[from]]+1 > s {
-					s = strata[comp[from]] + 1
-				}
-			}
-		}
-		strata[i] = s
-	}
-	out := make(map[string]int, len(comp))
-	for pred, ci := range comp {
-		out[pred] = strata[ci]
-	}
-	return out, nil
+	return c.Strata(), nil
 }
 
 // Stats summarizes a program the way Figure 6 of the paper tabulates
@@ -562,13 +558,11 @@ type Stats struct {
 	Aggregations     int
 }
 
-// ComputeStats derives Fig.6-style statistics for a program.
-func ComputeStats(p *ast.Program) Stats {
+// ComputeStats derives Fig.6-style statistics for the program res analyzed,
+// taking recursion from its condensation g.
+func ComputeStats(res *Result, g *Condensation) Stats {
 	var st Stats
-	res := Analyze(p)
-	g := BuildDependencyGraph(p)
-	rec := g.RecursivePreds()
-	for i, r := range p.Rules {
+	for i, r := range res.Program.Rules {
 		ri := res.Rules[i]
 		if r.IsConstraint {
 			st.Constraints++
@@ -586,9 +580,9 @@ func ComputeStats(p *ast.Program) Stats {
 			if b.Negated || b.Pred == ast.DomPred {
 				continue
 			}
-			if rec[b.Pred] {
+			if g.InCycle(b.Pred) {
 				for _, h := range r.Heads {
-					if rec[h.Pred] {
+					if g.InCycle(h.Pred) {
 						isRec = true
 					}
 				}

@@ -156,28 +156,24 @@ func TestSCCsAndRecursion(t *testing.T) {
 		b(X,Y) -> c(X,Y).
 		c(X,Y), a(Y,Z) -> b(X,Z).
 		c(X,Y) -> d(X,Y).
+		e(X) -> e(X).
 	`)
-	g := BuildDependencyGraph(prog)
-	rec := g.RecursivePreds()
-	if !rec["b"] || !rec["c"] {
-		t.Errorf("b,c are recursive: %v", rec)
-	}
-	if rec["a"] || rec["d"] {
-		t.Errorf("a,d are not recursive: %v", rec)
-	}
-	sccs := g.SCCs()
-	// Downstream-first emission: d (a sink fed by c) pops before {b,c}.
-	seenD := false
-	for _, comp := range sccs {
-		if len(comp) == 1 && comp[0] == "d" {
-			seenD = true
-		}
-		if len(comp) == 2 && !seenD {
-			t.Error("SCC order: {b,c} before its sink d")
+	g := Condense(prog, nil)
+	comp := func(pred string) int { return g.Comp[g.index[pred]] }
+	for pred, want := range map[string]bool{"a": false, "b": true, "c": true, "d": false, "e": true} {
+		if got := g.InCycle(pred); got != want {
+			t.Errorf("InCycle(%s) = %v, want %v", pred, got, want)
 		}
 	}
-	if !seenD {
-		t.Error("missing d SCC")
+	if comp("b") != comp("c") {
+		t.Errorf("b and c share a cycle but not a component: %d, %d", comp("b"), comp("c"))
+	}
+	// Topological numbering: a feeds {b,c}, which feeds d.
+	if !(comp("a") < comp("b") && comp("c") < comp("d")) {
+		t.Errorf("components out of topological order: a=%d b=%d d=%d", comp("a"), comp("b"), comp("d"))
+	}
+	if n := len(g.Recursive); n != 4 {
+		t.Errorf("%d components, want 4 (a, {b,c}, d, e)", n)
 	}
 }
 
@@ -228,7 +224,7 @@ func TestComputeStatsCategories(t *testing.T) {
 		w(X,P), e(P,Z) -> gm(X,Z).
 		e(X,Y), e(Y,Z) -> gn(X,Z).
 	`)
-	st := ComputeStats(prog)
+	st := ComputeStats(Analyze(prog), Condense(prog, nil))
 	if st.LinearRules != 1 || st.JoinRules != 4 {
 		t.Errorf("rule counts: L=%d J=%d", st.LinearRules, st.JoinRules)
 	}

@@ -12,6 +12,11 @@
 // Nothing is admitted while the batch matches, so the live store is that
 // state, and because the canonical order depends only on what matched, the
 // final database is byte-identical for every join order the planner picks.
+//
+// A program that negates has one delta queue per stratum, and a batch comes
+// from the lowest non-empty one: a stratum's rules fire only once every
+// stratum below it has reached its fixpoint, so a negated atom is tested
+// against a complete relation.
 package chase
 
 import (
@@ -19,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"time"
 
 	"repro/internal/admit"
@@ -81,6 +87,12 @@ type Compiled struct {
 	// byPred maps predicate -> (rule idx, pos idx) pairs for delta pinning.
 	byPred map[string][][2]int
 
+	// stratum is each rule's stratum and readers each predicate's distinct
+	// reader strata, ascending, when the program negates (admit.Compiled's
+	// Strata); both nil otherwise, when there is one delta queue.
+	stratum []int
+	readers map[string][]int
+
 	// CSE body sharing (planner enabled only): rules whose positive
 	// bodies are identical under canonical slot renaming form a group per
 	// pinned position; one shared match-only cursor enumerates the body
@@ -111,10 +123,42 @@ func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
 			c.byPred[a.Pred] = append(c.byPred[a.Pred], [2]int{i, pi})
 		}
 	}
+	if c.Strata != nil {
+		c.stratifyRules()
+	}
 	if !opts.DisablePlanner {
 		c.buildCSEGroups()
 	}
 	return c, nil
+}
+
+// stratifyRules fills stratum and readers. A rule's stratum is its head's;
+// a constraint or EGD takes the least stratum above everything it reads,
+// a negated atom counting one more than its predicate.
+func (c *Compiled) stratifyRules() {
+	c.stratum = make([]int, len(c.Rules))
+	c.readers = make(map[string][]int)
+	for i, cr := range c.Rules {
+		r := cr.Rule
+		if len(r.Heads) > 0 {
+			c.stratum[i] = c.Strata[r.Heads[0].Pred]
+		} else {
+			for _, a := range r.Body {
+				s := c.Strata[a.Pred]
+				if a.Negated {
+					s++
+				}
+				c.stratum[i] = max(c.stratum[i], s)
+			}
+		}
+		for _, a := range cr.Pos {
+			if rs := c.readers[a.Pred]; !slices.Contains(rs, c.stratum[i]) {
+				rs = append(rs, c.stratum[i])
+				slices.Sort(rs)
+				c.readers[a.Pred] = rs
+			}
+		}
+	}
 }
 
 // buildCSEGroups clusters (rule, pinned pos) firings whose positive
@@ -184,7 +228,11 @@ type Engine struct {
 	bindings  []*eval.Binding
 	gbindings []*eval.Binding
 
-	queue []*core.FactMeta
+	// queues holds the deltas waiting for a batch, one queue per rule
+	// stratum: a delta joins the queue of every stratum whose rules read it,
+	// and a batch drains the lowest non-empty queue, so a negated relation
+	// is complete before its readers fire. One queue when nothing negates.
+	queues [][]*core.FactMeta
 	// room is how many more candidates the current batch may buffer before
 	// the runaway ceiling (see candHeadroom) aborts it.
 	room int
@@ -238,7 +286,11 @@ type cseSeenKey struct {
 // NewEngine derives fresh run-time state (database, interner, strategy,
 // bindings, queue) over the shared compiled artifact.
 func (c *Compiled) NewEngine() *Engine {
-	e := &Engine{c: c}
+	queues := 1
+	for _, s := range c.stratum {
+		queues = max(queues, s+1)
+	}
+	e := &Engine{c: c, queues: make([][]*core.FactMeta, queues)}
 	e.Core = c.NewCore(e.enqueue)
 	e.mt = &eval.Matcher{DB: e.DB()}
 	e.planSeen = make(map[[2]int][]eval.Step)
@@ -253,8 +305,17 @@ func (c *Compiled) NewEngine() *Engine {
 }
 
 // enqueue is the engine's admission hook: every fact the core stores or
-// replaces in place becomes a delta of the next batch.
-func (e *Engine) enqueue(m *core.FactMeta) { e.queue = append(e.queue, m) }
+// replaces in place becomes a delta of a later batch, in the queue of each
+// stratum that reads it.
+func (e *Engine) enqueue(m *core.FactMeta) {
+	if e.c.readers == nil {
+		e.queues[0] = append(e.queues[0], m)
+		return
+	}
+	for _, s := range e.c.readers[m.Fact.Pred] {
+		e.queues[s] = append(e.queues[s], m)
+	}
+}
 
 // New compiles prog and prepares an engine over it in one step. To share
 // the compilation across runs, use Compile once and Compiled.NewEngine
@@ -306,9 +367,16 @@ func (e *Engine) LoadRows(pred string, rows [][]term.Value) error {
 }
 
 // Quiesced reports whether the chase has reached its fixpoint: no delta
-// is waiting in the queue. After an interrupted run it distinguishes "the
+// is waiting in any queue. After an interrupted run it distinguishes "the
 // answer is complete" from "a resume would derive more".
-func (e *Engine) Quiesced() bool { return len(e.queue) == 0 }
+func (e *Engine) Quiesced() bool {
+	for _, q := range e.queues {
+		if len(q) > 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // maxBatchDeltas caps how many delta facts one batch drains: candidate
 // facts are buffered until the admit phase, so the cap bounds the
@@ -339,7 +407,7 @@ func (e *Engine) Run(ctx context.Context, edb []ast.Fact) (*Result, error) {
 	if err := e.LoadChunk(edb); err != nil {
 		return nil, err
 	}
-	for len(e.queue) > 0 {
+	for !e.Quiesced() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -367,12 +435,14 @@ func (e *Engine) Run(ctx context.Context, edb []ast.Fact) (*Result, error) {
 // session may wait for more facts) keeps the database reachable and not
 // the run's buffers; a later Run re-grows them.
 func (e *Engine) releaseBatch() {
-	e.queue, e.tasks, e.results = nil, nil, nil
+	clear(e.queues)
+	e.tasks, e.results = nil, nil
 	e.batchSteps, e.perms = nil, nil
 }
 
-// step drains one delta batch: it schedules every (rule, pinned atom,
-// delta) firing of the batch as a task, matches the tasks against the
+// step drains one delta batch from the lowest non-empty queue: it schedules
+// every (rule, pinned atom, delta) firing of the batch whose rule belongs to
+// that queue's stratum as a task, matches the tasks against the
 // database as the batch found it, capturing their candidates, then admits
 // all candidates in task order. Tasks of rules whose matching mints nulls
 // run inline during the admit phase, at their canonical position. New
@@ -388,12 +458,10 @@ func (e *Engine) releaseBatch() {
 // the batch is admitted, keeping the database at the previous batch's
 // state.
 func (e *Engine) step(ctx context.Context) (err error) {
-	n := len(e.queue)
-	if n > maxBatchDeltas {
-		n = maxBatchDeltas
-	}
-	batch := e.queue[:n:n]
-	e.queue = e.queue[n:]
+	s := slices.IndexFunc(e.queues, func(q []*core.FactMeta) bool { return len(q) > 0 })
+	n := min(len(e.queues[s]), maxBatchDeltas)
+	batch := e.queues[s][:n:n]
+	e.queues[s] = e.queues[s][n:]
 	e.tasks = e.tasks[:0]
 	clear(e.cseSeen)
 	for _, m := range batch {
@@ -401,6 +469,9 @@ func (e *Engine) step(ctx context.Context) (err error) {
 			continue // superseded aggregate intermediate, no longer a fact
 		}
 		for _, rp := range e.c.byPred[m.Fact.Pred] {
+			if e.c.stratum != nil && e.c.stratum[rp[0]] != s {
+				continue
+			}
 			t := task{m: m, ri: rp[0], pos: rp[1], g: -1, lead: -1}
 			if gid, ok := e.c.groupOf[rp]; ok {
 				t.g = gid
@@ -425,7 +496,7 @@ func (e *Engine) step(ctx context.Context) (err error) {
 	// instead of killing the process.
 	defer func() {
 		if r := recover(); r != nil { //vadalint:panicguard chase batch: requeue the batch and surface a positioned resumable error
-			e.queue = append(batch, e.queue...)
+			e.queues[s] = append(batch, e.queues[s]...)
 			err = &core.PanicError{Engine: "chase", Rule: e.firing, Value: r, Stack: debug.Stack()}
 		}
 	}()
@@ -444,7 +515,7 @@ func (e *Engine) step(ctx context.Context) (err error) {
 		// Whatever interrupted the batch — cancellation, overflow, budget
 		// exhaustion, a captured match error, an inconsistency — it is
 		// restored wholesale; re-firing an admitted prefix is idempotent.
-		e.queue = append(batch, e.queue...)
+		e.queues[s] = append(batch, e.queues[s]...)
 	}
 	return err
 }

@@ -32,7 +32,7 @@ func Figure6() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := analysis.ComputeStats(prog)
+		st := analysis.ComputeStats(analysis.Analyze(prog), analysis.Condense(prog, nil))
 		t.Rows = append(t.Rows, Row{
 			Scenario: cfg.Name, System: "iwarded",
 			Param: fmt.Sprintf("L=%d J=%d", st.LinearRules, st.JoinRules),

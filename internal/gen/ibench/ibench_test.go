@@ -34,7 +34,7 @@ func TestPresetStatistics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
-		st := analysis.ComputeStats(prog)
+		st := analysis.ComputeStats(analysis.Analyze(prog), analysis.Condense(prog, nil))
 		if st.ExistentialRules < tc.existMin {
 			t.Errorf("%s: %d existential rules, want ≥ %d", cfg.Name, st.ExistentialRules, tc.existMin)
 		}

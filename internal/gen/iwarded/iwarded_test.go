@@ -28,7 +28,7 @@ func TestFigure6ScenarioTable(t *testing.T) {
 			if !res.Warded {
 				t.Fatalf("scenario %s is not warded: %v", cfg.Name, res.Violations)
 			}
-			st := analysis.ComputeStats(prog)
+			st := analysis.ComputeStats(res, analysis.Condense(prog, nil))
 			checks := []struct {
 				name      string
 				got, want int

@@ -19,7 +19,7 @@ func TestOntologyParsesAndIsWarded(t *testing.T) {
 	if !res.Warded {
 		t.Fatalf("ontology not warded: %v", res.Violations)
 	}
-	st := analysis.ComputeStats(prog)
+	st := analysis.ComputeStats(res, analysis.Condense(prog, nil))
 	if st.ExistentialRules < 2 {
 		t.Errorf("ontology needs existential axioms, got %d", st.ExistentialRules)
 	}

@@ -239,83 +239,73 @@ func occurrenceAtoms(r *ast.Rule, v string) []int {
 }
 
 // checkStratification renders unstratifiable negation as the offending
-// predicate cycle (N001), positioned at a negated atom on the cycle.
+// predicate cycle (N001), positioned at a negated atom on the cycle. It
+// reads the condensation of the program as written.
 func (c *checker) checkStratification() {
-	if _, err := analysis.Stratify(c.prog); err == nil {
+	g := analysis.Condense(c.prog, nil)
+	if len(g.Unstratified) == 0 {
 		return
 	}
-	g := analysis.BuildDependencyGraph(c.prog)
-	comp := make(map[string]int)
-	for i, cset := range g.SCCs() {
-		for _, pred := range cset {
-			comp[pred] = i
-		}
-	}
-	reported := make(map[string]bool)
-	for _, from := range sortedKeys(g.NegEdges) {
-		tos := make([]string, 0, len(g.NegEdges[from]))
-		for to := range g.NegEdges[from] {
-			tos = append(tos, to)
-		}
-		sort.Strings(tos)
-		for _, to := range tos {
-			if comp[from] != comp[to] || reported[from+"\x00"+to] {
-				continue
+	type negEdge struct{ from, to int }
+	var cyclic []negEdge
+	for v := range g.Preds {
+		for _, e := range g.Out(v) {
+			if e.Neg && g.Comp[v] == g.Comp[e.To] {
+				cyclic = append(cyclic, negEdge{v, e.To})
 			}
-			reported[from+"\x00"+to] = true
-			cycle := cyclePath(g, comp, to, from)
-			line, col := negatedAtomPos(c.prog, from, to)
-			c.add(Error, "N001", line, col,
-				"negation is not stratified: not %s feeds %s, which derives %s again (cycle: not %s -> %s)",
-				from, to, from, from, strings.Join(cycle, " -> "))
 		}
 	}
-}
-
-func sortedKeys(m map[string]map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+	sort.Slice(cyclic, func(i, j int) bool {
+		a, b := cyclic[i], cyclic[j]
+		if g.Preds[a.from] != g.Preds[b.from] {
+			return g.Preds[a.from] < g.Preds[b.from]
+		}
+		return g.Preds[a.to] < g.Preds[b.to]
+	})
+	for i, e := range cyclic {
+		if i > 0 && e == cyclic[i-1] {
+			continue
+		}
+		from, to := g.Preds[e.from], g.Preds[e.to]
+		cycle := cyclePath(g, e.to, e.from)
+		line, col := negatedAtomPos(c.prog, from, to)
+		c.add(Error, "N001", line, col,
+			"negation is not stratified: not %s feeds %s, which derives %s again (cycle: not %s -> %s)",
+			from, to, from, from, strings.Join(cycle, " -> "))
 	}
-	sort.Strings(out)
-	return out
 }
 
-// cyclePath returns the predicate path from 'to' back to 'from' within
-// their shared SCC, following positive and negative dependency edges.
-func cyclePath(g *analysis.DependencyGraph, comp map[string]int, to, from string) []string {
-	target := comp[from]
-	prev := map[string]string{to: ""}
-	queue := []string{to}
+// cyclePath returns the predicate path from node to back to node from
+// within their shared component, breadth first over the dependency edges,
+// positive and negative, in sorted successor order.
+func cyclePath(g *analysis.Condensation, to, from int) []string {
+	prev := map[int]int{to: -1}
+	queue := []int{to}
 	for len(queue) > 0 {
-		p := queue[0]
+		v := queue[0]
 		queue = queue[1:]
-		if p == from {
+		if v == from {
 			var path []string
-			for q := p; q != ""; q = prev[q] {
-				path = append([]string{q}, path...)
+			for u := v; u >= 0; u = prev[u] {
+				path = append([]string{g.Preds[u]}, path...)
 			}
 			return path
 		}
-		var succs []string
-		for q := range g.Edges[p] {
-			succs = append(succs, q)
-		}
-		for q := range g.NegEdges[p] {
-			succs = append(succs, q)
-		}
-		sort.Strings(succs)
-		for _, q := range succs {
-			if comp[q] != target {
-				continue
+		var succs []int
+		for _, e := range g.Out(v) {
+			if g.Comp[e.To] == g.Comp[from] {
+				succs = append(succs, e.To)
 			}
-			if _, seen := prev[q]; !seen {
-				prev[q] = p
-				queue = append(queue, q)
+		}
+		sort.Slice(succs, func(i, j int) bool { return g.Preds[succs[i]] < g.Preds[succs[j]] })
+		for _, w := range succs {
+			if _, seen := prev[w]; !seen {
+				prev[w] = v
+				queue = append(queue, w)
 			}
 		}
 	}
-	return []string{to, from}
+	return []string{g.Preds[to], g.Preds[from]}
 }
 
 // negatedAtomPos locates a rule with head pred 'to' whose body negates

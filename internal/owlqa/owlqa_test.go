@@ -35,7 +35,7 @@ func TestTranslationIsWarded(t *testing.T) {
 	if !res.Warded {
 		t.Fatalf("OWL 2 QL translation must be warded: %v", res.Violations)
 	}
-	st := analysis.ComputeStats(prog)
+	st := analysis.ComputeStats(res, analysis.Condense(prog, nil))
 	if st.ExistentialRules != 1 {
 		t.Errorf("existential rules: %d", st.ExistentialRules)
 	}

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"sort"
+
 	"repro/internal/admit"
 	"repro/internal/ast"
 	"repro/internal/eval"
@@ -20,13 +22,6 @@ const constraintHub = "#constraints"
 type Compiled struct {
 	*admit.Compiled // rewritten program, analysis, per-rule plans
 
-	// inline marks rules whose firings bypass the buffered canonical-order
-	// admission path: Skolem assignments in the body mint nulls while
-	// matching, so their enumeration order is part of the result and must
-	// stay the static schedule's; negated atoms are checked against live
-	// state, so admissions interleave with matching exactly as the serial
-	// semantics prescribe.
-	inline []bool
 	// bounded marks rules whose firings join a delta only against rows the
 	// filter has already consumed (semi-naive; see Session.fire): rules with
 	// two or more positive atoms, no aggregate, and no positive atom over a
@@ -35,9 +30,14 @@ type Compiled struct {
 	// depends on how often and in which order matches are emitted, so those
 	// rules keep enumerating against the whole relation.
 	bounded []bool
-	// negation reports a negated body atom anywhere in the program: its
-	// sessions take all their input before the first pull (Session.Next).
-	negation bool
+	// settle lists the negated predicates in stratum order (then by name),
+	// and waits[ri] is one more than the last position in settle of a
+	// predicate rule ri negates (0 when it negates none). A session that
+	// negates takes all its input, then pulls each predicate of settle to
+	// exhaustion in turn (Session.settle); a filter fires once everything
+	// it negates is settled. Both nil when nothing negates.
+	settle []string
+	waits  []int
 	// producers maps a predicate (or constraintHub) to the indexes of the
 	// rules feeding it, in rule order.
 	producers map[string][]int
@@ -70,15 +70,42 @@ func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
 			bounded = bounded && !superseded[a.Pred]
 		}
 		c.bounded = append(c.bounded, bounded)
-		c.inline = append(c.inline, c.Skolem[i] || len(cr.Neg) > 0)
-		c.negation = c.negation || len(cr.Neg) > 0
 		hub := constraintHub
 		if r := cr.Rule; !r.IsConstraint && r.EGD == nil {
 			hub = r.Heads[0].Pred
 		}
 		c.producers[hub] = append(c.producers[hub], i)
 	}
+	if c.Strata != nil {
+		c.orderNegation()
+	}
 	return c, nil
+}
+
+// orderNegation fills settle and waits from the program's strata.
+func (c *Compiled) orderNegation() {
+	at := make(map[string]int)
+	for _, cr := range c.Rules {
+		for _, a := range cr.Neg {
+			if _, ok := at[a.Pred]; !ok {
+				at[a.Pred] = 0
+				c.settle = append(c.settle, a.Pred)
+			}
+		}
+	}
+	sort.Slice(c.settle, func(i, j int) bool {
+		si, sj := c.Strata[c.settle[i]], c.Strata[c.settle[j]]
+		return si < sj || si == sj && c.settle[i] < c.settle[j]
+	})
+	for i, pred := range c.settle {
+		at[pred] = i
+	}
+	c.waits = make([]int, len(c.Rules))
+	for ri, cr := range c.Rules {
+		for _, a := range cr.Neg {
+			c.waits[ri] = max(c.waits[ri], at[a.Pred]+1)
+		}
+	}
 }
 
 // NewSession derives fresh run-time state (database, interner, strategy,
@@ -104,6 +131,9 @@ func (c *Compiled) NewSession() *Session {
 			rels:    make([]*storage.Relation, len(cr.Pos)),
 			cursors: make([]int, len(cr.Pos)),
 			sized:   make([]*planner.Plan, len(cr.Pos)),
+		}
+		if c.waits != nil {
+			f.waits = c.waits[i]
 		}
 		for k := range cr.Pos {
 			f.rels[k] = s.DB().Rel(cr.Pos[k].Pred, cr.Pos[k].Arity())

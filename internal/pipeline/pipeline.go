@@ -14,12 +14,18 @@
 // Aggregate rules and rules over an aggregate head (or its tag twin) are the
 // exception: supersession makes their emissions order-dependent, so they
 // join against whole relations (Compiled.bounded).
+//
+// A program that negates takes all its input before the first pull and then
+// settles its negated predicates in stratum order (Session.settle): a
+// filter that negates fires only once the relations it negates are
+// complete.
 package pipeline
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"sort"
 	"time"
@@ -115,6 +121,10 @@ type Session struct {
 	failure  error
 	quiesced bool
 
+	// settled counts the leading predicates of Compiled.settle pulled to
+	// exhaustion; a filter with waits > settled is dry.
+	settled int
+
 	// log and permBuf buffer one firing's candidate bindings so they are
 	// admitted in canonical order regardless of the join order (the core's
 	// planner, or the static schedule) that enumerated them.
@@ -180,6 +190,9 @@ type ruleFilter struct {
 	cursors []int
 	rr      int
 	active  bool // on the current pull stack (runtime cycle detection)
+	// waits is the filter's Compiled.waits: it is dry until Session.settled
+	// reaches it.
+	waits int
 
 	// sized[pos] is the last plan whose presize hints were applied for
 	// firings pinned at pos; hints re-apply only when re-planning yields
@@ -272,9 +285,8 @@ func (s *Session) loadGuarded(ctx context.Context, load func()) error {
 // facts staged since the last pull must be seen — and it never sweeps while
 // input remains, so the work before the first answer is at most what
 // loading everything first would have cost. The one exception is a program
-// with a negated body atom, which takes all its input before the first
-// pull: nothing orders firings by stratum, so a negation must not be tested
-// against a relation whose rows are still arriving.
+// with a negated body atom, which takes all its input and settles its
+// negated predicates before the first pull (see settle).
 //
 // Facts are addressed by live-row position: retracted rows (superseded
 // aggregate intermediates whose value already existed elsewhere) are
@@ -285,11 +297,36 @@ func (s *Session) loadGuarded(ctx context.Context, load func()) error {
 func (s *Session) Next(ctx context.Context, pred string, n int) (ast.Fact, bool, error) {
 	s.ctx, s.ctxDone = ctx, false
 	s.clearResumableFailure()
-	if s.c.negation {
-		if err := s.feed.Drain(ctx); err != nil {
-			return ast.Fact{}, false, err
-		}
+	if err := s.settle(ctx); err != nil {
+		return ast.Fact{}, false, err
 	}
+	return s.next(ctx, pred, n)
+}
+
+// settle is the stratum barrier of a program that negates: it takes all the
+// input, then pulls each negated predicate, in stratum order, to exhaustion
+// the way Drain pulls an output, and latches it. Until then a filter that
+// negates it is dry to step and skipped by sweep, so every negation is
+// tested against a complete relation. Facts loaded after a predicate has
+// settled can add to it but cannot retract what its negation derived.
+func (s *Session) settle(ctx context.Context) error {
+	if s.c.settle == nil {
+		return nil
+	}
+	if err := s.feed.Drain(ctx); err != nil {
+		return err
+	}
+	for s.settled < len(s.c.settle) {
+		if _, _, err := s.next(ctx, s.c.settle[s.settled], math.MaxInt); err != nil {
+			return err
+		}
+		s.settled++
+	}
+	return nil
+}
+
+// next is Next past the barrier.
+func (s *Session) next(ctx context.Context, pred string, n int) (ast.Fact, bool, error) {
 	h := s.hubs[pred]
 	for h == nil || h.rel.Live() <= n {
 		if err := ctx.Err(); err != nil {
@@ -358,7 +395,7 @@ func (s *Session) step(f *ruleFilter) stepResult {
 	if f.active {
 		return stepCyclicMiss
 	}
-	if s.cancelled() {
+	if f.waits > s.settled || s.cancelled() {
 		return stepDry
 	}
 	f.active = true
@@ -468,7 +505,7 @@ func (s *Session) cancelled() bool {
 func (s *Session) sweep() bool {
 	progress := false
 	for _, f := range s.filters {
-		if f.active {
+		if f.active || f.waits > s.settled {
 			continue
 		}
 		for i, rel := range f.rels {
@@ -552,7 +589,7 @@ func (s *Session) clearResumableFailure() {
 // check of Emit. Rules over superseded predicates and aggregate rules match
 // against the whole relation.
 //
-// Rules marked inline keep the static schedule; everything else runs the
+// Skolem rules keep the static schedule; everything else runs the
 // (possibly cost-based) planned one. A firing whose enumeration order is
 // already canonical is fused — each complete match is emitted as it is
 // enumerated; any other is buffered — candidates go into a binding log
@@ -561,7 +598,7 @@ func (s *Session) clearResumableFailure() {
 // matched, so every join order produces byte-identical output.
 func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 	cr := f.cr
-	inline := s.c.inline[f.idx]
+	inline := s.c.Skolem[f.idx]
 	steps := cr.Schedule(pos)
 	if pl := s.Planner(); pl != nil && !inline {
 		p := pl.PlanFor(cr, pos)
@@ -617,6 +654,9 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 func (s *Session) Drain(ctx context.Context) error {
 	s.ctx, s.ctxDone = ctx, false
 	s.clearResumableFailure()
+	if err := s.settle(ctx); err != nil {
+		return err
+	}
 	// Drive every output hub to exhaustion; if the program declares no
 	// outputs, drive every IDB predicate (universal tuple inference).
 	targets := make([]string, 0, len(s.c.Prog.Outputs))

@@ -22,14 +22,14 @@ func (s *Session) Plan() string { return s.c.Plan() }
 // body atom, with the join order the cost-based planner chooses and the
 // estimates that drove it — against the session's statistics at call time,
 // so explaining after Run shows the orders the fixpoint converged on.
-// Inline rules (Skolem body assignments, negation) run their static
+// Inline rules (Skolem body assignments) run their static
 // schedules and carry no annotation; with the planner disabled, Explain
 // renders the plain plan.
 func (s *Session) Explain() string {
 	var annotate func(ri int, cr *eval.CompiledRule) []string
 	if pl := s.Planner(); pl != nil {
 		annotate = func(ri int, cr *eval.CompiledRule) []string {
-			if s.c.inline[ri] {
+			if s.c.Skolem[ri] {
 				return []string{"static schedule (inline rule)"}
 			}
 			lines := make([]string, 0, len(cr.Pos))

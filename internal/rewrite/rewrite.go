@@ -12,30 +12,21 @@ import (
 	"repro/internal/ast"
 )
 
-// Options selects which rewritings Apply performs.
-type Options struct {
-	// SplitHeads splits multi-head rules into single-head rules sharing the
-	// original rule's Skolem base (so shared existentials keep one null).
-	SplitHeads bool
-	// LinearizeExistentials moves existential quantification out of
-	// non-linear rules through auxiliary predicates, establishing the
-	// precondition of Algorithm 1.
-	LinearizeExistentials bool
-	// EliminateHarmfulJoins replaces joins over harmful variables by joins
-	// over ground reifications of null identity (tag twins), making the
-	// program harmless warded. See TagPred.
-	EliminateHarmfulJoins bool
-}
+// Options has no fields: every rewriting always runs, as the Vadalog logic
+// optimizer does. The type and DefaultOptions remain because callers
+// outside this module, the benchmark harness among them, pass them to
+// Apply.
+type Options struct{}
 
-// DefaultOptions enables every rewriting, as the Vadalog logic optimizer
-// does.
-func DefaultOptions() Options {
-	return Options{SplitHeads: true, LinearizeExistentials: true, EliminateHarmfulJoins: true}
-}
+// DefaultOptions returns the empty Options.
+func DefaultOptions() Options { return Options{} }
 
 // Result carries the rewritten program and bookkeeping the engine needs.
 type Result struct {
 	Program *ast.Program
+	// Analysis is the warded analysis of Program, so the compile that
+	// called Apply does not analyze it again.
+	Analysis *analysis.Result
 	// TagPreds maps each predicate that participates in a harmful join to
 	// its tag-twin predicate: whenever the engine admits a fact of pred
 	// with labelled nulls in affected positions, it must also insert the
@@ -48,25 +39,24 @@ type Result struct {
 	Notes []string
 }
 
-// Apply runs the selected rewritings in the canonical order.
-func Apply(p *ast.Program, opts Options) (*Result, error) {
-	res := &Result{Program: p, TagPreds: make(map[string]string), AuxPreds: make(map[string]bool)}
-	if opts.SplitHeads {
-		res.Program = SplitMultiHeads(res.Program)
+// Apply runs the rewritings in the canonical order: multi-head splitting,
+// existential linearization, harmful-join elimination. The analysis the
+// elimination needs is the result's Analysis when it rewrote nothing, and
+// the output is analyzed once otherwise.
+func Apply(p *ast.Program, _ Options) (*Result, error) {
+	res := &Result{AuxPreds: make(map[string]bool)}
+	res.Program = LinearizeExistentials(SplitMultiHeads(p), res.AuxPreds)
+	res.Analysis = analysis.Analyze(res.Program)
+	prog, tags, notes := EliminateHarmfulJoinsDynamic(res.Program, res.Analysis)
+	res.TagPreds, res.Notes = tags, notes
+	for _, twin := range tags {
+		res.AuxPreds[twin] = true
 	}
-	if opts.LinearizeExistentials {
-		res.Program = LinearizeExistentials(res.Program, res.AuxPreds)
-	}
-	if opts.EliminateHarmfulJoins {
-		prog, tags, notes := EliminateHarmfulJoinsDynamic(res.Program)
+	renumber(prog)
+	if prog != res.Program {
 		res.Program = prog
-		res.Notes = append(res.Notes, notes...)
-		for k, v := range tags {
-			res.TagPreds[k] = v
-			res.AuxPreds[v] = true
-		}
+		res.Analysis = analysis.Analyze(prog)
 	}
-	renumber(res.Program)
 	return res, nil
 }
 
@@ -171,9 +161,9 @@ func TagPredName(pred string) string { return pred + "__tag" }
 // exactly synchronized with the admitted chase, including all cuts made by
 // the termination strategy. This is the dynamic counterpart of the
 // grounding step of the paper's Harmful Joins Elimination: ground values
-// act as their own tags, so the Dom-guarded ground copy is subsumed.
-func EliminateHarmfulJoinsDynamic(p *ast.Program) (*ast.Program, map[string]string, []string) {
-	res := analysis.Analyze(p)
+// act as their own tags, so the Dom-guarded ground copy is subsumed. res is
+// p's analysis; when no rule has a harmful join, p itself is returned.
+func EliminateHarmfulJoinsDynamic(p *ast.Program, res *analysis.Result) (*ast.Program, map[string]string, []string) {
 	tags := make(map[string]string)
 	var notes []string
 	out := cloneShell(p)

@@ -1,6 +1,8 @@
 package rewrite
 
 import (
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
@@ -49,7 +51,7 @@ func TestDynamicHJEMakesHarmless(t *testing.T) {
 		control(Y,X), psc(Y,P) -> psc(X,P).
 		psc(X,P), psc(Y,P), X > Y -> strongLink(X,Y).
 	`)
-	out, tags, notes := EliminateHarmfulJoinsDynamic(prog)
+	out, tags, notes := EliminateHarmfulJoinsDynamic(prog, analysis.Analyze(prog))
 	if len(tags) == 0 || tags["psc"] == "" {
 		t.Fatalf("psc must get a tag twin: %v", tags)
 	}
@@ -72,7 +74,7 @@ func TestDynamicHJENoChange(t *testing.T) {
 		edge(X,Y) -> path(X,Y).
 		path(X,Y), edge(Y,Z) -> path(X,Z).
 	`)
-	out, tags, _ := EliminateHarmfulJoinsDynamic(prog)
+	out, tags, _ := EliminateHarmfulJoinsDynamic(prog, analysis.Analyze(prog))
 	if len(tags) != 0 {
 		t.Errorf("no harmful joins, no tags: %v", tags)
 	}
@@ -111,5 +113,40 @@ func TestApplyDefaultPipeline(t *testing.T) {
 		if r.ID != i {
 			t.Errorf("rule %d has ID %d", i, r.ID)
 		}
+	}
+}
+
+// TestAnalysisHandedOn pins that the analysis Apply hands on is the one of
+// the program it returns — rule infos, affected positions, violations — on
+// the lint corpus and the shipped examples, whether or not harmful-join
+// elimination rewrote anything.
+func TestAnalysisHandedOn(t *testing.T) {
+	var files []string
+	for _, pattern := range []string{"../lint/testdata/*.vada", "../../examples/programs/*.vada"} {
+		m, err := filepath.Glob(pattern)
+		if err != nil || len(m) == 0 {
+			t.Fatalf("%s: no programs (%v)", pattern, err)
+		}
+		files = append(files, m...)
+	}
+	rewritten := 0
+	for _, file := range files {
+		prog, err := parser.ParseFile(file)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		rw, err := Apply(prog, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		if len(rw.TagPreds) > 0 {
+			rewritten++
+		}
+		if want := analysis.Analyze(rw.Program); !reflect.DeepEqual(rw.Analysis, want) {
+			t.Errorf("%s: handed-on analysis differs from Analyze of the rewritten program", file)
+		}
+	}
+	if rewritten == 0 || rewritten == len(files) {
+		t.Errorf("%d of %d programs rewritten: both branches of Apply must be covered", rewritten, len(files))
 	}
 }

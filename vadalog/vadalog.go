@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 	"strings"
 	"time"
 
@@ -418,7 +419,8 @@ func (s *Session) Result() (*Result, error) {
 // then each @bind'ed input's next cursor chunk in declaration order, then
 // the staged facts) and pulls again, so the first fact is yielded after
 // the first chunk that can derive it, not after the last row. A program
-// with a negated body atom reads all its input before the first pull. The
+// with a negated body atom reads all its input, and completes each negated
+// predicate in stratum order, before the first pull. The
 // chase engine reads everything and runs to its fixpoint on the first
 // pull, then iterates. Facts loaded between pulls or between two ranges
 // are picked up on either engine; breaking out early leaves the rest of
@@ -475,15 +477,17 @@ func (s *Session) PhaseStats() (match, prepass, admit time.Duration) { return s.
 // Check analyzes prog and returns a wardedness report without running it.
 func Check(prog *Program) *Report {
 	res := analysis.Analyze(prog)
-	st := analysis.ComputeStats(prog)
-	rep := &Report{Warded: res.Warded, Violations: res.Violations, Stats: st}
-	g := analysis.BuildDependencyGraph(prog)
-	rep.Recursive = len(g.RecursivePreds()) > 0
-	if _, err := analysis.Stratify(prog); err != nil {
-		rep.Stratified = false
+	g := analysis.Condense(prog, nil)
+	err := g.Err()
+	rep := &Report{
+		Warded:     res.Warded,
+		Stratified: err == nil,
+		Recursive:  slices.Contains(g.Recursive, true),
+		Violations: res.Violations,
+		Stats:      analysis.ComputeStats(res, g),
+	}
+	if err != nil {
 		rep.Violations = append(rep.Violations, err.Error())
-	} else {
-		rep.Stratified = true
 	}
 	return rep
 }
