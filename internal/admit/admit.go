@@ -226,8 +226,8 @@ func (p *Compiled) NewCore(onAdmit func(m *core.FactMeta)) *Core {
 	c.headRels = make([][]*storage.Relation, len(p.Rules))
 	for ri, cr := range p.Rules {
 		var st *eval.AggState
-		if cr.Rule.Aggregate != nil {
-			st = eval.NewAggState(cr.Rule.Aggregate.Func, c.db.Interner())
+		if cr.Agg != nil {
+			st = cr.Agg.NewState(c.db.Interner())
 		}
 		c.aggs = append(c.aggs, st)
 		c.headRels[ri], rels = rels[:len(cr.Heads):len(cr.Heads)], rels[len(cr.Heads):]
@@ -347,15 +347,9 @@ func (c *Core) Emit(ri int, b *eval.Binding) (int, error) {
 		contrib = append(contrib, b.Val(s))
 	}
 	c.contribBuf = contrib
-	var x term.Value
-	if cr.Agg.ArgSlot >= 0 {
-		x = b.Val(cr.Agg.ArgSlot)
-	} else {
-		var err error
-		x, err = cr.Agg.Arg.Eval(b.Env(cr, cr.Agg.ArgDeps))
-		if err != nil {
-			return 0, err
-		}
+	x, err := cr.Agg.Contribution(b)
+	if err != nil {
+		return 0, err
 	}
 	st := c.aggs[ri]
 	agg, improved, err := st.Update(group, contrib, x)
@@ -385,16 +379,7 @@ func (c *Core) Emit(ri int, b *eval.Binding) (int, error) {
 // candidate that survived the duplicate check.
 func (c *Core) emitHeads(ri int, cr *eval.CompiledRule, b *eval.Binding) (int, error) {
 	for i := range c.p.postAgg[ri] {
-		cond := &c.p.postAgg[ri][i]
-		if cond.Fast {
-			if !cond.EvalFast(b) {
-				return 0, nil
-			}
-			continue
-		}
-		// The aggregate result reaches the environment through its slot,
-		// so the dependency-restricted env suffices.
-		ok, err := ast.EvalCondition(cond.Cond, b.Env(cr, cond.Deps))
+		ok, err := c.p.postAgg[ri][i].Holds(b)
 		if err != nil || !ok {
 			return 0, err
 		}

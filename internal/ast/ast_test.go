@@ -1,6 +1,7 @@
 package ast
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/term"
@@ -123,26 +124,44 @@ func TestProgramPredicates(t *testing.T) {
 	}
 }
 
+// TestEvalConditionNullSemantics is the table of the one comparison rule
+// (CmpOp.Holds), run both directly and through EvalCondition: labelled
+// nulls are plain symbols, an Int and a Float compare numerically, NaN
+// ties with every number under term.Compare, and sets order by their
+// canonical text (after every number, by kind).
 func TestEvalConditionNullSemantics(t *testing.T) {
-	env := map[string]term.Value{"N": term.Null(1), "M": term.Null(2), "X": term.Int(5)}
-	c := func(op CmpOp, l, r string) bool {
-		ok, err := EvalCondition(Condition{Op: op, L: VarExpr{Name: l}, R: VarExpr{Name: r}}, env)
-		if err != nil {
-			t.Fatal(err)
+	env := map[string]term.Value{
+		"N": term.Null(1), "M": term.Null(2), "X": term.Int(5),
+		"I": term.Int(1), "F": term.Float(1), "NaN": term.Float(math.NaN()),
+		"S": term.Set([]term.Value{term.String("a")}),
+		"T": term.Set([]term.Value{term.String("a"), term.String("b")}),
+	}
+	cases := []struct {
+		l    string
+		op   CmpOp
+		r    string
+		want bool
+	}{
+		{"N", CmpEq, "N", true}, {"N", CmpEq, "M", false}, {"N", CmpNeq, "M", true},
+		{"N", CmpNeq, "X", true}, {"N", CmpLt, "X", false}, {"N", CmpGt, "X", false},
+		{"N", CmpLe, "N", false}, {"X", CmpGe, "N", false},
+		{"I", CmpEq, "F", true}, {"I", CmpNeq, "F", false}, {"I", CmpLt, "F", false},
+		{"I", CmpLe, "F", true}, {"F", CmpGe, "I", true}, {"X", CmpGt, "F", true},
+		{"NaN", CmpEq, "NaN", false}, {"NaN", CmpNeq, "NaN", true}, {"NaN", CmpEq, "X", false},
+		{"NaN", CmpLt, "X", false}, {"NaN", CmpGt, "X", false},
+		{"NaN", CmpLe, "X", true}, {"X", CmpGe, "NaN", true},
+		{"S", CmpEq, "S", true}, {"S", CmpEq, "T", false}, {"S", CmpNeq, "T", true},
+		{"S", CmpGt, "T", true}, {"S", CmpLt, "T", false}, {"S", CmpGt, "X", true},
+		{"S", CmpNeq, "X", true}, {"S", CmpEq, "N", false}, {"S", CmpLe, "N", false},
+	}
+	for _, c := range cases {
+		if got := c.op.Holds(env[c.l], env[c.r]); got != c.want {
+			t.Errorf("%s %s %s: Holds = %v, want %v", c.l, c.op, c.r, got, c.want)
 		}
-		return ok
-	}
-	if !c(CmpEq, "N", "N") {
-		t.Error("null == itself")
-	}
-	if c(CmpEq, "N", "M") {
-		t.Error("distinct nulls are not equal")
-	}
-	if !c(CmpNeq, "N", "M") {
-		t.Error("distinct nulls are !=")
-	}
-	if c(CmpLt, "N", "X") || c(CmpGt, "N", "X") {
-		t.Error("ordering undefined on nulls")
+		got, err := EvalCondition(Condition{Op: c.op, L: VarExpr{Name: c.l}, R: VarExpr{Name: c.r}}, env)
+		if err != nil || got != c.want {
+			t.Errorf("%s %s %s: EvalCondition = %v (err %v), want %v", c.l, c.op, c.r, got, err, c.want)
+		}
 	}
 }
 

@@ -63,8 +63,7 @@ type BinExpr struct {
 	L, R Expr
 }
 
-// Eval evaluates both sides and applies the operator with the numeric
-// widening rules of the paper's typed expressions.
+// Eval evaluates both sides and applies the operator (see Operator).
 func (e BinExpr) Eval(env map[string]term.Value) (term.Value, error) {
 	l, err := e.L.Eval(env)
 	if err != nil {
@@ -74,62 +73,77 @@ func (e BinExpr) Eval(env map[string]term.Value) (term.Value, error) {
 	if err != nil {
 		return term.Value{}, err
 	}
-	switch e.Op {
-	case "&&", "||":
-		if l.Kind() != term.KindBool || r.Kind() != term.KindBool {
-			return term.Value{}, fmt.Errorf("ast: %s requires booleans, got %s and %s", e.Op, l.Kind(), r.Kind())
-		}
-		if e.Op == "&&" {
-			return term.Bool(l.BoolVal() && r.BoolVal()), nil
-		}
-		return term.Bool(l.BoolVal() || r.BoolVal()), nil
+	return Operator(e.Op)(l, r)
+}
+
+// BinOp is the semantics of a binary operator over evaluated operands.
+type BinOp func(l, r term.Value) (term.Value, error)
+
+// operators holds every binary operator's semantics, built once.
+var operators = map[string]BinOp{
+	"&&": logic("&&", func(a, b bool) bool { return a && b }),
+	"||": logic("||", func(a, b bool) bool { return a || b }),
+	"+":  arith{op: "+", concat: true, ints: func(a, b int64) int64 { return a + b }, floats: func(a, b float64) float64 { return a + b }}.apply,
+	"-":  arith{op: "-", ints: func(a, b int64) int64 { return a - b }, floats: func(a, b float64) float64 { return a - b }}.apply,
+	"*":  arith{op: "*", ints: func(a, b int64) int64 { return a * b }, floats: func(a, b float64) float64 { return a * b }}.apply,
+	"/":  arith{op: "/", byZero: "division", ints: func(a, b int64) int64 { return a / b }, floats: func(a, b float64) float64 { return a / b }}.apply,
+	"%":  arith{op: "%", byZero: "modulo", ints: func(a, b int64) int64 { return a % b }}.apply,
+	"^":  arith{op: "^", floats: math.Pow}.apply,
+}
+
+// Operator returns the semantics of binary operator op, the paper's typed
+// expressions: && and || over booleans; + concatenates when either side
+// is a string; + - * / % over two ints stay ints; otherwise numerics widen
+// to floats (^ always does, % is undefined on floats). An unknown operator
+// yields a function that reports it.
+func Operator(op string) BinOp {
+	if f, ok := operators[op]; ok {
+		return f
 	}
+	return func(term.Value, term.Value) (term.Value, error) {
+		return term.Value{}, fmt.Errorf("ast: unknown operator %s", op)
+	}
+}
+
+func logic(op string, f func(a, b bool) bool) BinOp {
+	return func(l, r term.Value) (term.Value, error) {
+		if l.Kind() != term.KindBool || r.Kind() != term.KindBool {
+			return term.Value{}, fmt.Errorf("ast: %s requires booleans, got %s and %s", op, l.Kind(), r.Kind())
+		}
+		return term.Bool(f(l.BoolVal(), r.BoolVal())), nil
+	}
+}
+
+// arith is a numeric operator: ints applies to two ints (nil: they widen
+// to floats; byZero names the operation an int zero divisor fails),
+// floats to widened operands (nil: undefined), concat allows strings.
+type arith struct {
+	op, byZero string
+	concat     bool
+	ints       func(a, b int64) int64
+	floats     func(a, b float64) float64
+}
+
+func (o arith) apply(l, r term.Value) (term.Value, error) {
 	if l.Kind() == term.KindString || r.Kind() == term.KindString {
-		if e.Op != "+" {
-			return term.Value{}, fmt.Errorf("ast: operator %s not defined on strings", e.Op)
+		if !o.concat {
+			return term.Value{}, fmt.Errorf("ast: operator %s not defined on strings", o.op)
 		}
 		return term.String(valueToStr(l) + valueToStr(r)), nil
 	}
 	if !l.IsNumeric() || !r.IsNumeric() {
-		return term.Value{}, fmt.Errorf("ast: operator %s requires numerics, got %s and %s", e.Op, l.Kind(), r.Kind())
+		return term.Value{}, fmt.Errorf("ast: operator %s requires numerics, got %s and %s", o.op, l.Kind(), r.Kind())
 	}
-	if l.Kind() == term.KindInt && r.Kind() == term.KindInt {
-		a, b := l.IntVal(), r.IntVal()
-		switch e.Op {
-		case "+":
-			return term.Int(a + b), nil
-		case "-":
-			return term.Int(a - b), nil
-		case "*":
-			return term.Int(a * b), nil
-		case "/":
-			if b == 0 {
-				return term.Value{}, fmt.Errorf("ast: integer division by zero")
-			}
-			return term.Int(a / b), nil
-		case "%":
-			if b == 0 {
-				return term.Value{}, fmt.Errorf("ast: integer modulo by zero")
-			}
-			return term.Int(a % b), nil
-		case "^":
-			return term.Float(math.Pow(float64(a), float64(b))), nil
+	if o.ints != nil && l.Kind() == term.KindInt && r.Kind() == term.KindInt {
+		if o.byZero != "" && r.IntVal() == 0 {
+			return term.Value{}, fmt.Errorf("ast: integer %s by zero", o.byZero)
 		}
+		return term.Int(o.ints(l.IntVal(), r.IntVal())), nil
 	}
-	a, b := l.FloatVal(), r.FloatVal()
-	switch e.Op {
-	case "+":
-		return term.Float(a + b), nil
-	case "-":
-		return term.Float(a - b), nil
-	case "*":
-		return term.Float(a * b), nil
-	case "/":
-		return term.Float(a / b), nil
-	case "^":
-		return term.Float(math.Pow(a, b)), nil
+	if o.floats == nil {
+		return term.Value{}, fmt.Errorf("ast: unknown operator %s", o.op)
 	}
-	return term.Value{}, fmt.Errorf("ast: unknown operator %s", e.Op)
+	return term.Float(o.floats(l.FloatVal(), r.FloatVal())), nil
 }
 
 // Vars appends variables of both operands.
@@ -152,13 +166,10 @@ type FuncExpr struct {
 	Args []Expr
 }
 
-// Eval evaluates the arguments and applies the builtin. Skolem functions
-// are not evaluated here; the engine intercepts them (they need the null
-// factory) — Eval reports an error if one reaches it.
+// Eval evaluates the arguments and applies the builtin (see Builtin).
+// Skolem functions are not evaluated here; the engine intercepts them
+// (they need the null factory) — Eval reports an error if one reaches it.
 func (e FuncExpr) Eval(env map[string]term.Value) (term.Value, error) {
-	if strings.HasPrefix(e.Name, "#") {
-		return term.Value{}, fmt.Errorf("ast: skolem function %s must be evaluated by the engine", e.Name)
-	}
 	args := make([]term.Value, len(e.Args))
 	for i, a := range e.Args {
 		v, err := a.Eval(env)
@@ -167,7 +178,7 @@ func (e FuncExpr) Eval(env map[string]term.Value) (term.Value, error) {
 		}
 		args[i] = v
 	}
-	return applyBuiltin(e.Name, args)
+	return Builtin(e.Name)(args)
 }
 
 // Vars appends variables of every argument.
@@ -197,131 +208,126 @@ func valueToStr(v term.Value) string {
 	return v.String()
 }
 
-func applyBuiltin(name string, args []term.Value) (term.Value, error) {
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("ast: %s expects %d arguments, got %d", name, n, len(args))
+// Func is the semantics of a built-in function over evaluated arguments.
+// It does not retain args.
+type Func func(args []term.Value) (term.Value, error)
+
+// Builtin returns the semantics of the built-in function name (string,
+// numeric and conversion operators of Sec. 5), arity check included. A
+// Skolem function (#name) or an unknown name yields a function that
+// reports it.
+func Builtin(name string) Func {
+	if strings.HasPrefix(name, "#") {
+		return func([]term.Value) (term.Value, error) {
+			return term.Value{}, fmt.Errorf("ast: skolem function %s must be evaluated by the engine", name)
 		}
-		return nil
 	}
-	switch name {
-	case "startsWith":
-		if err := need(2); err != nil {
-			return term.Value{}, err
-		}
-		return term.Bool(strings.HasPrefix(args[0].Str(), args[1].Str())), nil
-	case "endsWith":
-		if err := need(2); err != nil {
-			return term.Value{}, err
-		}
-		return term.Bool(strings.HasSuffix(args[0].Str(), args[1].Str())), nil
-	case "contains":
-		if err := need(2); err != nil {
-			return term.Value{}, err
-		}
-		return term.Bool(strings.Contains(args[0].Str(), args[1].Str())), nil
-	case "indexOf":
-		if err := need(2); err != nil {
-			return term.Value{}, err
-		}
-		return term.Int(int64(strings.Index(args[0].Str(), args[1].Str()))), nil
-	case "substring":
-		if err := need(3); err != nil {
-			return term.Value{}, err
-		}
-		s := args[0].Str()
-		lo, hi := int(args[1].IntVal()), int(args[2].IntVal())
+	if f, ok := builtins[name]; ok {
+		return f
+	}
+	return func([]term.Value) (term.Value, error) {
+		return term.Value{}, fmt.Errorf("ast: unknown function %s", name)
+	}
+}
+
+// builtins holds every built-in function, each wrapped in its arity check
+// once.
+var builtins = map[string]Func{
+	"startsWith": fixed("startsWith", 2, func(a []term.Value) (term.Value, error) {
+		return term.Bool(strings.HasPrefix(a[0].Str(), a[1].Str())), nil
+	}),
+	"endsWith": fixed("endsWith", 2, func(a []term.Value) (term.Value, error) {
+		return term.Bool(strings.HasSuffix(a[0].Str(), a[1].Str())), nil
+	}),
+	"contains": fixed("contains", 2, func(a []term.Value) (term.Value, error) {
+		return term.Bool(strings.Contains(a[0].Str(), a[1].Str())), nil
+	}),
+	"indexOf": fixed("indexOf", 2, func(a []term.Value) (term.Value, error) {
+		return term.Int(int64(strings.Index(a[0].Str(), a[1].Str()))), nil
+	}),
+	"substring": fixed("substring", 3, func(a []term.Value) (term.Value, error) {
+		s := a[0].Str()
+		lo, hi := int(a[1].IntVal()), int(a[2].IntVal())
 		if lo < 0 || hi > len(s) || lo > hi {
 			return term.Value{}, fmt.Errorf("ast: substring bounds [%d,%d) out of range for %q", lo, hi, s)
 		}
 		return term.String(s[lo:hi]), nil
-	case "length":
-		if err := need(1); err != nil {
-			return term.Value{}, err
-		}
-		return term.Int(int64(len(args[0].Str()))), nil
-	case "upper":
-		if err := need(1); err != nil {
-			return term.Value{}, err
-		}
-		return term.String(strings.ToUpper(args[0].Str())), nil
-	case "lower":
-		if err := need(1); err != nil {
-			return term.Value{}, err
-		}
-		return term.String(strings.ToLower(args[0].Str())), nil
-	case "concat":
+	}),
+	"length": fixed("length", 1, func(a []term.Value) (term.Value, error) {
+		return term.Int(int64(len(a[0].Str()))), nil
+	}),
+	"upper": fixed("upper", 1, func(a []term.Value) (term.Value, error) {
+		return term.String(strings.ToUpper(a[0].Str())), nil
+	}),
+	"lower": fixed("lower", 1, func(a []term.Value) (term.Value, error) {
+		return term.String(strings.ToLower(a[0].Str())), nil
+	}),
+	"concat": func(a []term.Value) (term.Value, error) {
 		var sb strings.Builder
-		for _, a := range args {
-			sb.WriteString(valueToStr(a))
+		for _, v := range a {
+			sb.WriteString(valueToStr(v))
 		}
 		return term.String(sb.String()), nil
-	case "abs":
-		if err := need(1); err != nil {
-			return term.Value{}, err
-		}
-		if args[0].Kind() == term.KindInt {
-			v := args[0].IntVal()
+	},
+	"abs": fixed("abs", 1, func(a []term.Value) (term.Value, error) {
+		if a[0].Kind() == term.KindInt {
+			v := a[0].IntVal()
 			if v < 0 {
 				v = -v
 			}
 			return term.Int(v), nil
 		}
-		return term.Float(math.Abs(args[0].FloatVal())), nil
-	case "min":
-		if err := need(2); err != nil {
-			return term.Value{}, err
+		return term.Float(math.Abs(a[0].FloatVal())), nil
+	}),
+	"min": fixed("min", 2, func(a []term.Value) (term.Value, error) {
+		if term.Compare(a[0], a[1]) <= 0 {
+			return a[0], nil
 		}
-		if term.Compare(args[0], args[1]) <= 0 {
-			return args[0], nil
+		return a[1], nil
+	}),
+	"max": fixed("max", 2, func(a []term.Value) (term.Value, error) {
+		if term.Compare(a[0], a[1]) >= 0 {
+			return a[0], nil
 		}
-		return args[1], nil
-	case "max":
-		if err := need(2); err != nil {
-			return term.Value{}, err
-		}
-		if term.Compare(args[0], args[1]) >= 0 {
-			return args[0], nil
-		}
-		return args[1], nil
-	case "toInt":
-		if err := need(1); err != nil {
-			return term.Value{}, err
-		}
-		switch args[0].Kind() {
+		return a[1], nil
+	}),
+	"toInt": fixed("toInt", 1, func(a []term.Value) (term.Value, error) {
+		switch a[0].Kind() {
 		case term.KindInt:
-			return args[0], nil
+			return a[0], nil
 		case term.KindFloat:
-			return term.Int(int64(args[0].FloatVal())), nil
+			return term.Int(int64(a[0].FloatVal())), nil
 		case term.KindString:
-			v, err := term.ParseLiteral(args[0].Str())
+			v, err := term.ParseLiteral(a[0].Str())
 			if err != nil || v.Kind() != term.KindInt {
-				return term.Value{}, fmt.Errorf("ast: cannot convert %q to int", args[0].Str())
+				return term.Value{}, fmt.Errorf("ast: cannot convert %q to int", a[0].Str())
 			}
 			return v, nil
 		}
-		return term.Value{}, fmt.Errorf("ast: cannot convert %s to int", args[0].Kind())
-	case "toFloat":
-		if err := need(1); err != nil {
-			return term.Value{}, err
+		return term.Value{}, fmt.Errorf("ast: cannot convert %s to int", a[0].Kind())
+	}),
+	"toFloat": fixed("toFloat", 1, func(a []term.Value) (term.Value, error) {
+		if a[0].IsNumeric() {
+			return term.Float(a[0].FloatVal()), nil
 		}
-		if args[0].IsNumeric() {
-			return term.Float(args[0].FloatVal()), nil
-		}
-		return term.Value{}, fmt.Errorf("ast: cannot convert %s to float", args[0].Kind())
-	case "toString":
-		if err := need(1); err != nil {
-			return term.Value{}, err
-		}
-		return term.String(valueToStr(args[0])), nil
-	}
-	return term.Value{}, fmt.Errorf("ast: unknown function %s", name)
+		return term.Value{}, fmt.Errorf("ast: cannot convert %s to float", a[0].Kind())
+	}),
+	"toString": fixed("toString", 1, func(a []term.Value) (term.Value, error) {
+		return term.String(valueToStr(a[0])), nil
+	}),
 }
 
-// EvalCondition evaluates a condition under env. Comparisons between a
-// labelled null and anything else succeed only for == of the same null
-// and != of different values, mirroring the paper's treatment of nulls as
-// plain (distinct) symbols.
+// fixed wraps f in a check that it receives exactly n arguments.
+func fixed(name string, n int, f Func) Func {
+	return func(args []term.Value) (term.Value, error) {
+		if len(args) != n {
+			return term.Value{}, fmt.Errorf("ast: %s expects %d arguments, got %d", name, n, len(args))
+		}
+		return f(args)
+	}
+}
+
+// EvalCondition evaluates a condition under env (see CmpOp.Holds).
 func EvalCondition(c Condition, env map[string]term.Value) (bool, error) {
 	l, err := c.L.Eval(env)
 	if err != nil {
@@ -331,30 +337,38 @@ func EvalCondition(c Condition, env map[string]term.Value) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	return c.Op.Holds(l, r), nil
+}
+
+// Holds is the one comparison rule, shared by rule conditions and source
+// queries. A labelled null is a plain symbol: == holds only of the same
+// null, != of different values, and no ordering holds. Other values are
+// equal under term.Equal (an Int and a Float by numeric value) and ordered
+// by term.Compare (numerics numerically, otherwise by kind, then payload).
+// An unknown operator never holds.
+func (op CmpOp) Holds(l, r term.Value) bool {
 	if l.IsNull() || r.IsNull() {
-		switch c.Op {
+		switch op {
 		case CmpEq:
-			return l == r, nil
+			return l == r
 		case CmpNeq:
-			return l != r, nil
-		default:
-			return false, nil // ordering undefined on labelled nulls
+			return l != r
 		}
+		return false
 	}
-	cmp := term.Compare(l, r)
-	switch c.Op {
+	switch op {
 	case CmpEq:
-		return term.Equal(l, r), nil
+		return term.Equal(l, r)
 	case CmpNeq:
-		return !term.Equal(l, r), nil
+		return !term.Equal(l, r)
 	case CmpLt:
-		return cmp < 0, nil
+		return term.Compare(l, r) < 0
 	case CmpLe:
-		return cmp <= 0, nil
+		return term.Compare(l, r) <= 0
 	case CmpGt:
-		return cmp > 0, nil
+		return term.Compare(l, r) > 0
 	case CmpGe:
-		return cmp >= 0, nil
+		return term.Compare(l, r) >= 0
 	}
-	return false, fmt.Errorf("ast: unknown comparison operator")
+	return false
 }

@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -10,65 +11,43 @@ import (
 	"repro/internal/term"
 )
 
-// AggState holds the stateful record-level monotonic aggregation operators
-// of paper Sec. 5 for one rule: per group-by tuple, the best contribution
-// retained per contributor tuple, the current aggregate, and the facts the
-// owning rule last admitted for the group. The latter is the supersession
-// layer: the stream of intermediate aggregates is transient — only its
-// limit belongs in the final database — so when a group's aggregate
-// improves, the engines replace the previously admitted fact in place
-// (storage.Relation.Replace) instead of letting superseded intermediates
-// accumulate. At quiescence exactly one fact per group and rule remains,
-// the final one, regardless of rule-application order.
+// AggState holds the stateful record-level monotonic aggregation operator
+// of paper Sec. 5 for one rule: per group-by tuple, its current aggregate,
+// its members (the contributor tuples, or values, the function keeps
+// apart) and the facts the owning rule last admitted for the group. The
+// latter is the supersession layer: the stream of intermediate aggregates
+// is transient — only its limit belongs in the final database — so when a
+// group's aggregate improves, the engines replace the previously admitted
+// fact in place (storage.Relation.Replace) instead of letting superseded
+// intermediates accumulate. At quiescence exactly one fact per group and
+// rule remains, the final one, regardless of rule-application order.
 //
-// Group and contributor tuples are keyed by interned term IDs (packed,
-// fixed-width), not rendered strings: keys cannot collide for values whose
-// renderings coincide (e.g. strings containing a separator byte) and the
-// per-Update hot path never renders values.
-//
-// msum and mprod enforce the paper's monotonicity domains (contributions
-// ≥ 0 for msum, ≥ 1 for mprod) and recompute float aggregates over the
-// retained contributions in sorted order, so the value emitted after an
-// improvement is a deterministic function of the retained set — identical
-// across engines and admission orders down to the last bit.
+// The function is chosen once, when the rule compiles (CAgg.NewState).
+// Groups and members are numbered by tuples of interned IDs, so keys never
+// render values, and two values are one key exactly when the store holds
+// them as one value (term.Identical). Every per-group datum lives in a
+// slice indexed by the group's number.
 type AggState struct {
-	fn     string
-	in     *storage.Interner
-	groups map[string]*groupState
-	// cur is the group touched by the most recent Update; LastEmitted and
-	// RecordEmitted address it without re-deriving the group key.
-	cur    *groupState
-	keyBuf []byte
-}
-
-type groupState struct {
-	// contribs maps a contributor key to its best (max for increasing,
-	// min for decreasing aggregations) contribution so far.
-	contribs map[string]term.Value
-	// distinct collects values for mcount/munion.
-	distinct map[term.Value]bool
-	// cur is the running aggregate for mmin/mmax.
-	cur    term.Value
-	hasCur bool
-	// Exact integer accumulators, valid while every contribution is an
-	// int and (for mprod) the product fits int64; otherwise the aggregate
-	// is folded over sorted, the retained contributions kept in ascending
-	// order, so float rounding depends only on the retained multiset
-	// (deterministic across engines and admission orders).
-	sumInt  int64
-	prodInt int64
-	isInt   bool
-	sorted  []float64
-	sumF    float64
-	prodF   float64
-	// last is the value returned by the previous Update for this group:
-	// Update reports improved=false when the value did not change, which
-	// lets the engines skip emission entirely.
-	last    term.Value
-	hasLast bool
-	// emitted tracks, per head-atom index, the fact the owning rule last
-	// admitted for this group (the supersession target).
-	emitted []Emitted
+	fun aggFunc
+	in  *storage.Interner
+	// groups numbers the group-by tuples, members the (group, key) tuples.
+	groups, members idTable
+	// Per group: its current value (the one the previous Update returned),
+	// whether that value is emitted — Update reports improved=false when
+	// the value did not change and is emitted, which lets the engines skip
+	// emission — and its newest member (-1: none).
+	cur     []term.Value
+	settled []bool
+	newest  []int32
+	// older is, per member, the previous member of its group (-1 ends).
+	older []int32
+	// emitted[hi][g] is the fact the owning rule last admitted for group g
+	// at head index hi (the supersession target).
+	emitted [][]Emitted
+	// last is the group touched by the most recent Update (-1: none);
+	// LastEmitted, RecordEmitted, Settle and Unsettle address it.
+	last int32
+	ids  []uint32 // the tuple being looked up
 }
 
 // Emitted identifies a fact admitted for a group: its metadata and its row
@@ -79,28 +58,42 @@ type Emitted struct {
 	Row  int
 }
 
+// aggFunc is one monotonic aggregation function. update folds
+// contribution x of contributor tuple contrib (empty when the rule names
+// none) into group g, whose value is cur (invalid before the group's first
+// update), and returns the group's new value.
+type aggFunc interface {
+	update(st *AggState, g int32, cur term.Value, contrib []term.Value, x term.Value) (term.Value, error)
+}
+
+// aggFuncs maps each aggregation function's name to its constructor.
+var aggFuncs = map[string]func() aggFunc{
+	"msum":   func() aggFunc { return &msum{} },
+	"mprod":  func() aggFunc { return &mprod{} },
+	"mmin":   func() aggFunc { return extremum(-1) },
+	"mmax":   func() aggFunc { return extremum(1) },
+	"mcount": func() aggFunc { return count{} },
+	"munion": func() aggFunc { return &union{} },
+}
+
 // NewAggState creates the state for aggregation function fn, keying
 // groups and contributors through in — pass the database's interner so
 // stored values are keyed without re-interning; nil allocates a private
-// table (tests, standalone use).
+// table (tests, standalone use). It panics on a name that is not one of
+// the six functions; a compiled rule's CAgg.NewState cannot.
 func NewAggState(fn string, in *storage.Interner) *AggState {
+	newFunc, ok := aggFuncs[fn]
+	if !ok {
+		panic("eval: unknown aggregation function " + fn)
+	}
+	return newAggState(newFunc(), in)
+}
+
+func newAggState(fn aggFunc, in *storage.Interner) *AggState {
 	if in == nil {
 		in = storage.NewInterner()
 	}
-	return &AggState{fn: fn, in: in, groups: make(map[string]*groupState)}
-}
-
-// key packs the interned IDs of vals into a fixed-width byte string:
-// collision-free by construction and allocation-light (one string per
-// lookup, no rendering).
-func (st *AggState) key(vals []term.Value) string {
-	b := st.keyBuf[:0]
-	for _, v := range vals {
-		id := st.in.Intern(v)
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	st.keyBuf = b
-	return string(b)
+	return &AggState{fun: fn, in: in, last: -1}
 }
 
 // Update feeds one body match into the aggregate: group is the group-by
@@ -110,208 +103,49 @@ func (st *AggState) key(vals []term.Value) string {
 // false the engines skip head emission: the group's admitted fact already
 // carries this value.
 //
-// Per the paper, for each contributor value the maximum (for increasing
+// Per the paper, for each contributor the maximum (for increasing
 // functions: msum over non-negative, mprod over ≥1, mmax, mcount, munion)
 // or minimum (mmin) contribution is retained, and the aggregate is
 // recomputed over the retained contributions; subsequent invocations yield
-// updated values whose limit is the final aggregate. A set-valued munion
-// contribution is flattened into its elements, so unioning an improving
-// set-valued stream (e.g. an aggregate consuming its own predicate, as in
-// AllPSC) converges to the union of the final sets independent of which
-// intermediates were observed.
+// updated values whose limit is the final aggregate.
 func (st *AggState) Update(group, contrib []term.Value, x term.Value) (term.Value, bool, error) {
-	gk := st.key(group)
-	g := st.groups[gk]
-	if g == nil {
-		g = &groupState{
-			contribs: make(map[string]term.Value),
-			isInt:    true,
-			prodInt:  1,
-		}
-		if st.fn == "mcount" || st.fn == "munion" {
-			g.distinct = make(map[term.Value]bool)
-		}
-		st.groups[gk] = g
+	st.ids = st.ids[:0]
+	for _, v := range group {
+		st.ids = append(st.ids, st.in.Intern(v))
 	}
-	st.cur = g
-	v, err := st.apply(g, contrib, x)
+	g, fresh := st.groups.number(st.ids)
+	if fresh {
+		st.cur = append(st.cur, term.Value{})
+		st.settled = append(st.settled, false)
+		st.newest = append(st.newest, -1)
+	}
+	st.last = g
+	v, err := st.fun.update(st, g, st.cur[g], contrib, x)
 	if err != nil {
 		return term.Value{}, false, err
 	}
-	improved := !g.hasLast || v != g.last
-	g.last, g.hasLast = v, true
+	improved := !st.settled[g] || !term.Identical(v, st.cur[g])
+	st.cur[g], st.settled[g] = v, true
 	return v, improved, nil
 }
 
-func (st *AggState) apply(g *groupState, contrib []term.Value, x term.Value) (term.Value, error) {
-	switch st.fn {
-	case "msum", "mprod":
-		if !x.IsNumeric() {
-			return term.Value{}, fmt.Errorf("eval: %s over non-numeric value %s", st.fn, x)
-		}
-		if st.fn == "msum" && x.FloatVal() < 0 {
-			return term.Value{}, fmt.Errorf("eval: msum over negative contribution %s (monotonic sum requires contributions ≥ 0)", x)
-		}
-		if st.fn == "mprod" && x.FloatVal() < 1 {
-			return term.Value{}, fmt.Errorf("eval: mprod over contribution %s < 1 (monotonic product requires contributions ≥ 1)", x)
-		}
-		var ck string
-		if len(contrib) == 0 {
-			// No windowing: set semantics — each distinct value per group
-			// contributes once (idempotent under re-derivation).
-			ck = st.key([]term.Value{x})
-		} else {
-			ck = st.key(contrib)
-		}
-		old, had := g.contribs[ck]
-		if had && term.Compare(x, old) <= 0 {
-			// Not an improvement; aggregate unchanged.
-			return st.currentSumProd(g), nil
-		}
-		g.contribs[ck] = x
-		wasInt := g.isInt
-		if x.Kind() != term.KindInt {
-			g.isInt = false
-		}
-		switch {
-		case g.isInt && st.fn == "msum":
-			if had {
-				g.sumInt -= old.IntVal()
-			}
-			g.sumInt += x.IntVal()
-		case g.isInt: // mprod
-			// old ≥ 1 (domain-checked) divides the product exactly.
-			if had {
-				g.prodInt /= old.IntVal()
-			}
-			if v := x.IntVal(); g.prodInt > math.MaxInt64/v {
-				// The exact product would overflow int64: degrade to the
-				// deterministic float fold instead of wrapping around.
-				g.isInt = false
-				g.rebuildSorted()
-			} else {
-				g.prodInt *= v
-			}
-		case wasInt:
-			// First non-int contribution: normalize the retained set once.
-			g.rebuildSorted()
-		default:
-			if had {
-				g.sorted = removeSorted(g.sorted, old.FloatVal())
-			}
-			g.sorted = insertSorted(g.sorted, x.FloatVal())
-		}
-		if !g.isInt {
-			st.foldFloat(g)
-		}
-		return st.currentSumProd(g), nil
-	case "mmin":
-		if !g.hasCur || term.Compare(x, g.cur) < 0 {
-			g.cur = x
-			g.hasCur = true
-		}
-		return g.cur, nil
-	case "mmax":
-		if !g.hasCur || term.Compare(x, g.cur) > 0 {
-			g.cur = x
-			g.hasCur = true
-		}
-		return g.cur, nil
-	case "mcount":
-		key := x
-		if len(contrib) > 0 {
-			key = term.String(st.key(contrib))
-		}
-		g.distinct[key] = true
-		return term.Int(int64(len(g.distinct))), nil
-	case "munion":
-		if x.Kind() == term.KindSet {
-			for _, el := range x.SetElems() {
-				g.distinct[el] = true
-			}
-		} else {
-			g.distinct[x] = true
-		}
-		return setValue(g.distinct), nil
-	default:
-		return term.Value{}, fmt.Errorf("eval: unknown aggregation function %s", st.fn)
+// member returns the number of group g's member keyed by the contributor
+// tuple contrib, or by x alone when contrib is empty, and whether it is
+// new.
+func (st *AggState) member(g int32, contrib []term.Value, x term.Value) (int32, bool) {
+	st.ids = append(st.ids[:0], uint32(g))
+	if len(contrib) == 0 {
+		st.ids = append(st.ids, st.in.Intern(x))
 	}
-}
-
-// rebuildSorted normalizes the retained contributions into the sorted
-// float slice the deterministic fold runs over (paid once, when the group
-// leaves the exact-int fast path).
-func (g *groupState) rebuildSorted() {
-	g.sorted = g.sorted[:0]
-	for _, v := range g.contribs {
-		g.sorted = append(g.sorted, v.FloatVal())
+	for _, v := range contrib {
+		st.ids = append(st.ids, st.in.Intern(v))
 	}
-	sort.Float64s(g.sorted)
-}
-
-// foldFloat recomputes the float aggregate by folding the sorted retained
-// contributions in ascending order: the result depends only on the
-// retained multiset, never on arrival order, so both engines round
-// identically however their fixpoints interleave. The slice is maintained
-// incrementally (binary-search insert/remove), so a fold is one linear
-// pass with no sorting or allocation on the hot path.
-func (st *AggState) foldFloat(g *groupState) {
-	if st.fn == "msum" {
-		s := 0.0
-		for _, f := range g.sorted {
-			s += f
-		}
-		g.sumF = s
-	} else {
-		p := 1.0
-		for _, f := range g.sorted {
-			p *= f
-		}
-		g.prodF = p
+	m, fresh := st.members.number(st.ids)
+	if fresh {
+		st.older = append(st.older, st.newest[g])
+		st.newest[g] = m
 	}
-}
-
-// removeSorted deletes one occurrence of f, falling back to a linear scan
-// when the binary search misses (NaN contributions break the sort
-// invariant; any fold containing NaN is NaN regardless of order, so the
-// disorder stays harmless).
-func removeSorted(s []float64, f float64) []float64 {
-	i := sort.SearchFloat64s(s, f)
-	if i >= len(s) || s[i] != f {
-		i = -1
-		for j, v := range s {
-			if v == f || (math.IsNaN(v) && math.IsNaN(f)) {
-				i = j
-				break
-			}
-		}
-		if i < 0 {
-			return s
-		}
-	}
-	return append(s[:i], s[i+1:]...)
-}
-
-// insertSorted inserts f keeping the slice sorted.
-func insertSorted(s []float64, f float64) []float64 {
-	i := sort.SearchFloat64s(s, f)
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = f
-	return s
-}
-
-func (st *AggState) currentSumProd(g *groupState) term.Value {
-	if st.fn == "mprod" {
-		if g.isInt {
-			return term.Int(g.prodInt)
-		}
-		return term.Float(g.prodF)
-	}
-	if g.isInt {
-		return term.Int(g.sumInt)
-	}
-	return term.Float(g.sumF)
+	return m, fresh
 }
 
 // Unsettle withdraws the "already emitted" mark Update put on the value it
@@ -319,62 +153,212 @@ func (st *AggState) currentSumProd(g *groupState) term.Value {
 // restores it. The admission core brackets every emission with the pair: an
 // emission that is refused or crashes half-way leaves the group unsettled,
 // and the re-fired delta re-emits instead of skipping.
-func (st *AggState) Unsettle() { st.cur.hasLast = false }
+func (st *AggState) Unsettle() { st.settled[st.last] = false }
 
 // Settle marks the value of the most recent Update as emitted.
-func (st *AggState) Settle() { st.cur.hasLast = true }
+func (st *AggState) Settle() { st.settled[st.last] = true }
 
 // LastEmitted returns the fact the owning rule last admitted for head
 // index hi of the group touched by the most recent Update, or ok=false
 // when no fact has been admitted for it yet.
 func (st *AggState) LastEmitted(hi int) (Emitted, bool) {
-	if st.cur == nil || hi >= len(st.cur.emitted) || st.cur.emitted[hi].Meta == nil {
+	if st.last < 0 || hi >= len(st.emitted) || int(st.last) >= len(st.emitted[hi]) {
 		return Emitted{}, false
 	}
-	return st.cur.emitted[hi], true
+	e := st.emitted[hi][st.last]
+	return e, e.Meta != nil
 }
 
 // RecordEmitted notes m (stored at row in its predicate's relation) as the
 // admitted fact for head index hi of the most recent Update's group.
 func (st *AggState) RecordEmitted(hi int, m *core.FactMeta, row int) {
-	g := st.cur
-	for len(g.emitted) <= hi {
-		g.emitted = append(g.emitted, Emitted{})
+	for len(st.emitted) <= hi {
+		st.emitted = append(st.emitted, nil)
 	}
-	g.emitted[hi] = Emitted{Meta: m, Row: row}
-}
-
-// Final returns the current (final, once the chase has quiesced) aggregate
-// for a group, if present.
-func (st *AggState) Final(group []term.Value) (term.Value, bool) {
-	g := st.groups[st.key(group)]
-	if g == nil {
-		return term.Value{}, false
+	e := st.emitted[hi]
+	if n := int(st.last) + 1 - len(e); n > 0 {
+		e = append(e, make([]Emitted, n)...)
 	}
-	switch st.fn {
-	case "msum", "mprod":
-		return st.currentSumProd(g), true
-	case "mmin", "mmax":
-		return g.cur, g.hasCur
-	case "mcount":
-		return term.Int(int64(len(g.distinct))), true
-	case "munion":
-		return setValue(g.distinct), true
-	}
-	return term.Value{}, false
+	e[st.last] = Emitted{Meta: m, Row: row}
+	st.emitted[hi] = e
 }
 
 // Groups returns the number of distinct group-by tuples seen.
-func (st *AggState) Groups() int { return len(st.groups) }
+func (st *AggState) Groups() int { return len(st.cur) }
 
-// setValue collects a distinct-value map into the canonical set constant.
-func setValue(set map[term.Value]bool) term.Value {
-	elems := make([]term.Value, 0, len(set))
-	//vadalint:ordered term.Set dedups and sorts elems into the canonical order itself
-	for v := range set {
-		elems = append(elems, v)
+// idTable numbers tuples of interned IDs in order of first sight: a hash
+// chain per storage.HashRow of the tuple (core.Strategy's idiom for G and
+// S), every candidate verified against the stored tuple. The zero value is
+// an empty table.
+type idTable struct {
+	chains map[uint64]int32 // tuple hash -> its newest entry
+	next   []int32          // per entry: the older entry of its chain, -1 ends it
+	off    []int32          // entry e's tuple is keys[off[e]:off[e+1]]
+	keys   []uint32
+}
+
+// number returns the entry of tup, adding it when absent (fresh).
+func (t *idTable) number(tup []uint32) (e int32, fresh bool) {
+	if t.chains == nil {
+		t.chains, t.off = make(map[uint64]int32), []int32{0}
 	}
-	return term.Set(elems)
+	h := storage.HashRow(tup)
+	head, ok := t.chains[h]
+	if !ok {
+		head = -1
+	}
+	for e := head; e >= 0; e = t.next[e] {
+		if slices.Equal(t.keys[t.off[e]:t.off[e+1]], tup) {
+			return e, false
+		}
+	}
+	e = int32(len(t.next))
+	t.next = append(t.next, head)
+	t.keys = append(t.keys, tup...)
+	t.off = append(t.off, int32(len(t.keys)))
+	t.chains[h] = e
+	return e, true
+}
+
+// extremum is mmin (-1) and mmax (+1): the group's least or greatest
+// contribution under term.Compare. Contributors play no part.
+type extremum int
+
+func (sign extremum) update(_ *AggState, _ int32, cur term.Value, _ []term.Value, x term.Value) (term.Value, error) {
+	if cur.Kind() == term.KindInvalid || term.Compare(x, cur)*int(sign) > 0 {
+		return x, nil
+	}
+	return cur, nil
+}
+
+// count is mcount: the number of distinct contributor tuples of a group,
+// or of distinct values when the rule names no contributors.
+type count struct{}
+
+func (count) update(st *AggState, g int32, cur term.Value, contrib []term.Value, x term.Value) (term.Value, error) {
+	if _, fresh := st.member(g, contrib, x); fresh {
+		return term.Int(cur.IntVal() + 1), nil
+	}
+	return cur, nil
+}
+
+// union is munion: the set of distinct values contributed to a group. A
+// set-valued contribution counts as its elements, so unioning an improving
+// set-valued stream (e.g. an aggregate consuming its own predicate, as in
+// AllPSC) converges to the union of the final sets independent of which
+// intermediates were observed. Contributors play no part.
+type union struct{ elems []term.Value }
+
+func (f *union) update(st *AggState, g int32, cur term.Value, _ []term.Value, x term.Value) (term.Value, error) {
+	added := false
+	if x.Kind() == term.KindSet {
+		for _, el := range x.SetElems() {
+			_, fresh := st.member(g, nil, el)
+			added = added || fresh
+		}
+	} else {
+		_, added = st.member(g, nil, x)
+	}
+	if !added && cur.Kind() != term.KindInvalid {
+		return cur, nil
+	}
+	f.elems = f.elems[:0]
+	for m := st.newest[g]; m >= 0; m = st.older[m] {
+		f.elems = append(f.elems, st.in.ValueOf(st.members.keys[st.members.off[m]+1]))
+	}
+	return term.Set(f.elems), nil
+}
+
+// retained is what msum and mprod keep per member: the greatest
+// contribution so far. A group's value is exact — an Int — while every
+// retained contribution is an int and the result fits an int64. After that
+// it is a Float, the fold of the retained contributions in ascending
+// order, so its bits depend only on the retained multiset: identical
+// across engines and admission orders.
+type retained struct {
+	val []term.Value // per member
+	buf []float64    // fold scratch
+}
+
+// retain offers x as the contribution of contrib's member of group g. It
+// reports whether the member is new, what it retained before, and whether
+// x replaced that (improved is false when x is no greater).
+func (r *retained) retain(st *AggState, g int32, contrib []term.Value, x term.Value) (old term.Value, fresh, improved bool) {
+	m, fresh := st.member(g, contrib, x)
+	if fresh {
+		r.val = append(r.val, x)
+		return term.Value{}, true, true
+	}
+	if old = r.val[m]; term.Compare(x, old) <= 0 {
+		return old, false, false
+	}
+	r.val[m] = x
+	return old, false, true
+}
+
+// fold returns the float fold, by op from unit, of group g's retained
+// contributions in ascending order.
+func (r *retained) fold(st *AggState, g int32, unit float64, op func(acc, v float64) float64) term.Value {
+	r.buf = r.buf[:0]
+	for m := st.newest[g]; m >= 0; m = st.older[m] {
+		r.buf = append(r.buf, r.val[m].FloatVal())
+	}
+	sort.Float64s(r.buf)
+	acc := unit
+	for _, v := range r.buf {
+		acc = op(acc, v)
+	}
+	return term.Float(acc)
+}
+
+// msum is the monotonic sum; contributions must be ≥ 0.
+type msum struct{ retained }
+
+func (f *msum) update(st *AggState, g int32, cur term.Value, contrib []term.Value, x term.Value) (term.Value, error) {
+	if !x.IsNumeric() || x.FloatVal() < 0 {
+		return term.Value{}, fmt.Errorf("eval: msum over %s (monotonic sum requires numeric contributions ≥ 0)", x)
+	}
+	old, fresh, improved := f.retain(st, g, contrib, x)
+	if !improved {
+		return cur, nil
+	}
+	if cur.Kind() != term.KindFloat && x.Kind() == term.KindInt {
+		s := cur.IntVal() // 0 before the first contribution
+		if !fresh {
+			s -= old.IntVal()
+		}
+		// An exact sum that would overflow int64 folds floats instead.
+		if v := x.IntVal(); s <= math.MaxInt64-v {
+			return term.Int(s + v), nil
+		}
+	}
+	return f.fold(st, g, 0, func(acc, v float64) float64 { return acc + v }), nil
+}
+
+// mprod is the monotonic product; contributions must be ≥ 1.
+type mprod struct{ retained }
+
+func (f *mprod) update(st *AggState, g int32, cur term.Value, contrib []term.Value, x term.Value) (term.Value, error) {
+	if !x.IsNumeric() || x.FloatVal() < 1 {
+		return term.Value{}, fmt.Errorf("eval: mprod over %s (monotonic product requires numeric contributions ≥ 1)", x)
+	}
+	old, fresh, improved := f.retain(st, g, contrib, x)
+	if !improved {
+		return cur, nil
+	}
+	if cur.Kind() != term.KindFloat && x.Kind() == term.KindInt {
+		p := int64(1)
+		if !fresh {
+			p = cur.IntVal() / old.IntVal() // old ≥ 1 divides the product exactly
+		} else if cur.Kind() == term.KindInt {
+			p = cur.IntVal()
+		}
+		// An exact product that would overflow int64 folds floats instead.
+		if v := x.IntVal(); p <= math.MaxInt64/v {
+			return term.Int(p * v), nil
+		}
+	}
+	return f.fold(st, g, 1, func(acc, v float64) float64 { return acc * v }), nil
 }
 
 // NullSubst is a union-find substitution over labelled nulls, produced by

@@ -3,6 +3,12 @@
 // join of paper Sec. 4), head instantiation with deterministic Skolem
 // nulls, monotonic aggregation state, and the null substitution used for
 // equality-generating dependencies.
+//
+// Compile decides what a match computes: every expression (condition,
+// assignment, Skolem or aggregate argument) becomes a function over the
+// binding's slots with its operators and builtins resolved, and the
+// rule's aggregation function becomes one small type per function
+// (AggState), so matching never looks up a name or builds a map.
 package eval
 
 import (
@@ -12,6 +18,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/ast"
+	"repro/internal/storage"
 	"repro/internal/term"
 )
 
@@ -34,92 +41,38 @@ func (a *CAtom) Arity() int { return len(a.IsVar) }
 // the engine can route them through the null factory.
 type CAssign struct {
 	Slot     int
-	Expr     ast.Expr
-	Deps     []int // slots read by Expr
+	Deps     []int // slots read by the expression
 	IsSkolem bool
 	SkName   string
-	SkArgs   []ast.Expr
+
+	expr   expr   // the value (not a Skolem call)
+	skArgs []expr // the Skolem call's arguments
 }
 
-// CCond is a compiled condition with its slot dependencies. Conditions
-// whose sides are a plain variable or constant take a fast path that
-// avoids materializing an environment map.
+// CCond is a compiled condition with its slot dependencies.
 type CCond struct {
 	Cond ast.Condition
 	Deps []int
 
-	Fast           bool
-	LSlot, RSlot   int // slot index, or -1 when the side is a constant
-	LConst, RConst term.Value
+	l, r expr
 }
 
-// compileFast recognizes var/const comparison sides.
-func (c *CCond) compileFast(varSlot map[string]int) {
-	side := func(e ast.Expr) (int, term.Value, bool) {
-		switch ex := e.(type) {
-		case ast.VarExpr:
-			if s, ok := varSlot[ex.Name]; ok {
-				return s, term.Value{}, true
-			}
-		case ast.ConstExpr:
-			return -1, ex.Val, true
-		}
-		return 0, term.Value{}, false
+// Holds evaluates the condition on b's slots.
+func (c *CCond) Holds(b *Binding) (bool, error) {
+	l, err := c.l(b)
+	if err != nil {
+		return false, err
 	}
-	ls, lc, lok := side(c.Cond.L)
-	rs, rc, rok := side(c.Cond.R)
-	if lok && rok {
-		c.Fast = true
-		c.LSlot, c.LConst = ls, lc
-		c.RSlot, c.RConst = rs, rc
+	r, err := c.r(b)
+	if err != nil {
+		return false, err
 	}
+	return c.Cond.Op.Holds(l, r), nil
 }
 
-// EvalFast evaluates a fast-path condition against the binding's slots,
-// decoding interned IDs to values only for the two sides involved.
-func (c *CCond) EvalFast(b *Binding) bool {
-	l, r := c.LConst, c.RConst
-	if c.LSlot >= 0 {
-		l = b.Val(c.LSlot)
-	}
-	if c.RSlot >= 0 {
-		r = b.Val(c.RSlot)
-	}
-	if l.IsNull() || r.IsNull() {
-		switch c.Cond.Op {
-		case ast.CmpEq:
-			return l == r
-		case ast.CmpNeq:
-			return l != r
-		default:
-			return false // ordering undefined on labelled nulls
-		}
-	}
-	switch c.Cond.Op {
-	case ast.CmpEq:
-		return term.Equal(l, r)
-	case ast.CmpNeq:
-		return !term.Equal(l, r)
-	case ast.CmpLt:
-		return term.Compare(l, r) < 0
-	case ast.CmpLe:
-		return term.Compare(l, r) <= 0
-	case ast.CmpGt:
-		return term.Compare(l, r) > 0
-	case ast.CmpGe:
-		return term.Compare(l, r) >= 0
-	}
-	return false
-}
-
-// CAgg is a compiled monotonic aggregation. ArgSlot is the fast path for
-// the common case where the aggregated expression is a plain variable.
+// CAgg is a compiled monotonic aggregation.
 type CAgg struct {
 	ResultSlot   int
-	Func         string
-	Arg          ast.Expr
-	ArgSlot      int // ≥0 when Arg is a plain variable
-	ArgDeps      []int
 	ContribSlots []int
 	GroupSlots   []int
 
@@ -131,6 +84,87 @@ type CAgg struct {
 	// the full emission path even for non-improving matches (a condition
 	// over another body variable may pass now although it failed then).
 	SkipSafe bool
+
+	arg     expr
+	newFunc func() aggFunc
+}
+
+// Contribution evaluates the aggregated expression on b's slots.
+func (a *CAgg) Contribution(b *Binding) (term.Value, error) { return a.arg(b) }
+
+// NewState returns empty aggregation state for the rule, keying groups and
+// contributors through in (see NewAggState).
+func (a *CAgg) NewState(in *storage.Interner) *AggState { return newAggState(a.newFunc(), in) }
+
+// expr is an ast.Expr compiled against a rule's slots: it reads the
+// binding directly, with its operators and builtins resolved once (their
+// semantics are ast's; ast.Expr.Eval is the uncompiled form).
+type expr func(b *Binding) (term.Value, error)
+
+// compileExpr compiles e, numbering its variables through slot.
+func compileExpr(e ast.Expr, slot func(string) int) expr {
+	switch ex := e.(type) {
+	case ast.ConstExpr:
+		v := ex.Val
+		return func(*Binding) (term.Value, error) { return v, nil }
+	case ast.VarExpr:
+		s, name := slot(ex.Name), ex.Name
+		return func(b *Binding) (term.Value, error) {
+			if !b.Bound[s] {
+				return term.Value{}, fmt.Errorf("eval: unbound variable %s in expression", name)
+			}
+			return b.Val(s), nil
+		}
+	case ast.BinExpr:
+		l, r, op := compileExpr(ex.L, slot), compileExpr(ex.R, slot), ast.Operator(ex.Op)
+		return func(b *Binding) (term.Value, error) {
+			lv, err := l(b)
+			if err != nil {
+				return term.Value{}, err
+			}
+			rv, err := r(b)
+			if err != nil {
+				return term.Value{}, err
+			}
+			return op(lv, rv)
+		}
+	case ast.FuncExpr:
+		args, fn := compileExprs(ex.Args, slot), ast.Builtin(ex.Name)
+		return func(b *Binding) (term.Value, error) {
+			base, err := b.push(args)
+			if err != nil {
+				return term.Value{}, err
+			}
+			v, err := fn(b.stack[base:])
+			b.stack = b.stack[:base]
+			return v, err
+		}
+	}
+	panic(fmt.Sprintf("eval: unknown expression type %T", e))
+}
+
+// push evaluates es onto b's stack and returns where their values start;
+// calls nested in es push above them and pop before returning. On an error
+// the stack is left as it was.
+func (b *Binding) push(es []expr) (int, error) {
+	base := len(b.stack)
+	for _, e := range es {
+		v, err := e(b)
+		if err != nil {
+			b.stack = b.stack[:base]
+			return base, err
+		}
+		b.stack = append(b.stack, v)
+	}
+	return base, nil
+}
+
+func compileExprs(es []ast.Expr, slot func(string) int) []expr {
+	out := make([]expr, len(es))
+	for i, e := range es {
+		out[i] = compileExpr(e, slot)
+	}
+	return out
 }
 
 // Step is one element of the execution schedule produced at compile time:
@@ -165,10 +199,6 @@ type CompiledRule struct {
 	Info *analysis.RuleInfo
 
 	VarSlot map[string]int
-	// SlotVar is the inverse of VarSlot: the variable name per slot, used
-	// to materialize dependency-restricted expression environments without
-	// walking the whole variable map.
-	SlotVar []string
 	NSlots  int
 
 	Pos []CAtom // positive, non-dom body atoms in source order
@@ -202,7 +232,6 @@ func Compile(rule *ast.Rule, info *analysis.RuleInfo) (*CompiledRule, error) {
 		if !ok {
 			s = cr.NSlots
 			cr.VarSlot[v] = s
-			cr.SlotVar = append(cr.SlotVar, v)
 			cr.NSlots++
 		}
 		return s
@@ -255,31 +284,31 @@ func Compile(rule *ast.Rule, info *analysis.RuleInfo) (*CompiledRule, error) {
 	}
 
 	for _, asg := range rule.Assignments {
-		ca := CAssign{Slot: slot(asg.Var), Expr: asg.Expr, Deps: slotsOf(asg.Expr.Vars(nil))}
+		ca := CAssign{Slot: slot(asg.Var), Deps: slotsOf(asg.Expr.Vars(nil))}
 		if fe, ok := asg.Expr.(ast.FuncExpr); ok && fe.IsSkolem() {
 			ca.IsSkolem = true
 			ca.SkName = fe.Name
-			ca.SkArgs = fe.Args
+			ca.skArgs = compileExprs(fe.Args, slot)
+		} else {
+			ca.expr = compileExpr(asg.Expr, slot)
 		}
 		cr.Assigns = append(cr.Assigns, ca)
 	}
 	for _, c := range rule.Conds {
-		cc := CCond{Cond: c, Deps: slotsOf(c.L.Vars(c.R.Vars(nil)))}
-		cc.compileFast(cr.VarSlot)
-		cr.Conds = append(cr.Conds, cc)
+		cr.Conds = append(cr.Conds, CCond{Cond: c, Deps: slotsOf(c.L.Vars(c.R.Vars(nil))),
+			l: compileExpr(c.L, slot), r: compileExpr(c.R, slot)})
 	}
 	if rule.Aggregate != nil {
 		ag := rule.Aggregate
+		newFunc, ok := aggFuncs[ag.Func]
+		if !ok {
+			return nil, fmt.Errorf("eval: unknown aggregation function %s", ag.Func)
+		}
 		ca := &CAgg{
 			ResultSlot:   slot(ag.Result),
-			Func:         ag.Func,
-			Arg:          ag.Arg,
-			ArgSlot:      -1,
-			ArgDeps:      slotsOf(ag.Arg.Vars(nil)),
+			arg:          compileExpr(ag.Arg, slot),
 			ContribSlots: slotsOf(ag.Contributors),
-		}
-		if ve, ok := ag.Arg.(ast.VarExpr); ok {
-			ca.ArgSlot = slot(ve.Name)
+			newFunc:      newFunc,
 		}
 		// Group-by arguments: bound head variables other than the result.
 		bound := rule.BoundVars()
@@ -580,7 +609,6 @@ func (cr *CompiledRule) BodyMatcher() *CompiledRule {
 		Rule:    cr.Rule,
 		Info:    cr.Info,
 		VarSlot: cr.VarSlot,
-		SlotVar: cr.SlotVar[:nb],
 		NSlots:  nb,
 		Pos:     cr.Pos,
 		WardPos: -1,

@@ -222,6 +222,13 @@ func TestAggStateMSum(t *testing.T) {
 	if st.Groups() != 1 {
 		t.Errorf("groups: %d", st.Groups())
 	}
+	// An exact sum past int64 folds floats instead of wrapping around.
+	g2 := []term.Value{term.Int(2)}
+	st.Update(g2, []term.Value{term.Int(1)}, term.Int(math.MaxInt64-1))
+	v, improved, err = st.Update(g2, []term.Value{term.Int(2)}, term.Int(5))
+	if err != nil || !improved || v != term.Float(float64(math.MaxInt64-1)+5) {
+		t.Errorf("overflowing msum: %v (improved=%v, err=%v), want %v as a float", v, improved, err, float64(math.MaxInt64-1)+5)
+	}
 }
 
 func TestAggStateDomainErrors(t *testing.T) {
@@ -268,16 +275,16 @@ func TestAggStateKeyCollision(t *testing.T) {
 	st := NewAggState("msum", nil)
 	g1 := []term.Value{term.String("a\x00b"), term.String("c")}
 	g2 := []term.Value{term.String("a"), term.String("b\x00c")}
-	st.Update(g1, nil, term.Int(1))
-	st.Update(g2, nil, term.Int(2))
+	v1, _, _ := st.Update(g1, nil, term.Int(1))
+	v2, _, _ := st.Update(g2, nil, term.Int(2))
 	if st.Groups() != 2 {
 		t.Fatalf("colliding renderings merged groups: %d groups", st.Groups())
 	}
-	if v, _ := st.Final(g1); v != term.Int(1) {
-		t.Errorf("g1 final: %v", v)
+	if v1 != term.Int(1) {
+		t.Errorf("g1: %v", v1)
 	}
-	if v, _ := st.Final(g2); v != term.Int(2) {
-		t.Errorf("g2 final: %v", v)
+	if v2 != term.Int(2) {
+		t.Errorf("g2: %v", v2)
 	}
 }
 
@@ -344,14 +351,10 @@ func TestAggStateOrderIndependence(t *testing.T) {
 			}
 			last = v
 		}
-		final, _ := st.Final(nil)
-		if last != final {
-			t.Errorf("perm %d: last update %v != final %v", pi, last, final)
-		}
 		if pi == 0 {
-			want = final
-		} else if final != want {
-			t.Errorf("perm %d: final %v, want %v", pi, final, want)
+			want = last
+		} else if last != want {
+			t.Errorf("perm %d: final %v, want %v", pi, last, want)
 		}
 	}
 	if want != term.Int(5+7+9) {

@@ -54,12 +54,12 @@ type Binding struct {
 	rels   []*storage.Relation
 	relsDB *storage.Database
 
-	envBuf map[string]term.Value
 	// probes holds one reusable lookup buffer per positive body atom;
-	// negProbes per negated atom; skArgs for Skolem argument evaluation.
+	// negProbes per negated atom; stack the arguments of builtin and
+	// Skolem calls.
 	probes    [][]uint32
 	negProbes [][]uint32
-	skArgs    []term.Value
+	stack     []term.Value
 	newly     []int
 }
 
@@ -72,7 +72,6 @@ func NewBinding(cr *CompiledRule) *Binding {
 		vals:       make([]term.Value, cr.NSlots),
 		Parents:    make([]*core.FactMeta, len(cr.Pos)),
 		ParentRows: make([]int32, len(cr.Pos)),
-		envBuf:     make(map[string]term.Value),
 		probes:     make([][]uint32, len(cr.Pos)),
 		rels:       make([]*storage.Relation, len(cr.Pos)),
 		newly:      make([]int, 0, cr.NSlots),
@@ -135,38 +134,6 @@ func (b *Binding) posRel(db *storage.Database, cr *CompiledRule, ai int) *storag
 		b.rels[ai] = rel
 	}
 	return rel
-}
-
-// env materializes a variable->value map for expression evaluation,
-// restricted to the slots the expression actually reads (deps). A nil
-// deps materializes every bound variable — the fallback for callers that
-// cannot enumerate their reads. On wide rules the restriction is what
-// keeps condition evaluation O(|deps|) instead of O(|vars|) per match.
-func (b *Binding) env(cr *CompiledRule, deps []int) map[string]term.Value {
-	clear(b.envBuf)
-	if deps == nil {
-		//vadalint:ordered keyed writes: each variable maps to its own slot's value; Val is a pure read
-		for v, s := range cr.VarSlot {
-			if b.Bound[s] {
-				b.envBuf[v] = b.Val(s)
-			}
-		}
-		return b.envBuf
-	}
-	for _, s := range deps {
-		if b.Bound[s] {
-			b.envBuf[cr.SlotVar[s]] = b.Val(s)
-		}
-	}
-	return b.envBuf
-}
-
-// Env materializes the variable environment for expression evaluation,
-// restricted to the slots in deps (nil = every bound variable). The map is
-// a buffer owned by the binding, reused across calls: evaluate before the
-// next Env call and do not retain it.
-func (b *Binding) Env(cr *CompiledRule, deps []int) map[string]term.Value {
-	return b.env(cr, deps)
 }
 
 // Matcher runs compiled rules against a database. It owns no mutable state
@@ -268,22 +235,11 @@ func (mt *Matcher) runSteps(cr *CompiledRule, steps []Step, si int, b *Binding, 
 		st := steps[si]
 		switch st.Kind {
 		case StepAssign:
-			ok, err := mt.evalAssign(cr, &cr.Assigns[st.Index], b)
-			if err != nil {
+			if err := mt.evalAssign(&cr.Assigns[st.Index], b); err != nil {
 				return err
 			}
-			if !ok {
-				return nil
-			}
 		case StepCond:
-			c := &cr.Conds[st.Index]
-			if c.Fast {
-				if !c.EvalFast(b) {
-					return nil
-				}
-				continue
-			}
-			ok, err := ast.EvalCondition(c.Cond, b.env(cr, c.Deps))
+			ok, err := cr.Conds[st.Index].Holds(b)
 			if err != nil {
 				return err
 			}
@@ -412,41 +368,36 @@ func (mt *Matcher) negCount(a *CAtom, b *Binding, probe []uint32) (int, error) {
 	return rel.LookupCountIDs(mask, probe), nil
 }
 
-// evalAssign computes one assignment; Skolem calls mint deterministic
-// nulls. It reports false (no error) when a type error should simply
-// filter the binding out — we treat evaluation errors as match failures
-// only for conditions; assignments propagate errors.
-func (mt *Matcher) evalAssign(cr *CompiledRule, a *CAssign, b *Binding) (bool, error) {
-	if a.IsSkolem {
-		b.skArgs = b.skArgs[:0]
-		env := b.env(cr, a.Deps)
-		for _, e := range a.SkArgs {
-			v, err := e.Eval(env)
-			if err != nil {
-				return false, err
-			}
-			b.skArgs = append(b.skArgs, v)
+// evalAssign computes one assignment into its slot; Skolem calls mint
+// deterministic nulls. An evaluation error aborts the match.
+func (mt *Matcher) evalAssign(a *CAssign, b *Binding) error {
+	if !a.IsSkolem {
+		v, err := a.expr(b)
+		if err != nil {
+			return err
 		}
-		b.Set(a.Slot, mt.DB.Nulls.Skolem(a.SkName, b.skArgs...))
-		return true, nil
+		b.Set(a.Slot, v)
+		return nil
 	}
-	v, err := a.Expr.Eval(b.env(cr, a.Deps))
+	base, err := b.push(a.skArgs)
 	if err != nil {
-		return false, err
+		return err
 	}
-	b.Set(a.Slot, v)
-	return true, nil
+	b.Set(a.Slot, mt.DB.Nulls.Skolem(a.SkName, b.stack[base:]...))
+	b.stack = b.stack[:base]
+	return nil
 }
 
 // InstantiateExistentials fills the existential slots of b with the rule's
 // deterministic Skolem nulls.
 func (mt *Matcher) InstantiateExistentials(cr *CompiledRule, b *Binding) {
 	for _, ex := range cr.Exists {
-		b.skArgs = b.skArgs[:0]
+		base := len(b.stack)
 		for _, s := range ex.ArgSlots {
-			b.skArgs = append(b.skArgs, b.Val(s))
+			b.stack = append(b.stack, b.Val(s))
 		}
-		b.Set(ex.Slot, mt.DB.Nulls.Skolem(ex.SkName, b.skArgs...))
+		b.Set(ex.Slot, mt.DB.Nulls.Skolem(ex.SkName, b.stack[base:]...))
+		b.stack = b.stack[:base]
 	}
 }
 

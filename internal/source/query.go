@@ -60,52 +60,15 @@ func (q *Query) MaxCol() int {
 }
 
 // Matches reports whether row satisfies every conjunct. A conjunct over
-// a column the row does not have never matches. Comparison semantics
-// mirror rule conditions (ast.EvalCondition): == and != are semantic
-// equality (Int/Float conflated numerically), ordering is term.Compare,
-// and ordering against labelled nulls is undefined (false).
+// a column the row does not have never matches. Each comparison is rule
+// conditions' own (ast.CmpOp.Holds).
 func (q *Query) Matches(row []term.Value) bool {
 	for _, c := range q.Conjuncts {
-		if c.Col > len(row) {
-			return false
-		}
-		if !evalCmp(c.Op, row[c.Col-1], c.Val) {
+		if c.Col > len(row) || !c.Op.Holds(row[c.Col-1], c.Val) {
 			return false
 		}
 	}
 	return true
-}
-
-func evalCmp(op ast.CmpOp, l, r term.Value) bool {
-	if l.IsNull() || r.IsNull() {
-		switch op {
-		case ast.CmpEq:
-			return l == r
-		case ast.CmpNeq:
-			return l != r
-		default:
-			return false
-		}
-	}
-	switch op {
-	case ast.CmpEq:
-		return term.Equal(l, r)
-	case ast.CmpNeq:
-		return !term.Equal(l, r)
-	}
-	cmp := term.Compare(l, r)
-	switch op {
-	case ast.CmpLt:
-		return cmp < 0
-	case ast.CmpLe:
-		return cmp <= 0
-	case ast.CmpGt:
-		return cmp > 0
-	case ast.CmpGe:
-		return cmp >= 0
-	default:
-		return false
-	}
 }
 
 // String renders the query in the surface syntax it was parsed from.

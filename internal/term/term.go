@@ -90,7 +90,8 @@ func Null(id int64) Value { return Value{kind: KindNull, i: id} }
 // Set constructs a set constant, the composite type produced by monotonic
 // union (munion, paper Sec. 5): elements are deduplicated, sorted in the
 // total order of Compare (ties between numerically equal Int/Float
-// elements broken by kind, so the canonical form is unique) and rendered
+// elements broken by kind, NaN below every number, so the canonical form
+// is unique) and rendered
 // as "{e1,e2,...}", so two sets are == iff they contain the same elements
 // and sets remain usable as comparable map keys. Elements render with
 // Value.String except integral floats, which keep a ".0" suffix so
@@ -106,10 +107,16 @@ func Set(elems []Value) Value {
 		}
 	}
 	sort.Slice(uniq, func(i, j int) bool {
-		if c := Compare(uniq[i], uniq[j]); c != 0 {
+		a, b := uniq[i], uniq[j]
+		// Compare ties NaN with every number; NaN sorts below them all, so
+		// the order is total and the rendering independent of elems' order.
+		if an, bn := a.f != a.f, b.f != b.f; an != bn && a.IsNumeric() && b.IsNumeric() {
+			return an
+		}
+		if c := Compare(a, b); c != 0 {
 			return c < 0
 		}
-		return uniq[i].kind < uniq[j].kind
+		return a.kind < b.kind
 	})
 	var sb strings.Builder
 	sb.WriteByte('{')

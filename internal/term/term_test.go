@@ -1,6 +1,7 @@
 package term
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -244,6 +245,20 @@ func TestSetCanonical(t *testing.T) {
 	}
 	if Set(nil).String() != "{}" {
 		t.Errorf("empty set: %v", Set(nil))
+	}
+	// Compare ties NaN with every number; a set holding it still renders
+	// one way whatever order its elements come in.
+	elems := []Value{Float(math.NaN()), Float(0), Int(5), Float(2.5), Int(1), Float(1), String("a"), Bool(true)}
+	want := Set(elems).String()
+	for i := 0; i < 50; i++ {
+		perm := rand.New(rand.NewSource(int64(i))).Perm(len(elems))
+		shuffled := make([]Value, len(elems))
+		for j, p := range perm {
+			shuffled[j] = elems[p]
+		}
+		if got := Set(shuffled).String(); got != want {
+			t.Fatalf("permutation %v renders %s, want %s", perm, got, want)
+		}
 	}
 }
 
