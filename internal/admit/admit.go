@@ -93,6 +93,10 @@ type Compiled struct {
 	Strata map[string]int
 
 	postAgg [][]eval.CCond // per rule: conditions reading the aggregate result
+	// reachesNeg holds the predicates of Prog with a dependency path to a
+	// negated predicate (analysis.Condensation.ReachesNegation); nil when
+	// no rule negates.
+	reachesNeg map[string]bool
 }
 
 // Compile runs rewriting, wardedness analysis and rule compilation on
@@ -154,7 +158,7 @@ func Compile(prog *ast.Program, cfg Config) (*Compiled, error) {
 		if err := g.Err(); err != nil {
 			return nil, fmt.Errorf("admit: %w", err)
 		}
-		p.Strata = g.Strata()
+		p.Strata, p.reachesNeg = g.Strata(), g.ReachesNegation()
 	}
 	return p, nil
 }
@@ -245,6 +249,11 @@ func (c *Core) Strategy() core.Policy { return c.strat }
 // schedules from the live statistics of DB; nil under Config.DisablePlanner,
 // when every firing runs its rule's static schedule.
 func (c *Core) Planner() *planner.Planner { return c.pl }
+
+// ReachesNegation reports whether pred has a dependency path to a negated
+// predicate of the compiled program: a fact of it arriving after a
+// negation was settled can falsify what the negation derived.
+func (c *Core) ReachesNegation(pred string) bool { return c.p.reachesNeg[pred] }
 
 // Subst exposes the EGD null substitution.
 func (c *Core) Subst() *eval.NullSubst { return c.subst }

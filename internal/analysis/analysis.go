@@ -10,6 +10,8 @@ package analysis
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -105,10 +107,24 @@ type Result struct {
 
 // Analyze computes affected positions, per-rule variable classes, wards
 // and the wardedness verdict for the program.
-func Analyze(p *ast.Program) *Result {
+func Analyze(p *ast.Program) *Result { return Reanalyze(p, nil) }
+
+// Reanalyze is Analyze of p, reusing what it can of prior, the analysis of
+// an earlier program (nil: nothing). A RuleInfo depends only on its rule
+// and on the affected positions, and rules are immutable (ast.Rule), so
+// prior's RuleInfo for position i stands when p holds the same rule pointer
+// there and the affected positions are the same; every other rule is
+// analyzed anew.
+func Reanalyze(p *ast.Program, prior *Result) *Result {
 	res := &Result{Program: p, Affected: affectedPositions(p), Warded: true}
-	for _, r := range p.Rules {
-		ri := analyzeRule(r, res.Affected)
+	reuse := prior != nil && maps.Equal(prior.Affected, res.Affected)
+	for i, r := range p.Rules {
+		var ri *RuleInfo
+		if reuse && i < len(prior.Rules) && prior.Rules[i].Rule == r {
+			ri = prior.Rules[i]
+		} else {
+			ri = analyzeRule(r, res.Affected)
+		}
 		res.Rules = append(res.Rules, ri)
 		if len(ri.Violations) > 0 {
 			res.Warded = false
@@ -512,6 +528,35 @@ func (c *Condensation) Strata() map[string]int {
 	out := make(map[string]int, len(c.Preds))
 	for v, pred := range c.Preds {
 		out[pred] = c.Stratum[c.Comp[v]]
+	}
+	return out
+}
+
+// ReachesNegation returns the predicates with a dependency path to a
+// negated predicate (one a negated body atom reads), the negated ones
+// included: a new fact of such a predicate can change what a negation
+// has already seen.
+func (c *Condensation) ReachesNegation() map[string]bool {
+	// Every edge stays in its component or enters a later one, so visiting
+	// the nodes by descending component settles each target component
+	// before any node reading it.
+	order := make([]int, len(c.Preds))
+	for v := range order {
+		order[v] = v
+	}
+	slices.SortFunc(order, func(u, v int) int { return c.Comp[v] - c.Comp[u] })
+	reach := make([]bool, len(c.Recursive))
+	for _, v := range order {
+		cv := c.Comp[v]
+		for _, e := range c.out[v] {
+			reach[cv] = reach[cv] || e.Neg || reach[c.Comp[e.To]]
+		}
+	}
+	out := make(map[string]bool)
+	for v, pred := range c.Preds {
+		if reach[c.Comp[v]] {
+			out[pred] = true
+		}
 	}
 	return out
 }

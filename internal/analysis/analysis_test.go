@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/parser"
 )
 
@@ -264,6 +266,47 @@ func TestAffectedPropagation(t *testing.T) {
 	for _, pos := range []Position{{"a", 0}, {"b", 1}, {"c", 0}} {
 		if res.Affected[pos] {
 			t.Errorf("%v must not be affected", pos)
+		}
+	}
+}
+
+// TestReanalyzeReuses pins what Reanalyze takes over from a prior analysis:
+// the RuleInfo of a rule that is the same pointer at the same position,
+// when the affected positions agree; nothing when they do not. Either way
+// the result deep-equals Analyze of the new program.
+func TestReanalyzeReuses(t *testing.T) {
+	prog := parser.MustParse(`
+		p(X) -> q(Z, X).
+		q(X, Y), p(Y) -> t(X).
+		t(X), s(X) -> u(X).
+	`)
+	prior := Analyze(prog)
+	swap := func(i int, src string) *ast.Program {
+		next := *prog
+		next.Rules = append([]*ast.Rule(nil), prog.Rules...)
+		r := *parser.MustParse(src).Rules[0]
+		r.ID = i
+		next.Rules[i] = &r
+		return &next
+	}
+	cases := []struct {
+		name  string
+		prog  *ast.Program
+		reuse []bool // per rule: prior's RuleInfo taken over
+	}{
+		{"same program", prog, []bool{true, true, true}},
+		{"one rule rewritten", swap(2, `s(X), t(X) -> u(X).`), []bool{true, true, false}},
+		{"affected positions moved", swap(0, `p(X) -> q(X, X).`), []bool{false, false, false}},
+	}
+	for _, tc := range cases {
+		got := Reanalyze(tc.prog, prior)
+		if want := Analyze(tc.prog); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Reanalyze differs from Analyze", tc.name)
+		}
+		for i, reused := range tc.reuse {
+			if (got.Rules[i] == prior.Rules[i]) != reused {
+				t.Errorf("%s: rule %d reused = %v, want %v", tc.name, i, !reused, reused)
+			}
 		}
 	}
 }

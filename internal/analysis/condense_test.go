@@ -52,8 +52,9 @@ func genGraph(data []byte) (*ast.Program, map[string]string) {
 
 // checkCondensation compares Condense against definitions computed by brute
 // force: reachability by transitive closure, components as mutual
-// reachability, strata as the least fixpoint of stratum(q) >= stratum(p) +
-// [negated] over every edge p -> q.
+// reachability, the predicates reaching negation as those with a path to
+// the source of a negative edge, strata as the least fixpoint of
+// stratum(q) >= stratum(p) + [negated] over every edge p -> q.
 func checkCondensation(t *testing.T, prog *ast.Program, twins map[string]string) {
 	t.Helper()
 	g := Condense(prog, twins)
@@ -119,6 +120,16 @@ func checkCondensation(t *testing.T, prog *ast.Program, twins map[string]string)
 	slices.Sort(bad)
 	if !slices.Equal(g.Unstratified, bad) {
 		t.Fatalf("unstratified %v, want %v", g.Unstratified, bad)
+	}
+	reachesNeg := g.ReachesNegation()
+	for u, pred := range g.Preds {
+		want := false
+		for _, e := range edges {
+			want = want || e.neg && (e.from == u || reach[u][e.from])
+		}
+		if reachesNeg[pred] != want {
+			t.Fatalf("%s: reaches negation %v, want %v", pred, reachesNeg[pred], want)
+		}
 	}
 	if len(bad) > 0 {
 		return // no strata to check: some negative edge closes a cycle

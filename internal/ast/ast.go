@@ -224,6 +224,12 @@ type EGDSpec struct {
 //
 // Head variables that do not occur in the body, in an assignment or as an
 // aggregate result are existentially quantified.
+//
+// A rule is immutable once Program.AddRule has numbered it: its fields, and
+// the slices and pointers they hold, are never written again. Rewriting
+// passes and compiled reasoners share rules by pointer, and a pass that
+// changes a rule builds a shallow copy with a fresh slice for each field it
+// writes.
 type Rule struct {
 	ID           int
 	Heads        []Atom
@@ -237,7 +243,7 @@ type Rule struct {
 	// all body variables to active-domain constants.
 	UsesDom bool
 	// DomVars lists variables restricted individually by dom(V) guards
-	// (the single-variable grounding used by harmful-join elimination).
+	// written in the body; each binds V to active-domain constants only.
 	DomVars []string
 	// Skolem optionally overrides the rule's Skolem base name; rewriting
 	// passes set it so that split or composed rules mint the same labelled
@@ -251,11 +257,16 @@ type Rule struct {
 
 // SkolemBase returns the base name used to derive the deterministic Skolem
 // functions instantiating this rule's existential variables.
-func (r *Rule) SkolemBase() string {
+func (r *Rule) SkolemBase() string { return r.SkolemBaseAt(r.ID) }
+
+// SkolemBaseAt is SkolemBase for the rule numbered id: a rewriting pass
+// names the rules it derives after the position the rule holds in its
+// input, whatever ID the shared rule still carries.
+func (r *Rule) SkolemBaseAt(id int) string {
 	if r.Skolem != "" {
 		return r.Skolem
 	}
-	return fmt.Sprintf("r%d", r.ID)
+	return fmt.Sprintf("r%d", id)
 }
 
 // BodyVars returns the distinct variable names of the positive body in
@@ -384,35 +395,6 @@ func (r *Rule) String() string {
 		return head + "."
 	}
 	return body + " -> " + head + "."
-}
-
-// Clone returns a deep copy of the rule.
-func (r *Rule) Clone() *Rule {
-	c := *r
-	c.Heads = cloneAtoms(r.Heads)
-	c.Body = cloneAtoms(r.Body)
-	c.Conds = append([]Condition(nil), r.Conds...)
-	c.Assignments = append([]Assignment(nil), r.Assignments...)
-	c.DomVars = append([]string(nil), r.DomVars...)
-	if r.Aggregate != nil {
-		ag := *r.Aggregate
-		ag.Contributors = append([]string(nil), r.Aggregate.Contributors...)
-		c.Aggregate = &ag
-	}
-	if r.EGD != nil {
-		egd := *r.EGD
-		c.EGD = &egd
-	}
-	return &c
-}
-
-func cloneAtoms(as []Atom) []Atom {
-	out := make([]Atom, len(as))
-	for i, a := range as {
-		out[i] = a
-		out[i].Args = append([]Arg(nil), a.Args...)
-	}
-	return out
 }
 
 // DomPred is the reserved predicate name of the active-domain guard
@@ -615,7 +597,8 @@ func NewProgram() *Program {
 	return &Program{Inputs: make(map[string]bool), Outputs: make(map[string]bool)}
 }
 
-// AddRule appends r, assigning it the next rule ID.
+// AddRule appends r, assigning it the next rule ID. From here on r is
+// immutable (see Rule).
 func (p *Program) AddRule(r *Rule) {
 	r.ID = len(p.Rules)
 	p.Rules = append(p.Rules, r)

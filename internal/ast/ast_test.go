@@ -95,19 +95,6 @@ func TestRuleLinear(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	r := &Rule{
-		Body:  []Atom{NewAtom("p", V("X"))},
-		Heads: []Atom{NewAtom("q", V("X"))},
-		Conds: []Condition{{Op: CmpGt, L: VarExpr{Name: "X"}, R: ConstExpr{Val: term.Int(1)}}},
-	}
-	c := r.Clone()
-	c.Body[0].Args[0] = C(term.Int(9))
-	if !r.Body[0].Args[0].IsVar {
-		t.Error("clone shares body args")
-	}
-}
-
 func TestProgramPredicates(t *testing.T) {
 	p := NewProgram()
 	p.AddRule(&Rule{Body: []Atom{NewAtom("p", V("X"))}, Heads: []Atom{NewAtom("q", V("X"), V("Y"))}})

@@ -9,7 +9,7 @@
 //
 //	W001  error    rule breaks wardedness (Sec. 2.1)
 //	W002  warning  harmful join (all occurrences of a join variable in
-//	               affected positions; dom-grounded at runtime)
+//	               affected positions; rewritten over tag twins)
 //	N001  error    negation through a recursive predicate cycle
 //	S001  info     existential head variable (derives labelled nulls)
 //	A001  error    predicate used with inconsistent arities
@@ -214,7 +214,7 @@ func (c *checker) checkWarded() {
 			}
 			sort.Strings(vars)
 			c.add(Warning, "W002", r.Line, r.Col,
-				"harmful join on %s: every occurrence is in an affected position, so the join may compare labelled nulls (grounded via dom() at rewrite time)",
+				"harmful join on %s: every occurrence is in an affected position, so the join may compare labelled nulls (rewritten over tag twins at compile time)",
 				strings.Join(vars, ", "))
 		}
 	}

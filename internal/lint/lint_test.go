@@ -113,8 +113,8 @@ func TestGoldenCoversAllCodes(t *testing.T) {
 // carry an Error, and only the pinned expected warnings may appear.
 func TestExamplesLintClean(t *testing.T) {
 	expected := map[string][]string{
-		// The strong-links join on P is harmful by design; the engine
-		// grounds it via dom() (paper Example 13).
+		// The strong-links join on P is harmful by design; the rewriting
+		// moves it onto tag twins (paper Example 13).
 		"stronglinks.vada": {"W002"},
 	}
 	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "programs", "*.vada"))

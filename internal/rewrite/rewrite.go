@@ -6,6 +6,7 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/analysis"
@@ -40,56 +41,57 @@ type Result struct {
 }
 
 // Apply runs the rewritings in the canonical order: multi-head splitting,
-// existential linearization, harmful-join elimination. The analysis the
-// elimination needs is the result's Analysis when it rewrote nothing, and
-// the output is analyzed once otherwise.
+// existential linearization, harmful-join elimination. Rules are immutable
+// (ast.Rule), so every pass shares the rules it keeps with its input, and
+// the output's analysis reuses, for every rule the elimination kept, the
+// analysis the elimination read.
 func Apply(p *ast.Program, _ Options) (*Result, error) {
 	res := &Result{AuxPreds: make(map[string]bool)}
-	res.Program = LinearizeExistentials(SplitMultiHeads(p), res.AuxPreds)
-	res.Analysis = analysis.Analyze(res.Program)
-	prog, tags, notes := EliminateHarmfulJoinsDynamic(res.Program, res.Analysis)
-	res.TagPreds, res.Notes = tags, notes
-	for _, twin := range tags {
-		res.AuxPreds[twin] = true
+	prog := renumber(LinearizeExistentials(SplitMultiHeads(p), res.AuxPreds))
+	ana := analysis.Analyze(prog)
+	res.Program, res.TagPreds, res.Notes = EliminateHarmfulJoinsDynamic(prog, ana)
+	res.Analysis = ana
+	if res.Program != prog {
+		res.Analysis = analysis.Reanalyze(res.Program, ana)
 	}
-	renumber(prog)
-	if prog != res.Program {
-		res.Program = prog
-		res.Analysis = analysis.Analyze(prog)
+	for _, twin := range res.TagPreds {
+		res.AuxPreds[twin] = true
 	}
 	return res, nil
 }
 
-// renumber reassigns rule IDs after structural rewritings. Skolem bases
-// were frozen before renumbering, so null identities are unaffected.
-func renumber(p *ast.Program) {
+// renumber makes every rule's ID its position in p, copying the rules whose
+// position moved, and returns p. The passes name what they derive after
+// input positions (ast.Rule.SkolemBaseAt), which these IDs now are.
+func renumber(p *ast.Program) *ast.Program {
 	for i, r := range p.Rules {
-		if r.Skolem == "" {
-			r.Skolem = r.SkolemBase() // freeze pre-renumbering base
+		if r.ID != i {
+			moved := *r
+			moved.ID = i
+			p.Rules[i] = &moved
 		}
-		r.ID = i
 	}
+	return p
 }
 
 // SplitMultiHeads returns a program in which every rule has exactly one
 // head atom. Split rules share the original Skolem base, so an existential
 // variable occurring in several head atoms denotes the same null in all of
-// them (cf. Example 6, rule 4 of the paper).
+// them (cf. Example 6, rule 4 of the paper). Single-head rules are shared
+// with p.
 func SplitMultiHeads(p *ast.Program) *ast.Program {
 	out := cloneShell(p)
-	for _, r := range p.Rules {
+	for i, r := range p.Rules {
 		if len(r.Heads) <= 1 || r.IsConstraint || r.EGD != nil {
-			out.AddRule(r.Clone())
+			out.Rules = append(out.Rules, r)
 			continue
 		}
-		base := r.SkolemBase()
+		base := r.SkolemBaseAt(i)
 		for _, h := range r.Heads {
-			nr := r.Clone()
+			nr := *r
 			nr.Heads = []ast.Atom{h}
 			nr.Skolem = base
-			// Re-clone the head args slice (Clone copied all heads).
-			nr.Heads[0].Args = append([]ast.Arg(nil), h.Args...)
-			out.AddRule(nr)
+			out.AddRule(&nr)
 		}
 	}
 	return out
@@ -98,12 +100,12 @@ func SplitMultiHeads(p *ast.Program) *ast.Program {
 // LinearizeExistentials ensures existential quantification appears only in
 // linear rules (precondition 2 of Algorithm 1): a non-linear rule
 // body -> ∃z H is split into body -> aux(frontier) and the linear rule
-// aux(frontier) -> ∃z H.
+// aux(frontier) -> ∃z H. Every other rule is shared with p.
 func LinearizeExistentials(p *ast.Program, auxPreds map[string]bool) *ast.Program {
 	out := cloneShell(p)
-	for _, r := range p.Rules {
+	for i, r := range p.Rules {
 		if r.IsConstraint || r.EGD != nil || len(r.Existentials()) == 0 || r.IsLinear() {
-			out.AddRule(r.Clone())
+			out.Rules = append(out.Rules, r)
 			continue
 		}
 		// Frontier: bound variables used in the head.
@@ -117,31 +119,17 @@ func LinearizeExistentials(p *ast.Program, auxPreds map[string]bool) *ast.Progra
 			}
 		}
 		sort.Strings(frontier)
-		aux := fmt.Sprintf("exl_%s_%d", r.SkolemBase(), len(out.Rules))
+		base := r.SkolemBaseAt(i)
+		aux := fmt.Sprintf("exl_%s_%d", base, len(out.Rules))
 		auxPreds[aux] = true
 		args := make([]ast.Arg, len(frontier))
-		for i, v := range frontier {
-			args[i] = ast.V(v)
+		for k, v := range frontier {
+			args[k] = ast.V(v)
 		}
-		first := r.Clone()
+		first := *r
 		first.Heads = []ast.Atom{{Pred: aux, Args: args}}
-		out.AddRule(first)
-
-		second := &ast.Rule{
-			Body:   []ast.Atom{{Pred: aux, Args: append([]ast.Arg(nil), args...)}},
-			Heads:  cloneHeadAtoms(r.Heads),
-			Skolem: r.SkolemBase(),
-		}
-		out.AddRule(second)
-	}
-	return out
-}
-
-func cloneHeadAtoms(hs []ast.Atom) []ast.Atom {
-	out := make([]ast.Atom, len(hs))
-	for i, h := range hs {
-		out[i] = h
-		out[i].Args = append([]ast.Arg(nil), h.Args...)
+		out.AddRule(&first)
+		out.AddRule(&ast.Rule{Body: []ast.Atom{{Pred: aux, Args: args}}, Heads: r.Heads, Skolem: base})
 	}
 	return out
 }
@@ -162,7 +150,8 @@ func TagPredName(pred string) string { return pred + "__tag" }
 // the termination strategy. This is the dynamic counterpart of the
 // grounding step of the paper's Harmful Joins Elimination: ground values
 // act as their own tags, so the Dom-guarded ground copy is subsumed. res is
-// p's analysis; when no rule has a harmful join, p itself is returned.
+// p's analysis; when no rule has a harmful join, p itself is returned, and
+// otherwise every rule without one is shared with p.
 func EliminateHarmfulJoinsDynamic(p *ast.Program, res *analysis.Result) (*ast.Program, map[string]string, []string) {
 	tags := make(map[string]string)
 	var notes []string
@@ -170,7 +159,7 @@ func EliminateHarmfulJoinsDynamic(p *ast.Program, res *analysis.Result) (*ast.Pr
 	for i, r := range p.Rules {
 		ri := res.Rules[i]
 		if !ri.HasHarmfulJoin {
-			out.AddRule(r.Clone())
+			out.Rules = append(out.Rules, r)
 			continue
 		}
 		// Identify the harmful-join variables: harmful (incl. dangerous)
@@ -197,7 +186,8 @@ func EliminateHarmfulJoinsDynamic(p *ast.Program, res *analysis.Result) (*ast.Pr
 				joinVars[v] = true
 			}
 		}
-		nr := r.Clone()
+		nr := *r
+		nr.Body = slices.Clone(r.Body)
 		var swapped []string
 		for bi := range nr.Body {
 			a := &nr.Body[bi]
@@ -219,7 +209,7 @@ func EliminateHarmfulJoinsDynamic(p *ast.Program, res *analysis.Result) (*ast.Pr
 			a.Pred = TagPredName(a.Pred)
 		}
 		notes = append(notes, fmt.Sprintf("rule %d: harmful join rewritten over tag twins of %v", r.ID, swapped))
-		out.AddRule(nr)
+		out.AddRule(&nr)
 	}
 	if len(tags) == 0 {
 		return p, tags, nil

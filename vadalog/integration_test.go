@@ -1,17 +1,23 @@
 package vadalog
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/admit"
+	"repro/internal/ast"
+	"repro/internal/chase"
 	"repro/internal/gen/dbpedia"
 	"repro/internal/gen/graphs"
 	"repro/internal/gen/iwarded"
 	"repro/internal/owlqa"
+	"repro/internal/pipeline"
 )
 
 // groundOutputs runs prog over facts and returns the sorted ground facts
@@ -39,9 +45,72 @@ func groundOutputs(t *testing.T, src string, facts []Fact, opts *Options) string
 	return strings.Join(lines, "\n")
 }
 
+// seamAnswer runs prog over facts at the engine seam — built the way the
+// digest tests build it: the chase or the pipeline, the planner off
+// (DisablePlanner) or forced to its worst join order (Worst) — and renders
+// the facts of preds as one sorted multiset of null patterns: constants as
+// written, each labelled null as _k for the first position k holding it
+// (core.IsoEqual's notion). A ground fact's pattern is the fact itself, so
+// ground answers compare exactly and null-carrying ones up to the naming
+// of their nulls.
+func seamAnswer(t *testing.T, prog *Program, facts []Fact, preds []string, onChase, off, worst bool) string {
+	t.Helper()
+	cfg := admit.Config{DisablePlanner: off}
+	var (
+		output func(string) []Fact
+		err    error
+	)
+	if onChase {
+		var e *chase.Engine
+		if e, err = chase.New(prog, cfg); err == nil {
+			if worst {
+				e.Planner().Worst = true
+			}
+			_, err = e.Run(context.Background(), facts)
+			output = e.Output
+		}
+	} else {
+		var s *pipeline.Session
+		if s, err = pipeline.New(prog, cfg); err == nil {
+			if worst {
+				s.Planner().Worst = true
+			}
+			err = s.Run(context.Background(), facts)
+			output = s.Output
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, pred := range preds {
+		for _, f := range output(pred) {
+			var sb strings.Builder
+			sb.WriteString(f.Pred)
+			for _, v := range f.Args {
+				sb.WriteByte(' ')
+				if !v.IsNull() {
+					sb.WriteString(ast.SourceString(v))
+					continue
+				}
+				first := slices.IndexFunc(f.Args, func(w Value) bool { return w.IsNull() && w.NullID() == v.NullID() })
+				fmt.Fprintf(&sb, "_%d", first)
+			}
+			lines = append(lines, sb.String())
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
 // TestRandomScenarioPolicyAgreement is the central correctness property:
 // on randomly generated warded scenarios, every engine/policy combination
-// that terminates yields the same ground answers.
+// that terminates yields the same ground answers. At the engine seam it is
+// also the differential and metamorphic oracle of the front end: both
+// engines, at every planner setting, on the program and on three
+// re-parsed shuffles of its rule order — rule order numbers the rules and
+// names their Skolem functions — derive the same ground facts and the same
+// multiset of null patterns (seamAnswer).
 func TestRandomScenarioPolicyAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 6; trial++ {
@@ -87,6 +156,34 @@ func TestRandomScenarioPolicyAgreement(t *testing.T) {
 			if got != base {
 				t.Errorf("trial %d: %s diverges from pipeline/full\n baseline %d lines, got %d lines",
 					trial, variant.name, len(strings.Split(base, "\n")), len(strings.Split(got, "\n")))
+			}
+		}
+
+		prog := MustParse(g.Source)
+		var preds []string
+		for pred := range prog.IDBPreds() {
+			preds = append(preds, pred)
+		}
+		sort.Strings(preds)
+		programs := []*Program{prog}
+		order := rand.New(rand.NewSource(int64(trial))) // rng keeps drawing the trials
+		for k := 0; k < 3; k++ {
+			shuffled := MustParse(g.Source)
+			order.Shuffle(len(shuffled.Rules), func(i, j int) {
+				shuffled.Rules[i], shuffled.Rules[j] = shuffled.Rules[j], shuffled.Rules[i]
+			})
+			programs = append(programs, MustParse(shuffled.String()))
+		}
+		want := seamAnswer(t, prog, g.Facts, preds, false, false, false)
+		for k, p := range programs {
+			for _, onChase := range []bool{false, true} {
+				for _, planner := range []string{"default", "off", "worst"} {
+					got := seamAnswer(t, p, g.Facts, preds, onChase, planner == "off", planner == "worst")
+					if got != want {
+						t.Errorf("trial %d, rule order %d, chase %v, planner %s: answer differs from the pipeline's on the program as generated\n got %d facts, want %d",
+							trial, k, onChase, planner, strings.Count(got, "\n")+1, strings.Count(want, "\n")+1)
+					}
+				}
 			}
 		}
 	}

@@ -2,7 +2,9 @@ package vadalog
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -84,6 +86,76 @@ func TestStratifiedNegation(t *testing.T) {
 				if got, want := render(streamed), tc.want[tc.negating]; got != want {
 					t.Errorf("Stream: %s = %s, want %s", tc.negating, got, want)
 				}
+			})
+		}
+	}
+}
+
+// TestLoadAfterDrive pins what a Load into a session that has already been
+// driven means for a program with negation, on both engines and through
+// both drives (Run and Facts). A load of a predicate that reaches the
+// negated one (edge reaches reached) would falsify a settled negation: it
+// is refused whole, the next drive returns ErrUnsoundLoad, and the session
+// keeps its answer. A load that reaches no negation (node feeds only the
+// negating rule) resumes the session and extends the answer.
+func TestLoadAfterDrive(t *testing.T) {
+	src, err := os.ReadFile("../examples/programs/negation.vada")
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(facts []Fact) string {
+		var out []string
+		for _, f := range facts {
+			out = append(out, f.String())
+		}
+		slices.Sort(out)
+		return strings.Join(out, " ")
+	}
+	drives := map[string]func(*Session) error{
+		"Run": (*Session).Run,
+		"Facts": func(s *Session) error {
+			for _, err := range s.Facts(context.Background(), "isolated") {
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+	for _, engine := range []Engine{EnginePipeline, EngineChase} {
+		for name, drive := range drives {
+			t.Run(fmt.Sprintf("%v/%s", engine, name), func(t *testing.T) {
+				s := MustCompile(MustParse(string(src)), &Options{Engine: engine}).NewSession()
+				s.Load(MakeFact("node", Int(1)), MakeFact("node", Int(2)), MakeFact("node", Int(3)),
+					MakeFact("edge", Int(1), Int(2)), MakeFact("start", Int(1)))
+				if err := drive(s); err != nil {
+					t.Fatal(err)
+				}
+				check := func(when, isolated, reached string) {
+					t.Helper()
+					if got := render(s.Output("isolated")); got != isolated {
+						t.Errorf("%s: isolated = %s, want %s", when, got, isolated)
+					}
+					if got := render(s.Output("reached")); got != reached {
+						t.Errorf("%s: reached = %s, want %s", when, got, reached)
+					}
+				}
+				check("first drive", "isolated(3)", "reached(1) reached(2)")
+
+				s.Load(MakeFact("edge", Int(2), Int(3)))
+				if err := drive(s); !errors.Is(err, ErrUnsoundLoad) {
+					t.Fatalf("load reaching negation: err = %v, want ErrUnsoundLoad", err)
+				}
+				check("refused load", "isolated(3)", "reached(1) reached(2)")
+				if err := drive(s); err != nil {
+					t.Fatalf("drive after the refusal: %v", err)
+				}
+
+				s.Load(MakeFact("node", Int(4)))
+				if err := drive(s); err != nil {
+					t.Fatalf("load reaching no negation: %v", err)
+				}
+				check("accepted load", "isolated(3) isolated(4)", "reached(1) reached(2)")
 			})
 		}
 	}

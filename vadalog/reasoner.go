@@ -38,7 +38,9 @@ type Reasoner struct {
 }
 
 // Compile compiles prog into a shareable Reasoner. opts == nil selects
-// the defaults (pipeline engine, full termination strategy).
+// the defaults (pipeline engine, full termination strategy). The Reasoner
+// shares prog's rules rather than copying them, so prog must not be
+// modified after Compile.
 func Compile(prog *Program, opts *Options) (*Reasoner, error) {
 	o := Options{}
 	if opts != nil {

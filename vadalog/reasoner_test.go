@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -277,5 +279,62 @@ func TestStreamIncludesProgramFacts(t *testing.T) {
 	}
 	if streamed != want {
 		t.Errorf("stream yielded %d paths, query materialized %d", streamed, want)
+	}
+}
+
+// TestCompileLeavesProgramIntact pins the immutability contract Compile
+// relies on (ast.Rule): one parsed program, compiled concurrently on both
+// engines by eight goroutines that then query it, comes out exactly as it
+// went in. Every rewriting fires on it — a multi-head rule, a non-linear
+// existential, a harmful join, a negation — so a pass that wrote into a
+// rule it shares would show here, and as a race under -race.
+func TestCompileLeavesProgramIntact(t *testing.T) {
+	src := `
+		incorp(X,Y) -> own(Z,X), own(Z,Y).
+		own(Z,X), own(Z,Y), X != Y -> sibling(X,Y).
+		sibling(X,Y), firm(Y) -> linked(X,W).
+		firm(X), not sibling(X,X) -> solo(X).
+		@output("sibling"). @output("linked"). @output("solo").`
+	prog := MustParse(src)
+	want := MustParse(src)
+	rendered := prog.String()
+	rules := slices.Clone(prog.Rules)
+	facts := []Fact{
+		MakeFact("incorp", Str("a"), Str("b")), MakeFact("incorp", Str("b"), Str("c")),
+		MakeFact("firm", Str("a")), MakeFact("firm", Str("b")), MakeFact("firm", Str("d")),
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := Compile(prog, &Options{Engine: []Engine{EnginePipeline, EngineChase}[g%2]})
+			if err == nil {
+				var res *Result
+				if res, err = r.Query(context.Background(), facts); err == nil && len(res.Output("sibling")) != 4 {
+					err = fmt.Errorf("sibling = %v, want four facts", res.Output("sibling"))
+				}
+			}
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := prog.String(); got != rendered {
+		t.Errorf("program renders differently after Compile:\n%s\nwant\n%s", got, rendered)
+	}
+	if !slices.Equal(prog.Rules, rules) {
+		t.Error("Compile replaced a rule of the program")
+	}
+	for i, r := range prog.Rules {
+		if !reflect.DeepEqual(r, want.Rules[i]) {
+			t.Errorf("rule %d (ID %d, Skolem %q) changed: %s", i, r.ID, r.Skolem, r)
+		}
 	}
 }

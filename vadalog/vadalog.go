@@ -161,6 +161,15 @@ var ErrInconsistent = errors.New("vadalog: knowledge base is inconsistent")
 // ErrBudget is returned when the derivation budget is exhausted.
 var ErrBudget = errors.New("vadalog: derivation budget exceeded")
 
+// ErrUnsoundLoad is returned by the drive (Run, RunContext, Facts) after a
+// Session.Load that was refused: facts loaded into a session that has
+// already been driven, of a predicate from which a dependency path leads
+// to a negated body atom. A negation settled by the earlier drive would
+// have to be retracted, which the engines do not do, so the refused facts
+// are not staged; the session is left as it was and the next drive runs
+// normally. Loads of predicates that reach no negation resume the session.
+var ErrUnsoundLoad = errors.New("vadalog: load after a drive reaches a negated predicate")
+
 // Parse parses a Vadalog program in the surface syntax of this repository
 // (see README).
 func Parse(src string) (*Program, error) { return parser.Parse(src) }
@@ -214,6 +223,7 @@ type engine interface {
 	PhaseStats() (match, prepass, admit time.Duration)
 
 	DB() *storage.Database
+	ReachesNegation(pred string) bool
 	Strategy() core.Policy
 	Derivations() int
 	SetBudget(n int)
@@ -280,6 +290,7 @@ type Session struct {
 	eng     engine
 	pending []ast.Fact
 	ran     bool
+	refused bool // a Load was refused since the last drive (ErrUnsoundLoad)
 
 	// Input state (see step): the compile-time-resolved bindings shared
 	// with the Reasoner, the index of the input binding currently being
@@ -323,7 +334,15 @@ func newPolicy(p Policy) func(*analysis.Result) core.Policy {
 // a different null, so the loaded one is renamed, the same way every time
 // the label is seen. Equal labels are one null across everything a session
 // loads, bound sources included.
+//
+// After a drive, a load with a fact of a predicate that reaches a negated
+// predicate is refused whole: none of its facts is staged, and the next
+// drive returns ErrUnsoundLoad.
 func (s *Session) Load(facts ...Fact) {
+	if s.ran && slices.ContainsFunc(facts, func(f Fact) bool { return s.eng.ReachesNegation(f.Pred) }) {
+		s.refused = true
+		return
+	}
 	s.pending = append(s.pending, facts...)
 	nulls := s.eng.DB().Nulls
 	staged := s.pending[len(s.pending)-len(facts):]
@@ -357,6 +376,9 @@ func (s *Session) Run() error { return s.RunContext(context.Background()) }
 // *PanicError with the engine rolled back to a consistent, resumable
 // boundary.
 func (s *Session) RunContext(ctx context.Context) error {
+	if err := s.takeRefused(); err != nil {
+		return err
+	}
 	if err := s.feed(ctx); err != nil {
 		return err
 	}
@@ -364,6 +386,16 @@ func (s *Session) RunContext(ctx context.Context) error {
 		return s.wrapPartial(mapErr(err))
 	}
 	return s.wrapPartial(s.writeBoundOutputs(ctx))
+}
+
+// takeRefused returns ErrUnsoundLoad, once, when a load was refused since
+// the last drive.
+func (s *Session) takeRefused() error {
+	if !s.refused {
+		return nil
+	}
+	s.refused = false
+	return ErrUnsoundLoad
 }
 
 // feed steps the session's input to exhaustion (see step): the batch
@@ -436,6 +468,10 @@ func (s *Session) Result() (*Result, error) {
 // materialized answer and apply to Output, not to the stream.
 func (s *Session) Facts(ctx context.Context, pred string) iter.Seq2[Fact, error] {
 	return func(yield func(Fact, error) bool) {
+		if err := s.takeRefused(); err != nil {
+			yield(Fact{}, err)
+			return
+		}
 		for n := 0; ; n++ {
 			f, ok, err := s.eng.Next(ctx, pred, n)
 			if err != nil {
