@@ -188,12 +188,19 @@ type Core struct {
 
 	// groupBuf/contribBuf/rowBuf/parentsBuf are reused across emissions so
 	// Emit allocates nothing for a match whose heads are all stored already
-	// (AggState keys copy what they keep; a fact and its Args slice are
-	// allocated on admission only).
+	// (AggState keys copy what they keep; a fact's Args are decoded on
+	// admission only).
 	groupBuf   []term.Value
 	contribBuf []term.Value
 	rowBuf     []uint32
 	parentsBuf []*core.FactMeta
+
+	// args holds the Args of every derived fact the run stores, but those of
+	// aggregate heads: a survivor of the duplicate check is decoded into it
+	// and a fact the policy rejects gives its Args back (core.Policy retains
+	// nothing of it). An aggregate head's Args stay on the heap, so that a
+	// superseded value is freed.
+	args core.Arena[term.Value]
 
 	// twinBuf is insertTagTwin's row scratch; twinKeys maps a labelled
 	// null's interned ID to the interned ID of its tag-twin key (0: not yet
@@ -416,7 +423,7 @@ func (c *Core) emitHeads(ri int, cr *eval.CompiledRule, b *eval.Binding) (int, e
 		if supersede {
 			n, err = c.admitAggregate(c.aggs[ri], hi, rel, row, miss, cr.Rule.ID, parents)
 		} else {
-			n, err = c.admit(rel, row, storage.HashRow(row), miss, cr.Rule.ID, parents)
+			n, err = c.admit(rel, row, storage.HashRow(row), miss, cr.Rule.ID, parents, false)
 		}
 		admitted += n
 		if err != nil {
@@ -433,8 +440,10 @@ func (c *Core) emitHeads(ri int, cr *eval.CompiledRule, b *eval.Binding) (int, e
 // candidate's interned tuple at its head's arity and h its HashRow; a
 // non-nil miss carries values the interner has never seen (see
 // eval.AppendHeadRow), so the fact is stored nowhere and there is nothing to
-// probe. It returns 1 when the fact was stored, 0 when it was rejected.
-func (c *Core) admit(rel *storage.Relation, row []uint32, h uint64, miss []term.Value, ruleID int, parents []*core.FactMeta) (int, error) {
+// probe. The fact's Args come from the run's arena, from the heap for an
+// aggregate head (heap). It returns 1 when the fact was stored, 0 when it
+// was rejected.
+func (c *Core) admit(rel *storage.Relation, row []uint32, h uint64, miss []term.Value, ruleID int, parents []*core.FactMeta, heap bool) (int, error) {
 	n := len(row)
 	if miss == nil && n < rel.Arity() {
 		// The relation restrided past this head's arity (an arity-drifting
@@ -451,8 +460,15 @@ func (c *Core) admit(rel *storage.Relation, row []uint32, h uint64, miss []term.
 	if c.exhausted() {
 		return 0, c.errBudget()
 	}
-	m := c.strat.Derive(eval.RowFact(rel.Name(), row[:n], c.db.Interner(), miss), ruleID, parents)
+	var args []term.Value
+	if heap {
+		args = make([]term.Value, n)
+	} else {
+		args = c.args.Alloc(n)
+	}
+	m := c.strat.Derive(eval.RowFact(rel.Name(), args, row[:n], c.db.Interner(), miss), ruleID, parents)
 	if !c.strat.CheckTermination(m) {
+		c.args.Free(args)
 		return 0, nil
 	}
 	c.meter.Charge()
@@ -486,7 +502,7 @@ func (c *Core) stored(m *core.FactMeta) {
 func (c *Core) admitAggregate(st *eval.AggState, hi int, rel *storage.Relation, row []uint32, miss []term.Value, ruleID int, parents []*core.FactMeta) (int, error) {
 	prev, ok := st.LastEmitted(hi)
 	if !ok {
-		n, err := c.admit(rel, row, storage.HashRow(row), miss, ruleID, parents)
+		n, err := c.admit(rel, row, storage.HashRow(row), miss, ruleID, parents, true)
 		if n > 0 {
 			st.RecordEmitted(hi, rel.At(rel.Len()-1), rel.Len()-1)
 		}
@@ -496,7 +512,7 @@ func (c *Core) admitAggregate(st *eval.AggState, hi int, rel *storage.Relation, 
 		return 0, c.errBudget()
 	}
 	old := prev.Meta.Fact
-	f := eval.RowFact(rel.Name(), row, c.db.Interner(), miss)
+	f := eval.RowFact(rel.Name(), make([]term.Value, len(row)), row, c.db.Interner(), miss)
 	switch rel.Replace(prev.Row, f) {
 	case storage.ReplaceUnchanged:
 		return 0, nil // e.g. the aggregate result does not occur in the head
@@ -609,10 +625,10 @@ func (c *Core) replaceTagTwin(old ast.Fact, m *core.FactMeta) {
 }
 
 // Replay runs the bindings lg captured for rule ri through Emit in the
-// order perm gives (eval.BindingLog.CanonicalOrder), restoring each into b —
-// the one path from a buffered match to the store, for the chase's batch
-// logs and the pipeline's buffered firings alike. It returns how many facts
-// were stored or replaced.
+// order perm gives (eval.BindingLog.CanonicalOrder over ri's range of lg),
+// restoring each into b — the one path from a buffered match to the store,
+// for the ranges of the chase's batch log and the pipeline's buffered
+// firings alike. It returns how many facts were stored or replaced.
 func (c *Core) Replay(ri int, lg *eval.BindingLog, perm []int32, b *eval.Binding) (int, error) {
 	admitted := 0
 	for _, i := range perm {

@@ -115,7 +115,7 @@ func (h *harness) fire(delta string) error {
 func (h *harness) capture(delta string) *eval.BindingLog {
 	cr := h.p.Rules[0]
 	lg := &eval.BindingLog{}
-	lg.Reset(cr)
+	lg.Shape(cr)
 	err := h.mt.MatchPinned(cr, 0, h.meta(delta), h.bs[0], func(b *eval.Binding) error {
 		lg.Capture(b)
 		return nil
@@ -130,7 +130,7 @@ func (h *harness) capture(delta string) *eval.BindingLog {
 // canonical order.
 func (h *harness) replay(lg *eval.BindingLog) {
 	h.t.Helper()
-	if _, err := h.c.Replay(0, lg, lg.CanonicalOrder(nil), h.bs[0]); err != nil {
+	if _, err := h.c.Replay(0, lg, lg.CanonicalOrder(nil, 0, lg.Len()), h.bs[0]); err != nil {
 		h.t.Fatal(err)
 	}
 }

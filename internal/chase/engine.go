@@ -224,7 +224,7 @@ type Engine struct {
 	mt *eval.Matcher
 
 	// bindings holds one reusable Binding per rule, gbindings one per CSE
-	// group body.
+	// group body, each made on its first firing (see binding).
 	bindings  []*eval.Binding
 	gbindings []*eval.Binding
 
@@ -241,22 +241,27 @@ type Engine struct {
 	// recovery a source position.
 	firing *ast.Rule
 
-	// tasks and results are the current batch: one (delta, rule, pinned
-	// atom) firing per task; results[ti] holds the candidate bindings task
-	// ti captured in the match phase.
-	tasks   []task
-	results []eval.BindingLog
+	// tasks is the current batch: one (delta, rule, pinned atom) firing per
+	// task. log holds the candidate bindings every task captured in the
+	// match phase, task by task, and perm their canonical admission order,
+	// computed between the match phase and the replay: perm[t.lo:t.hi] is
+	// task t's. plans holds the batch's planned schedules, one per firing
+	// shape (planSeen: shape -> index). All of it grows amortized over the
+	// run.
+	tasks    []task
+	log      eval.BindingLog
+	perm     []int32
+	plans    [][]eval.Step
+	planSeen map[[2]int]int32
+	cseSeen  map[cseSeenKey]int32
+	shared   int // follower firings served from a shared body range
 
-	// batchSteps[ti] is task ti's schedule for the current batch, derived by
-	// the core's planner (nil = the static schedule).
-	batchSteps [][]eval.Step
-	planSeen   map[[2]int][]eval.Step
-	cseSeen    map[cseSeenKey]int
-	shared     int // follower firings served from a shared body log
-
-	// perms[ti] is task ti's canonical admission order, computed between
-	// the match phase and the replay.
-	perms [][]int32
+	// errTask is the first task of the batch whose enumeration failed (-1:
+	// none) and taskErr its error, surfaced once that task's captured
+	// prefix is replayed — exactly the order a fused firing would have
+	// observed; admission stops there, so a later task's error never shows.
+	errTask int32
+	taskErr error
 
 	// Wall-time split across the batch phases, for the -phases CLI report
 	// and the benchmarks: match, admission.
@@ -267,14 +272,24 @@ type Engine struct {
 // task is one scheduled firing: rule ri with its pos-th body atom pinned
 // to delta fact m. Firings of a CSE group carry the group id and the
 // index of the group's leader task for this delta: the leader enumerates
-// the shared body once, followers replay from its log.
+// the shared body once, followers replay from its range of the log. A
+// batch holds a task per firing of every delta it drains, so the struct is
+// kept small.
 type task struct {
 	m    *core.FactMeta
-	ri   int
-	pos  int
-	g    int // CSE group, -1 when ungrouped
-	lead int // task index of the group leader for this delta, -1 ungrouped
+	ri   int32
+	pos  int32
+	g    int32 // CSE group, -1 when ungrouped
+	lead int32 // task index of the group leader for this delta, -1 ungrouped
+	// plan indexes the batch's planned schedules, -1 for the static one.
+	plan int32
+	// lo and hi delimit the entries of the batch's log the task captured.
+	lo, hi int32
 }
+
+// follower reports whether task ti, t, replays its group leader's range
+// instead of matching.
+func (t *task) follower(ti int) bool { return t.lead >= 0 && int(t.lead) != ti }
 
 // cseSeenKey identifies "this delta's firings of this group" while tasks
 // are scheduled: the first one becomes the leader.
@@ -293,15 +308,28 @@ func (c *Compiled) NewEngine() *Engine {
 	e := &Engine{c: c, queues: make([][]*core.FactMeta, queues)}
 	e.Core = c.NewCore(e.enqueue)
 	e.mt = &eval.Matcher{DB: e.DB()}
-	e.planSeen = make(map[[2]int][]eval.Step)
-	e.cseSeen = make(map[cseSeenKey]int)
-	for _, cr := range c.Rules {
-		e.bindings = append(e.bindings, eval.NewBinding(cr))
-	}
-	for gi := range c.groups {
-		e.gbindings = append(e.gbindings, eval.NewBinding(c.groups[gi].body))
-	}
+	e.planSeen = make(map[[2]int]int32)
+	e.cseSeen = make(map[cseSeenKey]int32)
+	e.bindings = make([]*eval.Binding, len(c.Rules))
+	e.gbindings = make([]*eval.Binding, len(c.groups))
 	return e
+}
+
+// binding returns rule ri's binding, making it on the rule's first firing:
+// a program with many rules that never fire pays nothing for them.
+func (e *Engine) binding(ri int) *eval.Binding {
+	if e.bindings[ri] == nil {
+		e.bindings[ri] = eval.NewBinding(e.c.Rules[ri])
+	}
+	return e.bindings[ri]
+}
+
+// gbinding is binding for CSE group g's shared body.
+func (e *Engine) gbinding(g int) *eval.Binding {
+	if e.gbindings[g] == nil {
+		e.gbindings[g] = eval.NewBinding(e.c.groups[g].body)
+	}
+	return e.gbindings[g]
 }
 
 // enqueue is the engine's admission hook: every fact the core stores or
@@ -429,15 +457,16 @@ func (e *Engine) Run(ctx context.Context, edb []ast.Fact) (*Result, error) {
 }
 
 // releaseBatch drops the per-batch scratch — the drained queue's backing
-// array, the task list, the captured match logs, schedules and canonical
-// orders — once the fixpoint is reached. All of it is sized by the largest
-// batch of the run and nothing reads it between runs, so an engine kept for its answer (a vadalog.Result reads through it, a
-// session may wait for more facts) keeps the database reachable and not
-// the run's buffers; a later Run re-grows them.
+// array, the task list with its schedules, the captured match log and the
+// canonical order — once the fixpoint is reached. All of it is sized by the
+// largest batch of the run and nothing reads it between runs, so an engine
+// kept for its answer (a vadalog.Result reads through it, a session may wait
+// for more facts) keeps the database reachable and not the run's buffers; a
+// later Run re-grows them.
 func (e *Engine) releaseBatch() {
 	clear(e.queues)
-	e.tasks, e.results = nil, nil
-	e.batchSteps, e.perms = nil, nil
+	e.tasks, e.perm, e.plans = nil, nil, nil
+	e.log = eval.BindingLog{}
 }
 
 // step drains one delta batch from the lowest non-empty queue: it schedules
@@ -472,14 +501,14 @@ func (e *Engine) step(ctx context.Context) (err error) {
 			if e.c.stratum != nil && e.c.stratum[rp[0]] != s {
 				continue
 			}
-			t := task{m: m, ri: rp[0], pos: rp[1], g: -1, lead: -1}
+			t := task{m: m, ri: int32(rp[0]), pos: int32(rp[1]), g: -1, lead: -1, plan: -1}
 			if gid, ok := e.c.groupOf[rp]; ok {
-				t.g = gid
+				t.g = int32(gid)
 				key := cseSeenKey{m: m, g: gid}
 				if li, seen := e.cseSeen[key]; seen {
 					t.lead = li
 				} else {
-					t.lead = len(e.tasks)
+					t.lead = int32(len(e.tasks))
 					e.cseSeen[key] = t.lead
 				}
 			}
@@ -522,44 +551,40 @@ func (e *Engine) step(ctx context.Context) (err error) {
 
 // planBatch derives (or revalidates) the schedule of every distinct
 // firing shape in the batch against the current statistics, presizing
-// planned probe indexes. With the planner disabled batchSteps stays nil
-// and every firing runs its static schedule.
+// planned probe indexes. With the planner disabled every task's plan stays
+// -1 and every firing runs its static schedule.
 func (e *Engine) planBatch() {
-	if cap(e.batchSteps) < len(e.tasks) {
-		e.batchSteps = make([][]eval.Step, len(e.tasks))
-	}
-	e.batchSteps = e.batchSteps[:len(e.tasks)]
-	for ti := range e.batchSteps {
-		e.batchSteps[ti] = nil
-	}
 	pl := e.Planner()
 	if pl == nil {
 		return
 	}
 	clear(e.planSeen)
+	clear(e.plans)
+	e.plans = e.plans[:0]
 	for ti := range e.tasks {
 		t := &e.tasks[ti]
-		if e.c.Skolem[t.ri] || (t.lead >= 0 && t.lead != ti) {
+		if e.c.Skolem[t.ri] || t.follower(ti) {
 			continue // inline firings keep the static schedule; followers share
 		}
-		key := [2]int{t.ri, t.pos}
+		key := [2]int{int(t.ri), int(t.pos)}
 		cr := e.c.Rules[t.ri]
-		if t.lead == ti {
-			key = [2]int{-1 - t.g, t.pos}
+		if t.lead >= 0 {
+			key = [2]int{-1 - int(t.g), int(t.pos)}
 			cr = e.c.groups[t.g].body
 		}
-		steps, ok := e.planSeen[key]
+		pi, ok := e.planSeen[key]
 		if !ok {
-			plan := pl.PlanFor(cr, t.pos)
+			plan := pl.PlanFor(cr, int(t.pos))
 			for _, pr := range plan.Probes {
 				if rel := e.DB().Lookup(pr.Pred); rel != nil {
 					rel.EnsureIndexSized(pr.Mask, pr.Keys)
 				}
 			}
-			steps = plan.Steps
-			e.planSeen[key] = steps
+			pi = int32(len(e.plans))
+			e.plans = append(e.plans, plan.Steps)
+			e.planSeen[key] = pi
 		}
-		e.batchSteps[ti] = steps
+		t.plan = pi
 	}
 }
 
@@ -569,10 +594,8 @@ func (e *Engine) planBatch() {
 // batch that buffers more candidates than the runaway ceiling allows stops
 // here with ErrBudget, before any of it is admitted.
 func (e *Engine) matchBatch(ctx context.Context) error {
-	if cap(e.results) < len(e.tasks) {
-		e.results = make([]eval.BindingLog, len(e.tasks))
-	}
-	e.results = e.results[:len(e.tasks)]
+	e.log.Reset()
+	e.errTask, e.taskErr = -1, nil
 	m := e.Meter()
 	e.room = max(candHeadroom*m.Limit(), candFloor) - m.Used()
 	for ti := range e.tasks {
@@ -589,45 +612,52 @@ func (e *Engine) matchBatch(ctx context.Context) error {
 }
 
 // matchTask enumerates the matches of one firing and captures each
-// complete binding into the task's log, counting it against the batch's
-// candidate room. A group leader enumerates the shared body once for all
-// members, so each of its candidates counts once per member.
+// complete binding into the batch's log as the task's range, counting it
+// against the batch's candidate room. A group leader enumerates the shared
+// body once for all members, so each of its candidates counts once per
+// member.
 func (e *Engine) matchTask(ti int) {
 	t := &e.tasks[ti]
+	t.lo = int32(e.log.Len())
+	t.hi = t.lo
 	if e.c.Skolem[t.ri] {
 		return // evaluated inline on the admit path
 	}
-	if t.lead >= 0 && t.lead != ti {
-		return // follower: replays the leader's shared body log at admit
+	if t.follower(ti) {
+		return // replays the leader's shared body range at admit
 	}
 	cr := e.c.Rules[t.ri]
 	e.firing = cr.Rule
-	b := e.bindings[t.ri]
+	var b *eval.Binding
 	n := 1
-	if t.lead == ti {
+	if t.lead >= 0 {
 		cr = e.c.groups[t.g].body
-		b = e.gbindings[t.g]
+		b = e.gbinding(int(t.g))
 		n = len(e.c.groups[t.g].members)
+	} else {
+		b = e.binding(int(t.ri))
 	}
-	steps := e.batchSteps[ti]
-	if steps == nil {
-		steps = cr.Schedule(t.pos)
+	steps := cr.Schedule(int(t.pos))
+	if t.plan >= 0 {
+		steps = e.plans[t.plan]
 	}
-	lg := &e.results[ti]
-	lg.Reset(cr)
-	if err := siteMatch.Check(); err != nil {
+	e.log.Shape(cr)
+	err := siteMatch.Check()
+	if err != nil {
 		rule := e.firing
-		lg.Err = fmt.Errorf("chase: %d:%d: rule %d: %w", rule.Line, rule.Col, rule.ID, err)
-		return
+		err = fmt.Errorf("chase: %d:%d: rule %d: %w", rule.Line, rule.Col, rule.ID, err)
+	} else {
+		err = e.mt.MatchPinnedSteps(cr, int(t.pos), t.m, steps, b, func(b *eval.Binding) error {
+			if e.room -= n; e.room < 0 {
+				return errBatchOverflow
+			}
+			e.log.Capture(b)
+			return nil
+		})
 	}
-	if err := e.mt.MatchPinnedSteps(cr, t.pos, t.m, steps, b, func(b *eval.Binding) error {
-		if e.room -= n; e.room < 0 {
-			return errBatchOverflow
-		}
-		lg.Capture(b)
-		return nil
-	}); err != nil {
-		lg.Err = err
+	t.hi = int32(e.log.Len())
+	if err != nil && e.errTask < 0 {
+		e.errTask, e.taskErr = int32(ti), err
 	}
 }
 
@@ -636,23 +666,15 @@ func (e *Engine) matchTask(ti int) {
 // never escapes the engine.
 var errBatchOverflow = errors.New("chase: batch candidate buffer overflow")
 
-// orderBatch computes every log-owning task's canonical admission order
-// into perms (followers reuse their leader's). It runs between the match
-// phase and the replay.
+// orderBatch computes every task's canonical admission order into perm:
+// the tasks' ranges tile the log in task order, so perm[t.lo:t.hi] is task
+// t's range sorted (empty for inline firings and followers, which reuse
+// their leader's). It runs between the match phase and the replay.
 func (e *Engine) orderBatch() {
-	if cap(e.perms) < len(e.tasks) {
-		perms := make([][]int32, len(e.tasks))
-		copy(perms, e.perms)
-		e.perms = perms
-	}
-	e.perms = e.perms[:len(e.tasks)]
+	e.perm = e.perm[:0]
 	for ti := range e.tasks {
 		t := &e.tasks[ti]
-		if e.c.Skolem[t.ri] || (t.lead >= 0 && t.lead != ti) {
-			e.perms[ti] = e.perms[ti][:0]
-			continue
-		}
-		e.perms[ti] = e.results[ti].CanonicalOrder(e.perms[ti])
+		e.perm = e.log.CanonicalOrder(e.perm, int(t.lo), int(t.hi))
 	}
 }
 
@@ -677,40 +699,39 @@ func (e *Engine) admitBatch(ctx context.Context) error {
 		if t.m.Retracted {
 			continue
 		}
-		cr := e.c.Rules[t.ri]
+		ri := int(t.ri)
+		cr := e.c.Rules[ri]
 		e.firing = cr.Rule // positions a crash recovered by step
-		if e.c.Skolem[t.ri] {
-			if err := e.fire(t.ri, t.pos, t.m); err != nil {
+		if e.c.Skolem[ri] {
+			if err := e.fire(ri, int(t.pos), t.m); err != nil {
 				return err
 			}
 			continue
 		}
-		lg := &e.results[ti]
-		perm := e.perms[ti]
-		if t.lead >= 0 && t.lead != ti {
-			lg = &e.results[t.lead]
-			perm = e.perms[t.lead]
+		src := int32(ti)
+		if t.follower(ti) {
+			src = t.lead
 			e.shared++
 		}
-		b := e.bindings[t.ri]
+		perm := e.perm[e.tasks[src].lo:e.tasks[src].hi]
+		b := e.binding(ri)
 		if t.g < 0 {
-			if _, err := e.Replay(t.ri, lg, perm, b); err != nil {
+			if _, err := e.Replay(ri, &e.log, perm, b); err != nil {
 				return err
 			}
 		} else {
-			// Group member: the log holds the shared body match; replay
+			// Group member: the range holds the shared body match; replay
 			// this rule's private assignments and conditions, then emit.
-			ri := t.ri
 			replayEmit := func(b *eval.Binding) error { return e.emit(ri, b) }
 			for _, i := range perm {
-				lg.Restore(int(i), e.DB().Interner(), b)
+				e.log.Restore(int(i), e.DB().Interner(), b)
 				if err := e.mt.Replay(cr, e.c.postSteps[ri], b, replayEmit); err != nil {
 					return err
 				}
 			}
 		}
-		if lg.Err != nil {
-			return lg.Err
+		if src == e.errTask {
+			return e.taskErr
 		}
 	}
 	e.firing = nil
@@ -740,7 +761,7 @@ func (e *Engine) PhaseStats() (match, prepass, admit time.Duration) {
 // matching and emitting fused (the admit-phase path for rules whose
 // matching mints nulls).
 func (e *Engine) fire(ri, pos int, m *core.FactMeta) error {
-	return e.mt.MatchPinned(e.c.Rules[ri], pos, m, e.bindings[ri], func(b *eval.Binding) error {
+	return e.mt.MatchPinned(e.c.Rules[ri], pos, m, e.binding(ri), func(b *eval.Binding) error {
 		return e.emit(ri, b)
 	})
 }

@@ -193,7 +193,10 @@ func (t *provTrie) query(prov []int) (beyond, within bool) {
 //
 // Contract: the engines eliminate exact duplicates (set semantics) before
 // consulting the policy, so CheckTermination only ever sees facts that are
-// not yet stored anywhere.
+// not yet stored anywhere. A policy retains nothing of a fact it rejects —
+// neither its metadata nor its Args — so that the engine may reuse the
+// rejected fact's Args and the policy the rejected metadata: after a
+// rejection the next Derive may return the same *FactMeta.
 type Policy interface {
 	// NewEDBFact wraps a database fact as a root of the guide structures.
 	NewEDBFact(f ast.Fact) *FactMeta
@@ -224,15 +227,14 @@ var _ Policy = (*Strategy)(nil)
 // Stats counts the strategy's decisions; exposed for the experimental
 // evaluation (Sec. 6.6) and ablations.
 type Stats struct {
-	Checked        int // termination checks performed
-	IsoChecks      int // facts that reached the isomorphism check
-	IsoHits        int // isomorphism found (vertical pruning learnt)
-	BeyondStop     int // cut by a learnt stop-provenance (no iso check)
-	WithinStop     int // allowed without iso check (inside stop-provenance)
-	NewTrees       int // new warded-forest trees opened
-	RedundantTrees int // duplicate ground roots rejected
-	GroundFacts    int // facts stored in the ground structure G
-	Patterns       int // distinct l_root patterns in the summary S
+	Checked     int // termination checks performed
+	IsoChecks   int // facts that reached the isomorphism check
+	IsoHits     int // isomorphism found (vertical pruning learnt)
+	BeyondStop  int // cut by a learnt stop-provenance (no iso check)
+	WithinStop  int // allowed without iso check (inside stop-provenance)
+	NewTrees    int // new warded-forest trees opened
+	GroundFacts int // facts stored in the ground structure G
+	Patterns    int // distinct l_root patterns in the summary S
 }
 
 // Strategy is the termination strategy of Algorithm 1. It is not
@@ -259,6 +261,12 @@ type Strategy struct {
 	paths   []*Path
 	provBuf []int
 
+	// metas holds every FactMeta the strategy hands out, by value, in
+	// chunks: a stored fact costs no allocation of its own. The slot of a
+	// rejected fact is reused by the next derivation.
+	metas Arena[FactMeta]
+	last  []FactMeta // the most recent meta handed out, as its arena slice
+
 	nextID int64
 	stats  Stats
 
@@ -277,8 +285,9 @@ type groundEntry struct {
 	next int32
 }
 
-// summaryEntry is one pattern of S: the root it was learnt from, its
-// stop-provenances, and the next entry of its hash chain (-1 ends it).
+// summaryEntry is one pattern of S: the root it was learnt from (its own
+// copy of the root's Args: a warded root may be the very fact rejected),
+// its stop-provenances, and the next entry of its hash chain (-1 ends it).
 type summaryEntry struct {
 	root ast.Fact
 	trie *provTrie
@@ -306,7 +315,8 @@ func (s *Strategy) Stats() Stats {
 // facts (the usual case) are not stored in the ground structure: only
 // null-carrying facts participate in isomorphism.
 func (s *Strategy) NewEDBFact(f ast.Fact) *FactMeta {
-	m := &FactMeta{Fact: f, Kind: analysis.KindNonLinear, RuleID: -1}
+	m := s.newMeta()
+	m.Fact, m.Kind, m.RuleID = f, analysis.KindNonLinear, -1
 	m.id = s.nextID
 	s.nextID++
 	m.LRoot = m
@@ -329,7 +339,8 @@ func (s *Strategy) NewEDBFact(f ast.Fact) *FactMeta {
 // the chase step may proceed.
 func (s *Strategy) Derive(f ast.Fact, ruleID int, parents []*FactMeta) *FactMeta {
 	ri := s.rules[ruleID]
-	m := &FactMeta{Fact: f, Kind: ri.Kind, RuleID: ruleID}
+	m := s.newMeta()
+	m.Fact, m.Kind, m.RuleID = f, ri.Kind, ruleID
 	m.FreshNulls = freshNulls(f, parents)
 	m.id = s.nextID
 	s.nextID++
@@ -396,7 +407,7 @@ func (s *Strategy) CheckTermination(a *FactMeta) bool {
 				beyond, within := trie.query(s.provBuf)
 				if beyond {
 					s.stats.BeyondStop++
-					return false // beyond a stop provenance
+					return s.reject(a) // beyond a stop provenance
 				}
 				if within {
 					s.stats.WithinStop++
@@ -418,7 +429,7 @@ func (s *Strategy) CheckTermination(a *FactMeta) bool {
 				if !s.DisableSummary {
 					s.learnStop(a)
 				}
-				return false // isomorphism found
+				return s.reject(a) // isomorphism found
 			}
 		}
 		s.ground[h] = s.pushGround(tree, a.Fact, head)
@@ -430,6 +441,23 @@ func (s *Strategy) CheckTermination(a *FactMeta) bool {
 	// engines' duplicate elimination.
 	s.stats.NewTrees++
 	return true
+}
+
+// newMeta returns a zeroed FactMeta from the arena.
+func (s *Strategy) newMeta() *FactMeta {
+	s.last = s.metas.Alloc(1)
+	return &s.last[0]
+}
+
+// reject gives a rejected fact's metadata back to the arena when it is the
+// one handed out last (the Policy contract: nothing of it is retained) and
+// returns false.
+func (s *Strategy) reject(a *FactMeta) bool {
+	if s.last != nil && &s.last[0] == a {
+		s.metas.Free(s.last)
+		s.last = nil
+	}
+	return false
 }
 
 // chain returns the first entry of h's chain in G's or S's hash table, -1
@@ -466,7 +494,9 @@ func (s *Strategy) learnStop(a *FactMeta) {
 	if trie == nil {
 		h := a.LRoot.patternHash()
 		trie = &provTrie{}
-		s.patterns = append(s.patterns, summaryEntry{root: a.LRoot.Fact, trie: trie, next: chain(s.summary, h)})
+		root := a.LRoot.Fact
+		root.Args = slices.Clone(root.Args)
+		s.patterns = append(s.patterns, summaryEntry{root: root, trie: trie, next: chain(s.summary, h)})
 		s.summary[h] = int32(len(s.patterns) - 1)
 	}
 	s.provBuf = a.Provenance.AppendRules(s.provBuf[:0])

@@ -73,7 +73,7 @@ func TestBindingLogRoundTrip(t *testing.T) {
 				target, n = NewBinding(wcr), wcr.NSlots
 			}
 			var lg BindingLog
-			lg.Reset(cr)
+			lg.Shape(cr)
 			var want []bindingSnap
 			capture := func(b *Binding) error {
 				if tc.set != "" {
@@ -118,7 +118,8 @@ func TestBindingLogRoundTrip(t *testing.T) {
 					return nil
 				}
 				allocs := testing.AllocsPerRun(50, func() {
-					lg.Reset(cr)
+					lg.Reset()
+					lg.Shape(cr)
 					if err := mt.MatchPinned(cr, 0, db.Lookup("e").At(1), b, plain); err != nil {
 						t.Fatal(err)
 					}
@@ -129,7 +130,8 @@ func TestBindingLogRoundTrip(t *testing.T) {
 				}
 			}
 			// Reset must not keep the batch reachable through the buffers.
-			lg.Reset(cr)
+			lg.Reset()
+			lg.Shape(cr)
 			for _, p := range lg.parents[:cap(lg.parents)] {
 				if p != nil {
 					t.Fatal("Reset left a *core.FactMeta reachable through the parents buffer")
@@ -141,5 +143,79 @@ func TestBindingLogRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBindingLogRanges captures the matches of rules of different shapes —
+// slot counts and matched-atom counts — into one log, range after range, as
+// the chase does for a batch: every entry must restore exactly as it does
+// from a log of its rule alone, and each range's canonical order must be
+// that log's, shifted by the range's start.
+func TestBindingLogRanges(t *testing.T) {
+	facts := []ast.Fact{
+		ast.NewFact("e", term.Int(1), term.Int(2)),
+		ast.NewFact("e", term.Int(2), term.Int(3)),
+		ast.NewFact("e", term.Int(1), term.Int(3)),
+		ast.NewFact("f", term.Int(3), term.String("b")),
+		ast.NewFact("f", term.Int(2), term.String("a")),
+		ast.NewFact("f", term.Int(3), term.Float(0.5)),
+	}
+	srcs := []string{
+		`e(X,Y), f(Y,Z) -> p(X,Z).`,
+		`e(X,Y) -> r(Y,X).`,
+		`f(Y,Z), e(X,Y), e(X,V), W = X + V -> q(W,Z).`,
+	}
+	var crs []*CompiledRule
+	for _, src := range srcs {
+		cr, _ := compileFirst(t, src)
+		crs = append(crs, cr)
+	}
+	_, res := compileFirst(t, srcs[0])
+	db := loadDB(t, res, facts...)
+	mt := &Matcher{DB: db}
+	captureAll := func(lg *BindingLog, cr *CompiledRule) {
+		b := NewBinding(cr)
+		rel := db.Lookup(cr.Pos[0].Pred)
+		for i := 0; i < rel.Len(); i++ {
+			if err := mt.MatchPinned(cr, 0, rel.At(i), b, func(b *Binding) error {
+				lg.Capture(b)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var all BindingLog
+	var perm []int32
+	for _, cr := range crs {
+		var alone BindingLog
+		alone.Shape(cr)
+		captureAll(&alone, cr)
+		lo := all.Len()
+		all.Shape(cr)
+		captureAll(&all, cr)
+		hi := all.Len()
+		if hi-lo != alone.Len() || alone.Len() < 2 {
+			t.Fatalf("%s: range [%d,%d) for %d matches alone", cr.Rule, lo, hi, alone.Len())
+		}
+		perm = all.CanonicalOrder(perm, lo, hi)
+		want := alone.CanonicalOrder(nil, 0, alone.Len())
+		for k, i := range want {
+			if perm[lo+k] != i+int32(lo) {
+				t.Errorf("%s: range order %v, want %v shifted by %d", cr.Rule, perm[lo:hi], want, lo)
+				break
+			}
+		}
+		got, exp := NewBinding(cr), NewBinding(cr)
+		for k := 0; k < alone.Len(); k++ {
+			all.Restore(lo+k, db.Interner(), got)
+			alone.Restore(k, db.Interner(), exp)
+			if g, w := snap(got, cr.NSlots), snap(exp, cr.NSlots); !reflect.DeepEqual(g, w) {
+				t.Errorf("%s: entry %d restored as %+v, want %+v", cr.Rule, lo+k, g, w)
+			}
+		}
+	}
+	if len(perm) != all.Len() {
+		t.Errorf("the ranges' orders hold %d entries, the log %d", len(perm), all.Len())
 	}
 }

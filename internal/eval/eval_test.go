@@ -151,7 +151,7 @@ func TestExistentialSkolemDeterminism(t *testing.T) {
 			if row[1] != 0 || miss == nil {
 				t.Errorf("round %d: row %v miss %v, want an uninterned null at position 1", round, row, miss)
 			}
-			head := RowFact("q", row, db.Interner(), miss)
+			head := RowFact("q", make([]term.Value, len(row)), row, db.Interner(), miss)
 			if round == 0 {
 				first = head.Args[1]
 			} else {

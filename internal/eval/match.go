@@ -475,12 +475,12 @@ func (b *Binding) headConstID(cr *CompiledRule, hi, i int) uint32 {
 	return id
 }
 
-// RowFact materializes the fact of an interned row of pred: the decode
+// RowFact materializes the fact of an interned row of pred into args, which
+// must have the row's length and becomes the fact's Args: the decode
 // boundary, reached only by candidates that survived the duplicate check.
 // Positions holding the invalid ID 0 take their value from miss (see
 // AppendHeadRow); a fully interned row needs none.
-func RowFact(pred string, row []uint32, in *storage.Interner, miss []term.Value) ast.Fact {
-	args := make([]term.Value, len(row))
+func RowFact(pred string, args []term.Value, row []uint32, in *storage.Interner, miss []term.Value) ast.Fact {
 	for i, id := range row {
 		if id != 0 {
 			args[i] = in.ValueOf(id)

@@ -3,7 +3,6 @@ package eval
 import (
 	"bytes"
 	"slices"
-	"sort"
 
 	"repro/internal/ast"
 	"repro/internal/term"
@@ -74,11 +73,11 @@ func ApplyPost(facts []ast.Fact, posts []ast.PostDirective, pred string, subst *
 	}
 	sortCanonical(facts)
 	if orderBy >= 0 {
-		sort.SliceStable(facts, func(i, j int) bool {
-			if orderBy < len(facts[i].Args) && orderBy < len(facts[j].Args) {
-				return term.Compare(facts[i].Args[orderBy], facts[j].Args[orderBy]) < 0
+		slices.SortStableFunc(facts, func(a, b ast.Fact) int {
+			if orderBy < len(a.Args) && orderBy < len(b.Args) {
+				return term.Compare(a.Args[orderBy], b.Args[orderBy])
 			}
-			return false
+			return 0
 		})
 	}
 	if limit >= 0 && len(facts) > limit {

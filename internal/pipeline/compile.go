@@ -109,8 +109,9 @@ func (c *Compiled) orderNegation() {
 }
 
 // NewSession derives fresh run-time state (database, interner, strategy,
-// buffers, bindings, cursors) over the shared compiled artifact. Sessions
-// are cheap; each is for use by a single goroutine.
+// buffers, cursors) over the shared compiled artifact; a rule's binding is
+// made on its first firing. Sessions are cheap; each is for use by a single
+// goroutine.
 func (c *Compiled) NewSession() *Session {
 	s := &Session{
 		c:      c,
@@ -127,7 +128,7 @@ func (c *Compiled) NewSession() *Session {
 		f := &ruleFilter{
 			idx:     i,
 			cr:      cr,
-			binding: eval.NewBinding(cr),
+			bounded: c.bounded[i],
 			rels:    make([]*storage.Relation, len(cr.Pos)),
 			cursors: make([]int, len(cr.Pos)),
 			sized:   make([]*planner.Plan, len(cr.Pos)),
@@ -137,11 +138,6 @@ func (c *Compiled) NewSession() *Session {
 		}
 		for k := range cr.Pos {
 			f.rels[k] = s.DB().Rel(cr.Pos[k].Pred, cr.Pos[k].Arity())
-		}
-		if c.bounded[i] {
-			// The cursors are the bound: none of these relations is ever
-			// rewritten in place, so a cursor's delta count is a row count.
-			f.binding.RowBound = f.cursors
 		}
 		s.filters = append(s.filters, f)
 	}

@@ -180,9 +180,12 @@ type hub struct {
 // ruleFilter is one rule's filter node. cr is shared read-only with the
 // Compiled artifact; everything else is per-session.
 type ruleFilter struct {
-	idx     int
-	cr      *eval.CompiledRule
+	idx int
+	cr  *eval.CompiledRule
+	// binding is made on the filter's first firing (see bind); bounded is
+	// the rule's Compiled.bounded.
 	binding *eval.Binding
+	bounded bool
 
 	// rels[i] is body atom i's relation, resolved once at session start;
 	// cursors[i] counts its facts already consumed as deltas.
@@ -597,7 +600,7 @@ func (s *Session) clearResumableFailure() {
 // (eval.BindingLog.CanonicalOrder), which depends only on which rows
 // matched, so every join order produces byte-identical output.
 func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
-	cr := f.cr
+	cr, b := f.cr, f.bind()
 	inline := s.c.Skolem[f.idx]
 	steps := cr.Schedule(pos)
 	if pl := s.Planner(); pl != nil && !inline {
@@ -621,7 +624,7 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 		t0 := s.now()
 		defer s.lap(&s.clock.match, t0) // fused: matching and admission interleave
 		admitted := 0
-		err := s.mt.MatchPinnedSteps(cr, pos, m, steps, f.binding, func(b *eval.Binding) error {
+		err := s.mt.MatchPinnedSteps(cr, pos, m, steps, b, func(b *eval.Binding) error {
 			s.matches++
 			n, err := s.Emit(f.idx, b)
 			admitted += n
@@ -630,9 +633,10 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 		return admitted, err
 	}
 	lg := &s.log
-	lg.Reset(cr)
+	lg.Reset()
+	lg.Shape(cr)
 	tm := s.now()
-	err := s.mt.MatchPinnedSteps(cr, pos, m, steps, f.binding, func(b *eval.Binding) error {
+	err := s.mt.MatchPinnedSteps(cr, pos, m, steps, b, func(b *eval.Binding) error {
 		lg.Capture(b)
 		return nil
 	})
@@ -641,11 +645,25 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	perm := lg.CanonicalOrder(s.permBuf)
+	perm := lg.CanonicalOrder(s.permBuf[:0], 0, lg.Len())
 	s.permBuf = perm
 	ta := s.now()
 	defer s.lap(&s.clock.admit, ta)
-	return s.Replay(f.idx, lg, perm, f.binding)
+	return s.Replay(f.idx, lg, perm, b)
+}
+
+// bind returns the filter's binding, making it on the first firing: a
+// program with many rules that never fire pays nothing for them.
+func (f *ruleFilter) bind() *eval.Binding {
+	if f.binding == nil {
+		f.binding = eval.NewBinding(f.cr)
+		if f.bounded {
+			// The cursors are the bound: none of these relations is ever
+			// rewritten in place, so a cursor's delta count is a row count.
+			f.binding.RowBound = f.cursors
+		}
+	}
+	return f.binding
 }
 
 // Drain materializes the complete reasoning result (all output predicates

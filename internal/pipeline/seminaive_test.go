@@ -94,8 +94,8 @@ func TestBoundedRules(t *testing.T) {
 	s := c.NewSession()
 	for i, cr := range c.Rules {
 		want := cr.Rule.Heads[0].Pred == "stake"
-		if c.bounded[i] != want || (s.filters[i].binding.RowBound != nil) != want {
-			t.Errorf("rule %s: bounded %v, row bound %v; want %v", cr.Rule, c.bounded[i], s.filters[i].binding.RowBound, want)
+		if b := s.filters[i].bind(); c.bounded[i] != want || (b.RowBound != nil) != want {
+			t.Errorf("rule %s: bounded %v, row bound %v; want %v", cr.Rule, c.bounded[i], b.RowBound, want)
 		}
 	}
 	if err := s.Run(context.Background(), []ast.Fact{

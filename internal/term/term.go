@@ -8,10 +8,11 @@
 package term
 
 import (
+	"cmp"
 	"fmt"
 	"hash/maphash"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -106,17 +107,19 @@ func Set(elems []Value) Value {
 			uniq = append(uniq, v)
 		}
 	}
-	sort.Slice(uniq, func(i, j int) bool {
-		a, b := uniq[i], uniq[j]
+	slices.SortFunc(uniq, func(a, b Value) int {
 		// Compare ties NaN with every number; NaN sorts below them all, so
 		// the order is total and the rendering independent of elems' order.
 		if an, bn := a.f != a.f, b.f != b.f; an != bn && a.IsNumeric() && b.IsNumeric() {
-			return an
+			if an {
+				return -1
+			}
+			return 1
 		}
 		if c := Compare(a, b); c != 0 {
-			return c < 0
+			return c
 		}
-		return a.kind < b.kind
+		return cmp.Compare(a.kind, b.kind)
 	})
 	var sb strings.Builder
 	sb.WriteByte('{')
@@ -609,5 +612,5 @@ func ParseCanonicalSet(s string) (Value, bool) {
 
 // SortValues sorts a slice of values in the total order of Compare.
 func SortValues(vs []Value) {
-	sort.Slice(vs, func(i, j int) bool { return Compare(vs[i], vs[j]) < 0 })
+	slices.SortFunc(vs, Compare)
 }
