@@ -44,6 +44,12 @@ var ErrInconsistent = errors.New("admit: knowledge base is inconsistent")
 // the budget (SetBudget) and re-firing the delta resumes the run.
 var ErrBudget = errors.New("admit: derivation budget exceeded")
 
+// ErrArity is returned (wrapped) when a loaded row's width differs from
+// its predicate's arity: the compiled program's, or for a predicate the
+// program does not mention, that of the relation an earlier load created.
+// The row is not stored, so every later load of it is refused again.
+var ErrArity = errors.New("admit: row does not have its predicate's arity")
+
 // DefaultBudget caps admitted facts when Config.MaxDerivations is unset.
 const DefaultBudget = 10_000_000
 
@@ -299,18 +305,40 @@ func (c *Core) errBudget() error {
 
 // LoadRow is the one EDB admission primitive, for record-manager rows and
 // program or session facts alike (storage.Database.InsertEDB: intern once,
-// probe in ID space, metadata for a survivor only). Duplicates are skipped,
-// so re-feeding after an interrupted load is idempotent. EDB facts are never
-// refused: they charge the meter unconditionally. The fact retains args.
-func (c *Core) LoadRow(pred string, args []term.Value) {
+// probe in ID space, metadata for a survivor only), and the one place a
+// row's width is checked: a row of another arity than its predicate's is
+// refused with ErrArity and nothing of it is stored. Duplicates are skipped,
+// so re-feeding after an interrupted load is idempotent. EDB facts are not
+// subject to the budget: they charge the meter unconditionally. The fact
+// retains args.
+func (c *Core) LoadRow(pred string, args []term.Value) error {
+	arity, ok := c.p.Preds[pred]
+	if !ok {
+		arity = len(args)
+		if rel := c.db.Lookup(pred); rel != nil {
+			arity = rel.Arity()
+		}
+	}
+	if len(args) != arity {
+		return fmt.Errorf("%w: %s has arity %d, not %d", ErrArity, pred, arity, len(args))
+	}
 	if m := c.db.InsertEDB(pred, args, c.strat); m != nil {
 		c.meter.Charge()
 		c.stored(m)
 	}
+	return nil
 }
 
-// Load admits one EDB fact through LoadRow.
-func (c *Core) Load(f ast.Fact) { c.LoadRow(f.Pred, f.Args) }
+// LoadFacts admits facts through LoadRow in order, stopping at the first
+// refused one: the facts before it stay admitted.
+func (c *Core) LoadFacts(facts []ast.Fact) error {
+	for _, f := range facts {
+		if err := c.LoadRow(f.Pred, f.Args); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Guard runs load under the load path's crash isolation: a panic (a
 // storage fault mid-chunk) becomes a typed error labelled engine, with the
@@ -437,24 +465,14 @@ func (c *Core) emitHeads(ri int, cr *eval.CompiledRule, b *eval.Binding) (int, e
 // passes through, whichever scheduler found it: the set-semantics duplicate
 // check in ID space, then — for a survivor only — the fact itself, the
 // termination strategy, storage and the engine's hook. row is the
-// candidate's interned tuple at its head's arity and h its HashRow; a
-// non-nil miss carries values the interner has never seen (see
-// eval.AppendHeadRow), so the fact is stored nowhere and there is nothing to
-// probe. The fact's Args come from the run's arena, from the heap for an
-// aggregate head (heap). It returns 1 when the fact was stored, 0 when it
-// was rejected.
+// candidate's interned tuple (its head's arity, which is its relation's)
+// and h its HashRow; a non-nil miss carries values the interner has never
+// seen (see eval.AppendHeadRow), so the fact is stored nowhere and there is
+// nothing to probe. The fact's Args come from the run's arena, from the heap
+// for an aggregate head (heap). It returns 1 when the fact was stored, 0
+// when it was rejected.
 func (c *Core) admit(rel *storage.Relation, row []uint32, h uint64, miss []term.Value, ruleID int, parents []*core.FactMeta, heap bool) (int, error) {
-	n := len(row)
-	if miss == nil && n < rel.Arity() {
-		// The relation restrided past this head's arity (an arity-drifting
-		// EDB): stored rows carry invalid-ID padding, so the probe does too.
-		for len(row) < rel.Arity() {
-			row = append(row, 0)
-		}
-		h = storage.HashRow(row)
-	}
-	prepared := miss == nil && len(row) == rel.Arity()
-	if prepared && rel.ContainsRowHash(row, h) {
+	if miss == nil && rel.ContainsRowHash(row, h) {
 		return 0, nil
 	}
 	if c.exhausted() {
@@ -462,21 +480,28 @@ func (c *Core) admit(rel *storage.Relation, row []uint32, h uint64, miss []term.
 	}
 	var args []term.Value
 	if heap {
-		args = make([]term.Value, n)
+		args = make([]term.Value, len(row))
 	} else {
-		args = c.args.Alloc(n)
+		args = c.args.Alloc(len(row))
 	}
-	m := c.strat.Derive(eval.RowFact(rel.Name(), args, row[:n], c.db.Interner(), miss), ruleID, parents)
+	m := c.strat.Derive(eval.RowFact(rel.Name(), args, row, c.db.Interner(), miss), ruleID, parents)
 	if !c.strat.CheckTermination(m) {
 		c.args.Free(args)
 		return 0, nil
 	}
 	c.meter.Charge()
-	if prepared {
-		rel.InsertPrepared(m, row, h)
-	} else {
-		rel.Insert(m) // interns the missing values, restrides a narrower relation
+	if miss != nil {
+		// Intern the values no stored fact held, in argument order — the
+		// IDs interning the whole fact would give — and hash the full row.
+		in := c.db.Interner()
+		for i, id := range row {
+			if id == 0 {
+				row[i] = in.Intern(m.Fact.Args[i])
+			}
+		}
+		h = storage.HashRow(row)
 	}
+	rel.InsertPrepared(m, row, h)
 	c.stored(m)
 	return 1, nil
 }
@@ -564,7 +589,7 @@ func (c *Core) insertTagTwin(m *core.FactMeta) {
 	}
 	c.twinBuf = row
 	rel := c.db.Rel(twin, len(row))
-	if len(row) == rel.Arity() && rel.ContainsRowHash(row, storage.HashRow(row)) {
+	if rel.ContainsRowHash(row, storage.HashRow(row)) {
 		return
 	}
 	// Relation-level: twin constants are bookkeeping, not ACDom members.

@@ -33,7 +33,7 @@ func newKernel(tb testing.TB, src string, edb []ast.Fact) *kernel {
 	k.mt = &eval.Matcher{DB: k.c.DB()}
 	k.b = eval.NewBinding(k.cr)
 	for _, f := range edb {
-		k.c.Load(f)
+		k.c.LoadRow(f.Pred, f.Args)
 	}
 	return k
 }

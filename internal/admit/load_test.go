@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
@@ -18,10 +19,10 @@ import (
 
 // loadPayload is an EDB with everything the load path has to get right:
 // duplicates (adjacent and far apart), a constant the interner meets for the
-// first time in the middle of a row, arity drift in both directions (r's
-// unary fact, then a binary one that restrides it, then a unary duplicate
-// and a new unary fact, both padded), imported labelled nulls, NaN (one ID
-// however it is spelled) and both zeros.
+// first time in the middle of a row, a predicate the program does not
+// mention (r, whose first row sets its arity), imported labelled nulls, NaN
+// (one ID however it is spelled) and both zeros. Rows of another arity are
+// TestLoadRowRefusesAnotherArity's.
 func loadPayload() []ast.Fact {
 	s, i, f := term.String, term.Int, term.Float
 	return []ast.Fact{
@@ -32,7 +33,6 @@ func loadPayload() []ast.Fact {
 		ast.NewFact("p", s("a"), i(3)),
 		ast.NewFact("p", s("never-seen"), i(3)),
 		ast.NewFact("r", i(1)),
-		ast.NewFact("r", i(1), i(2)),
 		ast.NewFact("r", i(1)),
 		ast.NewFact("r", i(3)),
 		ast.NewFact("n", term.Null(7), s("a")),
@@ -110,7 +110,7 @@ func TestLoadIdentities(t *testing.T) {
 	c := p.NewCore(func(*core.FactMeta) {})
 	ref, acdom := storage.NewDatabase(), map[uint32]bool{}
 	for _, f := range loadPayload() {
-		c.Load(f)
+		c.LoadRow(f.Pred, f.Args)
 		referenceLoad(ref, acdom, f)
 	}
 	sameStore(t, c.DB(), ref)
@@ -144,6 +144,49 @@ func factStrings(fs []ast.Fact) []string {
 	return out
 }
 
+// TestLoadRowRefusesAnotherArity: the arity of a loaded row is its
+// predicate's in the compiled program, else the arity of the relation an
+// earlier load created. A row of another width is refused with ErrArity,
+// naming the predicate and both widths, and nothing of it is stored — no
+// value interned, no relation created, nothing charged — however often it
+// is loaded again.
+func TestLoadRowRefusesAnotherArity(t *testing.T) {
+	p, err := Compile(parser.MustParse(`p(X,Y) -> out(X,Y).`), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := p.NewCore(func(*core.FactMeta) {})
+	s, i := term.String, term.Int
+	refuse := func(pred string, args []term.Value, want string) {
+		t.Helper()
+		in, n, preds := c.DB().Interner().Len(), c.Derivations(), len(c.DB().Predicates())
+		for range 2 {
+			err := c.LoadRow(pred, args)
+			if !errors.Is(err, ErrArity) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("LoadRow(%s, %v) = %v, want ErrArity saying %q", pred, args, err, want)
+			}
+		}
+		if c.DB().Interner().Len() != in || c.Derivations() != n || len(c.DB().Predicates()) != preds {
+			t.Fatalf("the refused row %s%v changed the store", pred, args)
+		}
+	}
+	// The compile's arity holds before any row of p or out is stored.
+	refuse("p", []term.Value{s("fresh")}, "p has arity 2, not 1")
+	refuse("out", []term.Value{s("a"), i(1), i(2)}, "out has arity 2, not 3")
+	for _, row := range [][]term.Value{{s("a"), i(1)}, {i(7), i(8), i(9)}} {
+		pred := map[int]string{2: "p", 3: "z"}[len(row)]
+		if err := c.LoadRow(pred, row); err != nil {
+			t.Fatalf("LoadRow(%s, %v): %v", pred, row, err)
+		}
+	}
+	// z is not in the program: its first row fixed its arity.
+	refuse("z", []term.Value{i(7)}, "z has arity 3, not 1")
+	refuse("p", []term.Value{s("a"), i(1), i(1)}, "p has arity 2, not 3")
+	if c.Derivations() != 2 {
+		t.Errorf("%d facts charged, want the 2 stored", c.Derivations())
+	}
+}
+
 // TestLoadResumesAfterInsertFault: a storage fault in the middle of a chunk
 // leaves the admitted prefix stored and nothing else; feeding the same chunk
 // again admits exactly the rest, and the database equals one loaded without
@@ -166,7 +209,7 @@ func TestLoadResumesAfterInsertFault(t *testing.T) {
 	for name, load := range map[string]func(c *Core){
 		"facts": func(c *Core) {
 			for _, f := range payload {
-				c.Load(f)
+				c.LoadRow(f.Pred, f.Args)
 			}
 		},
 		"rows": func(c *Core) {

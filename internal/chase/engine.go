@@ -356,31 +356,21 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 	return c.NewEngine(), nil
 }
 
-// LoadFacts admits one chunk of EDB facts — the streaming-load entry
-// point: record managers feed their cursors through it chunk by chunk
-// (duplicates are skipped, so re-feeding after an interrupted load is
-// idempotent). Loaded facts queue as deltas for the next batch drain.
-func (e *Engine) LoadFacts(facts []ast.Fact) {
-	for _, f := range facts {
-		e.Load(f)
-	}
-}
-
 // LoadProgramFacts admits the compiled program's inline facts — the same
 // facts Run loads first. It is idempotent; callers streaming bound
 // inputs before Run use it to establish the canonical admission order
 // (program facts, then bound inputs, then staged facts).
-func (e *Engine) LoadProgramFacts() { e.LoadFacts(e.c.Prog.Facts) }
+func (e *Engine) LoadProgramFacts() error { return e.LoadFacts(e.c.Prog.Facts) }
 
-// LoadChunk is LoadFacts with the load path's crashes converted into a
+// LoadChunk admits one chunk of EDB facts — the streaming-load entry point
+// (admit.Core.LoadFacts) — with the load path's crashes converted into a
 // typed error: a panic mid-chunk (storage fault) leaves the prefix
 // admitted and the store consistent, and since loading skips duplicates,
-// re-feeding the same chunk resumes exactly where the crash struck.
+// re-feeding the same chunk resumes exactly where the crash struck. A fact
+// of another arity than its predicate's stops the chunk with
+// admit.ErrArity. Loaded facts queue as deltas for the next batch drain.
 func (e *Engine) LoadChunk(facts []ast.Fact) error {
-	return admit.Guard("chase load", func() error {
-		e.LoadFacts(facts)
-		return nil
-	})
+	return admit.Guard("chase load", func() error { return e.LoadFacts(facts) })
 }
 
 // LoadRows is LoadChunk for one chunk of a record manager's cursor: rows
@@ -388,7 +378,9 @@ func (e *Engine) LoadChunk(facts []ast.Fact) error {
 func (e *Engine) LoadRows(pred string, rows [][]term.Value) error {
 	return admit.Guard("chase load", func() error {
 		for _, row := range rows {
-			e.LoadRow(pred, row)
+			if err := e.LoadRow(pred, row); err != nil {
+				return err
+			}
 		}
 		return nil
 	})

@@ -54,7 +54,7 @@ type FactMeta struct {
 	Retracted bool
 	// row is 1 + the index of the relation row holding this fact; the zero
 	// value means stored nowhere. Set once, on insertion: supersession
-	// rewrites the row in place, retraction and restriding keep positions.
+	// rewrites the row in place, retraction keeps positions.
 	// The matcher pins a delta by reading that row instead of re-interning
 	// Fact.Args. It sits in the padding after the two flags.
 	row int32

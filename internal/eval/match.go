@@ -147,19 +147,16 @@ type Matcher struct {
 // unifyRow unifies atom a with a stored row in ID space — the one loop
 // behind every atom of a match, the pinned delta included. Positions in
 // checked are guaranteed by the index probe that produced the row. At any
-// other: the arity-padding ID 0 (a restrided relation's older rows) matches
-// nothing, a constant must be the row's value, a bound variable must hold
-// the row's ID, an unbound one is bound to it and recorded in b.newly for
-// the caller to unbind. A pure read of the store.
+// other, a constant must be the row's value, a bound variable must hold the
+// row's ID, an unbound one is bound to it and recorded in b.newly for the
+// caller to unbind. The row has the atom's arity: the compile fixes one per
+// predicate, and the store holds no other. A pure read of the store.
 func (b *Binding) unifyRow(a *CAtom, row []uint32, checked uint32) bool {
 	for i, isv := range a.IsVar {
 		if checked&(1<<uint(i)) != 0 {
 			continue
 		}
 		id := row[i]
-		if id == 0 {
-			return false
-		}
 		if !isv {
 			if b.in.ValueOf(id) != a.Const[i] {
 				return false
@@ -208,11 +205,9 @@ func (mt *Matcher) MatchPinnedSteps(cr *CompiledRule, pinned int, pinnedMeta *co
 	b.newly = b.newly[:0]
 	if pinned < len(cr.Pos) {
 		// The delta is a stored fact: its row holds the IDs, nothing is
-		// interned to pin it. A fact of another arity does not match.
-		a := &cr.Pos[pinned]
+		// interned to pin it.
 		rel, ri := b.posRel(mt.DB, cr, pinned), pinnedMeta.RowIndex()
-		if rel == nil || ri < 0 || len(pinnedMeta.Fact.Args) != a.arity() ||
-			!b.unifyRow(a, rel.Row(ri), 0) {
+		if rel == nil || ri < 0 || !b.unifyRow(&cr.Pos[pinned], rel.Row(ri), 0) {
 			return nil
 		}
 		b.Parents[pinned] = pinnedMeta

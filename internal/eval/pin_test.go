@@ -40,8 +40,8 @@ func pinAll(t *testing.T, cr *CompiledRule, db *storage.Database) [][]term.Value
 
 // TestPinnedByRow: the pinned atom is unified with the delta's stored row,
 // so it sees what the relation holds — the superseding IDs of a row
-// replaced in place, the padding of a row narrower than the relation — and
-// tests constants and repeated variables exactly as a probed atom does.
+// replaced in place, no row retracted — and tests constants and repeated
+// variables exactly as a probed atom does.
 func TestPinnedByRow(t *testing.T) {
 	ints := func(vs ...int64) []term.Value {
 		out := make([]term.Value, len(vs))
@@ -84,27 +84,6 @@ func TestPinnedByRow(t *testing.T) {
 		want := [][]term.Value{ints(1, 9), ints(3, 3)}
 		if got := pinAll(t, cr, db); !reflect.DeepEqual(got, want) {
 			t.Errorf("bindings = %v, want %v", got, want)
-		}
-	})
-	run("restrided relation", func(t *testing.T) {
-		// r(7) and r(1,2) predate the ternary fact that restrides r, so
-		// their rows carry padding; only the binary fact matches the
-		// binary atom, pinned or probed.
-		cr, res := compileFirst(t, `r(X,Y), s(X) -> q(X,Y).`)
-		db := loadDB(t, res,
-			ast.NewFact("r", ints(7)...), ast.NewFact("r", ints(1, 2)...), ast.NewFact("r", ints(4, 5, 6)...),
-			ast.NewFact("s", ints(7)...), ast.NewFact("s", ints(1)...))
-		rel := db.Lookup("r")
-		if rel.Arity() != 3 || rel.Row(0)[1] != 0 || rel.At(1).RowIndex() != 1 {
-			t.Fatalf("r: arity %d, row 0 %v: want stride 3, padded, indexes stable", rel.Arity(), rel.Row(0))
-		}
-		want := [][]term.Value{ints(1, 2)}
-		if got := pinAll(t, cr, db); !reflect.DeepEqual(got, want) {
-			t.Errorf("pinned on r: bindings = %v, want %v", got, want)
-		}
-		flipped, _ := compileFirst(t, `s(X), r(X,Y) -> q(X,Y).`)
-		if got := pinAll(t, flipped, db); !reflect.DeepEqual(got, want) {
-			t.Errorf("pinned on s, r probed: bindings = %v, want %v", got, want)
 		}
 	})
 	run("constant and repeated variable", func(t *testing.T) {

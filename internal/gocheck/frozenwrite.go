@@ -32,7 +32,7 @@ var FrozenWrite = &Analyzer{
 var frozenSinks = map[string]map[string]string{
 	"Relation": {
 		"Insert": "storage", "Replace": "storage", "retract": "storage",
-		"restride": "storage", "Freeze": "storage", "EnsureIndex": "storage",
+		"Freeze": "storage", "EnsureIndex": "storage",
 		"EnsureIndexSized": "storage", "ensureIndexSized": "storage",
 		"extendIndex": "storage", "liveSnapshot": "storage",
 		"LookupIDs": "storage", "Lookup": "storage",

@@ -124,22 +124,27 @@ func (c *Compiled) NewSession() *Session {
 	for pred, arity := range c.Preds {
 		s.hubs[pred] = &hub{pred: pred, rel: s.DB().Rel(pred, arity)}
 	}
+	// One block of filters, and one block each for every filter's
+	// relations, cursors and plans, cut per rule.
+	atoms := 0
+	for _, cr := range c.Rules {
+		atoms += len(cr.Pos)
+	}
+	rels, cursors, sized := make([]*storage.Relation, atoms), make([]int, atoms), make([]*planner.Plan, atoms)
+	s.filters = make([]ruleFilter, len(c.Rules))
 	for i, cr := range c.Rules {
-		f := &ruleFilter{
-			idx:     i,
-			cr:      cr,
-			bounded: c.bounded[i],
-			rels:    make([]*storage.Relation, len(cr.Pos)),
-			cursors: make([]int, len(cr.Pos)),
-			sized:   make([]*planner.Plan, len(cr.Pos)),
-		}
+		n := len(cr.Pos)
+		f := &s.filters[i]
+		f.idx, f.cr, f.bounded = i, cr, c.bounded[i]
+		f.rels, rels = rels[:n:n], rels[n:]
+		f.cursors, cursors = cursors[:n:n], cursors[n:]
+		f.sized, sized = sized[:n:n], sized[n:]
 		if c.waits != nil {
 			f.waits = c.waits[i]
 		}
 		for k := range cr.Pos {
 			f.rels[k] = s.DB().Rel(cr.Pos[k].Pred, cr.Pos[k].Arity())
 		}
-		s.filters = append(s.filters, f)
 	}
 	//vadalint:ordered each hub's producer list is built from its own key's ruleIdxs only
 	for pred, ruleIdxs := range c.producers {
@@ -149,7 +154,7 @@ func (c *Compiled) NewSession() *Session {
 			s.hubs[pred] = h
 		}
 		for _, ri := range ruleIdxs {
-			h.producers = append(h.producers, s.filters[ri])
+			h.producers = append(h.producers, &s.filters[ri])
 		}
 	}
 	return s

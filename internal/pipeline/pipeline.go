@@ -3,9 +3,11 @@
 // nodes connected by pipes (an edge from filter a to filter b when a's
 // head unifies with an atom in b's body); reasoning is a pull (volcano)
 // data stream driven by the sinks. Filters poll their predecessors
-// round-robin; runtime invocation cycles are detected and reported as
-// cyclic misses (notifyCycle) distinct from real misses; each filter wraps
-// fact production in a termination-strategy wrapper running Algorithm 1.
+// round-robin; a filter already on the pull stack (a runtime invocation
+// cycle) answers dry, and when every pull comes back dry one sweep over all
+// filters tells a cycle that can still be fed from a real miss; each filter
+// wraps fact production in a termination-strategy wrapper running
+// Algorithm 1.
 //
 // A filter reads each body atom through a cursor of its own, and a firing
 // pins one delta and joins it only against rows the filter has already
@@ -58,17 +60,6 @@ var (
 // time.
 type Options = admit.Config
 
-// stepResult is a filter's answer to a pull: it produced a fact, it cannot
-// right now because of a runtime cycle (cyclic miss), or it is dry (real
-// miss).
-type stepResult int
-
-const (
-	stepProduced stepResult = iota
-	stepCyclicMiss
-	stepDry
-)
-
 // Feeder loads one more chunk of a run's input into the session — the
 // sources of the paper's pull stream, as one function: the program's facts,
 // a bound record manager's next cursor chunk, the next staged facts — and
@@ -103,7 +94,7 @@ type Session struct {
 	c  *Compiled
 	mt *eval.Matcher
 
-	filters []*ruleFilter
+	filters []ruleFilter
 	hubs    map[string]*hub
 
 	// feed is where Next gets more input from when a pull comes back dry;
@@ -218,15 +209,6 @@ func New(prog *ast.Program, opts Options) (*Session, error) {
 // once, before the first pull.
 func (s *Session) SetFeeder(f Feeder) { s.feed = f }
 
-// Load admits EDB facts into the pipeline's source relations. Loading
-// after the pipeline has quiesced resumes it: new facts can enable new
-// derivations (incremental reasoning).
-func (s *Session) Load(facts ...ast.Fact) {
-	for _, f := range facts {
-		s.Core.Load(f)
-	}
-}
-
 // admitted is the session's admission hook: every fact the core stores or
 // replaces in place opens a hub when its predicate is new to the session,
 // and ends any quiescence. (A replaced row needs no more: the relation's
@@ -240,8 +222,10 @@ func (s *Session) admitted(m *core.FactMeta) {
 	s.quiesced = false
 }
 
-// LoadChunk admits one chunk of EDB facts and then reports any pending
-// cancellation. The chunk is always admitted before the context is
+// LoadChunk admits one chunk of EDB facts (admit.Core.LoadFacts) and then
+// reports any pending cancellation. Loading after the pipeline has quiesced
+// resumes it: new facts can enable new derivations (incremental
+// reasoning). The chunk is always admitted before the context is
 // consulted, so a chunk already pulled from a cursor is never dropped
 // (the caller stops before pulling the next one); duplicates are
 // skipped, so re-feeding after an interrupted load stays idempotent.
@@ -249,28 +233,34 @@ func (s *Session) admitted(m *core.FactMeta) {
 // the already-admitted prefix intact, so re-feeding the chunk resumes
 // exactly where the crash struck.
 func (s *Session) LoadChunk(ctx context.Context, facts []ast.Fact) error {
-	return s.loadGuarded(ctx, func() { s.Load(facts...) })
+	return s.loadGuarded(ctx, func() error { return s.LoadFacts(facts) })
 }
 
 // LoadRows is LoadChunk for one chunk of a record manager's cursor: rows
 // are admitted as facts of pred without being staged as facts first — the
 // streaming-load entry point.
 func (s *Session) LoadRows(ctx context.Context, pred string, rows [][]term.Value) error {
-	return s.loadGuarded(ctx, func() {
+	return s.loadGuarded(ctx, func() error {
 		for _, row := range rows {
-			s.LoadRow(pred, row)
+			if err := s.LoadRow(pred, row); err != nil {
+				return err
+			}
 		}
+		return nil
 	})
 }
 
 // loadGuarded runs one chunk's admission behind the load fault site and
-// the load path's crash isolation, then reports ctx's state.
-func (s *Session) loadGuarded(ctx context.Context, load func()) error {
+// the load path's crash isolation, then reports ctx's state. A row the
+// admission refuses (admit.ErrArity) ends the chunk there.
+func (s *Session) loadGuarded(ctx context.Context, load func() error) error {
 	return admit.Guard("pipeline load", func() error {
 		if err := siteLoad.Check(); err != nil {
 			return fmt.Errorf("pipeline: load: %w", err)
 		}
-		load()
+		if err := load(); err != nil {
+			return err
+		}
 		return ctx.Err()
 	})
 }
@@ -354,8 +344,8 @@ func (s *Session) next(ctx context.Context, pred string, n int) (ast.Fact, bool,
 		if h == nil || s.quiesced {
 			return ast.Fact{}, false, nil
 		}
-		// All producers report dry or cyclic and no input is left: one
-		// global sweep decides whether the cycles can still be fed
+		// Every producer came back dry and no input is left: one global
+		// sweep decides whether a runtime cycle can still be fed
 		// (real-miss detection).
 		if !s.sweep() {
 			if err := ctx.Err(); err != nil {
@@ -381,8 +371,7 @@ func (s *Session) pull(h *hub) bool {
 	before := h.rel.Len()
 	for k := 0; k < len(h.producers); k++ {
 		p := h.producers[(h.rr+k)%len(h.producers)]
-		res := s.step(p)
-		if res == stepProduced && h.rel.Len() > before {
+		if s.step(p) && h.rel.Len() > before {
 			h.rr = (h.rr + k + 1) % len(h.producers)
 			return true
 		}
@@ -390,48 +379,29 @@ func (s *Session) pull(h *hub) bool {
 	return h.rel.Len() > before
 }
 
-// step asks filter f to produce at least one new admitted fact. It first
-// drains already-available deltas (facts its body relations hold beyond
-// its cursors), then pulls its predecessor hubs recursively. Runtime
-// cycles surface as cyclic misses via the active flag (notifyCycle).
-func (s *Session) step(f *ruleFilter) stepResult {
-	if f.active {
-		return stepCyclicMiss
-	}
-	if f.waits > s.settled || s.cancelled() {
-		return stepDry
+// step asks filter f to produce at least one new admitted fact and reports
+// whether it did. It first drains already-available deltas (facts its body
+// relations hold beyond its cursors), then pulls its predecessor hubs
+// recursively. A filter already on the pull stack (the active flag: a
+// runtime cycle) is dry.
+func (s *Session) step(f *ruleFilter) bool {
+	if f.active || f.waits > s.settled || s.cancelled() {
+		return false
 	}
 	f.active = true
 	defer func() { f.active = false }()
 
-	sawCyclic := false
 	for rounds := 0; rounds < len(f.cr.Pos)+1; rounds++ {
 		// Round-robin over body atoms, preferring available deltas.
 		for k := 0; k < len(f.cr.Pos); k++ {
 			i := (f.rr + k) % len(f.cr.Pos)
-			rel := f.rels[i]
-			for f.cursors[i] < rel.DeltaLen() {
-				if s.cancelled() {
-					return stepDry
-				}
-				m := rel.DeltaAt(f.cursors[i])
-				f.cursors[i]++
-				if m.Retracted {
-					continue // superseded aggregate intermediate
-				}
-				got, err := s.fireGuarded(f, i, m)
-				if err != nil {
-					// The delta's firing did not complete: rewind the cursor
-					// so a resumed session re-fires it (idempotently) instead
-					// of silently losing its derivations.
-					f.cursors[i]--
-					s.failure = err
-					return stepDry
-				}
-				if got > 0 {
-					f.rr = i
-					return stepProduced
-				}
+			produced, ok := s.drain(f, i, true)
+			if !ok {
+				return false
+			}
+			if produced {
+				f.rr = i
+				return true
 			}
 		}
 		// No deltas left: pull each predecessor hub once.
@@ -442,35 +412,63 @@ func (s *Session) step(f *ruleFilter) stepResult {
 			if ph == nil {
 				continue
 			}
-			if s.pullGuarded(ph, &sawCyclic) {
+			if s.pullPredecessor(ph) {
 				progressed = true
 				break
 			}
 		}
 		if !progressed {
-			break
+			return false
 		}
 	}
-	if sawCyclic {
-		return stepCyclicMiss
-	}
-	return stepDry
+	return false
 }
 
-// pullGuarded polls ph's producers, recording cyclic misses.
-func (s *Session) pullGuarded(ph *hub, sawCyclic *bool) bool {
+// pullPredecessor polls ph's producers on behalf of a consuming filter: it
+// stops at the first producer that admitted anything, and reports whether
+// one did or ph grew.
+func (s *Session) pullPredecessor(ph *hub) bool {
 	before := ph.rel.Len()
 	for k := 0; k < len(ph.producers); k++ {
-		p := ph.producers[(ph.rr+k)%len(ph.producers)]
-		switch s.step(p) {
-		case stepProduced:
+		if s.step(ph.producers[(ph.rr+k)%len(ph.producers)]) {
 			ph.rr = (ph.rr + k + 1) % len(ph.producers)
 			return true
-		case stepCyclicMiss:
-			*sawCyclic = true
 		}
 	}
 	return ph.rel.Len() > before
+}
+
+// drain fires filter f on its unconsumed deltas at body atom i, in delta
+// order, and reports whether some firing admitted a fact; with first set it
+// stops after that firing. ok is false when the drive must unwind: the
+// context was cancelled, or a firing failed — s.failure holds the error and
+// the cursor is rewound, so a resumed session re-fires the delta
+// (idempotently) instead of silently losing its derivations.
+func (s *Session) drain(f *ruleFilter, i int, first bool) (produced, ok bool) {
+	rel := f.rels[i]
+	for f.cursors[i] < rel.DeltaLen() {
+		if s.cancelled() {
+			return produced, false
+		}
+		m := rel.DeltaAt(f.cursors[i])
+		f.cursors[i]++
+		if m.Retracted {
+			continue // superseded aggregate intermediate
+		}
+		got, err := s.fireGuarded(f, i, m)
+		if err != nil {
+			f.cursors[i]--
+			s.failure = err
+			return produced, false
+		}
+		if got > 0 {
+			produced = true
+			if first {
+				break
+			}
+		}
+	}
+	return produced, true
 }
 
 // pollStride bounds how often the per-tuple loops poll the context:
@@ -504,40 +502,28 @@ func (s *Session) cancelled() bool {
 
 // sweep runs every filter once over its available deltas (no recursive
 // pulls); it reports whether anything new was admitted. A full sweep with
-// no progress turns outstanding cyclic misses into real misses.
+// no progress is a real miss: no runtime cycle can be fed any more.
 func (s *Session) sweep() bool {
 	progress := false
-	for _, f := range s.filters {
+	for fi := range s.filters {
+		f := &s.filters[fi]
 		if f.active || f.waits > s.settled {
 			continue
 		}
-		for i, rel := range f.rels {
-			for f.cursors[i] < rel.DeltaLen() {
-				if s.cancelled() {
-					return false
-				}
-				m := rel.DeltaAt(f.cursors[i])
-				f.cursors[i]++
-				if m.Retracted {
-					continue
-				}
-				got, err := s.fireGuarded(f, i, m)
-				if err != nil {
-					f.cursors[i]-- // resume re-fires the delta (see step)
-					s.failure = err
-					return false
-				}
-				if got > 0 {
-					progress = true
-				}
+		for i := range f.rels {
+			produced, ok := s.drain(f, i, false)
+			if !ok {
+				return false
 			}
+			progress = progress || produced
 		}
 	}
 	return progress
 }
 
 func (s *Session) allQuiesced() bool {
-	for _, f := range s.filters {
+	for fi := range s.filters {
+		f := &s.filters[fi]
 		for i, rel := range f.rels {
 			if f.cursors[i] < rel.DeltaLen() {
 				return false
@@ -718,7 +704,7 @@ func (s *Session) Drain(ctx context.Context) error {
 // LoadProgramFacts admits the program's inline fact literals — the same
 // facts Run loads before the EDB. Streaming callers that drive Next
 // directly (bypassing Run) must call it once before pulling.
-func (s *Session) LoadProgramFacts() { s.Load(s.c.Prog.Facts...) }
+func (s *Session) LoadProgramFacts() error { return s.LoadFacts(s.c.Prog.Facts) }
 
 // Run loads facts, drains the pipeline and returns the materialized
 // result. Cancelling ctx aborts the fixpoint between rule firings.
@@ -726,9 +712,10 @@ func (s *Session) Run(ctx context.Context, edb []ast.Fact) error {
 	// Loading skips duplicates, so a resumed Run re-feeding the same facts
 	// admits only what an earlier crash cut off.
 	err := admit.Guard("pipeline load", func() error {
-		s.LoadProgramFacts()
-		s.Load(edb...)
-		return nil
+		if err := s.LoadProgramFacts(); err != nil {
+			return err
+		}
+		return s.LoadFacts(edb)
 	})
 	if err != nil {
 		return err

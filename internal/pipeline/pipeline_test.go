@@ -63,7 +63,7 @@ func TestPipelineStreaming(t *testing.T) {
 		edb = append(edb, ast.NewFact("edge",
 			term.String(fmt.Sprintf("n%d", i)), term.String(fmt.Sprintf("n%d", i+1))))
 	}
-	s.Load(edb...)
+	s.LoadFacts(edb)
 	count := 0
 	for {
 		_, ok, err := s.Next(context.Background(), "path", count)
@@ -95,7 +95,7 @@ func TestNextPullsInputWhenDry(t *testing.T) {
 			if *steps == edges {
 				return false, nil
 			}
-			s.Load(ast.NewFact("edge", term.Int(int64(*steps)), term.Int(int64(*steps+1))))
+			s.LoadRow("edge", []term.Value{term.Int(int64(*steps)), term.Int(int64(*steps + 1))})
 			*steps++
 			return true, nil
 		})

@@ -2,8 +2,11 @@ package storage
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/term"
@@ -208,23 +211,39 @@ func TestRelationRowAccess(t *testing.T) {
 	}
 }
 
-// TestRelationRestride covers the inconsistent-arity fallback: a longer
-// fact migrates the relation to the larger stride without losing exact
-// duplicate detection or lookups.
-func TestRelationRestride(t *testing.T) {
-	r := NewRelation("p", 1)
-	r.Insert(meta("p", term.Int(1)))
-	r.Lookup(1, []term.Value{term.Int(1)}) // build an index pre-migration
-	if !r.Insert(&core.FactMeta{Fact: ast.NewFact("p", term.Int(1), term.Int(2))}) {
-		t.Fatal("wider fact rejected")
+// TestRelationStrideContract: a relation stores rows of its arity only. A
+// row of another width reaching a mutating method panics, naming the
+// predicate and both widths, before anything is interned or stored; the
+// read-only probes report such a fact absent.
+func TestRelationStrideContract(t *testing.T) {
+	r := NewRelation("p", 2)
+	r.Insert(meta("p", term.Int(1), term.Int(2)))
+	in := r.Interner()
+	before := in.Len()
+	wide := []term.Value{term.Int(1), term.Int(2), term.Int(3)}
+	short := []uint32{in.Intern(term.Int(1))}
+	for name, store := range map[string]func(){
+		"Insert":         func() { r.Insert(meta("p", wide...)) },
+		"InsertEDB":      func() { r.InsertEDB(wide, core.NewStrategy(&analysis.Result{})) },
+		"InsertPrepared": func() { r.InsertPrepared(meta("p", term.Int(1)), short, HashRow(short)) },
+		"Replace":        func() { r.Replace(0, ast.NewFact("p", wide...)) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "p has arity 2, not ") {
+					t.Errorf("%s of another width: panic %q, want one naming p and both widths", name, msg)
+				}
+			}()
+			store()
+		}()
 	}
-	if r.Insert(meta("p", term.Int(1))) {
-		t.Fatal("pre-migration fact no longer deduplicated")
+	if r.Len() != 1 || in.Len() != before || !slices.Equal(r.Row(0), []uint32{1, 2}) {
+		t.Errorf("a refused row changed the store: %d rows, %d values interned (was %d), row 0 %v", r.Len(), in.Len(), before, r.Row(0))
 	}
-	if !r.Contains(ast.NewFact("p", term.Int(1))) {
-		t.Fatal("pre-migration fact lost")
-	}
-	if got := len(r.Lookup(1, []term.Value{term.Int(1), {}})); got != 2 {
-		t.Fatalf("post-migration lookup: %d rows, want 2", got)
+	for _, f := range []ast.Fact{ast.NewFact("p", term.Int(1)), ast.NewFact("p", wide...)} {
+		if _, found := r.FindExact(f); found || r.Contains(f) {
+			t.Errorf("%v of another width is reported stored", f)
+		}
 	}
 }

@@ -19,6 +19,8 @@
 package storage
 
 import (
+	"fmt"
+
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -74,6 +76,11 @@ var hashMasked = func(row []uint32, mask uint32) uint64 {
 // termination-strategy metadata. Facts are kept in insertion order;
 // duplicates (by exact interned tuple, null identities included) are
 // rejected.
+//
+// The stride is a contract: every row a relation stores, replaces or is
+// probed with has exactly its arity, which the compile fixes per predicate
+// and admit.Core.LoadRow enforces where data enters. A row of another width
+// reaching a mutating method is a programming error and panics (checkWidth).
 type Relation struct {
 	name  string
 	arity int
@@ -81,9 +88,7 @@ type Relation struct {
 	metas []*core.FactMeta
 
 	// rows holds the interned tuples flattened: row i occupies
-	// rows[i*arity : (i+1)*arity]. Facts shorter than arity (possible
-	// only for inconsistent programs) are padded with the invalid ID 0,
-	// which no real value interns to, so padding is exact.
+	// rows[i*arity : (i+1)*arity]. No stored row holds the invalid ID 0.
 	rows []uint32
 
 	// exact is the duplicate table: one slot per live row, under the row's
@@ -257,15 +262,19 @@ func (r *Relation) Bytes() int64 {
 	return b
 }
 
-// internRow encodes args into r.scratch, interning new values, padded
-// with the invalid ID 0 up to the relation's arity.
+// checkWidth enforces the stride contract (see Relation) on a row of n
+// values about to be stored.
+func (r *Relation) checkWidth(n int) {
+	if n != r.arity {
+		panic(fmt.Sprintf("storage: %s has arity %d, not %d: a row of another width reached the store", r.name, r.arity, n))
+	}
+}
+
+// internRow encodes args into r.scratch, interning new values.
 func (r *Relation) internRow(args []term.Value) []uint32 {
 	row := r.scratch[:0]
 	for _, v := range args {
 		row = append(row, r.in.Intern(v))
-	}
-	for len(row) < r.arity {
-		row = append(row, 0)
 	}
 	r.scratch = row
 	return row
@@ -289,9 +298,7 @@ func (r *Relation) Insert(m *core.FactMeta) bool {
 	// mid-batch leaves the relation exactly as admitted so far, and the
 	// engines' requeue paths re-derive the rest on resume.
 	siteInsert.Hit()
-	if len(m.Fact.Args) > r.arity {
-		r.restride(len(m.Fact.Args))
-	}
+	r.checkWidth(len(m.Fact.Args))
 	row := r.internRow(m.Fact.Args)
 	return r.insertRow(m, row, hashRow(row))
 }
@@ -344,16 +351,14 @@ func (r *Relation) findRow(row []uint32, h uint64) int {
 }
 
 // InsertPrepared is the row-first insert: it appends m using the interned
-// row and hash its caller already probed with (admit.Core.admit, straight
-// after ContainsRowHash), skipping the re-intern/re-hash of Insert. A row
-// that does not have the relation's arity goes through Insert. It reports
-// whether the fact was new.
+// row and hash its caller already holds (admit.Core.admit: the row it
+// probed with, or completed by interning the values no stored fact had),
+// skipping the re-intern/re-hash of Insert. It reports whether the fact was
+// new.
 func (r *Relation) InsertPrepared(m *core.FactMeta, row []uint32, h uint64) bool {
-	if len(row) != r.arity {
-		return r.Insert(m)
-	}
 	// Same crash seam as Insert: fire before any mutation.
 	siteInsert.Hit()
+	r.checkWidth(len(row))
 	return r.insertRow(m, row, h)
 }
 
@@ -387,9 +392,7 @@ func (r *Relation) Replace(i int, f ast.Fact) ReplaceOutcome {
 	if i < 0 || i >= len(r.metas) || r.metas[i].Retracted {
 		return ReplaceUnchanged
 	}
-	if len(f.Args) > r.arity {
-		r.restride(len(f.Args))
-	}
+	r.checkWidth(len(f.Args))
 	newRow := r.internRow(f.Args)
 	if r.rowEqual(i, newRow) {
 		return ReplaceUnchanged
@@ -473,13 +476,13 @@ func maskedIDsEqual(a, b []uint32, mask uint32) bool {
 }
 
 // resolve encodes args as the relation's interned row — in the relation's
-// scratch, padded to its stride, without interning — and hashes it, for the
-// read-only probes Contains and FindExact. ok is false when a value was
-// never interned or args outgrow the stride: such a fact is stored nowhere.
-// The row is valid until the relation's next Insert, InsertEDB, Replace or
+// scratch, without interning — and hashes it, for the read-only probes
+// Contains and FindExact. ok is false when args are not of the relation's
+// arity or a value was never interned: such a fact is stored nowhere. The
+// row is valid until the relation's next Insert, InsertEDB, Replace or
 // resolve.
 func (r *Relation) resolve(args []term.Value) (row []uint32, h uint64, ok bool) {
-	if len(args) > r.arity {
+	if len(args) != r.arity {
 		return nil, 0, false
 	}
 	row = r.scratch[:0]
@@ -490,27 +493,21 @@ func (r *Relation) resolve(args []term.Value) (row []uint32, h uint64, ok bool) 
 		}
 		row = append(row, id)
 	}
-	for len(row) < r.arity {
-		row = append(row, 0)
-	}
 	r.scratch = row
 	return row, hashRow(row), true
 }
 
 // InsertEDB is the one function that turns a database row — a loaded
 // source row, a program or session fact, a tag twin — into a stored row:
-// each value is interned once, into the relation's scratch (restriding
-// first when args are wider than the stride), the row is hashed and probed
-// in ID space, and only a survivor gets metadata from strat and is appended
-// as the relation's last row. It returns that metadata, nil for a duplicate.
+// each value is interned once, into the relation's scratch, the row is
+// hashed and probed in ID space, and only a survivor gets metadata from
+// strat and is appended as the relation's last row. It returns that metadata, nil for a duplicate.
 // Interning before the probe assigns the IDs interning after it would: a
 // duplicate's values are interned already, a new row's are interned in
 // argument order either way. The fault site fires for survivors, before
 // strat or the relation learn of the fact, so a re-feed resumes at that row.
 func (r *Relation) InsertEDB(args []term.Value, strat core.Policy) *core.FactMeta {
-	if len(args) > r.arity {
-		r.restride(len(args))
-	}
+	r.checkWidth(len(args))
 	row := r.internRow(args)
 	h := hashRow(row)
 	if r.ContainsRowHash(row, h) {
@@ -538,31 +535,6 @@ func (r *Relation) FindExact(f ast.Fact) (int, bool) {
 func (r *Relation) Contains(f ast.Fact) bool {
 	row, h, ok := r.resolve(f.Args)
 	return ok && r.ContainsRowHash(row, h)
-}
-
-// restride migrates the relation to a larger arity (inconsistent-arity
-// programs only): rows are re-flattened with 0-padding, the duplicate table
-// is rebuilt and dynamic indexes dropped (rebuilt on demand).
-func (r *Relation) restride(arity int) {
-	old, oldStride := r.rows, r.arity
-	r.arity = arity
-	r.rows = make([]uint32, 0, len(r.metas)*arity)
-	r.exact = flatTable{}
-	for i := range r.metas {
-		start := len(r.rows)
-		r.rows = append(r.rows, old[i*oldStride:(i+1)*oldStride]...)
-		for len(r.rows)-start < arity {
-			r.rows = append(r.rows, 0)
-		}
-		if r.metas[i].Retracted {
-			continue // retracted rows keep their position but no key
-		}
-		r.exact.insert(hashRow(r.rows[start:]), i)
-	}
-	r.indexes = make(map[uint32]*dynIndex)
-	r.scratch = nil
-	r.probeBuf = nil
-	r.replBuf = nil
 }
 
 // maskedEqual reports whether the masked positions of stored row ri
@@ -713,21 +685,18 @@ func (r *Relation) ensureIndexSized(mask uint32, sizeHint int) *dynIndex {
 	return ix
 }
 
-// Lookup is the value-based probe: vals must have the relation's arity
+// Lookup is the value-based probe: probe must have the relation's arity,
 // with only masked positions inspected. A masked value that was never
 // interned matches nothing.
 func (r *Relation) Lookup(mask uint32, probe []term.Value) []int32 {
 	if mask == 0 {
 		return r.LookupIDs(0, nil)
 	}
-	if len(probe) < r.arity && mask>>uint(len(probe)) != 0 {
-		return nil // masked positions beyond the probe match nothing
-	}
 	if cap(r.probeBuf) < r.arity {
 		r.probeBuf = make([]uint32, r.arity)
 	}
 	ids := r.probeBuf[:r.arity]
-	for i := 0; i < len(probe) && i < r.arity; i++ {
+	for i := range ids {
 		if mask&(1<<uint(i)) == 0 {
 			continue
 		}

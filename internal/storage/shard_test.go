@@ -32,8 +32,8 @@ func TestNullaryFactInsert(t *testing.T) {
 }
 
 // TestResolveHandOff: resolve's row and hash are what ContainsRowHash and
-// InsertPrepared take — the explicit probe → insert hand-off — padded to the
-// stride, never interning, and refusing what cannot be stored.
+// InsertPrepared take — the explicit probe → insert hand-off — never
+// interning, and refusing what cannot be stored.
 func TestResolveHandOff(t *testing.T) {
 	r := NewRelation("p", 3)
 	r.Insert(meta("p", term.Int(1), term.String("a"), term.Int(9)))
@@ -41,27 +41,32 @@ func TestResolveHandOff(t *testing.T) {
 	if _, _, ok := r.resolve([]term.Value{term.Int(1), term.String("never")}); ok {
 		t.Fatal("a never-interned value must not resolve")
 	}
-	if _, _, ok := r.resolve([]term.Value{term.Int(1), term.Int(1), term.Int(1), term.Int(1)}); ok {
-		t.Fatal("args beyond the stride must not resolve")
+	for _, args := range [][]term.Value{
+		{term.Int(1), term.String("a")},
+		{term.Int(1), term.String("a"), term.Int(9), term.Int(9)},
+	} {
+		if _, _, ok := r.resolve(args); ok {
+			t.Fatalf("%v is not of the stride and must not resolve", args)
+		}
 	}
-	row, h, ok := r.resolve([]term.Value{term.Int(1), term.String("a")})
-	if !ok || len(row) != 3 || row[2] != 0 || h != HashRow(row) {
-		t.Fatalf("resolve = %v, %d, %v; want a padded stride-3 row with its hash", row, h, ok)
+	row, h, ok := r.resolve([]term.Value{term.Int(9), term.String("a"), term.Int(1)})
+	if !ok || len(row) != 3 || h != HashRow(row) {
+		t.Fatalf("resolve = %v, %d, %v; want a stride-3 row with its hash", row, h, ok)
 	}
 	if r.Interner().Len() != before {
 		t.Fatal("resolve interned a value")
 	}
 	if r.ContainsRowHash(row, h) {
-		t.Fatal("p(1,a) is not stored: p(1,a,9) is")
+		t.Fatal("p(9,a,1) is not stored: p(1,a,9) is")
 	}
-	if !r.InsertPrepared(meta("p", term.Int(1), term.String("a")), row, h) {
+	if !r.InsertPrepared(meta("p", term.Int(9), term.String("a"), term.Int(1)), row, h) {
 		t.Fatal("insert after a missed probe must succeed")
 	}
 	strat := core.NewStrategy(&analysis.Result{})
-	if r.InsertEDB([]term.Value{term.Int(1), term.String("a")}, strat) != nil {
+	if r.InsertEDB([]term.Value{term.Int(9), term.String("a"), term.Int(1)}, strat) != nil {
 		t.Fatal("InsertEDB admitted a stored fact")
 	}
-	if m := r.InsertEDB([]term.Value{term.String("never")}, strat); m == nil || r.At(r.Len()-1) != m {
+	if m := r.InsertEDB([]term.Value{term.String("never"), term.Int(1), term.Int(1)}, strat); m == nil || r.At(r.Len()-1) != m {
 		t.Fatal("InsertEDB must store a fact with never-interned values and return its metadata")
 	}
 }
@@ -106,9 +111,9 @@ func TestSetShardsRebucket(t *testing.T) {
 	}
 }
 
-// TestInsertPrepared: the prepared insert dedups against stored rows,
-// admits fresh ones identically to Insert, and falls back to the classic
-// path when the row's stride no longer matches the relation.
+// TestInsertPrepared: the prepared insert dedups against stored rows and
+// admits fresh ones identically to Insert (a row of another width is
+// TestRelationStrideContract's).
 func TestInsertPrepared(t *testing.T) {
 	in := NewInterner()
 	r := NewRelationInterned("p", 2, in)
@@ -137,14 +142,6 @@ func TestInsertPrepared(t *testing.T) {
 	row2 := []uint32{in.Intern(term.Int(2)), in.Intern(term.String("b"))}
 	if r.InsertPrepared(meta("p", term.Int(2), term.String("b")), row2, HashRow(row2)) {
 		t.Fatal("prepared duplicate of a classic insert must fail")
-	}
-	// Stride drift: a short row falls back to Insert, which re-interns.
-	short := []uint32{in.Intern(term.Int(3))}
-	if !r.InsertPrepared(meta("p", term.Int(3)), short, HashRow(short)) {
-		t.Fatal("drifted prepared insert must fall back and succeed")
-	}
-	if !r.Contains(ast.NewFact("p", term.Int(3))) {
-		t.Fatal("fallback insert must be stored")
 	}
 }
 

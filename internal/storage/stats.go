@@ -85,10 +85,8 @@ func (st RelStats) Empty() bool { return st.Live == 0 && st.Distinct == nil }
 // observeRow folds a freshly stored (or replacing) row into the
 // per-column sketches.
 func (r *Relation) observeRow(row []uint32) {
-	if len(r.sketches) < r.arity {
-		s := make([]distinctSketch, r.arity)
-		copy(s, r.sketches)
-		r.sketches = s
+	if r.sketches == nil {
+		r.sketches = make([]distinctSketch, r.arity)
 	}
 	for i, id := range row {
 		r.sketches[i].add(id)

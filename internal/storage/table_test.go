@@ -115,23 +115,6 @@ func (m *refRelation) replace(i int, row []uint32) ReplaceOutcome {
 	return ReplaceDone
 }
 
-// restride pads every row to arity, re-keys the duplicate table and drops
-// the indexes.
-func (m *refRelation) restride(arity int) {
-	m.arity = arity
-	m.exact = map[uint64][]int32{}
-	m.idx = map[uint32]*refIndex{}
-	for i := range m.rows {
-		for len(m.rows[i]) < arity {
-			m.rows[i] = append(m.rows[i], 0)
-		}
-		if !m.gone[i] {
-			h := hashRow(m.rows[i])
-			m.exact[h] = append(m.exact[h], int32(i))
-		}
-	}
-}
-
 // agree requires r and the reference to hold the same rows, the same
 // membership and, in every index, the same buckets in the same order.
 func (m *refRelation) agree(t *testing.T, r *Relation, step int) {
@@ -186,7 +169,7 @@ func ascending(rows []int32) bool {
 }
 
 // runTableModel decodes ops — three bytes each: kind, a, b — into one
-// stream of inserts, replaces, probes, index extensions and a restride, and
+// stream of inserts, replaces, probes, index extensions and freezes, and
 // drives a Relation and the reference with it: every operation's outcome is
 // compared, and the two structures in full after each every-th operation and
 // the last. It is the body of the model test and of FuzzFlatTable.
@@ -229,17 +212,10 @@ func runTableModel(t *testing.T, ops []byte, every int) *Relation {
 				t.Fatalf("step %d: live-row list %v is not ascending", step, got)
 			}
 			m.extend(mask)
-		case 7:
-			if a%4 != 0 { // Freeze: every existing index is extended
-				r.Freeze()
-				for mask := range m.idx {
-					m.extend(mask)
-				}
-			} else if r.Arity() == 2 { // restride, once
-				wide := ast.NewFact("p", term.Int(int64(a)), term.Int(int64(b)), term.Int(1))
-				r.Insert(meta("p", wide.Args...))
-				m.restride(3)
-				m.insert(r.Row(r.Len() - 1))
+		case 7: // Freeze: every existing index is extended
+			r.Freeze()
+			for mask := range m.idx {
+				m.extend(mask)
 			}
 		}
 		if step%every == 0 || len(ops) < 6 {
@@ -254,22 +230,17 @@ func tableModelStream(seed int64, n int) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	ops := make([]byte, 3*n)
 	rng.Read(ops)
-	for i := 0; i < n; i++ {
-		if ops[3*i]%8 == 7 && i < n/2 {
-			ops[3*i+1] |= 1 // keep the restride for the second half
-		}
-	}
 	return ops
 }
 
 // TestFlatTableModel drives the relation and the map-based reference with
 // one generated stream: the duplicate table doubles several times, replaced
 // rows leave deleted slots that later inserts reuse, index buckets grow,
-// relocate and shrink, and a restride rebuilds everything.
+// relocate and shrink.
 func TestFlatTableModel(t *testing.T) {
 	r := runTableModel(t, tableModelStream(1, 2500), 1)
-	if len(r.exact.slots) < 64*tableMinSlots || r.Arity() != 3 || r.Live() == r.Len() {
-		t.Fatalf("the stream left %d slots, arity %d, %d of %d rows live: it must double the table several times, restride and retract", len(r.exact.slots), r.Arity(), r.Live(), r.Len())
+	if len(r.exact.slots) < 64*tableMinSlots || r.Live() == r.Len() {
+		t.Fatalf("the stream left %d slots, %d of %d rows live: it must double the table several times and retract", len(r.exact.slots), r.Live(), r.Len())
 	}
 }
 

@@ -173,8 +173,10 @@ func (s *Session) step(ctx context.Context) (more bool, err error) {
 	if !s.progLoaded {
 		// Once per session: the engines skip duplicates, but the guard
 		// keeps the work one-shot.
+		if err := s.eng.LoadProgramFacts(); err != nil {
+			return false, err
+		}
 		s.progLoaded = true
-		s.eng.LoadProgramFacts()
 		return true, nil
 	}
 	for ; s.bindIdx < len(s.binds); s.bindIdx++ {

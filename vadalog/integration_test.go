@@ -45,15 +45,16 @@ func groundOutputs(t *testing.T, src string, facts []Fact, opts *Options) string
 	return strings.Join(lines, "\n")
 }
 
-// seamAnswer runs prog over facts at the engine seam — built the way the
-// digest tests build it: the chase or the pipeline, the planner off
-// (DisablePlanner) or forced to its worst join order (Worst) — and renders
+// seamAnswer runs prog at the engine seam — built the way the digest tests
+// build it: the chase or the pipeline, the planner off (DisablePlanner) or
+// forced to its worst join order (Worst) — over the facts of chunks, one
+// drive per chunk (the engines' Run loads a chunk, then reasons), and renders
 // the facts of preds as one sorted multiset of null patterns: constants as
 // written, each labelled null as _k for the first position k holding it
 // (core.IsoEqual's notion). A ground fact's pattern is the fact itself, so
 // ground answers compare exactly and null-carrying ones up to the naming
 // of their nulls.
-func seamAnswer(t *testing.T, prog *Program, facts []Fact, preds []string, onChase, off, worst bool) string {
+func seamAnswer(t *testing.T, prog *Program, chunks [][]Fact, preds []string, onChase, off, worst bool) string {
 	t.Helper()
 	cfg := admit.Config{DisablePlanner: off}
 	var (
@@ -66,7 +67,11 @@ func seamAnswer(t *testing.T, prog *Program, facts []Fact, preds []string, onCha
 			if worst {
 				e.Planner().Worst = true
 			}
-			_, err = e.Run(context.Background(), facts)
+			for _, facts := range chunks {
+				if _, err = e.Run(context.Background(), facts); err != nil {
+					break
+				}
+			}
 			output = e.Output
 		}
 	} else {
@@ -75,7 +80,11 @@ func seamAnswer(t *testing.T, prog *Program, facts []Fact, preds []string, onCha
 			if worst {
 				s.Planner().Worst = true
 			}
-			err = s.Run(context.Background(), facts)
+			for _, facts := range chunks {
+				if err = s.Run(context.Background(), facts); err != nil {
+					break
+				}
+			}
 			output = s.Output
 		}
 	}
@@ -110,7 +119,9 @@ func seamAnswer(t *testing.T, prog *Program, facts []Fact, preds []string, onCha
 // engines, at every planner setting, on the program and on three
 // re-parsed shuffles of its rule order — rule order numbers the rules and
 // names their Skolem functions — derive the same ground facts and the same
-// multiset of null patterns (seamAnswer).
+// multiset of null patterns (seamAnswer); so do both engines on the EDB
+// shuffled and cut into three chunks with a drive after each (open
+// relations).
 func TestRandomScenarioPolicyAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 6; trial++ {
@@ -174,16 +185,26 @@ func TestRandomScenarioPolicyAgreement(t *testing.T) {
 			})
 			programs = append(programs, MustParse(shuffled.String()))
 		}
-		want := seamAnswer(t, prog, g.Facts, preds, false, false, false)
+		want := seamAnswer(t, prog, [][]Fact{g.Facts}, preds, false, false, false)
 		for k, p := range programs {
 			for _, onChase := range []bool{false, true} {
 				for _, planner := range []string{"default", "off", "worst"} {
-					got := seamAnswer(t, p, g.Facts, preds, onChase, planner == "off", planner == "worst")
+					got := seamAnswer(t, p, [][]Fact{g.Facts}, preds, onChase, planner == "off", planner == "worst")
 					if got != want {
 						t.Errorf("trial %d, rule order %d, chase %v, planner %s: answer differs from the pipeline's on the program as generated\n got %d facts, want %d",
 							trial, k, onChase, planner, strings.Count(got, "\n")+1, strings.Count(want, "\n")+1)
 					}
 				}
+			}
+		}
+		facts := slices.Clone(g.Facts)
+		order.Shuffle(len(facts), func(i, j int) { facts[i], facts[j] = facts[j], facts[i] })
+		third := len(facts) / 3
+		chunks := [][]Fact{facts[:third], facts[third : 2*third], facts[2*third:]}
+		for _, onChase := range []bool{false, true} {
+			if got := seamAnswer(t, prog, chunks, preds, onChase, false, false); got != want {
+				t.Errorf("trial %d, chase %v: three shuffled chunks with a drive between them derive another answer than one drive\n got %d facts, want %d",
+					trial, onChase, strings.Count(got, "\n")+1, strings.Count(want, "\n")+1)
 			}
 		}
 	}

@@ -161,6 +161,15 @@ var ErrInconsistent = errors.New("vadalog: knowledge base is inconsistent")
 // ErrBudget is returned when the derivation budget is exhausted.
 var ErrBudget = errors.New("vadalog: derivation budget exceeded")
 
+// ErrArity is returned by the drive (Run, RunContext, Facts) when a loaded
+// fact or a bound source's row has another number of values than its
+// predicate's arity: the compiled program's, or, for a predicate the
+// program does not mention, that of the first fact loaded for it. The row
+// is not stored and the facts after it are not loaded; like
+// ErrInconsistent, it is terminal for the session: every later drive
+// refuses the row again.
+var ErrArity = errors.New("vadalog: fact does not have its predicate's arity")
+
 // ErrUnsoundLoad is returned by the drive (Run, RunContext, Facts) after a
 // Session.Load that was refused: facts loaded into a session that has
 // already been driven, of a predicate from which a dependency path leads
@@ -213,7 +222,7 @@ func Lint(prog *Program, file string) []Diagnostic {
 // and Next pulls from it: chunk by chunk on the pipeline, all at once on
 // the chase.
 type engine interface {
-	LoadProgramFacts()
+	LoadProgramFacts() error
 	LoadChunk(ctx context.Context, facts []ast.Fact) error
 	LoadRows(ctx context.Context, pred string, rows [][]term.Value) error
 	Run(ctx context.Context, facts []ast.Fact) error
@@ -413,6 +422,8 @@ func mapErr(err error) error {
 		return fmt.Errorf("%w: %v", ErrInconsistent, err)
 	case errors.Is(err, admit.ErrBudget):
 		return fmt.Errorf("%w: %v", ErrBudget, err)
+	case errors.Is(err, admit.ErrArity):
+		return fmt.Errorf("%w: %v", ErrArity, err)
 	default:
 		return err
 	}
