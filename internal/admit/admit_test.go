@@ -275,15 +275,13 @@ func TestHookContract(t *testing.T) {
 // admitting by boxed fact could not: every case fires deltas one at a time
 // and pins the complete mutable state afterwards.
 func TestRowPathEdges(t *testing.T) {
-	t.Run("rows of another width than the head are refused", func(t *testing.T) {
-		// p is binary in the program: a ternary and a unary EDB row are
-		// refused before they reach the store, and the rule's head is
-		// probed and stored at the one stride, then found again.
+	// p is binary in the program: an EDB row of another width is refused
+	// before it reaches the store, and the rule's head is probed and stored
+	// at the one stride, then found again.
+	refusedWidth := func(t *testing.T, row ast.Fact) {
 		h := newHarness(t, `a(X) -> p(X,X). a(1). a(2).`, nil, "")
-		for _, f := range []ast.Fact{ast.NewFact("p", term.Int(1), term.Int(1), term.Int(7)), ast.NewFact("p", term.Int(1))} {
-			if err := h.c.LoadRow(f.Pred, f.Args); !errors.Is(err, ErrArity) {
-				t.Fatalf("load %v: %v, want ErrArity", f, err)
-			}
+		if err := h.c.LoadRow(row.Pred, row.Args); !errors.Is(err, ErrArity) {
+			t.Fatalf("load %v: %v, want ErrArity", row, err)
 		}
 		if h.c.DB().Lookup("p") != nil {
 			t.Fatal("a refused row created its relation")
@@ -300,6 +298,12 @@ func TestRowPathEdges(t *testing.T) {
 		if rel := h.c.DB().Lookup("p"); rel.Arity() != 2 || rel.Len() != 2 {
 			t.Errorf("p: arity %d, %d rows, want arity 2, 2 rows", rel.Arity(), rel.Len())
 		}
+	}
+	t.Run("relation wider than the head is refused", func(t *testing.T) {
+		refusedWidth(t, ast.NewFact("p", term.Int(1), term.Int(1), term.Int(7)))
+	})
+	t.Run("relation narrower than the head is refused", func(t *testing.T) {
+		refusedWidth(t, ast.NewFact("p", term.Int(1)))
 	})
 	t.Run("a refused load between capture and merge", func(t *testing.T) {
 		// The bindings were captured before a load of another width was
