@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/ast"
@@ -208,10 +209,11 @@ type Core struct {
 	// superseded value is freed.
 	args core.Arena[term.Value]
 
-	// twinBuf is insertTagTwin's row scratch; twinKeys maps a labelled
-	// null's interned ID to the interned ID of its tag-twin key (0: not yet
-	// rendered).
+	// twinBuf is the tag-twin row scratch, keyBuf twinKey's; twinKeys maps
+	// a labelled null's interned ID to the interned ID of its tag-twin key
+	// (0: not yet rendered).
 	twinBuf  []uint32
+	keyBuf   []byte
 	twinKeys []uint32
 }
 
@@ -571,16 +573,32 @@ func (c *Core) noteSuperseded(old ast.Fact) {
 // rewrite.EliminateHarmfulJoinsDynamic). The twin is built in ID space from
 // the fact's stored row — a null's twin key is rendered and interned once
 // per null (twinKey) — and probed there, so a twin already stored dies
-// without an allocation; values are built for a new twin only. Twins are
-// bookkeeping, not derivations: they do not charge the meter.
+// without an allocation; a new twin's values are decoded from its row into
+// the run's arena. Twins are bookkeeping, not derivations: they do not
+// charge the meter.
 func (c *Core) insertTagTwin(m *core.FactMeta) {
 	twin, ok := c.p.RW.TagPreds[m.Fact.Pred]
 	if !ok {
 		return
 	}
-	stored := c.db.Lookup(m.Fact.Pred).Row(m.RowIndex())
+	row := c.twinRow(c.db.Lookup(m.Fact.Pred).Row(m.RowIndex()), m.Fact.Args)
+	rel := c.db.Rel(twin, len(row))
+	h := storage.HashRow(row)
+	if rel.ContainsRowHash(row, h) {
+		return
+	}
+	args := eval.RowFact(twin, c.args.Alloc(len(row)), row, c.db.Interner(), nil).Args
+	// Relation-level: twin constants are bookkeeping, not ACDom members.
+	if tm := rel.InsertEDBRow(row, h, args, c.strat); tm != nil {
+		c.onAdmit(tm)
+	}
+}
+
+// twinRow builds, in twinBuf, the tag-twin row of the fact with values
+// args stored as row stored: each null's ID replaced by its twin key's.
+func (c *Core) twinRow(stored []uint32, args []term.Value) []uint32 {
 	row := c.twinBuf[:0]
-	for i, v := range m.Fact.Args {
+	for i, v := range args {
 		id := stored[i]
 		if v.IsNull() {
 			id = c.twinKey(id, v)
@@ -588,63 +606,54 @@ func (c *Core) insertTagTwin(m *core.FactMeta) {
 		row = append(row, id)
 	}
 	c.twinBuf = row
-	rel := c.db.Rel(twin, len(row))
-	if rel.ContainsRowHash(row, storage.HashRow(row)) {
-		return
-	}
-	// Relation-level: twin constants are bookkeeping, not ACDom members.
-	if tm := rel.InsertEDB(c.tagTwinArgs(m.Fact), c.strat); tm != nil {
-		c.onAdmit(tm)
-	}
+	return row
 }
 
 // twinKey returns the interned ID of the tag-twin image of the labelled
-// null v, interned as id: the string "\x00" + its canonical ground key,
-// rendered on the null's first twin and remembered by id after that (a
-// null's key never changes).
+// null v, interned as id: the string "\x00" + its canonical ground key
+// (storage.Database.AppendNullKey), rendered on the null's first twin and
+// remembered by id after that (a null's key never changes).
 func (c *Core) twinKey(id uint32, v term.Value) uint32 {
 	if int(id) < len(c.twinKeys) && c.twinKeys[id] != 0 {
 		return c.twinKeys[id]
 	}
-	k := c.db.Interner().Intern(term.String("\x00" + c.db.Nulls.KeyOf(v)))
-	if int(id) >= len(c.twinKeys) {
-		c.twinKeys = append(c.twinKeys, make([]uint32, int(id)+1-len(c.twinKeys))...)
+	c.keyBuf = c.db.AppendNullKey(append(c.keyBuf[:0], 0), v)
+	k := c.db.Interner().Intern(term.String(string(c.keyBuf)))
+	if n := int(id) + 1; n > len(c.twinKeys) {
+		c.twinKeys = slices.Grow(c.twinKeys, n-len(c.twinKeys))[:n]
 	}
 	c.twinKeys[id] = k
 	return k
 }
 
-// tagTwinArgs returns the tag-twin image of the stored fact f's arguments:
-// labelled nulls replaced by their twin keys.
-func (c *Core) tagTwinArgs(f ast.Fact) []term.Value {
-	in := c.db.Interner()
-	args := make([]term.Value, len(f.Args))
-	for i, v := range f.Args {
-		args[i] = v
-		if v.IsNull() {
-			id, _ := in.IDOf(v) // stored, hence interned
-			args[i] = in.ValueOf(c.twinKey(id, v))
-		}
-	}
-	return args
-}
-
 // replaceTagTwin mirrors an aggregate supersession into the tag twin of a
-// tagged predicate: the twin of the superseded fact old is replaced by the
-// twin of m, the fact that replaced it in place.
+// tagged predicate: the twin of the superseded fact old, found by its row,
+// is replaced by the twin of m, the fact that replaced it in place. The
+// superseding twin's Args are on the heap, like the aggregate head's.
 func (c *Core) replaceTagTwin(old ast.Fact, m *core.FactMeta) {
 	twin, ok := c.p.RW.TagPreds[old.Pred]
 	if !ok {
 		return
 	}
-	newArgs := c.tagTwinArgs(m.Fact)
-	rel := c.db.Rel(twin, len(newArgs))
-	idx, found := rel.FindExact(ast.Fact{Pred: twin, Args: c.tagTwinArgs(old)})
+	in := c.db.Interner()
+	oldRow := c.twinBuf[:0]
+	for _, v := range old.Args {
+		id, _ := in.IDOf(v) // stored until now, hence interned
+		if v.IsNull() {
+			id = c.twinKey(id, v)
+		}
+		oldRow = append(oldRow, id)
+	}
+	c.twinBuf = oldRow
+	rel := c.db.Rel(twin, len(oldRow))
+	idx, found := rel.FindRow(oldRow, storage.HashRow(oldRow))
 	if !found {
 		c.insertTagTwin(m)
 		return
 	}
-	if rel.Replace(idx, ast.Fact{Pred: twin, Args: newArgs}) == storage.ReplaceDone {
+	row := c.twinRow(c.db.Lookup(m.Fact.Pred).Row(m.RowIndex()), m.Fact.Args)
+	f := eval.RowFact(twin, make([]term.Value, len(row)), row, in, nil)
+	if rel.Replace(idx, f) == storage.ReplaceDone {
 		c.onAdmit(rel.At(idx))
 	}
 }

@@ -12,11 +12,12 @@ import (
 )
 
 // kernel is a Core with a no-op hook plus what it takes to re-emit matches
-// of rule 0 pinned to stored facts of its first body predicate — the
-// admission kernel without a scheduler, for the allocation contract and the
-// benchmarks beside it.
+// of one rule (rule 0 unless use picks another) pinned to stored facts of
+// its first body predicate — the admission kernel without a scheduler, for
+// the allocation contract and the benchmarks beside it.
 type kernel struct {
 	c   *Core
+	ri  int
 	cr  *eval.CompiledRule
 	mt  *eval.Matcher
 	b   *eval.Binding
@@ -38,7 +39,19 @@ func newKernel(tb testing.TB, src string, edb []ast.Fact) *kernel {
 	return k
 }
 
-// emit runs every match of rule 0 pinned to the i-th stored fact of its
+// use points the kernel at the rule whose first head predicate is pred.
+func (k *kernel) use(tb testing.TB, pred string) {
+	tb.Helper()
+	for ri, cr := range k.c.p.Rules {
+		if len(cr.Heads) > 0 && cr.Heads[0].Pred == pred {
+			k.ri, k.cr, k.b = ri, cr, eval.NewBinding(cr)
+			return
+		}
+	}
+	tb.Fatalf("no rule derives %s", pred)
+}
+
+// emit runs every match of the kernel's rule pinned to the i-th stored fact of its
 // first body atom's relation through Core.Emit.
 func (k *kernel) emit(i int) {
 	m := k.c.DB().Lookup(k.cr.Pos[0].Pred).At(i)
@@ -49,7 +62,7 @@ func (k *kernel) emit(i int) {
 }
 
 func (k *kernel) emitBinding(b *eval.Binding) error {
-	_, err := k.c.Emit(0, b)
+	_, err := k.c.Emit(k.ri, b)
 	return err
 }
 
@@ -77,13 +90,14 @@ func TestEmitAllocationContract(t *testing.T) {
 		// rule is a node of the strategy's path tree found among its
 		// parent's children, and no stop-provenance being learnt here,
 		// nothing about the root's pattern is stored; an existential rule
-		// also mints its null (the Skolem key, its one allocation) and
-		// stores the fact in its tree of the ground structure, which hashes
-		// values and appends to one array — nothing rendered.
+		// also mints its null — the Skolem memo appends the argument IDs to
+		// its arrays, nothing rendered — and stores the fact in its tree of
+		// the ground structure, which hashes values and appends to one
+		// array.
 		perAdmit float64
 	}{
 		{"plain rule", `e(X,Y) -> p(Y,X).`, 0},
-		{"existential rule", `e(X,Y) -> q(X,Z).`, 1},
+		{"existential rule", `e(X,Y) -> q(X,Z).`, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k := newKernel(t, tc.src, intFacts("e", n))
@@ -131,6 +145,50 @@ func TestEmitAllocationContract(t *testing.T) {
 				t.Errorf("derivations: %d after the duplicate passes, %d before, want %d both", k.c.Derivations(), stored, 2*n)
 			}
 		})
+	}
+}
+
+// TestEmitTagTwinAllocations extends the contract to tagged predicates,
+// whose every admitted fact is mirrored into its tag twin (harmful-join
+// elimination): the twin row is built and probed in ID space and a new
+// twin's values are decoded into the run's arena, so an admitted fact whose
+// nulls already have twin keys costs nothing, and one carrying a new null
+// costs at most that null's twin key — the one string interned for it.
+func TestEmitTagTwinAllocations(t *testing.T) {
+	const n = 2000
+	const src = `e(X,Y) -> q(X,Z).
+		q(X,Z), e(X,Y) -> s(X,Z).
+		q(X,Z), q(Y,Z) -> r(X,Y).
+		s(X,Z), s(Y,Z) -> r(X,Y).`
+	k := newKernel(t, src, intFacts("e", n))
+	for _, pred := range []string{"q", "s"} {
+		if _, ok := k.c.p.RW.TagPreds[pred]; !ok {
+			t.Fatalf("%s is not tagged: the program has no harmful join over it", pred)
+		}
+	}
+	for _, tc := range []struct {
+		head, why string
+		perAdmit  float64
+	}{
+		{"q", "a fact with a new null", 1},
+		{"s", "a fact whose null has a twin key", 0},
+	} {
+		k.use(t, tc.head)
+		next := 0
+		got := testing.AllocsPerRun(n/2, func() { k.emit(next); next++ })
+		if got > tc.perAdmit {
+			t.Errorf("admitting %s and its twin costs %.0f allocations, want at most %.0f", tc.why, got, tc.perAdmit)
+		}
+		for ; next < n; next++ {
+			k.emit(next)
+		}
+		if k.err != nil {
+			t.Fatal(k.err)
+		}
+		twin := k.c.DB().Lookup(k.c.p.RW.TagPreds[tc.head])
+		if got := k.c.DB().Lookup(tc.head).Len(); got != n || twin.Len() != n {
+			t.Fatalf("%s holds %d facts and its twin %d, want %d each", tc.head, got, twin.Len(), n)
+		}
 	}
 }
 

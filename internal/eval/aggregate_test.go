@@ -297,14 +297,14 @@ func TestCompiledExprAllocations(t *testing.T) {
 	b := NewBinding(cr)
 	b.Set(cr.VarSlot["X"], term.Int(5))
 	var mt Matcher
-	if err := mt.evalAssign(&cr.Assigns[0], b); err != nil || b.Val(cr.VarSlot["Y"]) != term.Int(9) {
+	if err := mt.evalAssign(cr, 0, b); err != nil || b.Val(cr.VarSlot["Y"]) != term.Int(9) {
 		t.Fatalf("Y = %v (err %v), want 9", b.Val(cr.VarSlot["Y"]), err)
 	}
 	if ok, err := cr.Conds[0].Holds(b); !ok || err != nil {
 		t.Fatalf("9 > 3: %v (err %v)", ok, err)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		mt.evalAssign(&cr.Assigns[0], b)
+		mt.evalAssign(cr, 0, b)
 		cr.Conds[0].Holds(b)
 	}); n != 0 {
 		t.Errorf("compiled assignment and condition allocate %v times, want 0", n)

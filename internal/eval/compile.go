@@ -38,15 +38,16 @@ func (a *CAtom) arity() int { return len(a.IsVar) }
 func (a *CAtom) Arity() int { return len(a.IsVar) }
 
 // CAssign is a compiled assignment Var = expr; Skolem calls are flagged so
-// the engine can route them through the null factory.
+// the matcher can apply them through the database's Skolem memo.
 type CAssign struct {
 	Slot     int
 	Deps     []int // slots read by the expression
 	IsSkolem bool
 	SkName   string
 
-	expr   expr   // the value (not a Skolem call)
-	skArgs []expr // the Skolem call's arguments
+	expr    expr   // the value (not a Skolem call)
+	skArgs  []expr // the Skolem call's arguments
+	skSlots []int  // per Skolem argument: its slot when a variable, else -1
 }
 
 // CCond is a compiled condition with its slot dependencies.
@@ -289,6 +290,13 @@ func Compile(rule *ast.Rule, info *analysis.RuleInfo) (*CompiledRule, error) {
 			ca.IsSkolem = true
 			ca.SkName = fe.Name
 			ca.skArgs = compileExprs(fe.Args, slot)
+			ca.skSlots = make([]int, len(fe.Args))
+			for i, arg := range fe.Args {
+				ca.skSlots[i] = -1
+				if v, ok := arg.(ast.VarExpr); ok {
+					ca.skSlots[i] = slot(v.Name)
+				}
+			}
 		} else {
 			ca.expr = compileExpr(asg.Expr, slot)
 		}

@@ -14,9 +14,10 @@ import (
 // bound by atom matching hold interned term IDs (IDs); slots bound to
 // computed values — assignments, aggregate results, existential nulls —
 // hold the term.Value itself in an overlay (vals/hasVal) so transient
-// intermediate values never pollute the database interner. Values are
-// decoded only at expression-evaluation and output boundaries via Val.
-// Buffers are reused across matches of the same rule.
+// intermediate values stay out of the database interner unless a Skolem
+// application takes them as arguments (see InstantiateExistentials).
+// Values are decoded only at expression-evaluation and output boundaries
+// via Val. Buffers are reused across matches of the same rule.
 type Binding struct {
 	IDs   []uint32
 	Bound []bool
@@ -54,9 +55,12 @@ type Binding struct {
 	rels   []*storage.Relation
 	relsDB *storage.Database
 
+	// sk is the Skolem scratch, made on the rule's first Skolem
+	// application — most rules have none.
+	sk *skolemScratch
+
 	// probes holds one reusable lookup buffer per positive body atom;
-	// negProbes per negated atom; stack the arguments of builtin and
-	// Skolem calls.
+	// negProbes per negated atom; stack the arguments of builtin calls.
 	probes    [][]uint32
 	negProbes [][]uint32
 	stack     []term.Value
@@ -116,6 +120,48 @@ func (b *Binding) slotID(s int) (uint32, bool) {
 		return b.in.IDOf(b.vals[s])
 	}
 	return b.IDs[s], true
+}
+
+// internSlot returns the interned ID of the bound slot s, interning a
+// computed value first.
+func (b *Binding) internSlot(in *storage.Interner, s int) uint32 {
+	if b.hasVal[s] {
+		return in.Intern(b.vals[s])
+	}
+	return b.IDs[s]
+}
+
+// skolemScratch is what a binding keeps for its rule's Skolem
+// applications: fns caches the function of each — existential k at k, the
+// assignment at index a at len(Exists)+a — as resolved against db on its
+// first application (0 until then), and ids holds an application's
+// argument IDs.
+type skolemScratch struct {
+	db  *storage.Database
+	fns []storage.SkolemFn
+	ids []uint32
+}
+
+// skolems returns b's Skolem scratch for cr over db, making it on first
+// use and forgetting the functions resolved against another database.
+func (b *Binding) skolems(db *storage.Database, cr *CompiledRule) *skolemScratch {
+	if b.sk == nil {
+		b.sk = &skolemScratch{fns: make([]storage.SkolemFn, len(cr.Exists)+len(cr.Assigns))}
+	}
+	if b.sk.db != db {
+		b.sk.db = db
+		clear(b.sk.fns)
+	}
+	return b.sk
+}
+
+// apply returns the null of the k-th application's function name, applied
+// to sk.ids.
+func (sk *skolemScratch) apply(k int, name string) term.Value {
+	if sk.fns[k] == 0 {
+		sk.fns[k] = sk.db.ResolveSkolem(name, len(sk.ids))
+	}
+	return sk.db.Skolem(sk.fns[k], sk.ids)
 }
 
 // posRel returns the relation of cr's ai-th positive atom in db, nil while
@@ -230,7 +276,7 @@ func (mt *Matcher) runSteps(cr *CompiledRule, steps []Step, si int, b *Binding, 
 		st := steps[si]
 		switch st.Kind {
 		case StepAssign:
-			if err := mt.evalAssign(&cr.Assigns[st.Index], b); err != nil {
+			if err := mt.evalAssign(cr, st.Index, b); err != nil {
 				return err
 			}
 		case StepCond:
@@ -363,9 +409,10 @@ func (mt *Matcher) negCount(a *CAtom, b *Binding, probe []uint32) (int, error) {
 	return rel.LookupCountIDs(mask, probe), nil
 }
 
-// evalAssign computes one assignment into its slot; Skolem calls mint
-// deterministic nulls. An evaluation error aborts the match.
-func (mt *Matcher) evalAssign(a *CAssign, b *Binding) error {
+// evalAssign computes cr's ai-th assignment into its slot; Skolem calls
+// mint deterministic nulls. An evaluation error aborts the match.
+func (mt *Matcher) evalAssign(cr *CompiledRule, ai int, b *Binding) error {
+	a := &cr.Assigns[ai]
 	if !a.IsSkolem {
 		v, err := a.expr(b)
 		if err != nil {
@@ -374,25 +421,39 @@ func (mt *Matcher) evalAssign(a *CAssign, b *Binding) error {
 		b.Set(a.Slot, v)
 		return nil
 	}
-	base, err := b.push(a.skArgs)
-	if err != nil {
-		return err
+	in, sk := mt.DB.Interner(), b.skolems(mt.DB, cr)
+	sk.ids = sk.ids[:0]
+	for i, s := range a.skSlots {
+		if s >= 0 && b.Bound[s] {
+			sk.ids = append(sk.ids, b.internSlot(in, s))
+			continue
+		}
+		v, err := a.skArgs[i](b)
+		if err != nil {
+			return err
+		}
+		sk.ids = append(sk.ids, in.Intern(v))
 	}
-	b.Set(a.Slot, mt.DB.Nulls.Skolem(a.SkName, b.stack[base:]...))
-	b.stack = b.stack[:base]
+	b.Set(a.Slot, sk.apply(len(cr.Exists)+ai, a.SkName))
 	return nil
 }
 
 // InstantiateExistentials fills the existential slots of b with the rule's
-// deterministic Skolem nulls.
+// deterministic Skolem nulls. The arguments are the slots' interned IDs —
+// a computed value (an assignment or aggregate result) is interned first —
+// so a null's identity is exactly the store's term.Identical.
 func (mt *Matcher) InstantiateExistentials(cr *CompiledRule, b *Binding) {
-	for _, ex := range cr.Exists {
-		base := len(b.stack)
+	if len(cr.Exists) == 0 {
+		return
+	}
+	in, sk := mt.DB.Interner(), b.skolems(mt.DB, cr)
+	for k := range cr.Exists {
+		ex := &cr.Exists[k]
+		sk.ids = sk.ids[:0]
 		for _, s := range ex.ArgSlots {
-			b.stack = append(b.stack, b.Val(s))
+			sk.ids = append(sk.ids, b.internSlot(in, s))
 		}
-		b.Set(ex.Slot, mt.DB.Nulls.Skolem(ex.SkName, b.stack[base:]...))
-		b.stack = b.stack[:base]
+		b.Set(ex.Slot, sk.apply(k, ex.SkName))
 	}
 }
 
@@ -402,12 +463,13 @@ func (mt *Matcher) InstantiateExistentials(cr *CompiledRule, b *Binding) {
 // constants resolve through the interner once per run; only computed values
 // — Skolem nulls, assignment and aggregate results, and every value once
 // subst is non-empty, since an EGD may have rewritten it — are looked up,
-// never interned: a value no stored fact holds stays out of the interner
-// until its fact is admitted.
+// never interned: a value the interner has never seen stays out of it until
+// its fact is admitted. An interned value need not be stored, though: a
+// Skolem application interns its arguments.
 //
-// miss is nil when every argument resolved. Otherwise some value occurs in
-// no stored fact, so the head fact is stored nowhere and needs no duplicate
-// probe: the row holds the invalid ID 0 at those positions and miss, indexed
+// miss is nil when every argument resolved. Otherwise some value was never
+// interned, hence occurs in no stored fact, so the head fact is stored
+// nowhere and needs no duplicate probe: the row holds the invalid ID 0 at those positions and miss, indexed
 // by head position and valid until the binding's next AppendHeadRow, holds
 // their values for RowFact.
 func (b *Binding) AppendHeadRow(dst []uint32, cr *CompiledRule, hi int, subst *NullSubst) (row []uint32, miss []term.Value, err error) {

@@ -38,7 +38,7 @@ var frozenSinks = map[string]map[string]string{
 		"LookupIDs": "storage", "Lookup": "storage",
 		"LookupCountIDs": "storage", "observeRow": "storage", "internRow": "storage",
 		"InsertPrepared": "storage", "insertRow": "storage",
-		"appendRow": "storage", "InsertEDB": "storage",
+		"appendRow": "storage", "InsertEDB": "storage", "InsertEDBRow": "storage",
 		"resolve": "storage", "SetShards": "storage",
 	},
 	// The relation's hash structures (storage/table.go): seek, find and
@@ -54,6 +54,7 @@ var frozenSinks = map[string]map[string]string{
 	"Database": {
 		"Insert": "storage", "InsertEDB": "storage", "Rel": "storage",
 		"Freeze": "storage", "addActive": "storage",
+		"ResolveSkolem": "storage", "Skolem": "storage",
 	},
 	"Core": {
 		"LoadRow": "admit",
@@ -64,7 +65,7 @@ var frozenSinks = map[string]map[string]string{
 		"Intern": "storage",
 	},
 	"NullFactory": {
-		"Skolem": "term", "Fresh": "term", "Import": "term",
+		"Fresh": "term", "Import": "term",
 	},
 }
 

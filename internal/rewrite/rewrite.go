@@ -140,9 +140,10 @@ func TagPredName(pred string) string { return pred + "__tag" }
 // EliminateHarmfulJoinsDynamic rewrites every rule containing a harmful
 // join (a join over variables that bind only to labelled nulls) so that
 // the join runs over the tag twins of the involved predicates. Tag twins
-// hold the canonical ground key of each null (see term.NullFactory.KeyOf):
-// two positions carry the same null iff their tags are equal, so the
-// rewritten join is equivalent — and harmless, because tags are ground.
+// hold the canonical ground key of each null (see
+// storage.Database.AppendNullKey): two positions carry the same null iff
+// their tags are equal, so the rewritten join is equivalent — and
+// harmless, because tags are ground.
 //
 // The engine materializes tag twins as facts are admitted (an auto-insert
 // per admitted fact of a tagged predicate), which keeps the twin relation

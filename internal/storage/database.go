@@ -9,18 +9,20 @@ import (
 )
 
 // Database is the in-memory instance the engines operate on: one relation
-// per predicate, a null factory, the database-wide term interner shared
-// by all relations, and the active constant domain (ACDom) collected
-// from EDB facts (paper Sec. 2, Modeling Features).
+// per predicate, a null factory, the Skolem memo, the database-wide term
+// interner shared by all relations, and the active constant domain (ACDom)
+// collected from EDB facts (paper Sec. 2, Modeling Features).
 type Database struct {
 	rels  map[string]*Relation
 	names []string
 
-	// Nulls mints labelled nulls; Skolem functions are memoized here so
-	// that repeated rule firings are deterministic.
+	// Nulls numbers the labelled nulls of the database: fresh ones, the
+	// nulls Skolem mints (memoized in skolems, keyed by interned argument
+	// IDs, so repeated rule firings are deterministic) and imported ones.
 	Nulls *term.NullFactory
 
-	in *Interner
+	in      *Interner
+	skolems *skolemMemo // nil until the first ResolveSkolem
 	// activeDom is ACDom as a bitset over the dense ID space (bit id: the
 	// value interned as id is an EDB constant); activeLen counts its bits.
 	activeDom []uint64
@@ -173,9 +175,12 @@ func (db *Database) LiveFacts() int {
 }
 
 // Bytes returns the rough retained size of all relations and indexes,
-// plus the shared symbol table.
+// plus the shared symbol table and the Skolem memo.
 func (db *Database) Bytes() int64 {
 	b := db.in.Bytes()
+	if db.skolems != nil {
+		b += db.skolems.bytes()
+	}
 	for _, name := range db.names {
 		b += db.rels[name].Bytes()
 	}

@@ -1,7 +1,8 @@
 // Package storage implements the in-memory fact store of the Vadalog
 // system: append-only relations with exact-duplicate elimination, the
 // dynamic in-memory indexes that back the slot-machine join (paper
-// Sec. 4) and the active constant domain (ACDom).
+// Sec. 4), the active constant domain (ACDom) and the memo of Skolem
+// applications (Sec. 5, skolem.go).
 //
 // Facts are stored as interned tuples: every term.Value is mapped to a
 // dense uint32 ID by the database-wide Interner, and each relation keeps
@@ -336,6 +337,13 @@ func (r *Relation) ContainsRowHash(row []uint32, h uint64) bool {
 	return r.findRow(row, h) >= 0
 }
 
+// FindRow returns the index of the live row exactly equal to row (h =
+// HashRow(row)); ok is false when none is stored. A pure read.
+func (r *Relation) FindRow(row []uint32, h uint64) (int, bool) {
+	ri := r.findRow(row, h)
+	return max(ri, 0), ri >= 0
+}
+
 // findRow returns the index of the live row exactly equal to row (stride =
 // the relation's arity; h = HashRow(row)), -1 when none is stored: it walks
 // the run of slots carrying h's tag and verifies each candidate by ID. A
@@ -476,8 +484,8 @@ func maskedIDsEqual(a, b []uint32, mask uint32) bool {
 }
 
 // resolve encodes args as the relation's interned row — in the relation's
-// scratch, without interning — and hashes it, for the read-only probes
-// Contains and FindExact. ok is false when args are not of the relation's
+// scratch, without interning — and hashes it, for the read-only probe
+// Contains. ok is false when args are not of the relation's
 // arity or a value was never interned: such a fact is stored nowhere. The
 // row is valid until the relation's next Insert, InsertEDB, Replace or
 // resolve.
@@ -509,7 +517,14 @@ func (r *Relation) resolve(args []term.Value) (row []uint32, h uint64, ok bool) 
 func (r *Relation) InsertEDB(args []term.Value, strat core.Policy) *core.FactMeta {
 	r.checkWidth(len(args))
 	row := r.internRow(args)
-	h := hashRow(row)
+	return r.InsertEDBRow(row, hashRow(row), args, strat)
+}
+
+// InsertEDBRow is InsertEDB for a row already in ID space: row is interned
+// (h = HashRow(row)) and args are its values, which the stored fact
+// retains — how admit.Core stores a tag twin it built and probed by row.
+func (r *Relation) InsertEDBRow(row []uint32, h uint64, args []term.Value, strat core.Policy) *core.FactMeta {
+	r.checkWidth(len(row))
 	if r.ContainsRowHash(row, h) {
 		return nil
 	}
@@ -517,17 +532,6 @@ func (r *Relation) InsertEDB(args []term.Value, strat core.Policy) *core.FactMet
 	m := strat.NewEDBFact(ast.Fact{Pred: r.name, Args: args})
 	r.appendRow(m, row, h)
 	return m
-}
-
-// FindExact returns the row index of the stored fact exactly equal to f.
-// Like Contains it never interns.
-func (r *Relation) FindExact(f ast.Fact) (int, bool) {
-	row, h, ok := r.resolve(f.Args)
-	if !ok {
-		return 0, false
-	}
-	ri := r.findRow(row, h)
-	return max(ri, 0), ri >= 0
 }
 
 // Contains reports whether an exactly equal fact is stored. It never

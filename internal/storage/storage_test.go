@@ -250,11 +250,19 @@ func TestRelationReplaceRetractsOnDuplicate(t *testing.T) {
 	if got := len(r.Lookup(2, []term.Value{{}, term.Int(1)})); got != 0 {
 		t.Errorf("rebuilt index resurrected a retracted row: %d", got)
 	}
-	if _, found := r.FindExact(ast.NewFact("agg", term.String("g"), term.Int(1))); found {
-		t.Error("FindExact located a retracted row")
+	rowOf := func(args ...term.Value) []uint32 {
+		row := make([]uint32, len(args))
+		for i, v := range args {
+			row[i], _ = r.Interner().IDOf(v)
+		}
+		return row
 	}
-	if idx, found := r.FindExact(ast.NewFact("agg", term.String("g"), term.Int(2))); !found || idx != 1 {
-		t.Errorf("FindExact: idx=%d found=%v", idx, found)
+	retracted, live := rowOf(term.String("g"), term.Int(1)), rowOf(term.String("g"), term.Int(2))
+	if _, found := r.FindRow(retracted, HashRow(retracted)); found {
+		t.Error("FindRow located a retracted row")
+	}
+	if idx, found := r.FindRow(live, HashRow(live)); !found || idx != 1 {
+		t.Errorf("FindRow: idx=%d found=%v", idx, found)
 	}
 }
 

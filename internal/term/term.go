@@ -1,5 +1,5 @@
-// Package term implements the Vadalog value model: typed constants,
-// labelled nulls and Skolem functions.
+// Package term implements the Vadalog value model: typed constants and
+// labelled nulls (Skolem functions are memoized by storage.Database).
 //
 // Runtime facts contain only constants and labelled nulls; variables exist
 // in rules and are compiled away before execution. Value is a small
@@ -441,18 +441,13 @@ func (v Value) Hash() uint64 {
 	return x ^ x>>33
 }
 
-// NullFactory mints fresh labelled nulls and memoizes Skolem applications.
-// Skolem functions are deterministic (same function + arguments yield the
-// same null), injective, and range disjoint (distinct functions never
-// produce the same null), as required by Section 5 of the paper.
-// Every null has a canonical ground key (its Skolem term rendered as a
-// string) used by the dynamic harmful-join elimination to reify null
-// identity into the constant domain.
+// NullFactory numbers labelled nulls: it mints fresh ones and adopts
+// imported ones, and no two nulls it hands out share an id. It does not
+// memoize Skolem applications — storage.Database does, in ID space, and
+// mints each new application's null here, so Skolem nulls and fresh ones
+// draw from one sequence.
 type NullFactory struct {
-	next   int64
-	skolem map[string]int64
-	keys   map[int64]string
-	keyBuf []byte // reused Skolem-key scratch
+	next int64
 	// imported maps the label of every null adopted by Import to its id
 	// here (itself unless renamed); nil until the first import.
 	imported map[int64]int64
@@ -460,7 +455,7 @@ type NullFactory struct {
 
 // NewNullFactory returns a factory whose first fresh null has id 1.
 func NewNullFactory() *NullFactory {
-	return &NullFactory{next: 1, skolem: make(map[string]int64), keys: make(map[int64]string)}
+	return &NullFactory{next: 1}
 }
 
 // Fresh returns a brand-new labelled null.
@@ -498,52 +493,6 @@ func (nf *NullFactory) Import(id int64) Value {
 	}
 	nf.imported[id] = to
 	return Null(to)
-}
-
-// SkolemKey renders the canonical ground key of fn applied to args; two
-// Skolem applications yield equal nulls iff their keys are equal.
-func (nf *NullFactory) SkolemKey(fn string, args ...Value) string {
-	return string(appendSkolemKey(nil, fn, args))
-}
-
-func appendSkolemKey(dst []byte, fn string, args []Value) []byte {
-	dst = append(dst, fn...)
-	for _, a := range args {
-		dst = append(dst, '\x00')
-		dst = strconv.AppendInt(dst, int64(a.kind), 10)
-		dst = append(dst, '\x01')
-		dst = a.AppendString(dst)
-	}
-	return dst
-}
-
-// Skolem returns the labelled null for function fn applied to args,
-// minting it on first use. The key is rendered into a buffer the factory
-// reuses, so looking up an already minted null — every repeated rule firing
-// — allocates nothing.
-func (nf *NullFactory) Skolem(fn string, args ...Value) Value {
-	nf.keyBuf = appendSkolemKey(nf.keyBuf[:0], fn, args)
-	if id, ok := nf.skolem[string(nf.keyBuf)]; ok {
-		return Null(id)
-	}
-	key := string(nf.keyBuf)
-	id := nf.next
-	nf.next++
-	nf.skolem[key] = id
-	nf.keys[id] = key
-	return Null(id)
-}
-
-// KeyOf returns the canonical ground key of a labelled null: its Skolem
-// term when minted by Skolem, or a positional key for fresh nulls.
-func (nf *NullFactory) KeyOf(v Value) string {
-	if !v.IsNull() {
-		return v.String()
-	}
-	if k, ok := nf.keys[v.NullID()]; ok {
-		return k
-	}
-	return "_:n" + strconv.FormatInt(v.NullID(), 10)
 }
 
 // ParseLiteral parses the textual form of a constant: quoted strings,

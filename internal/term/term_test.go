@@ -3,7 +3,6 @@ package term
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -117,66 +116,6 @@ func TestHashConsistentWithEquality(t *testing.T) {
 	}
 }
 
-func TestSkolemDeterministicInjective(t *testing.T) {
-	nf := NewNullFactory()
-	a := nf.Skolem("f", String("x"), Int(1))
-	b := nf.Skolem("f", String("x"), Int(1))
-	if a != b {
-		t.Error("skolem must be deterministic")
-	}
-	c := nf.Skolem("f", String("x"), Int(2))
-	if a == c {
-		t.Error("skolem must be injective")
-	}
-	d := nf.Skolem("g", String("x"), Int(1))
-	if a == d {
-		t.Error("skolem ranges must be disjoint across functions")
-	}
-}
-
-func TestSkolemKeyMirrorsNullIdentity(t *testing.T) {
-	// Property: two skolem applications yield the same null iff their keys
-	// are equal (the tag-twin soundness condition).
-	nf := NewNullFactory()
-	type app struct {
-		fn  string
-		arg int64
-	}
-	f := func(a, b app) bool {
-		if a.fn == "" || b.fn == "" {
-			return true
-		}
-		na := nf.Skolem(a.fn, Int(a.arg))
-		nb := nf.Skolem(b.fn, Int(b.arg))
-		ka := nf.SkolemKey(a.fn, Int(a.arg))
-		kb := nf.SkolemKey(b.fn, Int(b.arg))
-		return (na == nb) == (ka == kb)
-	}
-	cfg := &quick.Config{Values: func(vs []reflect.Value, r *rand.Rand) {
-		for i := range vs {
-			vs[i] = reflect.ValueOf(app{fn: string(rune('f' + r.Intn(3))), arg: int64(r.Intn(5))})
-		}
-	}}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestKeyOfRecoversSkolemKey(t *testing.T) {
-	nf := NewNullFactory()
-	n := nf.Skolem("#r1:z", String("acme"))
-	if got, want := nf.KeyOf(n), nf.SkolemKey("#r1:z", String("acme")); got != want {
-		t.Errorf("KeyOf: %q want %q", got, want)
-	}
-	fresh := nf.Fresh()
-	if nf.KeyOf(fresh) == "" {
-		t.Error("fresh nulls need keys too")
-	}
-	if nf.KeyOf(String("abc")) != "abc" {
-		t.Error("ground KeyOf should be the value's text")
-	}
-}
-
 func TestFreshNullsDistinct(t *testing.T) {
 	nf := NewNullFactory()
 	seen := map[Value]bool{}
@@ -198,7 +137,7 @@ func TestFreshNullsDistinct(t *testing.T) {
 // either answer is the same every time the label is seen.
 func TestImportKeepsUnreachedRenamesPassed(t *testing.T) {
 	nf := NewNullFactory()
-	minted := nf.Skolem("f", Int(1)) // _:n1
+	minted := nf.Fresh() // _:n1
 	if got := nf.Import(7); got != Null(7) {
 		t.Fatalf("Import(7) on a factory at 2 = %v, want the label kept", got)
 	}
@@ -218,9 +157,6 @@ func TestImportKeepsUnreachedRenamesPassed(t *testing.T) {
 	// The id a rename handed out is itself passed-and-not-imported as a label.
 	if other := nf.Import(renamed.NullID()); other == renamed {
 		t.Errorf("label %v imported onto the null another label was renamed to", renamed)
-	}
-	if nf.Skolem("f", Int(1)) != minted {
-		t.Error("importing disturbed a memoized Skolem null")
 	}
 }
 

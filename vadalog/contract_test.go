@@ -406,6 +406,39 @@ func TestSessionContract(t *testing.T) {
 				}
 			}
 		}},
+		{"Skolem identity is the store's identity", func(t *testing.T, engine Engine) {
+			// -0.0 and 0.0 are one stored value, so #f(-0.0) and #f(0.0)
+			// are one null; #f of one and of two arguments are two
+			// functions, and Int(1) and Float(1.0) are two arguments.
+			const src = `p(0.0).
+				p(X), Y = X * -1.0, Z = #f(Y) -> a(Z,Y).
+				p(X), Z = #f(X) -> b(Z,X).
+				a(Z,Y), b(Z,X) -> same(Y,X).
+				p(X), Z = #f(X,X) -> c(Z).
+				q(1). q(1.0).
+				q(X), Z = #g(X) -> d(Z,X).
+				@output("a"). @output("b"). @output("c"). @output("d"). @output("same").`
+			s := newSession(t, MustParse(src), &Options{Engine: engine})
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			a, b, c, d, same := s.Output("a"), s.Output("b"), s.Output("c"), s.Output("d"), s.Output("same")
+			if len(a) != 1 || len(b) != 1 || len(c) != 1 || len(same) != 1 {
+				t.Fatalf("a %v, b %v, c %v, same %v: want one fact each", a, b, c, same)
+			}
+			if a[0].Args[0] != b[0].Args[0] {
+				t.Errorf("#f(-0.0) = %v and #f(0.0) = %v, want one null", a[0].Args[0], b[0].Args[0])
+			}
+			if got := same[0].String(); got != "same(0,0)" {
+				t.Errorf("same: %s, want same(0,0)", got)
+			}
+			if c[0].Args[0] == b[0].Args[0] {
+				t.Errorf("#f(X,X) and #f(X) both gave %v, want two functions", c[0].Args[0])
+			}
+			if len(d) != 2 || d[0].Args[0] == d[1].Args[0] || d[0].Args[1].Kind() == d[1].Args[1].Kind() {
+				t.Errorf("d: %v, want #g(1) and #g(1.0) to be two nulls", d)
+			}
+		}},
 		{"unstratifiable negation is a compile error", func(t *testing.T, engine Engine) {
 			// r(1) holds only if q(1) does not, and q(1) holds if r(1) does:
 			// there is no stratified model, so there is no answer to print.
