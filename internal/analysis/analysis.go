@@ -207,12 +207,35 @@ func affectedPositions(p *ast.Program) map[Position]bool {
 	return affected
 }
 
-func analyzeRule(r *ast.Rule, affected map[Position]bool) *RuleInfo {
-	ri := &RuleInfo{Rule: r, Classes: make(map[string]VarClass), WardIdx: -1}
+// ruleVar is what analyzeRule knows of one variable of a rule's positive
+// body: how many distinct positive atoms hold it (last is the latest one
+// counted), whether some occurrence sits in a non-affected position, and
+// whether it occurs in the head or is grounded by dom(V).
+type ruleVar struct {
+	name              string
+	atoms, last       int
+	nonAffected, head bool
+	dom               bool
+}
 
-	// Occurrence map: variable -> body atom indexes (positive atoms only).
-	occ := make(map[string][]int)
-	inNonAffected := make(map[string]bool)
+// ruleVars returns the variables of r's positive body in order of first
+// occurrence, with their facts under the affected positions.
+func ruleVars(r *ast.Rule, affected map[Position]bool) []ruleVar {
+	n := 0
+	for _, a := range r.Body {
+		if !a.Negated && a.Pred != ast.DomPred {
+			n += len(a.Args)
+		}
+	}
+	vars := make([]ruleVar, 0, n)
+	find := func(v string) *ruleVar {
+		for i := range vars {
+			if vars[i].name == v {
+				return &vars[i]
+			}
+		}
+		return nil
+	}
 	for bi, a := range r.Body {
 		if a.Negated || a.Pred == ast.DomPred {
 			continue
@@ -221,50 +244,60 @@ func analyzeRule(r *ast.Rule, affected map[Position]bool) *RuleInfo {
 			if !arg.IsVar || arg.Var == "_" {
 				continue
 			}
-			v := arg.Var
-			if len(occ[v]) == 0 || occ[v][len(occ[v])-1] != bi {
-				occ[v] = append(occ[v], bi)
+			rv := find(arg.Var)
+			if rv == nil {
+				vars = append(vars, ruleVar{name: arg.Var, last: -1})
+				rv = &vars[len(vars)-1]
+			}
+			if rv.last != bi {
+				rv.atoms, rv.last = rv.atoms+1, bi
 			}
 			if !affected[Position{a.Pred, i}] {
-				inNonAffected[v] = true
+				rv.nonAffected = true
 			}
 		}
 	}
-	headVars := make(map[string]bool)
-	for _, v := range r.HeadVars() {
-		headVars[v] = true
-	}
-	domGround := make(map[string]bool, len(r.DomVars))
-	for _, v := range r.DomVars {
-		domGround[v] = true
-	}
-	for v := range occ {
-		switch {
-		case inNonAffected[v] || r.UsesDom || domGround[v]:
-			ri.Classes[v] = Harmless
-		case headVars[v]:
-			ri.Classes[v] = Dangerous
-		default:
-			ri.Classes[v] = Harmful
+	for _, h := range r.Heads {
+		for _, arg := range h.Args {
+			if !arg.IsVar {
+				continue
+			}
+			if rv := find(arg.Var); rv != nil {
+				rv.head = true
+			}
 		}
 	}
+	for _, v := range r.DomVars {
+		if rv := find(v); rv != nil {
+			rv.dom = true
+		}
+	}
+	return vars
+}
 
-	// Harmful joins: a harmful (or dangerous) variable occurring in ≥2
-	// distinct positive body atoms.
-	for v, atoms := range occ {
-		if ri.Classes[v] != Harmless && len(atoms) >= 2 {
+func analyzeRule(r *ast.Rule, affected map[Position]bool) *RuleInfo {
+	vars := ruleVars(r, affected)
+	ri := &RuleInfo{Rule: r, Classes: make(map[string]VarClass, len(vars)), WardIdx: -1}
+	var dangerous []string
+	for _, rv := range vars {
+		c := Harmful
+		switch {
+		case rv.nonAffected || r.UsesDom || rv.dom:
+			c = Harmless
+		case rv.head:
+			c = Dangerous
+			dangerous = append(dangerous, rv.name)
+		}
+		ri.Classes[rv.name] = c
+		// Harmful joins: a harmful (or dangerous) variable occurring in ≥2
+		// distinct positive body atoms.
+		if c != Harmless && rv.atoms >= 2 {
 			ri.HasHarmfulJoin = true
 		}
 	}
 
 	// Ward detection: all dangerous variables must sit in a single atom,
 	// and that atom may share only harmless variables with the rest.
-	var dangerous []string
-	for v, c := range ri.Classes {
-		if c == Dangerous {
-			dangerous = append(dangerous, v)
-		}
-	}
 	sort.Strings(dangerous)
 	if len(dangerous) > 0 {
 		wardIdx := -1

@@ -272,19 +272,28 @@ func (r *Rule) SkolemBaseAt(id int) string {
 // BodyVars returns the distinct variable names of the positive body in
 // order of first occurrence.
 func (r *Rule) BodyVars() []string {
-	var vs []string
+	n := 0
 	for _, a := range r.Body {
-		if a.Negated {
-			continue
+		if !a.Negated {
+			n += len(a.Args)
 		}
-		vs = a.Vars(vs)
+	}
+	vs := make([]string, 0, n)
+	for _, a := range r.Body {
+		if !a.Negated {
+			vs = a.Vars(vs)
+		}
 	}
 	return vs
 }
 
 // HeadVars returns the distinct variable names of all head atoms.
 func (r *Rule) HeadVars() []string {
-	var vs []string
+	n := 0
+	for _, a := range r.Heads {
+		n += len(a.Args)
+	}
+	vs := make([]string, 0, n)
 	for _, a := range r.Heads {
 		vs = a.Vars(vs)
 	}

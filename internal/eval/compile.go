@@ -13,6 +13,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -238,19 +239,42 @@ func Compile(rule *ast.Rule, info *analysis.RuleInfo) (*CompiledRule, error) {
 		return s
 	}
 
+	// Every compiled atom's IsVar, Slot and Const are cut from three
+	// blocks sized to all the rule's argument positions.
+	width, npos, nneg := 0, 0, 0
+	for _, a := range rule.Body {
+		switch {
+		case a.Negated:
+			nneg++
+		case a.Pred == ast.DomPred:
+			continue
+		default:
+			npos++
+		}
+		width += len(a.Args)
+	}
+	for _, h := range rule.Heads {
+		width += len(h.Args)
+	}
+	isVar, slots, consts := make([]bool, width), make([]int, width), make([]term.Value, width)
+	cr.Pos, cr.Heads = make([]CAtom, 0, npos), make([]CAtom, 0, len(rule.Heads))
+	if nneg > 0 {
+		cr.Neg = make([]CAtom, 0, nneg)
+	}
 	compileAtom := func(a ast.Atom, bodyIdx int) CAtom {
-		ca := CAtom{Pred: a.Pred, BodyIdx: bodyIdx,
-			IsVar: make([]bool, len(a.Args)),
-			Slot:  make([]int, len(a.Args)),
-			Const: make([]term.Value, len(a.Args))}
+		n := len(a.Args)
+		ca := CAtom{Pred: a.Pred, BodyIdx: bodyIdx, IsVar: isVar[:n:n], Slot: slots[:n:n], Const: consts[:n:n]}
+		isVar, slots, consts = isVar[n:], slots[n:], consts[n:]
 		for i, arg := range a.Args {
-			if arg.IsVar && arg.Var != "_" {
+			switch {
+			case arg.IsVar && arg.Var != "_":
 				ca.IsVar[i] = true
 				ca.Slot[i] = slot(arg.Var)
-			} else if arg.IsVar { // anonymous: give it a throwaway slot
+			case arg.IsVar: // anonymous: a fresh slot no variable names
 				ca.IsVar[i] = true
-				ca.Slot[i] = slot(fmt.Sprintf("_anon%d_%d", bodyIdx, i))
-			} else {
+				ca.Slot[i] = cr.NSlots
+				cr.NSlots++
+			default:
 				ca.Const[i] = arg.Const
 			}
 		}
@@ -401,17 +425,21 @@ func Compile(rule *ast.Rule, info *analysis.RuleInfo) (*CompiledRule, error) {
 // case), a greedy execution order: assignments and conditions run as soon
 // as their dependencies are bound (selection push-down), and the next atom
 // to match is the one with the most already-bound positions (join
-// reordering) — the paper's execution-optimizer behaviour.
+// reordering) — the paper's execution-optimizer behaviour. All n+1
+// schedules are cut from one block of steps.
 func (cr *CompiledRule) buildSchedules() {
 	n := len(cr.Pos)
 	cr.schedules = make([][]Step, n+1)
+	size := 0
 	for pinned := 0; pinned <= n; pinned++ {
-		cr.schedules[pinned] = cr.buildSchedule(pinned)
+		size += cr.scheduleLen(pinned)
 	}
-}
-
-func (cr *CompiledRule) buildSchedule(pinned int) []Step {
-	return cr.scheduleWith(pinned, nil)
+	steps, flags := make([]Step, 0, size), make([]bool, cr.scheduleFlags())
+	for pinned := 0; pinned <= n; pinned++ {
+		start := len(steps)
+		steps = cr.appendSchedule(steps, flags, pinned, nil)
+		cr.schedules[pinned] = steps[start:len(steps):len(steps)]
+	}
 }
 
 // Schedule returns the compiled static schedule for the given pinned
@@ -427,18 +455,48 @@ func (cr *CompiledRule) Schedule(pinned int) []Step { return cr.schedules[pinned
 // through: the planner chooses only the join order, the compiler owns
 // step assembly.
 func (cr *CompiledRule) ScheduleFor(pinned int, order []int) []Step {
-	return cr.scheduleWith(pinned, order)
+	steps := make([]Step, 0, cr.scheduleLen(pinned))
+	return cr.appendSchedule(steps, make([]bool, cr.scheduleFlags()), pinned, order)
 }
 
-// scheduleWith assembles a schedule visiting atoms in the explicit order
-// when non-nil, else by the static most-bound-positions greedy.
-func (cr *CompiledRule) scheduleWith(pinned int, order []int) []Step {
+// scheduleLen bounds the steps of the schedule pinned at pinned: every
+// non-pinned atom, every assignment, and every condition but those reading
+// the aggregate result, which the engine runs after aggregation. It is
+// exact for every rule the parser accepts.
+func (cr *CompiledRule) scheduleLen(pinned int) int {
+	n := len(cr.Pos) + len(cr.Assigns)
+	if pinned < len(cr.Pos) {
+		n--
+	}
+	for i := range cr.Conds {
+		if !cr.readsAgg(cr.Conds[i].Deps) {
+			n++
+		}
+	}
+	return n
+}
+
+// scheduleFlags is the length of the flag block appendSchedule works in:
+// bound per slot, matched per positive atom, done per assignment and per
+// condition.
+func (cr *CompiledRule) scheduleFlags() int {
+	return cr.NSlots + len(cr.Pos) + len(cr.Assigns) + len(cr.Conds)
+}
+
+// readsAgg reports whether deps include the aggregate result slot.
+func (cr *CompiledRule) readsAgg(deps []int) bool {
+	return cr.Agg != nil && slices.Contains(deps, cr.Agg.ResultSlot)
+}
+
+// appendSchedule appends to steps a schedule visiting atoms in the explicit
+// order when non-nil, else by the static most-bound-positions greedy.
+// flags is scratch of scheduleFlags() length; it is cleared first.
+func (cr *CompiledRule) appendSchedule(steps []Step, flags []bool, pinned int, order []int) []Step {
 	n := len(cr.Pos)
-	bound := make([]bool, cr.NSlots)
-	matched := make([]bool, n)
-	asgDone := make([]bool, len(cr.Assigns))
-	condDone := make([]bool, len(cr.Conds))
-	var steps []Step
+	clear(flags)
+	bound, flags := flags[:cr.NSlots], flags[cr.NSlots:]
+	matched, flags := flags[:n], flags[n:]
+	asgDone, condDone := flags[:len(cr.Assigns)], flags[len(cr.Assigns):]
 
 	bindAtom := func(i int) {
 		for p, isv := range cr.Pos[i].IsVar {
@@ -455,10 +513,6 @@ func (cr *CompiledRule) scheduleWith(pinned int, order []int) []Step {
 		}
 		return true
 	}
-	aggSlot := -1
-	if cr.Agg != nil {
-		aggSlot = cr.Agg.ResultSlot
-	}
 	flush := func() {
 		for progress := true; progress; {
 			progress = false
@@ -471,20 +525,9 @@ func (cr *CompiledRule) scheduleWith(pinned int, order []int) []Step {
 				}
 			}
 			for i, c := range cr.Conds {
-				if condDone[i] || !allBound(c.Deps) {
-					continue
-				}
 				// Conditions reading the aggregate result wait for the
 				// aggregation step performed by the engine after matching.
-				readsAgg := false
-				if aggSlot >= 0 {
-					for _, d := range c.Deps {
-						if d == aggSlot {
-							readsAgg = true
-						}
-					}
-				}
-				if readsAgg {
+				if condDone[i] || !allBound(c.Deps) || cr.readsAgg(c.Deps) {
 					continue
 				}
 				condDone[i] = true
@@ -631,7 +674,8 @@ func (cr *CompiledRule) BodyMatcher() *CompiledRule {
 // reading the aggregate result stay excluded — the engine's aggregation
 // path runs them, exactly as with in-schedule matching).
 func (cr *CompiledRule) PostMatchSteps() []Step {
-	bound := make([]bool, cr.NSlots)
+	flags := make([]bool, cr.NSlots+len(cr.Assigns)+len(cr.Conds))
+	bound, asgDone, condDone := flags[:cr.NSlots], flags[cr.NSlots:cr.NSlots+len(cr.Assigns)], flags[cr.NSlots+len(cr.Assigns):]
 	for _, a := range cr.Pos {
 		for p, isv := range a.IsVar {
 			if isv {
@@ -643,9 +687,7 @@ func (cr *CompiledRule) PostMatchSteps() []Step {
 	if cr.Agg != nil {
 		aggSlot = cr.Agg.ResultSlot
 	}
-	asgDone := make([]bool, len(cr.Assigns))
-	condDone := make([]bool, len(cr.Conds))
-	steps := []Step{}
+	steps := make([]Step, 0, len(cr.Assigns)+len(cr.Conds))
 	for progress := true; progress; {
 		progress = false
 		for i, a := range cr.Assigns {

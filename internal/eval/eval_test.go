@@ -64,6 +64,20 @@ func TestCompileSlots(t *testing.T) {
 	}
 }
 
+// TestAnonymousSlotsAreFresh: every _ gets a slot of its own that no
+// variable name maps to, so a variable named like the slot of a _ — the
+// name a _ at atom 0, position 1 once got — stays a variable of its own.
+func TestAnonymousSlotsAreFresh(t *testing.T) {
+	cr, _ := compileFirst(t, `p(_anon0_1, _), q(_anon0_1, _) -> r(_anon0_1).`)
+	if cr.NSlots != 3 || len(cr.VarSlot) != 1 {
+		t.Fatalf("%d slots, names %v: want 3 slots, one named", cr.NSlots, cr.VarSlot)
+	}
+	v, p, q := cr.VarSlot["_anon0_1"], cr.Pos[0].Slot[1], cr.Pos[1].Slot[1]
+	if v == p || v == q || p == q {
+		t.Fatalf("slots: variable %d, anonymous %d and %d, want three distinct", v, p, q)
+	}
+}
+
 func TestMatchJoin(t *testing.T) {
 	cr, res := compileFirst(t, `p(X,Y), q(Y,Z) -> r(X,Z).`)
 	db := loadDB(t, res,

@@ -67,25 +67,38 @@ type Binding struct {
 	newly     []int
 }
 
-// NewBinding allocates a binding for cr.
+// NewBinding allocates a binding for cr. IDs and every probe buffer are cut
+// from one block of IDs, Bound and hasVal from one block of flags.
 func NewBinding(cr *CompiledRule) *Binding {
-	b := &Binding{
-		IDs:        make([]uint32, cr.NSlots),
-		Bound:      make([]bool, cr.NSlots),
-		hasVal:     make([]bool, cr.NSlots),
-		vals:       make([]term.Value, cr.NSlots),
-		Parents:    make([]*core.FactMeta, len(cr.Pos)),
-		ParentRows: make([]int32, len(cr.Pos)),
-		probes:     make([][]uint32, len(cr.Pos)),
-		rels:       make([]*storage.Relation, len(cr.Pos)),
-		newly:      make([]int, 0, cr.NSlots),
-	}
+	ns, np := cr.NSlots, len(cr.Pos)
+	width := ns
 	for i := range cr.Pos {
-		b.probes[i] = make([]uint32, cr.Pos[i].arity())
+		width += cr.Pos[i].arity()
 	}
-	b.negProbes = make([][]uint32, len(cr.Neg))
 	for i := range cr.Neg {
-		b.negProbes[i] = make([]uint32, cr.Neg[i].arity())
+		width += cr.Neg[i].arity()
+	}
+	ids, flags, probes := make([]uint32, width), make([]bool, 2*ns), make([][]uint32, np+len(cr.Neg))
+	b := &Binding{
+		IDs:        ids[:ns:ns],
+		Bound:      flags[:ns:ns],
+		hasVal:     flags[ns:],
+		vals:       make([]term.Value, ns),
+		Parents:    make([]*core.FactMeta, np),
+		ParentRows: make([]int32, np),
+		probes:     probes[:np:np],
+		negProbes:  probes[np:],
+		rels:       make([]*storage.Relation, np),
+		newly:      make([]int, 0, ns),
+	}
+	ids = ids[ns:]
+	for i := range cr.Pos {
+		n := cr.Pos[i].arity()
+		b.probes[i], ids = ids[:n:n], ids[n:]
+	}
+	for i := range cr.Neg {
+		n := cr.Neg[i].arity()
+		b.negProbes[i], ids = ids[:n:n], ids[n:]
 	}
 	return b
 }

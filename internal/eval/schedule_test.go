@@ -44,3 +44,36 @@ func TestScheduleForExplicitOrder(t *testing.T) {
 		t.Fatalf("partial order must complete greedily: %v, want [2 1]", got)
 	}
 }
+
+// allocRule is a fixed multi-atom rule with every per-atom structure a
+// compile builds: constants, an anonymous position, a repeated variable, a
+// negated atom, a condition, an assignment and an existential head.
+const allocRule = `a(X,Y,_), b(Y,Z,"k"), c(Z,X), not d(Z,_), Z > 1, W = Z + 1 -> h(X,W,N), g(Y).`
+
+// TestCompileAllocations pins what compiling a rule costs: every atom's
+// IsVar, Slot and Const are cut from three per-rule blocks, and all of the
+// static schedules from one block of steps, so adding atoms to a rule adds
+// no allocation of its own to these. The bound is this rule's count.
+func TestCompileAllocations(t *testing.T) {
+	_, res := compileFirst(t, allocRule)
+	rule, info := res.Program.Rules[0], res.Rules[0]
+	const maxCompile = 31
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := Compile(rule, info); err != nil {
+			t.Fatal(err)
+		}
+	}); n > maxCompile {
+		t.Errorf("Compile: %.1f allocations, want at most %d", n, maxCompile)
+	}
+}
+
+// TestNewBindingAllocations pins a binding at a fixed handful of
+// allocations whatever the rule's width: IDs and every probe buffer share
+// one block, Bound and the computed-value flags another.
+func TestNewBindingAllocations(t *testing.T) {
+	cr, _ := compileFirst(t, allocRule)
+	const maxBinding = 9
+	if n := testing.AllocsPerRun(50, func() { NewBinding(cr) }); n > maxBinding {
+		t.Errorf("NewBinding: %.1f allocations, want at most %d", n, maxBinding)
+	}
+}

@@ -13,7 +13,7 @@ type tokKind int
 const (
 	tokEOF     tokKind = iota
 	tokIdent           // lowercase-initial identifier: predicate / function / constant
-	tokVar             // uppercase-initial identifier or _: variable
+	tokVar             // uppercase- or underscore-initial identifier, or _: variable
 	tokNumber          // integer or float literal
 	tokString          // quoted string literal
 	tokHash            // #ident: #fail, #t, #f, or skolem function name
@@ -280,7 +280,9 @@ func (l *lexer) next() (token, error) {
 		switch {
 		case t.text == "not":
 			t.kind = tokNot
-		case t.text == "_" || unicode.IsUpper(rune(t.text[0])):
+		case t.text[0] == '_' || unicode.IsUpper(rune(t.text[0])):
+			// As in Prolog, _ and every _-initial name are variables;
+			// only _ itself is anonymous.
 			t.kind = tokVar
 		default:
 			t.kind = tokIdent

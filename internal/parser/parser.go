@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -270,6 +271,10 @@ func (p *parser) ruleOrFact(prog *ast.Program) error {
 		return err
 	}
 	if err := validateRule(rule); err != nil {
+		var pe *Error
+		if errors.As(err, &pe) {
+			return pe
+		}
 		return &Error{Line: rule.Line, Col: rule.Col, Msg: err.Error()}
 	}
 	prog.AddRule(rule)
@@ -824,6 +829,15 @@ func builtinFunc(name string) bool {
 func validateRule(r *ast.Rule) error {
 	if len(r.Heads) == 0 && !r.IsConstraint && r.EGD == nil {
 		return fmt.Errorf("rule %s has no head", r.String())
+	}
+	// An anonymous head position would derive a fact with no value there.
+	for _, h := range r.Heads {
+		for _, arg := range h.Args {
+			if arg.IsVar && arg.Var == "_" {
+				return &Error{Line: arg.Line, Col: arg.Col,
+					Msg: fmt.Sprintf("anonymous variable _ in head atom %s: a derived fact needs a value at every position", h.String())}
+			}
+		}
 	}
 	bound := r.BoundVars()
 	for _, c := range r.Conds {

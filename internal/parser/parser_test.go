@@ -1,6 +1,8 @@
 package parser
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -310,5 +312,44 @@ func TestArityMismatchRejected(t *testing.T) {
 	}
 	if _, err := prog.Predicates(); err == nil || !strings.Contains(err.Error(), "arities") {
 		t.Fatalf("want arity error from Predicates, got %v", err)
+	}
+}
+
+// TestAnonymousHeadVariableRefused: a head position must have a value, so
+// _ in a head is a positioned parse error naming the head atom — not a
+// rule that parses, vets clean and fails when it first fires.
+func TestAnonymousHeadVariableRefused(t *testing.T) {
+	_, err := Parse("p(2,5).\np(A,B) -> r(A,_).")
+	var pe *Error
+	if !errors.As(err, &pe) {
+		t.Fatalf("parse: %v, want a *parser.Error", err)
+	}
+	if pe.Line != 2 || pe.Col != 15 || !strings.Contains(pe.Msg, "head atom r(A,_)") {
+		t.Fatalf("error %q at %d:%d, want one naming head atom r(A,_) at 2:15", pe.Msg, pe.Line, pe.Col)
+	}
+	if _, err := Parse(`p(A,_) -> r(A).`); err != nil {
+		t.Errorf("_ in a body atom: %v", err)
+	}
+}
+
+// TestUnderscoreNamesAreVariables: as in Prolog, every _-initial name is a
+// variable, shared by its occurrences; only _ itself is anonymous. A
+// string constant starting with _ renders quoted and reparses as one.
+func TestUnderscoreNamesAreVariables(t *testing.T) {
+	r, err := ParseRule(`p(_anon0_1, _), q(_anon0_1), s("_x") -> r(_anon0_1).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := r.Body[0].Args[0]; !a.IsVar || a.Var != "_anon0_1" {
+		t.Fatalf("p's first argument: %+v, want variable _anon0_1", a)
+	}
+	if got := r.BodyVars(); !slices.Equal(got, []string{"_anon0_1"}) {
+		t.Errorf("body variables %v, want [_anon0_1]", got)
+	}
+	if a := r.Body[2].Args[0]; a.IsVar || a.Const != term.String("_x") {
+		t.Errorf("s's argument: %+v, want the string constant _x", a)
+	}
+	if got, want := r.String(), `p(_anon0_1,_), q(_anon0_1), s("_x") -> r(_anon0_1).`; got != want {
+		t.Errorf("rendered %s, want %s", got, want)
 	}
 }

@@ -8,14 +8,14 @@
 // (storage.RelStats), and the atom with the smallest estimated
 // intermediate is matched first.
 //
-// Plans are cached per (rule, pinned atom) and revalidated whenever the
-// statistics generation advances: when the live size of a body relation
-// has drifted past a threshold since the plan was derived, the plan is
-// recomputed (adaptive re-planning — early chase rounds see empty derived
-// relations, late rounds see them dominating). Plans only reorder
-// candidate enumeration; the engines admit candidates in a canonical order
-// (eval.BindingLog.CanonicalOrder) so reasoning output stays
-// byte-identical for every plan choice.
+// Plans are kept in slots by rule ID, one per pinned atom, and revalidated
+// whenever the statistics generation advances: when the live size of a
+// body relation (Catalog.Live) has drifted past a threshold since the plan
+// was derived, the plan is recomputed (adaptive re-planning — early chase
+// rounds see empty derived relations, late rounds see them dominating).
+// Plans only reorder candidate enumeration; the engines admit candidates
+// in a canonical order (eval.BindingLog.CanonicalOrder) so reasoning
+// output stays byte-identical for every plan choice.
 //
 // Entry points: New builds a Planner over a statistics Catalog;
 // PlanFor returns (deriving or revalidating as needed) the plan for one
@@ -26,6 +26,7 @@ package planner
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -36,11 +37,17 @@ import (
 // Catalog supplies per-predicate statistics and the generation counter
 // that tells the planner a new consistent snapshot exists.
 type Catalog interface {
-	// RelStats returns the statistics for pred; false when the predicate
-	// has no relation (yet), which the planner treats as an empty one.
-	RelStats(pred string) (storage.RelStats, bool)
+	// RelStats returns the statistics for pred, its distinct estimates
+	// appended to dst[:0] (see storage.Relation.Stats); false when the
+	// predicate has no relation (yet), which the planner treats as an
+	// empty one.
+	RelStats(pred string, dst []float64) (storage.RelStats, bool)
+	// Live returns the live-row count of pred's relation, 0 when it has
+	// none: the one number a plan's revalidation reads, without evaluating
+	// any distinct estimate.
+	Live(pred string) int
 	// Gen identifies the statistics snapshot; it must change whenever the
-	// numbers RelStats reports may have changed.
+	// numbers RelStats and Live report may have changed.
 	Gen() uint64
 }
 
@@ -59,8 +66,16 @@ type LiveCatalog struct {
 }
 
 // RelStats implements Catalog.
-func (c LiveCatalog) RelStats(pred string) (storage.RelStats, bool) {
-	return c.DB.RelStats(pred)
+func (c LiveCatalog) RelStats(pred string, dst []float64) (storage.RelStats, bool) {
+	return c.DB.RelStats(pred, dst)
+}
+
+// Live implements Catalog.
+func (c LiveCatalog) Live(pred string) int {
+	if r := c.DB.Lookup(pred); r != nil {
+		return r.Live()
+	}
+	return 0
 }
 
 // Gen implements Catalog.
@@ -100,12 +115,8 @@ type Plan struct {
 	// Cost is the total estimated probe work of the chosen order.
 	Cost float64
 
-	gen uint64 // statistics generation the plan was derived (or revalidated) at
-}
-
-type planKey struct {
-	cr     *eval.CompiledRule
-	pinned int
+	cr  *eval.CompiledRule // the rule the plan was derived for
+	gen uint64             // statistics generation the plan was derived (or revalidated) at
 }
 
 // driftFactor and minDrift control adaptive re-planning: a cached plan is
@@ -130,14 +141,25 @@ type Planner struct {
 	// reasoning output is plan-independent.
 	Worst bool
 
-	plans   map[planKey]*Plan
+	// slots[id][pinned] is the plan for the rule numbered id pinned at
+	// pinned, made on the rule's first plan. Rule IDs are dense (every
+	// program numbers its rules from 0), so a slice stands in for a map;
+	// a slot holding the plan of another CompiledRule with that ID — a
+	// rule of another program, or a CSE body matcher — is a miss.
+	slots   [][]*Plan
 	derives int
 	replans int
+
+	// derive's scratch: every body atom's statistics, their distinct
+	// estimates, and the bound, matched and asgDone flags cut from flags.
+	stats    []storage.RelStats
+	distinct []float64
+	flags    []bool
 }
 
 // New returns a Planner over cat.
 func New(cat Catalog) *Planner {
-	return &Planner{cat: cat, plans: make(map[planKey]*Plan)}
+	return &Planner{cat: cat}
 }
 
 // Derives returns how many plans were computed from scratch; Replans
@@ -154,9 +176,9 @@ func (pl *Planner) Replans() int { return pl.replans }
 // counts and recomputed only when they drifted past the threshold. The
 // returned Plan (and its Steps) must be treated as immutable.
 func (pl *Planner) PlanFor(cr *eval.CompiledRule, pinned int) *Plan {
-	key := planKey{cr, pinned}
+	slot := pl.slot(cr, pinned)
 	gen := pl.cat.Gen()
-	if p := pl.plans[key]; p != nil {
+	if p := *slot; p != nil && p.cr == cr {
 		if p.gen == gen {
 			return p
 		}
@@ -167,8 +189,21 @@ func (pl *Planner) PlanFor(cr *eval.CompiledRule, pinned int) *Plan {
 		pl.replans++
 	}
 	p := pl.derive(cr, pinned, gen)
-	pl.plans[key] = p
+	*slot = p
 	return p
+}
+
+// slot returns the slot of cr pinned at pinned, growing the slots to hold
+// it.
+func (pl *Planner) slot(cr *eval.CompiledRule, pinned int) **Plan {
+	id := cr.Rule.ID
+	if id >= len(pl.slots) {
+		pl.slots = slices.Grow(pl.slots, id+1-len(pl.slots))[:id+1]
+	}
+	if len(pl.slots[id]) != len(cr.Pos)+1 {
+		pl.slots[id] = make([]*Plan, len(cr.Pos)+1)
+	}
+	return &pl.slots[id][pinned]
 }
 
 // drifted reports whether some body relation's live size moved past the
@@ -176,8 +211,7 @@ func (pl *Planner) PlanFor(cr *eval.CompiledRule, pinned int) *Plan {
 func (pl *Planner) drifted(cr *eval.CompiledRule, p *Plan) bool {
 	for i := range cr.Pos {
 		was := p.Rows[i]
-		st, _ := pl.cat.RelStats(cr.Pos[i].Pred)
-		cur := st.Live
+		cur := pl.cat.Live(cr.Pos[i].Pred)
 		diff := cur - was
 		if diff < 0 {
 			diff = -diff
@@ -198,17 +232,34 @@ func (pl *Planner) drifted(cr *eval.CompiledRule, p *Plan) bool {
 func (pl *Planner) derive(cr *eval.CompiledRule, pinned int, gen uint64) *Plan {
 	pl.derives++
 	n := len(cr.Pos)
-	p := &Plan{Order: make([]int, 0, n), Rows: make([]int, n), gen: gen}
+	k := n // atoms to order: all but the pinned one
+	if pinned < n {
+		k--
+	}
+	block := make([]int, k+n)
+	p := &Plan{Order: block[:0:k], Rows: block[k:], Est: make([]float64, 0, k),
+		Probes: make([]Probe, 0, k), cr: cr, gen: gen}
 
-	stats := make([]storage.RelStats, n)
+	// Each atom's distinct estimates land in its own stretch of one
+	// scratch buffer, presized to the atoms' arities.
+	width := 0
 	for i := range cr.Pos {
-		st, _ := pl.cat.RelStats(cr.Pos[i].Pred)
-		stats[i] = st
+		width += cr.Pos[i].Arity()
+	}
+	pl.distinct = slices.Grow(pl.distinct[:0], width)
+	pl.stats = slices.Grow(pl.stats[:0], n)[:n]
+	for i := range cr.Pos {
+		a, start := &cr.Pos[i], len(pl.distinct)
+		st, _ := pl.cat.RelStats(a.Pred, pl.distinct[start:start:start+a.Arity()])
+		pl.distinct = pl.distinct[:start+a.Arity()]
+		pl.stats[i] = st
 		p.Rows[i] = st.Live
 	}
+	stats := pl.stats
 
-	bound := make([]bool, cr.NSlots)
-	matched := make([]bool, n)
+	pl.flags = slices.Grow(pl.flags[:0], cr.NSlots+n+len(cr.Assigns))[:cr.NSlots+n+len(cr.Assigns)]
+	clear(pl.flags)
+	bound, matched, asgDone := pl.flags[:cr.NSlots], pl.flags[cr.NSlots:cr.NSlots+n], pl.flags[cr.NSlots+n:]
 	bindAtom := func(i int) {
 		for pos, isv := range cr.Pos[i].IsVar {
 			if isv {
@@ -218,7 +269,6 @@ func (pl *Planner) derive(cr *eval.CompiledRule, pinned int, gen uint64) *Plan {
 	}
 	// Assignments bind further slots as soon as their dependencies are
 	// matched; mirror that so selectivity sees assignment-bound probes.
-	asgDone := make([]bool, len(cr.Assigns))
 	flushAssigns := func() {
 		for progress := true; progress; {
 			progress = false
@@ -246,7 +296,7 @@ func (pl *Planner) derive(cr *eval.CompiledRule, pinned int, gen uint64) *Plan {
 	flushAssigns()
 
 	inter := 1.0 // candidate bindings in flight (the pinned delta is one row)
-	for len(p.Order) < n-boolToInt(pinned < n) {
+	for len(p.Order) < k {
 		best, bestEst := -1, 0.0
 		var bestMask uint32
 		var bestKeys float64
@@ -321,13 +371,6 @@ func distinctAt(st storage.RelStats, p int) float64 {
 		return st.Distinct[p]
 	}
 	return 1
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Describe renders the plan for (cr, pinned) with the estimates that

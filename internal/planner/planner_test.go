@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,16 +11,23 @@ import (
 	"repro/internal/storage"
 )
 
-// fakeCat is a hand-set statistics catalog.
+// fakeCat is a hand-set statistics catalog; relStats counts RelStats calls.
 type fakeCat struct {
-	gen   uint64
-	stats map[string]storage.RelStats
+	gen      uint64
+	stats    map[string]storage.RelStats
+	relStats int
 }
 
-func (c *fakeCat) RelStats(pred string) (storage.RelStats, bool) {
+func (c *fakeCat) RelStats(pred string, dst []float64) (storage.RelStats, bool) {
+	c.relStats++
 	st, ok := c.stats[pred]
+	if st.Distinct != nil {
+		st.Distinct = append(dst[:0], st.Distinct...)
+	}
 	return st, ok
 }
+
+func (c *fakeCat) Live(pred string) int { return c.stats[pred].Live }
 
 func (c *fakeCat) Gen() uint64 { return c.gen }
 
@@ -97,7 +105,7 @@ func TestGreedyTieBreakSourceOrder(t *testing.T) {
 	}
 }
 
-// TestPlanCacheAndDriftReplan: plans are cached per (rule, pinned) while
+// TestPlanCacheAndDriftReplan: plans are kept per (rule, pinned) while
 // the generation stands; a new generation revalidates cheaply and only a
 // drift past the threshold recomputes.
 func TestPlanCacheAndDriftReplan(t *testing.T) {
@@ -139,5 +147,62 @@ func TestDescribe(t *testing.T) {
 	}
 	if strings.Index(line, "small(est") > strings.Index(line, "big(est") {
 		t.Errorf("describe orders big before small: %q", line)
+	}
+}
+
+// TestPlanForAllocations pins what a plan costs: a cached plan at an
+// unchanged generation and an undrifted revalidation allocate nothing, and
+// the revalidation reads live-row counts only, never a distinct estimate;
+// a fresh derive allocates a fixed handful — the plan, its Order/Rows
+// block, Est, Probes and its schedule's steps and flags — whatever the
+// rule's atoms and variables.
+func TestPlanForAllocations(t *testing.T) {
+	cr := compileRule(t, `s(X), big(X,Y), small(Y,Z), Z > 1, W = Z + 1 -> out(X,W).`)
+	cat := skewCat()
+	pl := New(cat)
+	pl.PlanFor(cr, 0)
+	if n := testing.AllocsPerRun(100, func() { pl.PlanFor(cr, 0) }); n != 0 {
+		t.Errorf("cached PlanFor: %.1f allocations, want 0", n)
+	}
+	calls := cat.relStats
+	if n := testing.AllocsPerRun(100, func() {
+		cat.gen++
+		pl.PlanFor(cr, 0)
+	}); n != 0 {
+		t.Errorf("undrifted revalidation: %.1f allocations, want 0", n)
+	}
+	if cat.relStats != calls || pl.Derives() != 1 {
+		t.Errorf("undrifted revalidation called RelStats %d times and derived %d plans, want 0 and 1", cat.relStats-calls, pl.Derives())
+	}
+	const maxDerive = 6
+	for pin := 0; pin <= len(cr.Pos); pin++ {
+		if n := testing.AllocsPerRun(100, func() { pl.derive(cr, pin, 0) }); n > maxDerive {
+			t.Errorf("derive pinned at %d: %.1f allocations, want at most %d", pin, n, maxDerive)
+		}
+	}
+}
+
+// TestSlotsIsolateRulesOfEqualID: plans live in slots by rule ID, and two
+// programs number their rules alike. Rules of two programs sharing one
+// Planner each get the plan derived for them, however their calls
+// interleave.
+func TestSlotsIsolateRulesOfEqualID(t *testing.T) {
+	a := compileRule(t, `s(X), big(X,Y), small(Y,Z) -> out(X,Z).`)
+	b := compileRule(t, `s(X), small(X,Y), big(Y,Z), big(Z,W) -> out(X,W).`)
+	if a.Rule.ID != b.Rule.ID {
+		t.Fatalf("rule IDs %d and %d, want equal", a.Rule.ID, b.Rule.ID)
+	}
+	pl := New(skewCat())
+	for round := 0; round < 3; round++ {
+		for _, cr := range []*eval.CompiledRule{a, b} {
+			for pin := 0; pin <= len(cr.Pos); pin++ {
+				p := pl.PlanFor(cr, pin)
+				want := New(skewCat()).PlanFor(cr, pin)
+				if p.cr != cr || !slices.Equal(p.Order, want.Order) || !slices.Equal(p.Steps, want.Steps) {
+					t.Fatalf("round %d, rule %s pinned at %d: order %v steps %v, want %v %v",
+						round, cr.Rule, pin, p.Order, p.Steps, want.Order, want.Steps)
+				}
+			}
+		}
 	}
 }

@@ -89,14 +89,15 @@ func (db *Database) Freeze() {
 }
 
 // RelStats returns the planner statistics of pred, computed from the
-// relation's current contents; false when the predicate has no relation
+// relation's current contents with the distinct estimates appended to
+// dst[:0] (see Relation.Stats); false when the predicate has no relation
 // yet.
-func (db *Database) RelStats(pred string) (RelStats, bool) {
+func (db *Database) RelStats(pred string, dst []float64) (RelStats, bool) {
 	r := db.rels[pred]
 	if r == nil {
 		return RelStats{}, false
 	}
-	return r.Stats(), true
+	return r.Stats(dst), true
 }
 
 // Insert stores m in its predicate's relation; it reports whether the fact

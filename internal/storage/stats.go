@@ -93,13 +93,16 @@ func (r *Relation) observeRow(row []uint32) {
 	}
 }
 
-// Stats computes the relation's statistics from its current contents.
-func (r *Relation) Stats() RelStats {
+// Stats computes the relation's statistics from its current contents. The
+// distinct estimates are appended to dst[:0], so a caller that keeps a
+// scratch buffer reads them without allocating; Distinct stays nil while
+// no row was stored.
+func (r *Relation) Stats(dst []float64) RelStats {
 	st := RelStats{Live: r.Live()}
 	if len(r.sketches) > 0 {
-		st.Distinct = make([]float64, len(r.sketches))
+		st.Distinct = dst[:0]
 		for i := range r.sketches {
-			st.Distinct[i] = r.sketches[i].estimate()
+			st.Distinct = append(st.Distinct, r.sketches[i].estimate())
 		}
 	}
 	return st

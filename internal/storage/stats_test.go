@@ -15,7 +15,7 @@ func TestDistinctEstimateAccuracy(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		r.Insert(meta("p", term.Int(int64(i)), term.String("const")))
 	}
-	st := r.Stats()
+	st := r.Stats(nil)
 	if st.Live != 1000 {
 		t.Fatalf("live: %d, want 1000", st.Live)
 	}

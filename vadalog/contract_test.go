@@ -439,6 +439,20 @@ func TestSessionContract(t *testing.T) {
 				t.Errorf("d: %v, want #g(1) and #g(1.0) to be two nulls", d)
 			}
 		}},
+		{"an anonymous position aliases no named variable", func(t *testing.T, engine Engine) {
+			// _anon0_1 is a variable like A; the _ beside it, at body atom 0
+			// position 1, is a position of its own that binds nothing.
+			const src = `p(2,5). q(2).
+				p(_anon0_1, _), q(_anon0_1) -> r(_anon0_1).
+				@output("r").`
+			s := newSession(t, MustParse(src), &Options{Engine: engine})
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if out := s.Output("r"); len(out) != 1 || out[0].String() != "r(2)" {
+				t.Fatalf("r: %v, want [r(2)]", out)
+			}
+		}},
 		{"unstratifiable negation is a compile error", func(t *testing.T, engine Engine) {
 			// r(1) holds only if q(1) does not, and q(1) holds if r(1) does:
 			// there is no stratified model, so there is no answer to print.

@@ -1,10 +1,24 @@
 package vadalog
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/parser"
 )
+
+// TestParseRefusesAnonymousHead: a rule with _ in its head is refused by
+// Parse, with the position of the _ and the head atom named — it never
+// reaches a compile or a run.
+func TestParseRefusesAnonymousHead(t *testing.T) {
+	_, err := Parse("p(2,5).\np(A,B) -> r(A,_).\n@output(\"r\").")
+	var pe *parser.Error
+	if !errors.As(err, &pe) || pe.Line != 2 || pe.Col != 15 || !strings.Contains(pe.Msg, "head atom r(A,_)") {
+		t.Fatalf("Parse: %v, want a parse error at 2:15 naming head atom r(A,_)", err)
+	}
+}
 
 // TestKeepMaxPostDirective: the SQL-style final aggregate keeps only the
 // extremal monotonic intermediate per group (paper Sec. 5, post-

@@ -112,6 +112,115 @@ func seamAnswer(t *testing.T, prog *Program, chunks [][]Fact, preds []string, on
 	return strings.Join(lines, "\n")
 }
 
+// renameScenario is the rename relation of the front-end oracle. Every
+// predicate of prog gets a fresh name, and every variable of a rule an
+// underscore-initial one shaped _anon<i>_<j>, the names the compiler once
+// gave anonymous positions; in a rule without existentials (whose Skolem
+// arguments are all its body variables) a body variable occurring once
+// becomes _ itself. The program is rendered and re-parsed, the facts are
+// renamed alike, and back maps each new predicate name to its old one.
+func renameScenario(t *testing.T, prog *Program, facts []Fact) (renamed *Program, renamedFacts []Fact, back map[string]string) {
+	t.Helper()
+	names, back := make(map[string]string), make(map[string]string)
+	pred := func(p string) string {
+		n, ok := names[p]
+		if !ok {
+			n = fmt.Sprintf("rel%d", len(names))
+			names[p], back[n] = n, p
+		}
+		return n
+	}
+	out := ast.NewProgram()
+	for _, r := range prog.Rules {
+		if len(r.Assignments) > 0 || r.Aggregate != nil || r.EGD != nil || r.UsesDom || len(r.DomVars) > 0 {
+			t.Fatalf("the rename relation covers atoms and conditions only, not %s", r)
+		}
+		uses := make(map[string]int)
+		for _, a := range slices.Concat(r.Body, r.Heads) {
+			for _, arg := range a.Args {
+				if arg.IsVar {
+					uses[arg.Var]++
+				}
+			}
+		}
+		for _, c := range r.Conds {
+			for _, v := range c.L.Vars(c.R.Vars(nil)) {
+				uses[v] += 2
+			}
+		}
+		ground := len(r.Existentials()) == 0
+		vars := make(map[string]string)
+		rename := func(v string) string {
+			if v == "_" {
+				return v
+			}
+			n, ok := vars[v]
+			if !ok {
+				n = fmt.Sprintf("_anon%d_%d", len(vars)/2, len(vars)%2)
+				vars[v] = n
+			}
+			return n
+		}
+		atoms := func(as []ast.Atom) []ast.Atom {
+			out := make([]ast.Atom, len(as))
+			for i, a := range as {
+				out[i] = ast.Atom{Pred: pred(a.Pred), Negated: a.Negated, Args: slices.Clone(a.Args)}
+				for j, arg := range a.Args {
+					switch {
+					case !arg.IsVar:
+					case ground && !a.Negated && uses[arg.Var] == 1:
+						out[i].Args[j].Var = "_"
+					default:
+						out[i].Args[j].Var = rename(arg.Var)
+					}
+				}
+			}
+			return out
+		}
+		nr := &ast.Rule{Body: atoms(r.Body), Heads: atoms(r.Heads), IsConstraint: r.IsConstraint}
+		for _, c := range r.Conds {
+			nr.Conds = append(nr.Conds, ast.Condition{Op: c.Op, L: renameExpr(c.L, rename), R: renameExpr(c.R, rename)})
+		}
+		out.AddRule(nr)
+	}
+	for _, f := range facts {
+		renamedFacts = append(renamedFacts, MakeFact(pred(f.Pred), f.Args...))
+	}
+	return MustParse(out.String()), renamedFacts, back
+}
+
+// renameExpr renames the variables of e.
+func renameExpr(e ast.Expr, rename func(string) string) ast.Expr {
+	switch ex := e.(type) {
+	case ast.VarExpr:
+		return ast.VarExpr{Name: rename(ex.Name)}
+	case ast.BinExpr:
+		return ast.BinExpr{Op: ex.Op, L: renameExpr(ex.L, rename), R: renameExpr(ex.R, rename)}
+	case ast.FuncExpr:
+		args := make([]ast.Expr, len(ex.Args))
+		for i, a := range ex.Args {
+			args[i] = renameExpr(a, rename)
+		}
+		return ast.FuncExpr{Name: ex.Name, Args: args}
+	}
+	return e
+}
+
+// renameBack maps a seamAnswer of a renamed program back to the original
+// predicate names.
+func renameBack(answer string, back map[string]string) string {
+	if answer == "" {
+		return answer
+	}
+	lines := strings.Split(answer, "\n")
+	for i, l := range lines {
+		p, args, _ := strings.Cut(l, " ")
+		lines[i] = back[p] + " " + args
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
 // TestRandomScenarioPolicyAgreement is the central correctness property:
 // on randomly generated warded scenarios, every engine/policy combination
 // that terminates yields the same ground answers. At the engine seam it is
@@ -121,7 +230,8 @@ func seamAnswer(t *testing.T, prog *Program, chunks [][]Fact, preds []string, on
 // names their Skolem functions — derive the same ground facts and the same
 // multiset of null patterns (seamAnswer); so do both engines on the EDB
 // shuffled and cut into three chunks with a drive after each (open
-// relations).
+// relations), and on the program with every predicate and variable renamed
+// (renameScenario), mapped back.
 func TestRandomScenarioPolicyAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 6; trial++ {
@@ -195,6 +305,18 @@ func TestRandomScenarioPolicyAgreement(t *testing.T) {
 							trial, k, onChase, planner, strings.Count(got, "\n")+1, strings.Count(want, "\n")+1)
 					}
 				}
+			}
+		}
+		renamed, renamedFacts, back := renameScenario(t, prog, g.Facts)
+		var renamedPreds []string
+		for pred := range renamed.IDBPreds() {
+			renamedPreds = append(renamedPreds, pred)
+		}
+		for _, onChase := range []bool{false, true} {
+			got := renameBack(seamAnswer(t, renamed, [][]Fact{renamedFacts}, renamedPreds, onChase, false, false), back)
+			if got != want {
+				t.Errorf("trial %d, chase %v: the renamed program, mapped back, derives another answer\n got %d facts, want %d",
+					trial, onChase, strings.Count(got, "\n")+1, strings.Count(want, "\n")+1)
 			}
 		}
 		facts := slices.Clone(g.Facts)
