@@ -1,20 +1,25 @@
-// Package admit is the fact-production step both evaluators share: every
-// complete rule match, whichever scheduler found it, passes through one
+// Package admit is the firing step both evaluators share. The breadth-first
+// chase of internal/chase and the pipe-and-filters engine of
+// internal/pipeline differ only in when they fire a rule on a delta — BFS
+// delta batches there, pulls and sweeps here; what a firing does is decided
+// once, in Core: its binding (Binding, made on the rule's first firing), its
+// schedule (Steps: the static one for Skolem rules and with the planner off,
+// the cost-based planner's otherwise, with the plan's probe indexes presized
+// once per derived plan), its admission path (Fire matches and emits fused,
+// Replay admits captured matches in canonical order) and its explanation
+// (Explain). Every complete match then passes through one
 // termination-strategy wrapper (Algorithm 1 of the paper) before it is
-// stored. The breadth-first chase of internal/chase and the
-// pipe-and-filters engine of internal/pipeline differ only in how they
-// find matches; what happens to a match afterwards — constraint and EGD
-// enforcement, monotonic aggregation with supersession, existential
-// instantiation, the duplicate check, the termination check, budget
-// metering, storage, tag-twin mirroring and the canonical-order replay of
-// buffered matches — lives here, once.
+// stored: constraint and EGD enforcement, monotonic aggregation with
+// supersession, existential instantiation, the duplicate check, the
+// termination check, budget metering, storage and tag-twin mirroring live
+// here, once.
 //
 // Compiled is the compile-time half (rewrite, warded analysis, strata,
 // per-rule plans); Core is the per-run half (database, policy, meter, join
-// planner, aggregate state). An engine hands NewCore one hook, called with every
-// fact that was stored or replaced in place, and schedules from it: the
-// chase appends to its delta queue, the pipeline wakes its buffers. The
-// core never learns which engine drives it.
+// planner, bindings, aggregate state). An engine hands NewCore one hook,
+// called with every fact that was stored or replaced in place, and schedules
+// from it: the chase appends to its delta queue, the pipeline wakes its
+// buffers. The core never learns which engine drives it.
 package admit
 
 import (
@@ -184,8 +189,14 @@ type Core struct {
 	subst *eval.NullSubst
 	meter *core.Meter
 	pl    *planner.Planner // nil under Config.DisablePlanner
-	mt    eval.Matcher     // existential instantiation only
+	mt    eval.Matcher
 	aggs  []*eval.AggState
+	// bindings holds one reusable Binding per rule, made on the rule's first
+	// firing: a program with many rules that never fire pays nothing for
+	// them.
+	bindings []*eval.Binding
+	// matches counts the complete matches handed to Emit by Fire and Replay.
+	matches int
 	// headRels caches, per rule and head, the relation emitHeads admits
 	// into: resolved by name on the first emission, never dropped after.
 	headRels [][]*storage.Relation
@@ -237,6 +248,7 @@ func (p *Compiled) NewCore(onAdmit func(m *core.FactMeta)) *Core {
 		c.pl = planner.New(planner.LiveCatalog{DB: c.db, Meter: c.meter})
 	}
 	c.mt.DB = c.db
+	c.bindings = make([]*eval.Binding, len(p.Rules))
 	nHeads := 0
 	for _, cr := range p.Rules {
 		nHeads += len(cr.Heads)
@@ -269,6 +281,17 @@ func (c *Core) Planner() *planner.Planner { return c.pl }
 // predicate of the compiled program: a fact of it arriving after a
 // negation was settled can falsify what the negation derived.
 func (c *Core) ReachesNegation(pred string) bool { return c.p.reachesNeg[pred] }
+
+// Binding returns rule ri's binding, making it on the rule's first firing.
+func (c *Core) Binding(ri int) *eval.Binding {
+	if c.bindings[ri] == nil {
+		c.bindings[ri] = eval.NewBinding(c.p.Rules[ri])
+	}
+	return c.bindings[ri]
+}
+
+// Matches reports how many complete matches Fire and Replay handed to Emit.
+func (c *Core) Matches() int { return c.matches }
 
 // Subst exposes the EGD null substitution.
 func (c *Core) Subst() *eval.NullSubst { return c.subst }
@@ -658,20 +681,110 @@ func (c *Core) replaceTagTwin(old ast.Fact, m *core.FactMeta) {
 	}
 }
 
+// Steps returns the schedule a firing of rule ri pinned at pos runs; cr is
+// ri itself or the body its CSE group matches once for all members. Skolem
+// rules fix their enumeration order by construction and run cr's static
+// schedule, as does every rule under Config.DisablePlanner; every other
+// firing runs the planner's plan for (cr, pos). A plan's probe indexes are
+// presized on the call that derived it, once per derived plan.
+func (c *Core) Steps(ri int, cr *eval.CompiledRule, pos int) []eval.Step {
+	if c.pl == nil || c.p.Skolem[ri] {
+		return cr.Schedule(pos)
+	}
+	derives := c.pl.Derives()
+	p := c.pl.PlanFor(cr, pos)
+	if c.pl.Derives() != derives {
+		for _, pr := range p.Probes {
+			if rel := c.db.Lookup(pr.Pred); rel != nil {
+				rel.EnsureIndexSized(pr.Mask, pr.Keys)
+			}
+		}
+	}
+	return p.Steps
+}
+
+// Match enumerates the matches of a firing of rule ri — cr is ri or its CSE
+// group's body, see Steps — with Pos[pos] pinned to the stored delta m,
+// handing each complete binding to fn in b. Nothing is admitted: engines
+// that buffer a firing capture what fn sees and Replay it.
+func (c *Core) Match(ri int, cr *eval.CompiledRule, pos int, m *core.FactMeta, b *eval.Binding, fn func(*eval.Binding) error) error {
+	return c.mt.MatchPinnedSteps(cr, pos, m, c.Steps(ri, cr, pos), b, fn)
+}
+
+// Fire is the fused firing of rule ri pinned at pos to delta m: every match
+// is emitted as it is enumerated, so the enumeration order is the admission
+// order — the path of rules whose matching mints nulls, and of any firing
+// whose enumeration order is already canonical. It returns how many facts
+// were stored or replaced.
+func (c *Core) Fire(ri, pos int, m *core.FactMeta, b *eval.Binding) (int, error) {
+	admitted := 0
+	err := c.Match(ri, c.p.Rules[ri], pos, m, b, func(b *eval.Binding) error {
+		c.matches++
+		n, err := c.Emit(ri, b)
+		admitted += n
+		return err
+	})
+	return admitted, err
+}
+
 // Replay runs the bindings lg captured for rule ri through Emit in the
 // order perm gives (eval.BindingLog.CanonicalOrder over ri's range of lg),
 // restoring each into b — the one path from a buffered match to the store,
 // for the ranges of the chase's batch log and the pipeline's buffered
-// firings alike. It returns how many facts were stored or replaced.
-func (c *Core) Replay(ri int, lg *eval.BindingLog, perm []int32, b *eval.Binding) (int, error) {
+// firings alike. A CSE group member replays the range its group's body
+// captured: post is its PostMatchSteps, the assignments and conditions the
+// body match did not run (nil for a range ri captured itself). It returns
+// how many facts were stored or replaced.
+func (c *Core) Replay(ri int, lg *eval.BindingLog, perm []int32, b *eval.Binding, post []eval.Step) (int, error) {
 	admitted := 0
-	for _, i := range perm {
-		lg.Restore(int(i), c.db.Interner(), b)
+	emit := func(b *eval.Binding) error {
+		c.matches++
 		n, err := c.Emit(ri, b)
 		admitted += n
+		return err
+	}
+	for _, i := range perm {
+		lg.Restore(int(i), c.db.Interner(), b)
+		var err error
+		if post == nil {
+			err = emit(b)
+		} else {
+			err = c.mt.Replay(c.p.Rules[ri], post, b, emit)
+		}
 		if err != nil {
 			return admitted, err
 		}
 	}
 	return admitted, nil
+}
+
+// Explain renders the access plan annotated, per rule and per delta-pinned
+// body atom, with the join order the cost-based planner holds for what that
+// firing runs and the estimates that drove it, against the statistics at
+// call time — so explaining after a run shows the orders it converged on.
+// note, when non-nil, names a firing (rule ri pinned at pos) that runs
+// another rule than ri — a CSE group's body — and the text appended to its
+// line. Skolem rules run their static schedules and say so; with the planner
+// disabled Explain renders the plain plan.
+func (c *Core) Explain(note func(ri, pos int) (runs *eval.CompiledRule, text string)) string {
+	var annotate func(ri int, cr *eval.CompiledRule) []string
+	if c.pl != nil {
+		annotate = func(ri int, cr *eval.CompiledRule) []string {
+			if c.p.Skolem[ri] {
+				return []string{"static schedule (inline rule)"}
+			}
+			lines := make([]string, 0, len(cr.Pos))
+			for pos := range cr.Pos {
+				runs, text := cr, ""
+				if note != nil {
+					if body, t := note(ri, pos); body != nil {
+						runs, text = body, t
+					}
+				}
+				lines = append(lines, c.pl.Describe(runs, pos)+text)
+			}
+			return lines
+		}
+	}
+	return planner.RenderPlan(c.p.Prog, c.p.Preds, c.p.Rules, annotate)
 }

@@ -130,7 +130,7 @@ func (h *harness) capture(delta string) *eval.BindingLog {
 // canonical order.
 func (h *harness) replay(lg *eval.BindingLog) {
 	h.t.Helper()
-	if _, err := h.c.Replay(0, lg, lg.CanonicalOrder(nil, 0, lg.Len()), h.bs[0]); err != nil {
+	if _, err := h.c.Replay(0, lg, lg.CanonicalOrder(nil, 0, lg.Len()), h.bs[0], nil); err != nil {
 		h.t.Fatal(err)
 	}
 }

@@ -131,7 +131,7 @@ func TestEmitAllocationContract(t *testing.T) {
 			}
 			perm := lg.CanonicalOrder(nil, 0, lg.Len())
 			replayed := testing.AllocsPerRun(5, func() {
-				if _, err := k.c.Replay(0, lg, perm, k.b); err != nil {
+				if _, err := k.c.Replay(0, lg, perm, k.b, nil); err != nil {
 					k.err = err
 				}
 			})

@@ -84,8 +84,10 @@ func (r *Result) Output(pred string) []ast.Fact {
 type Compiled struct {
 	*admit.Compiled // rewritten program, analysis, per-rule plans
 
-	// byPred maps predicate -> (rule idx, pos idx) pairs for delta pinning.
-	byPred map[string][][2]int
+	// firings[s][pred] lists, in rule order, the firings a delta of pred
+	// schedules in a batch of stratum s: one per positive atom over pred of a
+	// rule of that stratum.
+	firings []map[string][]firing
 
 	// stratum is each rule's stratum and readers each predicate's distinct
 	// reader strata, ascending, when the program negates (admit.Compiled's
@@ -100,6 +102,16 @@ type Compiled struct {
 	groups    []cseGroup
 	groupOf   map[[2]int]int // (rule idx, pinned pos) -> group idx
 	postSteps [][]eval.Step  // per rule: assign/cond replay steps (grouped rules)
+}
+
+// firing is one (rule, pinned atom) a delta schedules. A firing of a CSE
+// group carries the group and lead, the offset in its firings list of the
+// group's first firing: for each delta that one leads, matching the shared
+// body once, and the others follow, replaying its range.
+type firing struct {
+	ri, pos int32
+	g       int32 // CSE group, -1 when ungrouped
+	lead    int32 // offset of the group's first firing, -1 ungrouped
 }
 
 // cseGroup is one set of rules sharing a positive body (see
@@ -117,19 +129,45 @@ func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Compiled{Compiled: ac, byPred: make(map[string][][2]int)}
-	for i, cr := range c.Rules {
-		for pi, a := range cr.Pos {
-			c.byPred[a.Pred] = append(c.byPred[a.Pred], [2]int{i, pi})
-		}
-	}
+	c := &Compiled{Compiled: ac}
 	if c.Strata != nil {
 		c.stratifyRules()
 	}
 	if !opts.DisablePlanner {
 		c.buildCSEGroups()
 	}
+	c.listFirings()
 	return c, nil
+}
+
+// listFirings fills firings from the rules, their strata and CSE groups.
+func (c *Compiled) listFirings() {
+	strata := 1
+	for _, s := range c.stratum {
+		strata = max(strata, s+1)
+	}
+	c.firings = make([]map[string][]firing, strata)
+	for s := range c.firings {
+		c.firings[s] = make(map[string][]firing)
+	}
+	for ri, cr := range c.Rules {
+		s := 0
+		if c.stratum != nil {
+			s = c.stratum[ri]
+		}
+		for pi, a := range cr.Pos {
+			fs := c.firings[s][a.Pred]
+			f := firing{ri: int32(ri), pos: int32(pi), g: -1, lead: -1}
+			if g, ok := c.groupOf[[2]int{ri, pi}]; ok {
+				f.g = int32(g)
+				f.lead = int32(slices.IndexFunc(fs, func(o firing) bool { return o.g == f.g }))
+				if f.lead < 0 {
+					f.lead = int32(len(fs))
+				}
+			}
+			c.firings[s][a.Pred] = append(fs, f)
+		}
+	}
 }
 
 // stratifyRules fills stratum and readers. A rule's stratum is its head's;
@@ -216,16 +254,14 @@ func (c *Compiled) buildCSEGroups() {
 // shared Compiled artifact. Engines are cheap to create and are for use
 // by a single goroutine; share the Compiled, not the Engine.
 type Engine struct {
-	// Core owns the database, termination policy, meter and aggregate
-	// state and does everything that happens to a match once found; the
-	// engine's part of admission is enqueue, the hook it hands the core.
+	// Core owns the database, termination policy, meter, bindings and
+	// aggregate state and decides everything a firing does; the engine's
+	// part of admission is enqueue, the hook it hands the core.
 	*admit.Core
-	c  *Compiled
-	mt *eval.Matcher
+	c *Compiled
 
-	// bindings holds one reusable Binding per rule, gbindings one per CSE
-	// group body, each made on its first firing (see binding).
-	bindings  []*eval.Binding
+	// gbindings holds one reusable Binding per CSE group body, made on its
+	// first firing (see gbinding).
 	gbindings []*eval.Binding
 
 	// queues holds the deltas waiting for a batch, one queue per rule
@@ -245,16 +281,11 @@ type Engine struct {
 	// task. log holds the candidate bindings every task captured in the
 	// match phase, task by task, and perm their canonical admission order,
 	// computed between the match phase and the replay: perm[t.lo:t.hi] is
-	// task t's. plans holds the batch's planned schedules, one per firing
-	// shape (planSeen: shape -> index). All of it grows amortized over the
-	// run.
-	tasks    []task
-	log      eval.BindingLog
-	perm     []int32
-	plans    [][]eval.Step
-	planSeen map[[2]int]int32
-	cseSeen  map[cseSeenKey]int32
-	shared   int // follower firings served from a shared body range
+	// task t's. All of it grows amortized over the run.
+	tasks  []task
+	log    eval.BindingLog
+	perm   []int32
+	shared int // follower firings served from a shared body range
 
 	// errTask is the first task of the batch whose enumeration failed (-1:
 	// none) and taskErr its error, surfaced once that task's captured
@@ -270,19 +301,13 @@ type Engine struct {
 }
 
 // task is one scheduled firing: rule ri with its pos-th body atom pinned
-// to delta fact m. Firings of a CSE group carry the group id and the
-// index of the group's leader task for this delta: the leader enumerates
-// the shared body once, followers replay from its range of the log. A
-// batch holds a task per firing of every delta it drains, so the struct is
-// kept small.
+// to delta fact m. A firing of a CSE group has lead set to the index of
+// the group's leader task for this delta: the leader enumerates the shared
+// body once, followers replay from its range of the log. A batch holds a
+// task per firing of every delta it drains, so the struct is kept small.
 type task struct {
-	m    *core.FactMeta
-	ri   int32
-	pos  int32
-	g    int32 // CSE group, -1 when ungrouped
-	lead int32 // task index of the group leader for this delta, -1 ungrouped
-	// plan indexes the batch's planned schedules, -1 for the static one.
-	plan int32
+	m *core.FactMeta
+	firing
 	// lo and hi delimit the entries of the batch's log the task captured.
 	lo, hi int32
 }
@@ -291,40 +316,18 @@ type task struct {
 // instead of matching.
 func (t *task) follower(ti int) bool { return t.lead >= 0 && int(t.lead) != ti }
 
-// cseSeenKey identifies "this delta's firings of this group" while tasks
-// are scheduled: the first one becomes the leader.
-type cseSeenKey struct {
-	m *core.FactMeta
-	g int
-}
-
 // NewEngine derives fresh run-time state (database, interner, strategy,
-// bindings, queue) over the shared compiled artifact.
+// queues) over the shared compiled artifact; bindings are made on their
+// first firing.
 func (c *Compiled) NewEngine() *Engine {
-	queues := 1
-	for _, s := range c.stratum {
-		queues = max(queues, s+1)
-	}
-	e := &Engine{c: c, queues: make([][]*core.FactMeta, queues)}
+	e := &Engine{c: c, queues: make([][]*core.FactMeta, len(c.firings))}
 	e.Core = c.NewCore(e.enqueue)
-	e.mt = &eval.Matcher{DB: e.DB()}
-	e.planSeen = make(map[[2]int]int32)
-	e.cseSeen = make(map[cseSeenKey]int32)
-	e.bindings = make([]*eval.Binding, len(c.Rules))
 	e.gbindings = make([]*eval.Binding, len(c.groups))
 	return e
 }
 
-// binding returns rule ri's binding, making it on the rule's first firing:
-// a program with many rules that never fire pays nothing for them.
-func (e *Engine) binding(ri int) *eval.Binding {
-	if e.bindings[ri] == nil {
-		e.bindings[ri] = eval.NewBinding(e.c.Rules[ri])
-	}
-	return e.bindings[ri]
-}
-
-// gbinding is binding for CSE group g's shared body.
+// gbinding returns CSE group g's shared-body binding, making it on the
+// group's first firing (admit.Core.Binding makes a rule's).
 func (e *Engine) gbinding(g int) *eval.Binding {
 	if e.gbindings[g] == nil {
 		e.gbindings[g] = eval.NewBinding(e.c.groups[g].body)
@@ -457,7 +460,7 @@ func (e *Engine) Run(ctx context.Context, edb []ast.Fact) (*Result, error) {
 // later Run re-grows them.
 func (e *Engine) releaseBatch() {
 	clear(e.queues)
-	e.tasks, e.perm, e.plans = nil, nil, nil
+	e.tasks, e.perm = nil, nil
 	e.log = eval.BindingLog{}
 }
 
@@ -484,27 +487,16 @@ func (e *Engine) step(ctx context.Context) (err error) {
 	batch := e.queues[s][:n:n]
 	e.queues[s] = e.queues[s][n:]
 	e.tasks = e.tasks[:0]
-	clear(e.cseSeen)
 	for _, m := range batch {
 		if m.Retracted {
 			continue // superseded aggregate intermediate, no longer a fact
 		}
-		for _, rp := range e.c.byPred[m.Fact.Pred] {
-			if e.c.stratum != nil && e.c.stratum[rp[0]] != s {
-				continue
+		base := int32(len(e.tasks))
+		for _, f := range e.c.firings[s][m.Fact.Pred] {
+			if f.lead >= 0 {
+				f.lead += base
 			}
-			t := task{m: m, ri: int32(rp[0]), pos: int32(rp[1]), g: -1, lead: -1, plan: -1}
-			if gid, ok := e.c.groupOf[rp]; ok {
-				t.g = int32(gid)
-				key := cseSeenKey{m: m, g: gid}
-				if li, seen := e.cseSeen[key]; seen {
-					t.lead = li
-				} else {
-					t.lead = int32(len(e.tasks))
-					e.cseSeen[key] = t.lead
-				}
-			}
-			e.tasks = append(e.tasks, t)
+			e.tasks = append(e.tasks, task{m: m, firing: f})
 		}
 	}
 	if len(e.tasks) == 0 {
@@ -522,7 +514,6 @@ func (e *Engine) step(ctx context.Context) (err error) {
 		}
 	}()
 	e.firing = nil
-	e.planBatch()
 	tMatch := time.Now()
 	err = e.matchBatch(ctx)
 	e.phaseMatch += time.Since(tMatch)
@@ -539,45 +530,6 @@ func (e *Engine) step(ctx context.Context) (err error) {
 		e.queues[s] = append(batch, e.queues[s]...)
 	}
 	return err
-}
-
-// planBatch derives (or revalidates) the schedule of every distinct
-// firing shape in the batch against the current statistics, presizing
-// planned probe indexes. With the planner disabled every task's plan stays
-// -1 and every firing runs its static schedule.
-func (e *Engine) planBatch() {
-	pl := e.Planner()
-	if pl == nil {
-		return
-	}
-	clear(e.planSeen)
-	clear(e.plans)
-	e.plans = e.plans[:0]
-	for ti := range e.tasks {
-		t := &e.tasks[ti]
-		if e.c.Skolem[t.ri] || t.follower(ti) {
-			continue // inline firings keep the static schedule; followers share
-		}
-		key := [2]int{int(t.ri), int(t.pos)}
-		cr := e.c.Rules[t.ri]
-		if t.lead >= 0 {
-			key = [2]int{-1 - int(t.g), int(t.pos)}
-			cr = e.c.groups[t.g].body
-		}
-		pi, ok := e.planSeen[key]
-		if !ok {
-			plan := pl.PlanFor(cr, int(t.pos))
-			for _, pr := range plan.Probes {
-				if rel := e.DB().Lookup(pr.Pred); rel != nil {
-					rel.EnsureIndexSized(pr.Mask, pr.Keys)
-				}
-			}
-			pi = int32(len(e.plans))
-			e.plans = append(e.plans, plan.Steps)
-			e.planSeen[key] = pi
-		}
-		t.plan = pi
-	}
 }
 
 // matchBatch runs the match phase: every task of the batch is matched, in
@@ -618,20 +570,17 @@ func (e *Engine) matchTask(ti int) {
 	if t.follower(ti) {
 		return // replays the leader's shared body range at admit
 	}
-	cr := e.c.Rules[t.ri]
+	ri := int(t.ri)
+	cr := e.c.Rules[ri]
 	e.firing = cr.Rule
 	var b *eval.Binding
 	n := 1
-	if t.lead >= 0 {
+	if t.g >= 0 {
 		cr = e.c.groups[t.g].body
 		b = e.gbinding(int(t.g))
 		n = len(e.c.groups[t.g].members)
 	} else {
-		b = e.binding(int(t.ri))
-	}
-	steps := cr.Schedule(int(t.pos))
-	if t.plan >= 0 {
-		steps = e.plans[t.plan]
+		b = e.Binding(ri)
 	}
 	e.log.Shape(cr)
 	err := siteMatch.Check()
@@ -639,7 +588,7 @@ func (e *Engine) matchTask(ti int) {
 		rule := e.firing
 		err = fmt.Errorf("chase: %d:%d: rule %d: %w", rule.Line, rule.Col, rule.ID, err)
 	} else {
-		err = e.mt.MatchPinnedSteps(cr, int(t.pos), t.m, steps, b, func(b *eval.Binding) error {
+		err = e.Match(ri, cr, int(t.pos), t.m, b, func(b *eval.Binding) error {
 			if e.room -= n; e.room < 0 {
 				return errBatchOverflow
 			}
@@ -692,10 +641,9 @@ func (e *Engine) admitBatch(ctx context.Context) error {
 			continue
 		}
 		ri := int(t.ri)
-		cr := e.c.Rules[ri]
-		e.firing = cr.Rule // positions a crash recovered by step
+		e.firing = e.c.Rules[ri].Rule // positions a crash recovered by step
 		if e.c.Skolem[ri] {
-			if err := e.fire(ri, int(t.pos), t.m); err != nil {
+			if _, err := e.Fire(ri, int(t.pos), t.m, e.Binding(ri)); err != nil {
 				return err
 			}
 			continue
@@ -705,22 +653,15 @@ func (e *Engine) admitBatch(ctx context.Context) error {
 			src = t.lead
 			e.shared++
 		}
+		// A group member's range holds the shared body match: it replays
+		// its private assignments and conditions before emitting.
+		var post []eval.Step
+		if t.g >= 0 {
+			post = e.c.postSteps[ri]
+		}
 		perm := e.perm[e.tasks[src].lo:e.tasks[src].hi]
-		b := e.binding(ri)
-		if t.g < 0 {
-			if _, err := e.Replay(ri, &e.log, perm, b); err != nil {
-				return err
-			}
-		} else {
-			// Group member: the range holds the shared body match; replay
-			// this rule's private assignments and conditions, then emit.
-			replayEmit := func(b *eval.Binding) error { return e.emit(ri, b) }
-			for _, i := range perm {
-				e.log.Restore(int(i), e.DB().Interner(), b)
-				if err := e.mt.Replay(cr, e.c.postSteps[ri], b, replayEmit); err != nil {
-					return err
-				}
-			}
+		if _, err := e.Replay(ri, &e.log, perm, e.Binding(ri), post); err != nil {
+			return err
 		}
 		if src == e.errTask {
 			return e.taskErr
@@ -747,22 +688,6 @@ func (e *Engine) PlannerStats() (derives, replans, sharedFirings int) {
 // pipeline. The split shows whether a workload is admission-bound.
 func (e *Engine) PhaseStats() (match, prepass, admit time.Duration) {
 	return e.phaseMatch, 0, e.phaseAdmit
-}
-
-// fire applies rule ri with its pos-th body atom pinned to delta fact m,
-// matching and emitting fused (the admit-phase path for rules whose
-// matching mints nulls).
-func (e *Engine) fire(ri, pos int, m *core.FactMeta) error {
-	return e.mt.MatchPinned(e.c.Rules[ri], pos, m, e.binding(ri), func(b *eval.Binding) error {
-		return e.emit(ri, b)
-	})
-}
-
-// emit hands one complete binding of rule ri to the admission core; what
-// it admits comes back through enqueue.
-func (e *Engine) emit(ri int, b *eval.Binding) error {
-	_, err := e.Emit(ri, b)
-	return err
 }
 
 // Run is the convenience one-shot entry point.

@@ -2,6 +2,7 @@ package chase
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
@@ -82,36 +83,108 @@ func TestPlannerSkewOrder(t *testing.T) {
 	}
 }
 
+// cseScenarios are programs whose rules share positive bodies: three
+// rules of one stratum over one body, and groups whose members span two
+// strata, with an ungrouped firing ahead of them in the upper stratum's
+// firing list so that its leaders sit at other offsets than the lower one's.
+func cseScenarios() []struct {
+	name, src string
+	facts     []ast.Fact
+} {
+	var chain, nodes []ast.Fact
+	for i := 0; i < 30; i++ {
+		chain = append(chain, ast.NewFact("e", term.Int(int64(i)), term.Int(int64(i+1))))
+		nodes = append(nodes, ast.NewFact("n", term.Int(int64(i))))
+	}
+	return []struct {
+		name, src string
+		facts     []ast.Fact
+	}{
+		{"one stratum", `
+			e(X,Y), e(Y,Z) -> grand(X,Z).
+			e(X,Y), e(Y,Z) -> sibling(Z,X).
+			e(X,Y), e(Y,Z), X != Z -> strict(X,Z).
+		`, chain},
+		{"two strata", `
+			e(X,Y), e(Y,Z) -> p(X,Z).
+			e(X,Y), e(Y,Z) -> grand(X,Z).
+			n(X), not p(X,X) -> s(X,X).
+			e(X,Y), not p(X,Y) -> s(X,Y).
+			e(X,Y), e(Y,Z) -> s(X,Z).
+			e(X,Y), e(Y,Z), X != Z -> s(Z,X).
+		`, append(chain, nodes...)},
+	}
+}
+
 // TestCSESharedBodies: rules sharing a positive body are matched through
 // one shared cursor per delta; the shared-firing counter proves the
 // sharing happened and the bytes prove it did not change the result.
 func TestCSESharedBodies(t *testing.T) {
-	src := `
-		e(X,Y), e(Y,Z) -> grand(X,Z).
-		e(X,Y), e(Y,Z) -> sibling(Z,X).
-		e(X,Y), e(Y,Z), X != Z -> strict(X,Z).
-	`
-	var facts []ast.Fact
-	for i := 0; i < 30; i++ {
-		facts = append(facts, ast.NewFact("e", term.Int(int64(i)), term.Int(int64(i+1))))
+	for _, sc := range cseScenarios() {
+		t.Run(sc.name, func(t *testing.T) {
+			base := dbBytes(runWithOpts(t, sc.src, sc.facts, Options{DisablePlanner: true}))
+			c, err := Compile(parser.MustParse(sc.src), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(c.groups) == 0 {
+				t.Fatal("no CSE groups built for identical bodies")
+			}
+			if c.stratum != nil {
+				spans := false
+				for _, g := range c.groups {
+					for _, m := range g.members {
+						spans = spans || c.stratum[m[0]] != c.stratum[g.members[0][0]]
+					}
+				}
+				if !spans {
+					t.Fatal("no CSE group spans strata")
+				}
+			}
+			e := c.NewEngine()
+			res, err := e.Run(context.Background(), sc.facts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := dbBytes(res); got != base {
+				t.Error("CSE run diverges from planner-off run")
+			}
+			if _, _, shared := e.PlannerStats(); shared == 0 {
+				t.Error("no shared firings recorded")
+			}
+		})
 	}
-	base := dbBytes(runWithOpts(t, src, facts, Options{DisablePlanner: true}))
-	c, err := Compile(parser.MustParse(src), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.groups) == 0 {
-		t.Fatal("no CSE groups built for identical bodies")
-	}
-	e := c.NewEngine()
-	res, err := e.Run(context.Background(), facts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dbBytes(res); got != base {
-		t.Error("CSE run diverges from planner-off run")
-	}
-	if _, _, shared := e.PlannerStats(); shared == 0 {
-		t.Error("no shared firings recorded")
+}
+
+// TestExplainKeepsPlans: Explain describes the plans the firings run — a
+// grouped firing's is its group body's — so explaining after Run derives
+// no plan and evicts none: a resumed run plans nothing either.
+func TestExplainKeepsPlans(t *testing.T) {
+	for _, sc := range cseScenarios() {
+		t.Run(sc.name, func(t *testing.T) {
+			c, err := Compile(parser.MustParse(sc.src), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := c.NewEngine()
+			ctx := context.Background()
+			if _, err := e.Run(ctx, sc.facts); err != nil {
+				t.Fatal(err)
+			}
+			derives, _, _ := e.PlannerStats()
+			if !strings.Contains(e.Explain(), "[shared body ×") {
+				t.Error("Explain marks no shared body")
+			}
+			if got, _, _ := e.PlannerStats(); got != derives {
+				t.Errorf("Explain after Run moved derives %d -> %d", derives, got)
+			}
+			more := []ast.Fact{ast.NewFact("e", term.Int(100), term.Int(101))}
+			if _, err := e.Run(ctx, more); err != nil {
+				t.Fatal(err)
+			}
+			if got, _, _ := e.PlannerStats(); got != derives {
+				t.Errorf("Explain, then a resumed Run, moved derives %d -> %d", derives, got)
+			}
+		})
 	}
 }

@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/admit"
 	"repro/internal/ast"
-	"repro/internal/eval"
-	"repro/internal/planner"
 	"repro/internal/storage"
 )
 
@@ -119,18 +117,17 @@ func (c *Compiled) NewSession() *Session {
 		timing: c.Config().PhaseTiming,
 	}
 	s.Core = c.NewCore(s.admitted)
-	s.mt = &eval.Matcher{DB: s.DB()}
 	//vadalint:ordered keyed effects only: Rel keeps db.names sorted, hub registration is per-pred
 	for pred, arity := range c.Preds {
 		s.hubs[pred] = &hub{pred: pred, rel: s.DB().Rel(pred, arity)}
 	}
 	// One block of filters, and one block each for every filter's
-	// relations, cursors and plans, cut per rule.
+	// relations and cursors, cut per rule.
 	atoms := 0
 	for _, cr := range c.Rules {
 		atoms += len(cr.Pos)
 	}
-	rels, cursors, sized := make([]*storage.Relation, atoms), make([]int, atoms), make([]*planner.Plan, atoms)
+	rels, cursors := make([]*storage.Relation, atoms), make([]int, atoms)
 	s.filters = make([]ruleFilter, len(c.Rules))
 	for i, cr := range c.Rules {
 		n := len(cr.Pos)
@@ -138,7 +135,6 @@ func (c *Compiled) NewSession() *Session {
 		f.idx, f.cr, f.bounded = i, cr, c.bounded[i]
 		f.rels, rels = rels[:n:n], rels[n:]
 		f.cursors, cursors = cursors[:n:n], cursors[n:]
-		f.sized, sized = sized[:n:n], sized[n:]
 		if c.waits != nil {
 			f.waits = c.waits[i]
 		}

@@ -37,7 +37,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/fault"
-	"repro/internal/planner"
 	"repro/internal/storage"
 	"repro/internal/term"
 )
@@ -87,12 +86,11 @@ func (f Feeder) Drain(ctx context.Context) error {
 // and are for use by a single goroutine; share the Compiled, not the
 // Session.
 type Session struct {
-	// Core owns the database, termination policy, meter and aggregate
-	// state and does everything that happens to a match once found; the
-	// session's part of admission is admitted, the hook it hands the core.
+	// Core owns the database, termination policy, meter, bindings and
+	// aggregate state and decides everything a firing does; the session's
+	// part of admission is admitted, the hook it hands the core.
 	*admit.Core
-	c  *Compiled
-	mt *eval.Matcher
+	c *Compiled
 
 	filters []ruleFilter
 	hubs    map[string]*hub
@@ -121,9 +119,6 @@ type Session struct {
 	// planner, or the static schedule) that enumerated them.
 	log     eval.BindingLog
 	permBuf []int32
-
-	// matches counts complete matches handed to admission (Emit or Replay).
-	matches int
 
 	// timing/clock accumulate the phase wall-time split when
 	// Options.PhaseTiming is set.
@@ -171,12 +166,9 @@ type hub struct {
 // ruleFilter is one rule's filter node. cr is shared read-only with the
 // Compiled artifact; everything else is per-session.
 type ruleFilter struct {
-	idx int
-	cr  *eval.CompiledRule
-	// binding is made on the filter's first firing (see bind); bounded is
-	// the rule's Compiled.bounded.
-	binding *eval.Binding
-	bounded bool
+	idx     int
+	cr      *eval.CompiledRule
+	bounded bool // the rule's Compiled.bounded
 
 	// rels[i] is body atom i's relation, resolved once at session start;
 	// cursors[i] counts its facts already consumed as deltas.
@@ -187,11 +179,6 @@ type ruleFilter struct {
 	// waits is the filter's Compiled.waits: it is dry until Session.settled
 	// reaches it.
 	waits int
-
-	// sized[pos] is the last plan whose presize hints were applied for
-	// firings pinned at pos; hints re-apply only when re-planning yields
-	// a new plan, not on every firing.
-	sized []*planner.Plan
 }
 
 // New compiles prog and opens a session over it in one step (the
@@ -578,30 +565,20 @@ func (s *Session) clearResumableFailure() {
 // check of Emit. Rules over superseded predicates and aggregate rules match
 // against the whole relation.
 //
-// Skolem rules keep the static schedule; everything else runs the
-// (possibly cost-based) planned one. A firing whose enumeration order is
-// already canonical is fused — each complete match is emitted as it is
-// enumerated; any other is buffered — candidates go into a binding log
-// against pre-firing state and are replayed in canonical order
+// The core picks the schedule (admit.Core.Steps). A firing whose
+// enumeration order is already canonical is fused — each complete match is
+// emitted as it is enumerated; any other is buffered — candidates go into a
+// binding log against pre-firing state and are replayed in canonical order
 // (eval.BindingLog.CanonicalOrder), which depends only on which rows
 // matched, so every join order produces byte-identical output.
 func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
-	cr, b := f.cr, f.bind()
-	inline := s.c.Skolem[f.idx]
-	steps := cr.Schedule(pos)
-	if pl := s.Planner(); pl != nil && !inline {
-		p := pl.PlanFor(cr, pos)
-		steps = p.Steps
-		if f.sized[pos] != p {
-			f.sized[pos] = p
-			for _, pr := range p.Probes {
-				if rel := s.DB().Lookup(pr.Pred); rel != nil {
-					rel.EnsureIndexSized(pr.Mask, pr.Keys)
-				}
-			}
-		}
+	b := s.Binding(f.idx)
+	if f.bounded {
+		// The cursors are the bound: none of these relations is ever
+		// rewritten in place, so a cursor's delta count is a row count.
+		b.RowBound = f.cursors
 	}
-	if inline || len(cr.Pos) <= 2 {
+	if s.c.Skolem[f.idx] || len(f.cr.Pos) <= 2 {
 		// Inline rules fix their order by construction. With at most one
 		// body atom left after pinning there is only one possible join
 		// order: enumeration order is plan-independent (storage row order)
@@ -609,24 +586,16 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 		// capture/sort/replay round trip.
 		t0 := s.now()
 		defer s.lap(&s.clock.match, t0) // fused: matching and admission interleave
-		admitted := 0
-		err := s.mt.MatchPinnedSteps(cr, pos, m, steps, b, func(b *eval.Binding) error {
-			s.matches++
-			n, err := s.Emit(f.idx, b)
-			admitted += n
-			return err
-		})
-		return admitted, err
+		return s.Fire(f.idx, pos, m, b)
 	}
 	lg := &s.log
 	lg.Reset()
-	lg.Shape(cr)
+	lg.Shape(f.cr)
 	tm := s.now()
-	err := s.mt.MatchPinnedSteps(cr, pos, m, steps, b, func(b *eval.Binding) error {
+	err := s.Match(f.idx, f.cr, pos, m, b, func(b *eval.Binding) error {
 		lg.Capture(b)
 		return nil
 	})
-	s.matches += lg.Len()
 	s.lap(&s.clock.match, tm)
 	if err != nil {
 		return 0, err
@@ -635,21 +604,7 @@ func (s *Session) fire(f *ruleFilter, pos int, m *core.FactMeta) (int, error) {
 	s.permBuf = perm
 	ta := s.now()
 	defer s.lap(&s.clock.admit, ta)
-	return s.Replay(f.idx, lg, perm, b)
-}
-
-// bind returns the filter's binding, making it on the first firing: a
-// program with many rules that never fire pays nothing for them.
-func (f *ruleFilter) bind() *eval.Binding {
-	if f.binding == nil {
-		f.binding = eval.NewBinding(f.cr)
-		if f.bounded {
-			// The cursors are the bound: none of these relations is ever
-			// rewritten in place, so a cursor's delta count is a row count.
-			f.binding.RowBound = f.cursors
-		}
-	}
-	return f.binding
+	return s.Replay(f.idx, lg, perm, b, nil)
 }
 
 // Drain materializes the complete reasoning result (all output predicates

@@ -53,8 +53,8 @@ func TestBoundedFiringMatchesOnce(t *testing.T) {
 				}
 			}
 		}
-		if combos == 0 || s.matches != combos || len(s.Output("tri")) != combos {
-			t.Errorf("%d complete matches, %d tri facts, for %d distinct body-fact combinations", s.matches, len(s.Output("tri")), combos)
+		if combos == 0 || s.Matches() != combos || len(s.Output("tri")) != combos {
+			t.Errorf("%d complete matches, %d tri facts, for %d distinct body-fact combinations", s.Matches(), len(s.Output("tri")), combos)
 		}
 	})
 	t.Run("recursive join", func(t *testing.T) {
@@ -71,8 +71,8 @@ func TestBoundedFiringMatchesOnce(t *testing.T) {
 				}
 			}
 		}
-		if s.matches != combos {
-			t.Errorf("%d complete matches for %d distinct body-fact combinations", s.matches, combos)
+		if s.Matches() != combos {
+			t.Errorf("%d complete matches for %d distinct body-fact combinations", s.Matches(), combos)
 		}
 	})
 }
@@ -92,12 +92,6 @@ func TestBoundedRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := c.NewSession()
-	for i, cr := range c.Rules {
-		want := cr.Rule.Heads[0].Pred == "stake"
-		if b := s.filters[i].bind(); c.bounded[i] != want || (b.RowBound != nil) != want {
-			t.Errorf("rule %s: bounded %v, row bound %v; want %v", cr.Rule, c.bounded[i], b.RowBound, want)
-		}
-	}
 	if err := s.Run(context.Background(), []ast.Fact{
 		ast.NewFact("own", term.String("a"), term.String("b"), term.Float(0.6)),
 		ast.NewFact("company", term.String("b")),
@@ -106,5 +100,12 @@ func TestBoundedRules(t *testing.T) {
 	}
 	if got := len(s.Output("stake")) + len(s.Output("held")); got != 2 {
 		t.Errorf("%d stake and held facts, want one each", got)
+	}
+	// Every rule fired, so each binding is the one its firings used.
+	for i, cr := range c.Rules {
+		want := cr.Rule.Heads[0].Pred == "stake"
+		if b := s.Binding(i); c.bounded[i] != want || (b.RowBound != nil) != want {
+			t.Errorf("rule %s: bounded %v, row bound %v; want %v", cr.Rule, c.bounded[i], b.RowBound, want)
+		}
 	}
 }
