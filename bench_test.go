@@ -424,27 +424,7 @@ func BenchmarkFig8d_Arity(b *testing.B) {
 // intermediates collapse to ~1 row. Same bytes either way — only the
 // enumeration order changes.
 func BenchmarkAblation_SkewJoin(b *testing.B) {
-	const (
-		xs      = 10   // distinct X values
-		fanout  = 1000 // wide rows per X
-		srcPerX = 500  // src rows per X
-	)
-	src := `
-		src(X,K), wide(X,W), narrow(W,Z) -> out(K,Z).
-		@output("out").
-	`
-	var facts []ast.Fact
-	for x := 0; x < xs; x++ {
-		for k := 0; k < srcPerX; k++ {
-			facts = append(facts, ast.NewFact("src", term.Int(int64(x)), term.Int(int64(x*srcPerX+k))))
-		}
-		for j := 0; j < fanout; j++ {
-			facts = append(facts, ast.NewFact("wide", term.Int(int64(x)), term.Int(int64(x*fanout+j))))
-		}
-		// One narrow row per X, keyed on a W the wide side contains.
-		facts = append(facts, ast.NewFact("narrow", term.Int(int64(x*fanout)), term.Int(int64(x+1))))
-	}
-	prog := parser.MustParse(src)
+	prog, facts := skewJoin()
 	// Planner-off is an engine option, not a public one: both engines are
 	// driven directly.
 	engines := []struct {
@@ -490,6 +470,31 @@ func BenchmarkAblation_SkewJoin(b *testing.B) {
 			})
 		}
 	}
+}
+
+// skewJoin is the program and data of BenchmarkAblation_SkewJoin.
+func skewJoin() (*ast.Program, []ast.Fact) {
+	const (
+		xs      = 10   // distinct X values
+		fanout  = 1000 // wide rows per X
+		srcPerX = 500  // src rows per X
+	)
+	src := `
+		src(X,K), wide(X,W), narrow(W,Z) -> out(K,Z).
+		@output("out").
+	`
+	var facts []ast.Fact
+	for x := 0; x < xs; x++ {
+		for k := 0; k < srcPerX; k++ {
+			facts = append(facts, ast.NewFact("src", term.Int(int64(x)), term.Int(int64(x*srcPerX+k))))
+		}
+		for j := 0; j < fanout; j++ {
+			facts = append(facts, ast.NewFact("wide", term.Int(int64(x)), term.Int(int64(x*fanout+j))))
+		}
+		// One narrow row per X, keyed on a W the wide side contains.
+		facts = append(facts, ast.NewFact("narrow", term.Int(int64(x*fanout)), term.Int(int64(x+1))))
+	}
+	return parser.MustParse(src), facts
 }
 
 // BenchmarkAblation_Pruning isolates the lifted linear forest (horizontal

@@ -558,8 +558,9 @@ func (e *Engine) matchBatch(ctx context.Context) error {
 // matchTask enumerates the matches of one firing and captures each
 // complete binding into the batch's log as the task's range, counting it
 // against the batch's candidate room. A group leader enumerates the shared
-// body once for all members, so each of its candidates counts once per
-// member.
+// body once for the members of its group that this delta fires, and each
+// of them replays the leader's range: a follower counts that range again.
+// A group can span strata, so only the followers in the batch count.
 func (e *Engine) matchTask(ti int) {
 	t := &e.tasks[ti]
 	t.lo = int32(e.log.Len())
@@ -568,17 +569,17 @@ func (e *Engine) matchTask(ti int) {
 		return // evaluated inline on the admit path
 	}
 	if t.follower(ti) {
-		return // replays the leader's shared body range at admit
+		lead := &e.tasks[t.lead] // replays its range at admit
+		e.room -= int(lead.hi - lead.lo)
+		return
 	}
 	ri := int(t.ri)
 	cr := e.c.Rules[ri]
 	e.firing = cr.Rule
 	var b *eval.Binding
-	n := 1
 	if t.g >= 0 {
 		cr = e.c.groups[t.g].body
 		b = e.gbinding(int(t.g))
-		n = len(e.c.groups[t.g].members)
 	} else {
 		b = e.Binding(ri)
 	}
@@ -589,7 +590,8 @@ func (e *Engine) matchTask(ti int) {
 		err = fmt.Errorf("chase: %d:%d: rule %d: %w", rule.Line, rule.Col, rule.ID, err)
 	} else {
 		err = e.Match(ri, cr, int(t.pos), t.m, b, func(b *eval.Binding) error {
-			if e.room -= n; e.room < 0 {
+			e.room--
+			if e.room < 0 {
 				return errBatchOverflow
 			}
 			e.log.Capture(b)

@@ -156,6 +156,63 @@ func TestCSESharedBodies(t *testing.T) {
 	}
 }
 
+// TestCSEChargesReplaysInStratum: a batch charges its candidate room once
+// per candidate and firing that replays it. A group leader's candidates are
+// replayed by the members of its group in the batch's stratum only, so on
+// groups spanning two strata the batch is charged for those, not for the
+// whole group.
+func TestCSEChargesReplaysInStratum(t *testing.T) {
+	for _, sc := range cseScenarios() {
+		t.Run(sc.name, func(t *testing.T) {
+			c, err := Compile(parser.MustParse(sc.src), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := c.NewEngine()
+			if err := e.LoadChunk(sc.facts); err != nil {
+				t.Fatal(err)
+			}
+			partial := false // some leader replayed by fewer firings than its group has
+			for batches := 0; !e.Quiesced(); batches++ {
+				if batches > 1000 {
+					t.Fatal("no fixpoint after 1000 batches")
+				}
+				m := e.Meter()
+				room := max(candHeadroom*m.Limit(), candFloor) - m.Used()
+				if err := e.step(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				if len(e.tasks) == 0 {
+					continue // a batch no rule reads matches nothing
+				}
+				want := 0
+				for ti := range e.tasks {
+					tk := &e.tasks[ti]
+					if tk.follower(ti) {
+						continue
+					}
+					replays := 0
+					for tj := range e.tasks {
+						if tj == ti || int(e.tasks[tj].lead) == ti {
+							replays++
+						}
+					}
+					if tk.g >= 0 && replays < len(c.groups[tk.g].members) && tk.hi > tk.lo {
+						partial = true
+					}
+					want += int(tk.hi-tk.lo) * replays
+				}
+				if got := room - e.room; got != want {
+					t.Fatalf("batch %d charged %d candidates, want %d (captured × replaying firings)", batches, got, want)
+				}
+			}
+			if c.stratum != nil && !partial {
+				t.Error("no leader's candidates were replayed by only part of its group")
+			}
+		})
+	}
+}
+
 // TestExplainKeepsPlans: Explain describes the plans the firings run — a
 // grouped firing's is its group body's — so explaining after Run derives
 // no plan and evicts none: a resumed run plans nothing either.

@@ -36,7 +36,8 @@ var frozenSinks = map[string]map[string]string{
 		"EnsureIndexSized": "storage", "ensureIndexSized": "storage",
 		"extendIndex": "storage", "liveSnapshot": "storage",
 		"LookupIDs": "storage", "Lookup": "storage",
-		"LookupCountIDs": "storage", "observeRow": "storage", "internRow": "storage",
+		"LookupCountIDs": "storage", "internRow": "storage",
+		"stats": "storage", "countDistinct": "storage",
 		"InsertPrepared": "storage", "insertRow": "storage",
 		"appendRow": "storage", "InsertEDB": "storage", "InsertEDBRow": "storage",
 		"resolve": "storage", "SetShards": "storage",
@@ -53,7 +54,7 @@ var frozenSinks = map[string]map[string]string{
 	},
 	"Database": {
 		"Insert": "storage", "InsertEDB": "storage", "Rel": "storage",
-		"Freeze": "storage", "addActive": "storage",
+		"Freeze": "storage", "addActive": "storage", "RelStats": "storage",
 		"ResolveSkolem": "storage", "Skolem": "storage",
 	},
 	"Core": {

@@ -8,10 +8,6 @@ import (
 	"repro/internal/storage"
 )
 
-// constraintHub is the synthetic hub that drives constraint and EGD
-// filters (side-effect sinks without a head predicate of their own).
-const constraintHub = "#constraints"
-
 // Compiled is the immutable compile-time artifact of a program: the
 // rewritten rules, their warded analysis, the per-rule executable plans
 // and the filter/pipe topology. Compilation happens exactly once; a
@@ -36,8 +32,9 @@ type Compiled struct {
 	// it negates is settled. Both nil when nothing negates.
 	settle []string
 	waits  []int
-	// producers maps a predicate (or constraintHub) to the indexes of the
-	// rules feeding it, in rule order.
+	// producers maps a predicate to the indexes of the rules feeding it, in
+	// rule order. Constraint and EGD filters feed no predicate: sweep runs
+	// them.
 	producers map[string][]int
 }
 
@@ -68,11 +65,10 @@ func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
 			bounded = bounded && !superseded[a.Pred]
 		}
 		c.bounded = append(c.bounded, bounded)
-		hub := constraintHub
 		if r := cr.Rule; !r.IsConstraint && r.EGD == nil {
-			hub = r.Heads[0].Pred
+			head := r.Heads[0].Pred
+			c.producers[head] = append(c.producers[head], i)
 		}
-		c.producers[hub] = append(c.producers[hub], i)
 	}
 	if c.Strata != nil {
 		c.orderNegation()
@@ -145,10 +141,6 @@ func (c *Compiled) NewSession() *Session {
 	//vadalint:ordered each hub's producer list is built from its own key's ruleIdxs only
 	for pred, ruleIdxs := range c.producers {
 		h := s.hubs[pred]
-		if h == nil { // the synthetic constraint sink
-			h = &hub{pred: pred, rel: s.DB().Rel(pred, 1)}
-			s.hubs[pred] = h
-		}
 		for _, ri := range ruleIdxs {
 			h.producers = append(h.producers, &s.filters[ri])
 		}

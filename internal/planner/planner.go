@@ -4,9 +4,9 @@
 // schedule compiled into an eval.CompiledRule orders body atoms by how
 // many positions are bound, the planner orders them by how many rows it
 // expects them to contribute: per-atom selectivity is estimated from
-// live-row counts and per-column distinct-ID sketches
-// (storage.RelStats), and the atom with the smallest estimated
-// intermediate is matched first.
+// live-row counts and exact per-column distinct-ID counts
+// (storage.RelStats, memoized by each relation until it changes), and the
+// atom with the smallest estimated intermediate is matched first.
 //
 // Plans are kept in slots by rule ID, one per pinned atom, and revalidated
 // whenever the statistics generation advances: when the live size of a
@@ -37,14 +37,14 @@ import (
 // Catalog supplies per-predicate statistics and the generation counter
 // that tells the planner a new consistent snapshot exists.
 type Catalog interface {
-	// RelStats returns the statistics for pred, its distinct estimates
-	// appended to dst[:0] (see storage.Relation.Stats); false when the
-	// predicate has no relation (yet), which the planner treats as an
-	// empty one.
-	RelStats(pred string, dst []float64) (storage.RelStats, bool)
+	// RelStats returns the statistics for pred, whose Distinct stays valid
+	// until the relation next changes (storage.RelStats); false when the
+	// predicate has no relation (yet), which the planner treats as an empty
+	// one.
+	RelStats(pred string) (storage.RelStats, bool)
 	// Live returns the live-row count of pred's relation, 0 when it has
-	// none: the one number a plan's revalidation reads, without evaluating
-	// any distinct estimate.
+	// none: the one number a plan's revalidation reads, without counting
+	// any distinct IDs.
 	Live(pred string) int
 	// Gen identifies the statistics snapshot; it must change whenever the
 	// numbers RelStats and Live report may have changed.
@@ -66,8 +66,8 @@ type LiveCatalog struct {
 }
 
 // RelStats implements Catalog.
-func (c LiveCatalog) RelStats(pred string, dst []float64) (storage.RelStats, bool) {
-	return c.DB.RelStats(pred, dst)
+func (c LiveCatalog) RelStats(pred string) (storage.RelStats, bool) {
+	return c.DB.RelStats(pred)
 }
 
 // Live implements Catalog.
@@ -150,11 +150,10 @@ type Planner struct {
 	derives int
 	replans int
 
-	// derive's scratch: every body atom's statistics, their distinct
-	// estimates, and the bound, matched and asgDone flags cut from flags.
-	stats    []storage.RelStats
-	distinct []float64
-	flags    []bool
+	// derive's scratch: every body atom's statistics, and the bound,
+	// matched and asgDone flags cut from flags.
+	stats []storage.RelStats
+	flags []bool
 }
 
 // New returns a Planner over cat.
@@ -240,20 +239,10 @@ func (pl *Planner) derive(cr *eval.CompiledRule, pinned int, gen uint64) *Plan {
 	p := &Plan{Order: block[:0:k], Rows: block[k:], Est: make([]float64, 0, k),
 		Probes: make([]Probe, 0, k), cr: cr, gen: gen}
 
-	// Each atom's distinct estimates land in its own stretch of one
-	// scratch buffer, presized to the atoms' arities.
-	width := 0
-	for i := range cr.Pos {
-		width += cr.Pos[i].Arity()
-	}
-	pl.distinct = slices.Grow(pl.distinct[:0], width)
 	pl.stats = slices.Grow(pl.stats[:0], n)[:n]
 	for i := range cr.Pos {
-		a, start := &cr.Pos[i], len(pl.distinct)
-		st, _ := pl.cat.RelStats(a.Pred, pl.distinct[start:start:start+a.Arity()])
-		pl.distinct = pl.distinct[:start+a.Arity()]
-		pl.stats[i] = st
-		p.Rows[i] = st.Live
+		pl.stats[i], _ = pl.cat.RelStats(cr.Pos[i].Pred)
+		p.Rows[i] = pl.stats[i].Live
 	}
 	stats := pl.stats
 
@@ -339,7 +328,7 @@ func (pl *Planner) derive(cr *eval.CompiledRule, pinned int, gen uint64) *Plan {
 // estimateAtom estimates how many rows of a's relation match one
 // in-flight binding: live rows scaled by the selectivity of every
 // position that is a constant or an already-bound slot, using the
-// per-column distinct estimates. It also returns the probe mask those
+// per-column distinct counts. It also returns the probe mask those
 // positions form and the expected distinct key count under that mask
 // (capped at the live count) for index presizing.
 func estimateAtom(a *eval.CAtom, st storage.RelStats, bound []bool) (est float64, mask uint32, keys float64) {
@@ -365,10 +354,10 @@ func estimateAtom(a *eval.CAtom, st storage.RelStats, bound []bool) (est float64
 	return est, mask, keys
 }
 
-// distinctAt returns the distinct-ID estimate of column p, at least 1.
+// distinctAt returns the distinct-ID count of column p, at least 1.
 func distinctAt(st storage.RelStats, p int) float64 {
 	if p < len(st.Distinct) && st.Distinct[p] > 1 {
-		return st.Distinct[p]
+		return float64(st.Distinct[p])
 	}
 	return 1
 }

@@ -18,12 +18,9 @@ type fakeCat struct {
 	relStats int
 }
 
-func (c *fakeCat) RelStats(pred string, dst []float64) (storage.RelStats, bool) {
+func (c *fakeCat) RelStats(pred string) (storage.RelStats, bool) {
 	c.relStats++
 	st, ok := c.stats[pred]
-	if st.Distinct != nil {
-		st.Distinct = append(dst[:0], st.Distinct...)
-	}
 	return st, ok
 }
 
@@ -44,9 +41,9 @@ func compileRule(t *testing.T, src string) *eval.CompiledRule {
 
 func skewCat() *fakeCat {
 	return &fakeCat{stats: map[string]storage.RelStats{
-		"s":     {Live: 1, Distinct: []float64{1}},
-		"big":   {Live: 100000, Distinct: []float64{1000, 1000}},
-		"small": {Live: 10, Distinct: []float64{10, 10}},
+		"s":     {Live: 1, Distinct: []int{1}},
+		"big":   {Live: 100000, Distinct: []int{1000, 1000}},
+		"small": {Live: 10, Distinct: []int{10, 10}},
 	}}
 }
 
@@ -97,7 +94,7 @@ func TestWorstInvertsObjective(t *testing.T) {
 // schedule, pinned so plans are reproducible run to run.
 func TestGreedyTieBreakSourceOrder(t *testing.T) {
 	cr := compileRule(t, `a(X), b(X), c(X) -> h(X).`)
-	same := storage.RelStats{Live: 100, Distinct: []float64{50}}
+	same := storage.RelStats{Live: 100, Distinct: []int{50}}
 	pl := New(&fakeCat{stats: map[string]storage.RelStats{"a": {Live: 1}, "b": same, "c": same}})
 	p := pl.PlanFor(cr, 0)
 	if len(p.Order) != 2 || p.Order[0] != 1 || p.Order[1] != 2 {
@@ -124,7 +121,7 @@ func TestPlanCacheAndDriftReplan(t *testing.T) {
 	// small explodes past the drift threshold: the plan is recomputed and
 	// the join order flips.
 	cat.gen++
-	cat.stats["small"] = storage.RelStats{Live: 1_000_000, Distinct: []float64{2, 2}}
+	cat.stats["small"] = storage.RelStats{Live: 1_000_000, Distinct: []int{2, 2}}
 	p3 := pl.PlanFor(cr, 0)
 	if pl.Derives() != 2 || pl.Replans() != 1 {
 		t.Fatalf("drift must recompute: derives=%d replans=%d", pl.Derives(), pl.Replans())
@@ -152,7 +149,7 @@ func TestDescribe(t *testing.T) {
 
 // TestPlanForAllocations pins what a plan costs: a cached plan at an
 // unchanged generation and an undrifted revalidation allocate nothing, and
-// the revalidation reads live-row counts only, never a distinct estimate;
+// the revalidation reads live-row counts only, never a distinct count;
 // a fresh derive allocates a fixed handful — the plan, its Order/Rows
 // block, Est, Probes and its schedule's steps and flags — whatever the
 // rule's atoms and variables.

@@ -27,7 +27,10 @@ type Database struct {
 	// value interned as id is an EDB constant); activeLen counts its bits.
 	activeDom []uint64
 	activeLen int
-	shards    int // pre-pass partitions recorded on every relation (0 = 1)
+	// seen is the scratch bitset over the ID space that RelStats counts
+	// distinct IDs through, all zero between calls.
+	seen   []uint64
+	shards int // pre-pass partitions recorded on every relation (0 = 1)
 }
 
 // NewDatabase returns an empty database.
@@ -88,16 +91,15 @@ func (db *Database) Freeze() {
 	}
 }
 
-// RelStats returns the planner statistics of pred, computed from the
-// relation's current contents with the distinct estimates appended to
-// dst[:0] (see Relation.Stats); false when the predicate has no relation
-// yet.
-func (db *Database) RelStats(pred string, dst []float64) (RelStats, bool) {
+// RelStats returns the planner statistics of pred's relation, recounted
+// only when the relation changed since they were last read (stats.go);
+// false when the predicate has no relation yet.
+func (db *Database) RelStats(pred string) (RelStats, bool) {
 	r := db.rels[pred]
 	if r == nil {
 		return RelStats{}, false
 	}
-	return r.Stats(dst), true
+	return r.stats(&db.seen), true
 }
 
 // Insert stores m in its predicate's relation; it reports whether the fact

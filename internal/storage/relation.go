@@ -128,9 +128,10 @@ type Relation struct {
 	// database — excluded from lookups, duplicate checks and Facts.
 	retracted int
 
-	// sketches are the planner's per-column distinct estimates (see
-	// stats.go), maintained at insert/replace.
-	sketches []distinctSketch
+	// distinct memoizes the planner's per-column distinct-ID counts (see
+	// stats.go), counted at version countedAt.
+	distinct  []int
+	countedAt int
 
 	scratch  []uint32 // reusable row buffer for Insert/InsertEDB/resolve
 	probeBuf []uint32 // reusable probe-ID buffer for value-based Lookup
@@ -325,7 +326,6 @@ func (r *Relation) appendRow(m *core.FactMeta, row []uint32, h uint64) {
 	m.SetRowIndex(len(r.metas))
 	r.metas = append(r.metas, m)
 	r.rows = append(r.rows, row...)
-	r.observeRow(row)
 }
 
 // ContainsRowHash reports whether a fact whose interned row is exactly row
@@ -424,7 +424,6 @@ func (r *Relation) Replace(i int, f ast.Fact) ReplaceOutcome {
 		ix.insertSorted(ix.bucketFor(hashMasked(newRow, ix.mask)), int32(i))
 	}
 	r.metas[i].ReplaceFact(f)
-	r.observeRow(newRow)
 	if r.log == nil {
 		r.log = make([]int32, len(r.metas), len(r.metas)+8)
 		for k := range r.log {
@@ -571,7 +570,6 @@ func (r *Relation) LookupIDs(mask uint32, probe []uint32) []int32 {
 		return r.liveSnapshot()
 	}
 	ix := r.ensureIndexSized(mask, 0)
-	ix.hits++
 	return r.filterBucket(ix.rows(hashMasked(probe, mask)), mask, probe)
 }
 

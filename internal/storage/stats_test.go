@@ -1,57 +1,74 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/term"
 )
 
-// TestDistinctEstimateAccuracy: the per-column sketches estimate distinct
-// interned IDs within HyperLogLog accuracy (m=64 gives ~13% standard
-// error; the bounds here are deliberately generous) and keep constant
-// columns near 1.
-func TestDistinctEstimateAccuracy(t *testing.T) {
+// TestDistinctCountsExact: the per-column distinct counts are exact — a key
+// column counts every value, a constant column one — and the scratch bitset
+// they are counted through is left all zero.
+func TestDistinctCountsExact(t *testing.T) {
 	r := NewRelation("p", 2)
 	for i := 0; i < 1000; i++ {
 		r.Insert(meta("p", term.Int(int64(i)), term.String("const")))
 	}
-	st := r.Stats(nil)
-	if st.Live != 1000 {
-		t.Fatalf("live: %d, want 1000", st.Live)
+	var seen []uint64
+	st := r.stats(&seen)
+	if st.Live != 1000 || !slices.Equal(st.Distinct, []int{1000, 1}) {
+		t.Fatalf("stats: live %d distinct %v, want 1000 [1000 1]", st.Live, st.Distinct)
 	}
-	if len(st.Distinct) != 2 {
-		t.Fatalf("distinct columns: %d, want 2", len(st.Distinct))
-	}
-	if st.Distinct[0] < 600 || st.Distinct[0] > 1600 {
-		t.Errorf("distinct[0]: %.0f, want ~1000", st.Distinct[0])
-	}
-	if st.Distinct[1] > 2 {
-		t.Errorf("distinct[1]: %.2f, want ~1 (constant column)", st.Distinct[1])
+	if i := slices.IndexFunc(seen, func(w uint64) bool { return w != 0 }); i >= 0 {
+		t.Fatalf("scratch word %d left %#x, want all zero", i, seen[i])
 	}
 }
 
-// TestIndexUsageCounters: every probe an index serves counts as a hit; a
-// mask without an index reports none.
-func TestIndexUsageCounters(t *testing.T) {
-	r := NewRelation("p", 2)
-	for i := 0; i < 50; i++ {
-		r.Insert(meta("p", term.Int(int64(i%5)), term.Int(int64(i))))
+// TestDistinctCountsMemoized: Database.RelStats counts over the live rows
+// only, a Replace and a retraction show in the next read, and a read of an
+// unchanged relation returns the memo without scanning the rows again.
+func TestDistinctCountsMemoized(t *testing.T) {
+	db := NewDatabase()
+	for i := 0; i < 10; i++ {
+		db.Insert(meta("p", term.Int(int64(i)), term.Int(int64(i%2))))
 	}
-	if _, ok := r.IndexHits(1); ok {
-		t.Fatal("no index over mask 1 was built yet")
+	r := db.Lookup("p")
+	want := func(step string, live int, distinct ...int) {
+		t.Helper()
+		st, ok := db.RelStats("p")
+		if !ok || st.Live != live || !slices.Equal(st.Distinct, distinct) {
+			t.Fatalf("%s: live %d distinct %v, want %d %v", step, st.Live, st.Distinct, live, distinct)
+		}
+		if i := slices.IndexFunc(db.seen, func(w uint64) bool { return w != 0 }); i >= 0 {
+			t.Fatalf("%s: scratch word %d left %#x, want all zero", step, i, db.seen[i])
+		}
 	}
-	probe := []term.Value{term.Int(3), {}}
-	for i := 0; i < 3; i++ {
-		r.Lookup(1, probe)
+	want("loaded", 10, 10, 2)
+	if got := r.Replace(3, ast.NewFact("p", term.Int(3), term.Int(7))); got != ReplaceDone {
+		t.Fatalf("Replace row 3: %v, want ReplaceDone", got)
 	}
-	if hits, ok := r.IndexHits(1); !ok || hits != 3 {
-		t.Fatalf("hits=%d ok=%v, want 3/true", hits, ok)
+	want("after Replace", 10, 10, 3)
+	// p(5,1) is row 5 already: row 4, p(4,0), is retracted and its 4 no
+	// longer counts.
+	if got := r.Replace(4, ast.NewFact("p", term.Int(5), term.Int(1))); got != ReplaceRetracted {
+		t.Fatalf("Replace row 4: %v, want ReplaceRetracted", got)
 	}
-	r.Insert(meta("p", term.Int(3), term.Int(99)))
-	if got := len(r.Lookup(1, probe)); got != 11 {
-		t.Fatalf("lookup rows after extension: %d, want 11", got)
-	}
-	if hits, _ := r.IndexHits(1); hits != 4 {
-		t.Fatalf("hits=%d after another probe, want 4", hits)
+	want("after retraction", 9, 9, 3)
+	// Retracting row 3, p(3,7), takes the only 7 with it.
+	r.Replace(3, ast.NewFact("p", term.Int(6), term.Int(0)))
+	want("after second retraction", 8, 8, 2)
+
+	// Overwrite row 0's first ID behind the relation's back: a recount would
+	// see one value fewer in column 0, the memo does not.
+	saved := r.rows[0]
+	r.rows[0] = r.rows[2]
+	want("unchanged relation", 8, 8, 2)
+	r.rows[0] = saved
+	db.Insert(meta("p", term.Int(10), term.Int(0)))
+	want("after append", 9, 9, 2)
+	if _, ok := db.RelStats("absent"); ok {
+		t.Fatal("RelStats of a predicate without a relation reports ok")
 	}
 }

@@ -16,10 +16,11 @@ import (
 //
 // A slot's home position is a multiply-shift of its tag, not the hash's low
 // bits: no runtime map re-hashes behind this table, interned IDs are small
-// sequential integers and FNV-1a's low bits are regular (distinctSketch.add
-// has the measurement). Because the position depends on the tag alone,
-// growth re-places slots without touching rows, and the whole table is one
-// []uint64 the collector never scans. Probes are pure reads; mutation is
+// sequential integers and FNV-1a's low bits over them are regular (a
+// HyperLogLog ranking them by trailing zeros estimated cardinalities ~60%
+// high). Because the position depends on the tag alone, growth re-places
+// slots without touching rows, and the whole table is one []uint64 the
+// collector never scans. Probes are pure reads; mutation is
 // single-goroutine like all of Relation.
 type flatTable struct {
 	slots []uint64
@@ -161,9 +162,6 @@ type dynIndex struct {
 	hashes []uint64
 	spans  []span
 	arena  []int32
-
-	// hits counts probes served by this index since it was built.
-	hits int64
 }
 
 // span locates a bucket in the arena: arena[off:off+n] are its rows,

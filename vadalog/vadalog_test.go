@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -263,5 +264,29 @@ func TestNoSummaryPolicyReachesStrategy(t *testing.T) {
 		if patterns[PolicyNoSummary] != 0 {
 			t.Errorf("engine %d: PolicyNoSummary learnt %d summary patterns, want 0", eng, patterns[PolicyNoSummary])
 		}
+	}
+}
+
+// TestConstraintsStoreNoRelation: constraint and EGD rules derive no
+// predicate, so after a run the pipeline's database holds exactly the
+// relations the chase's does.
+func TestConstraintsStoreNoRelation(t *testing.T) {
+	prog := MustParse(`
+		p(1,"a"). p(2,"b"). q(1).
+		p(X,Y), p(X,Z) -> Y = Z.
+		q(X), p(X,"b") -> #fail.
+		q(X), p(X,Y) -> r(Y).
+		@output("r").
+	`)
+	var preds [2][]string
+	for i, engine := range []Engine{EnginePipeline, EngineChase} {
+		s := newSession(t, prog, &Options{Engine: engine})
+		if err := s.Run(); err != nil {
+			t.Fatalf("engine %d: %v", engine, err)
+		}
+		preds[i] = s.eng.DB().Predicates()
+	}
+	if !slices.Equal(preds[0], preds[1]) {
+		t.Errorf("pipeline relations %v, chase relations %v", preds[0], preds[1])
 	}
 }
