@@ -1,11 +1,12 @@
 // Package repro's root benchmarks regenerate every table and figure of
-// the paper's evaluation (Sec. 6). Each benchmark maps to one figure; the
-// helper functions live in internal/experiments, shared with the
-// cmd/vadabench CLI that prints the full tables.
+// the paper's evaluation (Sec. 6) through BenchmarkFigures, a loop over
+// internal/experiments' figure registry (what cmd/vadabench prints),
+// next to scenario, ablation and micro benchmarks of single layers.
 //
 // Instance sizes are scaled by REPRO_BENCH_SCALE (fraction of the paper's
-// sizes, default 0.01) so `go test -bench=.` completes in minutes; raise
-// it to approach paper scale.
+// sizes, default 0.01), which means exactly what `vadabench -scale` means,
+// so `go test -bench=.` completes in minutes; raise it to approach paper
+// scale.
 package repro
 
 import (
@@ -16,17 +17,13 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/ast"
-	"repro/internal/baseline"
 	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/gen/dbpedia"
-	"repro/internal/gen/doctors"
 	"repro/internal/gen/graphs"
-	"repro/internal/gen/ibench"
 	"repro/internal/gen/iwarded"
 	"repro/internal/gen/lubm"
 	"repro/internal/parser"
@@ -67,349 +64,33 @@ func runOnce(b *testing.B, src string, facts []ast.Fact, outPred string, opts *v
 	b.ReportMetric(float64(sess.Derivations()), "derived-facts")
 }
 
-// BenchmarkFig5a_IWarded reproduces Fig. 5(a): reasoning time for the
-// eight iWarded scenarios.
-func BenchmarkFig5a_IWarded(b *testing.B) {
-	facts := int(1000 * benchScale() * 10) // paper runs ~1000 facts/rel
-	if facts < 40 {
-		facts = 40
-	}
-	for _, cfg := range iwarded.Scenarios() {
-		cfg := cfg
-		cfg.FactsPerRel = facts
-		b.Run(cfg.Name, func(b *testing.B) {
-			g, err := iwarded.Generate(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
+// BenchmarkFigures runs every table of the paper's evaluation, one
+// sub-benchmark per experiments.Figures entry (BenchmarkFigures/Fig5a,
+// ...), at REPRO_BENCH_SCALE: exactly the rows `vadabench -scale` prints
+// at that scale, logged with the result (in full under -v). It reports
+// the rows' summed reasoning seconds (reason-s), output facts and derived
+// facts.
+func BenchmarkFigures(b *testing.B) {
+	for _, fig := range experiments.Figures {
+		b.Run(fig.ID, func(b *testing.B) {
+			var tb *experiments.Table
 			for i := 0; i < b.N; i++ {
-				runOnce(b, g.Source, g.Facts, "", nil)
-			}
-		})
-	}
-}
-
-// BenchmarkFig5b_IBench reproduces Fig. 5(b): STB-128 and ONT-256 under
-// the Vadalog strategy and the chase-system baseline regimes.
-func BenchmarkFig5b_IBench(b *testing.B) {
-	for _, cfg := range []ibench.Config{ibench.STB128(), ibench.ONT256()} {
-		cfg := cfg
-		cfg.FactsPerSource = int(float64(cfg.FactsPerSource) * benchScale() * 5)
-		if cfg.FactsPerSource < 20 {
-			cfg.FactsPerSource = 20
-		}
-		g := ibench.Generate(cfg)
-		for _, sys := range []struct {
-			name string
-			opts vadalog.Options
-		}{
-			{"vadalog", vadalog.Options{}},
-			{"restricted", vadalog.Options{Policy: vadalog.PolicyRestricted, MaxDerivations: 4_000_000}},
-			{"skolem", vadalog.Options{Policy: vadalog.PolicySkolem, MaxDerivations: 4_000_000}},
-		} {
-			sys := sys
-			b.Run(cfg.Name+"/"+sys.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					// One representative query per iteration (q0); the full
-					// mix runs in cmd/vadabench.
-					runOnce(b, g.Source+g.Queries[0], g.Facts, "ans0", &sys.opts)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig5c_PSC reproduces Fig. 5(c) (PSC series) incl. the
-// relational bulk comparator.
-func BenchmarkFig5c_PSC(b *testing.B) {
-	companies := int(67_000 * benchScale())
-	if companies < 500 {
-		companies = 500
-	}
-	for _, persons := range []int{1_000, 10_000, 100_000} {
-		p := int(float64(persons) * benchScale() * 10)
-		if p < 100 {
-			p = 100
-		}
-		data := dbpedia.Generate(dbpedia.Config{Companies: companies, Persons: p,
-			KeyPersonRate: 1.2, ControlRate: 0.35, Seed: 7})
-		b.Run(fmt.Sprintf("vadalog/persons=%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				runOnce(b, dbpedia.PSCProgram, data.All(), "psc", nil)
-			}
-		})
-		b.Run(fmt.Sprintf("bulk-sql/persons=%d", p), func(b *testing.B) {
-			prog := parser.MustParse(dbpedia.PSCProgram)
-			for i := 0; i < b.N; i++ {
-				be, err := baseline.NewBulkEngine(prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := be.Run(data.All()); err != nil {
+				var err error
+				if tb, err = fig.Run(benchScale()); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkFig5c_AllPSC reproduces Fig. 5(c) (AllPSC series with munion).
-func BenchmarkFig5c_AllPSC(b *testing.B) {
-	companies := int(67_000 * benchScale())
-	if companies < 500 {
-		companies = 500
-	}
-	data := dbpedia.Generate(dbpedia.Config{Companies: companies, Persons: companies * 4,
-		KeyPersonRate: 1.2, ControlRate: 0.35, Seed: 7})
-	for i := 0; i < b.N; i++ {
-		runOnce(b, dbpedia.AllPSCProgram, data.All(), "pscSet", nil)
-	}
-}
-
-// BenchmarkFig5d_SpecStrongLinks reproduces Fig. 5(d), query flavour.
-func BenchmarkFig5d_SpecStrongLinks(b *testing.B) {
-	companies := int(67_000 * benchScale())
-	if companies < 300 {
-		companies = 300
-	}
-	data := dbpedia.Generate(dbpedia.Config{Companies: companies, Persons: companies * 3,
-		KeyPersonRate: 1.0, ControlRate: 0.35, Seed: 13})
-	for i := 0; i < b.N; i++ {
-		runOnce(b, dbpedia.SpecStrongLinksProgram(0, 1), data.All(), "strongLink", nil)
-	}
-}
-
-// BenchmarkFig5d_AllStrongLinks reproduces Fig. 5(d), all-pairs flavour.
-func BenchmarkFig5d_AllStrongLinks(b *testing.B) {
-	companies := int(67_000 * benchScale())
-	if companies < 300 {
-		companies = 300
-	}
-	data := dbpedia.Generate(dbpedia.Config{Companies: companies, Persons: companies * 3,
-		KeyPersonRate: 1.0, ControlRate: 0.35, Seed: 13})
-	for i := 0; i < b.N; i++ {
-		runOnce(b, dbpedia.StrongLinksProgram(3), data.All(), "strongLink", nil)
-	}
-}
-
-// BenchmarkFig5e_AllReal / QueryReal reproduce Fig. 5(e).
-func BenchmarkFig5e_AllReal(b *testing.B) {
-	n := int(50_000 * benchScale())
-	if n < 100 {
-		n = 100
-	}
-	g := graphs.RealLike(n, 42)
-	facts := g.OwnFacts()
-	for i := 0; i < b.N; i++ {
-		runOnce(b, graphs.ControlProgram, facts, "control", nil)
-	}
-}
-
-func BenchmarkFig5e_QueryReal(b *testing.B) {
-	n := int(50_000 * benchScale())
-	if n < 100 {
-		n = 100
-	}
-	g := graphs.RealLike(n, 42)
-	facts := g.OwnFacts()
-	for i := 0; i < b.N; i++ {
-		runOnce(b, graphs.QueryControlProgram(i%g.N), facts, "control", nil)
-	}
-}
-
-// BenchmarkFig5f_AllRand / QueryRand reproduce Fig. 5(f).
-func BenchmarkFig5f_AllRand(b *testing.B) {
-	n := int(1_000_000 * benchScale() / 5)
-	if n < 100 {
-		n = 100
-	}
-	g := graphs.ScaleFree(n, graphs.PaperParams(), 42)
-	facts := g.OwnFacts()
-	for i := 0; i < b.N; i++ {
-		runOnce(b, graphs.ControlProgram, facts, "control", nil)
-	}
-}
-
-func BenchmarkFig5f_QueryRand(b *testing.B) {
-	n := int(1_000_000 * benchScale() / 5)
-	if n < 100 {
-		n = 100
-	}
-	g := graphs.ScaleFree(n, graphs.PaperParams(), 42)
-	facts := g.OwnFacts()
-	for i := 0; i < b.N; i++ {
-		runOnce(b, graphs.QueryControlProgram(i%g.N), facts, "control", nil)
-	}
-}
-
-// BenchmarkFig5g_Doctors reproduces Fig. 5(g) across the three regimes.
-func BenchmarkFig5g_Doctors(b *testing.B) {
-	benchDoctors(b, doctors.Program)
-}
-
-// BenchmarkFig5h_DoctorsFD reproduces Fig. 5(h) (with EGDs).
-func BenchmarkFig5h_DoctorsFD(b *testing.B) {
-	benchDoctors(b, doctors.FDProgram)
-}
-
-func benchDoctors(b *testing.B, mapping string) {
-	n := int(100_000 * benchScale())
-	if n < 500 {
-		n = 500
-	}
-	facts := doctors.Generate(n, 5)
-	q := doctors.Queries()[5] // the 3-way join query
-	for _, sys := range []struct {
-		name string
-		opts vadalog.Options
-	}{
-		{"vadalog", vadalog.Options{}},
-		{"restricted", vadalog.Options{Policy: vadalog.PolicyRestricted, MaxDerivations: 6_000_000}},
-		{"skolem", vadalog.Options{Policy: vadalog.PolicySkolem, MaxDerivations: 6_000_000}},
-	} {
-		sys := sys
-		b.Run(sys.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				runOnce(b, mapping+q, facts, "q5", &sys.opts)
+			var secs float64
+			var out, derived int
+			for _, r := range tb.Rows {
+				secs += r.Seconds
+				out += r.Output
+				derived += r.Derived
 			}
-		})
-	}
-}
-
-// BenchmarkFig5i_LUBM reproduces Fig. 5(i).
-func BenchmarkFig5i_LUBM(b *testing.B) {
-	unis := int(25 * benchScale() * 4)
-	if unis < 1 {
-		unis = 1
-	}
-	facts := lubm.Generate(lubm.Config{Universities: unis, Seed: 3})
-	q := lubm.Queries()[8] // Q9: the triangular join
-	for _, sys := range []struct {
-		name string
-		opts vadalog.Options
-	}{
-		{"vadalog", vadalog.Options{}},
-		{"restricted", vadalog.Options{Policy: vadalog.PolicyRestricted, MaxDerivations: 8_000_000}},
-		{"skolem", vadalog.Options{Policy: vadalog.PolicySkolem, MaxDerivations: 8_000_000}},
-	} {
-		sys := sys
-		b.Run(sys.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				runOnce(b, lubm.Ontology+q, facts, "q9", &sys.opts)
-			}
-		})
-	}
-}
-
-// BenchmarkFig7_TerminationStrategy reproduces Fig. 7: the full strategy
-// (guide structures) vs the trivial exhaustive isomorphism check on
-// AllPSC.
-func BenchmarkFig7_TerminationStrategy(b *testing.B) {
-	companies := int(67_000 * benchScale())
-	if companies < 500 {
-		companies = 500
-	}
-	data := dbpedia.Generate(dbpedia.Config{Companies: companies, Persons: companies * 6,
-		KeyPersonRate: 1.2, ControlRate: 0.35, Seed: 7})
-	b.Run("full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runOnce(b, dbpedia.AllPSCProgram, data.All(), "pscSet", nil)
-		}
-	})
-	b.Run("trivial", func(b *testing.B) {
-		opts := vadalog.Options{Policy: vadalog.PolicyTrivialIso}
-		for i := 0; i < b.N; i++ {
-			runOnce(b, dbpedia.AllPSCProgram, data.All(), "pscSet", &opts)
-		}
-	})
-}
-
-// BenchmarkFig8a_DbSize .. Fig8d_Arity reproduce the scaling studies of
-// Fig. 8 over SynthB.
-func BenchmarkFig8a_DbSize(b *testing.B) {
-	base, _ := iwarded.Scenario("synthB")
-	if base.EDBRelations == 0 {
-		base.EDBRelations = 4
-	}
-	for _, facts := range []int{10_000, 50_000, 100_000} {
-		f := int(float64(facts) * benchScale() * 5)
-		if f < 200 {
-			f = 200
-		}
-		cfg := base
-		cfg.FactsPerRel = f / cfg.EDBRelations
-		g, err := iwarded.Generate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprint(f), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				runOnce(b, g.Source, g.Facts, "", nil)
-			}
-		})
-	}
-}
-
-func BenchmarkFig8b_RuleCount(b *testing.B) {
-	base, _ := iwarded.Scenario("synthB")
-	for _, blocks := range []int{1, 2, 5, 10} {
-		cfg := base
-		cfg.FactsPerRel = int(250 * benchScale() * 10)
-		if cfg.FactsPerRel < 20 {
-			cfg.FactsPerRel = 20
-		}
-		cfg.Blocks = blocks
-		g, err := iwarded.Generate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("rules=%d", blocks*100), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				runOnce(b, g.Source, g.Facts, "", nil)
-			}
-		})
-	}
-}
-
-func BenchmarkFig8c_AtomCount(b *testing.B) {
-	base, _ := iwarded.Scenario("synthB")
-	for _, atoms := range []int{2, 4, 8, 16} {
-		cfg := base
-		cfg.FactsPerRel = int(250 * benchScale() * 10)
-		if cfg.FactsPerRel < 20 {
-			cfg.FactsPerRel = 20
-		}
-		cfg.ExtraBodyAtoms = atoms - 2
-		g, err := iwarded.Generate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("atoms=%d", atoms), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				runOnce(b, g.Source, g.Facts, "", nil)
-			}
-		})
-	}
-}
-
-func BenchmarkFig8d_Arity(b *testing.B) {
-	base, _ := iwarded.Scenario("synthB")
-	for _, arity := range []int{3, 6, 12, 24} {
-		cfg := base
-		cfg.FactsPerRel = int(250 * benchScale() * 10)
-		if cfg.FactsPerRel < 20 {
-			cfg.FactsPerRel = 20
-		}
-		cfg.Arity = arity
-		g, err := iwarded.Generate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("arity=%d", arity), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				runOnce(b, g.Source, g.Facts, "", nil)
-			}
+			b.ReportMetric(secs, "reason-s")
+			b.ReportMetric(float64(out), "output-facts")
+			b.ReportMetric(float64(derived), "derived-facts")
+			b.Log("\n" + tb.String())
 		})
 	}
 }
@@ -495,53 +176,6 @@ func skewJoin() (*ast.Program, []ast.Fact) {
 		facts = append(facts, ast.NewFact("narrow", term.Int(int64(x*fanout)), term.Int(int64(x+1))))
 	}
 	return parser.MustParse(src), facts
-}
-
-// BenchmarkAblation_Pruning isolates the lifted linear forest (horizontal
-// pruning).
-func BenchmarkAblation_Pruning(b *testing.B) {
-	cfg, _ := iwarded.Scenario("synthF") // null-generating recursion
-	cfg.FactsPerRel = int(1000 * benchScale() * 10)
-	if cfg.FactsPerRel < 40 {
-		cfg.FactsPerRel = 40
-	}
-	g, err := iwarded.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("summary-on", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runOnce(b, g.Source, g.Facts, "", nil)
-		}
-	})
-	b.Run("summary-off", func(b *testing.B) {
-		opts := vadalog.Options{Policy: vadalog.PolicyNoSummary}
-		for i := 0; i < b.N; i++ {
-			runOnce(b, g.Source, g.Facts, "", &opts)
-		}
-	})
-}
-
-// BenchmarkAblation_Engine compares the streaming pipeline against the
-// reference chase on the same task.
-func BenchmarkAblation_Engine(b *testing.B) {
-	companies := int(20_000 * benchScale())
-	if companies < 300 {
-		companies = 300
-	}
-	data := dbpedia.Generate(dbpedia.Config{Companies: companies, Persons: companies * 4,
-		KeyPersonRate: 1.2, ControlRate: 0.35, Seed: 7})
-	b.Run("pipeline", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runOnce(b, dbpedia.PSCProgram, data.All(), "psc", nil)
-		}
-	})
-	b.Run("chase", func(b *testing.B) {
-		opts := vadalog.Options{Engine: vadalog.EngineChase}
-		for i := 0; i < b.N; i++ {
-			runOnce(b, dbpedia.PSCProgram, data.All(), "psc", &opts)
-		}
-	})
 }
 
 // BenchmarkCompileOnceVsPerQuery measures the amortized per-query cost of
@@ -684,23 +318,6 @@ func BenchmarkMicroIndexedProbeIDs(b *testing.B) {
 	}
 	if total == 0 {
 		b.Fatal("probes matched nothing")
-	}
-}
-
-// BenchmarkScenario_CompanyControl runs the full companycontrol example
-// (Example 2, monotonic msum over a scale-free ownership graph) end to
-// end, allocations reported.
-func BenchmarkScenario_CompanyControl(b *testing.B) {
-	n := int(50_000 * benchScale())
-	if n < 200 {
-		n = 200
-	}
-	g := graphs.RealLike(n, 42)
-	facts := g.OwnFacts()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runOnce(b, graphs.ControlProgram, facts, "control", nil)
 	}
 }
 
@@ -922,28 +539,4 @@ func BenchmarkScalingMatrix(b *testing.B) {
 			b.ReportMetric(float64(len(sc.facts)), "input-facts")
 		})
 	}
-}
-
-// TestExperimentTablesSmoke regenerates two representative tables end to
-// end (what cmd/vadabench prints) as a functional smoke test.
-func TestExperimentTablesSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	start := time.Now()
-	tb, err := experiments.Figure5a(0.005)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 8 {
-		t.Fatalf("Fig5a rows: %d", len(tb.Rows))
-	}
-	tb, err = experiments.Figure8(0.005)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 16 {
-		t.Fatalf("Fig8 rows: %d", len(tb.Rows))
-	}
-	t.Logf("smoke tables in %.1fs", time.Since(start).Seconds())
 }

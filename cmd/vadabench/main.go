@@ -22,38 +22,30 @@ func main() {
 	only := flag.String("only", "", "comma-separated figure IDs (default: all)")
 	flag.Parse()
 
-	type gen struct {
-		id string
-		fn func(float64) (*experiments.Table, error)
-	}
-	gens := []gen{
-		{"Fig6", func(float64) (*experiments.Table, error) { return experiments.Figure6() }},
-		{"Fig5a", experiments.Figure5a},
-		{"Fig5b", experiments.Figure5b},
-		{"Fig5c", experiments.Figure5c},
-		{"Fig5d", experiments.Figure5d},
-		{"Fig5e", experiments.Figure5e},
-		{"Fig5f", experiments.Figure5f},
-		{"Fig5g", experiments.Figure5g},
-		{"Fig5h", experiments.Figure5h},
-		{"Fig5i", experiments.Figure5i},
-		{"Fig7", experiments.Figure7},
-		{"Fig8", experiments.Figure8},
-		{"Ablations", experiments.Ablations},
+	known := map[string]bool{}
+	var ids []string
+	for _, f := range experiments.Figures {
+		known[f.ID] = true
+		ids = append(ids, f.ID)
 	}
 	want := map[string]bool{}
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
+			id = strings.TrimSpace(id)
+			if !known[id] {
+				fmt.Fprintf(os.Stderr, "vadabench: unknown figure %q (known: %s)\n", id, strings.Join(ids, ", "))
+				os.Exit(2)
+			}
+			want[id] = true
 		}
 	}
-	for _, g := range gens {
-		if len(want) > 0 && !want[g.id] {
+	for _, f := range experiments.Figures {
+		if len(want) > 0 && !want[f.ID] {
 			continue
 		}
-		tb, err := g.fn(*scale)
+		tb, err := f.Run(*scale)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "vadabench: %s: %v\n", g.id, err)
+			fmt.Fprintf(os.Stderr, "vadabench: %s: %v\n", f.ID, err)
 			os.Exit(1)
 		}
 		fmt.Println(tb)

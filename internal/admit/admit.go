@@ -32,7 +32,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/lint"
 	"repro/internal/planner"
 	"repro/internal/rewrite"
 	"repro/internal/storage"
@@ -63,9 +62,6 @@ const DefaultBudget = 10_000_000
 // pipeline.Options are aliases of it): what compilation, admission and join
 // planning need to know. The zero value is the production configuration.
 type Config struct {
-	// RequireWarded makes Compile fail when the rewritten program is not
-	// warded instead of proceeding best-effort.
-	RequireWarded bool
 	// MaxDerivations caps admitted facts (0 = 10_000_000).
 	MaxDerivations int
 	// NewPolicy overrides the termination policy (nil = the full strategy
@@ -119,11 +115,6 @@ func Compile(prog *ast.Program, cfg Config) (*Compiled, error) {
 		return nil, err
 	}
 	res := rw.Analysis
-	if cfg.RequireWarded {
-		if err := lint.RequireWarded(res); err != nil {
-			return nil, fmt.Errorf("admit: %w", err)
-		}
-	}
 	// Parse does not reject arity drift (the lint layer reports it as
 	// A001); Predicates does.
 	preds, err := rw.Program.Predicates()

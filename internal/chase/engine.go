@@ -486,7 +486,16 @@ func (e *Engine) step(ctx context.Context) (err error) {
 	n := min(len(e.queues[s]), maxBatchDeltas)
 	batch := e.queues[s][:n:n]
 	e.queues[s] = e.queues[s][n:]
-	e.tasks = e.tasks[:0]
+	// Count the batch's tasks first and grow the list once: releaseBatch
+	// drops it at every fixpoint, and growing it by append is a large share
+	// of a run's allocated bytes.
+	tasks := 0
+	for _, m := range batch {
+		if !m.Retracted {
+			tasks += len(e.c.firings[s][m.Fact.Pred])
+		}
+	}
+	e.tasks = slices.Grow(e.tasks[:0], tasks)
 	for _, m := range batch {
 		if m.Retracted {
 			continue // superseded aggregate intermediate, no longer a fact

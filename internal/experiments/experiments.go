@@ -1,9 +1,10 @@
 // Package experiments implements the paper's full experimental evaluation
 // (Sec. 6): one function per table/figure, each returning the rows the
-// paper plots. The root bench_test.go and cmd/vadabench are thin shells
-// around this package. Scale factors shrink the paper's instance sizes so
-// the suite runs on laptop budgets while preserving the shapes (who wins,
-// growth class, crossovers).
+// paper plots, listed once in Figures. Every figure's scenarios, axis,
+// sizes and compared systems are written here and nowhere else: the root
+// BenchmarkFigures and cmd/vadabench are thin loops over Figures. Scale
+// factors shrink the paper's instance sizes so the suite runs on laptop
+// budgets while preserving the shapes (who wins, growth class, crossovers).
 package experiments
 
 import (
@@ -86,17 +87,70 @@ func run(src string, facts []ast.Fact, outPred string, opts *vadalog.Options) (r
 	return res, nil
 }
 
-// addRow measures one configuration and appends it.
-func addRow(t *Table, scenario, system, param, src string, facts []ast.Fact, outPred string, opts *vadalog.Options) error {
-	r, err := run(src, facts, outPred, opts)
-	if err != nil {
-		return fmt.Errorf("%s/%s/%s: %w", scenario, system, param, err)
+// system is one configuration a figure compares.
+type system struct {
+	name string
+	opts *vadalog.Options
+}
+
+// chaseSystems are the Vadalog strategy and the chase-system baselines
+// of Fig. 5(b) and 5(g)-(i). budget caps the baselines, which need not
+// terminate on warded programs.
+func chaseSystems(budget int) []system {
+	return []system{
+		{"vadalog", nil},
+		{"restricted", &vadalog.Options{Policy: vadalog.PolicyRestricted, MaxDerivations: budget}},
+		{"skolem", &vadalog.Options{Policy: vadalog.PolicySkolem, MaxDerivations: budget}},
 	}
-	t.Rows = append(t.Rows, Row{
-		Scenario: scenario, System: system, Param: param,
-		Seconds: r.seconds.Seconds(), Output: r.output, Derived: r.derived, Note: r.note,
-	})
+}
+
+// query is one end-to-end reasoning task: a full program source and the
+// predicate whose facts answer it.
+type query struct{ src, out string }
+
+// mix makes one task per query of a scenario's query mix: program plus
+// query i, answering the predicate out followed by i+first.
+func mix(program string, queries []string, out string, first int) []query {
+	qs := make([]query, len(queries))
+	for i, q := range queries {
+		qs[i] = query{program + q, fmt.Sprint(out, i+first)}
+	}
+	return qs
+}
+
+// addRows measures each system on the query tasks over facts and appends
+// one row per system. Each task is a separate session (as in the paper);
+// a row holds the mean seconds, the summed outputs, the last session's
+// derived facts and the DNF note of any task that hit its budget.
+func addRows(t *Table, scenario, param string, systems []system, qs []query, facts []ast.Fact) error {
+	for _, sys := range systems {
+		row := Row{Scenario: scenario, System: sys.name, Param: param}
+		for i, q := range qs {
+			r, err := run(q.src, facts, q.out, sys.opts)
+			if err != nil {
+				return fmt.Errorf("%s/%s/%s q%d: %w", scenario, sys.name, param, i, err)
+			}
+			row.Seconds += r.seconds.Seconds()
+			row.Output += r.output
+			row.Derived = r.derived
+			if r.note != "" {
+				row.Note = r.note
+			}
+		}
+		row.Seconds /= float64(len(qs))
+		t.Rows = append(t.Rows, row)
+	}
 	return nil
+}
+
+// addRow measures one system on one task and appends its row.
+func addRow(t *Table, scenario, sys, param, src string, facts []ast.Fact, outPred string, opts *vadalog.Options) error {
+	return addRows(t, scenario, param, []system{{sys, opts}}, []query{{src, outPred}}, facts)
+}
+
+// scaled shrinks a paper-scale size by factor, keeping at least lo.
+func scaled(n int, factor float64, lo int) int {
+	return max(int(float64(n)*factor), lo)
 }
 
 // scalePoints shrinks a series of paper-scale x-axis values by factor,
@@ -104,11 +158,7 @@ func addRow(t *Table, scenario, system, param, src string, facts []ast.Fact, out
 func scalePoints(points []int, factor float64, lo int) []int {
 	out := make([]int, len(points))
 	for i, p := range points {
-		v := int(float64(p) * factor)
-		if v < lo {
-			v = lo
-		}
-		out[i] = v
+		out[i] = scaled(p, factor, lo)
 	}
 	return out
 }

@@ -48,21 +48,23 @@ func Figure6() (*Table, error) {
 // (all 100 rules activated by draining every output).
 func Figure5a(scale float64) (*Table, error) {
 	t := &Table{ID: "Fig5a", Title: "iWarded scenarios synthA-synthH, reasoning time"}
-	factsPerRel := int(1000 * scale)
-	if factsPerRel < 40 {
-		factsPerRel = 40
-	}
 	for _, cfg := range iwarded.Scenarios() {
-		cfg.FactsPerRel = factsPerRel
-		g, err := iwarded.Generate(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := addRow(t, cfg.Name, "vadalog", fmt.Sprint(factsPerRel), g.Source, g.Facts, "", nil); err != nil {
+		cfg.FactsPerRel = scaled(1000, scale, 40)
+		if err := addIWarded(t, cfg.Name, fmt.Sprint(cfg.FactsPerRel), cfg); err != nil {
 			return nil, err
 		}
 	}
 	return t, nil
+}
+
+// addIWarded generates the iWarded scenario cfg and appends its row,
+// draining every output.
+func addIWarded(t *Table, scenario, param string, cfg iwarded.Config) error {
+	g, err := iwarded.Generate(cfg)
+	if err != nil {
+		return err
+	}
+	return addRow(t, scenario, "vadalog", param, g.Source, g.Facts, "", nil)
 }
 
 // Figure5b measures the iBench scenarios STB-128 and ONT-256 against the
@@ -70,12 +72,9 @@ func Figure5a(scale float64) (*Table, error) {
 func Figure5b(scale float64) (*Table, error) {
 	t := &Table{ID: "Fig5b", Title: "iBench STB-128 / ONT-256 vs chase-based baselines (avg over queries)"}
 	for _, cfg := range []ibench.Config{ibench.STB128(), ibench.ONT256()} {
-		cfg.FactsPerSource = int(float64(cfg.FactsPerSource) * scale)
 		// The value domain scales with the instance; below ~50 facts per
 		// source the joins become artificially dense, so floor there.
-		if cfg.FactsPerSource < 50 {
-			cfg.FactsPerSource = 50
-		}
+		cfg.FactsPerSource = scaled(cfg.FactsPerSource, scale, 50)
 		g := ibench.Generate(cfg)
 		// Each query is a separate end-to-end session (as in the paper);
 		// at reduced scale a representative subset keeps the suite fast.
@@ -83,35 +82,9 @@ func Figure5b(scale float64) (*Table, error) {
 		if scale < 0.2 && len(queries) > 3 {
 			queries = queries[:3]
 		}
-		for _, sys := range []struct {
-			name string
-			opts vadalog.Options
-		}{
-			{"vadalog", vadalog.Options{}},
-			{"restricted", vadalog.Options{Policy: vadalog.PolicyRestricted, MaxDerivations: 4_000_000}},
-			{"skolem", vadalog.Options{Policy: vadalog.PolicySkolem, MaxDerivations: 4_000_000}},
-		} {
-			var total time.Duration
-			outputs, derived := 0, 0
-			note := ""
-			for qi, q := range queries {
-				r, err := run(g.Source+q, g.Facts, fmt.Sprintf("ans%d", qi), &sys.opts)
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s q%d: %w", cfg.Name, sys.name, qi, err)
-				}
-				total += r.seconds
-				outputs += r.output
-				derived = r.derived
-				if r.note != "" {
-					note = r.note
-				}
-			}
-			t.Rows = append(t.Rows, Row{
-				Scenario: cfg.Name, System: sys.name,
-				Param:   fmt.Sprintf("%d/%d queries", len(queries), len(g.Queries)),
-				Seconds: total.Seconds() / float64(len(queries)),
-				Output:  outputs, Derived: derived, Note: note,
-			})
+		param := fmt.Sprintf("%d/%d queries", len(queries), len(g.Queries))
+		if err := addRows(t, cfg.Name, param, chaseSystems(4_000_000), mix(g.Source, queries, "ans", 0), g.Facts); err != nil {
+			return nil, err
 		}
 	}
 	return t, nil
@@ -125,10 +98,7 @@ var personsAxis = []int{1_000, 10_000, 100_000, 1_000_000, 1_500_000}
 // the plain-Datalog PSC task.
 func Figure5c(scale float64) (*Table, error) {
 	t := &Table{ID: "Fig5c", Title: "DBpedia PSC / AllPSC scaling persons"}
-	companies := int(67_000 * scale)
-	if companies < 500 {
-		companies = 500
-	}
+	companies := scaled(67_000, scale, 500)
 	for _, persons := range scalePoints(personsAxis, scale, 100) {
 		cfg := dbpedia.Config{Companies: companies, Persons: persons,
 			KeyPersonRate: 1.2, ControlRate: 0.35, Seed: 7}
@@ -220,20 +190,13 @@ func controlFigure(id, title string, axis []int, scale float64,
 			return nil, err
 		}
 		// Query variant: 10 separate source companies, averaged.
-		var total time.Duration
-		outputs := 0
-		queries := 10
-		for q := 0; q < queries; q++ {
-			src := (q * 7) % g.N
-			r, err := run(graphs.QueryControlProgram(src), facts, "control", nil)
-			if err != nil {
-				return nil, err
-			}
-			total += r.seconds
-			outputs += r.output
+		qs := make([]query, 10)
+		for q := range qs {
+			qs[q] = query{graphs.QueryControlProgram((q * 7) % g.N), "control"}
 		}
-		t.Rows = append(t.Rows, Row{Scenario: queryName, System: "vadalog", Param: param,
-			Seconds: total.Seconds() / float64(queries), Output: outputs})
+		if err := addRows(t, queryName, param, []system{{"vadalog", nil}}, qs, facts); err != nil {
+			return nil, err
+		}
 	}
 	return t, nil
 }
@@ -255,32 +218,9 @@ func Figure5h(scale float64) (*Table, error) {
 func doctorsFigure(id, title, mapping string, scale float64) (*Table, error) {
 	t := &Table{ID: id, Title: title}
 	for _, n := range scalePoints(doctorsAxis, scale, 500) {
-		facts := doctors.Generate(n, 5)
-		for _, sys := range []struct {
-			name string
-			opts vadalog.Options
-		}{
-			{"vadalog", vadalog.Options{}},
-			{"restricted", vadalog.Options{Policy: vadalog.PolicyRestricted, MaxDerivations: 6_000_000}},
-			{"skolem", vadalog.Options{Policy: vadalog.PolicySkolem, MaxDerivations: 6_000_000}},
-		} {
-			var total time.Duration
-			note := ""
-			outputs := 0
-			qs := doctors.Queries()
-			for qi, q := range qs {
-				r, err := run(mapping+q, facts, fmt.Sprintf("q%d", qi), &sys.opts)
-				if err != nil {
-					return nil, err
-				}
-				total += r.seconds
-				outputs += r.output
-				if r.note != "" {
-					note = r.note
-				}
-			}
-			t.Rows = append(t.Rows, Row{Scenario: id, System: sys.name, Param: fmt.Sprint(n),
-				Seconds: total.Seconds() / float64(len(qs)), Output: outputs, Note: note})
+		qs := mix(mapping, doctors.Queries(), "q", 0)
+		if err := addRows(t, id, fmt.Sprint(n), chaseSystems(6_000_000), qs, doctors.Generate(n, 5)); err != nil {
+			return nil, err
 		}
 	}
 	return t, nil
@@ -294,32 +234,9 @@ func Figure5i(scale float64) (*Table, error) {
 	t := &Table{ID: "Fig5i", Title: "LUBM (ontological reasoning, avg over 14 queries)"}
 	for _, unis := range scalePoints(lubmAxis, scale, 1) {
 		facts := lubm.Generate(lubm.Config{Universities: unis, Seed: 3})
-		for _, sys := range []struct {
-			name string
-			opts vadalog.Options
-		}{
-			{"vadalog", vadalog.Options{}},
-			{"restricted", vadalog.Options{Policy: vadalog.PolicyRestricted, MaxDerivations: 8_000_000}},
-			{"skolem", vadalog.Options{Policy: vadalog.PolicySkolem, MaxDerivations: 8_000_000}},
-		} {
-			var total time.Duration
-			outputs := 0
-			note := ""
-			qs := lubm.Queries()
-			for qi, q := range qs {
-				r, err := run(lubm.Ontology+q, facts, fmt.Sprintf("q%d", qi+1), &sys.opts)
-				if err != nil {
-					return nil, err
-				}
-				total += r.seconds
-				outputs += r.output
-				if r.note != "" {
-					note = r.note
-				}
-			}
-			t.Rows = append(t.Rows, Row{Scenario: "LUBM", System: sys.name,
-				Param:   fmt.Sprintf("%d unis (%d facts)", unis, len(facts)),
-				Seconds: total.Seconds() / float64(len(qs)), Output: outputs, Note: note})
+		param := fmt.Sprintf("%d unis (%d facts)", unis, len(facts))
+		if err := addRows(t, "LUBM", param, chaseSystems(8_000_000), mix(lubm.Ontology, lubm.Queries(), "q", 1), facts); err != nil {
+			return nil, err
 		}
 	}
 	return t, nil
@@ -331,20 +248,14 @@ func Figure5i(scale float64) (*Table, error) {
 // 2M point).
 func Figure7(scale float64) (*Table, error) {
 	t := &Table{ID: "Fig7", Title: "AllPSC: full strategy vs trivial isomorphism check"}
-	companies := int(67_000 * scale)
-	if companies < 500 {
-		companies = 500
-	}
+	companies := scaled(67_000, scale, 500)
 	axis := append(append([]int{}, personsAxis...), 2_000_000)
 	for _, persons := range scalePoints(axis, scale, 100) {
 		data := dbpedia.Generate(dbpedia.Config{Companies: companies, Persons: persons,
 			KeyPersonRate: 1.2, ControlRate: 0.35, Seed: 7})
-		param := fmt.Sprint(persons)
-		if err := addRow(t, "AllPSC", "full", param, dbpedia.AllPSCProgram, data.All(), "pscSet", nil); err != nil {
-			return nil, err
-		}
-		if err := addRow(t, "AllPSC", "trivial-iso", param, dbpedia.AllPSCProgram, data.All(), "pscSet",
-			&vadalog.Options{Policy: vadalog.PolicyTrivialIso}); err != nil {
+		systems := []system{{"full", nil}, {"trivial-iso", &vadalog.Options{Policy: vadalog.PolicyTrivialIso}}}
+		if err := addRows(t, "AllPSC", fmt.Sprint(persons), systems,
+			[]query{{dbpedia.AllPSCProgram, "pscSet"}}, data.All()); err != nil {
 			return nil, err
 		}
 	}
@@ -364,59 +275,33 @@ func Figure8(scale float64) (*Table, error) {
 	for _, facts := range scalePoints([]int{10_000, 50_000, 100_000, 500_000}, scale, 400) {
 		cfg := base
 		cfg.FactsPerRel = facts / cfg.EDBRelations
-		g, err := iwarded.Generate(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := addRow(t, "DbSize", "vadalog", fmt.Sprint(facts), g.Source, g.Facts, "", nil); err != nil {
+		if err := addIWarded(t, "DbSize", fmt.Sprint(facts), cfg); err != nil {
 			return nil, err
 		}
 	}
+	small := base
+	small.FactsPerRel = scaled(250, scale, 20)
 	// (b) Rule count: 100..1000 rules as independent blocks.
 	for _, blocks := range []int{1, 2, 5, 10} {
-		cfg := base
-		cfg.FactsPerRel = int(250 * scale)
-		if cfg.FactsPerRel < 20 {
-			cfg.FactsPerRel = 20
-		}
+		cfg := small
 		cfg.Blocks = blocks
-		g, err := iwarded.Generate(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := addRow(t, "Rule#", "vadalog", fmt.Sprint(blocks*100), g.Source, g.Facts, "", nil); err != nil {
+		if err := addIWarded(t, "Rule#", fmt.Sprint(blocks*100), cfg); err != nil {
 			return nil, err
 		}
 	}
 	// (c) Body atoms: 2, 4, 8, 16 atoms in join bodies.
 	for _, atoms := range []int{2, 4, 8, 16} {
-		cfg := base
-		cfg.FactsPerRel = int(250 * scale)
-		if cfg.FactsPerRel < 20 {
-			cfg.FactsPerRel = 20
-		}
+		cfg := small
 		cfg.ExtraBodyAtoms = atoms - 2
-		g, err := iwarded.Generate(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := addRow(t, "Atom#", "vadalog", fmt.Sprint(atoms), g.Source, g.Facts, "", nil); err != nil {
+		if err := addIWarded(t, "Atom#", fmt.Sprint(atoms), cfg); err != nil {
 			return nil, err
 		}
 	}
 	// (d) Arity: 3, 6, 12, 24.
 	for _, arity := range []int{3, 6, 12, 24} {
-		cfg := base
-		cfg.FactsPerRel = int(250 * scale)
-		if cfg.FactsPerRel < 20 {
-			cfg.FactsPerRel = 20
-		}
+		cfg := small
 		cfg.Arity = arity
-		g, err := iwarded.Generate(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := addRow(t, "Arity", "vadalog", fmt.Sprint(arity), g.Source, g.Facts, "", nil); err != nil {
+		if err := addIWarded(t, "Arity", fmt.Sprint(arity), cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -428,44 +313,53 @@ func Figure8(scale float64) (*Table, error) {
 // vs chase. The planner's ablation is BenchmarkAblation_SkewJoin.
 func Ablations(scale float64) (*Table, error) {
 	t := &Table{ID: "Ablations", Title: "Design ablations (pruning, engine)"}
-	companies := int(20_000 * scale)
-	if companies < 300 {
-		companies = 300
-	}
-	data := dbpedia.Generate(dbpedia.Config{Companies: companies, Persons: companies * 4,
-		KeyPersonRate: 1.2, ControlRate: 0.35, Seed: 7})
+	companies := scaled(20_000, scale, 300)
+	facts := dbpedia.Generate(dbpedia.Config{Companies: companies, Persons: companies * 4,
+		KeyPersonRate: 1.2, ControlRate: 0.35, Seed: 7}).All()
 	param := fmt.Sprint(companies)
-
-	cases := []struct {
-		scenario, system string
-		opts             vadalog.Options
-	}{
-		{"StrongLinks", "summary-on", vadalog.Options{}},
-		{"StrongLinks", "summary-off", vadalog.Options{Policy: vadalog.PolicyNoSummary}},
-		{"PSC", "pipeline", vadalog.Options{Engine: vadalog.EnginePipeline}},
-		{"PSC", "chase", vadalog.Options{Engine: vadalog.EngineChase}},
+	if err := addRows(t, "StrongLinks", param,
+		[]system{{"summary-on", nil}, {"summary-off", &vadalog.Options{Policy: vadalog.PolicyNoSummary}}},
+		[]query{{dbpedia.StrongLinksProgram(2), "strongLink"}}, facts); err != nil {
+		return nil, err
 	}
-	for _, c := range cases {
-		src, out := dbpedia.PSCProgram, "psc"
-		if c.scenario == "StrongLinks" {
-			src, out = dbpedia.StrongLinksProgram(2), "strongLink"
-		}
-		if err := addRow(t, c.scenario, c.system, param, src, data.All(), out, &c.opts); err != nil {
-			return nil, err
-		}
+	if err := addRows(t, "PSC", param,
+		[]system{{"pipeline", &vadalog.Options{Engine: vadalog.EnginePipeline}}, {"chase", &vadalog.Options{Engine: vadalog.EngineChase}}},
+		[]query{{dbpedia.PSCProgram, "psc"}}, facts); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
 
+// Figure is one reproduced table: its ID and the function measuring it
+// at a scale (a fraction of the paper's instance sizes).
+type Figure struct {
+	ID  string
+	Run func(scale float64) (*Table, error)
+}
+
+// Figures lists every table of the evaluation, in the order vadabench
+// prints them. Each Run returns a table whose ID is the entry's.
+var Figures = []Figure{
+	{"Fig6", func(float64) (*Table, error) { return Figure6() }},
+	{"Fig5a", Figure5a},
+	{"Fig5b", Figure5b},
+	{"Fig5c", Figure5c},
+	{"Fig5d", Figure5d},
+	{"Fig5e", Figure5e},
+	{"Fig5f", Figure5f},
+	{"Fig5g", Figure5g},
+	{"Fig5h", Figure5h},
+	{"Fig5i", Figure5i},
+	{"Fig7", Figure7},
+	{"Fig8", Figure8},
+	{"Ablations", Ablations},
+}
+
 // All runs the entire suite at the given scale.
 func All(scale float64) ([]*Table, error) {
-	type gen func(float64) (*Table, error)
-	fig6 := func(float64) (*Table, error) { return Figure6() }
-	gens := []gen{fig6, Figure5a, Figure5b, Figure5c, Figure5d, Figure5e, Figure5f,
-		Figure5g, Figure5h, Figure5i, Figure7, Figure8, Ablations}
 	var out []*Table
-	for _, g := range gens {
-		tb, err := g(scale)
+	for _, f := range Figures {
+		tb, err := f.Run(scale)
 		if err != nil {
 			return out, err
 		}

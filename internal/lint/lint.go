@@ -168,32 +168,6 @@ func (c *checker) add(sev Severity, code string, line, col int, format string, a
 	return &c.diags[len(c.diags)-1]
 }
 
-// WardedDiagnostics converts the analyzer's verdict on res.Program into
-// positioned W001 (wardedness violation, error) and W002 (harmful join,
-// warning) diagnostics. It is the single rendering both engines'
-// RequireWarded gates and the vet front end share.
-func WardedDiagnostics(res *analysis.Result, file string) []Diagnostic {
-	c := &checker{prog: res.Program, file: file, res: res}
-	c.checkWarded()
-	return c.diags
-}
-
-// RequireWarded is the shared compile-time gate: it returns nil when res
-// is warded and otherwise an error rendering every violation with its
-// rule position.
-func RequireWarded(res *analysis.Result) error {
-	if res.Warded {
-		return nil
-	}
-	var parts []string
-	for _, d := range WardedDiagnostics(res, "") {
-		if d.Severity == Error {
-			parts = append(parts, fmt.Sprintf("%s: %s: %s", d.Pos, d.Code, d.Message))
-		}
-	}
-	return fmt.Errorf("program is not warded: %s", strings.Join(parts, "; "))
-}
-
 // checkWarded re-surfaces the wardedness analysis: one W001 error per
 // violation and one W002 warning per rule with a harmful join.
 func (c *checker) checkWarded() {

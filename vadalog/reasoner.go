@@ -72,7 +72,6 @@ func Compile(prog *Program, opts *Options) (*Reasoner, error) {
 	}
 	r.binds = binds
 	cfg := admit.Config{
-		RequireWarded:  o.RequireWarded,
 		MaxDerivations: o.MaxDerivations,
 		NewPolicy:      newPolicy(o.Policy),
 		PhaseTiming:    o.PhaseTiming,

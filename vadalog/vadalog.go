@@ -114,8 +114,6 @@ type Options struct {
 	// MaxDerivations caps admitted facts (0 = 10M). With baseline
 	// policies this is the safeguard against genuine non-termination.
 	MaxDerivations int
-	// RequireWarded fails session creation when the program is not warded.
-	RequireWarded bool
 	// Lint collects the structured diagnostics of the static analysis
 	// layer (wardedness, stratification, arity, dead rules, type
 	// conflicts — see Reasoner.Diagnostics) at compile time. Lint is
