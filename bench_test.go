@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ast"
 	"repro/internal/chase"
@@ -539,4 +540,28 @@ func BenchmarkScalingMatrix(b *testing.B) {
 			b.ReportMetric(float64(len(sc.facts)), "input-facts")
 		})
 	}
+}
+
+// TestExperimentTablesSmoke regenerates two representative tables end to
+// end (what cmd/vadabench prints) as a functional smoke test.
+func TestExperimentTablesSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	start := time.Now()
+	tb, err := experiments.Figure5a(0.005)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != 8 {
+		t.Fatalf("Fig5a rows: %d", len(tb.Rows))
+	}
+	tb, err = experiments.Figure8(0.005)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != 16 {
+		t.Fatalf("Fig8 rows: %d", len(tb.Rows))
+	}
+	t.Logf("smoke tables in %.1fs", time.Since(start).Seconds())
 }
