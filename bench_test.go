@@ -543,7 +543,9 @@ func BenchmarkScalingMatrix(b *testing.B) {
 }
 
 // TestExperimentTablesSmoke regenerates two representative tables end to
-// end (what cmd/vadabench prints) as a functional smoke test.
+// end (what cmd/vadabench prints) as a functional smoke test. At this
+// scale Fig8's DbSize axis floors its two smallest points to one 400-fact
+// run, measured once: 15 rows.
 func TestExperimentTablesSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -560,7 +562,7 @@ func TestExperimentTablesSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 16 {
+	if len(tb.Rows) != 15 {
 		t.Fatalf("Fig8 rows: %d", len(tb.Rows))
 	}
 	t.Logf("smoke tables in %.1fs", time.Since(start).Seconds())

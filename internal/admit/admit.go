@@ -15,14 +15,17 @@
 // here, once.
 //
 // Compiled is the compile-time half (rewrite, warded analysis, strata,
-// per-rule plans); Core is the per-run half (database, policy, meter, join
-// planner, bindings, aggregate state). An engine hands NewCore one hook,
-// called with every fact that was stored or replaced in place, and schedules
-// from it: the chase appends to its delta queue, the pipeline wakes its
-// buffers. The core never learns which engine drives it.
+// per-rule plans, the static schedules of the rules that run one); Core is
+// the per-run half (database, policy, meter, join planner, bindings,
+// aggregate state, and the run's input: the Feeder and the one guarded load
+// path, LoadProgramFacts, LoadChunk and LoadRows). An engine hands NewCore
+// one hook, called with every fact that was stored or replaced in place, and
+// schedules from it: the chase appends to its delta queue, the pipeline
+// wakes its buffers. The core never learns which engine drives it.
 package admit
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -32,6 +35,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/fault"
 	"repro/internal/planner"
 	"repro/internal/rewrite"
 	"repro/internal/storage"
@@ -54,6 +58,11 @@ var ErrBudget = errors.New("admit: derivation budget exceeded")
 // program does not mention, that of the relation an earlier load created.
 // The row is not stored, so every later load of it is refused again.
 var ErrArity = errors.New("admit: row does not have its predicate's arity")
+
+// siteLoad guards the load path of both engines: it fires at the head of
+// every chunk (LoadProgramFacts, LoadChunk, LoadRows), before anything of
+// it is admitted, so an injected failure drops nothing the core accepted.
+var siteLoad = fault.NewSite("admit.load")
 
 // DefaultBudget caps admitted facts when Config.MaxDerivations is unset.
 const DefaultBudget = 10_000_000
@@ -94,6 +103,11 @@ type Compiled struct {
 	// their enumeration order is part of the result, so both engines match
 	// them fused with admission, on the static schedule.
 	Skolem []bool
+	// static holds, per rule and pinned atom, the static schedule
+	// (eval.CompiledRule.ScheduleFor with no order) of the rules that run
+	// one: Skolem rules, and every rule under Config.DisablePlanner. nil for
+	// a rule the planner schedules.
+	static [][][]eval.Step
 	// Strata maps every predicate of Prog to its stratum when some rule
 	// negates (analysis.Condensation, tag twins derived from their
 	// predicates). Both engines fire a stratum's rules only once the strata
@@ -149,10 +163,18 @@ func Compile(prog *ast.Program, cfg Config) (*Compiled, error) {
 		for _, asg := range cr.Assigns {
 			skolem = skolem || asg.IsSkolem
 		}
+		var static [][]eval.Step
+		if skolem || cfg.DisablePlanner {
+			static = make([][]eval.Step, len(cr.Pos))
+			for pos := range cr.Pos {
+				static[pos] = cr.ScheduleFor(pos, nil)
+			}
+		}
 		negates = negates || len(cr.Neg) > 0
 		p.Rules = append(p.Rules, cr)
 		p.postAgg = append(p.postAgg, pa)
 		p.Skolem = append(p.Skolem, skolem)
+		p.static = append(p.static, static)
 	}
 	// Only a program that negates pays for the condensation. Negation
 	// through recursion has no stratified model to compute.
@@ -194,6 +216,9 @@ type Core struct {
 
 	// onAdmit is the engine's one hook: m was stored, or replaced in place.
 	onAdmit func(m *core.FactMeta)
+	// feed is the run's input (SetFeeder); nil for a core loaded through
+	// LoadChunk/LoadRows alone.
+	feed Feeder
 
 	// groupBuf/contribBuf/rowBuf/parentsBuf are reused across emissions so
 	// Emit allocates nothing for a match whose heads are all stored already
@@ -345,9 +370,71 @@ func (c *Core) LoadRow(pred string, args []term.Value) error {
 	return nil
 }
 
-// LoadFacts admits facts through LoadRow in order, stopping at the first
-// refused one: the facts before it stay admitted.
-func (c *Core) LoadFacts(facts []ast.Fact) error {
+// Feeder loads one more chunk of a run's input into the core — the sources
+// of the paper's pull stream, as one function: the program's facts, a bound
+// record manager's next cursor chunk, the next staged facts — and reports
+// whether anything was left to load. A step that fails has lost nothing:
+// calling again resumes at the same row. Whoever owns the input (package
+// vadalog's Session) supplies it (SetFeeder); the engines step it through
+// Feed and FeedAll.
+type Feeder func(ctx context.Context) (more bool, err error)
+
+// SetFeeder hands the core the source of its run's input. Set it once,
+// before the first drive.
+func (c *Core) SetFeeder(f Feeder) { c.feed = f }
+
+// Feed loads one more chunk of the input through the Feeder and reports
+// whether there was one: the pipeline calls it when a pull comes back dry.
+func (c *Core) Feed(ctx context.Context) (more bool, err error) {
+	if c.feed == nil {
+		return false, nil
+	}
+	return c.feed(ctx)
+}
+
+// FeedAll steps the Feeder until the input is exhausted or a step fails:
+// the chase before its fixpoint, the pipeline before it settles a
+// negation, a session's batch drive before it drains.
+func (c *Core) FeedAll(ctx context.Context) error {
+	for {
+		more, err := c.Feed(ctx)
+		if err != nil || !more {
+			return err
+		}
+	}
+}
+
+// LoadProgramFacts admits the compiled program's inline facts, the first
+// chunk of every run's input. Like every load it skips duplicates.
+func (c *Core) LoadProgramFacts() error {
+	return c.load(context.TODO(), func() error { return c.loadFacts(c.p.Prog.Facts) })
+}
+
+// LoadChunk admits one chunk of EDB facts through LoadRow and then reports
+// any pending cancellation. The chunk is always admitted before the context
+// is consulted, so a chunk already pulled from a cursor is never dropped
+// (the caller stops before pulling the next one). Loading after an engine
+// has quiesced resumes it: new facts can enable new derivations.
+func (c *Core) LoadChunk(ctx context.Context, facts []ast.Fact) error {
+	return c.load(ctx, func() error { return c.loadFacts(facts) })
+}
+
+// LoadRows is LoadChunk for one chunk of a record manager's cursor: rows
+// are admitted as facts of pred without being staged as facts first.
+func (c *Core) LoadRows(ctx context.Context, pred string, rows [][]term.Value) error {
+	return c.load(ctx, func() error {
+		for _, row := range rows {
+			if err := c.LoadRow(pred, row); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// loadFacts admits facts through LoadRow in order, stopping at the first
+// refused one (ErrArity): the facts before it stay admitted.
+func (c *Core) loadFacts(facts []ast.Fact) error {
 	for _, f := range facts {
 		if err := c.LoadRow(f.Pred, f.Args); err != nil {
 			return err
@@ -356,17 +443,24 @@ func (c *Core) LoadFacts(facts []ast.Fact) error {
 	return nil
 }
 
-// Guard runs load under the load path's crash isolation: a panic (a
-// storage fault mid-chunk) becomes a typed error labelled engine, with the
-// already-admitted prefix intact — loading skips duplicates, so re-feeding
-// the same facts resumes exactly where the crash struck.
-func Guard(engine string, load func() error) (err error) {
+// load runs one chunk's admission behind the load fault site and the load
+// path's crash isolation, then reports ctx's state. A panic (a storage
+// fault mid-chunk) becomes a *core.PanicError labelled "load", with the
+// already-admitted prefix intact: loading skips duplicates, so re-feeding
+// the same chunk resumes exactly where the crash struck.
+func (c *Core) load(ctx context.Context, admit func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil { //vadalint:panicguard load-path crash isolation: convert storage faults into typed resumable errors
-			err = &core.PanicError{Engine: engine, Value: r, Stack: debug.Stack()}
+			err = &core.PanicError{Engine: "load", Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return load()
+	if err := siteLoad.Check(); err != nil {
+		return fmt.Errorf("admit: load: %w", err)
+	}
+	if err := admit(); err != nil {
+		return err
+	}
+	return ctx.Err()
 }
 
 // Emit runs one complete binding b of rule ri through fact production:
@@ -674,13 +768,14 @@ func (c *Core) replaceTagTwin(old ast.Fact, m *core.FactMeta) {
 
 // Steps returns the schedule a firing of rule ri pinned at pos runs; cr is
 // ri itself or the body its CSE group matches once for all members. Skolem
-// rules fix their enumeration order by construction and run cr's static
-// schedule, as does every rule under Config.DisablePlanner; every other
-// firing runs the planner's plan for (cr, pos). A plan's probe indexes are
-// presized on the call that derived it, once per derived plan.
+// rules fix their enumeration order by construction and run ri's static
+// schedule, as does every rule under Config.DisablePlanner (neither is ever
+// in a CSE group); every other firing runs the planner's plan for (cr,
+// pos). A plan's probe indexes are presized on the call that derived it,
+// once per derived plan.
 func (c *Core) Steps(ri int, cr *eval.CompiledRule, pos int) []eval.Step {
-	if c.pl == nil || c.p.Skolem[ri] {
-		return cr.Schedule(pos)
+	if st := c.p.static[ri]; st != nil {
+		return st[pos]
 	}
 	derives := c.pl.Derives()
 	p := c.pl.PlanFor(cr, pos)
@@ -699,7 +794,7 @@ func (c *Core) Steps(ri int, cr *eval.CompiledRule, pos int) []eval.Step {
 // handing each complete binding to fn in b. Nothing is admitted: engines
 // that buffer a firing capture what fn sees and Replay it.
 func (c *Core) Match(ri int, cr *eval.CompiledRule, pos int, m *core.FactMeta, b *eval.Binding, fn func(*eval.Binding) error) error {
-	return c.mt.MatchPinnedSteps(cr, pos, m, c.Steps(ri, cr, pos), b, fn)
+	return c.mt.MatchPinned(cr, pos, m, c.Steps(ri, cr, pos), b, fn)
 }
 
 // Fire is the fused firing of rule ri pinned at pos to delta m: every match

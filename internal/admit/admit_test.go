@@ -98,7 +98,7 @@ func (h *harness) fire(delta string) error {
 			if a.Pred != m.Fact.Pred {
 				continue
 			}
-			err := h.mt.MatchPinned(cr, pi, m, h.bs[ri], func(b *eval.Binding) error {
+			err := h.mt.MatchPinned(cr, pi, m, cr.ScheduleFor(pi, nil), h.bs[ri], func(b *eval.Binding) error {
 				_, err := h.c.Emit(ri, b)
 				return err
 			})
@@ -116,7 +116,7 @@ func (h *harness) capture(delta string) *eval.BindingLog {
 	cr := h.p.Rules[0]
 	lg := &eval.BindingLog{}
 	lg.Shape(cr)
-	err := h.mt.MatchPinned(cr, 0, h.meta(delta), h.bs[0], func(b *eval.Binding) error {
+	err := h.mt.MatchPinned(cr, 0, h.meta(delta), cr.ScheduleFor(0, nil), h.bs[0], func(b *eval.Binding) error {
 		lg.Capture(b)
 		return nil
 	})

@@ -13,15 +13,17 @@ import (
 
 // kernel is a Core with a no-op hook plus what it takes to re-emit matches
 // of one rule (rule 0 unless use picks another) pinned to stored facts of
-// its first body predicate — the admission kernel without a scheduler, for
-// the allocation contract and the benchmarks beside it.
+// its first body predicate, on its static schedule — the admission kernel
+// without a scheduler, for the allocation contract and the benchmarks
+// beside it.
 type kernel struct {
-	c   *Core
-	ri  int
-	cr  *eval.CompiledRule
-	mt  *eval.Matcher
-	b   *eval.Binding
-	err error
+	c     *Core
+	ri    int
+	cr    *eval.CompiledRule
+	steps []eval.Step
+	mt    *eval.Matcher
+	b     *eval.Binding
+	err   error
 }
 
 func newKernel(tb testing.TB, src string, edb []ast.Fact) *kernel {
@@ -30,9 +32,9 @@ func newKernel(tb testing.TB, src string, edb []ast.Fact) *kernel {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	k := &kernel{c: p.NewCore(func(*core.FactMeta) {}), cr: p.Rules[0]}
+	k := &kernel{c: p.NewCore(func(*core.FactMeta) {})}
 	k.mt = &eval.Matcher{DB: k.c.DB()}
-	k.b = eval.NewBinding(k.cr)
+	k.pick(0)
 	for _, f := range edb {
 		k.c.LoadRow(f.Pred, f.Args)
 	}
@@ -44,18 +46,24 @@ func (k *kernel) use(tb testing.TB, pred string) {
 	tb.Helper()
 	for ri, cr := range k.c.p.Rules {
 		if len(cr.Heads) > 0 && cr.Heads[0].Pred == pred {
-			k.ri, k.cr, k.b = ri, cr, eval.NewBinding(cr)
+			k.pick(ri)
 			return
 		}
 	}
 	tb.Fatalf("no rule derives %s", pred)
 }
 
+// pick points the kernel at rule ri.
+func (k *kernel) pick(ri int) {
+	k.ri, k.cr = ri, k.c.p.Rules[ri]
+	k.steps, k.b = k.cr.ScheduleFor(0, nil), eval.NewBinding(k.cr)
+}
+
 // emit runs every match of the kernel's rule pinned to the i-th stored fact of its
 // first body atom's relation through Core.Emit.
 func (k *kernel) emit(i int) {
 	m := k.c.DB().Lookup(k.cr.Pos[0].Pred).At(i)
-	err := k.mt.MatchPinned(k.cr, 0, m, k.b, k.emitBinding)
+	err := k.mt.MatchPinned(k.cr, 0, m, k.steps, k.b, k.emitBinding)
 	if err != nil {
 		k.err = err
 	}
@@ -121,7 +129,7 @@ func TestEmitAllocationContract(t *testing.T) {
 			lg.Shape(k.cr)
 			rel := k.c.DB().Lookup("e")
 			for i := 0; i < n; i++ {
-				err := k.mt.MatchPinned(k.cr, 0, rel.At(i), k.b, func(b *eval.Binding) error {
+				err := k.mt.MatchPinned(k.cr, 0, rel.At(i), k.steps, k.b, func(b *eval.Binding) error {
 					lg.Capture(b)
 					return nil
 				})

@@ -1,6 +1,7 @@
 package admit
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -188,9 +189,10 @@ func TestLoadRowRefusesAnotherArity(t *testing.T) {
 }
 
 // TestLoadResumesAfterInsertFault: a storage fault in the middle of a chunk
-// leaves the admitted prefix stored and nothing else; feeding the same chunk
-// again admits exactly the rest, and the database equals one loaded without
-// interruption — through the fact entry and the row entry alike.
+// surfaces from the load path as a *core.PanicError and leaves the admitted
+// prefix stored and nothing else; feeding the same chunk again admits
+// exactly the rest, and the database equals one loaded without interruption
+// — through LoadChunk and LoadRows alike.
 func TestLoadResumesAfterInsertFault(t *testing.T) {
 	payload := loadPayload()
 	var rows [][]term.Value
@@ -206,36 +208,33 @@ func TestLoadResumesAfterInsertFault(t *testing.T) {
 		}
 		return p.NewCore(func(*core.FactMeta) {})
 	}
-	for name, load := range map[string]func(c *Core){
-		"facts": func(c *Core) {
-			for _, f := range payload {
-				c.LoadRow(f.Pred, f.Args)
-			}
-		},
-		"rows": func(c *Core) {
-			for _, row := range rows {
-				c.LoadRow("p", row)
-			}
-		},
+	ctx := context.Background()
+	for name, load := range map[string]func(c *Core) error{
+		"facts": func(c *Core) error { return c.LoadChunk(ctx, payload) },
+		"rows":  func(c *Core) error { return c.LoadRows(ctx, "p", rows) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			clean := newCore()
-			load(clean)
+			if err := load(clean); err != nil {
+				t.Fatal(err)
+			}
 			for hit := 1; hit <= clean.DB().TotalFacts(); hit++ {
 				c := newCore()
 				if err := fault.Enable("storage.insert@" + strconv.Itoa(hit)); err != nil {
 					t.Fatal(err)
 				}
-				err := Guard("test load", func() error { load(c); return nil })
+				err := load(c)
 				fault.Disable()
 				var pe *core.PanicError
-				if !errors.As(err, &pe) {
-					t.Fatalf("hit %d: want the fault recovered into a *core.PanicError, got %v", hit, err)
+				if !errors.As(err, &pe) || pe.Engine != "load" {
+					t.Fatalf("hit %d: want the fault recovered into a *core.PanicError labelled load, got %v", hit, err)
 				}
 				if got := c.DB().TotalFacts(); got != hit-1 || c.Derivations() != hit-1 {
 					t.Fatalf("hit %d: %d rows stored, %d charged, want %d both", hit, got, c.Derivations(), hit-1)
 				}
-				load(c)
+				if err := load(c); err != nil {
+					t.Fatalf("hit %d: resumed load: %v", hit, err)
+				}
 				sameStore(t, c.DB(), clean.DB())
 				if c.Derivations() != clean.Derivations() || c.DB().ActiveDomainSize() != clean.DB().ActiveDomainSize() {
 					t.Fatalf("hit %d: resumed load charged %d with |ACDom| %d, uninterrupted %d with %d", hit,

@@ -1,6 +1,7 @@
 package admit
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -46,18 +47,23 @@ func indexCount(c *Core) int {
 }
 
 // TestSteps pins which schedule a firing runs (Core.Steps): a Skolem rule,
-// and every rule with the planner off, runs its static schedule and plans
-// nothing; any other firing runs the planner's plan, whose probe indexes the
-// call that derived it creates, and a repeated call at an unchanged
-// statistics generation derives nothing and creates no index.
+// and every rule with the planner off, runs the static schedule Compile
+// built for it (ScheduleFor with no order) and plans nothing; any other
+// firing runs the planner's plan, whose probe indexes the call that derived
+// it creates, and a repeated call at an unchanged statistics generation
+// derives nothing and creates no index. Compile builds no static schedule
+// for a rule the planner schedules.
 func TestSteps(t *testing.T) {
 	static := func(t *testing.T, p *Compiled, c *Core, ri int) {
 		t.Helper()
 		cr := p.Rules[ri]
 		for pos := range cr.Pos {
-			got, want := c.Steps(ri, cr, pos), cr.Schedule(pos)
-			if len(got) != len(want) || unsafe.SliceData(got) != unsafe.SliceData(want) {
+			got, want := c.Steps(ri, cr, pos), p.static[ri][pos]
+			if len(got) == 0 || unsafe.SliceData(got) != unsafe.SliceData(want) {
 				t.Errorf("rule %d pinned at %d runs %v, want its static schedule %v", ri, pos, got, want)
+			}
+			if fresh := cr.ScheduleFor(pos, nil); !slices.Equal(got, fresh) {
+				t.Errorf("rule %d pinned at %d: static schedule %v, ScheduleFor(%d, nil) is %v", ri, pos, got, pos, fresh)
 			}
 		}
 	}
@@ -73,6 +79,9 @@ func TestSteps(t *testing.T) {
 	t.Run("skolem", func(t *testing.T) {
 		p, c := stepsCore(t, Config{})
 		static(t, p, c, 1)
+		if p.static[0] != nil {
+			t.Errorf("the planned rule 0 holds static schedules %v, want none", p.static[0])
+		}
 		if d := c.Planner().Derives(); d != 0 {
 			t.Errorf("a Skolem rule's firings derived %d plans, want none", d)
 		}

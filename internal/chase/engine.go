@@ -35,7 +35,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/rewrite"
 	"repro/internal/storage"
-	"repro/internal/term"
 )
 
 // siteMatch guards the match phase: it fires in matchTask, once per matched
@@ -359,34 +358,11 @@ func New(prog *ast.Program, opts Options) (*Engine, error) {
 	return c.NewEngine(), nil
 }
 
-// LoadProgramFacts admits the compiled program's inline facts — the same
-// facts Run loads first. It is idempotent; callers streaming bound
-// inputs before Run use it to establish the canonical admission order
-// (program facts, then bound inputs, then staged facts).
-func (e *Engine) LoadProgramFacts() error { return e.LoadFacts(e.c.Prog.Facts) }
-
-// LoadChunk admits one chunk of EDB facts — the streaming-load entry point
-// (admit.Core.LoadFacts) — with the load path's crashes converted into a
-// typed error: a panic mid-chunk (storage fault) leaves the prefix
-// admitted and the store consistent, and since loading skips duplicates,
-// re-feeding the same chunk resumes exactly where the crash struck. A fact
-// of another arity than its predicate's stops the chunk with
-// admit.ErrArity. Loaded facts queue as deltas for the next batch drain.
+// LoadChunk admits one chunk of EDB facts through the core's load path
+// (admit.Core.LoadChunk), without a context: the benchmark harness's entry
+// point. Loaded facts queue as deltas for the next batch drain.
 func (e *Engine) LoadChunk(facts []ast.Fact) error {
-	return admit.Guard("chase load", func() error { return e.LoadFacts(facts) })
-}
-
-// LoadRows is LoadChunk for one chunk of a record manager's cursor: rows
-// are admitted as facts of pred without being staged as facts first.
-func (e *Engine) LoadRows(pred string, rows [][]term.Value) error {
-	return admit.Guard("chase load", func() error {
-		for _, row := range rows {
-			if err := e.LoadRow(pred, row); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	return e.Core.LoadChunk(context.TODO(), facts)
 }
 
 // Quiesced reports whether the chase has reached its fixpoint: no delta
@@ -418,27 +394,20 @@ const (
 	candFloor    = 1 << 20
 )
 
-// Run executes the chase to fixpoint and returns the result. Cancelling
-// ctx aborts the loop between delta batches and between the tasks of a
-// batch.
+// Run loads the program's facts and edb, runs the chase to its fixpoint
+// (Drain) and returns the result. Both loads skip duplicates, so a resumed
+// Run re-feeding them admits only what an earlier crash cut off.
 func (e *Engine) Run(ctx context.Context, edb []ast.Fact) (*Result, error) {
-	// Both loads skip duplicates, so a resumed Run re-feeding them admits
-	// only what an earlier crash cut off.
-	if err := e.LoadChunk(e.c.Prog.Facts); err != nil {
+	err := e.LoadProgramFacts()
+	if err == nil {
+		err = e.Core.LoadChunk(ctx, edb)
+	}
+	if err == nil {
+		err = e.Drain(ctx)
+	}
+	if err != nil {
 		return nil, err
 	}
-	if err := e.LoadChunk(edb); err != nil {
-		return nil, err
-	}
-	for !e.Quiesced() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := e.step(ctx); err != nil {
-			return nil, err
-		}
-	}
-	e.releaseBatch()
 	return &Result{
 		DB:          e.DB(),
 		Program:     e.c.Prog,
@@ -449,6 +418,40 @@ func (e *Engine) Run(ctx context.Context, edb []ast.Fact) (*Result, error) {
 		Derivations: e.Derivations(),
 		posts:       e.c.Prog.Posts,
 	}, nil
+}
+
+// Drain takes all the input the core's Feeder has left and runs the chase
+// to its fixpoint. Cancelling ctx aborts the loop between delta batches and
+// between the tasks of a batch.
+func (e *Engine) Drain(ctx context.Context) error {
+	if err := e.FeedAll(ctx); err != nil {
+		return err
+	}
+	for !e.Quiesced() {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := e.step(ctx); err != nil {
+			return err
+		}
+	}
+	e.releaseBatch()
+	return nil
+}
+
+// Next returns pred's n-th live fact. The chase has no lazy path: it takes
+// all the input there is, and whenever deltas are waiting — a first pull,
+// facts loaded since the last one — it runs to its fixpoint before
+// answering.
+func (e *Engine) Next(ctx context.Context, pred string, n int) (ast.Fact, bool, error) {
+	if err := e.Drain(ctx); err != nil {
+		return ast.Fact{}, false, err
+	}
+	rel := e.DB().Lookup(pred)
+	if rel == nil || rel.Live() <= n {
+		return ast.Fact{}, false, nil
+	}
+	return rel.LiveAt(n).Fact, true, nil
 }
 
 // releaseBatch drops the per-batch scratch — the drained queue's backing

@@ -1,13 +1,12 @@
 package core
 
-import "sync/atomic"
-
-// Meter is the engines' derivation budget, safe for concurrent use: the
-// admission path charges every admitted fact (Charge/TryCharge), and a
-// step that would exceed the budget is refused.
+// Meter is the engines' derivation budget: the admission path charges every
+// admitted fact (Charge) and refuses a step once the budget is used up. Each
+// admit.Core owns its meter and admits on one goroutine, so the counter is
+// a plain one.
 type Meter struct {
 	limit int64
-	used  atomic.Int64
+	used  int64
 
 	// Per-shard accounting of storage.RunPrepass, which only the benchmark
 	// harness calls; the counters leave with storage/shard.go. The slices
@@ -32,26 +31,12 @@ func (m *Meter) Limit() int { return int(m.limit) }
 func (m *Meter) SetLimit(limit int) { m.limit = int64(limit) }
 
 // Used returns the number of derivations charged so far.
-func (m *Meter) Used() int { return int(m.used.Load()) }
+func (m *Meter) Used() int { return int(m.used) }
 
-// Charge records one derivation unconditionally (EDB loads, which are
-// never rejected).
-func (m *Meter) Charge() { m.used.Add(1) }
-
-// TryCharge records one derivation unless the budget is exhausted; it
-// reports whether the charge was accepted. Callers reject the chase step
-// on false.
-func (m *Meter) TryCharge() bool {
-	for {
-		u := m.used.Load()
-		if u >= m.limit {
-			return false
-		}
-		if m.used.CompareAndSwap(u, u+1) {
-			return true
-		}
-	}
-}
+// Charge records one derivation. The caller has checked the budget first
+// (admit.Core asks before a step touches anything); EDB loads, which are
+// never rejected, charge unconditionally.
+func (m *Meter) Charge() { m.used++ }
 
 // SetShards sizes the per-shard counters for storage.RunPrepass. Safe only
 // with no pre-pass in flight; existing counts are preserved when the shard

@@ -20,8 +20,8 @@ import (
 // duplicates — instead of silently dropping derivations.
 type PanicError struct {
 	// Engine names the evaluation machine that crashed ("chase",
-	// "pipeline") or the phase for crashes outside rule evaluation
-	// ("chase load", "pipeline load").
+	// "pipeline"), or "load" for a crash on the load path both engines
+	// share (admit.Core's LoadProgramFacts, LoadChunk and LoadRows).
 	Engine string
 	// Rule is the rule whose firing panicked, nil outside rule evaluation.
 	Rule *ast.Rule

@@ -63,7 +63,7 @@ func TestBindingLogRoundTrip(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cr, res := compileFirst(t, tc.src)
 			db := loadDB(t, res, facts...)
-			mt := &Matcher{DB: db}
+			mt, steps := &Matcher{DB: db}, cr.ScheduleFor(0, nil)
 			b, target, n := NewBinding(cr), NewBinding(cr), cr.NSlots
 			if tc.wide != "" {
 				wcr, _ := compileFirst(t, tc.wide)
@@ -84,7 +84,7 @@ func TestBindingLogRoundTrip(t *testing.T) {
 				return nil
 			}
 			fire := func(i int) {
-				if err := mt.MatchPinned(cr, 0, db.Lookup("e").At(i), b, capture); err != nil {
+				if err := mt.MatchPinned(cr, 0, db.Lookup("e").At(i), steps, b, capture); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -120,7 +120,7 @@ func TestBindingLogRoundTrip(t *testing.T) {
 				allocs := testing.AllocsPerRun(50, func() {
 					lg.Reset()
 					lg.Shape(cr)
-					if err := mt.MatchPinned(cr, 0, db.Lookup("e").At(1), b, plain); err != nil {
+					if err := mt.MatchPinned(cr, 0, db.Lookup("e").At(1), steps, b, plain); err != nil {
 						t.Fatal(err)
 					}
 					lg.Restore(1, db.Interner(), target)
@@ -177,7 +177,7 @@ func TestBindingLogRanges(t *testing.T) {
 		b := NewBinding(cr)
 		rel := db.Lookup(cr.Pos[0].Pred)
 		for i := 0; i < rel.Len(); i++ {
-			if err := mt.MatchPinned(cr, 0, rel.At(i), b, func(b *Binding) error {
+			if err := mt.MatchPinned(cr, 0, rel.At(i), cr.ScheduleFor(0, nil), b, func(b *Binding) error {
 				lg.Capture(b)
 				return nil
 			}); err != nil {

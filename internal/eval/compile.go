@@ -219,11 +219,6 @@ type CompiledRule struct {
 	// DomSlots lists the body-variable slots that dom(*) restricts to the
 	// active domain.
 	DomSlots []int
-
-	// schedules[i] is the execution schedule when Pos[i] is the pinned
-	// (delta) atom; schedules[len(Pos)] is the schedule with no pin
-	// (full evaluation), used by naive engines.
-	schedules [][]Step
 }
 
 // Compile translates rule (with its analysis info) into an executable plan.
@@ -417,57 +412,43 @@ func Compile(rule *ast.Rule, info *analysis.RuleInfo) (*CompiledRule, error) {
 		}
 	}
 
-	cr.buildSchedules()
 	return cr, nil
 }
 
-// buildSchedules precomputes, for each pinned atom (and for the unpinned
-// case), a greedy execution order: assignments and conditions run as soon
-// as their dependencies are bound (selection push-down), and the next atom
-// to match is the one with the most already-bound positions (join
-// reordering) — the paper's execution-optimizer behaviour. All n+1
-// schedules are cut from one block of steps.
-func (cr *CompiledRule) buildSchedules() {
-	n := len(cr.Pos)
-	cr.schedules = make([][]Step, n+1)
-	size := 0
-	for pinned := 0; pinned <= n; pinned++ {
-		size += cr.scheduleLen(pinned)
-	}
-	steps, flags := make([]Step, 0, size), make([]bool, cr.scheduleFlags())
-	for pinned := 0; pinned <= n; pinned++ {
-		start := len(steps)
-		steps = cr.appendSchedule(steps, flags, pinned, nil)
-		cr.schedules[pinned] = steps[start:len(steps):len(steps)]
-	}
-}
-
-// Schedule returns the compiled static schedule for the given pinned
-// atom (len(Pos) selects the unpinned schedule). The slice is shared;
-// callers must not modify it.
-func (cr *CompiledRule) Schedule(pinned int) []Step { return cr.schedules[pinned] }
-
-// ScheduleFor builds an execution schedule that matches the positive
-// body atoms in the given order (the non-pinned atom indexes, each
-// exactly once), interleaving assignments and conditions as soon as
-// their dependencies are bound — the same selection push-down the static
-// schedule applies. It is the seam the cost-based planner emits plans
-// through: the planner chooses only the join order, the compiler owns
-// step assembly.
+// ScheduleFor builds an execution schedule pinned at Pos[pinned] that
+// matches the other positive body atoms in the given order (each exactly
+// once), interleaving assignments and conditions as soon as their
+// dependencies are bound (selection push-down). A nil or incomplete order
+// is completed by the static greedy: the next atom is the one with the most
+// already-bound positions (join reordering), ties going to the earliest in
+// source order. It is the seam the cost-based planner emits plans through —
+// the planner chooses only the join order, the compiler owns step assembly
+// — and with a nil order it is the static schedule of a rule that runs one
+// (admit.Compile).
 func (cr *CompiledRule) ScheduleFor(pinned int, order []int) []Step {
-	steps := make([]Step, 0, cr.scheduleLen(pinned))
-	return cr.appendSchedule(steps, make([]bool, cr.scheduleFlags()), pinned, order)
+	s := cr.newSchedule(make([]Step, 0, cr.scheduleLen()))
+	s.matched[pinned] = true
+	s.bindAtom(pinned)
+	s.flush()
+	for {
+		best := s.pick(order)
+		if best == -1 {
+			break
+		}
+		s.matched[best] = true
+		s.steps = append(s.steps, Step{StepMatch, best})
+		s.bindAtom(best)
+		s.flush()
+	}
+	return s.steps
 }
 
-// scheduleLen bounds the steps of the schedule pinned at pinned: every
-// non-pinned atom, every assignment, and every condition but those reading
-// the aggregate result, which the engine runs after aggregation. It is
-// exact for every rule the parser accepts.
-func (cr *CompiledRule) scheduleLen(pinned int) int {
-	n := len(cr.Pos) + len(cr.Assigns)
-	if pinned < len(cr.Pos) {
-		n--
-	}
+// scheduleLen bounds the steps of a pinned schedule: every non-pinned atom,
+// every assignment, and every condition but those reading the aggregate
+// result, which the engine runs after aggregation. It is exact for every
+// rule the parser accepts.
+func (cr *CompiledRule) scheduleLen() int {
+	n := len(cr.Pos) - 1 + len(cr.Assigns)
 	for i := range cr.Conds {
 		if !cr.readsAgg(cr.Conds[i].Deps) {
 			n++
@@ -476,113 +457,103 @@ func (cr *CompiledRule) scheduleLen(pinned int) int {
 	return n
 }
 
-// scheduleFlags is the length of the flag block appendSchedule works in:
-// bound per slot, matched per positive atom, done per assignment and per
-// condition.
-func (cr *CompiledRule) scheduleFlags() int {
-	return cr.NSlots + len(cr.Pos) + len(cr.Assigns) + len(cr.Conds)
-}
-
 // readsAgg reports whether deps include the aggregate result slot.
 func (cr *CompiledRule) readsAgg(deps []int) bool {
 	return cr.Agg != nil && slices.Contains(deps, cr.Agg.ResultSlot)
 }
 
-// appendSchedule appends to steps a schedule visiting atoms in the explicit
-// order when non-nil, else by the static most-bound-positions greedy.
-// flags is scratch of scheduleFlags() length; it is cleared first.
-func (cr *CompiledRule) appendSchedule(steps []Step, flags []bool, pinned int, order []int) []Step {
-	n := len(cr.Pos)
-	clear(flags)
-	bound, flags := flags[:cr.NSlots], flags[cr.NSlots:]
-	matched, flags := flags[:n], flags[n:]
-	asgDone, condDone := flags[:len(cr.Assigns)], flags[len(cr.Assigns):]
+// schedule is a schedule under assembly: the steps so far, and per slot
+// whether it is bound, per positive atom whether it is matched, per
+// assignment and per condition whether it is placed.
+type schedule struct {
+	cr                                *CompiledRule
+	steps                             []Step
+	bound, matched, asgDone, condDone []bool
+}
 
-	bindAtom := func(i int) {
-		for p, isv := range cr.Pos[i].IsVar {
-			if isv {
-				bound[cr.Pos[i].Slot[p]] = true
-			}
+// newSchedule starts a schedule appending to steps, nothing bound.
+func (cr *CompiledRule) newSchedule(steps []Step) schedule {
+	flags := make([]bool, cr.NSlots+len(cr.Pos)+len(cr.Assigns)+len(cr.Conds))
+	s := schedule{cr: cr, steps: steps}
+	s.bound, flags = flags[:cr.NSlots], flags[cr.NSlots:]
+	s.matched, flags = flags[:len(cr.Pos)], flags[len(cr.Pos):]
+	s.asgDone, s.condDone = flags[:len(cr.Assigns)], flags[len(cr.Assigns):]
+	return s
+}
+
+// bindAtom marks the variable slots of positive atom i bound.
+func (s *schedule) bindAtom(i int) {
+	a := &s.cr.Pos[i]
+	for p, isv := range a.IsVar {
+		if isv {
+			s.bound[a.Slot[p]] = true
 		}
 	}
-	allBound := func(deps []int) bool {
-		for _, s := range deps {
-			if !bound[s] {
-				return false
-			}
+}
+
+func (s *schedule) allBound(deps []int) bool {
+	for _, d := range deps {
+		if !s.bound[d] {
+			return false
 		}
-		return true
 	}
-	flush := func() {
-		for progress := true; progress; {
-			progress = false
-			for i, a := range cr.Assigns {
-				if !asgDone[i] && allBound(a.Deps) {
-					asgDone[i] = true
-					bound[a.Slot] = true
-					steps = append(steps, Step{StepAssign, i})
-					progress = true
-				}
-			}
-			for i, c := range cr.Conds {
-				// Conditions reading the aggregate result wait for the
-				// aggregation step performed by the engine after matching.
-				if condDone[i] || !allBound(c.Deps) || cr.readsAgg(c.Deps) {
-					continue
-				}
-				condDone[i] = true
-				steps = append(steps, Step{StepCond, i})
+	return true
+}
+
+// flush places every assignment and condition whose dependencies are bound,
+// until none is left to place; an assignment binds its slot. Conditions
+// reading the aggregate result wait for the aggregation step the engine
+// performs after matching.
+func (s *schedule) flush() {
+	cr := s.cr
+	for progress := true; progress; {
+		progress = false
+		for i, a := range cr.Assigns {
+			if !s.asgDone[i] && s.allBound(a.Deps) {
+				s.asgDone[i] = true
+				s.bound[a.Slot] = true
+				s.steps = append(s.steps, Step{StepAssign, i})
 				progress = true
 			}
 		}
-	}
-
-	pick := func() int {
-		if order != nil {
-			for _, i := range order {
-				if i >= 0 && i < n && !matched[i] {
-					return i
-				}
-			}
-			// An incomplete explicit order falls through to the greedy
-			// picker so the schedule always covers every atom.
-		}
-		best, bestScore := -1, -1
-		for i := range cr.Pos {
-			if matched[i] {
+		for i, c := range cr.Conds {
+			if s.condDone[i] || !s.allBound(c.Deps) || cr.readsAgg(c.Deps) {
 				continue
 			}
-			score := 0
-			for p, isv := range cr.Pos[i].IsVar {
-				if !isv || bound[cr.Pos[i].Slot[p]] {
-					score++
-				}
-			}
-			// Strict > breaks ties toward the earliest source-order atom —
-			// the documented fallback order the planner is measured against.
-			if score > bestScore {
-				best, bestScore = i, score
-			}
+			s.condDone[i] = true
+			s.steps = append(s.steps, Step{StepCond, i})
+			progress = true
 		}
-		return best
 	}
+}
 
-	if pinned < n {
-		matched[pinned] = true
-		bindAtom(pinned)
-	}
-	flush()
-	for {
-		best := pick()
-		if best == -1 {
-			break
+// pick returns the next atom to match: the first unmatched one of order,
+// else the unmatched atom with the most bound positions (strict >, so ties
+// go to the earliest in source order — the fallback order the planner is
+// measured against); -1 when every atom is matched.
+func (s *schedule) pick(order []int) int {
+	n := len(s.cr.Pos)
+	for _, i := range order {
+		if i >= 0 && i < n && !s.matched[i] {
+			return i
 		}
-		matched[best] = true
-		steps = append(steps, Step{StepMatch, best})
-		bindAtom(best)
-		flush()
 	}
-	return steps
+	best, bestScore := -1, -1
+	for i := range s.cr.Pos {
+		if s.matched[i] {
+			continue
+		}
+		score := 0
+		for p, isv := range s.cr.Pos[i].IsVar {
+			if !isv || s.bound[s.cr.Pos[i].Slot[p]] {
+				score++
+			}
+		}
+		if score > bestScore {
+			best, bestScore = i, score
+		}
+	}
+	return best
 }
 
 // NBodySlots returns the number of slots occupied by the positive body
@@ -655,68 +626,28 @@ func (cr *CompiledRule) BodySignature() (string, bool) {
 // group — one enumeration of the body feeds every member rule, which
 // then replays its private PostMatchSteps per captured match.
 func (cr *CompiledRule) BodyMatcher() *CompiledRule {
-	nb := cr.NBodySlots()
-	m := &CompiledRule{
+	return &CompiledRule{
 		Rule:    cr.Rule,
 		Info:    cr.Info,
 		VarSlot: cr.VarSlot,
-		NSlots:  nb,
+		NSlots:  cr.NBodySlots(),
 		Pos:     cr.Pos,
 		WardPos: -1,
 	}
-	m.buildSchedules()
-	return m
 }
 
 // PostMatchSteps returns the assignment and condition steps a CSE group
-// member replays after its shared body matched: every assignment and
-// condition, in dependency order, with all body slots bound (conditions
-// reading the aggregate result stay excluded — the engine's aggregation
-// path runs them, exactly as with in-schedule matching).
+// member replays after its shared body matched: with every positive atom's
+// slots bound, every assignment and condition in dependency order
+// (conditions reading the aggregate result stay excluded — the engine's
+// aggregation path runs them, exactly as with in-schedule matching).
 func (cr *CompiledRule) PostMatchSteps() []Step {
-	flags := make([]bool, cr.NSlots+len(cr.Assigns)+len(cr.Conds))
-	bound, asgDone, condDone := flags[:cr.NSlots], flags[cr.NSlots:cr.NSlots+len(cr.Assigns)], flags[cr.NSlots+len(cr.Assigns):]
-	for _, a := range cr.Pos {
-		for p, isv := range a.IsVar {
-			if isv {
-				bound[a.Slot[p]] = true
-			}
-		}
+	s := cr.newSchedule(make([]Step, 0, len(cr.Assigns)+len(cr.Conds)))
+	for i := range cr.Pos {
+		s.bindAtom(i)
 	}
-	aggSlot := -1
-	if cr.Agg != nil {
-		aggSlot = cr.Agg.ResultSlot
-	}
-	steps := make([]Step, 0, len(cr.Assigns)+len(cr.Conds))
-	for progress := true; progress; {
-		progress = false
-		for i, a := range cr.Assigns {
-			ok := !asgDone[i]
-			for _, s := range a.Deps {
-				ok = ok && bound[s]
-			}
-			if ok {
-				asgDone[i] = true
-				bound[a.Slot] = true
-				steps = append(steps, Step{StepAssign, i})
-				progress = true
-			}
-		}
-		for i, c := range cr.Conds {
-			ok := !condDone[i]
-			for _, s := range c.Deps {
-				if !bound[s] || s == aggSlot {
-					ok = false
-				}
-			}
-			if ok {
-				condDone[i] = true
-				steps = append(steps, Step{StepCond, i})
-				progress = true
-			}
-		}
-	}
-	return steps
+	s.flush()
+	return s.steps
 }
 
 // String renders the plan compactly for diagnostics.

@@ -38,7 +38,7 @@ func collectMatches(t *testing.T, cr *CompiledRule, db *storage.Database, pinned
 	mt := &Matcher{DB: db}
 	b := NewBinding(cr)
 	var out [][]term.Value
-	err := mt.MatchPinned(cr, pinned, m, b, func(b *Binding) error {
+	err := mt.MatchPinned(cr, pinned, m, cr.ScheduleFor(pinned, nil), b, func(b *Binding) error {
 		row := make([]term.Value, len(b.IDs))
 		for s := range row {
 			if b.Bound[s] {
@@ -131,7 +131,7 @@ func TestConditionPushdown(t *testing.T) {
 	// The schedule must evaluate X > 3 before matching q (selection
 	// push-down): we verify by behaviour — no q facts needed to reject.
 	cr, _ := compileFirst(t, `p(X), X > 3, q(X,Y) -> r(Y).`)
-	sched := cr.schedules[0]
+	sched := cr.ScheduleFor(0, nil)
 	condPos, matchPos := -1, -1
 	for i, st := range sched {
 		if st.Kind == StepCond && condPos == -1 {
@@ -154,7 +154,7 @@ func TestExistentialSkolemDeterminism(t *testing.T) {
 	rel := db.Lookup("p")
 	var first, second term.Value
 	for round := 0; round < 2; round++ {
-		err := mt.MatchPinned(cr, 0, rel.At(0), b, func(b *Binding) error {
+		err := mt.MatchPinned(cr, 0, rel.At(0), cr.ScheduleFor(0, nil), b, func(b *Binding) error {
 			mt.InstantiateExistentials(cr, b)
 			row, miss, err := b.AppendHeadRow(nil, cr, 0, nil)
 			if err != nil {

@@ -234,24 +234,13 @@ func (b *Binding) unifyRow(a *CAtom, row []uint32, checked uint32) bool {
 }
 
 // MatchPinned enumerates all matches of cr's positive body where Pos
-// [pinned] is bound to pinnedMeta, invoking emit for each complete
-// binding. pinnedMeta must be a fact stored in that atom's relation (the
-// pin reads its row); one stored nowhere matches nothing. emit must not
-// retain b (copy what it needs). Returning an error from emit aborts the
-// enumeration.
-//
-// When pinned == len(cr.Pos) the rule is evaluated without a pin (naive
-// evaluation over the whole database).
-func (mt *Matcher) MatchPinned(cr *CompiledRule, pinned int, pinnedMeta *core.FactMeta, b *Binding, emit func(b *Binding) error) error {
-	return mt.MatchPinnedSteps(cr, pinned, pinnedMeta, cr.schedules[pinned], b, emit)
-}
-
-// MatchPinnedSteps is MatchPinned running an explicit schedule instead
-// of the compiled static one — the seam through which the engines feed
-// planner-derived schedules. steps must cover the same assignments,
-// conditions and non-pinned atoms as cr.Schedule(pinned) (only their
-// order may differ); ScheduleFor produces exactly such schedules.
-func (mt *Matcher) MatchPinnedSteps(cr *CompiledRule, pinned int, pinnedMeta *core.FactMeta, steps []Step, b *Binding, emit func(b *Binding) error) error {
+// [pinned] is bound to pinnedMeta, running steps — cr.ScheduleFor(pinned,
+// order) for some order: the static schedule, or a plan of the cost-based
+// planner — and invoking emit for each complete binding. pinnedMeta must be
+// a fact stored in that atom's relation (the pin reads its row); one stored
+// nowhere matches nothing. emit must not retain b (copy what it needs).
+// Returning an error from emit aborts the enumeration.
+func (mt *Matcher) MatchPinned(cr *CompiledRule, pinned int, pinnedMeta *core.FactMeta, steps []Step, b *Binding, emit func(b *Binding) error) error {
 	b.in = mt.DB.Interner()
 	for i := range b.Bound {
 		b.Bound[i] = false
@@ -262,15 +251,13 @@ func (mt *Matcher) MatchPinnedSteps(cr *CompiledRule, pinned int, pinnedMeta *co
 		b.ParentRows[i] = -1
 	}
 	b.newly = b.newly[:0]
-	if pinned < len(cr.Pos) {
-		// The delta is a stored fact: its row holds the IDs, nothing is
-		// interned to pin it.
-		rel, ri := b.posRel(mt.DB, cr, pinned), pinnedMeta.RowIndex()
-		if rel == nil || ri < 0 || !b.unifyRow(&cr.Pos[pinned], rel.Row(ri), 0) {
-			return nil
-		}
-		b.Parents[pinned] = pinnedMeta
+	// The delta is a stored fact: its row holds the IDs, nothing is
+	// interned to pin it.
+	rel, ri := b.posRel(mt.DB, cr, pinned), pinnedMeta.RowIndex()
+	if rel == nil || ri < 0 || !b.unifyRow(&cr.Pos[pinned], rel.Row(ri), 0) {
+		return nil
 	}
+	b.Parents[pinned] = pinnedMeta
 	return mt.runSteps(cr, steps, 0, b, emit)
 }
 

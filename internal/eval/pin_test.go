@@ -23,7 +23,7 @@ func pinAll(t *testing.T, cr *CompiledRule, db *storage.Database) [][]term.Value
 		if m.Retracted {
 			continue
 		}
-		err := mt.MatchPinned(cr, 0, m, b, func(b *Binding) error {
+		err := mt.MatchPinned(cr, 0, m, cr.ScheduleFor(0, nil), b, func(b *Binding) error {
 			row := make([]term.Value, len(b.IDs))
 			for s := range row {
 				row[s] = b.Val(s)

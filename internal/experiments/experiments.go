@@ -10,6 +10,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -154,11 +155,15 @@ func scaled(n int, factor float64, lo int) int {
 }
 
 // scalePoints shrinks a series of paper-scale x-axis values by factor,
-// keeping at least lo.
+// keeping at least lo, in order, and drops a point that scales to one
+// already kept: at small factors the floor folds several points into one
+// configuration, which would only be measured again.
 func scalePoints(points []int, factor float64, lo int) []int {
-	out := make([]int, len(points))
-	for i, p := range points {
-		out[i] = scaled(p, factor, lo)
+	var out []int
+	for _, p := range points {
+		if n := scaled(p, factor, lo); !slices.Contains(out, n) {
+			out = append(out, n)
+		}
 	}
 	return out
 }

@@ -26,7 +26,6 @@ package pipeline
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"runtime/debug"
 	"sort"
@@ -36,15 +35,8 @@ import (
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/fault"
 	"repro/internal/storage"
-	"repro/internal/term"
 )
-
-// siteLoad guards the streaming-load seam: it fires at the head of
-// LoadChunk, before the chunk is admitted, so an injected failure drops
-// nothing the engine has accepted.
-var siteLoad = fault.NewSite("pipeline.load")
 
 // ErrInconsistent and ErrBudget are the admission core's sentinels under
 // this package's name: errors.Is holds against either.
@@ -58,27 +50,6 @@ var (
 // Session.PhaseStats; fused firings (inline and short rules) count as match
 // time.
 type Options = admit.Config
-
-// Feeder loads one more chunk of a run's input into the session — the
-// sources of the paper's pull stream, as one function: the program's facts,
-// a bound record manager's next cursor chunk, the next staged facts — and
-// reports whether anything was left to load. A step that fails has lost
-// nothing: calling again resumes at the same row. Whoever owns the input
-// (package vadalog's Session) supplies it; Next calls it when a pull comes
-// back dry.
-type Feeder func(ctx context.Context) (more bool, err error)
-
-// Drain steps f until the input is exhausted or a step fails. A nil Feeder
-// has no input.
-func (f Feeder) Drain(ctx context.Context) error {
-	for f != nil {
-		more, err := f(ctx)
-		if err != nil || !more {
-			return err
-		}
-	}
-	return nil
-}
 
 // Session is the per-run state of one reasoning task over a shared
 // Compiled artifact: database, interner, termination strategy, buffers,
@@ -94,10 +65,6 @@ type Session struct {
 
 	filters []ruleFilter
 	hubs    map[string]*hub
-
-	// feed is where Next gets more input from when a pull comes back dry;
-	// nil for a session loaded through Load/LoadRows/Run alone.
-	feed Feeder
 
 	// ctx is the context of the drive call currently on the stack; the
 	// recursive pull machinery checks it between rule firings. ctxDone
@@ -192,10 +159,6 @@ func New(prog *ast.Program, opts Options) (*Session, error) {
 	return c.NewSession(), nil
 }
 
-// SetFeeder hands the session the source of its input (see Feeder). Set it
-// once, before the first pull.
-func (s *Session) SetFeeder(f Feeder) { s.feed = f }
-
 // admitted is the session's admission hook: every fact the core stores or
 // replaces in place opens a hub when its predicate is new to the session,
 // and ends any quiescence. (A replaced row needs no more: the relation's
@@ -209,49 +172,6 @@ func (s *Session) admitted(m *core.FactMeta) {
 	s.quiesced = false
 }
 
-// LoadChunk admits one chunk of EDB facts (admit.Core.LoadFacts) and then
-// reports any pending cancellation. Loading after the pipeline has quiesced
-// resumes it: new facts can enable new derivations (incremental
-// reasoning). The chunk is always admitted before the context is
-// consulted, so a chunk already pulled from a cursor is never dropped
-// (the caller stops before pulling the next one); duplicates are
-// skipped, so re-feeding after an interrupted load stays idempotent.
-// A crash mid-chunk (storage fault) is recovered into a typed error with
-// the already-admitted prefix intact, so re-feeding the chunk resumes
-// exactly where the crash struck.
-func (s *Session) LoadChunk(ctx context.Context, facts []ast.Fact) error {
-	return s.loadGuarded(ctx, func() error { return s.LoadFacts(facts) })
-}
-
-// LoadRows is LoadChunk for one chunk of a record manager's cursor: rows
-// are admitted as facts of pred without being staged as facts first — the
-// streaming-load entry point.
-func (s *Session) LoadRows(ctx context.Context, pred string, rows [][]term.Value) error {
-	return s.loadGuarded(ctx, func() error {
-		for _, row := range rows {
-			if err := s.LoadRow(pred, row); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// loadGuarded runs one chunk's admission behind the load fault site and
-// the load path's crash isolation, then reports ctx's state. A row the
-// admission refuses (admit.ErrArity) ends the chunk there.
-func (s *Session) loadGuarded(ctx context.Context, load func() error) error {
-	return admit.Guard("pipeline load", func() error {
-		if err := siteLoad.Check(); err != nil {
-			return fmt.Errorf("pipeline: load: %w", err)
-		}
-		if err := load(); err != nil {
-			return err
-		}
-		return ctx.Err()
-	})
-}
-
 // Next ensures at least n+1 facts of pred exist, pulling through the
 // pipeline on demand (the volcano next() of the paper). It returns false
 // on a real miss: no further facts of pred can be derived. Cancelling ctx
@@ -259,12 +179,12 @@ func (s *Session) loadGuarded(ctx context.Context, load func() error) error {
 // can be driven again with a live context.
 //
 // Input is pulled too. When the producers of pred come back dry, Next asks
-// the session's Feeder for one more chunk and pulls again; only with the
-// input exhausted does it sweep and, failing that, quiesce. It asks before
-// honouring an earlier quiescence or a predicate nothing has stored yet —
-// facts staged since the last pull must be seen — and it never sweeps while
-// input remains, so the work before the first answer is at most what
-// loading everything first would have cost. The one exception is a program
+// the core's Feeder for one more chunk (admit.Core.Feed) and pulls again;
+// only with the input exhausted does it sweep and, failing that, quiesce.
+// It asks before honouring an earlier quiescence or a predicate nothing has
+// stored yet — facts staged since the last pull must be seen — and it never
+// sweeps while input remains, so the work before the first answer is at
+// most what loading everything first would have cost. The one exception is a program
 // with a negated body atom, which takes all its input and settles its
 // negated predicates before the first pull (see settle).
 //
@@ -293,7 +213,7 @@ func (s *Session) settle(ctx context.Context) error {
 	if s.c.settle == nil {
 		return nil
 	}
-	if err := s.feed.Drain(ctx); err != nil {
+	if err := s.FeedAll(ctx); err != nil {
 		return err
 	}
 	for s.settled < len(s.c.settle) {
@@ -318,15 +238,13 @@ func (s *Session) next(ctx context.Context, pred string, n int) (ast.Fact, bool,
 		if h != nil && !s.quiesced && s.pull(h) {
 			continue
 		}
-		if s.feed != nil {
-			more, err := s.feed(ctx)
-			if err != nil {
-				return ast.Fact{}, false, err
-			}
-			if more {
-				h = s.hubs[pred]
-				continue
-			}
+		more, err := s.Feed(ctx)
+		if err != nil {
+			return ast.Fact{}, false, err
+		}
+		if more {
+			h = s.hubs[pred]
+			continue
 		}
 		if h == nil || s.quiesced {
 			return ast.Fact{}, false, nil
@@ -656,26 +574,19 @@ func (s *Session) Drain(ctx context.Context) error {
 	return nil
 }
 
-// LoadProgramFacts admits the program's inline fact literals — the same
-// facts Run loads before the EDB. Streaming callers that drive Next
-// directly (bypassing Run) must call it once before pulling.
-func (s *Session) LoadProgramFacts() error { return s.LoadFacts(s.c.Prog.Facts) }
-
-// Run loads facts, drains the pipeline and returns the materialized
-// result. Cancelling ctx aborts the fixpoint between rule firings.
+// Run loads the program's facts and edb, drains the pipeline and returns
+// the materialized result. Cancelling ctx aborts the fixpoint between rule
+// firings. Loading skips duplicates, so a resumed Run re-feeding the same
+// facts admits only what an earlier crash cut off.
 func (s *Session) Run(ctx context.Context, edb []ast.Fact) error {
-	// Loading skips duplicates, so a resumed Run re-feeding the same facts
-	// admits only what an earlier crash cut off.
-	err := admit.Guard("pipeline load", func() error {
-		if err := s.LoadProgramFacts(); err != nil {
-			return err
-		}
-		return s.LoadFacts(edb)
-	})
-	if err != nil {
-		return err
+	err := s.LoadProgramFacts()
+	if err == nil {
+		err = s.LoadChunk(ctx, edb)
 	}
-	return s.Drain(ctx)
+	if err == nil {
+		err = s.Drain(ctx)
+	}
+	return err
 }
 
 // Quiesced reports whether the pipeline has reached its fixpoint: no

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/admit"
 	"repro/internal/ast"
 	"repro/internal/chase"
 	"repro/internal/parser"
@@ -63,7 +64,7 @@ func TestPipelineStreaming(t *testing.T) {
 		edb = append(edb, ast.NewFact("edge",
 			term.String(fmt.Sprintf("n%d", i)), term.String(fmt.Sprintf("n%d", i+1))))
 	}
-	s.LoadFacts(edb)
+	s.LoadChunk(context.Background(), edb)
 	count := 0
 	for {
 		_, ok, err := s.Next(context.Background(), "path", count)
@@ -85,20 +86,23 @@ func TestPipelineStreaming(t *testing.T) {
 // edge per step and counts its steps.
 func TestNextPullsInputWhenDry(t *testing.T) {
 	const edges = 50
-	newFed := func(src string) (s *Session, steps *int) {
-		s, err := New(parser.MustParse(src), Options{})
-		if err != nil {
-			t.Fatalf("new: %v", err)
-		}
-		steps = new(int)
-		s.SetFeeder(func(ctx context.Context) (bool, error) {
+	edgeFeeder := func(s *Session, steps *int) admit.Feeder {
+		return func(ctx context.Context) (bool, error) {
 			if *steps == edges {
 				return false, nil
 			}
 			s.LoadRow("edge", []term.Value{term.Int(int64(*steps)), term.Int(int64(*steps + 1))})
 			*steps++
 			return true, nil
-		})
+		}
+	}
+	newFed := func(src string) (s *Session, steps *int) {
+		s, err := New(parser.MustParse(src), Options{})
+		if err != nil {
+			t.Fatalf("new: %v", err)
+		}
+		steps = new(int)
+		s.SetFeeder(edgeFeeder(s, steps))
 		return s, steps
 	}
 	ctx := context.Background()
@@ -133,7 +137,7 @@ func TestNextPullsInputWhenDry(t *testing.T) {
 	// A failing step surfaces as it is, and the next pull carries on.
 	s, steps = newFed(tc)
 	boom := errors.New("boom")
-	feed, failed := s.feed, false
+	feed, failed := edgeFeeder(s, steps), false
 	s.SetFeeder(func(ctx context.Context) (bool, error) {
 		if *steps == 3 && !failed {
 			failed = true

@@ -100,7 +100,7 @@ type Probe struct {
 // Plan is a derived schedule for one (rule, pinned atom) evaluation.
 type Plan struct {
 	// Steps is the full execution schedule (matches, assignments,
-	// conditions) to hand to eval.Matcher.MatchPinnedSteps.
+	// conditions) to hand to eval.Matcher.MatchPinned.
 	Steps []eval.Step
 	// Order lists the non-pinned positive atoms in chosen match order.
 	Order []int
@@ -169,8 +169,7 @@ func (pl *Planner) Derives() int { return pl.derives }
 func (pl *Planner) Replans() int { return pl.replans }
 
 // PlanFor returns the plan for evaluating cr with Pos[pinned] bound to a
-// delta fact (pinned == len(cr.Pos) plans the unpinned evaluation). The
-// cached plan is reused while the statistics generation is unchanged;
+// delta fact. The cached plan is reused while the statistics generation is unchanged;
 // at a new generation it is revalidated cheaply against current live-row
 // counts and recomputed only when they drifted past the threshold. The
 // returned Plan (and its Steps) must be treated as immutable.
@@ -199,8 +198,8 @@ func (pl *Planner) slot(cr *eval.CompiledRule, pinned int) **Plan {
 	if id >= len(pl.slots) {
 		pl.slots = slices.Grow(pl.slots, id+1-len(pl.slots))[:id+1]
 	}
-	if len(pl.slots[id]) != len(cr.Pos)+1 {
-		pl.slots[id] = make([]*Plan, len(cr.Pos)+1)
+	if len(pl.slots[id]) != len(cr.Pos) {
+		pl.slots[id] = make([]*Plan, len(cr.Pos))
 	}
 	return &pl.slots[id][pinned]
 }
@@ -231,10 +230,7 @@ func (pl *Planner) drifted(cr *eval.CompiledRule, p *Plan) bool {
 func (pl *Planner) derive(cr *eval.CompiledRule, pinned int, gen uint64) *Plan {
 	pl.derives++
 	n := len(cr.Pos)
-	k := n // atoms to order: all but the pinned one
-	if pinned < n {
-		k--
-	}
+	k := n - 1 // atoms to order: all but the pinned one
 	block := make([]int, k+n)
 	p := &Plan{Order: block[:0:k], Rows: block[k:], Est: make([]float64, 0, k),
 		Probes: make([]Probe, 0, k), cr: cr, gen: gen}
@@ -278,10 +274,8 @@ func (pl *Planner) derive(cr *eval.CompiledRule, pinned int, gen uint64) *Plan {
 		}
 	}
 
-	if pinned < n {
-		matched[pinned] = true
-		bindAtom(pinned)
-	}
+	matched[pinned] = true
+	bindAtom(pinned)
 	flushAssigns()
 
 	inter := 1.0 // candidate bindings in flight (the pinned delta is one row)
@@ -372,16 +366,9 @@ func distinctAt(st storage.RelStats, p int) float64 {
 func (pl *Planner) Describe(cr *eval.CompiledRule, pinned int) string {
 	p := pl.PlanFor(cr, pinned)
 	var sb strings.Builder
-	if pinned < len(cr.Pos) {
-		fmt.Fprintf(&sb, "Δ%s: %s*", cr.Pos[pinned].Pred, cr.Pos[pinned].Pred)
-	} else {
-		sb.WriteString("full: ")
-	}
+	fmt.Fprintf(&sb, "Δ%s: %s*", cr.Pos[pinned].Pred, cr.Pos[pinned].Pred)
 	for k, i := range p.Order {
-		if k > 0 || pinned < len(cr.Pos) {
-			sb.WriteString(" ⋈ ")
-		}
-		fmt.Fprintf(&sb, "%s(est %s)", cr.Pos[i].Pred, fmtEst(p.Est[k]))
+		fmt.Fprintf(&sb, " ⋈ %s(est %s)", cr.Pos[i].Pred, fmtEst(p.Est[k]))
 	}
 	sb.WriteString(" — rows")
 	for i := range cr.Pos {

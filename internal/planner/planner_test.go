@@ -172,7 +172,7 @@ func TestPlanForAllocations(t *testing.T) {
 		t.Errorf("undrifted revalidation called RelStats %d times and derived %d plans, want 0 and 1", cat.relStats-calls, pl.Derives())
 	}
 	const maxDerive = 6
-	for pin := 0; pin <= len(cr.Pos); pin++ {
+	for pin := range cr.Pos {
 		if n := testing.AllocsPerRun(100, func() { pl.derive(cr, pin, 0) }); n > maxDerive {
 			t.Errorf("derive pinned at %d: %.1f allocations, want at most %d", pin, n, maxDerive)
 		}
@@ -192,7 +192,7 @@ func TestSlotsIsolateRulesOfEqualID(t *testing.T) {
 	pl := New(skewCat())
 	for round := 0; round < 3; round++ {
 		for _, cr := range []*eval.CompiledRule{a, b} {
-			for pin := 0; pin <= len(cr.Pos); pin++ {
+			for pin := range cr.Pos {
 				p := pl.PlanFor(cr, pin)
 				want := New(skewCat()).PlanFor(cr, pin)
 				if p.cr != cr || !slices.Equal(p.Order, want.Order) || !slices.Equal(p.Steps, want.Steps) {

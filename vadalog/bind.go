@@ -148,7 +148,7 @@ func bindErr(line, col int, format string, args ...any) error {
 	return fmt.Errorf("vadalog: %s", msg)
 }
 
-// step is the session's pipeline.Feeder: it loads one more chunk of input
+// step is the session's admit.Feeder: it loads one more chunk of input
 // into the engine and reports whether anything was left to load. Input
 // comes in a fixed order — the program's inline facts, then each input
 // binding's cursor in declaration order, one chunk per step, then the
@@ -173,7 +173,7 @@ func (s *Session) step(ctx context.Context) (more bool, err error) {
 	if !s.progLoaded {
 		// Once per session: the engines skip duplicates, but the guard
 		// keeps the work one-shot.
-		if err := s.eng.LoadProgramFacts(); err != nil {
+		if err := s.core.LoadProgramFacts(); err != nil {
 			return false, err
 		}
 		s.progLoaded = true
@@ -195,7 +195,7 @@ func (s *Session) step(ctx context.Context) (more bool, err error) {
 	// On failure the staged chunk stays: loading skips duplicates, so the
 	// resumed step admits only what was cut off.
 	n := min(len(s.pending), source.ChunkSize)
-	if err := s.eng.LoadChunk(ctx, s.pending[:n]); err != nil {
+	if err := s.core.LoadChunk(ctx, s.pending[:n]); err != nil {
 		return false, err
 	}
 	if s.pending = s.pending[n:]; len(s.pending) == 0 {
@@ -246,9 +246,9 @@ func (s *Session) stepCursor(ctx context.Context, bio *boundIO) (more bool, err 
 		// on the session until the engine admits it: a failed or
 		// interrupted load resumes by re-admitting it (duplicates are
 		// skipped), losing and re-reading nothing.
-		s.chunk = importNulls(s.eng.DB().Nulls, chunk)
+		s.chunk = importNulls(s.core.DB().Nulls, chunk)
 	}
-	if err := s.eng.LoadRows(ctx, bio.b.Pred, s.chunk); err != nil {
+	if err := s.core.LoadRows(ctx, bio.b.Pred, s.chunk); err != nil {
 		return false, err // chunk and cursor kept: the load resumes here
 	}
 	s.chunk = nil

@@ -331,7 +331,7 @@ func TestMemDriverConcurrentQueries(t *testing.T) {
 // admission order, retraction marks, derivation and null counters).
 func dbBytes(t *testing.T, s *Session) string {
 	t.Helper()
-	db := s.eng.DB()
+	db := s.core.DB()
 	var sb strings.Builder
 	for _, pred := range db.Predicates() {
 		rel := db.Lookup(pred)

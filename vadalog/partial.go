@@ -160,7 +160,7 @@ func (s *Session) SetMaxDerivations(n int) {
 	if n <= 0 {
 		n = admit.DefaultBudget
 	}
-	s.eng.SetBudget(n)
+	s.core.SetBudget(n)
 }
 
 // Quiesced reports whether the session's reasoning is complete: every

@@ -29,9 +29,9 @@ type Reasoner struct {
 	opts Options
 	prog *ast.Program
 	// newEngine derives fresh per-run engine state over the compiled
-	// program, pulling its input from feed — the one place the choice of
-	// engine lives on.
-	newEngine func(feed pipeline.Feeder) engine
+	// program, and returns it with its admission core — the one place the
+	// choice of engine lives on.
+	newEngine func() (engine, *admit.Core)
 	plc       *pipeline.Compiled // Plan only; nil on the chase engine
 	binds     []boundIO          // @bind/@qbind annotations resolved against the driver registry
 	diags     []Diagnostic
@@ -83,17 +83,19 @@ func Compile(prog *Program, opts *Options) (*Reasoner, error) {
 			return nil, err
 		}
 		r.plc = plc
-		r.newEngine = func(feed pipeline.Feeder) engine {
+		r.newEngine = func() (engine, *admit.Core) {
 			s := plc.NewSession()
-			s.SetFeeder(feed)
-			return s
+			return s, s.Core
 		}
 	case EngineChase:
 		chc, err := chase.Compile(prog, cfg)
 		if err != nil {
 			return nil, err
 		}
-		r.newEngine = func(feed pipeline.Feeder) engine { return chaseEngine{chc.NewEngine(), feed} }
+		r.newEngine = func() (engine, *admit.Core) {
+			e := chc.NewEngine()
+			return e, e.Core
+		}
 	default:
 		return nil, fmt.Errorf("vadalog: unknown engine %d", o.Engine)
 	}
@@ -114,7 +116,8 @@ func MustCompile(prog *Program, opts *Options) *Reasoner {
 // compilation happens); each is for use by a single goroutine.
 func (r *Reasoner) NewSession() *Session {
 	s := &Session{opts: r.opts, prog: r.prog, binds: r.binds}
-	s.eng = r.newEngine(s.step)
+	s.eng, s.core = r.newEngine()
+	s.core.SetFeeder(s.step)
 	return s
 }
 
@@ -196,13 +199,13 @@ func (r *Reasoner) Program() *Program { return r.prog }
 // compiled with Options.Lint (or Options.Strict) set.
 func (r *Reasoner) Diagnostics() []Diagnostic { return r.diags }
 
-// Result is the outcome of a reasoning run, read through the engine that
-// produced it (it keeps that engine's database reachable). A Result only
-// exists for sessions that actually ran, which makes the "read before run"
-// mistake unrepresentable (cf. ErrNotRun).
+// Result is the outcome of a reasoning run, read through the admission core
+// of the engine that produced it (it keeps that database reachable). A
+// Result only exists for sessions that actually ran, which makes the "read
+// before run" mistake unrepresentable (cf. ErrNotRun).
 type Result struct {
 	prog *ast.Program
-	eng  engine
+	core *admit.Core
 }
 
 // Output returns the facts of pred with @post directives applied, in
@@ -212,7 +215,7 @@ type Result struct {
 // that order on its column: facts tying on the column stay in canonical
 // order, so orderBy + limit keeps the same facts whichever engine admitted
 // them first.
-func (res *Result) Output(pred string) []Fact { return res.eng.Output(pred) }
+func (res *Result) Output(pred string) []Fact { return res.core.Output(pred) }
 
 // All returns the outputs of every @output predicate (every IDB
 // predicate when none are declared), keyed by predicate.
@@ -223,14 +226,14 @@ func (res *Result) All() map[string][]Fact {
 	}
 	out := make(map[string][]Fact, len(preds))
 	for pred := range preds {
-		out[pred] = res.eng.Output(pred)
+		out[pred] = res.core.Output(pred)
 	}
 	return out
 }
 
 // Derivations reports the number of admitted facts (EDB included).
-func (res *Result) Derivations() int { return res.eng.Derivations() }
+func (res *Result) Derivations() int { return res.core.Derivations() }
 
 // StrategyStats returns the termination-strategy counters when the full
 // strategy is in use.
-func (res *Result) StrategyStats() (core.Stats, bool) { return strategyStats(res.eng) }
+func (res *Result) StrategyStats() (core.Stats, bool) { return strategyStats(res.core) }

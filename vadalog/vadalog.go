@@ -48,7 +48,6 @@ import (
 	"repro/internal/lint"
 	"repro/internal/parser"
 	"repro/internal/pipeline"
-	"repro/internal/storage"
 	"repro/internal/term"
 )
 
@@ -210,82 +209,26 @@ func Lint(prog *Program, file string) []Diagnostic {
 	return lint.Check(prog, lint.Options{File: file})
 }
 
-// engine is the scheduling surface a Session drives — the one pull
-// interface of the paper's Sec. 4, with the chase of Algorithm 2 behind it
-// as the reference implementation. *pipeline.Session satisfies it as it
-// stands and *chase.Engine through chaseEngine; everything below DB is
-// what both promote from their embedded *admit.Core. Compile picks the
-// implementation; nothing after it asks which one runs. An engine is
-// created holding its session's input as a pipeline.Feeder (Session.step),
-// and Next pulls from it: chunk by chunk on the pipeline, all at once on
-// the chase.
+// engine is the schedule a Session drives — the one pull interface of the
+// paper's Sec. 4, with the chase of Algorithm 2 behind it as the reference
+// implementation. Compile picks the implementation; nothing after it asks
+// which one runs. Everything that is not scheduling — loads, the database,
+// the budget, outputs, the strategy — the Session reads from the engine's
+// *admit.Core, which also holds the session's input as an admit.Feeder
+// (Session.step): the pipeline pulls it chunk by chunk, the chase all at
+// once before its fixpoint.
 type engine interface {
-	LoadProgramFacts() error
-	LoadChunk(ctx context.Context, facts []ast.Fact) error
-	LoadRows(ctx context.Context, pred string, rows [][]term.Value) error
-	Run(ctx context.Context, facts []ast.Fact) error
+	Drain(ctx context.Context) error
 	Next(ctx context.Context, pred string, n int) (ast.Fact, bool, error)
 	Quiesced() bool
 	Explain() string
 	PhaseStats() (match, prepass, admit time.Duration)
-
-	DB() *storage.Database
-	ReachesNegation(pred string) bool
-	Strategy() core.Policy
-	Derivations() int
-	SetBudget(n int)
-	Output(pred string) []ast.Fact
 }
 
-// chaseEngine fits *chase.Engine to the engine seam; the engine's own
-// LoadChunk and Run signatures are the benchmark harness's and stay. feed
-// is the session's input (see Session.step).
-type chaseEngine struct {
-	*chase.Engine
-	feed pipeline.Feeder
-}
-
-// LoadChunk admits the chunk, then reports any pending cancellation (the
-// pipeline's contract: a chunk already pulled from a cursor is never
-// dropped).
-func (c chaseEngine) LoadChunk(ctx context.Context, facts []ast.Fact) error {
-	if err := c.Engine.LoadChunk(facts); err != nil {
-		return err
-	}
-	return ctx.Err()
-}
-
-func (c chaseEngine) LoadRows(ctx context.Context, pred string, rows [][]term.Value) error {
-	if err := c.Engine.LoadRows(pred, rows); err != nil {
-		return err
-	}
-	return ctx.Err()
-}
-
-func (c chaseEngine) Run(ctx context.Context, facts []ast.Fact) error {
-	_, err := c.Engine.Run(ctx, facts)
-	return err
-}
-
-// Next returns pred's n-th live fact. The chase has no lazy path: it takes
-// all the input there is, and whenever deltas are waiting — a first pull,
-// facts loaded since the last one — it runs to its fixpoint before
-// answering.
-func (c chaseEngine) Next(ctx context.Context, pred string, n int) (ast.Fact, bool, error) {
-	if err := c.feed.Drain(ctx); err != nil {
-		return ast.Fact{}, false, err
-	}
-	if !c.Quiesced() {
-		if err := c.Run(ctx, nil); err != nil {
-			return ast.Fact{}, false, err
-		}
-	}
-	rel := c.DB().Lookup(pred)
-	if rel == nil || rel.Live() <= n {
-		return ast.Fact{}, false, nil
-	}
-	return rel.LiveAt(n).Fact, true, nil
-}
+var (
+	_ engine = (*chase.Engine)(nil)
+	_ engine = (*pipeline.Session)(nil)
+)
 
 // Session is one reasoning session over a program: per-run state (facts,
 // database, strategy) layered over a compiled Reasoner. Sessions are for
@@ -295,6 +238,7 @@ type Session struct {
 	opts    Options
 	prog    *ast.Program
 	eng     engine
+	core    *admit.Core // eng's
 	pending []ast.Fact
 	ran     bool
 	refused bool // a Load was refused since the last drive (ErrUnsoundLoad)
@@ -346,12 +290,12 @@ func newPolicy(p Policy) func(*analysis.Result) core.Policy {
 // predicate is refused whole: none of its facts is staged, and the next
 // drive returns ErrUnsoundLoad.
 func (s *Session) Load(facts ...Fact) {
-	if s.ran && slices.ContainsFunc(facts, func(f Fact) bool { return s.eng.ReachesNegation(f.Pred) }) {
+	if s.ran && slices.ContainsFunc(facts, func(f Fact) bool { return s.core.ReachesNegation(f.Pred) }) {
 		s.refused = true
 		return
 	}
 	s.pending = append(s.pending, facts...)
-	nulls := s.eng.DB().Nulls
+	nulls := s.core.DB().Nulls
 	staged := s.pending[len(s.pending)-len(facts):]
 	for i := range staged {
 		if args, renamed := importRow(nulls, staged[i].Args); renamed {
@@ -389,7 +333,7 @@ func (s *Session) RunContext(ctx context.Context) error {
 	if err := s.feed(ctx); err != nil {
 		return err
 	}
-	if err := s.eng.Run(ctx, nil); err != nil {
+	if err := s.eng.Drain(ctx); err != nil {
 		return s.wrapPartial(mapErr(err))
 	}
 	return s.wrapPartial(s.writeBoundOutputs(ctx))
@@ -410,7 +354,7 @@ func (s *Session) takeRefused() error {
 // the way it does from a drain — a deadline while a bound input is loading
 // is a resumable *PartialResult.
 func (s *Session) feed(ctx context.Context) error {
-	return s.wrapPartial(mapErr(pipeline.Feeder(s.step).Drain(ctx)))
+	return s.wrapPartial(mapErr(s.core.FeedAll(ctx)))
 }
 
 // mapErr lifts the admission core's sentinels to this package's.
@@ -434,7 +378,7 @@ func mapErr(err error) error {
 // Contract: before the session has been run there are no facts to return.
 // Use Result, which fails with ErrNotRun instead of silently returning
 // nothing, when "not run yet" must be distinguishable from "empty answer".
-func (s *Session) Output(pred string) []Fact { return s.eng.Output(pred) }
+func (s *Session) Output(pred string) []Fact { return s.core.Output(pred) }
 
 // Explain renders the session's access plan annotated, per rule and per
 // delta-pinned body atom, with the join order the cost-based planner
@@ -450,7 +394,7 @@ func (s *Session) Result() (*Result, error) {
 	if !s.ran {
 		return nil, ErrNotRun
 	}
-	return &Result{prog: s.prog, eng: s.eng}, nil
+	return &Result{prog: s.prog, core: s.core}, nil
 }
 
 // Facts pulls the stored facts of pred lazily as a range-over-func
@@ -499,14 +443,14 @@ func (s *Session) Facts(ctx context.Context, pred string) iter.Seq2[Fact, error]
 // Contract: before the session has been run it reports the facts admitted
 // so far (0 when nothing is loaded); see Result / ErrNotRun to tell "not
 // run" apart from "derived nothing".
-func (s *Session) Derivations() int { return s.eng.Derivations() }
+func (s *Session) Derivations() int { return s.core.Derivations() }
 
 // StrategyStats returns the termination-strategy counters when the full
 // strategy is in use.
-func (s *Session) StrategyStats() (core.Stats, bool) { return strategyStats(s.eng) }
+func (s *Session) StrategyStats() (core.Stats, bool) { return strategyStats(s.core) }
 
-func strategyStats(eng engine) (core.Stats, bool) {
-	if st, ok := eng.Strategy().(*core.Strategy); ok {
+func strategyStats(c *admit.Core) (core.Stats, bool) {
+	if st, ok := c.Strategy().(*core.Strategy); ok {
 		return st.Stats(), true
 	}
 	return core.Stats{}, false

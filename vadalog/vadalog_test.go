@@ -284,7 +284,7 @@ func TestConstraintsStoreNoRelation(t *testing.T) {
 		if err := s.Run(); err != nil {
 			t.Fatalf("engine %d: %v", engine, err)
 		}
-		preds[i] = s.eng.DB().Predicates()
+		preds[i] = s.core.DB().Predicates()
 	}
 	if !slices.Equal(preds[0], preds[1]) {
 		t.Errorf("pipeline relations %v, chase relations %v", preds[0], preds[1])
