@@ -14,8 +14,11 @@
 // termination check, budget metering, storage and tag-twin mirroring live
 // here, once.
 //
-// Compiled is the compile-time half (rewrite, warded analysis, strata,
-// per-rule plans, the static schedules of the rules that run one); Core is
+// Compiled is the compile-time half, and the one place the program facts
+// both engines schedule by are decided: the rewrite, the warded analysis,
+// each rule's negation stratum (Stratum), the predicates admission rewrites
+// in place (InPlace), the per-rule plans, the static schedules of the rules
+// that run one and the access plan (Plan). Core is
 // the per-run half (database, policy, meter, join planner, bindings,
 // aggregate state, and the run's input: the Feeder and the one guarded load
 // path, LoadProgramFacts, LoadChunk and LoadRows). An engine hands NewCore
@@ -43,21 +46,22 @@ import (
 )
 
 // ErrInconsistent is returned (wrapped) when a negative constraint fires
-// or an EGD equates two distinct constants.
-var ErrInconsistent = errors.New("admit: knowledge base is inconsistent")
+// or an EGD equates two distinct constants. Package vadalog exports it
+// under the same name, hence the text.
+var ErrInconsistent = errors.New("vadalog: knowledge base is inconsistent")
 
 // ErrBudget is returned (wrapped) when the derivation budget is exhausted;
 // with the termination strategy enabled this indicates a genuinely
 // enormous answer, with it disabled it is the expected outcome on
 // non-terminating programs. A refused step has mutated nothing, so raising
 // the budget (SetBudget) and re-firing the delta resumes the run.
-var ErrBudget = errors.New("admit: derivation budget exceeded")
+var ErrBudget = errors.New("vadalog: derivation budget exceeded")
 
 // ErrArity is returned (wrapped) when a loaded row's width differs from
 // its predicate's arity: the compiled program's, or for a predicate the
 // program does not mention, that of the relation an earlier load created.
 // The row is not stored, so every later load of it is refused again.
-var ErrArity = errors.New("admit: row does not have its predicate's arity")
+var ErrArity = errors.New("vadalog: fact does not have its predicate's arity")
 
 // siteLoad guards the load path of both engines: it fires at the head of
 // every chunk (LoadProgramFacts, LoadChunk, LoadRows), before anything of
@@ -108,11 +112,19 @@ type Compiled struct {
 	// one: Skolem rules, and every rule under Config.DisablePlanner. nil for
 	// a rule the planner schedules.
 	static [][][]eval.Step
-	// Strata maps every predicate of Prog to its stratum when some rule
-	// negates (analysis.Condensation, tag twins derived from their
-	// predicates). Both engines fire a stratum's rules only once the strata
-	// below it are complete. nil means one stratum: no rule negates.
-	Strata map[string]int
+	// Stratum is each rule's stratum when some rule negates: its head's
+	// (analysis.Condensation, tag twins derived from their predicates); a
+	// constraint or EGD takes the least stratum above everything it reads, a
+	// negated atom counting one more than its predicate. Both engines fire a
+	// rule of stratum s only once every rule below s has reached its
+	// fixpoint. nil means one stratum: no rule negates.
+	Stratum []int
+	// InPlace holds the predicates whose stored rows admission rewrites in
+	// place: the heads of the aggregate rules that supersede (supersedes)
+	// and their tag twins. A row of one can change after a rule has read it.
+	InPlace map[string]bool
+	// strata counts the rule strata: one more than the largest Stratum.
+	strata int
 
 	postAgg [][]eval.CCond // per rule: conditions reading the aggregate result
 	// reachesNeg holds the predicates of Prog with a dependency path to a
@@ -138,7 +150,7 @@ func Compile(prog *ast.Program, cfg Config) (*Compiled, error) {
 	if cfg.MaxDerivations <= 0 {
 		cfg.MaxDerivations = DefaultBudget
 	}
-	p := &Compiled{cfg: cfg, Prog: rw.Program, Res: res, RW: rw, Preds: preds}
+	p := &Compiled{cfg: cfg, Prog: rw.Program, Res: res, RW: rw, Preds: preds, InPlace: make(map[string]bool), strata: 1}
 	negates := false
 	for i, r := range rw.Program.Rules {
 		cr, err := eval.Compile(r, res.Rules[i])
@@ -171,6 +183,14 @@ func Compile(prog *ast.Program, cfg Config) (*Compiled, error) {
 			}
 		}
 		negates = negates || len(cr.Neg) > 0
+		if supersedes(cr) {
+			for _, h := range r.Heads {
+				p.InPlace[h.Pred] = true
+				if twin, ok := rw.TagPreds[h.Pred]; ok {
+					p.InPlace[twin] = true
+				}
+			}
+		}
 		p.Rules = append(p.Rules, cr)
 		p.postAgg = append(p.postAgg, pa)
 		p.Skolem = append(p.Skolem, skolem)
@@ -183,13 +203,52 @@ func Compile(prog *ast.Program, cfg Config) (*Compiled, error) {
 		if err := g.Err(); err != nil {
 			return nil, fmt.Errorf("admit: %w", err)
 		}
-		p.Strata, p.reachesNeg = g.Strata(), g.ReachesNegation()
+		p.reachesNeg = g.ReachesNegation()
+		p.stratify(g.Strata())
 	}
 	return p, nil
 }
 
+// stratify fills Stratum and strata from the predicates' strata.
+func (p *Compiled) stratify(strata map[string]int) {
+	p.Stratum = make([]int, len(p.Rules))
+	for i, cr := range p.Rules {
+		r := cr.Rule
+		if len(r.Heads) > 0 {
+			p.Stratum[i] = strata[r.Heads[0].Pred]
+		} else {
+			for _, a := range r.Body {
+				s := strata[a.Pred]
+				if a.Negated {
+					s++
+				}
+				p.Stratum[i] = max(p.Stratum[i], s)
+			}
+		}
+		p.strata = max(p.strata, p.Stratum[i]+1)
+	}
+}
+
+// supersedes reports whether rule cr's head facts improve in place: an
+// aggregate rule without existentials. An existential aggregate head mints
+// a null per binding, so each binding is its own fact, not an improvement
+// of the previous one.
+func supersedes(cr *eval.CompiledRule) bool { return cr.Agg != nil && len(cr.Exists) == 0 }
+
 // Config returns the options p was compiled with, MaxDerivations resolved.
 func (p *Compiled) Config() Config { return p.cfg }
+
+// Strata reports how many rule strata the program has: one when no rule
+// negates.
+func (p *Compiled) Strata() int { return p.strata }
+
+// Plan renders the compiled reasoning access plan (paper Sec. 4, step 2:
+// the logic compiler's pipeline of filters and pipes): one line per filter
+// with its generating-rule kind and termination-wrapper role, and the
+// pipes from the predicates it reads to the predicate it feeds. The plan
+// is a compile-time artifact, the same for both engines: it exists before
+// any run.
+func (p *Compiled) Plan() string { return planner.RenderPlan(p.Prog, p.Preds, p.Rules, nil) }
 
 // Core is the per-run admission state over a shared Compiled: it owns the
 // database, the termination policy, the null substitution, the derivation
@@ -541,10 +600,7 @@ func (c *Core) emitHeads(ri int, cr *eval.CompiledRule, b *eval.Binding) (int, e
 	c.mt.InstantiateExistentials(cr, b)
 	parents := eval.WardFirstParentsAppend(cr, b, c.parentsBuf[:0])
 	c.parentsBuf = parents
-	// Existential aggregate heads mint per-binding nulls: each binding is
-	// its own fact, not an improvement of the previous one, so they take
-	// the plain admission path (no supersession).
-	supersede := cr.Agg != nil && len(cr.Exists) == 0
+	supersede := supersedes(cr)
 	admitted := 0
 	for hi := range cr.Heads {
 		row, miss, err := b.AppendHeadRow(c.rowBuf[:0], cr, hi, c.subst)

@@ -42,13 +42,6 @@ import (
 // batch requeue of step's crash recovery.
 var siteMatch = fault.NewSite("chase.match")
 
-// ErrInconsistent and ErrBudget are the admission core's sentinels under
-// this package's name: errors.Is holds against either.
-var (
-	ErrInconsistent = admit.ErrInconsistent
-	ErrBudget       = admit.ErrBudget
-)
-
 // Options configures a reasoning run: the admission core's one option set
 // (admit.Config). The chase times its batches whatever PhaseTiming says.
 type Options = admit.Config
@@ -88,10 +81,9 @@ type Compiled struct {
 	// rule of that stratum.
 	firings []map[string][]firing
 
-	// stratum is each rule's stratum and readers each predicate's distinct
-	// reader strata, ascending, when the program negates (admit.Compiled's
-	// Strata); both nil otherwise, when there is one delta queue.
-	stratum []int
+	// readers maps each predicate to the strata, ascending, whose firings
+	// read it, when the program negates (admit.Compiled.Stratum); nil
+	// otherwise, when there is one delta queue.
 	readers map[string][]int
 
 	// CSE body sharing (planner enabled only): rules whose positive
@@ -129,9 +121,6 @@ func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
 		return nil, err
 	}
 	c := &Compiled{Compiled: ac}
-	if c.Strata != nil {
-		c.stratifyRules()
-	}
 	if !opts.DisablePlanner {
 		c.buildCSEGroups()
 	}
@@ -139,20 +128,17 @@ func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
 	return c, nil
 }
 
-// listFirings fills firings from the rules, their strata and CSE groups.
+// listFirings fills firings from the rules, their strata and CSE groups,
+// and readers from firings.
 func (c *Compiled) listFirings() {
-	strata := 1
-	for _, s := range c.stratum {
-		strata = max(strata, s+1)
-	}
-	c.firings = make([]map[string][]firing, strata)
+	c.firings = make([]map[string][]firing, c.Strata())
 	for s := range c.firings {
 		c.firings[s] = make(map[string][]firing)
 	}
 	for ri, cr := range c.Rules {
 		s := 0
-		if c.stratum != nil {
-			s = c.stratum[ri]
+		if c.Stratum != nil {
+			s = c.Stratum[ri]
 		}
 		for pi, a := range cr.Pos {
 			fs := c.firings[s][a.Pred]
@@ -167,33 +153,14 @@ func (c *Compiled) listFirings() {
 			c.firings[s][a.Pred] = append(fs, f)
 		}
 	}
-}
-
-// stratifyRules fills stratum and readers. A rule's stratum is its head's;
-// a constraint or EGD takes the least stratum above everything it reads,
-// a negated atom counting one more than its predicate.
-func (c *Compiled) stratifyRules() {
-	c.stratum = make([]int, len(c.Rules))
+	if c.Stratum == nil {
+		return
+	}
 	c.readers = make(map[string][]int)
-	for i, cr := range c.Rules {
-		r := cr.Rule
-		if len(r.Heads) > 0 {
-			c.stratum[i] = c.Strata[r.Heads[0].Pred]
-		} else {
-			for _, a := range r.Body {
-				s := c.Strata[a.Pred]
-				if a.Negated {
-					s++
-				}
-				c.stratum[i] = max(c.stratum[i], s)
-			}
-		}
-		for _, a := range cr.Pos {
-			if rs := c.readers[a.Pred]; !slices.Contains(rs, c.stratum[i]) {
-				rs = append(rs, c.stratum[i])
-				slices.Sort(rs)
-				c.readers[a.Pred] = rs
-			}
+	for s, fs := range c.firings {
+		//vadalint:ordered keyed effects only: each predicate's list grows in stratum order
+		for pred := range fs {
+			c.readers[pred] = append(c.readers[pred], s)
 		}
 	}
 }
@@ -560,7 +527,7 @@ func (e *Engine) matchBatch(ctx context.Context) error {
 		}
 		e.matchTask(ti)
 		if e.room < 0 {
-			return fmt.Errorf("%w (batch candidate buffer overflow)", ErrBudget)
+			return fmt.Errorf("%w (batch candidate buffer overflow)", admit.ErrBudget)
 		}
 	}
 	e.firing = nil

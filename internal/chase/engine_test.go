@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/admit"
 	"repro/internal/ast"
 	"repro/internal/gen/dbpedia"
 	"repro/internal/gen/graphs"
@@ -318,7 +319,7 @@ func TestConstraintViolation(t *testing.T) {
 	}
 	edb := []ast.Fact{ast.NewFact("own", term.String("a"), term.String("a"), term.Float(0.1))}
 	_, err = Run(context.Background(), prog, edb, Options{})
-	if !errors.Is(err, ErrInconsistent) {
+	if !errors.Is(err, admit.ErrInconsistent) {
 		t.Fatalf("want ErrInconsistent, got %v", err)
 	}
 }
@@ -351,7 +352,7 @@ func TestEGDConstantViolation(t *testing.T) {
 		ast.NewFact("val", term.String("b"), term.Int(2)),
 	}
 	_, err := Run(context.Background(), prog, edb, Options{})
-	if !errors.Is(err, ErrInconsistent) {
+	if !errors.Is(err, admit.ErrInconsistent) {
 		t.Fatalf("want ErrInconsistent, got %v", err)
 	}
 }
@@ -469,7 +470,7 @@ func TestBudgetExceeded(t *testing.T) {
 		edb = append(edb, ast.NewFact("a", term.Int(int64(i))))
 	}
 	_, err := Run(context.Background(), prog, edb, Options{MaxDerivations: 50})
-	if !errors.Is(err, ErrBudget) {
+	if !errors.Is(err, admit.ErrBudget) {
 		t.Fatalf("want ErrBudget, got %v", err)
 	}
 }
@@ -520,7 +521,7 @@ func TestDomGuard(t *testing.T) {
 	}
 	prog := parser.MustParse(src)
 	_, err := Run(context.Background(), prog, edb, Options{})
-	if !errors.Is(err, ErrInconsistent) {
+	if !errors.Is(err, admit.ErrInconsistent) {
 		t.Fatalf("two ground owners of a must violate the dom-guarded EGD, got %v", err)
 	}
 }
@@ -640,7 +641,7 @@ func TestParallelBudgetExceeded(t *testing.T) {
 	}
 	for _, setting := range planSettings {
 		_, err := engineFor(t, prog, setting, Options{MaxDerivations: 50}).Run(context.Background(), edb)
-		if !errors.Is(err, ErrBudget) {
+		if !errors.Is(err, admit.ErrBudget) {
 			t.Errorf("%s: want ErrBudget, got %v", setting, err)
 		}
 	}
@@ -728,7 +729,7 @@ func TestAggregateBudgetCountsReplacements(t *testing.T) {
 	prog := parser.MustParse(src)
 	// 50 EDB facts + 1 live size fact fit; the 49 replacements do not.
 	_, err := Run(context.Background(), prog, edb, Options{MaxDerivations: 60})
-	if !errors.Is(err, ErrBudget) {
+	if !errors.Is(err, admit.ErrBudget) {
 		t.Fatalf("expected budget error from metered replacements, got %v", err)
 	}
 }

@@ -130,11 +130,11 @@ func TestCSESharedBodies(t *testing.T) {
 			if len(c.groups) == 0 {
 				t.Fatal("no CSE groups built for identical bodies")
 			}
-			if c.stratum != nil {
+			if c.Stratum != nil {
 				spans := false
 				for _, g := range c.groups {
 					for _, m := range g.members {
-						spans = spans || c.stratum[m[0]] != c.stratum[g.members[0][0]]
+						spans = spans || c.Stratum[m[0]] != c.Stratum[g.members[0][0]]
 					}
 				}
 				if !spans {
@@ -206,7 +206,7 @@ func TestCSEChargesReplaysInStratum(t *testing.T) {
 					t.Fatalf("batch %d charged %d candidates, want %d (captured × replaying firings)", batches, got, want)
 				}
 			}
-			if c.stratum != nil && !partial {
+			if c.Stratum != nil && !partial {
 				t.Error("no leader's candidates were replayed by only part of its group")
 			}
 		})

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/admit"
 	"repro/internal/analysis"
 	"repro/internal/chase"
 	"repro/internal/pipeline"
@@ -97,7 +98,7 @@ func TestDisjointnessViolation(t *testing.T) {
 		{S: "thing", P: "a", O: "Organization"},
 	})
 	_, err = chase.Run(context.Background(), prog, abox, chase.Options{})
-	if !errors.Is(err, chase.ErrInconsistent) {
+	if !errors.Is(err, admit.ErrInconsistent) {
 		t.Fatalf("disjointness must fire: %v", err)
 	}
 }

@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"sort"
-
 	"repro/internal/admit"
 	"repro/internal/ast"
 	"repro/internal/storage"
@@ -19,19 +17,11 @@ type Compiled struct {
 	// bounded marks rules whose firings join a delta only against rows the
 	// filter has already consumed (semi-naive; see Session.fire): rules with
 	// two or more positive atoms, no aggregate, and no positive atom over a
-	// predicate supersession rewrites in place — an aggregate head or its
-	// tag twin. There the number of supersession steps, each a derivation,
-	// depends on how often and in which order matches are emitted, so those
-	// rules keep enumerating against the whole relation.
+	// predicate admission rewrites in place (admit.Compiled.InPlace). There
+	// the number of supersession steps, each a derivation, depends on how
+	// often and in which order matches are emitted, so those rules keep
+	// enumerating against the whole relation.
 	bounded []bool
-	// settle lists the negated predicates in stratum order (then by name),
-	// and waits[ri] is one more than the last position in settle of a
-	// predicate rule ri negates (0 when it negates none). A session that
-	// negates takes all its input, then pulls each predicate of settle to
-	// exhaustion in turn (Session.settle); a filter fires once everything
-	// it negates is settled. Both nil when nothing negates.
-	settle []string
-	waits  []int
 	// producers maps a predicate to the indexes of the rules feeding it, in
 	// rule order. Constraint and EGD filters feed no predicate: sweep runs
 	// them.
@@ -47,22 +37,10 @@ func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
 		return nil, err
 	}
 	c := &Compiled{Compiled: ac, producers: make(map[string][]int)}
-	superseded := make(map[string]bool)
-	for _, cr := range c.Rules {
-		if cr.Rule.Aggregate == nil {
-			continue
-		}
-		for _, h := range cr.Rule.Heads {
-			superseded[h.Pred] = true
-			if twin, ok := c.RW.TagPreds[h.Pred]; ok {
-				superseded[twin] = true
-			}
-		}
-	}
 	for i, cr := range c.Rules {
-		bounded := len(cr.Pos) >= 2 && cr.Rule.Aggregate == nil
+		bounded := len(cr.Pos) >= 2 && cr.Agg == nil
 		for _, a := range cr.Pos {
-			bounded = bounded && !superseded[a.Pred]
+			bounded = bounded && !c.InPlace[a.Pred]
 		}
 		c.bounded = append(c.bounded, bounded)
 		if r := cr.Rule; !r.IsConstraint && r.EGD == nil {
@@ -70,36 +48,7 @@ func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
 			c.producers[head] = append(c.producers[head], i)
 		}
 	}
-	if c.Strata != nil {
-		c.orderNegation()
-	}
 	return c, nil
-}
-
-// orderNegation fills settle and waits from the program's strata.
-func (c *Compiled) orderNegation() {
-	at := make(map[string]int)
-	for _, cr := range c.Rules {
-		for _, a := range cr.Neg {
-			if _, ok := at[a.Pred]; !ok {
-				at[a.Pred] = 0
-				c.settle = append(c.settle, a.Pred)
-			}
-		}
-	}
-	sort.Slice(c.settle, func(i, j int) bool {
-		si, sj := c.Strata[c.settle[i]], c.Strata[c.settle[j]]
-		return si < sj || si == sj && c.settle[i] < c.settle[j]
-	})
-	for i, pred := range c.settle {
-		at[pred] = i
-	}
-	c.waits = make([]int, len(c.Rules))
-	for ri, cr := range c.Rules {
-		for _, a := range cr.Neg {
-			c.waits[ri] = max(c.waits[ri], at[a.Pred]+1)
-		}
-	}
 }
 
 // NewSession derives fresh run-time state (database, interner, strategy,
@@ -131,8 +80,8 @@ func (c *Compiled) NewSession() *Session {
 		f.idx, f.cr, f.bounded = i, cr, c.bounded[i]
 		f.rels, rels = rels[:n:n], rels[n:]
 		f.cursors, cursors = cursors[:n:n], cursors[n:]
-		if c.waits != nil {
-			f.waits = c.waits[i]
+		if c.Stratum != nil {
+			f.stratum = c.Stratum[i]
 		}
 		for k := range cr.Pos {
 			f.rels[k] = s.DB().Rel(cr.Pos[k].Pred, cr.Pos[k].Arity())

@@ -13,20 +13,21 @@
 // pins one delta and joins it only against rows the filter has already
 // consumed at the other atoms — semi-naive evaluation, with the cursors as
 // the bound — so each combination of body facts is matched exactly once.
-// Aggregate rules and rules over an aggregate head (or its tag twin) are the
-// exception: supersession makes their emissions order-dependent, so they
-// join against whole relations (Compiled.bounded).
+// Aggregate rules and rules over a predicate admission rewrites in place
+// (admit.Compiled.InPlace: a superseding aggregate head or its tag twin)
+// are the exception: supersession makes their emissions order-dependent, so
+// they join against whole relations (Compiled.bounded).
 //
-// A program that negates takes all its input before the first pull and then
-// settles its negated predicates in stratum order (Session.settle): a
-// filter that negates fires only once the relations it negates are
-// complete.
+// A program that negates has the chase's stratum barrier
+// (admit.Compiled.Stratum): it takes all its input before the first pull
+// and sweeps each stratum below the top one to its fixpoint in turn
+// (Session.settle). A filter of stratum s stays dry until every lower
+// stratum is complete, so a negation is tested against a complete relation.
 package pipeline
 
 import (
 	"context"
 	"errors"
-	"math"
 	"runtime/debug"
 	"sort"
 	"time"
@@ -36,13 +37,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/storage"
-)
-
-// ErrInconsistent and ErrBudget are the admission core's sentinels under
-// this package's name: errors.Is holds against either.
-var (
-	ErrInconsistent = admit.ErrInconsistent
-	ErrBudget       = admit.ErrBudget
 )
 
 // Options configures a pipeline session: the admission core's one option
@@ -77,9 +71,9 @@ type Session struct {
 	failure  error
 	quiesced bool
 
-	// settled counts the leading predicates of Compiled.settle pulled to
-	// exhaustion; a filter with waits > settled is dry.
-	settled int
+	// done counts the strata complete at the barrier (settle); a filter of
+	// a higher stratum is dry.
+	done int
 
 	// log and permBuf buffer one firing's candidate bindings so they are
 	// admitted in canonical order regardless of the join order (the core's
@@ -143,9 +137,7 @@ type ruleFilter struct {
 	cursors []int
 	rr      int
 	active  bool // on the current pull stack (runtime cycle detection)
-	// waits is the filter's Compiled.waits: it is dry until Session.settled
-	// reaches it.
-	waits int
+	stratum int  // the rule's admit.Compiled.Stratum: dry until Session.done reaches it
 }
 
 // New compiles prog and opens a session over it in one step (the
@@ -185,8 +177,8 @@ func (s *Session) admitted(m *core.FactMeta) {
 // stored yet — facts staged since the last pull must be seen — and it never
 // sweeps while input remains, so the work before the first answer is at
 // most what loading everything first would have cost. The one exception is a program
-// with a negated body atom, which takes all its input and settles its
-// negated predicates before the first pull (see settle).
+// with a negated body atom, which takes all its input and completes every
+// stratum below the top one before the first pull (see settle).
 //
 // Facts are addressed by live-row position: retracted rows (superseded
 // aggregate intermediates whose value already existed elsewhere) are
@@ -203,24 +195,29 @@ func (s *Session) Next(ctx context.Context, pred string, n int) (ast.Fact, bool,
 	return s.next(ctx, pred, n)
 }
 
-// settle is the stratum barrier of a program that negates: it takes all the
-// input, then pulls each negated predicate, in stratum order, to exhaustion
-// the way Drain pulls an output, and latches it. Until then a filter that
-// negates it is dry to step and skipped by sweep, so every negation is
-// tested against a complete relation. Facts loaded after a predicate has
-// settled can add to it but cannot retract what its negation derived.
+// settle is the stratum barrier of a program that negates, the chase's: it
+// takes all the input, then sweeps each stratum below the top one to its
+// fixpoint in turn. Until every stratum below s is complete, a filter of
+// stratum s is dry to step and skipped by sweep, so every negation is tested
+// against a complete relation. Facts loaded after the barrier can add to a
+// lower stratum but cannot retract what a negation derived.
 func (s *Session) settle(ctx context.Context) error {
-	if s.c.settle == nil {
+	if s.c.Stratum == nil {
 		return nil
 	}
 	if err := s.FeedAll(ctx); err != nil {
 		return err
 	}
-	for s.settled < len(s.c.settle) {
-		if _, _, err := s.next(ctx, s.c.settle[s.settled], math.MaxInt); err != nil {
+	for s.done < s.c.Strata()-1 {
+		for s.sweep() && ctx.Err() == nil {
+		}
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		s.settled++
+		if s.failure != nil {
+			return s.failure
+		}
+		s.done++
 	}
 	return nil
 }
@@ -290,7 +287,7 @@ func (s *Session) pull(h *hub) bool {
 // recursively. A filter already on the pull stack (the active flag: a
 // runtime cycle) is dry.
 func (s *Session) step(f *ruleFilter) bool {
-	if f.active || f.waits > s.settled || s.cancelled() {
+	if f.active || f.stratum > s.done || s.cancelled() {
 		return false
 	}
 	f.active = true
@@ -412,7 +409,7 @@ func (s *Session) sweep() bool {
 	progress := false
 	for fi := range s.filters {
 		f := &s.filters[fi]
-		if f.active || f.waits > s.settled {
+		if f.active || f.stratum > s.done {
 			continue
 		}
 		for i := range f.rels {
@@ -466,7 +463,7 @@ func (s *Session) clearResumableFailure() {
 		s.failure = nil
 		return
 	}
-	if errors.Is(s.failure, ErrBudget) && s.Derivations() < s.Meter().Limit() {
+	if errors.Is(s.failure, admit.ErrBudget) && s.Derivations() < s.Meter().Limit() {
 		s.failure = nil
 	}
 }
@@ -594,6 +591,11 @@ func (s *Session) Run(ctx context.Context, edb []ast.Fact) error {
 // interrupted run it distinguishes "the answer is complete" from "a
 // resume would derive more".
 func (s *Session) Quiesced() bool { return s.failure == nil && s.allQuiesced() }
+
+// Explain renders the access plan annotated, per rule and per delta-pinned
+// body atom, with the join order the cost-based planner chooses and the
+// estimates that drove it (admit.Core.Explain).
+func (s *Session) Explain() string { return s.Core.Explain(nil) }
 
 // Program returns the rewritten program the session executes.
 func (s *Session) Program() *ast.Program { return s.c.Prog }

@@ -187,7 +187,7 @@ func TestPipelineInconsistency(t *testing.T) {
 		t.Fatalf("new: %v", err)
 	}
 	err = s.Run(context.Background(), []ast.Fact{ast.NewFact("own", term.String("a"), term.String("a"), term.Float(1))})
-	if !errors.Is(err, ErrInconsistent) {
+	if !errors.Is(err, admit.ErrInconsistent) {
 		t.Fatalf("want ErrInconsistent, got %v", err)
 	}
 }

@@ -2,9 +2,11 @@ package pipeline
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/chase"
 	"repro/internal/parser"
 	"repro/internal/term"
 )
@@ -78,34 +80,62 @@ func TestBoundedFiringMatchesOnce(t *testing.T) {
 }
 
 // TestBoundedRules pins which rules carry the row bound: two or more
-// positive atoms, no aggregate, and no atom over an aggregate head. An
-// aggregate rule and a rule reading its head match against whole relations
-// in every session.
+// positive atoms, no aggregate, and no atom over a predicate admission
+// rewrites in place (admit.Compiled.InPlace). An aggregate rule and a rule
+// reading a superseding aggregate head match against whole relations in
+// every session; a rule reading an existential aggregate head, whose facts
+// are never rewritten, is bounded. Both engines give the same answers.
 func TestBoundedRules(t *testing.T) {
-	c, err := Compile(parser.MustParse(`
-		own(X,Y,W), W > 0.5 -> control(X,Y).
-		control(X,Y), own(Y,Z,W), V = msum(W, <Y>), V > 0.5 -> control(X,Z).
-		control(X,Y), company(Y) -> held(X,Y).
-		own(X,Y,W), company(Y) -> stake(X,Y).
-	`), Options{})
-	if err != nil {
-		t.Fatal(err)
+	own := func(x, y string, w float64) ast.Fact {
+		return ast.NewFact("own", term.String(x), term.String(y), term.Float(w))
 	}
-	s := c.NewSession()
-	if err := s.Run(context.Background(), []ast.Fact{
-		ast.NewFact("own", term.String("a"), term.String("b"), term.Float(0.6)),
-		ast.NewFact("company", term.String("b")),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(s.Output("stake")) + len(s.Output("held")); got != 2 {
-		t.Errorf("%d stake and held facts, want one each", got)
-	}
-	// Every rule fired, so each binding is the one its firings used.
-	for i, cr := range c.Rules {
-		want := cr.Rule.Heads[0].Pred == "stake"
-		if b := s.Binding(i); c.bounded[i] != want || (b.RowBound != nil) != want {
-			t.Errorf("rule %s: bounded %v, row bound %v; want %v", cr.Rule, c.bounded[i], b.RowBound, want)
-		}
+	company := func(x string) ast.Fact { return ast.NewFact("company", term.String(x)) }
+	for _, tc := range []struct {
+		name, src string
+		facts     []ast.Fact
+		bounded   string         // the head predicate of the one bounded rule
+		answers   map[string]int // output predicate -> its number of facts
+	}{
+		{"superseding aggregate head", `
+			own(X,Y,W), W > 0.5 -> control(X,Y).
+			control(X,Y), own(Y,Z,W), V = msum(W, <Y>), V > 0.5 -> control(X,Z).
+			control(X,Y), company(Y) -> held(X,Y).
+			own(X,Y,W), company(Y) -> stake(X,Y).
+		`, []ast.Fact{own("a", "b", 0.6), company("b")}, "stake", map[string]int{"held": 1, "stake": 1}},
+		// One contributor per group: an existential aggregate head keeps
+		// every intermediate, and their values depend on the match order.
+		{"existential aggregate head", `
+			own(X,Y,W), V = msum(W, <Y>) -> total(X,V,Z).
+			total(X,V,Z), company(X) -> big(X,V).
+		`, []ast.Fact{own("a", "b", 0.6), own("c", "d", 0.3), company("a"), company("c")}, "big", map[string]int{"big": 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := parser.MustParse(tc.src)
+			c, err := Compile(prog, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := c.NewSession()
+			if err := s.Run(context.Background(), tc.facts); err != nil {
+				t.Fatal(err)
+			}
+			ch, err := chase.Run(context.Background(), prog, tc.facts, chase.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pred, n := range tc.answers {
+				got, want := s.Output(pred), ch.Output(pred)
+				if len(got) != n || !slices.EqualFunc(got, want, func(a, b ast.Fact) bool { return a.Key() == b.Key() }) {
+					t.Errorf("%s: pipeline %v, chase %v; want %d facts on both", pred, got, want, n)
+				}
+			}
+			// Every rule fired, so each binding is the one its firings used.
+			for i, cr := range c.Rules {
+				want := cr.Rule.Heads[0].Pred == tc.bounded
+				if b := s.Binding(i); c.bounded[i] != want || (b.RowBound != nil) != want {
+					t.Errorf("rule %s: bounded %v, row bound %v; want %v", cr.Rule, c.bounded[i], b.RowBound, want)
+				}
+			}
+		})
 	}
 }

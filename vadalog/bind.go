@@ -166,8 +166,8 @@ func bindErr(line, col int, format string, args ...any) error {
 // exponential backoff (Options.Retry): a failed chunk pull consumed
 // nothing, so the retry — and, should the retries run out, the next step —
 // resumes at the exact row the fault struck. Errors come back as the
-// engine or the driver reported them; the drive that surfaces one maps it
-// (mapErr, wrapPartial), once.
+// engine or the driver reported them; the drive that surfaces one wraps
+// it (wrapPartial), once.
 func (s *Session) step(ctx context.Context) (more bool, err error) {
 	s.ran = true
 	if !s.progLoaded {

@@ -28,22 +28,29 @@ func TestStratifiedNegation(t *testing.T) {
 		MakeFact("start", Int(1)),
 		MakeFact("edge", Int(1), Int(2)), MakeFact("edge", Int(2), Int(3)), MakeFact("edge", Int(4), Int(5)),
 	}, nodes...)
+	// The constraint reads reached negated: it belongs to the stratum above
+	// it, with the rule that derives root, though it comes first.
+	guard := `node(X), not reached(X), not start(X) -> #fail.
+		e(X,Y) -> reached(Y).
+		node(X), not reached(X) -> root(X).
+		@output("root").`
 	cases := []struct {
 		name, src string
 		facts     []Fact
 		negating  string            // the output a negating rule derives
 		want      map[string]string // predicate -> its facts, sorted and joined
+		err       error             // what Query and the end of Stream report instead
 	}{
 		{"probe", probe, nil, "c",
-			map[string]string{"c": "c(1)", "zb": "zb(2) zb(3)"}},
+			map[string]string{"c": "c(1)", "zb": "zb(2) zb(3)"}, nil},
 		// Renamed so that the negated predicate sorts before the negating one.
 		{"probe renamed", strings.ReplaceAll(probe, "zb", "b"), nil, "c",
-			map[string]string{"c": "c(1)", "b": "b(2) b(3)"}},
+			map[string]string{"c": "c(1)", "b": "b(2) b(3)"}, nil},
 		{"unreachable nodes", `start(X) -> reached(X).
 			reached(X), edge(X,Y) -> reached(Y).
 			node(X), not reached(X) -> isolated(X).
 			@output("isolated"). @output("reached").`, unreachable, "isolated",
-			map[string]string{"isolated": "isolated(4) isolated(5)", "reached": "reached(1) reached(2) reached(3)"}},
+			map[string]string{"isolated": "isolated(4) isolated(5)", "reached": "reached(1) reached(2) reached(3)"}, nil},
 		// j is derived through a harmful join on the null Z, which the
 		// rewriting moves onto the tag twins of p and q: only the edges from
 		// p and q to their twins put j above the negation that derives p.
@@ -53,7 +60,24 @@ func TestStratifiedNegation(t *testing.T) {
 			p(X,Z), q(Y,Z) -> j(X,Y).
 			a(X), not j(X,X) -> r(X).
 			@output("r"). @output("j").`, nil, "r",
-			map[string]string{"r": "r(1)", "j": "j(2,2)"}},
+			map[string]string{"r": "r(1)", "j": "j(2,2)"}, nil},
+		// Stratum 1 negates b; stratum 2 negates s1 and, in its second rule,
+		// the stratum-0 predicate c, whose rule still waits for stratum 1.
+		{"three strata", `a(1). a(2). a(3). a(4).  e(1,2). e(2,3).
+			e(X,Y) -> b(Y).
+			e(X,Y), e(Y,Z) -> c(Z).
+			a(X), not b(X) -> s1(X).
+			a(X), not s1(X) -> s2(X).
+			e(X,Y), not c(X) -> s2(X).
+			@output("s1"). @output("s2").`, nil, "s2",
+			map[string]string{"s1": "s1(1) s1(4)", "s2": "s2(1) s2(2) s2(3)"}, nil},
+		{"negating constraint holds", guard, []Fact{
+			MakeFact("node", Int(1)), MakeFact("node", Int(2)), MakeFact("start", Int(1)), MakeFact("e", Int(1), Int(2)),
+		}, "root", map[string]string{"root": "root(1)"}, nil},
+		{"negating constraint violated", guard, []Fact{
+			MakeFact("node", Int(1)), MakeFact("node", Int(2)), MakeFact("node", Int(3)), MakeFact("start", Int(1)),
+			MakeFact("e", Int(1), Int(2)),
+		}, "root", nil, ErrInconsistent},
 	}
 	render := func(facts []string) string {
 		slices.Sort(facts)
@@ -64,6 +88,17 @@ func TestStratifiedNegation(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%v", tc.name, engine), func(t *testing.T) {
 				r := MustCompile(MustParse(tc.src), &Options{Engine: engine})
 				res, err := r.Query(context.Background(), tc.facts)
+				if tc.err != nil {
+					if !errors.Is(err, tc.err) {
+						t.Errorf("Query: err = %v, want %v", err, tc.err)
+					}
+					for _, err = range r.Stream(context.Background(), tc.facts, tc.negating) {
+					}
+					if !errors.Is(err, tc.err) {
+						t.Errorf("Stream: ends with %v, want %v", err, tc.err)
+					}
+					return
+				}
 				if err != nil {
 					t.Fatal(err)
 				}

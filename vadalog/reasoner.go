@@ -28,12 +28,12 @@ var ErrNotRun = errors.New("vadalog: session has not been run")
 type Reasoner struct {
 	opts Options
 	prog *ast.Program
-	// newEngine derives fresh per-run engine state over the compiled
-	// program, and returns it with its admission core — the one place the
-	// choice of engine lives on.
+	// compiled is what both engines share of the compiled program;
+	// newEngine derives fresh per-run engine state over it, and returns it
+	// with its admission core — the one place the choice of engine lives on.
+	compiled  *admit.Compiled
 	newEngine func() (engine, *admit.Core)
-	plc       *pipeline.Compiled // Plan only; nil on the chase engine
-	binds     []boundIO          // @bind/@qbind annotations resolved against the driver registry
+	binds     []boundIO // @bind/@qbind annotations resolved against the driver registry
 	diags     []Diagnostic
 }
 
@@ -82,7 +82,7 @@ func Compile(prog *Program, opts *Options) (*Reasoner, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.plc = plc
+		r.compiled = plc.Compiled
 		r.newEngine = func() (engine, *admit.Core) {
 			s := plc.NewSession()
 			return s, s.Core
@@ -92,6 +92,7 @@ func Compile(prog *Program, opts *Options) (*Reasoner, error) {
 		if err != nil {
 			return nil, err
 		}
+		r.compiled = chc.Compiled
 		r.newEngine = func() (engine, *admit.Core) {
 			e := chc.NewEngine()
 			return e, e.Core
@@ -174,14 +175,10 @@ func (r *Reasoner) Stream(ctx context.Context, facts []Fact, pred string) iter.S
 	}
 }
 
-// Plan renders the reasoning access plan compiled into the Reasoner
-// (pipeline engine only).
-func (r *Reasoner) Plan() (string, error) {
-	if r.plc == nil {
-		return "", fmt.Errorf("vadalog: access plans are a pipeline-engine artifact")
-	}
-	return r.plc.Plan(), nil
-}
+// Plan renders the reasoning access plan compiled into the Reasoner: the
+// compiled rules both engines run, so the plan is the same whichever engine
+// was chosen. The error is always nil.
+func (r *Reasoner) Plan() (string, error) { return r.compiled.Plan(), nil }
 
 // Explain renders the access plan annotated with the join orders and
 // estimates the cost-based planner chooses. A Reasoner has no run-time

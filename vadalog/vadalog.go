@@ -153,10 +153,10 @@ func (o *Options) RegisterDriver(name string, d Driver) *Options {
 
 // ErrInconsistent is returned when a negative constraint fires or an EGD
 // equates distinct constants.
-var ErrInconsistent = errors.New("vadalog: knowledge base is inconsistent")
+var ErrInconsistent = admit.ErrInconsistent
 
 // ErrBudget is returned when the derivation budget is exhausted.
-var ErrBudget = errors.New("vadalog: derivation budget exceeded")
+var ErrBudget = admit.ErrBudget
 
 // ErrArity is returned by the drive (Run, RunContext, Facts) when a loaded
 // fact or a bound source's row has another number of values than its
@@ -165,7 +165,7 @@ var ErrBudget = errors.New("vadalog: derivation budget exceeded")
 // is not stored and the facts after it are not loaded; like
 // ErrInconsistent, it is terminal for the session: every later drive
 // refuses the row again.
-var ErrArity = errors.New("vadalog: fact does not have its predicate's arity")
+var ErrArity = admit.ErrArity
 
 // ErrUnsoundLoad is returned by the drive (Run, RunContext, Facts) after a
 // Session.Load that was refused: facts loaded into a session that has
@@ -334,7 +334,7 @@ func (s *Session) RunContext(ctx context.Context) error {
 		return err
 	}
 	if err := s.eng.Drain(ctx); err != nil {
-		return s.wrapPartial(mapErr(err))
+		return s.wrapPartial(err)
 	}
 	return s.wrapPartial(s.writeBoundOutputs(ctx))
 }
@@ -354,21 +354,7 @@ func (s *Session) takeRefused() error {
 // the way it does from a drain — a deadline while a bound input is loading
 // is a resumable *PartialResult.
 func (s *Session) feed(ctx context.Context) error {
-	return s.wrapPartial(mapErr(s.core.FeedAll(ctx)))
-}
-
-// mapErr lifts the admission core's sentinels to this package's.
-func mapErr(err error) error {
-	switch {
-	case errors.Is(err, admit.ErrInconsistent):
-		return fmt.Errorf("%w: %v", ErrInconsistent, err)
-	case errors.Is(err, admit.ErrBudget):
-		return fmt.Errorf("%w: %v", ErrBudget, err)
-	case errors.Is(err, admit.ErrArity):
-		return fmt.Errorf("%w: %v", ErrArity, err)
-	default:
-		return err
-	}
+	return s.wrapPartial(s.core.FeedAll(ctx))
 }
 
 // Output returns the facts of pred with @post directives applied, against
@@ -404,9 +390,9 @@ func (s *Session) Result() (*Result, error) {
 // then each @bind'ed input's next cursor chunk in declaration order, then
 // the staged facts) and pulls again, so the first fact is yielded after
 // the first chunk that can derive it, not after the last row. A program
-// with a negated body atom reads all its input, and completes each negated
-// predicate in stratum order, before the first pull. The
-// chase engine reads everything and runs to its fixpoint on the first
+// with a negated body atom reads all its input, and completes every
+// stratum below the top one, the chase's barrier, before the first pull.
+// The chase engine reads everything and runs to its fixpoint on the first
 // pull, then iterates. Facts loaded between pulls or between two ranges
 // are picked up on either engine; breaking out early leaves the rest of
 // the input unread, its cursor open for the next drive (or Close).
@@ -428,7 +414,7 @@ func (s *Session) Facts(ctx context.Context, pred string) iter.Seq2[Fact, error]
 		for n := 0; ; n++ {
 			f, ok, err := s.eng.Next(ctx, pred, n)
 			if err != nil {
-				yield(Fact{}, s.wrapPartial(mapErr(err)))
+				yield(Fact{}, s.wrapPartial(err))
 				return
 			}
 			if !ok || !yield(f, nil) {
