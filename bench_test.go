@@ -25,6 +25,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/gen/dbpedia"
 	"repro/internal/gen/graphs"
+	"repro/internal/gen/ibench"
 	"repro/internal/gen/iwarded"
 	"repro/internal/gen/lubm"
 	"repro/internal/parser"
@@ -483,6 +484,52 @@ func BenchmarkStreamingLoad(b *testing.B) {
 		}
 		b.ReportMetric(float64(derived), "derived-facts")
 	})
+}
+
+// BenchmarkFirstAnswer times a pull up to its first answer on the
+// pipeline, from a fresh session over a compiled program, and reports
+// admitted-at-first: the facts the session had admitted (EDB included,
+// Session.Derivations) when the first fact was yielded — a count that
+// repeats exactly where timings do not. The inputs are those of two
+// benchmark workloads: iBench ONT-256 query 2 at 20 facts per source, seed 1
+// (ont-compile), and LUBM Q9 over 14 universities, seed 1 (lubm-q9). A pull
+// drives only its predicate's relevance cone, so ans2 (21 of ONT-256's 790
+// rules) and q9 (3 of 26) pay for their cones, not for the whole program.
+func BenchmarkFirstAnswer(b *testing.B) {
+	ont := ibench.ONT256()
+	ont.FactsPerSource, ont.Seed = 20, 1
+	g := ibench.Generate(ont)
+	cases := []struct {
+		name, src, pred string
+		facts           []ast.Fact
+	}{
+		{"ONT256-q2", g.Source + g.Queries[2], "ans2", g.Facts},
+		{"LUBM-q9", lubm.Ontology + lubm.Queries()[8], "q9", lubm.Generate(lubm.Config{Universities: 14, Seed: 1})},
+	}
+	for _, bc := range cases {
+		b.Run(bc.name, func(b *testing.B) {
+			r := vadalog.MustCompile(vadalog.MustParse(bc.src), nil)
+			admitted := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := r.NewSession()
+				s.Load(bc.facts...)
+				for _, err := range s.Facts(context.Background(), bc.pred) {
+					if err != nil {
+						b.Fatal(err)
+					}
+					break
+				}
+				admitted = s.Derivations()
+				s.Close()
+			}
+			if admitted == 0 {
+				b.Fatal("no fact admitted")
+			}
+			b.ReportMetric(float64(admitted), "admitted-at-first")
+		})
+	}
 }
 
 // BenchmarkScalingMatrix runs the chase over three admission-bound

@@ -11,8 +11,9 @@ import (
 
 // genGraph decodes data into a program over predicates p0..pN-1, whose
 // rule bodies may also read the would-be tag twins w0..wN-1, and a twin map
-// sending some pI to wI. It reads data as a stream of choices, so every
-// byte string is a program and a mutated one is a nearby program.
+// sending some pI to wI; a rule may be a constraint or an EGD instead of
+// deriving a head. It reads data as a stream of choices, so every byte
+// string is a program and a mutated one is a nearby program.
 func genGraph(data []byte) (*ast.Program, map[string]string) {
 	next := func() int {
 		if len(data) == 0 {
@@ -27,7 +28,15 @@ func genGraph(data []byte) (*ast.Program, map[string]string) {
 	prog := ast.NewProgram()
 	x := []ast.Arg{ast.V("X")}
 	for rules := next() % 24; rules > 0; rules-- {
-		r := &ast.Rule{Heads: []ast.Atom{{Pred: pred(next()), Args: x}}}
+		r := &ast.Rule{}
+		switch h := next(); h % 16 {
+		case 14:
+			r.IsConstraint = true
+		case 15:
+			r.EGD = &ast.EGDSpec{Left: "X", Right: "X"}
+		default:
+			r.Heads = []ast.Atom{{Pred: pred(h), Args: x}}
+		}
 		for k := 1 + next()%3; k > 0; k-- {
 			b := next()
 			a := ast.Atom{Pred: pred(b), Args: x, Negated: len(r.Body) > 0 && b%5 == 0}
@@ -131,6 +140,7 @@ func checkCondensation(t *testing.T, prog *ast.Program, twins map[string]string)
 			t.Fatalf("%s: reaches negation %v, want %v", pred, reachesNeg[pred], want)
 		}
 	}
+	checkCone(t, prog, twins, g, reach)
 	if len(bad) > 0 {
 		return // no strata to check: some negative edge closes a cycle
 	}
@@ -153,6 +163,57 @@ func checkCondensation(t *testing.T, prog *ast.Program, twins map[string]string)
 			t.Fatalf("%s: stratum %d, least stratum %d", pred, strata[pred], want[v])
 		}
 	}
+}
+
+// checkCone compares Cone against backward reachability by brute force,
+// with reach the transitive closure of g's edges: a rule is in the cone of
+// roots when it is a constraint or an EGD, or one of its heads is a target
+// or has a path to one, the targets being the roots and every predicate a
+// constraint or EGD reads. It tries no roots, each node alone, an unknown
+// predicate, and the first three nodes together.
+func checkCone(t *testing.T, prog *ast.Program, twins map[string]string, g *Condensation, reach [][]bool) {
+	t.Helper()
+	var always []string
+	for _, r := range prog.Rules {
+		if r.IsConstraint || r.EGD != nil {
+			for _, b := range r.Body {
+				always = append(always, b.Pred)
+			}
+		}
+	}
+	check := func(roots ...string) {
+		t.Helper()
+		targets := append(slices.Clone(roots), always...)
+		needed := func(pred string) bool {
+			u, ok := g.index[pred]
+			for _, v := range targets {
+				w, known := g.index[v]
+				if v == pred || ok && known && reach[u][w] {
+					return true
+				}
+			}
+			return false
+		}
+		var want []int
+		for i, r := range prog.Rules {
+			in := r.IsConstraint || r.EGD != nil
+			for _, h := range r.Heads {
+				in = in || needed(h.Pred)
+			}
+			if in {
+				want = append(want, i)
+			}
+		}
+		if got := Cone(prog, twins, roots...); !slices.Equal(got, want) {
+			t.Fatalf("cone of %v: %v, want %v", roots, got, want)
+		}
+	}
+	check()
+	check("unknown")
+	for _, pred := range g.Preds {
+		check(pred)
+	}
+	check(g.Preds[:min(3, len(g.Preds))]...)
 }
 
 // TestCondenseProperties checks the condensation on random programs.

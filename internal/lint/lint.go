@@ -27,6 +27,8 @@ package lint
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -367,56 +369,31 @@ func (c *checker) checkArity() {
 	}
 }
 
-// checkDeadRules reports rules unreachable from any @output (D001):
-// their derivations can never influence an answer. Constraints and EGDs
-// are always live (they restrict the model itself). Programs with no
-// @output are library fragments; the check is skipped.
+// checkDeadRules reports rules unreachable from any @output (D001): rules
+// outside the outputs' relevance cone (analysis.Cone, the one the pipeline
+// drives a pull through), whose derivations can never influence an answer.
+// Constraints and EGDs are always live (they restrict the model itself).
+// Programs with no @output are library fragments; the check is skipped.
 func (c *checker) checkDeadRules() {
 	if len(c.prog.Outputs) == 0 {
 		return
 	}
-	live := make(map[string]bool)
-	for p := range c.prog.Outputs {
-		live[p] = true
+	live := make([]bool, len(c.prog.Rules))
+	for _, i := range analysis.Cone(c.prog, nil, slices.Sorted(maps.Keys(c.prog.Outputs))...) {
+		live[i] = true
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, r := range c.prog.Rules {
-			alive := r.IsConstraint || r.EGD != nil
-			for _, h := range r.Heads {
-				if live[h.Pred] {
-					alive = true
-				}
-			}
-			if !alive {
-				continue
-			}
-			for _, a := range r.Body {
-				if a.Pred != ast.DomPred && !live[a.Pred] {
-					live[a.Pred] = true
-					changed = true
-				}
-			}
-		}
-	}
-	for _, r := range c.prog.Rules {
-		if r.IsConstraint || r.EGD != nil {
+	for i, r := range c.prog.Rules {
+		if live[i] {
 			continue
 		}
-		dead := true
 		var heads []string
 		for _, h := range r.Heads {
-			if live[h.Pred] {
-				dead = false
-			}
 			if !containsStr(heads, h.Pred) {
 				heads = append(heads, h.Pred)
 			}
 		}
-		if dead {
-			c.add(Warning, "D001", r.Line, r.Col,
-				"dead rule: %s unreachable from any @output", strings.Join(heads, ", "))
-		}
+		c.add(Warning, "D001", r.Line, r.Col,
+			"dead rule: %s unreachable from any @output", strings.Join(heads, ", "))
 	}
 }
 

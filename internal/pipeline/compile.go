@@ -1,7 +1,10 @@
 package pipeline
 
 import (
+	"sync"
+
 	"repro/internal/admit"
+	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/storage"
 )
@@ -26,6 +29,10 @@ type Compiled struct {
 	// rule order. Constraint and EGD filters feed no predicate: sweep runs
 	// them.
 	producers map[string][]int
+	// cones memoizes, per pulled predicate, its relevance cone as filter
+	// indexes (see cone). It fills on first use, never in Compile, and is
+	// safe for the concurrent sessions a Compiled serves.
+	cones sync.Map // string -> []int
 }
 
 // Compile runs rewriting, wardedness analysis and rule compilation on
@@ -49,6 +56,24 @@ func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
 		}
 	}
 	return c, nil
+}
+
+// cone returns the filters a pull of pred drives (analysis.Cone over the
+// rewritten program, tag twins leading back to their originals), in rule
+// order: nil when that is every filter, so a sweep over it is the sweep
+// over all. A predicate no rule derives has the cone of the constraints and
+// EGDs, which is not nil. The first call for pred computes it; later ones
+// read the memo.
+func (c *Compiled) cone(pred string) []int {
+	if v, ok := c.cones.Load(pred); ok {
+		return v.([]int)
+	}
+	cone := analysis.Cone(c.Prog, c.RW.TagPreds, pred)
+	if len(cone) == len(c.Rules) {
+		cone = nil
+	}
+	v, _ := c.cones.LoadOrStore(pred, cone)
+	return v.([]int)
 }
 
 // NewSession derives fresh run-time state (database, interner, strategy,

@@ -4,10 +4,15 @@
 // head unifies with an atom in b's body); reasoning is a pull (volcano)
 // data stream driven by the sinks. Filters poll their predecessors
 // round-robin; a filter already on the pull stack (a runtime invocation
-// cycle) answers dry, and when every pull comes back dry one sweep over all
-// filters tells a cycle that can still be fed from a real miss; each filter
-// wraps fact production in a termination-strategy wrapper running
-// Algorithm 1.
+// cycle) answers dry, and when every pull comes back dry one sweep tells a
+// cycle that can still be fed from a real miss; each filter wraps fact
+// production in a termination-strategy wrapper running Algorithm 1.
+//
+// A pull (Session.Next) drives only the pulled predicate's relevance cone
+// (analysis.Cone, memoized per predicate in Compiled): its sweep visits
+// the filters the predicate reaches backward, and every constraint and EGD
+// filter with its own cone. A filter outside the cone has nothing pulling
+// from it and stays unfired until Drain, which sweeps every filter.
 //
 // A filter reads each body atom through a cursor of its own, and a firing
 // pins one delta and joins it only against rows the filter has already
@@ -170,15 +175,21 @@ func (s *Session) admitted(m *core.FactMeta) {
 // aborts the pull between rule firings; the session stays consistent and
 // can be driven again with a live context.
 //
+// Next drives only pred's relevance cone (Compiled.cone): its sweep visits
+// the cone's filters alone, so on a real miss pred and every predicate of
+// its cone are complete, and a predicate outside it holds what stands until
+// Drain.
+//
 // Input is pulled too. When the producers of pred come back dry, Next asks
 // the core's Feeder for one more chunk (admit.Core.Feed) and pulls again;
-// only with the input exhausted does it sweep and, failing that, quiesce.
-// It asks before honouring an earlier quiescence or a predicate nothing has
-// stored yet — facts staged since the last pull must be seen — and it never
-// sweeps while input remains, so the work before the first answer is at
-// most what loading everything first would have cost. The one exception is a program
-// with a negated body atom, which takes all its input and completes every
-// stratum below the top one before the first pull (see settle).
+// only with the input exhausted does it sweep the cone and, failing that,
+// quiesce. It asks before honouring an earlier quiescence or a predicate
+// nothing has stored yet — facts staged since the last pull must be seen —
+// and it never sweeps while input remains, so the work before the first
+// answer is at most what loading everything first would have cost. The one
+// exception is a program with a negated body atom, which takes all its
+// input and completes every stratum below the top one before the first
+// pull (see settle).
 //
 // Facts are addressed by live-row position: retracted rows (superseded
 // aggregate intermediates whose value already existed elsewhere) are
@@ -187,12 +198,18 @@ func (s *Session) admitted(m *core.FactMeta) {
 // one (monotonic-aggregation intermediates are transient; only the limit
 // survives quiescence).
 func (s *Session) Next(ctx context.Context, pred string, n int) (ast.Fact, bool, error) {
+	return s.drive(ctx, pred, n, true)
+}
+
+// drive is Next; with relevant unset its sweeps visit every filter, as
+// Drain's must.
+func (s *Session) drive(ctx context.Context, pred string, n int, relevant bool) (ast.Fact, bool, error) {
 	s.ctx, s.ctxDone = ctx, false
 	s.clearResumableFailure()
 	if err := s.settle(ctx); err != nil {
 		return ast.Fact{}, false, err
 	}
-	return s.next(ctx, pred, n)
+	return s.next(ctx, pred, n, relevant)
 }
 
 // settle is the stratum barrier of a program that negates, the chase's: it
@@ -209,7 +226,7 @@ func (s *Session) settle(ctx context.Context) error {
 		return err
 	}
 	for s.done < s.c.Strata()-1 {
-		for s.sweep() && ctx.Err() == nil {
+		for s.sweep(nil) && ctx.Err() == nil {
 		}
 		if err := ctx.Err(); err != nil {
 			return err
@@ -222,8 +239,8 @@ func (s *Session) settle(ctx context.Context) error {
 	return nil
 }
 
-// next is Next past the barrier.
-func (s *Session) next(ctx context.Context, pred string, n int) (ast.Fact, bool, error) {
+// next is drive past the barrier.
+func (s *Session) next(ctx context.Context, pred string, n int, relevant bool) (ast.Fact, bool, error) {
 	h := s.hubs[pred]
 	for h == nil || h.rel.Live() <= n {
 		if err := ctx.Err(); err != nil {
@@ -246,10 +263,15 @@ func (s *Session) next(ctx context.Context, pred string, n int) (ast.Fact, bool,
 		if h == nil || s.quiesced {
 			return ast.Fact{}, false, nil
 		}
-		// Every producer came back dry and no input is left: one global
-		// sweep decides whether a runtime cycle can still be fed
-		// (real-miss detection).
-		if !s.sweep() {
+		// Every producer came back dry and no input is left: one sweep of
+		// the cone decides whether a runtime cycle can still be fed
+		// (real-miss detection). The cone is looked up only here, so a
+		// pull that never comes back dry never asks for it.
+		var cone []int
+		if relevant {
+			cone = s.c.cone(pred)
+		}
+		if !s.sweep(cone) {
 			if err := ctx.Err(); err != nil {
 				// The dry round was (possibly) a cancellation unwind, not
 				// a real miss: report the cancellation, not exhaustion.
@@ -402,12 +424,21 @@ func (s *Session) cancelled() bool {
 	return false
 }
 
-// sweep runs every filter once over its available deltas (no recursive
-// pulls); it reports whether anything new was admitted. A full sweep with
-// no progress is a real miss: no runtime cycle can be fed any more.
-func (s *Session) sweep() bool {
+// sweep runs every filter of cone once over its available deltas (no
+// recursive pulls), every filter when cone is nil; it reports whether
+// anything new was admitted. A sweep with no progress is a real miss: no
+// runtime cycle of the cone can be fed any more.
+func (s *Session) sweep(cone []int) bool {
+	n := len(s.filters)
+	if cone != nil {
+		n = len(cone)
+	}
 	progress := false
-	for fi := range s.filters {
+	for k := 0; k < n; k++ {
+		fi := k
+		if cone != nil {
+			fi = cone[k]
+		}
 		f := &s.filters[fi]
 		if f.active || f.stratum > s.done {
 			continue
@@ -546,7 +577,7 @@ func (s *Session) Drain(ctx context.Context) error {
 	for _, pred := range targets {
 		n := 0
 		for {
-			_, ok, err := s.Next(ctx, pred, n)
+			_, ok, err := s.drive(ctx, pred, n, false)
 			if err != nil {
 				return err
 			}
@@ -557,7 +588,7 @@ func (s *Session) Drain(ctx context.Context) error {
 		}
 	}
 	// Sweep to fixpoint so constraint/EGD filters observe every fact.
-	for s.sweep() {
+	for s.sweep(nil) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/gen/graphs"
 	"repro/internal/source"
@@ -330,9 +331,11 @@ func isoCanon(facts []Fact) string {
 
 // TestLazyEqualsEager is the re-chunking metamorphic test: however the
 // input is cut into chunks, pulling a predicate to exhaustion through Facts
-// leaves the database Query builds from the same facts staged up front —
-// ground predicates byte for byte in Output's canonical order, null-carrying
-// ones up to a renaming of nulls — on both engines.
+// completes it and every predicate of its relevance cone as Query completes
+// them from the same facts staged up front, and a Run on the same session
+// then completes every other predicate too — ground predicates byte for
+// byte in Output's canonical order, null-carrying ones up to a renaming of
+// nulls — on both engines.
 func TestLazyEqualsEager(t *testing.T) {
 	type scenario struct {
 		name, src string
@@ -398,13 +401,20 @@ func TestLazyEqualsEager(t *testing.T) {
 				if len(preds) == 0 || len(res.Output(preds[len(preds)-1])) == 0 {
 					t.Fatal("scenario derives nothing (vacuous comparison)")
 				}
-				for _, chunk := range []int{1, 7, source.ChunkSize, 0} {
-					bound, d, opts := bindTables(prog, sc.facts, chunk, Options{Engine: engine})
-					s := newSession(t, bound, opts)
-					pull(t, s, preds[len(preds)-1])
-					if len(d.opened) != len(d.tables) || d.closes != len(d.tables) {
-						t.Errorf("chunk %d: %d of %d sources opened, %d closed", chunk, len(d.opened), len(d.tables), d.closes)
+				pulled := preds[len(preds)-1]
+				// The pull completes the pulled predicate and its cone: the
+				// heads of the rules analysis.Cone keeps.
+				cone := []string{pulled}
+				for _, i := range analysis.Cone(prog, nil, pulled) {
+					for _, h := range prog.Rules[i].Heads {
+						if !slices.Contains(cone, h.Pred) {
+							cone = append(cone, h.Pred)
+						}
 					}
+				}
+				sort.Strings(cone)
+				compare := func(chunk int, s *Session, preds []string) {
+					t.Helper()
 					for _, pred := range preds {
 						want, got := res.Output(pred), s.Output(pred)
 						if slices.ContainsFunc(want, func(f Fact) bool { return !f.IsGround() }) {
@@ -415,6 +425,19 @@ func TestLazyEqualsEager(t *testing.T) {
 							t.Errorf("chunk %d: %s differs\n got: %v\nwant: %v", chunk, pred, got, want)
 						}
 					}
+				}
+				for _, chunk := range []int{1, 7, source.ChunkSize, 0} {
+					bound, d, opts := bindTables(prog, sc.facts, chunk, Options{Engine: engine})
+					s := newSession(t, bound, opts)
+					pull(t, s, pulled)
+					if len(d.opened) != len(d.tables) || d.closes != len(d.tables) {
+						t.Errorf("chunk %d: %d of %d sources opened, %d closed", chunk, len(d.opened), len(d.tables), d.closes)
+					}
+					compare(chunk, s, cone)
+					if err := s.RunContext(context.Background()); err != nil {
+						t.Fatalf("chunk %d: run after the pull: %v", chunk, err)
+					}
+					compare(chunk, s, preds)
 				}
 			})
 		}

@@ -145,7 +145,9 @@ func (r *Reasoner) Query(ctx context.Context, facts []Fact) (*Result, error) {
 // sources and facts are read one chunk at a time, only when the pull of
 // pred comes back dry, so the first fact does not wait for the last row and
 // an early break leaves the rest unread (see Session.Facts for the order
-// and the exceptions). The sequence yields (fact, nil) pairs until
+// and the exceptions), and the pull drives only pred's relevance cone: the
+// rules pred depends on, plus every constraint and EGD with theirs. The
+// sequence yields (fact, nil) pairs until
 // exhaustion; a reasoning or source failure or context cancellation yields
 // one final (zero fact, err) pair. It is safe to call concurrently on a
 // shared Reasoner.

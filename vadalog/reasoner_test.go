@@ -174,6 +174,66 @@ func TestReasonerStreamIterator(t *testing.T) {
 	}
 }
 
+// TestConcurrentStreamsOfDifferentPredicates: Streams of different
+// predicates on one shared Reasoner, all at once, each pull driving its own
+// relevance cone (memoized in the shared compiled program on first use).
+// Every stream must yield what Query answers for its predicate; run under
+// -race it also proves the cone memo is safe to fill concurrently.
+func TestConcurrentStreamsOfDifferentPredicates(t *testing.T) {
+	src := pathSrc + `
+		big(X,Y) -> wide(X,Y).
+		wide(X,Y), big(Y,Z) -> wide(X,Z).
+		path(X,Y), wide(Y,Z) -> far(X,Z).
+		wide(X,X) -> #fail.
+		@output("wide"). @output("far").
+	`
+	facts := chainFacts("n", 5)
+	for i := 0; i < 12; i++ {
+		facts = append(facts, MakeFact("big", Str(fmt.Sprintf("n%d", i)), Str(fmt.Sprintf("n%d", i+1))))
+	}
+	preds := []string{"path", "wide", "far", "edge", "nosuch"}
+	for _, engine := range []Engine{EnginePipeline, EngineChase} {
+		r, err := Compile(MustParse(src), &Options{Engine: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Query(context.Background(), facts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 4*len(preds))
+		for g := 0; g < 4*len(preds); g++ {
+			wg.Add(1)
+			go func(pred string) {
+				defer wg.Done()
+				var got []string
+				for f, err := range r.Stream(context.Background(), facts, pred) {
+					if err != nil {
+						errs <- fmt.Errorf("%s: %v", pred, err)
+						return
+					}
+					got = append(got, f.String())
+				}
+				var want []string
+				for _, f := range res.Output(pred) {
+					want = append(want, f.String())
+				}
+				slices.Sort(got)
+				slices.Sort(want)
+				if !slices.Equal(got, want) {
+					errs <- fmt.Errorf("%s: streamed %v, Query %v", pred, got, want)
+				}
+			}(preds[g%len(preds)])
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Errorf("engine %v: %v", engine, err)
+		}
+	}
+}
+
 // TestRunAfterStreamDoesNotReloadBinds is the double-loading regression:
 // Run after Stream (or a second Run) must not re-read @bind'ed CSV inputs
 // nor re-stage pending facts. Deleting the input file between the two

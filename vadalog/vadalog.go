@@ -359,7 +359,9 @@ func (s *Session) feed(ctx context.Context) error {
 
 // Output returns the facts of pred with @post directives applied, against
 // the session's database as it stands — after an interrupted run, the
-// partial answer — in the canonical order of Result.Output.
+// partial answer — in the canonical order of Result.Output. After a pull
+// of Facts, a predicate in the pulled one's relevance cone is complete;
+// one outside it holds what stands until a Run drives every rule.
 //
 // Contract: before the session has been run there are no facts to return.
 // Use Result, which fails with ErrNotRun instead of silently returning
@@ -389,9 +391,15 @@ func (s *Session) Result() (*Result, error) {
 // too — a pull that comes back dry loads one more chunk (program facts,
 // then each @bind'ed input's next cursor chunk in declaration order, then
 // the staged facts) and pulls again, so the first fact is yielded after
-// the first chunk that can derive it, not after the last row. A program
-// with a negated body atom reads all its input, and completes every
-// stratum below the top one, the chase's barrier, before the first pull.
+// the first chunk that can derive it, not after the last row. A pull drives
+// only pred's relevance cone (analysis.Cone): the rules pred reaches
+// backward through its body atoms, a tag twin leading back to its
+// original, plus every constraint and EGD with its own cone, so a
+// constraint still fails the stream. Rules outside the cone stay unfired
+// until a Run, and Output of their predicates shows what stands until
+// then. A program with a negated body atom reads all its input, and
+// completes every stratum below the top one, the chase's barrier, before
+// the first pull.
 // The chase engine reads everything and runs to its fixpoint on the first
 // pull, then iterates. Facts loaded between pulls or between two ranges
 // are picked up on either engine; breaking out early leaves the rest of
