@@ -486,29 +486,40 @@ func BenchmarkStreamingLoad(b *testing.B) {
 	})
 }
 
-// BenchmarkFirstAnswer times a pull up to its first answer on the
-// pipeline, from a fresh session over a compiled program, and reports
-// admitted-at-first: the facts the session had admitted (EDB included,
-// Session.Derivations) when the first fact was yielded — a count that
-// repeats exactly where timings do not. The inputs are those of two
-// benchmark workloads: iBench ONT-256 query 2 at 20 facts per source, seed 1
-// (ont-compile), and LUBM Q9 over 14 universities, seed 1 (lubm-q9). A pull
-// drives only its predicate's relevance cone, so ans2 (21 of ONT-256's 790
-// rules) and q9 (3 of 26) pay for their cones, not for the whole program.
+// BenchmarkFirstAnswer times a pull up to its first answer, from a fresh
+// session over a compiled program, and reports admitted-at-first: the facts
+// the session had admitted (EDB included, Session.Derivations) when the
+// first fact was yielded — a count that repeats exactly where timings do
+// not. The inputs are those of three benchmark workloads: iBench ONT-256
+// query 2 at 20 facts per source, seed 1 (ont-compile), and LUBM Q9 over 14
+// universities, seed 1 (lubm-q9), on the pipeline; iWarded synthC at 450
+// facts per relation, seed 1, pulling wc9 on the chase (iwarded-chase). A
+// pipeline pull drives only its predicate's relevance cone, so ans2 (21 of
+// ONT-256's 790 rules) and q9 (3 of 26) pay for their cones, not for the
+// whole program; a chase pull runs delta batches only until the one that
+// admits its first wc9 fact.
 func BenchmarkFirstAnswer(b *testing.B) {
 	ont := ibench.ONT256()
 	ont.FactsPerSource, ont.Seed = 20, 1
 	g := ibench.Generate(ont)
+	synthC, _ := iwarded.Scenario("synthC")
+	synthC.FactsPerRel, synthC.Seed = 450, 1
+	iw, err := iwarded.Generate(synthC)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cases := []struct {
 		name, src, pred string
 		facts           []ast.Fact
+		engine          vadalog.Engine
 	}{
-		{"ONT256-q2", g.Source + g.Queries[2], "ans2", g.Facts},
-		{"LUBM-q9", lubm.Ontology + lubm.Queries()[8], "q9", lubm.Generate(lubm.Config{Universities: 14, Seed: 1})},
+		{"ONT256-q2", g.Source + g.Queries[2], "ans2", g.Facts, vadalog.EnginePipeline},
+		{"LUBM-q9", lubm.Ontology + lubm.Queries()[8], "q9", lubm.Generate(lubm.Config{Universities: 14, Seed: 1}), vadalog.EnginePipeline},
+		{"iWarded-synthC-chase", iw.Source, "wc9", iw.Facts, vadalog.EngineChase},
 	}
 	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {
-			r := vadalog.MustCompile(vadalog.MustParse(bc.src), nil)
+			r := vadalog.MustCompile(vadalog.MustParse(bc.src), &vadalog.Options{Engine: bc.engine})
 			admitted := 0
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -123,6 +123,10 @@ type Compiled struct {
 	// place: the heads of the aggregate rules that supersede (supersedes)
 	// and their tag twins. A row of one can change after a rule has read it.
 	InPlace map[string]bool
+	// EGDs reports whether some rule is an equality-generating dependency:
+	// a null of a stored row can then be unified later, so a fact read
+	// before the fixpoint may not be final (see LiveFact).
+	EGDs bool
 	// strata counts the rule strata: one more than the largest Stratum.
 	strata int
 
@@ -183,6 +187,7 @@ func Compile(prog *ast.Program, cfg Config) (*Compiled, error) {
 			}
 		}
 		negates = negates || len(cr.Neg) > 0
+		p.EGDs = p.EGDs || r.EGD != nil
 		if supersedes(cr) {
 			for _, h := range r.Heads {
 				p.InPlace[h.Pred] = true
@@ -390,6 +395,23 @@ func (c *Core) SetBudget(n int) { c.meter.SetLimit(n) }
 // mid-run, which is what a partial result reports.
 func (c *Core) Output(pred string) []ast.Fact {
 	return eval.ApplyPost(c.db.FactsOf(pred), c.p.Prog.Posts, pred, c.subst)
+}
+
+// LiveFact returns rel's n-th live fact (storage.Relation.LiveAt; the
+// caller has checked rel.Live() > n) with the EGD null substitution
+// resolved, as Output resolves it: what both engines' Next yield. A ground
+// fact, and any fact while no equation is recorded, is the stored fact
+// itself, and allocates nothing.
+func (c *Core) LiveFact(rel *storage.Relation, n int) ast.Fact {
+	f := rel.LiveAt(n).Fact
+	if c.subst.Empty() || f.IsGround() {
+		return f
+	}
+	args := make([]term.Value, len(f.Args))
+	for i, v := range f.Args {
+		args[i] = c.subst.Resolve(v)
+	}
+	return ast.Fact{Pred: f.Pred, Args: args}
 }
 
 // exhausted reports whether the budget has no room for another chase step.

@@ -221,6 +221,40 @@ func TestOutputAllocationContract(t *testing.T) {
 	}
 }
 
+// TestLiveFactAllocationContract: a yield is the stored fact itself, with
+// no allocation, while no EGD has unified anything and for a ground fact
+// whatever has been; a fact carrying a unified null is resolved as Output
+// resolves it.
+func TestLiveFactAllocationContract(t *testing.T) {
+	k := newKernel(t, `e(X,Y) -> p(X,Z).`, intFacts("e", 2))
+	k.emit(0)
+	k.emit(1)
+	p, e := k.c.DB().Lookup("p"), k.c.DB().Lookup("e")
+	var f ast.Fact
+	if got := testing.AllocsPerRun(20, func() { f = k.c.LiveFact(p, 0) }); got != 0 {
+		t.Errorf("LiveFact with an empty substitution costs %.0f allocations, want 0", got)
+	}
+	null := f.Args[1]
+	if !null.IsNull() {
+		t.Fatalf("p(0,Z) stored as %v, want a null at Z", f)
+	}
+	if err := k.c.subst.Unify(null, term.String("c")); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() { f = k.c.LiveFact(e, 0) }); got != 0 {
+		t.Errorf("LiveFact of a ground fact costs %.0f allocations, want 0", got)
+	}
+	if got, want := k.c.LiveFact(p, 0).String(), "p(0,c)"; got != want {
+		t.Errorf("LiveFact after the unification = %s, want %s", got, want)
+	}
+	if got := k.c.LiveFact(p, 1); !got.Args[1].IsNull() || got.Args[1] == null {
+		t.Errorf("LiveFact of the other fact = %v, want its own null", got)
+	}
+	if got, want := k.c.Output("p")[0].String(), k.c.LiveFact(p, 0).String(); got != want {
+		t.Errorf("Output resolves p(0,Z) to %s, LiveFact to %s", got, want)
+	}
+}
+
 // stringRows returns n distinct ternary rows of two string cells and an int
 // — the shape of a bound CSV source — cut from one block, as a cursor chunk
 // is.

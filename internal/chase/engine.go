@@ -17,6 +17,11 @@
 // from the lowest non-empty one: a stratum's rules fire only once every
 // stratum below it has reached its fixpoint, so a negated atom is tested
 // against a complete relation.
+//
+// A pull (Engine.Next) runs batches only until the pulled fact exists: an
+// admitted fact is final unless an EGD later unifies its nulls or an
+// aggregate rewrites its row in place, and a program with either takes its
+// fixpoint before the first answer (Compiled.drainFirst).
 package chase
 
 import (
@@ -93,6 +98,12 @@ type Compiled struct {
 	groups    []cseGroup
 	groupOf   map[[2]int]int // (rule idx, pinned pos) -> group idx
 	postSteps [][]eval.Step  // per rule: assign/cond replay steps (grouped rules)
+
+	// drainFirst makes Next run to the fixpoint before it answers: some
+	// rule is an EGD, or rewrites a stored row in place
+	// (admit.Compiled.InPlace), so a fact admitted by an early batch can
+	// still change.
+	drainFirst bool
 }
 
 // firing is one (rule, pinned atom) a delta schedules. A firing of a CSE
@@ -120,7 +131,7 @@ func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Compiled{Compiled: ac}
+	c := &Compiled{Compiled: ac, drainFirst: ac.EGDs || len(ac.InPlace) > 0}
 	if !opts.DisablePlanner {
 		c.buildCSEGroups()
 	}
@@ -406,19 +417,36 @@ func (e *Engine) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Next returns pred's n-th live fact. The chase has no lazy path: it takes
-// all the input there is, and whenever deltas are waiting — a first pull,
-// facts loaded since the last one — it runs to its fixpoint before
-// answering.
+// Next returns pred's n-th live fact, with the EGD null substitution
+// resolved (admit.Core.LiveFact). It takes all the input there is, then
+// runs delta batches, the same ones in the same order as Drain, only until
+// pred has n+1 live facts or the chase has reached its fixpoint: the first
+// answer costs the batches up to the one that admits it. A batch admits
+// facts that no later batch changes — a lower stratum is complete before a
+// higher one fires — except where an EGD unifies nulls or an aggregate
+// rewrites its row in place; a program with either (Compiled.drainFirst)
+// runs to its fixpoint before it answers. A constraint that a later batch
+// would violate fails only the pull that runs that batch.
 func (e *Engine) Next(ctx context.Context, pred string, n int) (ast.Fact, bool, error) {
-	if err := e.Drain(ctx); err != nil {
-		return ast.Fact{}, false, err
+	var err error
+	if e.c.drainFirst {
+		err = e.Drain(ctx)
+	} else {
+		err = e.FeedAll(ctx)
 	}
-	rel := e.DB().Lookup(pred)
-	if rel == nil || rel.Live() <= n {
-		return ast.Fact{}, false, nil
+	for err == nil {
+		if rel := e.DB().Lookup(pred); rel != nil && rel.Live() > n {
+			return e.LiveFact(rel, n), true, nil
+		}
+		if e.Quiesced() {
+			e.releaseBatch()
+			return ast.Fact{}, false, nil
+		}
+		if err = ctx.Err(); err == nil {
+			err = e.step(ctx)
+		}
 	}
-	return rel.LiveAt(n).Fact, true, nil
+	return ast.Fact{}, false, err
 }
 
 // releaseBatch drops the per-batch scratch — the drained queue's backing

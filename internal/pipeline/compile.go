@@ -33,6 +33,11 @@ type Compiled struct {
 	// indexes (see cone). It fills on first use, never in Compile, and is
 	// safe for the concurrent sessions a Compiled serves.
 	cones sync.Map // string -> []int
+	// egdCone is the filters of every EGD and constraint with their cones
+	// (analysis.Cone with no root), nil when that is every filter, for a
+	// program with an EGD (admit.Compiled.EGDs): what Next sweeps before
+	// it yields a fact that carries a null (Session.settleNulls).
+	egdCone []int
 }
 
 // Compile runs rewriting, wardedness analysis and rule compilation on
@@ -53,6 +58,11 @@ func Compile(prog *ast.Program, opts Options) (*Compiled, error) {
 		if r := cr.Rule; !r.IsConstraint && r.EGD == nil {
 			head := r.Heads[0].Pred
 			c.producers[head] = append(c.producers[head], i)
+		}
+	}
+	if c.EGDs {
+		if c.egdCone = analysis.Cone(c.Prog, c.RW.TagPreds); len(c.egdCone) == len(c.Rules) {
+			c.egdCone = nil
 		}
 	}
 	return c, nil

@@ -197,17 +197,34 @@ func (s *Session) admitted(m *core.FactMeta) {
 // value at pull time — it may later be superseded in place by an improved
 // one (monotonic-aggregation intermediates are transient; only the limit
 // survives quiescence).
+//
+// A yielded fact has the EGD null substitution resolved
+// (admit.Core.LiveFact). In a program with an EGD, a fact that still
+// carries a null waits until every EGD has seen all it can (settleNulls),
+// so no later unification can change what was yielded.
 func (s *Session) Next(ctx context.Context, pred string, n int) (ast.Fact, bool, error) {
-	return s.drive(ctx, pred, n, true)
+	rel, err := s.drive(ctx, pred, n, true)
+	if rel == nil {
+		return ast.Fact{}, false, err
+	}
+	f := s.LiveFact(rel, n)
+	if err == nil && s.c.EGDs && !f.IsGround() {
+		if err := s.settleNulls(ctx); err != nil {
+			return ast.Fact{}, false, err
+		}
+		f = s.LiveFact(rel, n)
+	}
+	return f, true, err
 }
 
-// drive is Next; with relevant unset its sweeps visit every filter, as
-// Drain's must.
-func (s *Session) drive(ctx context.Context, pred string, n int, relevant bool) (ast.Fact, bool, error) {
+// drive is Next up to the yield: it returns pred's relation once it holds
+// n+1 live facts, nil on a real miss. With relevant unset its sweeps visit
+// every filter, as Drain's must.
+func (s *Session) drive(ctx context.Context, pred string, n int, relevant bool) (*storage.Relation, error) {
 	s.ctx, s.ctxDone = ctx, false
 	s.clearResumableFailure()
 	if err := s.settle(ctx); err != nil {
-		return ast.Fact{}, false, err
+		return nil, err
 	}
 	return s.next(ctx, pred, n, relevant)
 }
@@ -226,42 +243,63 @@ func (s *Session) settle(ctx context.Context) error {
 		return err
 	}
 	for s.done < s.c.Strata()-1 {
-		for s.sweep(nil) && ctx.Err() == nil {
-		}
-		if err := ctx.Err(); err != nil {
+		if err := s.fixpoint(ctx, nil); err != nil {
 			return err
-		}
-		if s.failure != nil {
-			return s.failure
 		}
 		s.done++
 	}
 	return nil
 }
 
+// settleNulls takes all the input and sweeps every EGD's cone to its
+// fixpoint (Compiled.egdCone): every null an EGD can unify is then unified.
+func (s *Session) settleNulls(ctx context.Context) error {
+	if err := s.FeedAll(ctx); err != nil {
+		return err
+	}
+	return s.fixpoint(ctx, s.c.egdCone)
+}
+
+// fixpoint sweeps cone (every filter when nil) until a sweep admits
+// nothing, and reports cancellation or the latched failure.
+func (s *Session) fixpoint(ctx context.Context, cone []int) error {
+	for s.sweep(cone) && ctx.Err() == nil {
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return s.failure
+}
+
 // next is drive past the barrier.
-func (s *Session) next(ctx context.Context, pred string, n int, relevant bool) (ast.Fact, bool, error) {
+func (s *Session) next(ctx context.Context, pred string, n int, relevant bool) (*storage.Relation, error) {
 	h := s.hubs[pred]
 	for h == nil || h.rel.Live() <= n {
 		if err := ctx.Err(); err != nil {
-			return ast.Fact{}, false, err
+			return nil, err
 		}
 		if s.failure != nil {
-			return ast.Fact{}, false, s.failure
+			return nil, s.failure
 		}
 		if h != nil && !s.quiesced && s.pull(h) {
 			continue
 		}
 		more, err := s.Feed(ctx)
 		if err != nil {
-			return ast.Fact{}, false, err
+			return nil, err
 		}
 		if more {
 			h = s.hubs[pred]
 			continue
 		}
+		if h == nil && relevant {
+			// A predicate nothing stores has no producer to pull, but its
+			// cone still holds every constraint and EGD: sweeping it to its
+			// fixpoint fails the stream of an inconsistent KB.
+			return nil, s.fixpoint(ctx, s.c.cone(pred))
+		}
 		if h == nil || s.quiesced {
-			return ast.Fact{}, false, nil
+			return nil, nil
 		}
 		// Every producer came back dry and no input is left: one sweep of
 		// the cone decides whether a runtime cycle can still be fed
@@ -275,15 +313,15 @@ func (s *Session) next(ctx context.Context, pred string, n int, relevant bool) (
 			if err := ctx.Err(); err != nil {
 				// The dry round was (possibly) a cancellation unwind, not
 				// a real miss: report the cancellation, not exhaustion.
-				return ast.Fact{}, false, err
+				return nil, err
 			}
 			s.quiesced = s.allQuiesced()
 			if h.rel.Live() <= n {
-				return ast.Fact{}, false, s.failure
+				return nil, s.failure
 			}
 		}
 	}
-	return h.rel.LiveAt(n).Fact, true, s.failure
+	return h.rel, s.failure
 }
 
 // pull polls h's producers round-robin; it reports whether some producer
@@ -577,29 +615,18 @@ func (s *Session) Drain(ctx context.Context) error {
 	for _, pred := range targets {
 		n := 0
 		for {
-			_, ok, err := s.drive(ctx, pred, n, false)
+			rel, err := s.drive(ctx, pred, n, false)
 			if err != nil {
 				return err
 			}
-			if !ok {
+			if rel == nil {
 				break
 			}
 			n++
 		}
 	}
 	// Sweep to fixpoint so constraint/EGD filters observe every fact.
-	for s.sweep(nil) {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if s.failure != nil {
-		return s.failure
-	}
-	return nil
+	return s.fixpoint(ctx, nil)
 }
 
 // Run loads the program's facts and edb, drains the pipeline and returns

@@ -2,8 +2,11 @@ package vadalog
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"iter"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,9 +15,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/admit"
 	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/gen/graphs"
+	"repro/internal/gen/iwarded"
 	"repro/internal/source"
 	"repro/internal/term"
 )
@@ -329,6 +334,26 @@ func isoCanon(facts []Fact) string {
 	return sortedLines(facts, term.Value{})
 }
 
+// exampleProgram reads examples/programs/<name>.vada and the facts of its
+// CSV files.
+func exampleProgram(t *testing.T, name string) (string, []Fact) {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("..", "examples", "programs", name+".vada"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var facts []Fact
+	csvs, _ := filepath.Glob(filepath.Join("..", "examples", "programs", "facts", name, "*.csv"))
+	for _, csv := range csvs {
+		fs, err := ReadCSV(strings.TrimSuffix(filepath.Base(csv), ".csv"), csv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		facts = append(facts, fs...)
+	}
+	return string(src), facts
+}
+
 // TestLazyEqualsEager is the re-chunking metamorphic test: however the
 // input is cut into chunks, pulling a predicate to exhaustion through Facts
 // completes it and every predicate of its relevance cone as Query completes
@@ -348,20 +373,8 @@ func TestLazyEqualsEager(t *testing.T) {
 	}
 	for _, path := range progs {
 		name := strings.TrimSuffix(filepath.Base(path), ".vada")
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc := scenario{name: name, src: string(src)}
-		csvs, _ := filepath.Glob(filepath.Join("..", "examples", "programs", "facts", name, "*.csv"))
-		for _, csv := range csvs {
-			facts, err := ReadCSV(strings.TrimSuffix(filepath.Base(csv), ".csv"), csv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc.facts = append(sc.facts, facts...)
-		}
-		scenarios = append(scenarios, sc)
+		src, facts := exampleProgram(t, name)
+		scenarios = append(scenarios, scenario{name, src, facts})
 	}
 	rng := rand.New(rand.NewSource(23))
 	var edges []Fact
@@ -441,5 +454,278 @@ func TestLazyEqualsEager(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// The stream programs of TestStreamContract whose answer an EGD rewrites:
+// s(_:n1) is derived before the EGD equates _:n1 with "c", at once or,
+// with r routed through two copy rules, a round later.
+const (
+	egdSrc = `
+		a(X) -> q(X,Z).
+		q(X,Y), r(X,W) -> Y = W.
+		q(X,Y) -> s(Y).
+		a(1). r(1,"c").
+		@output("s").`
+	egdLateSrc = `
+		a(X) -> q(X,Z).
+		r(X,W) -> r1(X,W).
+		r1(X,W) -> r2(X,W).
+		q(X,Y), r2(X,W) -> Y = W.
+		q(X,Y) -> s(Y).
+		a(1). r(1,"c").
+		@output("s").`
+)
+
+// synthC is the iWarded synthC program over 40 facts per relation, seed 1:
+// the iwarded workloads' program at their tiny size.
+func synthC(t *testing.T) (string, []Fact) {
+	t.Helper()
+	cfg, _ := iwarded.Scenario("synthC")
+	cfg.FactsPerRel, cfg.Seed = 40, 1
+	g, err := iwarded.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.Source, g.Facts
+}
+
+// dbText renders c's database row by row in storage order, retracted rows
+// marked, with the admitted count: two runs render alike only when they
+// admitted the same facts in the same order.
+func dbText(c *admit.Core) string {
+	var sb strings.Builder
+	for _, pred := range c.DB().Predicates() {
+		rel := c.DB().Lookup(pred)
+		for i := 0; i < rel.Len(); i++ {
+			m := rel.At(i)
+			fmt.Fprintf(&sb, "%v %v\n", m.Retracted, m.Fact)
+		}
+	}
+	fmt.Fprintf(&sb, "derivations=%d\n", c.Derivations())
+	return sb.String()
+}
+
+// sameFacts reports whether got and want hold the same facts, ignoring
+// order, and up to a renaming of nulls when want carries one.
+func sameFacts(got, want []Fact) bool {
+	if slices.ContainsFunc(want, func(f Fact) bool { return !f.IsGround() }) {
+		return isoCanon(got) == isoCanon(want)
+	}
+	g, w := make([]string, len(got)), make([]string, len(want))
+	for i, f := range got {
+		g[i] = f.String()
+	}
+	for i, f := range want {
+		w[i] = f.String()
+	}
+	slices.Sort(g)
+	slices.Sort(w)
+	return slices.Equal(g, w)
+}
+
+// TestStreamContract pins what a stream promises on both engines: on a
+// consistent KB every yielded fact is in the final Output (aggregate
+// intermediates and @post aside), a stream to exhaustion yields exactly
+// Query's answer and ends in ErrInconsistent on an inconsistent KB, and a
+// stream cut short — by a break or by the budget — leaves a session whose
+// Run completes it as a fresh Query would. On the chase the cut session's
+// Run continues the same delta batches in the same order, so its database
+// equals Query's row for row; a program with an EGD or an in-place
+// aggregate takes its whole fixpoint before the first yield.
+func TestStreamContract(t *testing.T) {
+	bg := context.Background()
+	engines := []Engine{EnginePipeline, EngineChase}
+	synthSrc, synthFacts := synthC(t)
+	supplySrc, supplyFacts := exampleProgram(t, "supplychain")
+	agg := graphs.ScaleFree(60, graphs.PaperParams(), 3).OwnFacts()
+	query := func(t *testing.T, src string, facts []Fact, opts *Options) (*Reasoner, *Result) {
+		t.Helper()
+		r := MustCompile(MustParse(src), opts)
+		res, err := r.Query(bg, facts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, res
+	}
+	// completes checks that s, run after a cut stream, holds ref's answer:
+	// the same outputs and, on the chase, the same database row for row.
+	completes := func(t *testing.T, engine Engine, src string, s *Session, ref *Result) {
+		t.Helper()
+		for pred := range MustParse(src).IDBPreds() {
+			if got, want := s.Output(pred), ref.Output(pred); !sameFacts(got, want) {
+				t.Errorf("%s: %d facts after the cut and a run, Query %d", pred, len(got), len(want))
+			}
+		}
+		if engine == EngineChase && dbText(s.core) != dbText(ref.core) {
+			t.Errorf("database after the cut and a run differs from Query's (%d vs %d derivations)", s.Derivations(), ref.Derivations())
+		}
+	}
+
+	for _, engine := range engines {
+		t.Run(fmt.Sprintf("break then run/%v", engine), func(t *testing.T) {
+			r, ref := query(t, synthSrc, synthFacts, &Options{Engine: engine})
+			s := r.NewSession()
+			s.Load(synthFacts...)
+			n := 0
+			for _, err := range s.Facts(bg, "wc9") {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n++; n == 3 {
+					break
+				}
+			}
+			if n != 3 {
+				t.Fatalf("stream yielded %d facts before the break, want 3", n)
+			}
+			if engine == EngineChase && s.Derivations() >= ref.Derivations() {
+				t.Errorf("first wc9 facts after %d admissions, the whole fixpoint is %d", s.Derivations(), ref.Derivations())
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if s.Derivations() != ref.Derivations() {
+				t.Errorf("derivations %d after the break and a run, Query %d", s.Derivations(), ref.Derivations())
+			}
+			completes(t, engine, synthSrc, s, ref)
+		})
+	}
+
+	// Every IDB predicate of each program is streamed to exhaustion, all of
+	// them from one session, one fact of each in turn, so every pull starts
+	// where the others left the engine. synthC on the pipeline streams only
+	// the iwarded workloads' wc9: there a first pull of a gm or w0
+	// predicate recurses through the rule graph's paths before it loads any
+	// input and does not answer in seconds.
+	exhaust := []struct {
+		name, src string
+		facts     []Fact
+		engines   []Engine
+		preds     []string // nil: every IDB predicate
+	}{
+		{"synthC", synthSrc, synthFacts, []Engine{EngineChase}, nil},
+		{"synthC", synthSrc, synthFacts, []Engine{EnginePipeline}, []string{"wc9"}},
+		{"supplychain", supplySrc, supplyFacts, engines, nil},
+		{"path", pathSrc, chainFacts("n", 12), engines, nil},
+		{"egd", egdSrc, nil, engines, nil},
+		{"egd-late", egdLateSrc, nil, engines, nil},
+	}
+	for _, sc := range exhaust {
+		for _, engine := range sc.engines {
+			t.Run(fmt.Sprintf("to exhaustion/%s/%v", sc.name, engine), func(t *testing.T) {
+				r, ref := query(t, sc.src, sc.facts, &Options{Engine: engine})
+				preds := sc.preds
+				if preds == nil {
+					preds = slices.Sorted(maps.Keys(MustParse(sc.src).IDBPreds()))
+				}
+				s := r.NewSession()
+				s.Load(sc.facts...)
+				pulls := make([]func() (Fact, error, bool), len(preds))
+				for i, pred := range preds {
+					next, stop := iter.Pull2(s.Facts(bg, pred))
+					defer stop()
+					pulls[i] = next
+				}
+				got := make([][]Fact, len(preds))
+				for open := len(preds); open > 0; {
+					for i, pred := range preds {
+						if pulls[i] == nil {
+							continue
+						}
+						f, err, ok := pulls[i]()
+						if err != nil {
+							t.Fatalf("%s: %v", pred, err)
+						}
+						if !ok {
+							pulls[i] = nil
+							open--
+							continue
+						}
+						got[i] = append(got[i], f)
+					}
+				}
+				for i, pred := range preds {
+					if want := ref.Output(pred); len(want) == 0 && sc.preds != nil || !sameFacts(got[i], want) {
+						t.Errorf("%s: streamed %v, Query %v", pred, got[i], want)
+					}
+				}
+			})
+		}
+	}
+
+	t.Run("drain first on the chase", func(t *testing.T) {
+		for _, sc := range []struct {
+			name, src, pred string
+			facts           []Fact
+		}{
+			{"egd", egdLateSrc, "s", nil},
+			{"aggregate", controlSrc, "control", agg},
+		} {
+			r, ref := query(t, sc.src, sc.facts, &Options{Engine: EngineChase})
+			s := r.NewSession()
+			s.Load(sc.facts...)
+			for _, err := range s.Facts(bg, sc.pred) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+			if s.Derivations() != ref.Derivations() {
+				t.Errorf("%s: first yield after %d admissions, want the fixpoint's %d", sc.name, s.Derivations(), ref.Derivations())
+			}
+		}
+	})
+
+	for _, engine := range engines {
+		t.Run(fmt.Sprintf("inconsistent/%v", engine), func(t *testing.T) {
+			r := MustCompile(MustParse(`a(1). a(X) -> b(X). a(X) -> #fail.`), &Options{Engine: engine})
+			for _, pred := range []string{"b", "nosuch"} {
+				var last error
+				for _, err := range r.Stream(bg, nil, pred) {
+					last = err
+				}
+				if !errors.Is(last, ErrInconsistent) {
+					t.Errorf("Stream(%q) ends in %v, want ErrInconsistent", pred, last)
+				}
+			}
+		})
+	}
+
+	for _, engine := range engines {
+		t.Run(fmt.Sprintf("budget cut mid-stream/%v", engine), func(t *testing.T) {
+			_, ref := query(t, synthSrc, synthFacts, &Options{Engine: engine})
+			// The budget is what the first yield costs: the stream yields,
+			// then runs out.
+			first := newSession(t, MustParse(synthSrc), &Options{Engine: engine})
+			first.Load(synthFacts...)
+			for _, err := range first.Facts(bg, "wc9") {
+				if err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+			s := newSession(t, MustParse(synthSrc), &Options{Engine: engine, MaxDerivations: first.Derivations()})
+			s.Load(synthFacts...)
+			n := 0
+			var pr *PartialResult
+			for _, err := range s.Facts(bg, "wc9") {
+				if err != nil {
+					if !errors.As(err, &pr) || !errors.Is(err, ErrBudget) {
+						t.Fatalf("stream ends in %v, want a budget PartialResult", err)
+					}
+					break
+				}
+				n++
+			}
+			if pr == nil || n == 0 {
+				t.Fatalf("stream yielded %d facts and ended in %v, want yields and then a PartialResult", n, pr)
+			}
+			s.SetMaxDerivations(0)
+			if err := pr.Resume(bg); err != nil {
+				t.Fatal(err)
+			}
+			completes(t, engine, synthSrc, s, ref)
+		})
 	}
 }

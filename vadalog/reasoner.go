@@ -147,10 +147,18 @@ func (r *Reasoner) Query(ctx context.Context, facts []Fact) (*Result, error) {
 // an early break leaves the rest unread (see Session.Facts for the order
 // and the exceptions), and the pull drives only pred's relevance cone: the
 // rules pred depends on, plus every constraint and EGD with theirs. The
-// sequence yields (fact, nil) pairs until
-// exhaustion; a reasoning or source failure or context cancellation yields
-// one final (zero fact, err) pair. It is safe to call concurrently on a
-// shared Reasoner.
+// chase engine reads all the input, then runs its delta batches only until
+// the one that admits the first fact of pred — unless the program has an
+// EGD or an aggregate rewriting its rows in place, when it runs to its
+// fixpoint first. The sequence yields (fact, nil) pairs until exhaustion;
+// a reasoning or source failure or context cancellation yields one final
+// (zero fact, err) pair. It is safe to call concurrently on a shared
+// Reasoner.
+//
+// On a consistent knowledge base every yielded fact is in the final answer
+// (Query's Output of pred), with the exceptions below and @post directives
+// aside; a stream broken off early may not see an inconsistency that a
+// stream to exhaustion ends in (ErrInconsistent). See Session.Facts.
 //
 // Monotonic aggregates (msum, mprod, mmin, mmax, mcount, munion) stream
 // improving values only: each fact yielded for an aggregate group carries

@@ -216,7 +216,7 @@ func Lint(prog *Program, file string) []Diagnostic {
 // the budget, outputs, the strategy — the Session reads from the engine's
 // *admit.Core, which also holds the session's input as an admit.Feeder
 // (Session.step): the pipeline pulls it chunk by chunk, the chase all at
-// once before its fixpoint.
+// once before its first delta batch.
 type engine interface {
 	Drain(ctx context.Context) error
 	Next(ctx context.Context, pred string, n int) (ast.Fact, bool, error)
@@ -400,10 +400,25 @@ func (s *Session) Result() (*Result, error) {
 // then. A program with a negated body atom reads all its input, and
 // completes every stratum below the top one, the chase's barrier, before
 // the first pull.
-// The chase engine reads everything and runs to its fixpoint on the first
-// pull, then iterates. Facts loaded between pulls or between two ranges
-// are picked up on either engine; breaking out early leaves the rest of
-// the input unread, its cursor open for the next drive (or Close).
+// The chase engine reads all its input on the first pull, then runs its
+// delta batches only until the one that admits the pulled fact: the first
+// answer costs the batches before it, and a Run after an early break
+// continues the same batches in the same order, so it admits exactly what
+// a Run alone would. A program with an EGD or an aggregate rewriting its
+// rows in place runs to its fixpoint before the first answer. Facts loaded
+// between pulls or between two ranges are picked up on either engine;
+// breaking out early leaves the rest of the input unread, its cursor open
+// for the next drive (or Close).
+//
+// Contract: on a consistent knowledge base every yielded fact is in the
+// final Output of pred, nulls resolved through the EGDs as Output resolves
+// them — a fact that still carries a null is yielded only once every EGD
+// has seen all it can. The exceptions are an aggregate group's
+// intermediate values (see Reasoner.Stream) and @post directives, which
+// describe the materialized answer and apply to Output, not to the stream.
+// Over an inconsistent knowledge base a stream ranged to exhaustion ends
+// in ErrInconsistent; one broken off early may have stopped before the
+// violation, on either engine.
 //
 // The sequence yields (fact, nil) pairs until exhaustion; a reasoning or
 // source failure or context cancellation yields one final (zero fact, err)
@@ -411,8 +426,7 @@ func (s *Session) Result() (*Result, error) {
 // RunContext — and the session stays resumable exactly as after a failed
 // RunContext. The order of the stream is the engine's admission order,
 // which depends on how the input was chunked; the set of facts, and
-// Output's canonical order, do not. @post directives describe the
-// materialized answer and apply to Output, not to the stream.
+// Output's canonical order, do not.
 func (s *Session) Facts(ctx context.Context, pred string) iter.Seq2[Fact, error] {
 	return func(yield func(Fact, error) bool) {
 		if err := s.takeRefused(); err != nil {
