@@ -373,6 +373,11 @@ func (c *Core) Binding(ri int) *eval.Binding {
 // Matches reports how many complete matches Fire and Replay handed to Emit.
 func (c *Core) Matches() int { return c.matches }
 
+// CondsTested reports how many conditions the firings' schedules tested
+// (eval.Matcher.CondsTested): a CSE group body's once per enumerated match,
+// a member's private ones once per replayed match.
+func (c *Core) CondsTested() int64 { return c.mt.CondsTested() }
+
 // Subst exposes the EGD null substitution.
 func (c *Core) Subst() *eval.NullSubst { return c.subst }
 
@@ -897,8 +902,10 @@ func (c *Core) Fire(ri, pos int, m *core.FactMeta, b *eval.Binding) (int, error)
 // for the ranges of the chase's batch log and the pipeline's buffered
 // firings alike. A CSE group member replays the range its group's body
 // captured: post is its PostMatchSteps, the assignments and conditions the
-// body match did not run (nil for a range ri captured itself). It returns
-// how many facts were stored or replaced.
+// body match did not run (empty for a range ri captured itself, and for a
+// member whose every condition its group's body tests: such a member has no
+// negation or dom tail either, so its matches go straight to Emit). It
+// returns how many facts were stored or replaced.
 func (c *Core) Replay(ri int, lg *eval.BindingLog, perm []int32, b *eval.Binding, post []eval.Step) (int, error) {
 	admitted := 0
 	emit := func(b *eval.Binding) error {
@@ -910,7 +917,7 @@ func (c *Core) Replay(ri int, lg *eval.BindingLog, perm []int32, b *eval.Binding
 	for _, i := range perm {
 		lg.Restore(int(i), c.db.Interner(), b)
 		var err error
-		if post == nil {
+		if len(post) == 0 {
 			err = emit(b)
 		} else {
 			err = c.mt.Replay(c.p.Rules[ri], post, b, emit)

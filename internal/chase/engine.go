@@ -94,7 +94,8 @@ type Compiled struct {
 	// CSE body sharing (planner enabled only): rules whose positive
 	// bodies are identical under canonical slot renaming form a group per
 	// pinned position; one shared match-only cursor enumerates the body
-	// per delta and every member replays its private post-match steps.
+	// and tests the conditions all members share per delta, and every
+	// member replays its private post-match steps.
 	groups    []cseGroup
 	groupOf   map[[2]int]int // (rule idx, pinned pos) -> group idx
 	postSteps [][]eval.Step  // per rule: assign/cond replay steps (grouped rules)
@@ -178,51 +179,48 @@ func (c *Compiled) listFirings() {
 
 // buildCSEGroups clusters (rule, pinned pos) firings whose positive
 // bodies coincide under canonical slot renaming. Each cluster with at
-// least two members gets a shared match-only body rule; its members get
-// their private post-match replay steps. Grouped firings enumerate the
-// body once per delta instead of once per rule — the common-subexpression
+// least two members gets a shared match-only body rule that also tests the
+// conditions all of them test on the body alone (eval.SharedConds); its
+// members get their private post-match replay steps, without those.
+// Grouped firings enumerate the body and test the shared conditions once
+// per delta instead of once per rule — the common-subexpression
 // elimination of the paper's execution optimizer.
 func (c *Compiled) buildCSEGroups() {
 	c.groupOf = make(map[[2]int]int)
 	c.postSteps = make([][]eval.Step, len(c.Rules))
-	type cluster struct {
-		leader  int
-		members [][2]int
-	}
-	byKey := make(map[string]*cluster)
+	bySig := make(map[string][]int)
 	var order []string // deterministic group numbering (source order)
 	for ri, cr := range c.Rules {
 		sig, ok := cr.BodySignature()
 		if !ok || c.Skolem[ri] {
 			continue
 		}
-		for pi := range cr.Pos {
-			key := fmt.Sprintf("%s#%d", sig, pi)
-			cl := byKey[key]
-			if cl == nil {
-				cl = &cluster{leader: ri}
-				byKey[key] = cl
-				order = append(order, key)
-			}
-			cl.members = append(cl.members, [2]int{ri, pi})
+		if bySig[sig] == nil {
+			order = append(order, sig)
 		}
+		bySig[sig] = append(bySig[sig], ri)
 	}
-	for _, key := range order {
-		cl := byKey[key]
-		if len(cl.members) < 2 {
+	for _, sig := range order {
+		rules := bySig[sig]
+		if len(rules) < 2 {
 			continue
 		}
-		gid := len(c.groups)
-		c.groups = append(c.groups, cseGroup{
-			body:    c.Rules[cl.leader].BodyMatcher(),
-			pos:     cl.members[0][1],
-			members: cl.members,
-		})
-		for _, m := range cl.members {
-			c.groupOf[m] = gid
-			if c.postSteps[m[0]] == nil {
-				c.postSteps[m[0]] = c.Rules[m[0]].PostMatchSteps()
+		crs := make([]*eval.CompiledRule, len(rules))
+		for i, ri := range rules {
+			crs[i] = c.Rules[ri]
+		}
+		shared := eval.SharedConds(crs)
+		for i, ri := range rules {
+			c.postSteps[ri] = crs[i].PostMatchSteps(shared)
+		}
+		for pi := range crs[0].Pos {
+			gid := len(c.groups)
+			members := make([][2]int, len(rules))
+			for i, ri := range rules {
+				members[i] = [2]int{ri, pi}
+				c.groupOf[members[i]] = gid
 			}
+			c.groups = append(c.groups, cseGroup{body: crs[0].BodyMatcher(shared), pos: pi, members: members})
 		}
 	}
 }

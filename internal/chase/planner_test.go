@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/gen/iwarded"
 	"repro/internal/parser"
 	"repro/internal/term"
 )
@@ -153,6 +154,42 @@ func TestCSESharedBodies(t *testing.T) {
 				t.Error("no shared firings recorded")
 			}
 		})
+	}
+}
+
+// TestCSESynthCCounts pins the work of the chase on iWarded synthC at 450
+// facts per relation, seed 1 (the iwarded-chase benchmark input). Twenty
+// rules share the body w0__tag(X,P), w0__tag(Y,P) and the condition X > Y:
+// the group body tests it once per enumerated pair and logs only the pairs
+// that pass, where each member testing it on every logged pair took 475 200
+// tests. Matches, derivations and the planner's counts are those of a run
+// that shares no condition.
+func TestCSESynthCCounts(t *testing.T) {
+	cfg, _ := iwarded.Scenario("synthC")
+	cfg.FactsPerRel, cfg.Seed = 450, 1
+	g, err := iwarded.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(parser.MustParse(g.Source), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := c.NewEngine()
+	if _, err := e.Run(context.Background(), g.Facts); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.CondsTested(); got != 23_760 {
+		t.Errorf("conditions tested %d, want 23 760", got)
+	}
+	if got := e.Matches(); got != 292_270 {
+		t.Errorf("matches %d, want 292 270", got)
+	}
+	if got := e.Derivations(); got != 74_404 {
+		t.Errorf("derivations %d, want 74 404", got)
+	}
+	if d, r, s := e.PlannerStats(); d != 90 || r != 22 || s != 269_895 {
+		t.Errorf("planner stats %d / %d / %d, want 90 / 22 / 269 895", d, r, s)
 	}
 }
 

@@ -247,8 +247,12 @@ type Strategy struct {
 	// into a warded-forest tree, chained under the isoHash of (tree, fact).
 	// A lookup is faithful to "each fact is checked only against the other
 	// facts in the same tree": an entry of another tree never verifies.
+	// Entry i is groundPages[i/groundPage][i%groundPage] (groundAt): G grows
+	// a page at a time, so no entry is ever copied and the collector never
+	// scans one large array of fact headers.
 	ground      map[uint64]int32 // hash -> first entry of its chain
-	groundFacts []groundEntry
+	groundPages [][]groundEntry
+	nGround     int32
 
 	// summary is the summary structure S: per lifted-linear-forest root
 	// pattern, the trie of stop-provenances, chained under the pattern hash
@@ -275,6 +279,14 @@ type Strategy struct {
 	// isomorphism-check path.
 	DisableSummary bool
 }
+
+// groundPage is the number of entries of a page of G. The first page starts
+// at groundFirst entries and doubles up to groundPage, so a run with few
+// null-carrying facts keeps a small G; every later page is made full size.
+const (
+	groundPage  = 1024
+	groundFirst = 8
+)
 
 // groundEntry is one fact of G: the admitted fact itself (a header copy
 // sharing its Args), its tree, and the next entry of its hash chain (-1
@@ -306,7 +318,7 @@ func NewStrategy(res *analysis.Result) *Strategy {
 
 // Stats returns a snapshot of the decision counters.
 func (s *Strategy) Stats() Stats {
-	s.stats.GroundFacts = len(s.groundFacts)
+	s.stats.GroundFacts = int(s.nGround)
 	s.stats.Patterns = len(s.patterns)
 	return s.stats
 }
@@ -423,8 +435,8 @@ func (s *Strategy) CheckTermination(a *FactMeta) bool {
 		tree := a.WRoot.id
 		h := isoHash(tree, a.Fact)
 		head := chain(s.ground, h)
-		for i := head; i >= 0; i = s.groundFacts[i].next {
-			if e := &s.groundFacts[i]; e.tree == tree && IsoEqual(e.fact, a.Fact) {
+		for i := head; i >= 0; i = s.groundAt(i).next {
+			if e := s.groundAt(i); e.tree == tree && IsoEqual(e.fact, a.Fact) {
 				s.stats.IsoHits++
 				if !s.DisableSummary {
 					s.learnStop(a)
@@ -469,11 +481,29 @@ func chain(table map[uint64]int32, h uint64) int32 {
 	return -1
 }
 
+// groundAt returns G's entry i.
+func (s *Strategy) groundAt(i int32) *groundEntry {
+	return &s.groundPages[i/groundPage][i%groundPage]
+}
+
 // pushGround appends f of tree to G in front of the chain starting at next
 // and returns the new entry's index, the chain's new head.
 func (s *Strategy) pushGround(tree int64, f ast.Fact, next int32) int32 {
-	s.groundFacts = append(s.groundFacts, groundEntry{tree: tree, fact: f, next: next})
-	return int32(len(s.groundFacts) - 1)
+	i := s.nGround
+	if i%groundPage == 0 {
+		n := groundPage
+		if i == 0 {
+			n = groundFirst
+		}
+		s.groundPages = append(s.groundPages, make([]groundEntry, 0, n))
+	}
+	page := &s.groundPages[len(s.groundPages)-1]
+	if len(*page) == cap(*page) { // the first page, doubling up to groundPage
+		*page = append(make([]groundEntry, 0, min(2*cap(*page), groundPage)), *page...)
+	}
+	*page = append(*page, groundEntry{tree: tree, fact: f, next: next})
+	s.nGround++
+	return i
 }
 
 // findPattern returns the stop-provenances learnt for the pattern of root,

@@ -206,3 +206,46 @@ func TestFactMetaString(t *testing.T) {
 		t.Error("no patterns before any learning")
 	}
 }
+
+// TestGroundPages fills G past three pages and requires every entry to stay
+// where it was stored — a page, once full, is never copied — every page but
+// the first to be made at its full size, and every entry to be found: each
+// fact's isomorphic copy, one derivation further, is cut by it.
+func TestGroundPages(t *testing.T) {
+	res := analyzed(t, `p(X, N) -> p(X, M).`)
+	s := NewStrategy(res)
+	s.DisableSummary = true // every copy takes the isomorphism check
+	root := s.NewEDBFact(ast.NewFact("p", term.String("a"), term.String("seed")))
+	const n = 3*groundPage + 5
+	metas := make([]*FactMeta, n)
+	var first *groundEntry
+	for i := range metas {
+		metas[i] = s.Derive(ast.NewFact("p", term.Int(int64(i)), term.Null(int64(i+1))), 0, []*FactMeta{root})
+		if !s.CheckTermination(metas[i]) {
+			t.Fatalf("fact %d: a fact with no isomorphic entry must be admitted", i)
+		}
+		if i == groundPage {
+			first = s.groundAt(0)
+		}
+	}
+	if s.groundAt(0) != first {
+		t.Error("the first page moved after it filled")
+	}
+	if got := s.Stats().GroundFacts; got != n {
+		t.Fatalf("G holds %d facts, want %d", got, n)
+	}
+	for p, page := range s.groundPages {
+		if p > 0 && cap(page) != groundPage || cap(page) > groundPage {
+			t.Errorf("page %d has capacity %d, want %d", p, cap(page), groundPage)
+		}
+	}
+	for i, m := range metas {
+		cp := s.Derive(ast.NewFact("p", term.Int(int64(i)), term.Null(int64(n+i+1))), 0, []*FactMeta{m})
+		if s.CheckTermination(cp) {
+			t.Fatalf("fact %d: its isomorphic copy was admitted", i)
+		}
+	}
+	if got := s.Stats().IsoHits; got != n {
+		t.Errorf("%d isomorphism hits, want %d", got, n)
+	}
+}

@@ -578,12 +578,14 @@ func (cr *CompiledRule) NBodySlots() int {
 // sharing of that body. Rules sharing an equal, eligible signature can
 // be matched through one shared body cursor per delta and replay only
 // their private assignments, conditions and heads per match (the CSE of
-// the paper's execution optimizer). Ineligible are rules whose body
-// match itself is not a pure function of the batch-start store: negated
-// atoms and dom() restrictions (their evaluation time matters when the
-// database grows mid-batch), Skolem-minting assignments (null identity
-// depends on firing order), and assignments feeding slots matched by
-// body atoms (the body then depends on assignment interleaving).
+// the paper's execution optimizer); the conditions every one of them
+// tests on the body alone (SharedConds) move into the shared enumeration.
+// Ineligible are rules whose body match itself is not a pure function of
+// the batch-start store: negated atoms and dom() restrictions (their
+// evaluation time matters when the database grows mid-batch),
+// Skolem-minting assignments (null identity depends on firing order), and
+// assignments feeding slots matched by body atoms (the body then depends
+// on assignment interleaving).
 func (cr *CompiledRule) BodySignature() (string, bool) {
 	if len(cr.Pos) < 2 || len(cr.Neg) > 0 || len(cr.DomSlots) > 0 {
 		return "", false
@@ -612,7 +614,7 @@ func (cr *CompiledRule) BodySignature() (string, bool) {
 			if a.IsVar[p] {
 				fmt.Fprintf(&sb, "s%d", a.Slot[p])
 			} else {
-				fmt.Fprintf(&sb, "k%d:%s", a.Const[p].Kind(), a.Const[p].String())
+				writeConstKey(&sb, a.Const[p])
 			}
 		}
 		sb.WriteString(")|")
@@ -620,13 +622,79 @@ func (cr *CompiledRule) BodySignature() (string, bool) {
 	return sb.String(), true
 }
 
-// BodyMatcher compiles a match-only twin of the rule: same positive
-// body atoms and slot numbering, no assignments, conditions, negation,
-// aggregation or heads. Engines use it as the shared cursor for a CSE
-// group — one enumeration of the body feeds every member rule, which
-// then replays its private PostMatchSteps per captured match.
-func (cr *CompiledRule) BodyMatcher() *CompiledRule {
-	return &CompiledRule{
+// writeConstKey renders a constant for a canonical key: its kind and its
+// quoted text, so no two distinct values render alike.
+func writeConstKey(sb *strings.Builder, v term.Value) {
+	fmt.Fprintf(sb, "k%d:%q", v.Kind(), v.String())
+}
+
+// condKeys renders each of cr's conditions under BodySignature's canonical
+// slot naming when a CSE group body can test it for the rule: each side a
+// variable a positive body atom binds, or a constant. Such a condition
+// cannot fail to evaluate, so testing it in the shared enumeration instead
+// of the member's replay moves no error. Any other condition renders "".
+func (cr *CompiledRule) condKeys() []string {
+	nb := cr.NBodySlots()
+	keys := make([]string, len(cr.Conds))
+	var sb strings.Builder
+	side := func(e ast.Expr) bool {
+		switch ex := e.(type) {
+		case ast.ConstExpr:
+			writeConstKey(&sb, ex.Val)
+			return true
+		case ast.VarExpr:
+			s, ok := cr.VarSlot[ex.Name]
+			if ok && s < nb {
+				fmt.Fprintf(&sb, "s%d", s)
+			}
+			return ok && s < nb
+		}
+		return false
+	}
+	for i := range cr.Conds {
+		c := &cr.Conds[i].Cond
+		sb.Reset()
+		if !side(c.L) {
+			continue
+		}
+		sb.WriteString(" " + c.Op.String() + " ")
+		if side(c.R) {
+			keys[i] = sb.String()
+		}
+	}
+	return keys
+}
+
+// SharedConds returns the canonical keys, sorted, of the conditions that
+// every rule of members — rules of one BodySignature — tests on its body
+// alone (see condKeys): the conditions their group's BodyMatcher tests once
+// per match, and their PostMatchSteps leave out. A member without some
+// condition keeps its place in the group; the condition is then private to
+// the members that have it.
+func SharedConds(members []*CompiledRule) []string {
+	var shared []string
+	for mi, cr := range members {
+		keys := cr.condKeys()
+		if mi == 0 {
+			shared = slices.DeleteFunc(keys, func(k string) bool { return k == "" })
+			slices.Sort(shared)
+			shared = slices.Compact(shared)
+			continue
+		}
+		shared = slices.DeleteFunc(shared, func(k string) bool { return !slices.Contains(keys, k) })
+	}
+	return shared
+}
+
+// BodyMatcher compiles the shared cursor of a CSE group whose members share
+// the conditions shared (SharedConds): the rule's positive body atoms and
+// slot numbering, and of its conditions those shared, in shared's order — no
+// assignments, other conditions, negation, aggregation or heads. One
+// enumeration of the body tests the shared conditions once per match and
+// feeds every member rule, which then replays its private PostMatchSteps
+// per captured match.
+func (cr *CompiledRule) BodyMatcher(shared []string) *CompiledRule {
+	body := &CompiledRule{
 		Rule:    cr.Rule,
 		Info:    cr.Info,
 		VarSlot: cr.VarSlot,
@@ -634,15 +702,30 @@ func (cr *CompiledRule) BodyMatcher() *CompiledRule {
 		Pos:     cr.Pos,
 		WardPos: -1,
 	}
+	if len(shared) > 0 {
+		keys := cr.condKeys()
+		for _, k := range shared {
+			if i := slices.Index(keys, k); i >= 0 {
+				body.Conds = append(body.Conds, cr.Conds[i])
+			}
+		}
+	}
+	return body
 }
 
 // PostMatchSteps returns the assignment and condition steps a CSE group
 // member replays after its shared body matched: with every positive atom's
-// slots bound, every assignment and condition in dependency order
-// (conditions reading the aggregate result stay excluded — the engine's
-// aggregation path runs them, exactly as with in-schedule matching).
-func (cr *CompiledRule) PostMatchSteps() []Step {
+// slots bound, every assignment and every condition but those the group's
+// body tests (shared, see SharedConds), in dependency order (conditions
+// reading the aggregate result stay excluded — the engine's aggregation
+// path runs them, exactly as with in-schedule matching).
+func (cr *CompiledRule) PostMatchSteps(shared []string) []Step {
 	s := cr.newSchedule(make([]Step, 0, len(cr.Assigns)+len(cr.Conds)))
+	if len(shared) > 0 {
+		for i, k := range cr.condKeys() {
+			s.condDone[i] = k != "" && slices.Contains(shared, k)
+		}
+	}
 	for i := range cr.Pos {
 		s.bindAtom(i)
 	}

@@ -196,12 +196,21 @@ func (b *Binding) posRel(db *storage.Database, cr *CompiledRule, ai int) *storag
 }
 
 // Matcher runs compiled rules against a database. It owns no mutable state
-// beyond per-rule reusable bindings, so one Matcher per engine suffices.
-// Probes build and extend the dynamic indexes they use (the slot machine
-// join's lazy indexing), so a Matcher is for one goroutine at a time.
+// beyond per-rule reusable bindings and a work counter, so one Matcher per
+// engine suffices. Probes build and extend the dynamic indexes they use (the
+// slot machine join's lazy indexing), so a Matcher is for one goroutine at a
+// time.
 type Matcher struct {
 	DB *storage.Database
+
+	// conds counts the conditions the schedules tested (CondsTested).
+	conds int64
 }
+
+// CondsTested reports how many conditions the matcher's schedules have
+// tested, in enumeration and in a CSE member's replay alike; a condition the
+// engine tests after aggregation is not counted.
+func (mt *Matcher) CondsTested() int64 { return mt.conds }
 
 // unifyRow unifies atom a with a stored row in ID space — the one loop
 // behind every atom of a match, the pinned delta included. Positions in
@@ -280,6 +289,7 @@ func (mt *Matcher) runSteps(cr *CompiledRule, steps []Step, si int, b *Binding, 
 				return err
 			}
 		case StepCond:
+			mt.conds++
 			ok, err := cr.Conds[st.Index].Holds(b)
 			if err != nil {
 				return err

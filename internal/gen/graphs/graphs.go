@@ -9,6 +9,7 @@ package graphs
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -43,48 +44,32 @@ func PaperParams() ScaleFreeParams { return ScaleFreeParams{Alpha: 0.71, Beta: 0
 // ScaleFree grows a directed scale-free graph with n nodes using the
 // preferential-attachment process of Bollobás et al. (SODA'03). The
 // deterministic rng seed makes workloads reproducible.
+//
+// A node is drawn with probability proportional to its in- (or out-)degree
+// plus one: a draw t of rng.Intn(edges + nodes) picks the first node whose
+// running sum of deg+1 exceeds t. The running sums live in two Fenwick
+// trees, so a draw and a degree update cost O(log n) each.
 func ScaleFree(n int, p ScaleFreeParams, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	g := &Graph{}
 	if n <= 0 {
 		return g
 	}
-	// Degree-biased sampling with +1 smoothing (δ_in = δ_out = 1).
-	var inDeg, outDeg []int
+	// Degree-biased sampling with +1 smoothing (δ_in = δ_out = 1). A node
+	// not yet added weighs 0 in both trees.
+	in, out := newFenwick(n), newFenwick(n)
 	addNode := func() int {
-		inDeg = append(inDeg, 0)
-		outDeg = append(outDeg, 0)
+		in.add(g.N, 1)
+		out.add(g.N, 1)
 		g.N++
 		return g.N - 1
 	}
-	pickByIn := func() int {
-		total := len(g.Edges) + g.N
-		t := rng.Intn(total)
-		acc := 0
-		for v := 0; v < g.N; v++ {
-			acc += inDeg[v] + 1
-			if t < acc {
-				return v
-			}
-		}
-		return g.N - 1
-	}
-	pickByOut := func() int {
-		total := len(g.Edges) + g.N
-		t := rng.Intn(total)
-		acc := 0
-		for v := 0; v < g.N; v++ {
-			acc += outDeg[v] + 1
-			if t < acc {
-				return v
-			}
-		}
-		return g.N - 1
-	}
+	pickByIn := func() int { return in.search(rng.Intn(len(g.Edges) + g.N)) }
+	pickByOut := func() int { return out.search(rng.Intn(len(g.Edges) + g.N)) }
 	addEdge := func(u, v int) {
 		g.Edges = append(g.Edges, Edge{Src: u, Dst: v, W: 0})
-		outDeg[u]++
-		inDeg[v]++
+		out.add(u, 1)
+		in.add(v, 1)
 	}
 	addNode()
 	for g.N < n {
@@ -106,6 +91,33 @@ func ScaleFree(n int, p ScaleFreeParams, seed int64) *Graph {
 	}
 	assignWeights(g, rng)
 	return g
+}
+
+// fenwick is a binary indexed tree over the weights of nodes 0..n-1:
+// tree[i] (1-based) holds the sum of the weights of the lowbit(i) nodes
+// ending at node i-1.
+type fenwick []int
+
+func newFenwick(n int) fenwick { return make(fenwick, n+1) }
+
+// add adds d to node v's weight.
+func (f fenwick) add(v, d int) {
+	for i := v + 1; i < len(f); i += i & -i {
+		f[i] += d
+	}
+}
+
+// search returns the first node whose running weight sum exceeds t, the
+// last node when none does.
+func (f fenwick) search(t int) int {
+	pos := 0
+	for step := bits.Len(uint(len(f)-1)) - 1; step >= 0; step-- {
+		if next := pos + 1<<step; next < len(f) && f[next] <= t {
+			pos = next
+			t -= f[next]
+		}
+	}
+	return min(pos, len(f)-2)
 }
 
 // ErdosRenyi generates a directed G(n, m) graph with m uniformly random

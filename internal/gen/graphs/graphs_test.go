@@ -2,6 +2,8 @@ package graphs
 
 import (
 	"context"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/parser"
@@ -124,5 +126,95 @@ func TestControlProgramEndToEnd(t *testing.T) {
 func TestQueryControlProgramParses(t *testing.T) {
 	if _, err := parser.Parse(QueryControlProgram(3)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// scaleFreeScan is ScaleFree with the degree-biased draws made by a linear
+// scan over the degrees: the reference the Fenwick trees must reproduce
+// draw for draw.
+func scaleFreeScan(n int, p ScaleFreeParams, seed int64) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := &Graph{}
+	if n <= 0 {
+		return g
+	}
+	var inDeg, outDeg []int
+	addNode := func() int {
+		inDeg = append(inDeg, 0)
+		outDeg = append(outDeg, 0)
+		g.N++
+		return g.N - 1
+	}
+	pick := func(deg []int) int {
+		t := rng.Intn(len(g.Edges) + g.N)
+		acc := 0
+		for v := 0; v < g.N; v++ {
+			acc += deg[v] + 1
+			if t < acc {
+				return v
+			}
+		}
+		return g.N - 1
+	}
+	addEdge := func(u, v int) {
+		g.Edges = append(g.Edges, Edge{Src: u, Dst: v, W: 0})
+		outDeg[u]++
+		inDeg[v]++
+	}
+	addNode()
+	for g.N < n {
+		r := rng.Float64()
+		switch {
+		case r < p.Alpha:
+			v := pick(inDeg)
+			u := addNode()
+			addEdge(u, v)
+		case r < p.Alpha+p.Beta:
+			if g.N >= 2 {
+				addEdge(pick(outDeg), pick(inDeg))
+			}
+		default:
+			u := pick(outDeg)
+			v := addNode()
+			addEdge(u, v)
+		}
+	}
+	assignWeights(g, rng)
+	return g
+}
+
+// TestScaleFreeMatchesScan: the Fenwick-tree draws pick the very nodes the
+// linear scan picks, so ScaleFree's graphs — and every workload and digest
+// built on them — are the scan's, edge for edge and weight for weight.
+func TestScaleFreeMatchesScan(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 17, 60, 120, 1500, 6000} {
+		for seed := int64(1); seed <= 4; seed++ {
+			got, want := ScaleFree(n, PaperParams(), seed), scaleFreeScan(n, PaperParams(), seed)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("n=%d seed=%d: %d nodes, %d edges; the scan gives %d, %d", n, seed, got.N, len(got.Edges), want.N, len(want.Edges))
+			}
+		}
+	}
+}
+
+// TestFenwickSearch checks the tree against running sums over random
+// weights, zero weights included.
+func TestFenwickSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 1; n <= 40; n++ {
+		f, w := newFenwick(n), make([]int, n)
+		for v := range w {
+			w[v] = rng.Intn(3)
+			f.add(v, w[v])
+		}
+		acc := 0
+		for v, wv := range w {
+			for t0 := acc; t0 < acc+wv; t0++ {
+				if got := f.search(t0); got != v {
+					t.Fatalf("n=%d weights %v: search(%d) = %d, want %d", n, w, t0, got, v)
+				}
+			}
+			acc += wv
+		}
 	}
 }

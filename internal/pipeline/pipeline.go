@@ -76,6 +76,11 @@ type Session struct {
 	failure  error
 	quiesced bool
 
+	// admits counts the facts stored or replaced (admitted) and pulls the
+	// top-level pulls (pull): a filter whose whole step came back dry with
+	// neither moving is dry again until one does (ruleFilter.dryAt).
+	admits, pulls int
+
 	// done counts the strata complete at the barrier (settle); a filter of
 	// a higher stratum is dry.
 	done int
@@ -143,6 +148,11 @@ type ruleFilter struct {
 	rr      int
 	active  bool // on the current pull stack (runtime cycle detection)
 	stratum int  // the rule's admit.Compiled.Stratum: dry until Session.done reaches it
+
+	// dryAt holds Session.admits and Session.pulls, plus one each, as they
+	// stood when a step of this filter last came back dry having admitted
+	// nothing anywhere; zero when no step has.
+	dryAt [2]int
 }
 
 // New compiles prog and opens a session over it in one step (the
@@ -167,6 +177,7 @@ func (s *Session) admitted(m *core.FactMeta) {
 		s.hubs[pred] = &hub{pred: pred, rel: s.DB().Lookup(pred)}
 	}
 	s.quiesced = false
+	s.admits++
 }
 
 // Next ensures at least n+1 facts of pred exist, pulling through the
@@ -330,6 +341,7 @@ func (s *Session) pull(h *hub) bool {
 	if len(h.producers) == 0 {
 		return false
 	}
+	s.pulls++
 	before := h.rel.Len()
 	for k := 0; k < len(h.producers); k++ {
 		p := h.producers[(h.rr+k)%len(h.producers)]
@@ -346,8 +358,19 @@ func (s *Session) pull(h *hub) bool {
 // relations hold beyond its cursors), then pulls its predecessor hubs
 // recursively. A filter already on the pull stack (the active flag: a
 // runtime cycle) is dry.
+//
+// A step that drained every delta and found every predecessor dry, with
+// nothing admitted anywhere meanwhile, is remembered (dryAt): until a fact
+// is admitted or a new top-level pull starts, the filter answers dry at
+// once. Without that, a pull through many mutually recursive producers
+// walks every simple path among them before it comes back dry, and the
+// pull's sweep then finds what is left.
 func (s *Session) step(f *ruleFilter) bool {
 	if f.active || f.stratum > s.done || s.cancelled() {
+		return false
+	}
+	at := [2]int{s.admits + 1, s.pulls + 1}
+	if f.dryAt == at {
 		return false
 	}
 	f.active = true
@@ -380,6 +403,9 @@ func (s *Session) step(f *ruleFilter) bool {
 			}
 		}
 		if !progressed {
+			if s.admits+1 == at[0] && !s.ctxDone && s.failure == nil {
+				f.dryAt = at
+			}
 			return false
 		}
 	}
