@@ -643,11 +643,10 @@ func (cr *CompiledRule) condKeys() []string {
 			writeConstKey(&sb, ex.Val)
 			return true
 		case ast.VarExpr:
-			s, ok := cr.VarSlot[ex.Name]
-			if ok && s < nb {
+			if s, ok := cr.VarSlot[ex.Name]; ok && s < nb {
 				fmt.Fprintf(&sb, "s%d", s)
+				return true
 			}
-			return ok && s < nb
 		}
 		return false
 	}
