@@ -280,13 +280,9 @@ type Strategy struct {
 	DisableSummary bool
 }
 
-// groundPage is the number of entries of a page of G. The first page starts
-// at groundFirst entries and doubles up to groundPage, so a run with few
-// null-carrying facts keeps a small G; every later page is made full size.
-const (
-	groundPage  = 1024
-	groundFirst = 8
-)
+// groundPage is the number of entries of a page of G; every page is made
+// full size.
+const groundPage = 1024
 
 // groundEntry is one fact of G: the admitted fact itself (a header copy
 // sharing its Args), its tree, and the next entry of its hash chain (-1
@@ -491,16 +487,9 @@ func (s *Strategy) groundAt(i int32) *groundEntry {
 func (s *Strategy) pushGround(tree int64, f ast.Fact, next int32) int32 {
 	i := s.nGround
 	if i%groundPage == 0 {
-		n := groundPage
-		if i == 0 {
-			n = groundFirst
-		}
-		s.groundPages = append(s.groundPages, make([]groundEntry, 0, n))
+		s.groundPages = append(s.groundPages, make([]groundEntry, 0, groundPage))
 	}
 	page := &s.groundPages[len(s.groundPages)-1]
-	if len(*page) == cap(*page) { // the first page, doubling up to groundPage
-		*page = append(make([]groundEntry, 0, min(2*cap(*page), groundPage)), *page...)
-	}
 	*page = append(*page, groundEntry{tree: tree, fact: f, next: next})
 	s.nGround++
 	return i

@@ -76,10 +76,10 @@ type Session struct {
 	failure  error
 	quiesced bool
 
-	// admits counts the facts stored or replaced (admitted) and pulls the
+	// epoch counts the facts stored or replaced (admitted) and the
 	// top-level pulls (pull): a filter whose whole step came back dry with
-	// neither moving is dry again until one does (ruleFilter.dryAt).
-	admits, pulls int
+	// epoch unmoved is dry again until it moves (ruleFilter.dryAt).
+	epoch int
 
 	// done counts the strata complete at the barrier (settle); a filter of
 	// a higher stratum is dry.
@@ -149,10 +149,10 @@ type ruleFilter struct {
 	active  bool // on the current pull stack (runtime cycle detection)
 	stratum int  // the rule's admit.Compiled.Stratum: dry until Session.done reaches it
 
-	// dryAt holds Session.admits and Session.pulls, plus one each, as they
-	// stood when a step of this filter last came back dry having admitted
-	// nothing anywhere; zero when no step has.
-	dryAt [2]int
+	// dryAt holds Session.epoch, plus one, as it stood when a step of this
+	// filter last came back dry having admitted nothing anywhere; zero when
+	// no step has.
+	dryAt int
 }
 
 // New compiles prog and opens a session over it in one step (the
@@ -177,7 +177,7 @@ func (s *Session) admitted(m *core.FactMeta) {
 		s.hubs[pred] = &hub{pred: pred, rel: s.DB().Lookup(pred)}
 	}
 	s.quiesced = false
-	s.admits++
+	s.epoch++
 }
 
 // Next ensures at least n+1 facts of pred exist, pulling through the
@@ -341,7 +341,7 @@ func (s *Session) pull(h *hub) bool {
 	if len(h.producers) == 0 {
 		return false
 	}
-	s.pulls++
+	s.epoch++
 	before := h.rel.Len()
 	for k := 0; k < len(h.producers); k++ {
 		p := h.producers[(h.rr+k)%len(h.producers)]
@@ -369,7 +369,7 @@ func (s *Session) step(f *ruleFilter) bool {
 	if f.active || f.stratum > s.done || s.cancelled() {
 		return false
 	}
-	at := [2]int{s.admits + 1, s.pulls + 1}
+	at := s.epoch + 1
 	if f.dryAt == at {
 		return false
 	}
@@ -403,7 +403,8 @@ func (s *Session) step(f *ruleFilter) bool {
 			}
 		}
 		if !progressed {
-			if s.admits+1 == at[0] && !s.ctxDone && s.failure == nil {
+			// No pull starts inside a step, so only an admission moves epoch.
+			if s.epoch+1 == at && !s.ctxDone && s.failure == nil {
 				f.dryAt = at
 			}
 			return false

@@ -646,10 +646,15 @@ func TestStreamContract(t *testing.T) {
 						got[i] = append(got[i], f)
 					}
 				}
+				streamed := 0
 				for i, pred := range preds {
 					if want := ref.Output(pred); !sameFacts(got[i], want) {
 						t.Errorf("%s: streamed %v, Query %v", pred, got[i], want)
 					}
+					streamed += len(got[i])
+				}
+				if streamed == 0 {
+					t.Error("no predicate streamed a fact: the row compares empty with empty")
 				}
 			})
 		}
